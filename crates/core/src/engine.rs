@@ -21,6 +21,7 @@
 
 use crate::durability::{has_durable_state, load_checkpoint, Durability};
 use crate::error::EngineError;
+use crate::feed::CommitFeed;
 use crate::service::{IndoorService, Shared};
 use crate::snapshot::Snapshot;
 use crate::state::EngineState;
@@ -411,18 +412,18 @@ impl IndoorEngine {
         self.writer.clone()
     }
 
-    /// Attaches a commit-retention sink (at most one per engine): from now
-    /// on every committed epoch is handed to
-    /// [`crate::retention::RetentionSink::record`] right after it
-    /// publishes — the merged group report, a pinned [`Snapshot`] and a
-    /// wall-clock stamp. Returns `false` (and does not attach) when a sink
-    /// is already attached. Attach before spawning concurrent writers:
-    /// commits that race the attachment itself may precede the first
-    /// recorded epoch, and sinks baseline themselves with a snapshot taken
-    /// after attaching (`idq-history`'s `HistoryRecorder::attach` does
-    /// exactly that).
-    pub fn attach_retention(&self, sink: Arc<dyn crate::retention::RetentionSink>) -> bool {
-        self.shared.attach_retention(sink)
+    /// Attaches a commit-retention consumer (at most one per engine, for
+    /// its whole life): hands out the consumer end of a
+    /// [`CommitFeed`] into which every epoch committed from now on is
+    /// enqueued right after it publishes — the merged group report, a
+    /// pinned [`Snapshot`] and a wall-clock stamp. Returns `None` when a
+    /// consumer was already attached. Attach before spawning concurrent
+    /// writers: commits that race the attachment itself may precede the
+    /// first queued epoch, so consumers baseline themselves with a
+    /// snapshot taken after attaching (`idq-history`'s
+    /// `HistoryRecorder::attach` does exactly that).
+    pub fn attach_retention(&self) -> Option<CommitFeed> {
+        self.shared.attach_retention()
     }
 
     // ---- snapshots (sessions over a consistent read view) ----------------

@@ -96,8 +96,8 @@
 pub mod durability;
 pub mod engine;
 pub mod error;
+pub mod feed;
 pub mod monitor;
-pub mod retention;
 pub mod service;
 pub mod snapshot;
 pub mod state;
@@ -108,8 +108,8 @@ pub mod write;
 pub use durability::DurabilityOptions;
 pub use engine::{EngineConfig, IndoorEngine};
 pub use error::EngineError;
+pub use feed::{CommitFeed, CommitRecord};
 pub use monitor::MonitorExt;
-pub use retention::{CommitRecord, RetentionSink};
 pub use service::{IndoorService, Notification, Subscription};
 pub use snapshot::Snapshot;
 pub use state::EngineState;

@@ -12,8 +12,8 @@
 //! write publishes its new [`EngineState`] with one brief write-lock on
 //! the current-version cell, then hands the commit's merged
 //! [`UpdateReport`] (plus a snapshot pinned to the committed version) to
-//! a single **dispatch thread** via an unbounded inbox — the sequencer
-//! never waits on subscription work. The dispatch thread intersects the
+//! a single **dispatch thread** via its [`crate::feed::CommitFeed`] — the
+//! sequencer never waits on subscription work. The dispatch thread intersects the
 //! commit's routing footprint (the partitions its object updates touched,
 //! carried by [`crate::update::UpdateDelta`]) against an
 //! [`idq_dispatch::Dispatcher`] query index over every subscription's
@@ -32,6 +32,7 @@
 
 use crate::durability::Durability;
 use crate::error::EngineError;
+use crate::feed::{CommitFeed, CommitRecord};
 use crate::snapshot::Snapshot;
 use crate::state::EngineState;
 use crate::update::UpdateReport;
@@ -40,170 +41,56 @@ use idq_dispatch::{
 };
 use idq_objects::ObjectId;
 use idq_query::{KnnMonitor, MonitorChange, Outcome, Query, QueryOptions, RangeMonitor};
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Default bound of a subscription's notification mailbox; consumers
 /// further behind than this see coalesced, [`Notification::lagged`]
 /// deliveries. See [`IndoorService::subscribe_bounded`] to choose.
 pub const DEFAULT_MAILBOX_CAPACITY: usize = 256;
 
-// ---- commit inbox ---------------------------------------------------------
-//
-// The writer → dispatch-thread hand-off: an unbounded FIFO of committed
-// reports. Unbounded so the sequencer never blocks on subscription work;
-// each queued entry pins its commit's version until routed, so the
-// dispatch thread drains it promptly (its per-commit work is bounded by
-// the routing intersection, not the subscription count).
-
-#[derive(Debug)]
-struct CommitMsg {
-    report: Arc<UpdateReport>,
-    snapshot: Snapshot,
-}
-
-#[derive(Debug, Default)]
-struct InboxQueue {
-    queue: VecDeque<CommitMsg>,
-    /// Writer retired: nothing will ever be pushed again.
-    closed: bool,
-}
-
-#[derive(Debug, Default)]
-struct Inbox {
-    queue: Mutex<InboxQueue>,
-    ready: Condvar,
-}
-
-impl Inbox {
-    fn push(&self, msg: CommitMsg) {
-        let mut q = self.queue.lock().expect("inbox lock");
-        if q.closed {
-            return;
-        }
-        q.queue.push_back(msg);
-        self.ready.notify_all();
-    }
-
-    fn close(&self) {
-        let mut q = self.queue.lock().expect("inbox lock");
-        q.closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until a commit arrives; `None` once closed **and** drained.
-    fn pop(&self) -> Option<CommitMsg> {
-        let mut q = self.queue.lock().expect("inbox lock");
-        loop {
-            if let Some(msg) = q.queue.pop_front() {
-                return Some(msg);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.ready.wait(q).expect("inbox lock");
-        }
-    }
-}
-
-// ---- dispatch progress ----------------------------------------------------
-
-#[derive(Debug, Default)]
-struct ProgressState {
-    /// Highest epoch the dispatch thread has fully routed.
-    epoch: u64,
-    /// The dispatch thread has exited (every stream is closed).
-    done: bool,
-}
-
-/// Watermark tests, benches and shutdown wait on: which epoch the
-/// dispatch thread has caught up to.
-#[derive(Debug, Default)]
-struct Progress {
-    state: Mutex<ProgressState>,
-    moved: Condvar,
-}
-
-impl Progress {
-    fn advance(&self, epoch: u64) {
-        let mut s = self.state.lock().expect("progress lock");
-        if epoch > s.epoch {
-            s.epoch = epoch;
-            self.moved.notify_all();
-        }
-    }
-
-    fn finish(&self) {
-        let mut s = self.state.lock().expect("progress lock");
-        s.done = true;
-        self.moved.notify_all();
-    }
-
-    fn wait_for(&self, target: u64) {
-        let mut s = self.state.lock().expect("progress lock");
-        while s.epoch < target && !s.done {
-            s = self.moved.wait(s).expect("progress lock");
-        }
-    }
-}
-
 // ---- shared service state -------------------------------------------------
-
-/// Writer refcount and dispatch-thread bookkeeping.
-#[derive(Debug)]
-struct Registry {
-    /// Live write handles (the engine's bootstrap handle plus every
-    /// clone). The stream of commits provably ends when this hits zero.
-    writers: usize,
-    writer_alive: bool,
-    /// The dispatch thread exists (spawned lazily by the first
-    /// subscription; never despawned while the writer lives).
-    thread_spawned: bool,
-}
 
 /// The state shared between the writing [`crate::IndoorEngine`] and every
 /// [`IndoorService`] / [`Subscription`] handle.
 ///
-/// Lock order: `registry` → `dispatcher`. The inbox and progress locks
-/// are leaves (never held while taking another lock).
+/// Every lock here is a leaf (never held while taking another), except
+/// that subscribing reads `current` under the `dispatcher` lock.
 #[derive(Debug)]
 pub(crate) struct Shared {
     /// The current committed version. Writers hold the write lock only for
     /// the pointer swap; readers only for an `Arc` clone — never across
     /// query evaluation.
     current: RwLock<Arc<EngineState>>,
-    registry: Mutex<Registry>,
+    /// Live write handles (the engine's bootstrap handle plus every
+    /// clone). The stream of commits provably ends when this hits zero.
+    writers: Mutex<usize>,
     /// The query index over every live subscription. Locked by the
     /// dispatch thread per commit and briefly by subscribe/drop; never by
     /// the committing writer.
     dispatcher: Mutex<Dispatcher<Arc<UpdateReport>>>,
-    inbox: Inbox,
-    progress: Progress,
+    /// The dispatch thread's commit feed (the thread is spawned lazily by
+    /// the first subscription; until then pushes are discarded).
+    dispatch_feed: CommitFeed,
+    /// The commit feed of the retention consumer attached via
+    /// [`crate::IndoorEngine::attach_retention`], if any.
+    retention_feed: CommitFeed,
     /// The engine's durability attachment (WAL + checkpoint worker), set
     /// once — *after* recovery replay, so replayed commits are not
     /// re-logged — and read lock-free by every committing leader.
     durability: std::sync::OnceLock<Durability>,
-    /// The engine's commit-retention attachment (the history recorder's
-    /// enqueue-only sink), set once and read lock-free by every
-    /// committing leader after each publish.
-    retention: std::sync::OnceLock<std::sync::Arc<dyn crate::retention::RetentionSink>>,
 }
 
 impl Shared {
     pub(crate) fn new(state: Arc<EngineState>) -> Self {
         Shared {
             current: RwLock::new(state),
-            registry: Mutex::new(Registry {
-                // The engine's bootstrap write handle.
-                writers: 1,
-                writer_alive: true,
-                thread_spawned: false,
-            }),
+            // The engine's bootstrap write handle.
+            writers: Mutex::new(1),
             dispatcher: Mutex::new(Dispatcher::new()),
-            inbox: Inbox::default(),
-            progress: Progress::default(),
+            dispatch_feed: CommitFeed::default(),
+            retention_feed: CommitFeed::default(),
             durability: std::sync::OnceLock::new(),
-            retention: std::sync::OnceLock::new(),
         }
     }
 
@@ -222,19 +109,12 @@ impl Shared {
         self.durability.get()
     }
 
-    /// Attaches the commit-retention sink (at most once). Returns `false`
-    /// when a sink is already attached — unlike durability, retention is
-    /// attached by user code, so the race is reportable, not a bug.
-    pub(crate) fn attach_retention(
-        &self,
-        sink: std::sync::Arc<dyn crate::retention::RetentionSink>,
-    ) -> bool {
-        self.retention.set(sink).is_ok()
-    }
-
-    /// The commit-retention sink, if one is attached.
-    pub(crate) fn retention(&self) -> Option<&std::sync::Arc<dyn crate::retention::RetentionSink>> {
-        self.retention.get()
+    /// Hands out the consumer end of the retention feed (at most once;
+    /// `None` when a consumer already took it — unlike durability,
+    /// retention is attached by user code, so the race is reportable, not
+    /// a bug).
+    pub(crate) fn attach_retention(&self) -> Option<CommitFeed> {
+        self.retention_feed.attach(self.current().epoch)
     }
 
     /// The current committed version (an `Arc` clone under a brief read
@@ -248,119 +128,98 @@ impl Shared {
         *self.current.write().expect("current-version lock") = state;
     }
 
-    /// Hands a committed report to the dispatch thread. Called by the
-    /// writer *after* [`Shared::publish`]; enqueue-only, so the sequencer
-    /// never waits on routing or absorption. A no-op until the first
-    /// subscription spawns the dispatch thread.
-    pub(crate) fn broadcast(&self, report: &UpdateReport, snapshot: &Snapshot) {
-        {
-            let registry = self.registry.lock().expect("registry lock");
-            if !registry.thread_spawned {
-                return;
-            }
+    /// Every post-publish consumer's feed.
+    fn feeds(&self) -> [&CommitFeed; 2] {
+        [&self.dispatch_feed, &self.retention_feed]
+    }
+
+    /// Hands a committed epoch to every attached consumer. Called by the
+    /// sequencer leader *after* [`Shared::publish`]; enqueue-only, so the
+    /// sequencer never waits on routing, absorption or retention work.
+    pub(crate) fn fan_out(&self, record: &CommitRecord) {
+        for feed in self.feeds() {
+            feed.push(record);
         }
-        self.inbox.push(CommitMsg {
-            report: Arc::new(report.clone()),
-            snapshot: snapshot.clone(),
-        });
     }
 
     /// Spawns the dispatch thread on first use. After writer retirement
-    /// (with no thread ever spawned) it instead closes the dispatcher so
-    /// late registrations start pre-closed.
+    /// the feed is already closed, so the thread's whole life is closing
+    /// the dispatcher — late registrations see an ended stream.
     fn ensure_dispatch_thread(self: &Arc<Self>) {
-        let mut registry = self.registry.lock().expect("registry lock");
-        if registry.thread_spawned {
+        let Some(feed) = self.dispatch_feed.attach(self.current().epoch) else {
             // The thread owns stream lifecycle from here on — including
             // close_all once the retired writer's backlog is drained.
             return;
-        }
-        if !registry.writer_alive {
-            drop(registry);
-            let mut dispatcher = self.dispatcher.lock().expect("dispatcher lock");
-            if !dispatcher.is_closed() {
-                dispatcher.close_all();
-            }
-            return;
-        }
-        registry.thread_spawned = true;
-        // Commits published before this point were never enqueued; fold
-        // them into the progress watermark so quiesce() has nothing
-        // phantom to wait for. Linearized by the registry lock against
-        // broadcast's thread_spawned check.
-        self.progress.advance(self.current().epoch);
+        };
         let shared = Arc::clone(self);
         std::thread::Builder::new()
             .name("idq-dispatch".into())
-            .spawn(move || dispatch_loop(shared))
+            .spawn(move || dispatch_loop(shared, feed))
             .expect("spawn dispatch thread");
     }
 
     /// Blocks until the dispatch thread has routed every commit published
     /// before the call (immediately when no subscription ever existed).
     pub(crate) fn quiesce(&self) {
-        {
-            let registry = self.registry.lock().expect("registry lock");
-            if !registry.thread_spawned {
-                return;
-            }
-        }
-        let target = self.current().epoch;
-        self.progress.wait_for(target);
+        self.dispatch_feed.wait_for(self.current().epoch);
     }
 
     /// Accounts for a cloned [`crate::WriteHandle`].
     pub(crate) fn add_writer(&self) {
-        let mut registry = self.registry.lock().expect("registry lock");
+        let mut writers = self.writers.lock().expect("writer count lock");
         debug_assert!(
-            registry.writer_alive,
+            *writers > 0,
             "write handles only clone from live write handles"
         );
-        registry.writers += 1;
+        *writers += 1;
     }
 
     /// Releases one write handle; the last release retires the write side:
-    /// the inbox closes, the dispatch thread routes the remaining backlog,
-    /// ends every subscription stream (blocked `wait()`s return `None`)
-    /// and exits, and the service becomes read-only on the final version.
-    /// Never takes the dispatcher lock (registry → dispatcher is the lock
-    /// order and the dispatch thread holds the latter for long stretches).
+    /// every commit feed closes, so the dispatch thread routes the
+    /// remaining backlog, ends every subscription stream (blocked
+    /// `wait()`s return `None`) and exits, the retention consumer drains
+    /// and parks, and the service becomes read-only on the final version.
+    /// Never takes the dispatcher lock (the dispatch thread holds it for
+    /// long stretches).
     pub(crate) fn release_writer(&self) {
-        let mut registry = self.registry.lock().expect("registry lock");
-        registry.writers = registry.writers.saturating_sub(1);
-        if registry.writers == 0 {
-            registry.writer_alive = false;
-            drop(registry);
-            // Durable shutdown: with the last writer gone the sequencer is
-            // provably drained (every committing thread holds a handle),
-            // so one final WAL sync makes the whole committed history
-            // durable — this is what upgrades `SyncPolicy::Os` to
-            // lose-nothing on clean shutdown. Failure is unreportable
-            // here (no caller); recovery still sees every synced prefix.
-            if let Some(durability) = self.durability() {
-                let _ = durability.flush();
+        {
+            let mut writers = self.writers.lock().expect("writer count lock");
+            *writers = writers.saturating_sub(1);
+            if *writers > 0 {
+                return;
             }
-            // Retention mirrors dispatch: the write side is provably done,
-            // so the sink's worker can drain its queue and park. Enqueue-
-            // only, like every retention call from the write path.
-            if let Some(sink) = self.retention() {
-                sink.close();
-            }
-            self.inbox.close();
+        }
+        // Durable shutdown: with the last writer gone the sequencer is
+        // provably drained (every committing thread holds a handle), so
+        // one final WAL sync makes the whole committed history durable —
+        // this is what upgrades `SyncPolicy::Os` to lose-nothing on clean
+        // shutdown. Failure is unreportable here (no caller); recovery
+        // still sees every synced prefix.
+        if let Some(durability) = self.durability() {
+            let _ = durability.flush();
+        }
+        for feed in self.feeds() {
+            feed.close();
         }
     }
 }
 
-/// The dispatch thread: pops committed reports in publish order, routes
-/// each through the query index, and on shutdown (writer retired, inbox
+/// The dispatch thread: takes committed epochs in publish order, routes
+/// each through the query index, and on shutdown (writer retired, feed
 /// drained) ends every subscription stream.
-fn dispatch_loop(shared: Arc<Shared>) {
-    while let Some(CommitMsg { report, snapshot }) = shared.inbox.pop() {
+fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
+    while let Some(CommitRecord {
+        epoch,
+        report,
+        snapshot,
+        ..
+    }) = feed.next()
+    {
         {
             let mut dispatcher = shared.dispatcher.lock().expect("dispatcher lock");
             let updated = report.delta.updated();
             let delta = CommitDelta {
-                epoch: report.epoch,
+                epoch,
                 updated: &updated,
                 removed: &report.delta.removed,
                 topology_changed: report.delta.topology_changed,
@@ -375,14 +234,14 @@ fn dispatch_loop(shared: Arc<Shared>) {
                 &report,
             );
         }
-        shared.progress.advance(report.epoch);
+        feed.done(epoch);
     }
     shared
         .dispatcher
         .lock()
         .expect("dispatcher lock")
         .close_all();
-    shared.progress.finish();
+    feed.detach();
 }
 
 // ---- service handle -------------------------------------------------------

@@ -34,6 +34,7 @@
 //! serial replay.
 
 use crate::error::EngineError;
+use crate::feed::CommitRecord;
 use crate::service::Shared;
 use crate::snapshot::Snapshot;
 use crate::state::EngineState;
@@ -1154,25 +1155,19 @@ impl WriteHandle {
         };
 
         self.shared.publish(Arc::clone(&next));
-        let snapshot = Snapshot::from_state(Arc::clone(&next), next.effective_options());
-        self.shared.broadcast(&merged, &snapshot);
-        // The retention hook: hand the merged group report, a pinned
-        // snapshot and the stamps to the attached history sink. Same
-        // never-block discipline as `broadcast` — the sink only enqueues;
-        // compression, trajectory indexing and eviction run on its own
-        // thread.
-        if let Some(sink) = self.shared.retention() {
-            let wall_ms = std::time::SystemTime::now()
+        // Post-publish fan-out: one record — the merged group report, a
+        // pinned snapshot and the stamps — offered to every commit feed.
+        // Enqueue-only; routing, absorption, compression and eviction
+        // run on the consumers' own threads.
+        self.shared.fan_out(&CommitRecord {
+            epoch,
+            wall_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)
-                .unwrap_or(0);
-            sink.record(crate::retention::CommitRecord {
-                epoch,
-                wall_ms,
-                report: merged,
-                snapshot: snapshot.clone(),
-            });
-        }
+                .unwrap_or(0),
+            report: Arc::new(merged),
+            snapshot: Snapshot::from_state(Arc::clone(&next), next.effective_options()),
+        });
         for (slot, report) in reports {
             slot.fill(Ok(report));
         }

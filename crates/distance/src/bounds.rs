@@ -13,10 +13,10 @@
 //!   shape of Lemma 5 / Eq. 8 (with the paper's heuristic split choice and
 //!   its applicability condition);
 //! * [`markov_lower`] — the Markov lower bound of Lemma 4;
-//! * [`some_path_upper`] — the Topological Looser Upper Bound of Lemma 3
-//!   (TLU): uses *some* path (breadth-first by door hops) instead of the
-//!   shortest one, so no Dijkstra is needed — this seeds `ikNNQ`'s
-//!   `kbound`.
+//! * [`SharedPathUpper`] — the Topological Looser Upper Bound of Lemma 3
+//!   (TLU): uses *some* path, found by one lazily growing search shared
+//!   by every object priced from the same query point, instead of the
+//!   shortest one from a full Dijkstra — this seeds `ikNNQ`'s `kbound`.
 //!
 //! ### Soundness note (restricted door distances)
 //!
@@ -227,110 +227,6 @@ pub fn lemma5_bounds(bounds: &[SubregionBounds]) -> Option<(f64, f64)> {
     }
 }
 
-/// Lemma 3 — the **Topological Looser Upper Bound** (TLU).
-///
-/// Uses a best-first search from the query that *terminates as soon as
-/// every subregion's partition has been reached* — no all-pairs work, no
-/// full single-source tree, just "some path" to each target as Lemma 3
-/// requires. (An early-exit Dijkstra dominates hop-count BFS here: indoor
-/// edge weights vary by two orders of magnitude — a corridor end-to-end
-/// edge is ~60× a doorway hop — so hop-wise-first paths can be arbitrarily
-/// long and would destroy the `kbound` this feeds.) Returns `∞` when a
-/// subregion is unreachable.
-pub fn some_path_upper(
-    space: &IndoorSpace,
-    graph: &DoorsGraph,
-    q: IndoorPoint,
-    subregions: &Subregions,
-) -> f64 {
-    use idq_geom::OrdF64;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let Some(source) = space.partition_at(q) else {
-        return f64::INFINITY;
-    };
-    // Which partitions do we still need an arrival (distance, door
-    // position) for?
-    let mut needed: Vec<PartitionId> = subregions.iter().map(|s| s.partition).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let mut arrival: std::collections::HashMap<PartitionId, (f64, idq_geom::Point2)> =
-        std::collections::HashMap::new();
-
-    // Direct route for the source partition.
-    if needed.contains(&source) {
-        arrival.insert(source, (0.0, q.point));
-    }
-
-    let mut dist = vec![f64::INFINITY; space.door_slots()];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-    for &d in space.doors_of(source).unwrap_or(&[]) {
-        if space.can_leave(d, source) {
-            let w = space.point_to_door(q, d).expect("door of source");
-            if w < dist[d.index()] {
-                dist[d.index()] = w;
-                heap.push(Reverse((OrdF64(w), d.0)));
-            }
-        }
-    }
-    let mut missing = needed.iter().filter(|p| !arrival.contains_key(p)).count();
-    while let Some(Reverse((OrdF64(du), u))) = heap.pop() {
-        if missing == 0 {
-            break; // every target partition has some arrival
-        }
-        let u = DoorId(u);
-        if du > dist[u.index()] {
-            continue;
-        }
-        // Door u borders partitions we may need.
-        if let Ok(door) = space.door(u) {
-            for pid in door.partitions {
-                if needed.binary_search(&pid).is_ok() && space.can_enter(u, pid) {
-                    match arrival.entry(pid) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert((du, door.position));
-                            missing -= 1;
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            if du < e.get().0 {
-                                e.insert((du, door.position));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for e in graph.edges_from(u) {
-            let v = e.to.index();
-            let nd = du + e.weight;
-            if nd < dist[v] {
-                dist[v] = nd;
-                heap.push(Reverse((OrdF64(nd), e.to.0)));
-            }
-        }
-    }
-
-    // Combine: Lemma 3 takes max over subregions of the per-subregion
-    // looser upper bound — we report the (tighter, still valid)
-    // mass-weighted version. From the arrival door, any instance of the
-    // subregion is at most `bbox.max_dist(door position)` away through
-    // the partition (plus the vertical slack for staircases).
-    let mut weighted = 0.0;
-    for sub in subregions.iter() {
-        let Ok(partition) = space.partition(sub.partition) else {
-            return f64::INFINITY;
-        };
-        let Some(&(base, entry_point)) = arrival.get(&sub.partition) else {
-            return f64::INFINITY;
-        };
-        let z_slack = vertical_slack(space, partition.floor_lo, partition.floor_hi);
-        let t = base + sub.bbox.max_dist(entry_point) + z_slack;
-        weighted += sub.prob * t;
-    }
-    weighted
-}
-
 /// Vertical walking slack for a multi-floor partition: the worst-case cost
 /// of floor changes that planar bounding-box distances miss.
 fn vertical_slack(space: &IndoorSpace, floor_lo: u16, floor_hi: u16) -> f64 {
@@ -341,20 +237,32 @@ fn vertical_slack(space: &IndoorSpace, floor_lo: u16, floor_hi: u16) -> f64 {
     }
 }
 
-/// Amortised Lemma-3 evaluator: one incrementally growing best-first
-/// search from `q`, shared across many objects.
+/// Lemma 3 — the **Topological Looser Upper Bound** (TLU) — as one
+/// incrementally growing best-first search from `q`, shared across many
+/// objects.
+///
+/// Lemma 3 needs only *some* path to each of an object's subregions, so
+/// there is no all-pairs work and no full single-source tree: the search
+/// grows just until every partition asked for has been reached. (A
+/// cost-ordered search dominates hop-count BFS here: indoor edge weights
+/// vary by two orders of magnitude — a corridor end-to-end edge is ~60× a
+/// doorway hop — so hop-wise-first paths can be arbitrarily long and would
+/// destroy the `kbound` this feeds.)
 ///
 /// `ikNNQ`'s seed phase evaluates the TLU of dozens to hundreds of nearby
-/// objects from the same query point; running [`some_path_upper`]'s search
-/// per object would re-explore the same ball each time. This structure
-/// settles doors once, on demand, recording the first (hence cheapest)
-/// arrival per partition, and prices each object from the recorded
-/// arrivals — same bound semantics, one search.
+/// objects from the same query point; a search per object would
+/// re-explore the same ball each time. This structure settles doors once,
+/// on demand, recording the first (hence cheapest) arrival per partition,
+/// and prices each object from the recorded arrivals. From the arrival
+/// door, any instance of a subregion is at most `bbox.max_dist(door
+/// position)` away through the partition (plus the vertical slack for
+/// staircases); Lemma 3 takes the max over subregions of that
+/// per-subregion bound — [`SharedPathUpper::upper`] reports the (tighter,
+/// still valid) mass-weighted version.
 pub struct SharedPathUpper<'a> {
     space: &'a IndoorSpace,
     graph: &'a DoorsGraph,
     source: Option<PartitionId>,
-    q: IndoorPoint,
     dist: Vec<f64>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(idq_geom::OrdF64, u32)>>,
     arrivals: std::collections::HashMap<PartitionId, (f64, idq_geom::Point2)>,
@@ -383,7 +291,6 @@ impl<'a> SharedPathUpper<'a> {
             space,
             graph,
             source,
-            q,
             dist,
             heap,
             arrivals,
@@ -441,7 +348,6 @@ impl<'a> SharedPathUpper<'a> {
             let z_slack = vertical_slack(self.space, partition.floor_lo, partition.floor_hi);
             weighted += sub.prob * (base + sub.bbox.max_dist(entry) + z_slack);
         }
-        let _ = self.q;
         weighted
     }
 }
@@ -565,7 +471,7 @@ mod tests {
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
-        let tlu = some_path_upper(&s, &g, q(), &subs);
+        let tlu = SharedPathUpper::new(&s, &g, q()).upper(&subs);
         assert!(tlu >= exact - 1e-9, "TLU {tlu} exact {exact}");
     }
 
@@ -582,7 +488,7 @@ mod tests {
         let b = object_bounds(&s, &dd, &o, &subs);
         assert!(b.upper.is_infinite());
         assert!(b.lower.is_infinite());
-        let tlu = some_path_upper(&s, &g, q(), &subs);
+        let tlu = SharedPathUpper::new(&s, &g, q()).upper(&subs);
         assert!(tlu.is_infinite());
     }
 

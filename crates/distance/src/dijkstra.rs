@@ -1,19 +1,24 @@
-//! Multi-source Dijkstra over the doors graph — the *subgraph phase* engine.
+//! Shortest indoor distances from a query point to doors — the *subgraph
+//! phase* engine.
 //!
-//! The query pipeline computes single-source shortest indoor paths from the
-//! query point `q` to doors: every exit door of `P(q)` is seeded with its
-//! intra-partition distance `|q, d_q|_E`, then edges of the doors graph are
-//! relaxed. The search can be restricted to a candidate partition set (the
-//! `Rp` produced by the filtering phase): only edges routed through allowed
-//! partitions are expanded, exactly as the paper's Phase 2 prescribes
-//! ("the distance calculation only involves the partitions in Rp").
+//! Every exit door of `P(q)` is seeded with its intra-partition distance
+//! `|q, d_q|_E` and distances spread over the doors graph from there, in
+//! one of two ways. [`DoorDistances::compute`] runs a multi-source
+//! Dijkstra over the full graph and keeps the predecessor tree (the naive
+//! oracle and the Distance / Path queries use it).
+//! [`DoorDistances::compute_banded`] — what every query-pipeline context
+//! is built by — instead composes per-door expansion rows truncated at a
+//! horizon (the search radius plus slack): the paper's Phase 2 ("the
+//! distance calculation only involves the partitions in Rp") bounded by
+//! walking cost rather than by a partition set, so the rows are reusable
+//! across queries.
 
 use crate::cache::DoorRow;
 use crate::error::DistanceError;
 use idq_geom::OrdF64;
 use idq_model::{DoorId, DoorsGraph, IndoorPoint, IndoorSpace, PartitionId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Sentinel for "no predecessor" in the shortest-path tree.
@@ -39,27 +44,6 @@ impl DoorDistances {
         space: &IndoorSpace,
         graph: &DoorsGraph,
         q: IndoorPoint,
-    ) -> Result<Self, DistanceError> {
-        Self::compute_inner(space, graph, q, None)
-    }
-
-    /// Runs Dijkstra from `q`, expanding only edges routed through
-    /// partitions in `allowed` (the candidate set `Rp`). The source
-    /// partition is implicitly allowed.
-    pub fn compute_restricted(
-        space: &IndoorSpace,
-        graph: &DoorsGraph,
-        q: IndoorPoint,
-        allowed: &HashSet<PartitionId>,
-    ) -> Result<Self, DistanceError> {
-        Self::compute_inner(space, graph, q, Some(allowed))
-    }
-
-    fn compute_inner(
-        space: &IndoorSpace,
-        graph: &DoorsGraph,
-        q: IndoorPoint,
-        allowed: Option<&HashSet<PartitionId>>,
     ) -> Result<Self, DistanceError> {
         if graph.door_slots() < space.door_slots() {
             return Err(DistanceError::StaleGraph {
@@ -90,23 +74,11 @@ impl DoorDistances {
             }
         }
 
-        let mut exit_horizon = f64::INFINITY;
         while let Some(Reverse((OrdF64(du), u))) = heap.pop() {
             if du > dist[u as usize] {
                 continue; // stale heap entry
             }
             for e in graph.edges_from(DoorId(u)) {
-                if let Some(allowed) = allowed {
-                    if e.via != source_partition && !allowed.contains(&e.via) {
-                        // The cheapest door an escaping path leaves the
-                        // candidate set through: any path using partitions
-                        // outside `allowed` costs at least this much, so
-                        // every restricted distance at or below it is
-                        // provably exact.
-                        exit_horizon = exit_horizon.min(du);
-                        continue;
-                    }
-                }
                 let nd = du + e.weight;
                 let v = e.to.index();
                 if nd < dist[v] {
@@ -122,8 +94,8 @@ impl DoorDistances {
             source_partition,
             dist,
             prev,
-            restricted: allowed.is_some(),
-            exit_horizon,
+            restricted: false,
+            exit_horizon: f64::INFINITY,
         })
     }
 
@@ -140,8 +112,8 @@ impl DoorDistances {
     /// any door whose true distance is at most
     /// `exit_horizon = min_d w_d + horizon` gets its exact value —
     /// the winning seed's term survives truncation because its row-local
-    /// part is at most `horizon`. That is the same exactness contract as
-    /// a restricted search, surfaced through [`Self::exit_horizon`].
+    /// part is at most `horizon`. That exactness contract is surfaced
+    /// through [`Self::exit_horizon`].
     /// Crucially, the result is a pure function of
     /// `(q, horizon, geometry)` — independent of how wide the supplied
     /// rows actually are — which is what makes cache reuse bit-exact.
@@ -214,25 +186,22 @@ impl DoorDistances {
         self.door_distance(d).is_finite()
     }
 
-    /// Whether the search was restricted to a candidate partition set
-    /// (restricted distances over-estimate true distances for doors whose
-    /// shortest path leaves the candidate set).
+    /// Whether the distances were truncated at a finite horizon
+    /// ([`Self::compute_banded`] with a finite `horizon`): values beyond
+    /// [`Self::exit_horizon`] may over-estimate the true distance or be
+    /// missing. Never set by [`Self::compute`].
     #[inline]
     pub fn is_restricted(&self) -> bool {
         self.restricted
     }
 
-    /// The exactness horizon of a restricted search: every walking cost
+    /// The exactness horizon of a restricted context: every walking cost
     /// at or below this value is provably equal to its full-graph value.
-    /// For a candidate-set-restricted search it is the cheapest cost at
-    /// which any path can leave the candidate set — a hypothetical
-    /// shorter path through a non-candidate partition would have to
-    /// spend at least the horizon just to get out. For a
-    /// [`Self::compute_banded`] context it is `min_d w_d + horizon`: a
-    /// door with true distance at or below it is reached through some
+    /// For a [`Self::compute_banded`] context it is `min_d w_d + horizon`:
+    /// a door with true distance at or below it is reached through some
     /// seed whose row-local part fits under the truncation horizon, so
-    /// the composed value is exact. `∞` for unrestricted searches and
-    /// for sources with no exit.
+    /// the composed value is exact. `∞` for unrestricted contexts and for
+    /// sources with no exit.
     #[inline]
     pub fn exit_horizon(&self) -> f64 {
         self.exit_horizon
@@ -316,20 +285,6 @@ mod tests {
         let dd = DoorDistances::compute(&s, &g, q).unwrap();
         assert_eq!(dd.path_to(doors[2]).unwrap(), doors);
         assert_eq!(dd.path_to(doors[0]).unwrap(), vec![doors[0]]);
-    }
-
-    #[test]
-    fn restriction_prunes_far_partitions() {
-        let (s, g, rooms, doors) = corridor();
-        let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        // Allow only R0 (source, implicit) and R1: door d1 is reachable
-        // (it borders R1), d2 is not (its only incoming edge runs via R2).
-        let allowed: HashSet<PartitionId> = [rooms[1]].into_iter().collect();
-        let dd = DoorDistances::compute_restricted(&s, &g, q, &allowed).unwrap();
-        assert!(dd.is_restricted());
-        assert!(dd.reachable(doors[0]));
-        assert!(dd.reachable(doors[1]));
-        assert!(!dd.reachable(doors[2]));
     }
 
     #[test]

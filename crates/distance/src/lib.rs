@@ -29,8 +29,8 @@ pub mod expected;
 pub mod point_dist;
 
 pub use bounds::{
-    lemma5_bounds, markov_lower, object_bounds, some_path_upper, subregion_bounds, BoundKind,
-    ObjectBounds, SharedPathUpper, SubregionBounds,
+    lemma5_bounds, markov_lower, object_bounds, subregion_bounds, BoundKind, ObjectBounds,
+    SharedPathUpper, SubregionBounds,
 };
 pub use cache::{band_for, CacheCounters, DistanceCache, DoorRow, RowFetch};
 pub use dijkstra::DoorDistances;

@@ -35,8 +35,8 @@ pub enum HistoryError {
         /// Window end (exclusive of nothing — windows are inclusive).
         to: u64,
     },
-    /// The engine already has a retention sink attached — at most one
-    /// `HistoryRecorder` per engine.
+    /// The engine's retention feed was already taken — at most one
+    /// `HistoryRecorder` per engine, for its whole life.
     AlreadyAttached,
     /// Replay or historical query evaluation failed in an engine layer
     /// ([`std::error::Error::source`] exposes it).
@@ -61,7 +61,7 @@ impl std::fmt::Display for HistoryError {
                 write!(f, "inverted history window [{from}, {to}]")
             }
             HistoryError::AlreadyAttached => {
-                write!(f, "the engine already has a retention sink attached")
+                write!(f, "the engine already has a retention consumer attached")
             }
             HistoryError::Engine(e) => write!(f, "historical replay failed: {e}"),
         }

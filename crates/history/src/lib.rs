@@ -7,12 +7,14 @@
 //! answers "where was everything **then**" — without slowing the writers
 //! that keep "now" moving:
 //!
-//! * **Retention hook.** [`HistoryRecorder::attach`] plugs a
-//!   [`idq_core::RetentionSink`] into the engine's commit path. The hook
-//!   runs in the serial sequencer section, so records arrive in strict
-//!   epoch order — but it only *enqueues*; all retention work happens on
-//!   the recorder's own thread, keeping the write path's overhead to a
-//!   queue push and a snapshot pin.
+//! * **Commit-feed consumer.** [`HistoryRecorder::attach`] takes the
+//!   retention end of the engine's commit feed
+//!   ([`idq_core::CommitFeed`], the same queue type standing-query
+//!   dispatch drains). The sequencer enqueues in its serial section, so
+//!   records arrive in strict epoch order — and enqueueing is all it
+//!   does; all retention work happens on the recorder's own thread,
+//!   keeping the write path's overhead to a queue push and a snapshot
+//!   pin.
 //! * **Delta-compressed ring.** Each commit group is retained as its net
 //!   delta (upserted objects `Arc`-shared with the version's own store —
 //!   pointers, not copies) with periodic **keyframes**: full pinned

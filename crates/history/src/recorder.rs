@@ -1,63 +1,23 @@
-//! The retention sink and its worker thread.
+//! The recorder: the retention consumer of the engine's commit feed.
 //!
-//! The commit path must never block on history: the sink the engine
-//! calls from its sequencer section does exactly one thing — push the
-//! [`CommitRecord`] onto a queue and notify. All real retention work
+//! The commit path never blocks on history: the sequencer only enqueues
+//! a [`CommitRecord`] into the [`CommitFeed`] that
+//! [`IndoorEngine::attach_retention`] hands out. All real retention work
 //! (track maintenance, delta capture, eviction) happens on the
-//! recorder's own thread, `idq-history`. Records arrive in strictly
-//! increasing epoch order because the hook runs in the serial commit
-//! section, so the ring never needs reordering.
+//! recorder's own thread, `idq-history`, which drains that feed. Records
+//! arrive in strictly increasing epoch order because the sequencer
+//! enqueues in its serial commit section, so the ring never needs
+//! reordering.
+//!
+//! [`CommitRecord`]: idq_core::CommitRecord
 
 use crate::error::HistoryError;
 use crate::options::{HistoryOptions, HistoryStats};
 use crate::ring::Ring;
 use crate::session::HistorySession;
-use idq_core::{CommitRecord, IndoorEngine, RetentionSink};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use idq_core::{CommitFeed, IndoorEngine, IndoorService};
+use std::sync::{Arc, Mutex};
 use std::thread;
-
-#[derive(Debug, Default)]
-struct QueueState {
-    queue: VecDeque<CommitRecord>,
-    closed: bool,
-    /// A record has been popped but not yet absorbed — `sync` must wait
-    /// for it, not just for an empty queue.
-    in_flight: bool,
-}
-
-#[derive(Debug)]
-struct RecorderCore {
-    queue: Mutex<QueueState>,
-    /// Signals the worker: new record or close.
-    work_cv: Condvar,
-    /// Signals `sync` waiters: queue drained and nothing in flight.
-    idle_cv: Condvar,
-    ring: Mutex<Ring>,
-}
-
-/// The object handed to the engine. Enqueue-only by contract.
-#[derive(Debug)]
-struct Sink {
-    core: Arc<RecorderCore>,
-}
-
-impl RetentionSink for Sink {
-    fn record(&self, record: CommitRecord) {
-        let mut q = self.core.queue.lock().unwrap();
-        if q.closed {
-            return;
-        }
-        q.queue.push_back(record);
-        self.core.work_cv.notify_one();
-    }
-
-    fn close(&self) {
-        let mut q = self.core.queue.lock().unwrap();
-        q.closed = true;
-        self.core.work_cv.notify_all();
-    }
-}
 
 /// Owns the history ring and the worker thread that feeds it from the
 /// engine's commit stream.
@@ -66,11 +26,13 @@ impl RetentionSink for Sink {
 /// spawning concurrent writers** — the recorder baselines on a snapshot
 /// taken right after attaching, and commits racing the attach are
 /// covered by that baseline keyframe. Dropping the recorder stops the
-/// worker; the engine keeps committing (its sink enqueues into a closed
-/// queue, which discards).
+/// worker; the engine keeps committing (its feed, detached, discards).
 #[derive(Debug)]
 pub struct HistoryRecorder {
-    core: Arc<RecorderCore>,
+    ring: Arc<Mutex<Ring>>,
+    feed: CommitFeed,
+    /// Where [`HistoryRecorder::sync`] reads the published epoch.
+    service: IndoorService,
     worker: Option<thread::JoinHandle<()>>,
 }
 
@@ -78,109 +40,73 @@ impl HistoryRecorder {
     /// Attaches retention to `engine` and starts the worker thread.
     ///
     /// Fails with [`HistoryError::AlreadyAttached`] if the engine already
-    /// has a retention sink (at most one recorder per engine, for its
+    /// has a retention consumer (at most one recorder per engine, for its
     /// whole life).
     pub fn attach(engine: &IndoorEngine, options: HistoryOptions) -> Result<Self, HistoryError> {
-        // Placeholder base options; fixed from the baseline below before
-        // the worker ever reads the ring.
-        let core = Arc::new(RecorderCore {
-            queue: Mutex::new(QueueState::default()),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            ring: Mutex::new(Ring::new(options, Default::default())),
-        });
-
-        // Attach the sink FIRST, then take the baseline snapshot: any
-        // commit after the attach lands in the queue, and absorb()
-        // discards queued epochs the baseline already covers. The other
-        // order would lose commits between snapshot and attach.
-        let sink = Arc::new(Sink {
-            core: Arc::clone(&core),
-        });
-        if !engine.attach_retention(sink) {
-            return Err(HistoryError::AlreadyAttached);
-        }
+        // Take the feed FIRST, then the baseline snapshot: any commit
+        // after the attach lands in the feed, and absorb() discards
+        // queued epochs the baseline already covers. The other order
+        // would lose commits between snapshot and attach.
+        let feed = engine
+            .attach_retention()
+            .ok_or(HistoryError::AlreadyAttached)?;
         let baseline = engine.snapshot();
         let wall_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        {
-            let mut ring = core.ring.lock().unwrap();
-            *ring = Ring::new(options, baseline.state().base_options());
-            ring.init_baseline(baseline, wall_ms);
-        }
+        let mut ring = Ring::new(options, baseline.state().base_options());
+        ring.init_baseline(baseline, wall_ms);
+        let ring = Arc::new(Mutex::new(ring));
 
-        let worker_core = Arc::clone(&core);
         let worker = thread::Builder::new()
             .name("idq-history".into())
-            .spawn(move || Self::run(worker_core))
+            .spawn({
+                let ring = Arc::clone(&ring);
+                let feed = feed.clone();
+                move || Self::run(&ring, &feed)
+            })
             .expect("spawn history worker");
         Ok(HistoryRecorder {
-            core,
+            ring,
+            feed,
+            service: engine.service(),
             worker: Some(worker),
         })
     }
 
-    fn run(core: Arc<RecorderCore>) {
-        loop {
-            let record = {
-                let mut q = core.queue.lock().unwrap();
-                loop {
-                    if let Some(r) = q.queue.pop_front() {
-                        q.in_flight = true;
-                        break Some(r);
-                    }
-                    if q.closed {
-                        break None;
-                    }
-                    core.idle_cv.notify_all();
-                    q = core.work_cv.wait(q).unwrap();
-                }
-            };
-            let Some(record) = record else {
-                core.idle_cv.notify_all();
-                return;
-            };
-            core.ring.lock().unwrap().absorb(record);
-            let mut q = core.queue.lock().unwrap();
-            q.in_flight = false;
-            if q.queue.is_empty() {
-                core.idle_cv.notify_all();
-            }
+    fn run(ring: &Mutex<Ring>, feed: &CommitFeed) {
+        while let Some(record) = feed.next() {
+            let epoch = record.epoch;
+            ring.lock().unwrap().absorb(record);
+            feed.done(epoch);
         }
+        feed.detach();
     }
 
-    /// Blocks until every record enqueued so far has been absorbed into
-    /// the ring — call before opening a session that must see an epoch
-    /// the engine just committed.
+    /// Blocks until every commit the engine has published so far has been
+    /// absorbed into the ring — call before opening a session that must
+    /// see an epoch the engine just committed.
     pub fn sync(&self) {
-        let mut q = self.core.queue.lock().unwrap();
-        while !q.queue.is_empty() || q.in_flight {
-            q = self.core.idle_cv.wait(q).unwrap();
-        }
+        self.feed.wait_for(self.service.epoch());
     }
 
     /// A consistent read view over the retained window (snapshots the
     /// ring; later commits don't move the session's window). Does not
     /// [`HistoryRecorder::sync`] first.
     pub fn session(&self) -> HistorySession {
-        HistorySession::from_ring(&self.core.ring.lock().unwrap())
+        HistorySession::from_ring(&self.ring.lock().unwrap())
     }
 
     /// Current retention counters.
     pub fn stats(&self) -> HistoryStats {
-        self.core.ring.lock().unwrap().stats()
+        self.ring.lock().unwrap().stats()
     }
 }
 
 impl Drop for HistoryRecorder {
     fn drop(&mut self) {
-        {
-            let mut q = self.core.queue.lock().unwrap();
-            q.closed = true;
-            self.core.work_cv.notify_all();
-        }
+        self.feed.detach();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }

@@ -14,13 +14,17 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
-/// Derives `kbound` by adaptive seed expansion: partitions are explored in
-/// ascending order of their geometric lower bound (as in `kSeedsSelection`,
-/// Algorithm 5); every bucketed object contributes its Topological Looser
-/// Upper Bound (Lemma 3), and expansion continues while an unexplored
-/// partition's lower bound still beats the running k-th smallest TLU —
-/// so a nearby-but-huge corridor cannot freeze a loose bound in place.
-/// The k-th smallest TLU certifies that at least k objects lie within it.
+/// `kSeedsSelection` (Algorithm 5), the filtering phase of `ikNNQ`, made
+/// adaptive. Starting from the query's partition, partitions are explored
+/// in ascending order of their geometric lower bound (a min-heap keyed by
+/// the skeleton bound of Eq. 10); every bucketed object is a seed and
+/// contributes its Topological Looser Upper Bound (Lemma 3). Where the
+/// paper stops at the first `k` seeds, expansion here continues while an
+/// unexplored partition's lower bound still beats the running k-th
+/// smallest TLU — so a nearby-but-huge corridor cannot freeze a loose
+/// bound in place. The k-th smallest TLU is the `kbound` radius of the
+/// subsequent range search: it certifies that at least k objects lie
+/// within it.
 ///
 /// Returns `∞` when fewer than `k` objects are expandable-to (the caller
 /// then falls back to an unbounded search).

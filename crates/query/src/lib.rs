@@ -9,8 +9,9 @@
 //!   `|q,O|_I` (Algorithm 2, seeded by `kSeedsSelection`, Algorithm 5).
 //!
 //! Both run the paper's four-phase pipeline — **filtering** (geometric
-//! lower bounds through the composite index), **subgraph** (restricted
-//! Dijkstra over candidate partitions), **pruning** (topological /
+//! lower bounds through the composite index), **subgraph** (door
+//! distances banded at the search radius plus slack, composed from
+//! per-door expansion rows), **pruning** (topological /
 //! probabilistic bounds) and **refinement** (exact expected distances) —
 //! and record per-phase timings plus pruning counters in [`QueryStats`]
 //! (the raw material of the paper's Figures 12–14).
@@ -25,8 +26,8 @@
 //! The [`session`] module is the typed front door: a [`Query`] names any
 //! of the four query kinds (range, kNN, distance, path), [`execute`]
 //! evaluates one, and [`execute_batch`] evaluates many with cross-query
-//! computation reuse — queries sharing a query point share one restricted
-//! door-distance Dijkstra and one [`SubregionCache`] (§VII's reuse
+//! computation reuse — queries sharing a query point share one banded
+//! door-distance context and one [`SubregionCache`] (§VII's reuse
 //! proposal). Every [`Outcome`] carries [`QueryStats`].
 
 pub mod error;
@@ -37,8 +38,6 @@ pub mod naive;
 pub mod options;
 pub mod pipeline;
 pub mod precomputed;
-pub mod seeds;
-pub mod selectivity;
 pub mod session;
 pub mod stats;
 
@@ -50,7 +49,5 @@ pub use naive::{naive_knn, naive_range};
 pub use options::{QueryOptions, QueryOptionsBuilder};
 pub use pipeline::SubregionCache;
 pub use precomputed::PrecomputedD2D;
-pub use seeds::k_seeds_selection;
-pub use selectivity::SelectivityEstimator;
 pub use session::{execute, execute_batch, DistanceResult, Outcome, PathResult, Query};
 pub use stats::QueryStats;

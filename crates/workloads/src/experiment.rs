@@ -1,40 +1,5 @@
-//! Experiment utilities: timing, simple statistics, and paper-style series
-//! tables shared by the figure binaries.
-
-use std::time::{Duration, Instant};
-
-/// A simple stopwatch accumulating named phases (used for query-phase
-//  breakdowns à la Fig. 12(b)/13(b)).
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed milliseconds as `f64`.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// Restarts and returns the lap time in milliseconds.
-    pub fn lap_ms(&mut self) -> f64 {
-        let t = self.elapsed_ms();
-        self.start = Instant::now();
-        t
-    }
-}
+//! Experiment utilities: simple statistics and paper-style series tables
+//! shared by the figure binaries.
 
 /// Arithmetic mean; 0 for empty input.
 pub fn mean(values: &[f64]) -> f64 {
@@ -190,14 +155,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = SeriesTable::new("t", "x", &["a"]);
         t.push_row("1", vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn stopwatch_measures() {
-        let mut w = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let lap = w.lap_ms();
-        assert!(lap >= 1.0);
-        assert!(w.elapsed_ms() < lap + 1000.0);
     }
 }

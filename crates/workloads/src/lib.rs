@@ -18,7 +18,7 @@
 //!   and co-movement queries;
 //! * [`SubscriptionSetConfig`] / [`generate_subscription_set`] — standing
 //!   continuous-query fleets for the dispatch engine's routing benchmarks;
-//! * [`experiment`] — timing, statistics and paper-style table printing
+//! * [`experiment`] — statistics and paper-style table printing
 //!   shared by the figure binaries and Criterion benches.
 
 pub mod building;
@@ -32,7 +32,7 @@ pub mod updates;
 
 pub use building::{generate_building, BuildingConfig, GeneratedBuilding};
 pub use defaults::PaperDefaults;
-pub use experiment::{mean, percentile, SeriesTable, Stopwatch};
+pub use experiment::{mean, percentile, SeriesTable};
 pub use objects::{generate_objects, sample_one, ObjectConfig};
 pub use queries::{generate_query_points, generate_range_batches, QueryPointConfig};
 pub use subscriptions::{generate_subscription_set, SubscriptionSetConfig};

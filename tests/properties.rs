@@ -3,7 +3,7 @@
 
 use indoor_dq::distance::{
     expected::expected_indoor_distance_naive, expected_indoor_distance, object_bounds,
-    some_path_upper, DoorDistances,
+    DoorDistances, SharedPathUpper,
 };
 use indoor_dq::geom::{decompose_rect, Circle, DecomposeConfig, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
@@ -127,7 +127,7 @@ proptest! {
         prop_assert!(b.upper >= exact - 1e-9, "UB {} < exact {exact}", b.upper);
 
         // TLU dominates the exact value.
-        let tlu = some_path_upper(&space, &graph, q, &subs);
+        let tlu = SharedPathUpper::new(&space, &graph, q).upper(&subs);
         prop_assert!(tlu >= exact - 1e-9, "TLU {tlu} < exact {exact}");
     }
 
