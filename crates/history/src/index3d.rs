@@ -10,7 +10,9 @@
 //!
 //! Closed segments are indexed per floor in an insert-only 3D R-tree over
 //! boxes `(footprint rect, epoch interval)`, the classic 3D R-tree layout
-//! for historical trajectories with time as the third axis. Because the
+//! for historical trajectories with time as the third axis. The tree is
+//! [`idq_index::RTree`] at the [`Box3`] bounds type; this module only
+//! says what a box is and which segments are alive. Because the
 //! planar indoor distance is lower-bounded by Euclidean xy distance, a
 //! box probe with the query circle's bounding rect is a sound prefilter
 //! for distance-aware historical queries: it can over-approximate but
@@ -21,9 +23,11 @@
 //! the dead fraction passes one half.
 
 use idq_geom::{Point2, Rect2};
+use idq_index::rtree::{Bounds, LeafEntry, RTree};
 use idq_model::{Floor, PartitionId};
 use idq_objects::ObjectId;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// A 3D axis-aligned box: a planar rect extruded over an inclusive epoch
 /// interval `[t_lo, t_hi]`.
@@ -37,9 +41,12 @@ pub struct Box3 {
     pub t_hi: u64,
 }
 
-impl Box3 {
-    /// The empty box for running unions.
-    fn empty_sentinel() -> Self {
+/// Axis 0 is time: segments arrive roughly sorted by it, so on ties the
+/// tree splits along time and stays narrow.
+impl Bounds for Box3 {
+    const AXES: usize = 3;
+
+    fn empty() -> Self {
         Box3 {
             rect: Rect2::empty_sentinel(),
             t_lo: u64::MAX,
@@ -47,7 +54,6 @@ impl Box3 {
         }
     }
 
-    /// Smallest box covering both.
     fn union(&self, other: &Box3) -> Box3 {
         Box3 {
             rect: self.rect.union(&other.rect),
@@ -57,18 +63,26 @@ impl Box3 {
     }
 
     /// Closed-interval overlap on all three axes.
-    pub fn intersects(&self, other: &Box3) -> bool {
+    fn intersects(&self, other: &Box3) -> bool {
         self.t_lo <= other.t_hi && other.t_lo <= self.t_hi && self.rect.intersects(&other.rect)
     }
 
-    /// Volume proxy for least-enlargement descent: planar area times the
-    /// epoch-count extent. Degenerate (point) rects still get a positive
-    /// time extent, so pure-time enlargement is visible to the heuristic.
+    /// Planar area times the epoch-count extent. Degenerate (point) rects
+    /// still get a positive time extent, so pure-time enlargement is
+    /// visible to the descent heuristic.
     fn measure(&self) -> f64 {
         if self.rect.is_empty_sentinel() || self.t_lo > self.t_hi {
             return 0.0;
         }
         self.rect.area().max(1e-9) * (self.t_hi - self.t_lo + 1) as f64
+    }
+
+    fn center(&self, axis: usize) -> f64 {
+        match axis {
+            0 => (self.t_lo + self.t_hi) as f64 * 0.5,
+            1 => self.rect.center().x,
+            _ => self.rect.center().y,
+        }
     }
 }
 
@@ -110,75 +124,12 @@ impl Segment {
     }
 }
 
-const MAX_ENTRIES: usize = 16;
-const MIN_ENTRIES: usize = MAX_ENTRIES / 2;
+/// Fanout of the per-floor segment trees.
+const SEGMENT_FANOUT: usize = 16;
 
-#[derive(Clone, Debug)]
-struct Node {
-    bounds: Box3,
-    /// Child node ids (internal) — empty for leaves.
-    children: Vec<u32>,
-    /// Segment arena ids (leaf) — empty for internal nodes.
-    entries: Vec<u32>,
-    leaf: bool,
-}
-
-impl Node {
-    fn leaf() -> Self {
-        Node {
-            bounds: Box3::empty_sentinel(),
-            children: Vec::new(),
-            entries: Vec::new(),
-            leaf: true,
-        }
-    }
-}
-
-/// An insert-only 3D R-tree over segment boxes for one floor.
-///
-/// Quadratic-cost-free variant: least-enlargement descent on insert, and
-/// a widest-axis center-sort half split — simple, deterministic, and
-/// fine for the append-mostly workload (segments arrive roughly sorted by
-/// time, so time-axis splits dominate and the tree stays narrow).
-#[derive(Clone, Debug, Default)]
-pub struct RTree3 {
-    nodes: Vec<Node>,
-    root: Option<u32>,
-    len: usize,
-}
-
-impl RTree3 {
-    /// Appends every arena id whose box intersects `probe` to `out`.
-    pub fn search(&self, probe: &Box3, out: &mut Vec<u32>, seg_box: impl Fn(u32) -> Box3) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n as usize];
-            if !node.bounds.intersects(probe) {
-                continue;
-            }
-            if node.leaf {
-                for &e in &node.entries {
-                    if seg_box(e).intersects(probe) {
-                        out.push(e);
-                    }
-                }
-            } else {
-                stack.extend_from_slice(&node.children);
-            }
-        }
-    }
-
-    /// Entries indexed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
+/// One floor's tree: segment boxes (held inline in the leaves) carrying
+/// arena ids. Insert-only between rebuilds.
+type SegmentTree = RTree<Box3, u32>;
 
 /// The segment arena plus its per-floor 3D R-trees and the exact lookup
 /// side tables (`by_object` for trajectories, `by_partition` for
@@ -187,7 +138,7 @@ impl RTree3 {
 pub struct SegmentStore {
     arena: Vec<Segment>,
     /// One tree per floor, indexed by floor number; grown on demand.
-    trees: Vec<RTree3>,
+    trees: Vec<SegmentTree>,
     by_object: HashMap<ObjectId, Vec<u32>>,
     by_partition: HashMap<PartitionId, Vec<u32>>,
     dead: usize,
@@ -200,148 +151,18 @@ impl SegmentStore {
         let id = self.arena.len() as u32;
         let floor = seg.floor as usize;
         if self.trees.len() <= floor {
-            self.trees.resize_with(floor + 1, RTree3::default);
+            self.trees
+                .resize_with(floor + 1, || RTree::new(SEGMENT_FANOUT));
         }
-        let key = seg.box3();
+        self.trees[floor].insert(LeafEntry {
+            bounds: seg.box3(),
+            item: id,
+        });
         self.by_object.entry(seg.object).or_default().push(id);
         if let Some(p) = seg.partition {
             self.by_partition.entry(p).or_default().push(id);
         }
         self.arena.push(seg);
-        // Borrow dance: the split closure needs the arena for leaf keys.
-        let mut tree = std::mem::take(&mut self.trees[floor]);
-        Self::tree_insert(&mut tree, &self.arena, key, id);
-        self.trees[floor] = tree;
-    }
-
-    fn tree_insert(tree: &mut RTree3, arena: &[Segment], key: Box3, id: u32) {
-        // RTree3::insert calls back into seg_box via split; route leaf
-        // splits through the arena by temporarily inlining the logic.
-        // (RTree3 keeps node boxes itself; only leaf entries need this.)
-        let root = match tree.root {
-            Some(r) => r,
-            None => {
-                tree.nodes.push(Node::leaf());
-                let r = (tree.nodes.len() - 1) as u32;
-                tree.root = Some(r);
-                r
-            }
-        };
-        if let Some((left, right)) = Self::tree_insert_at(tree, arena, root, key, id) {
-            let bounds = tree.nodes[left as usize]
-                .bounds
-                .union(&tree.nodes[right as usize].bounds);
-            tree.nodes.push(Node {
-                bounds,
-                children: vec![left, right],
-                entries: Vec::new(),
-                leaf: false,
-            });
-            tree.root = Some((tree.nodes.len() - 1) as u32);
-        }
-        tree.len += 1;
-    }
-
-    fn tree_insert_at(
-        tree: &mut RTree3,
-        arena: &[Segment],
-        node: u32,
-        key: Box3,
-        entry: u32,
-    ) -> Option<(u32, u32)> {
-        let ni = node as usize;
-        tree.nodes[ni].bounds = tree.nodes[ni].bounds.union(&key);
-        if tree.nodes[ni].leaf {
-            tree.nodes[ni].entries.push(entry);
-            if tree.nodes[ni].entries.len() > MAX_ENTRIES {
-                return Some(Self::tree_split(tree, arena, node));
-            }
-            return None;
-        }
-        let mut best = tree.nodes[ni].children[0];
-        let mut best_cost = (f64::INFINITY, f64::INFINITY);
-        for &c in &tree.nodes[ni].children {
-            let b = &tree.nodes[c as usize].bounds;
-            let grown = b.union(&key);
-            let cost = (grown.measure() - b.measure(), b.measure());
-            if cost < best_cost {
-                best_cost = cost;
-                best = c;
-            }
-        }
-        if let Some((left, right)) = Self::tree_insert_at(tree, arena, best, key, entry) {
-            let children = &mut tree.nodes[ni].children;
-            children.retain(|&c| c != best && c != left);
-            children.push(left);
-            children.push(right);
-            if children.len() > MAX_ENTRIES {
-                return Some(Self::tree_split(tree, arena, node));
-            }
-        }
-        None
-    }
-
-    fn tree_split(tree: &mut RTree3, arena: &[Segment], node: u32) -> (u32, u32) {
-        let ni = node as usize;
-        let leaf = tree.nodes[ni].leaf;
-        let key_of = |tree: &RTree3, id: u32| -> Box3 {
-            if leaf {
-                arena[id as usize].box3()
-            } else {
-                tree.nodes[id as usize].bounds
-            }
-        };
-        let mut items: Vec<u32> = if leaf {
-            std::mem::take(&mut tree.nodes[ni].entries)
-        } else {
-            std::mem::take(&mut tree.nodes[ni].children)
-        };
-        let b = tree.nodes[ni].bounds;
-        let (dx, dy) = (b.rect.width(), b.rect.height());
-        let dt = (b.t_hi.saturating_sub(b.t_lo)) as f64;
-        let mut keyed: Vec<(f64, u32)> = items
-            .iter()
-            .map(|&id| {
-                let k = key_of(tree, id);
-                let c = if dt >= dx && dt >= dy {
-                    (k.t_lo + k.t_hi) as f64 * 0.5
-                } else if dx >= dy {
-                    k.rect.center().x
-                } else {
-                    k.rect.center().y
-                };
-                (c, id)
-            })
-            .collect();
-        keyed.sort_by(|a, b_| a.0.partial_cmp(&b_.0).unwrap_or(std::cmp::Ordering::Equal));
-        items = keyed.into_iter().map(|(_, id)| id).collect();
-        let split_at = (items.len() / 2).max(MIN_ENTRIES).min(items.len() - 1);
-        let right_items = items.split_off(split_at);
-
-        let rebound = |tree: &RTree3, ids: &[u32]| {
-            ids.iter().fold(Box3::empty_sentinel(), |acc, &id| {
-                acc.union(&key_of(tree, id))
-            })
-        };
-        let left_bounds = rebound(tree, &items);
-        let right_bounds = rebound(tree, &right_items);
-        tree.nodes[ni].bounds = left_bounds;
-        if leaf {
-            tree.nodes[ni].entries = items;
-        } else {
-            tree.nodes[ni].children = items;
-        }
-        tree.nodes.push(Node {
-            bounds: right_bounds,
-            children: if leaf {
-                Vec::new()
-            } else {
-                right_items.clone()
-            },
-            entries: if leaf { right_items } else { Vec::new() },
-            leaf,
-        });
-        (node, (tree.nodes.len() - 1) as u32)
     }
 
     /// The segment with arena id `id`.
@@ -373,15 +194,37 @@ impl SegmentStore {
             .collect()
     }
 
+    /// Visits the arena id of every live segment on `floor` intersecting
+    /// `probe`, via the floor's 3D tree, until `visit` breaks.
+    fn search_floor(
+        &self,
+        floor: Floor,
+        probe: &Box3,
+        mut visit: impl FnMut(u32) -> ControlFlow<()>,
+    ) {
+        let Some(tree) = self.trees.get(floor as usize) else {
+            return;
+        };
+        tree.search(
+            |b| b.intersects(probe),
+            |e| {
+                if self.arena[e.item as usize].alive {
+                    visit(e.item)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+    }
+
     /// Live segments on `floor` intersecting `probe` via the floor's 3D
     /// tree (arena ids, unordered).
     pub fn probe_floor(&self, floor: Floor, probe: &Box3) -> Vec<u32> {
-        let Some(tree) = self.trees.get(floor as usize) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        tree.search(probe, &mut out, |id| self.arena[id as usize].box3());
-        out.retain(|&id| self.arena[id as usize].alive);
+        self.search_floor(floor, probe, |id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
         out
     }
 
@@ -389,28 +232,12 @@ impl SegmentStore {
     /// cheap existence prefilter historical range walks use to skip
     /// epochs whose window provably holds nothing near the query.
     pub fn floor_has_any(&self, floor: Floor, probe: &Box3) -> bool {
-        let Some(tree) = self.trees.get(floor as usize) else {
-            return false;
-        };
-        let Some(root) = tree.root else { return false };
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let node = &tree.nodes[n as usize];
-            if !node.bounds.intersects(probe) {
-                continue;
-            }
-            if node.leaf {
-                for &e in &node.entries {
-                    let s = &self.arena[e as usize];
-                    if s.alive && s.box3().intersects(probe) {
-                        return true;
-                    }
-                }
-            } else {
-                stack.extend_from_slice(&node.children);
-            }
-        }
-        false
+        let mut found = false;
+        self.search_floor(floor, probe, |_| {
+            found = true;
+            ControlFlow::Break(())
+        });
+        found
     }
 
     /// Whether any live segment on **any** floor intersects `probe`.
@@ -461,13 +288,16 @@ impl SegmentStore {
     }
 
     /// Approximate retained bytes of the arena and trees.
+    ///
+    /// Arena: a [`Segment`] is 96 B. Trees, counted by
+    /// [`RTree::approx_bytes`] from the layout itself: 56 B per leaf entry
+    /// (the 48 B [`Box3`] inline + the `u32` id, padded) and 88 B per node
+    /// (48 B bounds + 32 B tagged `Vec` + 8 B for its slot in the parent's
+    /// child list). Time-ordered appends leave leaves half full, so a
+    /// segment costs ≈ 96 + 56 + 88/8 ≈ 163 B in all.
     pub fn approx_bytes(&self) -> usize {
-        self.arena.len() * 96
-            + self
-                .trees
-                .iter()
-                .map(|t| t.nodes.len() * 160)
-                .sum::<usize>()
+        self.arena.len() * std::mem::size_of::<Segment>()
+            + self.trees.iter().map(RTree::approx_bytes).sum::<usize>()
     }
 }
 

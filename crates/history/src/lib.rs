@@ -28,7 +28,8 @@
 //!   partial answer.
 //! * **3D trajectory index.** Object movement is decomposed into resting
 //!   segments indexed per floor by a 3D R-tree over `(x, y, epoch)`
-//!   boxes, with exact per-object and per-partition side tables.
+//!   boxes — [`idq_index::RTree`] instantiated at [`Box3`] — with exact
+//!   per-object and per-partition side tables.
 //! * **Query family** ([`HistoryQuery`], evaluated on a
 //!   [`HistorySession`] — a frozen view of the retained window):
 //!   [`HistoryQuery::RangeDuring`] (who crossed a region during a
@@ -57,7 +58,7 @@ mod ring;
 mod session;
 
 pub use error::HistoryError;
-pub use index3d::{Box3, RTree3, Segment, SegmentStore};
+pub use index3d::{Box3, Segment, SegmentStore};
 pub use options::{HistoryOptions, HistoryStats};
 pub use recorder::HistoryRecorder;
 pub use ring::{DeltaRecord, EpochRecord, Payload};

@@ -21,6 +21,7 @@ use idq_geom::{DecomposeConfig, Mbr3, Rect2};
 use idq_model::{DoorKind, DoorsGraph, IndoorPoint, IndoorSpace, PartitionId, TopologyEvent};
 use idq_objects::{ObjectId, ObjectStore, UncertainObject};
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,7 +86,7 @@ pub struct RangeSearchOutcome {
 pub struct CompositeIndex {
     config: IndexConfig,
     units: Arc<UnitStore>,
-    rtree: Arc<RTree>,
+    rtree: Arc<RTree<Mbr3, UnitId>>,
     skeleton: Arc<SkeletonTier>,
     graph: Arc<DoorsGraph>,
     /// Shared memo of per-door Dijkstra rows, valid exactly as long as the
@@ -120,11 +121,11 @@ impl CompositeIndex {
         for p in &partitions {
             units.add_partition(space, p, &decomp);
         }
-        let entries: Vec<LeafEntry> = units
+        let entries: Vec<LeafEntry<Mbr3, UnitId>> = units
             .iter()
             .map(|u| LeafEntry {
-                unit: u.id,
-                mbr: u.mbr,
+                bounds: u.mbr,
+                item: u.id,
             })
             .collect();
         stats.units = entries.len();
@@ -192,7 +193,7 @@ impl CompositeIndex {
     }
 
     /// The tree tier.
-    pub fn rtree(&self) -> &RTree {
+    pub fn rtree(&self) -> &RTree<Mbr3, UnitId> {
         &self.rtree
     }
 
@@ -234,10 +235,11 @@ impl CompositeIndex {
     }
 
     /// Minimum skeleton distance from `q` to an MBR (Eq. 10) — the
-    /// geometric lower bound used by `RangeSearch`.
-    pub fn min_skeleton_distance(&self, space: &IndoorSpace, q: IndoorPoint, mbr: &Mbr3) -> f64 {
-        self.skeleton
-            .min_skeleton_distance(q, space.floor_height(), mbr)
+    /// geometric lower bound used by `RangeSearch`. `_space` is unread
+    /// (vertical drops live inside `M_s2s`); `benchmark/` calls this
+    /// signature.
+    pub fn min_skeleton_distance(&self, _space: &IndoorSpace, q: IndoorPoint, mbr: &Mbr3) -> f64 {
+        self.skeleton.min_skeleton_distance(q, mbr)
     }
 
     // ---- RangeSearch (Algorithm 4) --------------------------------------------
@@ -296,14 +298,13 @@ impl CompositeIndex {
         let mut object_set: HashSet<ObjectId> = HashSet::new();
         let mut objects = Vec::new();
         let mut objects_checked = 0usize;
-        let stats = self.rtree.range_search(
-            |m| metric(m),
-            r_partitions,
+        let stats = self.rtree.search(
+            |m| metric(m) <= r_partitions,
             |entry| {
-                if let Some(p) = self.units.partition_of(entry.unit) {
+                if let Some(p) = self.units.partition_of(entry.item) {
                     partitions.insert(p);
                 }
-                for &o in self.objects.objects_in(entry.unit) {
+                for &o in self.objects.objects_in(entry.item) {
                     objects_checked += 1;
                     if object_set.contains(&o) {
                         continue;
@@ -316,6 +317,7 @@ impl CompositeIndex {
                         objects.push(o);
                     }
                 }
+                ControlFlow::Continue(())
             },
         );
         let mut partitions: Vec<PartitionId> = partitions.into_iter().collect();
@@ -340,14 +342,7 @@ impl CompositeIndex {
     ) -> (Vec<UnitId>, Mbr3) {
         let rect: Rect2 = object.footprint_rect();
         let mbr = Mbr3::planar(rect, object.floor, space.elevation(object.floor));
-        let mut found = Vec::new();
-        self.rtree.range_search(
-            |m| if m.intersects(&mbr) { 0.0 } else { 1.0 },
-            0.5,
-            |entry| found.push(entry.unit),
-        );
-        found.sort_unstable();
-        (found, mbr)
+        (self.units_intersecting(&mbr), mbr)
     }
 
     /// Unit footprints for a *group* of write MBRs computed with **one**
@@ -358,44 +353,48 @@ impl CompositeIndex {
     /// batch appliers group position updates by touched partition before
     /// calling this (a scattered group degrades to one wide traversal).
     pub fn unit_footprints_grouped(&self, mbrs: &[Mbr3]) -> Vec<Vec<UnitId>> {
-        let sorted = |mut units: Vec<UnitId>| {
-            units.sort_unstable();
-            units
-        };
-        if mbrs.len() <= 1 {
-            return mbrs
-                .iter()
-                .map(|mbr| {
-                    let mut units = Vec::new();
-                    self.rtree.range_search(
-                        |m| if m.intersects(mbr) { 0.0 } else { 1.0 },
-                        0.5,
-                        |entry| units.push(entry.unit),
-                    );
-                    sorted(units)
-                })
-                .collect();
+        if let [mbr] = mbrs {
+            return vec![self.units_intersecting(mbr)];
         }
         let union = mbrs
             .iter()
             .fold(Mbr3::empty_sentinel(), |acc, m| acc.union(m));
-        let mut candidates: Vec<LeafEntry> = Vec::new();
-        self.rtree.range_search(
-            |m| if m.intersects(&union) { 0.0 } else { 1.0 },
-            0.5,
-            |entry| candidates.push(*entry),
-        );
+        let mut candidates = Vec::new();
+        self.for_each_unit_intersecting(&union, |entry| candidates.push(*entry));
         mbrs.iter()
             .map(|mbr| {
-                sorted(
-                    candidates
-                        .iter()
-                        .filter(|e| e.mbr.intersects(mbr))
-                        .map(|e| e.unit)
-                        .collect(),
-                )
+                let mut units: Vec<UnitId> = candidates
+                    .iter()
+                    .filter(|e| e.bounds.intersects(mbr))
+                    .map(|e| e.item)
+                    .collect();
+                units.sort_unstable();
+                units
             })
             .collect()
+    }
+
+    /// Visits every tree-tier entry whose MBR intersects `mbr`.
+    fn for_each_unit_intersecting(
+        &self,
+        mbr: &Mbr3,
+        mut visit: impl FnMut(&LeafEntry<Mbr3, UnitId>),
+    ) {
+        self.rtree.search(
+            |m| m.intersects(mbr),
+            |entry| {
+                visit(entry);
+                ControlFlow::Continue(())
+            },
+        );
+    }
+
+    /// The units whose MBR intersects `mbr`, ascending.
+    fn units_intersecting(&self, mbr: &Mbr3) -> Vec<UnitId> {
+        let mut units = Vec::new();
+        self.for_each_unit_intersecting(mbr, |entry| units.push(entry.item));
+        units.sort_unstable();
+        units
     }
 
     /// Indexes a new object.
@@ -551,7 +550,10 @@ impl CompositeIndex {
         let ids = Arc::make_mut(&mut self.units).add_partition(space, partition, &decomp);
         for u in ids {
             let mbr = self.units.get(u).expect("freshly added").mbr;
-            Arc::make_mut(&mut self.rtree).insert(LeafEntry { unit: u, mbr });
+            Arc::make_mut(&mut self.rtree).insert(LeafEntry {
+                bounds: mbr,
+                item: u,
+            });
         }
         self.objects.grow(self.units.slots());
         Ok(partition.kind == idq_model::PartitionKind::Staircase)

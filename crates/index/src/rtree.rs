@@ -1,4 +1,11 @@
-//! The indR-tree tier (§III-A.2): an R\*-style tree over index units.
+//! The workspace's one R-tree: the indR-tree tier (§III-A.2) and, at
+//! another bounds type, `idq-history`'s per-floor `(x, y, time)` trees.
+//!
+//! [`RTree`] is generic over a [`Bounds`] type (how boxes grow, overlap,
+//! are measured and are ordered along an axis) and a leaf payload, so one
+//! node arena, one least-enlargement descent, one split and one traversal
+//! serve both `RTree<Mbr3, UnitId>` (the composite index) and the
+//! history crate's `RTree<Box3, u32>` (presence segments).
 //!
 //! Adaptation points from the paper:
 //!
@@ -8,38 +15,96 @@
 //!   splits meaningful without distorting distances;
 //! * construction uses Sort-Tile-Recursive packing (the paper uses a
 //!   *packed* R\*-tree, §V-A) grouped floor-first, so same-floor units
-//!   share subtrees;
-//! * dynamic inserts descend by least volume enlargement and split
+//!   share subtrees ([`RTree::bulk_load`], `Mbr3` only);
+//! * dynamic inserts descend by least measure enlargement and split
 //!   overflowing nodes on the axis of largest centre spread at the median
 //!   (an STR-consistent split; R\*'s forced reinsertion is intentionally
 //!   omitted — documented deviation, irrelevant to the measured update
 //!   costs which are dominated by bucket moves);
-//! * deletions tolerate underfull nodes (MBRs are recomputed, empty nodes
-//!   pruned), which keeps `deletePartition` O(height) as the paper's
-//!   Fig. 15(c) expects.
+//! * deletions tolerate underfull nodes (bounds are recomputed, empty
+//!   nodes pruned and their arena slots reused), which keeps
+//!   `deletePartition` O(height) as the paper's Fig. 15(c) expects.
 
 use crate::units::UnitId;
 use idq_geom::{Mbr3, OrdF64};
+use std::ops::ControlFlow;
 
-/// A leaf entry: one index unit.
+/// What the tree needs to know about a bounding-box type.
+pub trait Bounds: Copy + PartialEq {
+    /// Number of axes [`Bounds::center`] answers for. Axes are numbered in
+    /// split tie-break priority: when several axes share the widest centre
+    /// spread, the lowest-numbered one is split.
+    const AXES: usize;
+
+    /// The identity of [`Bounds::union`].
+    fn empty() -> Self;
+
+    /// Smallest box covering both operands. Must be exact (min/max only):
+    /// insertion grows a node by the new key instead of recomputing it
+    /// from its children, and the two must agree bit for bit.
+    fn union(&self, other: &Self) -> Self;
+
+    /// Whether the boxes share a point.
+    fn intersects(&self, other: &Self) -> bool;
+
+    /// Construction-time size: descent picks the child whose measure
+    /// grows least.
+    fn measure(&self) -> f64;
+
+    /// Centre coordinate along `axis < AXES`.
+    fn center(&self, axis: usize) -> f64;
+}
+
+/// Axis 0 is elevation, so floors separate first (what the paper's
+/// floor-aware layout wants), then x, then y.
+impl Bounds for Mbr3 {
+    const AXES: usize = 3;
+
+    fn empty() -> Self {
+        Mbr3::empty_sentinel()
+    }
+
+    fn union(&self, other: &Self) -> Self {
+        Mbr3::union(self, other)
+    }
+
+    fn intersects(&self, other: &Self) -> bool {
+        Mbr3::intersects(self, other)
+    }
+
+    fn measure(&self) -> f64 {
+        self.build_volume()
+    }
+
+    fn center(&self, axis: usize) -> f64 {
+        match axis {
+            0 => (self.z_lo + self.z_hi) / 2.0,
+            1 => self.rect.center().x,
+            _ => self.rect.center().y,
+        }
+    }
+}
+
+/// A leaf entry: one payload item and its box.
 #[derive(Clone, Copy, Debug)]
-pub struct LeafEntry {
-    /// The unit.
-    pub unit: UnitId,
-    /// Its 3D MBR.
-    pub mbr: Mbr3,
+pub struct LeafEntry<B, T> {
+    /// The item's bounding box.
+    pub bounds: B,
+    /// The payload (an index unit, a segment id, …).
+    pub item: T,
 }
 
 #[derive(Clone, Debug)]
-enum NodeKind {
-    Leaf(Vec<LeafEntry>),
+enum NodeKind<B, T> {
+    Leaf(Vec<LeafEntry<B, T>>),
     Inner(Vec<usize>),
 }
 
 #[derive(Clone, Debug)]
-struct Node {
-    mbr: Mbr3,
-    kind: NodeKind,
+struct Node<B, T> {
+    /// Exactly the union of the node's entries / children.
+    bounds: B,
+    kind: NodeKind<B, T>,
 }
 
 /// Statistics of one tree search (feeds the Fig. 15(a) experiment).
@@ -47,84 +112,106 @@ struct Node {
 pub struct SearchStats {
     /// Tree nodes visited.
     pub nodes_visited: usize,
-    /// Leaf entries whose MBR metric was evaluated.
+    /// Leaf entries whose bounds were tested.
     pub entries_checked: usize,
 }
 
-/// The indR-tree.
+/// An R-tree over `B` boxes carrying `T` payloads.
 #[derive(Clone, Debug)]
-pub struct RTree {
-    nodes: Vec<Node>,
+pub struct RTree<B, T> {
+    nodes: Vec<Node<B, T>>,
+    /// Arena slots released by [`RTree::remove`], reused before growing.
+    free: Vec<usize>,
     root: usize,
     fanout: usize,
     len: usize,
 }
 
-impl RTree {
-    /// An empty tree with the given fanout (paper default: 20).
-    pub fn new(fanout: usize) -> Self {
-        let fanout = fanout.max(2);
-        RTree {
-            nodes: vec![Node {
-                mbr: Mbr3::empty_sentinel(),
-                kind: NodeKind::Leaf(Vec::new()),
-            }],
-            root: 0,
-            fanout,
-            len: 0,
-        }
-    }
-
+impl RTree<Mbr3, UnitId> {
     /// Sort-Tile-Recursive bulk load ("packed" construction, §V-A).
-    pub fn bulk_load(mut entries: Vec<LeafEntry>, fanout: usize) -> Self {
+    pub fn bulk_load(mut entries: Vec<LeafEntry<Mbr3, UnitId>>, fanout: usize) -> Self {
         let fanout = fanout.max(2);
         if entries.is_empty() {
             return Self::new(fanout);
         }
         let mut tree = RTree {
             nodes: Vec::new(),
+            free: Vec::new(),
             root: 0,
             fanout,
             len: entries.len(),
         };
         // Pack leaves: floor-first, then STR tiles in x, then runs in y.
-        let leaf_groups = str_tiles(&mut entries, fanout, |e| &e.mbr);
+        let leaf_groups = str_tiles(&mut entries, fanout, |e| &e.bounds);
         let mut level: Vec<usize> = leaf_groups
             .into_iter()
-            .map(|group| {
-                let mbr = union_of(group.iter().map(|e| &e.mbr));
-                tree.push(Node {
-                    mbr,
-                    kind: NodeKind::Leaf(group),
-                })
-            })
+            .map(|group| tree.alloc(NodeKind::Leaf(group)))
             .collect();
         while level.len() > 1 {
             let mut items: Vec<(usize, Mbr3)> =
-                level.iter().map(|&i| (i, tree.nodes[i].mbr)).collect();
+                level.iter().map(|&i| (i, tree.nodes[i].bounds)).collect();
             let groups = str_tiles(&mut items, fanout, |x| &x.1);
             level = groups
                 .into_iter()
                 .map(|group| {
-                    let mbr = union_of(group.iter().map(|x| &x.1));
                     let children = group.into_iter().map(|x| x.0).collect();
-                    tree.push(Node {
-                        mbr,
-                        kind: NodeKind::Inner(children),
-                    })
+                    tree.alloc(NodeKind::Inner(children))
                 })
                 .collect();
         }
         tree.root = level[0];
         tree
     }
+}
 
-    fn push(&mut self, n: Node) -> usize {
-        self.nodes.push(n);
-        self.nodes.len() - 1
+impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
+    /// An empty tree with the given fanout (paper default: 20).
+    pub fn new(fanout: usize) -> Self {
+        RTree {
+            nodes: vec![Node {
+                bounds: B::empty(),
+                kind: NodeKind::Leaf(Vec::new()),
+            }],
+            free: Vec::new(),
+            root: 0,
+            fanout: fanout.max(2),
+            len: 0,
+        }
     }
 
-    /// Number of unit entries.
+    /// Stores a node holding `kind` (bounds computed from its contents)
+    /// in a free arena slot, growing the arena only when none is free.
+    fn alloc(&mut self, kind: NodeKind<B, T>) -> usize {
+        let node = Node {
+            bounds: self.bounds_of(&kind),
+            kind,
+        };
+        match self.free.pop() {
+            Some(idx) => {
+                self.nodes[idx] = node;
+                idx
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    /// Returns an unlinked node's slot (and its heap storage) for reuse.
+    fn release(&mut self, idx: usize) {
+        self.nodes[idx].kind = NodeKind::Leaf(Vec::new());
+        self.free.push(idx);
+    }
+
+    fn bounds_of(&self, kind: &NodeKind<B, T>) -> B {
+        match kind {
+            NodeKind::Leaf(entries) => union_of(entries.iter().map(|e| e.bounds)),
+            NodeKind::Inner(children) => union_of(children.iter().map(|&c| self.nodes[c].bounds)),
+        }
+    }
+
+    /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -140,38 +227,40 @@ impl RTree {
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut cur = self.root;
-        loop {
-            match &self.nodes[cur].kind {
-                NodeKind::Leaf(_) => return h,
-                NodeKind::Inner(c) => {
-                    h += 1;
-                    cur = c[0];
-                }
-            }
+        while let NodeKind::Inner(c) = &self.nodes[cur].kind {
+            h += 1;
+            cur = c[0];
         }
+        h
     }
 
-    /// Number of allocated tree nodes.
+    /// Number of tree nodes in use (reachable from the root).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
     }
 
-    /// Root MBR (sentinel when empty).
-    pub fn root_mbr(&self) -> Mbr3 {
-        self.nodes[self.root].mbr
+    /// Heap bytes the tree retains, up to `Vec` growth slack: every arena
+    /// slot with the child index that points at it, and every leaf entry
+    /// (box inline).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.len() * (size_of::<Node<B, T>>() + size_of::<usize>())
+            + self.len * size_of::<LeafEntry<B, T>>()
     }
 
     // ---- search -----------------------------------------------------------
 
-    /// `RangeSearch` over the tree (Algorithm 4's tree walk): visits every
-    /// leaf entry whose `metric` is at most `r`, pruning subtrees whose
-    /// node MBR metric exceeds `r`. The metric is injected so callers can
-    /// search by the skeleton distance (Eq. 10) or plain Euclidean
-    /// distance (the paper's "withoutSkeleton" ablation).
-    pub fn range_search<M, V>(&self, metric: M, r: f64, mut visit: V) -> SearchStats
+    /// The one tree walk (Algorithm 4's `RangeSearch` included): visits
+    /// every leaf entry whose bounds `admit`, descending only into nodes
+    /// whose bounds `admit`, until `visit` breaks. The predicate is
+    /// injected so callers can search by the skeleton distance (Eq. 10),
+    /// plain Euclidean distance (the paper's "withoutSkeleton" ablation)
+    /// or box intersection; it must be monotone (a box it rejects contains
+    /// no box it admits).
+    pub fn search<A, V>(&self, admit: A, mut visit: V) -> SearchStats
     where
-        M: Fn(&Mbr3) -> f64,
-        V: FnMut(&LeafEntry),
+        A: Fn(&B) -> bool,
+        V: FnMut(&LeafEntry<B, T>) -> ControlFlow<()>,
     {
         let mut stats = SearchStats::default();
         if self.len == 0 {
@@ -184,17 +273,13 @@ impl RTree {
                 NodeKind::Leaf(entries) => {
                     for e in entries {
                         stats.entries_checked += 1;
-                        if metric(&e.mbr) <= r {
-                            visit(e);
+                        if admit(&e.bounds) && visit(e).is_break() {
+                            return stats;
                         }
                     }
                 }
                 NodeKind::Inner(children) => {
-                    for &c in children {
-                        if metric(&self.nodes[c].mbr) <= r {
-                            stack.push(c);
-                        }
-                    }
+                    stack.extend(children.iter().filter(|&&c| admit(&self.nodes[c].bounds)));
                 }
             }
         }
@@ -204,269 +289,191 @@ impl RTree {
     // ---- insertion ----------------------------------------------------------
 
     /// Inserts one entry (dynamic maintenance, §III-C.1 *Insertion*).
-    pub fn insert(&mut self, entry: LeafEntry) {
-        if let Some(sibling) = self.insert_rec(self.root, entry) {
-            let old_root = self.root;
-            let mbr = self.nodes[old_root].mbr.union(&self.nodes[sibling].mbr);
-            self.root = self.push(Node {
-                mbr,
-                kind: NodeKind::Inner(vec![old_root, sibling]),
-            });
+    pub fn insert(&mut self, entry: LeafEntry<B, T>) {
+        if let Some(sibling) = self.insert_at(self.root, entry) {
+            self.root = self.alloc(NodeKind::Inner(vec![self.root, sibling]));
         }
         self.len += 1;
     }
 
-    fn insert_rec(&mut self, idx: usize, entry: LeafEntry) -> Option<usize> {
-        let split = match &self.nodes[idx].kind {
-            NodeKind::Leaf(_) => {
-                if let NodeKind::Leaf(entries) = &mut self.nodes[idx].kind {
-                    entries.push(entry);
-                }
-                (self.leaf_len(idx) > self.fanout).then(|| self.split_leaf(idx))
+    /// Inserts below `idx`, growing bounds by the key on the way down;
+    /// returns the new sibling when `idx` overflowed and split.
+    fn insert_at(&mut self, idx: usize, entry: LeafEntry<B, T>) -> Option<usize> {
+        self.nodes[idx].bounds = self.nodes[idx].bounds.union(&entry.bounds);
+        let sibling = match &self.nodes[idx].kind {
+            NodeKind::Leaf(_) => None,
+            NodeKind::Inner(children) => {
+                let child = self.choose_child(children, &entry.bounds);
+                Some(self.insert_at(child, entry)?)
+            }
+        };
+        let count = match &mut self.nodes[idx].kind {
+            NodeKind::Leaf(entries) => {
+                entries.push(entry);
+                entries.len()
             }
             NodeKind::Inner(children) => {
-                let child = choose_child(&self.nodes, children, &entry.mbr);
-                let new_sibling = self.insert_rec(child, entry);
-                if let Some(sib) = new_sibling {
-                    if let NodeKind::Inner(children) = &mut self.nodes[idx].kind {
-                        children.push(sib);
-                    }
-                    (self.inner_len(idx) > self.fanout).then(|| self.split_inner(idx))
-                } else {
-                    None
-                }
+                children.extend(sibling);
+                children.len()
             }
         };
-        self.recompute_mbr(idx);
-        if let Some(sib) = split {
-            self.recompute_mbr(sib);
-        }
-        split
+        (count > self.fanout).then(|| self.split(idx))
     }
 
-    fn leaf_len(&self, idx: usize) -> usize {
-        match &self.nodes[idx].kind {
-            NodeKind::Leaf(e) => e.len(),
-            NodeKind::Inner(_) => 0,
+    /// Least-measure-enlargement child choice (ties: smaller measure).
+    fn choose_child(&self, children: &[usize], key: &B) -> usize {
+        let mut best = children[0];
+        let mut best_cost = (f64::INFINITY, f64::INFINITY);
+        for &c in children {
+            let cur = self.nodes[c].bounds;
+            let size = cur.measure();
+            let cost = (cur.union(key).measure() - size, size);
+            if cost < best_cost {
+                best_cost = cost;
+                best = c;
+            }
         }
+        best
     }
 
-    fn inner_len(&self, idx: usize) -> usize {
-        match &self.nodes[idx].kind {
-            NodeKind::Inner(c) => c.len(),
-            NodeKind::Leaf(_) => 0,
-        }
-    }
-
-    fn split_leaf(&mut self, idx: usize) -> usize {
-        let NodeKind::Leaf(mut entries) =
-            std::mem::replace(&mut self.nodes[idx].kind, NodeKind::Leaf(Vec::new()))
-        else {
-            unreachable!("split_leaf on inner node")
+    /// Splits an overflowing node at the median of its widest axis; the
+    /// lower half stays in `idx`, the upper half moves to the returned
+    /// sibling.
+    fn split(&mut self, idx: usize) -> usize {
+        let kind = std::mem::replace(&mut self.nodes[idx].kind, NodeKind::Leaf(Vec::new()));
+        let (left, right) = match kind {
+            NodeKind::Leaf(entries) => {
+                let (l, r) = halve(entries, |e| e.bounds);
+                (NodeKind::Leaf(l), NodeKind::Leaf(r))
+            }
+            NodeKind::Inner(children) => {
+                let (l, r) = halve(children, |&c| self.nodes[c].bounds);
+                (NodeKind::Inner(l), NodeKind::Inner(r))
+            }
         };
-        sort_by_widest_axis(&mut entries, |e| &e.mbr);
-        let right = entries.split_off(entries.len() / 2);
-        self.nodes[idx].kind = NodeKind::Leaf(entries);
-        self.recompute_mbr(idx);
-        let mbr = union_of(right.iter().map(|e| &e.mbr));
-        self.push(Node {
-            mbr,
-            kind: NodeKind::Leaf(right),
-        })
-    }
-
-    fn split_inner(&mut self, idx: usize) -> usize {
-        let NodeKind::Inner(children) =
-            std::mem::replace(&mut self.nodes[idx].kind, NodeKind::Inner(Vec::new()))
-        else {
-            unreachable!("split_inner on leaf node")
-        };
-        let mut items: Vec<(usize, Mbr3)> = children
-            .into_iter()
-            .map(|c| (c, self.nodes[c].mbr))
-            .collect();
-        sort_by_widest_axis(&mut items, |x| &x.1);
-        let right = items.split_off(items.len() / 2);
-        self.nodes[idx].kind = NodeKind::Inner(items.into_iter().map(|x| x.0).collect());
-        self.recompute_mbr(idx);
-        let mbr = union_of(right.iter().map(|x| &x.1));
-        let right_children = right.into_iter().map(|x| x.0).collect();
-        self.push(Node {
-            mbr,
-            kind: NodeKind::Inner(right_children),
-        })
+        self.nodes[idx].bounds = self.bounds_of(&left);
+        self.nodes[idx].kind = left;
+        self.alloc(right)
     }
 
     // ---- removal -------------------------------------------------------------
 
-    /// Removes one entry by unit id, guided by its MBR. Returns whether it
-    /// was found.
-    pub fn remove(&mut self, unit: UnitId, mbr: &Mbr3) -> bool {
-        let found = self.remove_rec(self.root, unit, mbr);
-        if found {
-            self.len -= 1;
-            // Collapse a chain of single-child inner roots.
-            while let NodeKind::Inner(c) = &self.nodes[self.root].kind {
-                if c.len() == 1 {
-                    self.root = c[0];
-                } else {
-                    break;
-                }
-            }
-            if self.len == 0 {
-                // Reset to a single empty leaf.
-                self.nodes[self.root].kind = NodeKind::Leaf(Vec::new());
-                self.nodes[self.root].mbr = Mbr3::empty_sentinel();
-            }
+    /// Removes one entry by payload, guided by its bounds. Returns whether
+    /// it was found.
+    pub fn remove(&mut self, item: T, bounds: &B) -> bool {
+        if !self.remove_at(self.root, item, bounds) {
+            return false;
         }
-        found
+        self.len -= 1;
+        if self.len == 0 {
+            *self = Self::new(self.fanout);
+            return true;
+        }
+        // Collapse a chain of single-child inner roots.
+        while let NodeKind::Inner(children) = &self.nodes[self.root].kind {
+            let &[only] = children.as_slice() else { break };
+            self.release(self.root);
+            self.root = only;
+        }
+        true
     }
 
-    fn remove_rec(&mut self, idx: usize, unit: UnitId, mbr: &Mbr3) -> bool {
-        let found = match &self.nodes[idx].kind {
+    fn remove_at(&mut self, idx: usize, item: T, hint: &B) -> bool {
+        match &mut self.nodes[idx].kind {
             NodeKind::Leaf(entries) => {
-                let pos = entries.iter().position(|e| e.unit == unit);
-                match pos {
-                    Some(p) => {
-                        if let NodeKind::Leaf(entries) = &mut self.nodes[idx].kind {
-                            entries.swap_remove(p);
-                        }
-                        true
-                    }
-                    None => false,
-                }
+                let Some(pos) = entries.iter().position(|e| e.item == item) else {
+                    return false;
+                };
+                entries.swap_remove(pos);
             }
             NodeKind::Inner(children) => {
-                let candidates: Vec<usize> = children
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.nodes[c].mbr.intersects(mbr))
-                    .collect();
-                let mut hit = false;
-                for c in candidates {
-                    if self.remove_rec(c, unit, mbr) {
-                        hit = true;
-                        // Prune emptied children.
-                        let empty = match &self.nodes[c].kind {
-                            NodeKind::Leaf(e) => e.is_empty(),
-                            NodeKind::Inner(cc) => cc.is_empty(),
-                        };
-                        if empty {
-                            if let NodeKind::Inner(children) = &mut self.nodes[idx].kind {
-                                children.retain(|&x| x != c);
-                            }
-                        }
-                        break;
+                let children = children.clone();
+                let Some(child) = children.into_iter().find(|&c| {
+                    self.nodes[c].bounds.intersects(hint) && self.remove_at(c, item, hint)
+                }) else {
+                    return false;
+                };
+                // Prune an emptied child.
+                let emptied = match &self.nodes[child].kind {
+                    NodeKind::Leaf(e) => e.is_empty(),
+                    NodeKind::Inner(c) => c.is_empty(),
+                };
+                if emptied {
+                    self.release(child);
+                    if let NodeKind::Inner(children) = &mut self.nodes[idx].kind {
+                        children.retain(|&c| c != child);
                     }
                 }
-                hit
             }
-        };
-        if found {
-            self.recompute_mbr(idx);
         }
-        found
-    }
-
-    fn recompute_mbr(&mut self, idx: usize) {
-        let mbr = match &self.nodes[idx].kind {
-            NodeKind::Leaf(entries) => union_of(entries.iter().map(|e| &e.mbr)),
-            NodeKind::Inner(children) => union_of(children.iter().map(|&c| &self.nodes[c].mbr)),
-        };
-        self.nodes[idx].mbr = mbr;
+        self.nodes[idx].bounds = self.bounds_of(&self.nodes[idx].kind);
+        true
     }
 
     // ---- invariants (test support) --------------------------------------------
 
-    /// Validates structural invariants: MBR containment, fanout caps, and
-    /// that exactly `len` entries are reachable. Panics on violation.
+    /// Validates structural invariants: tight bounds, fanout caps, leaves
+    /// at one depth, exactly `len` entries reachable, and every arena slot
+    /// either reachable or on the free list. Panics on violation.
     pub fn validate(&self) {
-        let mut count = 0;
-        self.validate_rec(self.root, &mut count);
-        assert_eq!(count, self.len, "reachable entries == len");
+        let (mut entries, mut nodes) = (0, 0);
+        self.validate_at(self.root, self.height(), &mut entries, &mut nodes);
+        assert_eq!(entries, self.len, "reachable entries == len");
+        assert_eq!(nodes, self.node_count(), "no arena slot leaked");
     }
 
-    fn validate_rec(&self, idx: usize, count: &mut usize) {
+    fn validate_at(&self, idx: usize, levels_left: usize, entries: &mut usize, nodes: &mut usize) {
         let node = &self.nodes[idx];
+        *nodes += 1;
+        assert!(!self.free.contains(&idx), "reachable node is not free");
+        assert!(
+            node.bounds == self.bounds_of(&node.kind),
+            "bounds are the exact union"
+        );
         match &node.kind {
-            NodeKind::Leaf(entries) => {
-                assert!(entries.len() <= self.fanout, "leaf fanout");
-                for e in entries {
-                    assert!(
-                        node.mbr.rect.contains_rect(&e.mbr.rect),
-                        "leaf MBR containment"
-                    );
-                    *count += 1;
-                }
+            NodeKind::Leaf(es) => {
+                assert!(es.len() <= self.fanout, "leaf fanout");
+                assert_eq!(levels_left, 1, "leaves at one depth");
+                *entries += es.len();
             }
             NodeKind::Inner(children) => {
                 assert!(children.len() <= self.fanout, "inner fanout");
                 assert!(!children.is_empty(), "inner node non-empty");
                 for &c in children {
-                    assert!(
-                        node.mbr.rect.contains_rect(&self.nodes[c].mbr.rect),
-                        "inner MBR containment"
-                    );
-                    self.validate_rec(c, count);
+                    self.validate_at(c, levels_left - 1, entries, nodes);
                 }
             }
         }
     }
 }
 
-/// Least-volume-enlargement child choice (ties: smaller volume).
-fn choose_child(nodes: &[Node], children: &[usize], mbr: &Mbr3) -> usize {
-    let mut best = children[0];
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for &c in children {
-        let cur = nodes[c].mbr;
-        let grown = cur.union(mbr);
-        let key = (
-            grown.build_volume() - cur.build_volume(),
-            cur.build_volume(),
-        );
-        if key < best_key {
-            best_key = key;
-            best = c;
+fn union_of<B: Bounds>(boxes: impl Iterator<Item = B>) -> B {
+    boxes.fold(B::empty(), |acc, b| acc.union(&b))
+}
+
+/// Sorts items by centre along the axis with the widest centre spread and
+/// cuts them at the median.
+fn halve<B: Bounds, X>(mut items: Vec<X>, bounds_of: impl Fn(&X) -> B) -> (Vec<X>, Vec<X>) {
+    let mut axis = 0;
+    let mut widest = f64::NEG_INFINITY;
+    for a in 0..B::AXES {
+        let (lo, hi) = items
+            .iter()
+            .map(|it| bounds_of(it).center(a))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+                (lo.min(c), hi.max(c))
+            });
+        if hi - lo > widest {
+            widest = hi - lo;
+            axis = a;
         }
     }
-    best
-}
-
-fn union_of<'a>(mbrs: impl Iterator<Item = &'a Mbr3>) -> Mbr3 {
-    let mut acc = Mbr3::empty_sentinel();
-    for m in mbrs {
-        acc = acc.union(m);
-    }
-    acc
-}
-
-/// Sorts items by centre along the axis with the widest centre spread
-/// (z, i.e. floor, included — multi-floor separation first is what the
-/// paper's floor-aware layout wants).
-fn sort_by_widest_axis<T>(items: &mut [T], mbr_of: impl Fn(&T) -> &Mbr3) {
-    const EMPTY: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut sx, mut sy, mut sz) = (EMPTY, EMPTY, EMPTY);
-    for it in items.iter() {
-        let m = mbr_of(it);
-        let c = m.rect.center();
-        let z = (m.z_lo + m.z_hi) / 2.0;
-        sx = (sx.0.min(c.x), sx.1.max(c.x));
-        sy = (sy.0.min(c.y), sy.1.max(c.y));
-        sz = (sz.0.min(z), sz.1.max(z));
-    }
-    let spread = |s: (f64, f64)| s.1 - s.0;
-    let (dx, dy, dz) = (spread(sx), spread(sy), spread(sz));
-    if dz >= dx && dz >= dy {
-        items.sort_by_key(|it| {
-            let m = mbr_of(it);
-            OrdF64((m.z_lo + m.z_hi) / 2.0)
-        });
-    } else if dx >= dy {
-        items.sort_by_key(|it| OrdF64(mbr_of(it).rect.center().x));
-    } else {
-        items.sort_by_key(|it| OrdF64(mbr_of(it).rect.center().y));
-    }
+    items.sort_by_key(|it| OrdF64(bounds_of(it).center(axis)));
+    let upper = items.split_off(items.len() / 2);
+    // Append-ordered input (history's time axis) never revisits the lower
+    // half: don't let it keep an overflowed node's capacity.
+    items.shrink_to_fit();
+    (items, upper)
 }
 
 /// Groups items into STR tiles of at most `fanout` items: sort by floor
@@ -510,10 +517,12 @@ mod tests {
     use super::*;
     use idq_geom::{Point3, Rect2};
 
-    fn entry(i: u32, x: f64, y: f64, floor: u16) -> LeafEntry {
+    type UnitTree = RTree<Mbr3, UnitId>;
+
+    fn entry(i: u32, x: f64, y: f64, floor: u16) -> LeafEntry<Mbr3, UnitId> {
         LeafEntry {
-            unit: UnitId(i),
-            mbr: Mbr3::planar(
+            item: UnitId(i),
+            bounds: Mbr3::planar(
                 Rect2::from_bounds(x, y, x + 5.0, y + 5.0),
                 floor,
                 floor as f64 * 4.0,
@@ -521,7 +530,7 @@ mod tests {
         }
     }
 
-    fn grid_entries(nx: u32, ny: u32, floors: u16) -> Vec<LeafEntry> {
+    fn grid_entries(nx: u32, ny: u32, floors: u16) -> Vec<LeafEntry<Mbr3, UnitId>> {
         let mut v = Vec::new();
         let mut id = 0;
         for f in 0..floors {
@@ -535,6 +544,19 @@ mod tests {
         v
     }
 
+    /// Units whose MBR lies within `r` of `q`, plus the walk's counters.
+    fn within(t: &UnitTree, q: Point3, r: f64) -> (Vec<UnitId>, SearchStats) {
+        let mut seen = Vec::new();
+        let stats = t.search(
+            |m| m.min_dist(q) <= r,
+            |e| {
+                seen.push(e.item);
+                ControlFlow::Continue(())
+            },
+        );
+        (seen, stats)
+    }
+
     #[test]
     fn bulk_load_reaches_everything() {
         let entries = grid_entries(10, 10, 3);
@@ -542,9 +564,7 @@ mod tests {
         assert_eq!(t.len(), 300);
         t.validate();
         assert!(t.height() >= 2);
-        let q = Point3::new(0.0, 0.0, 0.0);
-        let mut seen = Vec::new();
-        t.range_search(|m| m.min_dist(q), f64::INFINITY, |e| seen.push(e.unit));
+        let (seen, _) = within(&t, Point3::new(0.0, 0.0, 0.0), f64::INFINITY);
         assert_eq!(seen.len(), 300);
     }
 
@@ -553,12 +573,11 @@ mod tests {
         let entries = grid_entries(10, 10, 3);
         let t = RTree::bulk_load(entries, 20);
         let q = Point3::new(2.5, 2.5, 0.0);
-        let mut seen = Vec::new();
-        let stats = t.range_search(|m| m.min_dist(q), 12.0, |e| seen.push(e.unit));
+        let (seen, stats) = within(&t, q, 12.0);
         // Brute-force oracle.
         let oracle = grid_entries(10, 10, 3)
             .into_iter()
-            .filter(|e| e.mbr.min_dist(q) <= 12.0)
+            .filter(|e| e.bounds.min_dist(q) <= 12.0)
             .count();
         assert_eq!(seen.len(), oracle);
         assert!(oracle > 0);
@@ -575,12 +594,11 @@ mod tests {
         assert_eq!(t.len(), entries.len());
         t.validate();
         let q = Point3::new(35.0, 35.0, 4.0);
-        let mut a = Vec::new();
-        t.range_search(|m| m.min_dist(q), 15.0, |e| a.push(e.unit));
+        let (mut a, _) = within(&t, q, 15.0);
         let mut oracle: Vec<UnitId> = entries
             .iter()
-            .filter(|e| e.mbr.min_dist(q) <= 15.0)
-            .map(|e| e.unit)
+            .filter(|e| e.bounds.min_dist(q) <= 15.0)
+            .map(|e| e.item)
             .collect();
         a.sort();
         oracle.sort();
@@ -592,29 +610,26 @@ mod tests {
         let entries = grid_entries(6, 6, 2);
         let mut t = RTree::bulk_load(entries.clone(), 6);
         for e in entries.iter().take(30) {
-            assert!(t.remove(e.unit, &e.mbr), "must find {e:?}");
+            assert!(t.remove(e.item, &e.bounds), "must find {e:?}");
         }
         assert_eq!(t.len(), entries.len() - 30);
         t.validate();
-        let q = Point3::new(0.0, 0.0, 0.0);
-        let mut seen = Vec::new();
-        t.range_search(|m| m.min_dist(q), f64::INFINITY, |e| seen.push(e.unit));
+        let (seen, _) = within(&t, Point3::new(0.0, 0.0, 0.0), f64::INFINITY);
         assert_eq!(seen.len(), entries.len() - 30);
         // Removed units are gone.
         for e in entries.iter().take(30) {
-            assert!(!seen.contains(&e.unit));
+            assert!(!seen.contains(&e.item));
         }
         // Removing again fails cleanly.
-        assert!(!t.remove(entries[0].unit, &entries[0].mbr));
+        assert!(!t.remove(entries[0].item, &entries[0].bounds));
     }
 
     #[test]
     fn empty_tree_behaviour() {
-        let mut t = RTree::new(20);
+        let mut t = UnitTree::new(20);
         assert!(t.is_empty());
-        let stats = t.range_search(
-            |m| m.min_dist(Point3::new(0.0, 0.0, 0.0)),
-            10.0,
+        let stats = t.search(
+            |m| m.min_dist(Point3::new(0.0, 0.0, 0.0)) <= 10.0,
             |_| panic!("nothing to visit"),
         );
         assert_eq!(stats.entries_checked, 0);
@@ -626,7 +641,7 @@ mod tests {
         let e = entry(0, 0.0, 0.0, 0);
         t.insert(e);
         assert_eq!(t.len(), 1);
-        assert!(t.remove(e.unit, &e.mbr));
+        assert!(t.remove(e.item, &e.bounds));
         assert!(t.is_empty());
         t.validate();
     }
@@ -637,10 +652,9 @@ mod tests {
         let entries = grid_entries(5, 5, 4);
         let t = RTree::bulk_load(entries, 25);
         t.validate();
-        let q = Point3::new(25.0, 25.0, 0.0);
         // Searching exactly floor 0's plane within a planar radius should
         // check far fewer entries than the whole tree.
-        let stats = t.range_search(|m| m.min_dist(q), 5.0, |_| {});
+        let (_, stats) = within(&t, Point3::new(25.0, 25.0, 0.0), 5.0);
         assert!(
             stats.entries_checked <= 50,
             "checked {}",
@@ -655,7 +669,7 @@ mod tests {
         for (i, e) in entries.iter().enumerate() {
             t.insert(*e);
             if i % 3 == 0 {
-                assert!(t.remove(e.unit, &e.mbr));
+                assert!(t.remove(e.item, &e.bounds));
             }
         }
         t.validate();
@@ -665,5 +679,202 @@ mod tests {
             .filter(|(i, _)| i % 3 != 0)
             .count();
         assert_eq!(t.len(), expected);
+    }
+
+    #[test]
+    fn churn_reuses_arena_slots() {
+        // At the parent commit every pruned child and collapsed root stayed
+        // in the arena: 56 slots per round, 2 801 in the empty tree after
+        // 50 rounds — all cloned by each copy-on-write topology commit.
+        let entries = grid_entries(8, 8, 1);
+        let mut t = RTree::new(4);
+        let mut peak_slots = 0;
+        for round in 0..50 {
+            for e in &entries {
+                t.insert(*e);
+                // Every node but the root holds at least one entry or child.
+                assert!(t.node_count() <= 2 * t.len(), "nodes bounded by entries");
+            }
+            if round == 0 {
+                peak_slots = t.nodes.len();
+            }
+            assert!(t.nodes.len() <= peak_slots, "round {round} grew the arena");
+            for e in &entries {
+                assert!(t.remove(e.item, &e.bounds));
+                assert!(t.node_count() <= 2 * t.len().max(1));
+            }
+            t.validate();
+            assert_eq!(t.node_count(), 1, "an empty tree is one empty leaf");
+        }
+    }
+
+    /// A second bounds type, as `idq-history` instantiates the tree:
+    /// integer time on axis 0, then x, then y.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct TimeBox {
+        t: (u64, u64),
+        x: (f64, f64),
+        y: (f64, f64),
+    }
+
+    impl Bounds for TimeBox {
+        const AXES: usize = 3;
+
+        fn empty() -> Self {
+            TimeBox {
+                t: (u64::MAX, 0),
+                x: (f64::INFINITY, f64::NEG_INFINITY),
+                y: (f64::INFINITY, f64::NEG_INFINITY),
+            }
+        }
+
+        fn union(&self, o: &Self) -> Self {
+            TimeBox {
+                t: (self.t.0.min(o.t.0), self.t.1.max(o.t.1)),
+                x: (self.x.0.min(o.x.0), self.x.1.max(o.x.1)),
+                y: (self.y.0.min(o.y.0), self.y.1.max(o.y.1)),
+            }
+        }
+
+        fn intersects(&self, o: &Self) -> bool {
+            self.t.0 <= o.t.1
+                && o.t.0 <= self.t.1
+                && self.x.0 <= o.x.1
+                && o.x.0 <= self.x.1
+                && self.y.0 <= o.y.1
+                && o.y.0 <= self.y.1
+        }
+
+        fn measure(&self) -> f64 {
+            if self.t.0 > self.t.1 {
+                return 0.0;
+            }
+            (self.t.1 - self.t.0 + 1) as f64 * (self.x.1 - self.x.0) * (self.y.1 - self.y.0)
+        }
+
+        fn center(&self, axis: usize) -> f64 {
+            match axis {
+                0 => (self.t.0 + self.t.1) as f64 / 2.0,
+                1 => (self.x.0 + self.x.1) / 2.0,
+                _ => (self.y.0 + self.y.1) / 2.0,
+            }
+        }
+    }
+
+    /// SplitMix64 — the crate has no `rand` dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A random interval inside `[0, 100]` of width at most 12.
+        fn span(&mut self) -> (f64, f64) {
+            let lo = self.below(100) as f64;
+            (lo, lo + self.below(13) as f64)
+        }
+    }
+
+    /// Random insert / remove / search / exists steps against a linear
+    /// scan, validating the tree after every step.
+    fn matches_linear_scan<B: Bounds + std::fmt::Debug>(
+        seed: u64,
+        random_box: impl Fn(&mut Rng) -> B,
+    ) {
+        let mut rng = Rng(seed);
+        let mut tree: RTree<B, u32> = RTree::new(4);
+        let mut live: Vec<LeafEntry<B, u32>> = Vec::new();
+        for step in 0..600u32 {
+            match rng.below(4) {
+                0 | 1 => {
+                    let e = LeafEntry {
+                        bounds: random_box(&mut rng),
+                        item: step,
+                    };
+                    tree.insert(e);
+                    live.push(e);
+                }
+                2 if !live.is_empty() => {
+                    let e = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    assert!(tree.remove(e.item, &e.bounds), "step {step}: {e:?}");
+                    assert!(
+                        !tree.remove(e.item, &e.bounds),
+                        "step {step}: removed twice"
+                    );
+                }
+                _ => {
+                    let probe = random_box(&mut rng);
+                    let mut want: Vec<u32> = live
+                        .iter()
+                        .filter(|e| e.bounds.intersects(&probe))
+                        .map(|e| e.item)
+                        .collect();
+                    let mut got = Vec::new();
+                    tree.search(
+                        |b| b.intersects(&probe),
+                        |e| {
+                            got.push(e.item);
+                            ControlFlow::Continue(())
+                        },
+                    );
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "step {step}: probe {probe:?}");
+                    // Early exit: "exists" stops at the first match.
+                    let mut visits = 0;
+                    tree.search(
+                        |b| b.intersects(&probe),
+                        |_| {
+                            visits += 1;
+                            ControlFlow::Break(())
+                        },
+                    );
+                    assert_eq!(visits, usize::from(!want.is_empty()), "step {step}");
+                }
+            }
+            tree.validate();
+            assert_eq!(tree.len(), live.len());
+        }
+    }
+
+    #[test]
+    fn random_steps_match_linear_scan_for_both_bounds_types() {
+        for seed in 1..=4 {
+            matches_linear_scan(seed, |rng| {
+                let ((x0, x1), (y0, y1)) = (rng.span(), rng.span());
+                let floors = (rng.below(3) as u16, 3 + rng.below(2) as u16);
+                if rng.below(4) == 0 {
+                    // A staircase-like box spanning floors.
+                    Mbr3::spanning(
+                        Rect2::from_bounds(x0, y0, x1, y1),
+                        floors,
+                        (floors.0 as f64 * 4.0, floors.1 as f64 * 4.0),
+                    )
+                } else {
+                    Mbr3::planar(
+                        Rect2::from_bounds(x0, y0, x1, y1),
+                        floors.0,
+                        floors.0 as f64 * 4.0,
+                    )
+                }
+            });
+            matches_linear_scan(seed, |rng| {
+                let t = rng.below(200);
+                TimeBox {
+                    t: (t, t + rng.below(30)),
+                    x: rng.span(),
+                    y: rng.span(),
+                }
+            });
+        }
     }
 }

@@ -255,8 +255,9 @@ impl SkeletonTier {
     /// Minimum skeleton distance from `q` to an entity MBR (Eq. 10):
     /// if `q`'s floor is covered, the planar Euclidean `min_dist`;
     /// otherwise the best route through entrances on `q`'s floor and on the
-    /// entity's nearest covered boundary floors (`e.lf` / `e.uf`).
-    pub fn min_skeleton_distance(&self, q: IndoorPoint, floor_height: f64, e: &Mbr3) -> f64 {
+    /// entity's nearest covered boundary floors (`e.lf` / `e.uf`); the
+    /// vertical drop is accounted for inside `M_s2s`.
+    pub fn min_skeleton_distance(&self, q: IndoorPoint, e: &Mbr3) -> f64 {
         if e.covers_floor(q.floor) {
             return e.rect.min_dist(q.point);
         }
@@ -267,7 +268,6 @@ impl SkeletonTier {
         } else {
             e.floor_hi
         };
-        let _ = floor_height; // vertical drop is accounted for inside M_s2s
         let mut best = f64::INFINITY;
         for &i in self.per_floor.get(q.floor as usize).into_iter().flatten() {
             let si = &self.entrances[i];
@@ -382,7 +382,7 @@ mod tests {
         let t = SkeletonTier::build(&s);
         let e = Mbr3::planar(Rect2::from_bounds(10.0, 0.0, 14.0, 10.0), 0, 0.0);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        assert!((t.min_skeleton_distance(q, 4.0, &e) - 8.0).abs() < 1e-9);
+        assert!((t.min_skeleton_distance(q, &e) - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -392,7 +392,7 @@ mod tests {
         let e = Mbr3::planar(Rect2::from_bounds(0.0, 0.0, 4.0, 10.0), 1, 4.0);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         // 18 m to the entrance + 8 up + 16 back to the rect.
-        let d = t.min_skeleton_distance(q, 4.0, &e);
+        let d = t.min_skeleton_distance(q, &e);
         assert!((d - (18.0 + 8.0 + 16.0)).abs() < 1e-9, "got {d}");
     }
 

@@ -217,13 +217,6 @@ pub(crate) fn knn_finish(
         mut stats,
         ..
     } = prep;
-    let fallbacks_before = ctx.fallbacks;
-    let computed_before = ctx.subregions_computed;
-    let hits_before = ctx.subregion_cache_hits;
-    let shared_lookups_before = ctx.shared_lookups;
-    let shared_hits_before = ctx.shared_hits;
-    let shared_misses_before = ctx.shared_misses;
-    let shared_evictions_before = ctx.shared_evictions;
 
     // Phase 3: pruning around the k-th smallest upper bound.
     let t = Instant::now();
@@ -269,16 +262,7 @@ pub(crate) fn knn_finish(
     scored.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     scored.truncate(k);
     stats.refinement_ms = t.elapsed().as_secs_f64() * 1e3;
-    stats.full_graph_fallbacks = ctx.fallbacks - fallbacks_before;
-    stats.subregions_computed = ctx.subregions_computed - computed_before;
-    stats.subregion_cache_hits = ctx.subregion_cache_hits - hits_before;
-    stats.shared_cache_lookups += ctx.shared_lookups - shared_lookups_before;
-    stats.shared_cache_hits += ctx.shared_hits - shared_hits_before;
-    stats.shared_cache_misses += ctx.shared_misses - shared_misses_before;
-    stats.shared_cache_evictions += ctx.shared_evictions - shared_evictions_before;
-    if options.distance_cache {
-        stats.shared_cache_bytes = ctx.index.distance_cache().bytes() as usize;
-    }
+    ctx.drain_into(&mut stats);
 
     Ok(KnnResult {
         results: scored
@@ -313,10 +297,6 @@ pub fn knn_query(
     let mut ctx = EvalContext::new(space, store, index, q, horizon, options, seeds)?;
     prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
     prep.stats.dijkstras_run = 1;
-    prep.stats.shared_cache_lookups = ctx.shared_lookups;
-    prep.stats.shared_cache_hits = ctx.shared_hits;
-    prep.stats.shared_cache_misses = ctx.shared_misses;
-    prep.stats.shared_cache_evictions = ctx.shared_evictions;
 
     knn_finish(&mut ctx, prep, options)
 }

@@ -97,13 +97,6 @@ pub(crate) fn range_finish(
         mut stats,
         ..
     } = prep;
-    let fallbacks_before = ctx.fallbacks;
-    let computed_before = ctx.subregions_computed;
-    let hits_before = ctx.subregion_cache_hits;
-    let shared_lookups_before = ctx.shared_lookups;
-    let shared_hits_before = ctx.shared_hits;
-    let shared_misses_before = ctx.shared_misses;
-    let shared_evictions_before = ctx.shared_evictions;
 
     // Phase 3: pruning by topological / probabilistic bounds (Table III).
     let t = Instant::now();
@@ -144,18 +137,7 @@ pub(crate) fn range_finish(
         }
     }
     stats.refinement_ms = t.elapsed().as_secs_f64() * 1e3;
-    stats.full_graph_fallbacks = ctx.fallbacks - fallbacks_before;
-    stats.subregions_computed = ctx.subregions_computed - computed_before;
-    stats.subregion_cache_hits = ctx.subregion_cache_hits - hits_before;
-    // Shared-cache traffic this finish caused (lazy full-graph fallbacks);
-    // the context-build traffic was charged by the entry point.
-    stats.shared_cache_lookups += ctx.shared_lookups - shared_lookups_before;
-    stats.shared_cache_hits += ctx.shared_hits - shared_hits_before;
-    stats.shared_cache_misses += ctx.shared_misses - shared_misses_before;
-    stats.shared_cache_evictions += ctx.shared_evictions - shared_evictions_before;
-    if options.distance_cache {
-        stats.shared_cache_bytes = ctx.index.distance_cache().bytes() as usize;
-    }
+    ctx.drain_into(&mut stats);
 
     results.sort_by_key(|h| h.object);
     Ok(RangeResult { results, stats })
@@ -188,10 +170,6 @@ pub fn range_query(
     )?;
     prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
     prep.stats.dijkstras_run = 1;
-    prep.stats.shared_cache_lookups = ctx.shared_lookups;
-    prep.stats.shared_cache_hits = ctx.shared_hits;
-    prep.stats.shared_cache_misses = ctx.shared_misses;
-    prep.stats.shared_cache_evictions = ctx.shared_evictions;
 
     range_finish(&mut ctx, prep, options)
 }

@@ -13,6 +13,7 @@
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
+use crate::stats::QueryStats;
 use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, DoorRow, ObjectBounds};
 use idq_index::CompositeIndex;
 use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
@@ -82,28 +83,19 @@ pub(crate) struct EvalContext<'a> {
     subregions: SubregionCache,
     use_shared_cache: bool,
     cache_budget: usize,
-    /// Number of refinements that needed the full-graph fallback.
-    pub fallbacks: usize,
-    /// Decompositions computed by this context (cache misses).
-    pub subregions_computed: usize,
-    /// Decompositions served from the cache.
-    pub subregion_cache_hits: usize,
-    /// Shared-distance-cache row lookups issued by this context.
-    pub shared_lookups: usize,
-    /// ... of which were served by a resident row.
-    pub shared_hits: usize,
-    /// ... of which had to expand a row.
-    pub shared_misses: usize,
-    /// Rows the budget evicted while this context was filling the cache.
-    pub shared_evictions: usize,
+    /// Work this context did since the last [`EvalContext::drain_into`]:
+    /// full-graph fallbacks, subregion decompositions computed / served
+    /// from the cache, and shared-distance-cache traffic. Every other
+    /// field stays zero.
+    pub delta: QueryStats,
 }
 
 /// Assembles a door-distance context at `horizon` by composing per-door
 /// rows — from the shared cache when `use_shared` is set, freshly
 /// expanded otherwise. Both paths read rows truncated at the requested
 /// horizon, so the result is a pure function of `(q, horizon, geometry)`
-/// and the on/off switch is bit-neutral. `counters` accumulates
-/// `(lookups, hits, misses, evictions)`.
+/// and the on/off switch is bit-neutral. `counters` accumulates the
+/// `shared_cache_*` traffic.
 fn assemble_dd(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -111,20 +103,20 @@ fn assemble_dd(
     horizon: f64,
     use_shared: bool,
     budget: usize,
-    counters: &mut (usize, usize, usize, usize),
+    counters: &mut QueryStats,
 ) -> Result<DoorDistances, QueryError> {
     let graph = index.doors_graph();
     Ok(if use_shared {
         let cache = index.distance_cache();
         DoorDistances::compute_banded(space, graph, q, horizon, |g, d, h| {
             let (row, fetch) = cache.row(g, d, h, budget);
-            counters.0 += 1;
+            counters.shared_cache_lookups += 1;
             if fetch.hit {
-                counters.1 += 1;
+                counters.shared_cache_hits += 1;
             } else {
-                counters.2 += 1;
+                counters.shared_cache_misses += 1;
             }
-            counters.3 += fetch.evicted;
+            counters.shared_cache_evictions += fetch.evicted;
             row
         })?
     } else {
@@ -147,7 +139,6 @@ pub(crate) fn complete_dd(
     q: IndoorPoint,
     options: &QueryOptions,
 ) -> Result<DoorDistances, QueryError> {
-    let mut counters = (0, 0, 0, 0);
     assemble_dd(
         space,
         index,
@@ -155,7 +146,7 @@ pub(crate) fn complete_dd(
         f64::INFINITY,
         options.distance_cache,
         options.distance_cache_bytes,
-        &mut counters,
+        &mut QueryStats::default(),
     )
 }
 
@@ -176,8 +167,8 @@ impl<'a> EvalContext<'a> {
     ) -> Result<Self, QueryError> {
         let use_shared = options.distance_cache;
         let budget = options.distance_cache_bytes;
-        let mut counters = (0, 0, 0, 0);
-        let dd = assemble_dd(space, index, q, horizon, use_shared, budget, &mut counters)?;
+        let mut delta = QueryStats::default();
+        let dd = assemble_dd(space, index, q, horizon, use_shared, budget, &mut delta)?;
         Ok(EvalContext {
             space,
             store,
@@ -188,21 +179,27 @@ impl<'a> EvalContext<'a> {
             subregions: cache,
             use_shared_cache: use_shared,
             cache_budget: budget,
-            fallbacks: 0,
-            subregions_computed: 0,
-            subregion_cache_hits: 0,
-            shared_lookups: counters.0,
-            shared_hits: counters.1,
-            shared_misses: counters.2,
-            shared_evictions: counters.3,
+            delta,
         })
+    }
+
+    /// Moves the work counted since the last drain (or since the context
+    /// was built) into `stats`, and refreshes the cache-size gauge. A
+    /// single-issue query drains once, at the end of its finish; a batch
+    /// drains the build into its first member and each finish into the
+    /// member that ran it.
+    pub fn drain_into(&mut self, stats: &mut QueryStats) {
+        stats.accumulate(&std::mem::take(&mut self.delta));
+        if self.use_shared_cache {
+            stats.shared_cache_bytes = self.index.distance_cache().bytes() as usize;
+        }
     }
 
     /// Decomposition of one object, computed on first use and cached for
     /// every later bound or refinement that touches the same object.
     pub fn subregions_of(&mut self, id: ObjectId) -> Result<&Subregions, QueryError> {
         if self.subregions.contains(id) {
-            self.subregion_cache_hits += 1;
+            self.delta.subregion_cache_hits += 1;
         } else {
             let obj = self.store.get(id)?;
             // The o-table already knows which partitions the object
@@ -211,7 +208,7 @@ impl<'a> EvalContext<'a> {
             let hint = object_partition_hint(self.index, id);
             let subs = Subregions::compute_with_hint(obj, self.space, &hint)?;
             self.subregions.insert(id, subs);
-            self.subregions_computed += 1;
+            self.delta.subregions_computed += 1;
         }
         Ok(&self.subregions.map[&id])
     }
@@ -230,7 +227,6 @@ impl<'a> EvalContext<'a> {
 
     fn full_dd(&mut self) -> Result<&DoorDistances, QueryError> {
         if self.full_dd.is_none() {
-            let mut counters = (0, 0, 0, 0);
             self.full_dd = Some(assemble_dd(
                 self.space,
                 self.index,
@@ -238,12 +234,8 @@ impl<'a> EvalContext<'a> {
                 f64::INFINITY,
                 self.use_shared_cache,
                 self.cache_budget,
-                &mut counters,
+                &mut self.delta,
             )?);
-            self.shared_lookups += counters.0;
-            self.shared_hits += counters.1;
-            self.shared_misses += counters.2;
-            self.shared_evictions += counters.3;
         }
         Ok(self.full_dd.as_ref().expect("just set"))
     }
@@ -283,7 +275,7 @@ impl<'a> EvalContext<'a> {
         if e.value <= threshold && e.max_instance_cost <= self.dd.exit_horizon() {
             return Ok(e.value); // provably exact, and acceptance is safe
         }
-        self.fallbacks += 1;
+        self.delta.full_graph_fallbacks += 1;
         self.refine_full(id)
     }
 
@@ -372,7 +364,7 @@ mod tests {
         // Threshold refinement falls back to the full graph.
         let v = ctx.refine_with_threshold(ObjectId(1), 30.0, &opts).unwrap();
         assert!(v.is_finite());
-        assert_eq!(ctx.fallbacks, 1);
+        assert_eq!(ctx.delta.full_graph_fallbacks, 1);
         // The full value matches a complete context, bit for bit.
         let mut full = EvalContext::new(
             &space,
@@ -455,7 +447,10 @@ mod tests {
         let v = ctx
             .refine_with_threshold(ObjectId(1), 200.0, &opts)
             .unwrap();
-        assert_eq!(ctx.fallbacks, 1, "inexact-but-under-threshold falls back");
+        assert_eq!(
+            ctx.delta.full_graph_fallbacks, 1,
+            "inexact-but-under-threshold falls back"
+        );
         let mut full = EvalContext::new(
             &space,
             &store,
@@ -492,10 +487,10 @@ mod tests {
         )
         .unwrap();
         ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(ctx.subregions_computed, 1);
+        assert_eq!(ctx.delta.subregions_computed, 1);
         ctx.bounds(ObjectId(1)).unwrap();
-        assert_eq!(ctx.subregions_computed, 1);
-        assert_eq!(ctx.subregion_cache_hits, 1);
+        assert_eq!(ctx.delta.subregions_computed, 1);
+        assert_eq!(ctx.delta.subregion_cache_hits, 1);
 
         // A pre-seeded cache never recomputes.
         let mut seeded = SubregionCache::new();
@@ -506,8 +501,8 @@ mod tests {
         let mut ctx =
             EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts, seeded).unwrap();
         ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(ctx.subregions_computed, 0);
-        assert_eq!(ctx.subregion_cache_hits, 1);
+        assert_eq!(ctx.delta.subregions_computed, 0);
+        assert_eq!(ctx.delta.subregion_cache_hits, 1);
     }
 
     #[test]
@@ -526,9 +521,12 @@ mod tests {
             SubregionCache::new(),
         )
         .unwrap();
-        assert!(ctx.shared_lookups >= 1);
-        assert_eq!(ctx.shared_misses, ctx.shared_lookups);
-        assert_eq!(ctx.shared_hits, 0);
+        assert!(ctx.delta.shared_cache_lookups >= 1);
+        assert_eq!(
+            ctx.delta.shared_cache_misses,
+            ctx.delta.shared_cache_lookups
+        );
+        assert_eq!(ctx.delta.shared_cache_hits, 0);
         // Same query point again: every row is resident now.
         let ctx2 = EvalContext::new(
             &space,
@@ -540,8 +538,11 @@ mod tests {
             SubregionCache::new(),
         )
         .unwrap();
-        assert_eq!(ctx2.shared_hits, ctx2.shared_lookups);
-        assert_eq!(ctx2.shared_misses, 0);
+        assert_eq!(
+            ctx2.delta.shared_cache_hits,
+            ctx2.delta.shared_cache_lookups
+        );
+        assert_eq!(ctx2.delta.shared_cache_misses, 0);
         // Off switch: no lookups at all, identical distances.
         let off = QueryOptions::default().without_distance_cache();
         let ctx3 = EvalContext::new(
@@ -554,9 +555,11 @@ mod tests {
             SubregionCache::new(),
         )
         .unwrap();
-        assert_eq!(ctx3.shared_lookups, 0);
+        assert_eq!(ctx3.delta.shared_cache_lookups, 0);
         assert_eq!(
-            ctx3.shared_hits + ctx3.shared_misses + ctx3.shared_evictions,
+            ctx3.delta.shared_cache_hits
+                + ctx3.delta.shared_cache_misses
+                + ctx3.delta.shared_cache_evictions,
             0
         );
         for d in space.doors() {

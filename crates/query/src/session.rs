@@ -410,10 +410,7 @@ pub fn execute_batch(
                 stats.dijkstras_run = 1;
                 // Build-time shared-cache traffic is charged here too;
                 // finish-phase traffic is drained per member.
-                stats.shared_cache_lookups = ctx.shared_lookups;
-                stats.shared_cache_hits = ctx.shared_hits;
-                stats.shared_cache_misses = ctx.shared_misses;
-                stats.shared_cache_evictions = ctx.shared_evictions;
+                ctx.drain_into(stats);
             } else {
                 stats.context_reuses = 1;
             }
