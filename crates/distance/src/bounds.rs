@@ -1,7 +1,11 @@
 //! Upper and lower bounds for indoor distances (§II-D).
 //!
 //! The query pipeline prunes objects with cheap bounds before computing any
-//! exact expected distance:
+//! exact expected distance. Every bound here reads an object only through
+//! its [`SubregionSummary`] entries — partition, mass, bounding box — and
+//! never its instances: the query path passes the object's memoised
+//! summary, the monitors a view of their own decomposition
+//! ([`Subregions::summaries`](idq_objects::Subregions::summaries)).
 //!
 //! * [`subregion_bounds`] — per-subregion topological bounds (the
 //!   ingredients of Lemmas 1–2 / Eq. 7), built from door distances plus the
@@ -30,7 +34,7 @@
 
 use crate::dijkstra::DoorDistances;
 use idq_model::{DoorId, DoorsGraph, IndoorPoint, IndoorSpace, PartitionId};
-use idq_objects::{Subregion, Subregions, UncertainObject};
+use idq_objects::SubregionSummary;
 
 /// Which bound family produced an [`ObjectBounds`] (Table III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +80,7 @@ pub struct SubregionBounds {
 pub fn subregion_bounds(
     space: &IndoorSpace,
     dd: &DoorDistances,
-    sub: &Subregion,
+    sub: &SubregionSummary,
 ) -> SubregionBounds {
     let pid = sub.partition;
     let Ok(partition) = space.partition(pid) else {
@@ -131,33 +135,36 @@ pub fn subregion_bounds(
 ///   realisation of Lemma 5 (it uses exactly the per-subregion probability
 ///   information §II-D.3 calls for, and is never looser than the printed
 ///   two-group form — see `lemma5_bounds`).
-pub fn object_bounds(
+///
+/// `summary` is the object's subregion summary, in
+/// [`Subregions`](idq_objects::Subregions) order; nothing is allocated.
+pub fn object_bounds<'s>(
     space: &IndoorSpace,
     dd: &DoorDistances,
-    _object: &UncertainObject,
-    subregions: &Subregions,
+    summary: impl IntoIterator<Item = &'s SubregionSummary>,
 ) -> ObjectBounds {
-    let per: Vec<SubregionBounds> = subregions
-        .iter()
-        .map(|s| subregion_bounds(space, dd, s))
-        .collect();
-    if per.len() == 1 {
-        return ObjectBounds {
-            lower: per[0].lower,
-            upper: per[0].upper,
-            kind: BoundKind::Topological,
-        };
-    }
+    let mut first = None;
+    let mut count = 0;
     let mut lower = 0.0;
     let mut upper = 0.0;
-    for b in &per {
+    for sub in summary {
+        let b = subregion_bounds(space, dd, sub);
         lower += b.prob * b.lower;
         upper += b.prob * b.upper;
+        first.get_or_insert(b);
+        count += 1;
     }
-    ObjectBounds {
-        lower,
-        upper,
-        kind: BoundKind::Probabilistic,
+    match first {
+        Some(b) if count == 1 => ObjectBounds {
+            lower: b.lower,
+            upper: b.upper,
+            kind: BoundKind::Topological,
+        },
+        _ => ObjectBounds {
+            lower,
+            upper,
+            kind: BoundKind::Probabilistic,
+        },
     }
 }
 
@@ -253,12 +260,12 @@ fn vertical_slack(space: &IndoorSpace, floor_lo: u16, floor_hi: u16) -> f64 {
 /// objects from the same query point; a search per object would
 /// re-explore the same ball each time. This structure settles doors once,
 /// on demand, recording the first (hence cheapest) arrival per partition,
-/// and prices each object from the recorded arrivals. From the arrival
-/// door, any instance of a subregion is at most `bbox.max_dist(door
-/// position)` away through the partition (plus the vertical slack for
-/// staircases); Lemma 3 takes the max over subregions of that
-/// per-subregion bound — [`SharedPathUpper::upper`] reports the (tighter,
-/// still valid) mass-weighted version.
+/// and prices each object from the recorded arrivals and its subregion
+/// summary alone. From the arrival door, any instance of a subregion is at
+/// most `bbox.max_dist(door position)` away through the partition (plus
+/// the vertical slack for staircases); Lemma 3 takes the max over
+/// subregions of that per-subregion bound — [`SharedPathUpper::upper`]
+/// reports the (tighter, still valid) mass-weighted version.
 pub struct SharedPathUpper<'a> {
     space: &'a IndoorSpace,
     graph: &'a DoorsGraph,
@@ -332,13 +339,14 @@ impl<'a> SharedPathUpper<'a> {
     }
 
     /// The Lemma-3 looser upper bound of one object (mass-weighted over
-    /// its subregions), `∞` when a subregion is unreachable.
-    pub fn upper(&mut self, subregions: &Subregions) -> f64 {
+    /// the entries of its subregion summary), `∞` when a subregion is
+    /// unreachable.
+    pub fn upper<'s>(&mut self, summary: impl IntoIterator<Item = &'s SubregionSummary>) -> f64 {
         if self.source.is_none() {
             return f64::INFINITY;
         }
         let mut weighted = 0.0;
-        for sub in subregions.iter() {
+        for sub in summary {
             let Ok(partition) = self.space.partition(sub.partition) else {
                 return f64::INFINITY;
             };
@@ -410,7 +418,7 @@ mod tests {
         let o = multi_part_object();
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
-        let b = object_bounds(&s, &dd, &o, &subs);
+        let b = object_bounds(&s, &dd, subs.summaries());
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
         assert!(b.lower <= exact + 1e-9, "lower {} exact {exact}", b.lower);
         assert!(b.upper >= exact - 1e-9, "upper {} exact {exact}", b.upper);
@@ -429,7 +437,7 @@ mod tests {
         .unwrap();
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
-        let b = object_bounds(&s, &dd, &o, &subs);
+        let b = object_bounds(&s, &dd, subs.summaries());
         assert_eq!(b.kind, BoundKind::Topological);
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
         assert!(b.lower <= exact && exact <= b.upper);
@@ -441,12 +449,15 @@ mod tests {
         let o = multi_part_object();
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
-        let per: Vec<SubregionBounds> = subs.iter().map(|x| subregion_bounds(&s, &dd, x)).collect();
+        let per: Vec<SubregionBounds> = subs
+            .summaries()
+            .map(|x| subregion_bounds(&s, &dd, x))
+            .collect();
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
         if let Some((l5, u5)) = lemma5_bounds(&per) {
             assert!(l5 <= exact + 1e-9);
             assert!(u5 >= exact - 1e-9);
-            let weighted = object_bounds(&s, &dd, &o, &subs);
+            let weighted = object_bounds(&s, &dd, subs.summaries());
             assert!(weighted.lower >= l5 - 1e-9, "weighted LB at least as tight");
             assert!(weighted.upper <= u5 + 1e-9, "weighted UB at least as tight");
         }
@@ -458,7 +469,10 @@ mod tests {
         let o = multi_part_object();
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
-        let per: Vec<SubregionBounds> = subs.iter().map(|x| subregion_bounds(&s, &dd, x)).collect();
+        let per: Vec<SubregionBounds> = subs
+            .summaries()
+            .map(|x| subregion_bounds(&s, &dd, x))
+            .collect();
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
         let m = markov_lower(&per);
         assert!(m <= exact + 1e-9, "markov {m} exact {exact}");
@@ -471,7 +485,7 @@ mod tests {
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
         let exact = expected_indoor_distance_naive(&s, &dd, &o);
-        let tlu = SharedPathUpper::new(&s, &g, q()).upper(&subs);
+        let tlu = SharedPathUpper::new(&s, &g, q()).upper(subs.summaries());
         assert!(tlu >= exact - 1e-9, "TLU {tlu} exact {exact}");
     }
 
@@ -485,10 +499,10 @@ mod tests {
         let o = multi_part_object();
         let dd = DoorDistances::compute(&s, &g, q()).unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
-        let b = object_bounds(&s, &dd, &o, &subs);
+        let b = object_bounds(&s, &dd, subs.summaries());
         assert!(b.upper.is_infinite());
         assert!(b.lower.is_infinite());
-        let tlu = SharedPathUpper::new(&s, &g, q()).upper(&subs);
+        let tlu = SharedPathUpper::new(&s, &g, q()).upper(subs.summaries());
         assert!(tlu.is_infinite());
     }
 

@@ -76,7 +76,7 @@ pub fn expected_indoor_distance(
                 max_instance_cost: f64::INFINITY,
             };
         }
-        total += cond * sub.prob;
+        total += cond * sub.summary.prob;
         any_single |= single;
         any_multi |= !single;
         fast_path |= fast;
@@ -111,7 +111,7 @@ fn subregion_expected(
     object: &UncertainObject,
     sub: &Subregion,
 ) -> (f64, bool, bool, f64) {
-    let pid = sub.partition;
+    let pid = sub.summary.partition;
     let Ok(partition) = space.partition(pid) else {
         return (f64::INFINITY, false, false, f64::INFINITY);
     };
@@ -153,7 +153,7 @@ fn subregion_expected(
                 acc += inst.weight * (w + inner);
                 max_cost = max_cost.max(w + inner);
             }
-            return (acc / sub.prob, true, entries.len() > 1, max_cost);
+            return (acc / sub.summary.prob, true, entries.len() > 1, max_cost);
         }
     }
 
@@ -190,7 +190,7 @@ fn subregion_expected(
         acc += inst.weight * best;
         max_cost = max_cost.max(best);
     }
-    (acc / sub.prob, uniform_choice, false, max_cost)
+    (acc / sub.summary.prob, uniform_choice, false, max_cost)
 }
 
 /// If one entry door dominates every other over the subregion's bounding
@@ -203,8 +203,8 @@ fn dominant_door(
     if entries.len() == 1 {
         return Some(entries[0]);
     }
-    let center = sub.bbox.center();
-    let radius = sub.bbox.lo.dist(sub.bbox.hi) / 2.0;
+    let center = sub.summary.bbox.center();
+    let radius = sub.summary.bbox.lo.dist(sub.summary.bbox.hi) / 2.0;
     let circle = Circle::new(center, radius);
     // Candidate: cheapest door for the circle centre.
     let (mut best, mut best_cost) = (entries[0], f64::INFINITY);

@@ -7,6 +7,16 @@ use crate::ids::{DoorId, Floor, PartitionId};
 use crate::partition::{Partition, PartitionKind};
 use crate::point::IndoorPoint;
 use idq_geom::{Point2, Polygon};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`IndoorSpace::layout_id`] values.
+static NEXT_LAYOUT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A layout id no other space or layout in this process has had.
+fn fresh_layout_id() -> u64 {
+    // Relaxed: the id publishes no other data; it only has to be unique.
+    NEXT_LAYOUT_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Multiplier converting vertical drop into staircase walking length.
 ///
@@ -32,6 +42,8 @@ pub struct IndoorSpace {
     /// Monotone counter bumped by every topology mutation; consumers cache
     /// derived structures (doors graph, index tiers) against it.
     version: u64,
+    /// See [`IndoorSpace::layout_id`]. Never encoded.
+    layout_id: u64,
 }
 
 impl IndoorSpace {
@@ -44,6 +56,7 @@ impl IndoorSpace {
             stair_walk_factor: DEFAULT_STAIR_WALK_FACTOR,
             per_floor: Vec::new(),
             version: 0,
+            layout_id: fresh_layout_id(),
         }
     }
 
@@ -77,6 +90,18 @@ impl IndoorSpace {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Identifies the partition layout — which partitions exist, with
+    /// which footprints. A process-unique id drawn from a global counter
+    /// when the space is built or decoded, and drawn again whenever its
+    /// partition set changes (insert, remove, split, merge). Door
+    /// operations keep it, and so does cloning. It is never encoded: a
+    /// decoded space gets a fresh id. State derived only from the layout,
+    /// such as an object's subregion summary, is keyed to it.
+    #[inline]
+    pub fn layout_id(&self) -> u64 {
+        self.layout_id
     }
 
     /// Number of floors known to the space (highest covered floor + 1).
@@ -339,6 +364,7 @@ impl IndoorSpace {
             self.per_floor[f as usize].push(id);
         }
         self.version += 1;
+        self.layout_id = fresh_layout_id();
         id
     }
 
@@ -417,6 +443,7 @@ impl IndoorSpace {
             self.per_floor[f as usize].retain(|&x| x != id);
         }
         self.version += 1;
+        self.layout_id = fresh_layout_id();
         Ok(doors)
     }
 
@@ -517,6 +544,7 @@ impl IndoorSpace {
             stair_walk_factor,
             per_floor,
             version,
+            layout_id: fresh_layout_id(),
         }
     }
 
@@ -642,12 +670,16 @@ mod tests {
     fn versioning_and_retirement() {
         let (mut s, a, c, d) = two_rooms();
         let v = s.version();
+        let layout = s.layout_id();
         s.retire_door(d).unwrap();
         assert!(s.version() > v);
+        assert_eq!(s.layout_id(), layout, "door operations keep the layout");
+        assert_eq!(s.clone().layout_id(), layout, "clones share it");
         assert!(s.door(d).is_err());
         assert!(s.doors_of(a).unwrap().is_empty());
         assert_eq!(s.connected_components(), 2);
         let removed = s.retire_partition(c).unwrap();
+        assert_ne!(s.layout_id(), layout, "a partition retirement is new");
         assert!(removed.is_empty()); // its only door already retired
         assert!(s.partition(c).is_err());
         assert_eq!(s.partition_count(), 1);

@@ -394,6 +394,11 @@ mod tests {
         let mut c = Cursor::new(&buf);
         let out = take_space(&mut c).unwrap();
         c.finish("space").unwrap();
+        assert_ne!(
+            out.layout_id(),
+            space.layout_id(),
+            "decoding draws a new id"
+        );
         out
     }
 

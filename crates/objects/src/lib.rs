@@ -8,7 +8,11 @@
 //!
 //! * [`UncertainObject`] / [`Instance`] — the objects themselves;
 //! * [`Subregions`] — the partition-aligned decomposition `O = ∪ S[j]`
-//!   that the distance cases and the probabilistic bounds operate on;
+//!   that the exact expected distance operates on, and its instance-free
+//!   projection, the [`SubregionSummary`] list the bounds read. Each
+//!   object version memoises its summary per partition layout
+//!   ([`UncertainObject::subregion_summary`]), so bounds never read
+//!   instances;
 //! * [`GaussianSampler`] — the paper's instance generator (§V-A: 100
 //!   samples, Gaussian around the region centre, σ = diameter/6);
 //! * [`ObjectStore`] — the mutable population of objects, the ground truth
@@ -28,4 +32,4 @@ pub use object::{Instance, ObjectId, UncertainObject};
 pub use sampler::GaussianSampler;
 pub use shards::{FloorShards, Shard};
 pub use store::{ObjectStore, StoreShard};
-pub use subregion::{Subregion, Subregions};
+pub use subregion::{Subregion, SubregionSummary, Subregions};

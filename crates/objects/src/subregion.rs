@@ -6,27 +6,41 @@
 //! *uncertainty subregion* `S[j]` carrying its probability mass and a tight
 //! bounding box — the unit the distance cases (§II-C) and the probabilistic
 //! bounds (§II-D.3) operate on.
+//!
+//! The bounds (Lemmas 1–3, Eq. 7/8, Table III) read only a subregion's
+//! partition, mass and box — its [`SubregionSummary`] — and never its
+//! instances; only the exact expected distance does. So an object keeps
+//! two forms:
+//!
+//! * the **summary** — one [`SubregionSummary`] per subregion, ~48 B each,
+//!   read through [`UncertainObject::subregion_summary`]. Its lifetime is
+//!   one per object version per partition layout: the first reader on a
+//!   layout memoises it inside the object, stamped with
+//!   [`IndoorSpace::layout_id`]; a new object version (a move) starts
+//!   empty, and a reader on another layout computes its own and leaves
+//!   the memo alone. It is derived state and never encoded.
+//! * the full [`Subregions`] with instance indices, built per use by the
+//!   callers that need instances (refinement, the monitors).
 
 use crate::error::ObjectError;
 use crate::object::UncertainObject;
 use idq_geom::{Point2, Rect2};
 use idq_model::{IndoorSpace, PartitionId};
+use std::borrow::Cow;
 
-/// One uncertainty subregion `S[j]`: the instances of an object falling
-/// into a single partition.
-#[derive(Clone, Debug)]
-pub struct Subregion {
-    /// The partition hosting these instances — `P(S[j])`.
+/// The instance-free part of one subregion `S[j]`: everything the bounds
+/// read.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SubregionSummary {
+    /// The partition hosting the subregion's instances — `P(S[j])`.
     pub partition: PartitionId,
-    /// Indices into the object's instance slice.
-    pub instance_indices: Vec<u32>,
     /// Probability mass `Σ_{s_i ∈ S[j]} p_i`.
     pub prob: f64,
     /// Tight bounding box of the member instance positions.
     pub bbox: Rect2,
 }
 
-impl Subregion {
+impl SubregionSummary {
     /// Minimum planar distance from `q` to the subregion's bounding box —
     /// a valid lower bound on `|d, S[j]|_minE`.
     #[inline]
@@ -39,6 +53,65 @@ impl Subregion {
     #[inline]
     pub fn max_dist_bbox(&self, q: Point2) -> f64 {
         self.bbox.max_dist(q)
+    }
+}
+
+/// One uncertainty subregion `S[j]`: the instances of an object falling
+/// into a single partition.
+#[derive(Clone, Debug)]
+pub struct Subregion {
+    /// Partition, mass and bounding box.
+    pub summary: SubregionSummary,
+    /// Indices into the object's instance slice.
+    pub instance_indices: Vec<u32>,
+}
+
+/// An object's memoised summary and the layout it was computed on.
+#[derive(Clone, Debug)]
+pub(crate) struct StampedSummary {
+    layout: u64,
+    entries: Box<[SubregionSummary]>,
+}
+
+impl UncertainObject {
+    /// The object's subregion summary on `space`'s partition layout: the
+    /// [`Subregions::summaries`] of [`Subregions::compute_with_hint`] with
+    /// `hint()`, in the same order, with equal bits.
+    ///
+    /// The first reader memoises it in the object, stamped with
+    /// [`IndoorSpace::layout_id`]; later readers on that layout get the
+    /// memo without touching the instances or calling `hint`. A reader on
+    /// another layout gets a freshly computed summary and leaves the memo
+    /// as it is. The flag is `true` when this call ran the kernel.
+    pub fn subregion_summary(
+        &self,
+        space: &IndoorSpace,
+        hint: impl FnOnce() -> Vec<PartitionId>,
+    ) -> Result<(Cow<'_, [SubregionSummary]>, bool), ObjectError> {
+        let layout = space.layout_id();
+        if let Some(memo) = self.summary.get() {
+            if memo.layout == layout {
+                return Ok((Cow::Borrowed(&memo.entries), false));
+            }
+        }
+        let fresh: Vec<SubregionSummary> = Subregions::compute_with_hint(self, space, &hint())?
+            .summaries()
+            .copied()
+            .collect();
+        // An empty memo takes the fresh summary. A filled one — another
+        // layout's, or a racing reader's on this layout, which is equal —
+        // stays as it is.
+        let mut fresh = Some(fresh);
+        let memo = self.summary.get_or_init(|| {
+            Box::new(StampedSummary {
+                layout,
+                entries: fresh.take().expect("initialises once").into_boxed_slice(),
+            })
+        });
+        Ok(match fresh {
+            Some(fresh) if memo.layout != layout => (Cow::Owned(fresh), true),
+            _ => (Cow::Borrowed(&memo.entries), true),
+        })
     }
 }
 
@@ -109,14 +182,17 @@ impl Subregions {
                     bbox = bbox.union(&Rect2::new(inst.position, inst.position));
                 }
                 Subregion {
-                    partition,
+                    summary: SubregionSummary {
+                        partition,
+                        prob,
+                        bbox,
+                    },
                     instance_indices,
-                    prob,
-                    bbox,
                 }
             })
             .collect();
         subs.sort_by(|a, b| {
+            let (a, b) = (&a.summary, &b.summary);
             b.prob
                 .total_cmp(&a.prob)
                 .then_with(|| a.partition.cmp(&b.partition))
@@ -128,6 +204,13 @@ impl Subregions {
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Subregion> {
         self.subs.iter()
+    }
+
+    /// The subregions' summaries, in the same order — what the bounds
+    /// take, viewed without allocating.
+    #[inline]
+    pub fn summaries(&self) -> impl Iterator<Item = &SubregionSummary> {
+        self.subs.iter().map(|s| &s.summary)
     }
 
     /// As a slice.
@@ -158,7 +241,7 @@ impl Subregions {
 
     /// The partitions overlapped by the object — the paper's `P(O)`.
     pub fn partitions(&self) -> Vec<PartitionId> {
-        self.subs.iter().map(|s| s.partition).collect()
+        self.summaries().map(|s| s.partition).collect()
     }
 }
 
@@ -187,7 +270,7 @@ mod tests {
     use super::*;
     use crate::object::{ObjectId, UncertainObject};
     use idq_geom::{Circle, Rect2 as R};
-    use idq_model::FloorPlanBuilder;
+    use idq_model::{FloorPlanBuilder, IndoorPoint};
 
     /// Two rooms with a door; object instances straddle the wall.
     fn setup() -> (IndoorSpace, UncertainObject) {
@@ -219,7 +302,7 @@ mod tests {
         let subs = Subregions::compute(&o, &s).unwrap();
         assert_eq!(subs.len(), 2);
         assert!(!subs.single_partition());
-        let total: f64 = subs.iter().map(|x| x.prob).sum();
+        let total: f64 = subs.summaries().map(|x| x.prob).sum();
         assert!((total - 1.0).abs() < 1e-9, "probability mass preserved");
         // Every instance appears exactly once.
         let mut seen: Vec<u32> = subs
@@ -229,7 +312,37 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
         // Sorted by descending mass (tie → partition id asc), both 0.5 here.
-        assert!(subs.as_slice()[0].prob >= subs.as_slice()[1].prob);
+        assert!(subs.as_slice()[0].summary.prob >= subs.as_slice()[1].summary.prob);
+    }
+
+    #[test]
+    fn summary_is_memoised_per_layout() {
+        let (mut s, o) = setup();
+        let kernel: Vec<SubregionSummary> = Subregions::compute(&o, &s)
+            .unwrap()
+            .summaries()
+            .copied()
+            .collect();
+        let (first, computed) = o.subregion_summary(&s, Vec::new).unwrap();
+        assert!(
+            computed && matches!(first, Cow::Borrowed(_)),
+            "fills the memo"
+        );
+        assert_eq!(*first, kernel[..]);
+        let (again, computed) = o
+            .subregion_summary(&s, || unreachable!("a hit needs no hint"))
+            .unwrap();
+        assert!(!computed);
+        assert_eq!(again.as_ptr(), first.as_ptr(), "the memo itself");
+
+        // Another layout: a fresh summary, the memo left as it was.
+        let right = s.partition_at(IndoorPoint::new(Point2::new(15.0, 5.0), 0));
+        s.delete_partition(right.unwrap()).unwrap();
+        let (other, computed) = o.subregion_summary(&s, Vec::new).unwrap();
+        assert!(computed && matches!(other, Cow::Owned(_)));
+        assert_eq!(other.len(), 1, "every instance now snaps to the left room");
+        let (stale, _) = o.subregion_summary(&s, Vec::new).unwrap();
+        assert!(matches!(stale, Cow::Owned(_)), "still not memoised");
     }
 
     #[test]
@@ -248,8 +361,8 @@ mod tests {
                 .iter()
                 .map(|&i| o.instances()[i as usize].position.dist(q))
                 .fold(0.0, f64::max);
-            assert!(sub.min_dist_bbox(q) <= exact_min + 1e-9);
-            assert!(sub.max_dist_bbox(q) >= exact_max - 1e-9);
+            assert!(sub.summary.min_dist_bbox(q) <= exact_min + 1e-9);
+            assert!(sub.summary.max_dist_bbox(q) >= exact_max - 1e-9);
         }
     }
 

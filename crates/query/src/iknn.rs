@@ -2,14 +2,14 @@
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
-use crate::pipeline::{EvalContext, SubregionCache};
+use crate::pipeline::{summary_of, EvalContext};
 use crate::stats::QueryStats;
 use idq_distance::SharedPathUpper;
 use idq_geom::{Mbr3, OrdF64};
 use idq_index::CompositeIndex;
 use idq_model::IndoorPoint;
 use idq_model::{IndoorSpace, PartitionId};
-use idq_objects::{ObjectId, ObjectStore, Subregions};
+use idq_objects::{ObjectId, ObjectStore};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
@@ -26,6 +26,9 @@ use std::time::Instant;
 /// subsequent range search: it certifies that at least k objects lie
 /// within it.
 ///
+/// Each seed is priced from its memoised subregion summary, never its
+/// instances; the summary reads are counted into `stats`.
+///
 /// Returns `∞` when fewer than `k` objects are expandable-to (the caller
 /// then falls back to an unbounded search).
 fn adaptive_kbound(
@@ -34,7 +37,7 @@ fn adaptive_kbound(
     store: &ObjectStore,
     q: IndoorPoint,
     k: usize,
-    seed_subs: &mut SubregionCache,
+    stats: &mut QueryStats,
 ) -> Result<f64, QueryError> {
     let Some(start) = space.partition_at(q) else {
         return Ok(f64::INFINITY);
@@ -65,8 +68,8 @@ fn adaptive_kbound(
                 // bound the filtering phase trusts) already exceeds the
                 // running k-th TLU has `TLU ≥ |q,O|_I ≥ lb > kth` — it
                 // cannot improve the heap, so skipping it leaves the
-                // derived kbound bit-identical while saving the
-                // subregion decomposition and path pricing.
+                // derived kbound bit-identical while saving the summary
+                // read and path pricing.
                 if best.len() >= k {
                     let kth = best.peek().expect("non-empty").0;
                     if let Ok(mbr) = index.object_layer().object_mbr(o) {
@@ -75,11 +78,8 @@ fn adaptive_kbound(
                         }
                     }
                 }
-                let obj = store.get(o)?;
-                let hint = crate::pipeline::object_partition_hint(index, o);
-                let subs = Subregions::compute_with_hint(obj, space, &hint)?;
-                let tlu = tlu_eval.upper(&subs);
-                seed_subs.insert(o, subs);
+                let summary = summary_of(space, index, store.get(o)?, stats)?;
+                let tlu = tlu_eval.upper(summary.iter());
                 if tlu.is_finite() {
                     if best.len() < k {
                         best.push(OrdF64(tlu));
@@ -146,14 +146,12 @@ pub struct KnnResult {
     pub kbound: f64,
 }
 
-/// Phase-1 output of a kNN query: the kbound, the filtered candidates and
-/// the subregion decompositions the seed phase already paid for.
+/// Phase-1 output of a kNN query: the kbound and the filtered candidates.
 pub(crate) struct KnnPrep {
     pub q: IndoorPoint,
     pub k: usize,
     pub kbound: f64,
     pub objects: Vec<ObjectId>,
-    pub seeds: SubregionCache,
     pub stats: QueryStats,
 }
 
@@ -177,8 +175,7 @@ pub(crate) fn knn_prep(
 
     // Phase 1: seed selection + kbound + range search.
     let t = Instant::now();
-    let mut seeds = SubregionCache::new();
-    let kbound = adaptive_kbound(space, index, store, q, k, &mut seeds)?;
+    let kbound = adaptive_kbound(space, index, store, q, k, &mut stats)?;
     let filtered = index.range_search_dual(
         space,
         q,
@@ -197,14 +194,12 @@ pub(crate) fn knn_prep(
         k,
         kbound,
         objects: filtered.objects,
-        seeds,
         stats,
     })
 }
 
 /// Phases 3–4 against an evaluation context whose banded door distances
-/// cover (at least) the prep's reach `kbound + slack`. The prep's seed
-/// decompositions must already have been merged into the context's cache.
+/// cover (at least) the prep's reach `kbound + slack`.
 pub(crate) fn knn_finish(
     ctx: &mut EvalContext<'_>,
     prep: KnnPrep,
@@ -289,12 +284,10 @@ pub fn knn_query(
     let mut prep = knn_prep(space, index, store, q, k, options)?;
 
     // Phase 2: banded door distances truncated at the kbound's reach
-    // (∞ — a complete context — when fewer than k seeds were found),
-    // seeded with the phase-1 decompositions.
+    // (∞ — a complete context — when fewer than k seeds were found).
     let t = Instant::now();
     let horizon = prep.kbound + options.subgraph_slack;
-    let seeds = std::mem::take(&mut prep.seeds);
-    let mut ctx = EvalContext::new(space, store, index, q, horizon, options, seeds)?;
+    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
     prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
     prep.stats.dijkstras_run = 1;
 

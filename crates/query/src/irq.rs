@@ -159,15 +159,7 @@ pub fn range_query(
     // retrieved partitions for).
     let t = Instant::now();
     let horizon = r + options.subgraph_slack;
-    let mut ctx = EvalContext::new(
-        space,
-        store,
-        index,
-        q,
-        horizon,
-        options,
-        crate::pipeline::SubregionCache::new(),
-    )?;
+    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
     prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
     prep.stats.dijkstras_run = 1;
 

@@ -27,8 +27,13 @@
 //! of the four query kinds (range, kNN, distance, path), [`execute`]
 //! evaluates one, and [`execute_batch`] evaluates many with cross-query
 //! computation reuse — queries sharing a query point share one banded
-//! door-distance context and one [`SubregionCache`] (§VII's reuse
+//! door-distance context and its refinement decompositions (§VII's reuse
 //! proposal). Every [`Outcome`] carries [`QueryStats`].
+//!
+//! Seeding and pruning never read instances: they price each object from
+//! its subregion summary, memoised in the object per partition layout
+//! ([`idq_objects::UncertainObject::subregion_summary`]). Only refinement
+//! decomposes objects with their instances.
 
 pub mod error;
 pub mod iknn;
@@ -47,7 +52,6 @@ pub use irq::{range_query, RangeHit, RangeResult};
 pub use monitor::{KnnMonitor, MonitorChange, RangeMonitor};
 pub use naive::{naive_knn, naive_range};
 pub use options::{QueryOptions, QueryOptionsBuilder};
-pub use pipeline::SubregionCache;
 pub use precomputed::PrecomputedD2D;
 pub use session::{execute, execute_batch, DistanceResult, Outcome, PathResult, Query};
 pub use stats::QueryStats;

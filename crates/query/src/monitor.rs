@@ -163,7 +163,7 @@ impl RangeMonitor {
         let subs = Subregions::compute_with_hint(obj, space, &hint)?;
 
         let inside_now = if self.options.use_pruning {
-            let b = object_bounds(space, dd, obj, &subs);
+            let b = object_bounds(space, dd, subs.summaries());
             if b.upper <= self.r {
                 true
             } else if b.lower > self.r {
@@ -431,7 +431,7 @@ impl KnnMonitor {
 
         let &(dk, idk) = self.topk.last().expect("len == k >= 1");
         let d = if self.options.use_pruning {
-            let b = object_bounds(space, dd, obj, &subs);
+            let b = object_bounds(space, dd, subs.summaries());
             if b.lower > dk {
                 // Cannot beat the kth even on a tie: d ≥ lower > dk.
                 return Ok(false);

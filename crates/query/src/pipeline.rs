@@ -1,7 +1,12 @@
 //! Shared evaluation machinery of the four-phase pipeline: the candidate
-//! evaluation context caching subregions, horizon-banded door distances
-//! composed from the shared distance cache, and the lazy full-graph
-//! fallback.
+//! evaluation context, horizon-banded door distances composed from the
+//! shared distance cache, and the lazy full-graph fallback.
+//!
+//! The phases before refinement — the ikNN seeds and both queries'
+//! pruning — read each object's memoised subregion summary
+//! ([`idq_objects::UncertainObject::subregion_summary`]) and never its
+//! instances. Only refinement decomposes an object with its
+//! instance indices, once per context, in the context's private map.
 //!
 //! Since the shared-cache PR, **every** door-distance context here is
 //! assembled by [`DoorDistances::compute_banded`] — a composition of
@@ -17,61 +22,18 @@ use crate::stats::QueryStats;
 use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, DoorRow, ObjectBounds};
 use idq_index::CompositeIndex;
 use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
-use idq_objects::{ObjectId, ObjectStore, Subregions};
+use idq_objects::{ObjectId, ObjectStore, SubregionSummary, Subregions, UncertainObject};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A reusable cache of per-object subregion decompositions.
-///
-/// Decompositions are pure functions of an object's instance set and the
-/// space, so a cache can be shared freely: the `ikNNQ` seed phase
-/// pre-populates one with the decompositions it already computed, and
-/// batched execution ([`crate::execute_batch`]) keeps one per query group
-/// so that queries sharing a query point never decompose the same object
-/// twice.
-#[derive(Debug, Default)]
-pub struct SubregionCache {
-    map: HashMap<ObjectId, Subregions>,
-}
-
-impl SubregionCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caches one object's decomposition.
-    pub fn insert(&mut self, id: ObjectId, subs: Subregions) {
-        self.map.insert(id, subs);
-    }
-
-    /// Whether the object's decomposition is cached.
-    pub fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
-    }
-
-    /// Number of cached decompositions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Absorbs another cache (right-hand entries win on collision; entries
-    /// are identical by construction anyway).
-    pub fn merge(&mut self, other: SubregionCache) {
-        self.map.extend(other.map);
-    }
-}
 
 /// Per-query evaluation context.
 ///
 /// Holds the restricted door distances of the subgraph phase and computes
-/// bounds and exact expected distances per object, caching subregion
-/// decompositions and lazily falling back to full-graph distances when the
+/// bounds (from memoised subregion summaries) and exact expected distances
+/// (from full decompositions, built once per object per context) per
+/// object, lazily falling back to full-graph distances when the
 /// restriction truncates a needed path.
 pub(crate) struct EvalContext<'a> {
     pub space: &'a IndoorSpace,
@@ -80,12 +42,13 @@ pub(crate) struct EvalContext<'a> {
     pub q: IndoorPoint,
     pub dd: DoorDistances,
     full_dd: Option<DoorDistances>,
-    subregions: SubregionCache,
+    /// Decompositions with instance indices, built for refinement only.
+    refined: HashMap<ObjectId, Subregions>,
     use_shared_cache: bool,
     cache_budget: usize,
     /// Work this context did since the last [`EvalContext::drain_into`]:
-    /// full-graph fallbacks, subregion decompositions computed / served
-    /// from the cache, and shared-distance-cache traffic. Every other
+    /// full-graph fallbacks, summary and refinement decompositions
+    /// computed / reused, and shared-distance-cache traffic. Every other
     /// field stays zero.
     pub delta: QueryStats,
 }
@@ -153,9 +116,7 @@ pub(crate) fn complete_dd(
 impl<'a> EvalContext<'a> {
     /// Builds the context, assembling door distances truncated at
     /// `horizon` (pass `f64::INFINITY` for a complete context) from the
-    /// shared distance cache per `options`. `cache` seeds the subregion
-    /// store — pass `SubregionCache::new()` when nothing was decomposed
-    /// yet.
+    /// shared distance cache per `options`.
     pub fn new(
         space: &'a IndoorSpace,
         store: &'a ObjectStore,
@@ -163,7 +124,6 @@ impl<'a> EvalContext<'a> {
         q: IndoorPoint,
         horizon: f64,
         options: &QueryOptions,
-        cache: SubregionCache,
     ) -> Result<Self, QueryError> {
         let use_shared = options.distance_cache;
         let budget = options.distance_cache_bytes;
@@ -176,7 +136,7 @@ impl<'a> EvalContext<'a> {
             q,
             dd,
             full_dd: None,
-            subregions: cache,
+            refined: HashMap::new(),
             use_shared_cache: use_shared,
             cache_budget: budget,
             delta,
@@ -195,34 +155,31 @@ impl<'a> EvalContext<'a> {
         }
     }
 
-    /// Decomposition of one object, computed on first use and cached for
-    /// every later bound or refinement that touches the same object.
+    /// Decomposition of one object with instance indices — for
+    /// refinement — computed on first use and kept for every later
+    /// refinement of the same object in this context.
     pub fn subregions_of(&mut self, id: ObjectId) -> Result<&Subregions, QueryError> {
-        if self.subregions.contains(id) {
-            self.delta.subregion_cache_hits += 1;
-        } else {
-            let obj = self.store.get(id)?;
-            // The o-table already knows which partitions the object
-            // overlaps: point location per instance becomes a handful of
-            // containment checks.
-            let hint = object_partition_hint(self.index, id);
-            let subs = Subregions::compute_with_hint(obj, self.space, &hint)?;
-            self.subregions.insert(id, subs);
-            self.delta.subregions_computed += 1;
-        }
-        Ok(&self.subregions.map[&id])
+        Ok(match self.refined.entry(id) {
+            Entry::Occupied(e) => {
+                self.delta.subregion_cache_hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                let obj = self.store.get(id)?;
+                let hint = object_partition_hint(self.index, id);
+                let subs = Subregions::compute_with_hint(obj, self.space, &hint)?;
+                self.delta.subregions_computed += 1;
+                e.insert(subs)
+            }
+        })
     }
 
-    /// Phase-3 bounds for one object (Table III dispatch).
+    /// Phase-3 bounds for one object (Table III dispatch), from its
+    /// memoised subregion summary.
     pub fn bounds(&mut self, id: ObjectId) -> Result<ObjectBounds, QueryError> {
-        self.subregions_of(id)?;
         let obj = self.store.get(id)?;
-        Ok(object_bounds(
-            self.space,
-            &self.dd,
-            obj,
-            &self.subregions.map[&id],
-        ))
+        let summary = summary_of(self.space, self.index, obj, &mut self.delta)?;
+        Ok(object_bounds(self.space, &self.dd, summary.iter()))
     }
 
     fn full_dd(&mut self) -> Result<&DoorDistances, QueryError> {
@@ -246,7 +203,7 @@ impl<'a> EvalContext<'a> {
         self.full_dd()?;
         let obj = self.store.get(id)?;
         let dd = self.full_dd.as_ref().expect("computed above");
-        Ok(expected_indoor_distance(self.space, dd, obj, &self.subregions.map[&id]).value)
+        Ok(expected_indoor_distance(self.space, dd, obj, &self.refined[&id]).value)
     }
 
     /// Refinement with a decision threshold: computes the expected
@@ -271,7 +228,7 @@ impl<'a> EvalContext<'a> {
         }
         self.subregions_of(id)?;
         let obj = self.store.get(id)?;
-        let e = expected_indoor_distance(self.space, &self.dd, obj, &self.subregions.map[&id]);
+        let e = expected_indoor_distance(self.space, &self.dd, obj, &self.refined[&id]);
         if e.value <= threshold && e.max_instance_cost <= self.dd.exit_horizon() {
             return Ok(e.value); // provably exact, and acceptance is safe
         }
@@ -285,16 +242,33 @@ impl<'a> EvalContext<'a> {
         } else {
             self.subregions_of(id)?;
             let obj = self.store.get(id)?;
-            Ok(
-                expected_indoor_distance(self.space, &self.dd, obj, &self.subregions.map[&id])
-                    .value,
-            )
+            Ok(expected_indoor_distance(self.space, &self.dd, obj, &self.refined[&id]).value)
         }
     }
 }
 
+/// An object's subregion summary on `space`'s layout — memoised in the
+/// object, filled with the o-table hint on first read — counted into
+/// `stats` as a decomposition computed or reused.
+pub(crate) fn summary_of<'o>(
+    space: &IndoorSpace,
+    index: &CompositeIndex,
+    obj: &'o UncertainObject,
+    stats: &mut QueryStats,
+) -> Result<Cow<'o, [SubregionSummary]>, QueryError> {
+    let (summary, computed) =
+        obj.subregion_summary(space, || object_partition_hint(index, obj.id))?;
+    if computed {
+        stats.subregions_computed += 1;
+    } else {
+        stats.subregion_cache_hits += 1;
+    }
+    Ok(summary)
+}
+
 /// The partitions an object overlaps according to the index's o-table
-/// (via the h-table); empty when the object is not indexed.
+/// (via the h-table); empty when the object is not indexed. Point location
+/// per instance becomes a handful of containment checks.
 pub(crate) fn object_partition_hint(index: &CompositeIndex, id: ObjectId) -> Vec<PartitionId> {
     let mut hint: Vec<PartitionId> = index
         .object_layer()
@@ -314,10 +288,15 @@ pub(crate) fn object_partition_hint(index: &CompositeIndex, id: ObjectId) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idq_geom::{Circle, Point2, Rect2};
+    use idq_geom::{Circle, Point2, Polygon, Rect2};
     use idq_index::IndexConfig;
-    use idq_model::FloorPlanBuilder;
-    use idq_objects::UncertainObject;
+    use idq_model::{
+        Direction, DoorId, DoorSpec, FloorPlanBuilder, PartitionKind, PartitionSpec, SplitLine,
+        TopologyEvent,
+    };
+    use idq_objects::GaussianSampler;
+    use proptest::prelude::*;
+    use proptest::rand::{rngs::StdRng, SeedableRng};
 
     fn setup() -> (IndoorSpace, ObjectStore, CompositeIndex) {
         let mut b = FloorPlanBuilder::new(4.0);
@@ -357,8 +336,7 @@ mod tests {
         // from the first): the object in r2 is unreachable in the banded
         // context.
         let opts = QueryOptions::default();
-        let mut ctx =
-            EvalContext::new(&space, &store, &index, q, 5.0, &opts, SubregionCache::new()).unwrap();
+        let mut ctx = EvalContext::new(&space, &store, &index, q, 5.0, &opts).unwrap();
         let b = ctx.bounds(ObjectId(1)).unwrap();
         assert!(b.upper.is_infinite(), "banded bounds see no path");
         // Threshold refinement falls back to the full graph.
@@ -366,16 +344,7 @@ mod tests {
         assert!(v.is_finite());
         assert_eq!(ctx.delta.full_graph_fallbacks, 1);
         // The full value matches a complete context, bit for bit.
-        let mut full = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         let fv = full
             .refine_with_threshold(ObjectId(1), 30.0, &opts)
             .unwrap();
@@ -387,8 +356,7 @@ mod tests {
         let (space, store, index) = setup();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let opts = QueryOptions::default().with_exact_refinement();
-        let mut ctx =
-            EvalContext::new(&space, &store, &index, q, 5.0, &opts, SubregionCache::new()).unwrap();
+        let mut ctx = EvalContext::new(&space, &store, &index, q, 5.0, &opts).unwrap();
         let v = ctx.refine_with_threshold(ObjectId(1), 0.0, &opts).unwrap();
         assert!(v.is_finite());
     }
@@ -430,16 +398,7 @@ mod tests {
         let q = IndoorPoint::new(Point2::new(10.0, 5.0), 0);
         let opts = QueryOptions::default();
 
-        let mut ctx = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            30.0,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let mut ctx = EvalContext::new(&space, &store, &index, q, 30.0, &opts).unwrap();
         assert!(
             (ctx.dd.exit_horizon() - 35.0).abs() < 1e-9,
             "trust bound = min seed weight (5) + horizon (30)"
@@ -451,16 +410,7 @@ mod tests {
             ctx.delta.full_graph_fallbacks, 1,
             "inexact-but-under-threshold falls back"
         );
-        let mut full = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         assert!(full.dd.exit_horizon().is_infinite());
         let fv = full
             .refine_with_threshold(ObjectId(1), 200.0, &opts)
@@ -476,33 +426,30 @@ mod tests {
         let (space, store, index) = setup();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let opts = QueryOptions::default();
-        let mut ctx = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
-        ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(ctx.delta.subregions_computed, 1);
+        let counts = |ctx: &EvalContext<'_>| {
+            (
+                ctx.delta.subregions_computed,
+                ctx.delta.subregion_cache_hits,
+            )
+        };
+        let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+        // Bounds read the summary: the first read fills the object's
+        // memo, the next reuses it.
         ctx.bounds(ObjectId(1)).unwrap();
-        assert_eq!(ctx.delta.subregions_computed, 1);
-        assert_eq!(ctx.delta.subregion_cache_hits, 1);
-
-        // A pre-seeded cache never recomputes.
-        let mut seeded = SubregionCache::new();
-        let subs = Subregions::compute(store.get(ObjectId(1)).unwrap(), &space).unwrap();
-        seeded.insert(ObjectId(1), subs);
-        assert_eq!(seeded.len(), 1);
-        assert!(!seeded.is_empty());
-        let mut ctx =
-            EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts, seeded).unwrap();
+        assert_eq!(counts(&ctx), (1, 0));
+        ctx.bounds(ObjectId(1)).unwrap();
+        assert_eq!(counts(&ctx), (1, 1));
+        // Refinement decomposes once per context, then reuses it.
         ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(ctx.delta.subregions_computed, 0);
-        assert_eq!(ctx.delta.subregion_cache_hits, 1);
+        assert_eq!(counts(&ctx), (2, 1));
+        ctx.subregions_of(ObjectId(1)).unwrap();
+        assert_eq!(counts(&ctx), (2, 2));
+
+        // The memo outlives the context; the refinement map does not.
+        let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+        ctx.bounds(ObjectId(1)).unwrap();
+        ctx.subregions_of(ObjectId(1)).unwrap();
+        assert_eq!(counts(&ctx), (1, 1));
     }
 
     #[test]
@@ -511,16 +458,7 @@ mod tests {
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let opts = QueryOptions::default();
         // Fresh index: the first context misses once per seed door.
-        let ctx = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         assert!(ctx.delta.shared_cache_lookups >= 1);
         assert_eq!(
             ctx.delta.shared_cache_misses,
@@ -528,16 +466,7 @@ mod tests {
         );
         assert_eq!(ctx.delta.shared_cache_hits, 0);
         // Same query point again: every row is resident now.
-        let ctx2 = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &opts,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let ctx2 = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         assert_eq!(
             ctx2.delta.shared_cache_hits,
             ctx2.delta.shared_cache_lookups
@@ -545,16 +474,7 @@ mod tests {
         assert_eq!(ctx2.delta.shared_cache_misses, 0);
         // Off switch: no lookups at all, identical distances.
         let off = QueryOptions::default().without_distance_cache();
-        let ctx3 = EvalContext::new(
-            &space,
-            &store,
-            &index,
-            q,
-            f64::INFINITY,
-            &off,
-            SubregionCache::new(),
-        )
-        .unwrap();
+        let ctx3 = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &off).unwrap();
         assert_eq!(ctx3.delta.shared_cache_lookups, 0);
         assert_eq!(
             ctx3.delta.shared_cache_hits
@@ -567,6 +487,151 @@ mod tests {
                 ctx3.dd.door_distance(d.id).to_bits(),
                 ctx2.dd.door_distance(d.id).to_bits()
             );
+        }
+    }
+
+    /// Floor 0: rooms A | B | C and hall E in a row, then a staircase up
+    /// to floor 1's long room. Returns the space, A, E and the A–B door.
+    fn oracle_world() -> (IndoorSpace, PartitionId, PartitionId, DoorId) {
+        let mut b = FloorPlanBuilder::new(4.0);
+        let room = |b: &mut FloorPlanBuilder, x0: f64, x1: f64, floor: u16| {
+            b.add_room(floor, Rect2::from_bounds(x0, 0.0, x1, 10.0))
+                .unwrap()
+        };
+        let (a, rb, c) = (
+            room(&mut b, 0.0, 10.0, 0),
+            room(&mut b, 10.0, 20.0, 0),
+            room(&mut b, 20.0, 30.0, 0),
+        );
+        let hall = room(&mut b, 30.0, 50.0, 0);
+        let upstairs = room(&mut b, 0.0, 50.0, 1);
+        let stairs = b
+            .add_staircase((0, 1), Rect2::from_bounds(50.0, 0.0, 54.0, 10.0))
+            .unwrap();
+        let door = b.add_door_between(a, rb, Point2::new(10.0, 5.0)).unwrap();
+        b.add_door_between(rb, c, Point2::new(20.0, 5.0)).unwrap();
+        b.add_door_between(c, hall, Point2::new(30.0, 5.0)).unwrap();
+        for (floor, p) in [(0, hall), (1, upstairs)] {
+            b.add_staircase_entrance(stairs, p, floor, Point2::new(50.0, 5.0))
+                .unwrap();
+        }
+        (b.finish().unwrap(), a, hall, door)
+    }
+
+    /// Reads every object's summary the way the pipeline does and checks
+    /// it against the kernel on the current layout, field for field.
+    /// Returns the (computed, reused) counts of the reads.
+    fn summaries_match_kernel(
+        space: &IndoorSpace,
+        store: &ObjectStore,
+        index: &CompositeIndex,
+    ) -> (usize, usize) {
+        let mut stats = QueryStats::default();
+        for obj in store.iter() {
+            let summary = summary_of(space, index, obj, &mut stats).unwrap();
+            let hint = object_partition_hint(index, obj.id);
+            let kernel = Subregions::compute_with_hint(obj, space, &hint).unwrap();
+            assert_eq!(summary.len(), kernel.len(), "{}", obj.id);
+            for (m, k) in summary.iter().zip(kernel.summaries()) {
+                assert_eq!(m.partition, k.partition, "{}", obj.id);
+                assert_eq!(m.prob.to_bits(), k.prob.to_bits(), "{}", obj.id);
+                assert_eq!(m.bbox, k.bbox, "{}", obj.id);
+            }
+        }
+        (stats.subregions_computed, stats.subregion_cache_hits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The memoised summary is the kernel's projection with the
+        /// o-table hint, before and after a topology sequence: a door
+        /// toggle keeps the layout and every memo; a split, merge and
+        /// insert each make a new layout, read fresh and equal to the
+        /// kernel there.
+        #[test]
+        fn memoised_summary_is_the_kernel_on_every_layout(
+            objects in proptest::collection::vec(
+                (1.0f64..49.0, 0.5f64..9.5, 0u16..2,
+                 proptest::collection::vec((-3.0f64..3.0, -3.0f64..3.0), 1..6)),
+                3..9,
+            ),
+            split_at in 32.0f64..48.0,
+            seed in any::<u64>(),
+        ) {
+            let (mut space, a, hall, door) = oracle_world();
+            let mut store = ObjectStore::new();
+            // Explicit instances: the centre, a point on the nearest
+            // partition wall (x = 50 is the staircase's), a stray below
+            // the building (the nearest-partition fallback), one in the
+            // staircase, and the drawn offsets.
+            for (i, (cx, cy, floor, offsets)) in objects.iter().enumerate() {
+                let wall = (cx / 10.0).round().clamp(1.0, 5.0) * 10.0;
+                let mut positions = vec![
+                    Point2::new(*cx, *cy),
+                    Point2::new(wall, *cy),
+                    Point2::new(*cx, -0.5),
+                    Point2::new(52.0, *cy),
+                ];
+                positions.extend(offsets.iter().map(|(dx, dy)| Point2::new(cx + dx, cy + dy)));
+                let region = Circle::new(Point2::new(*cx, *cy), 4.0);
+                let o = UncertainObject::with_uniform_weights(ObjectId(i as u64), region, *floor, positions);
+                store.insert(o.unwrap()).unwrap();
+            }
+            // Sampled objects; the first sits in the hall the split cuts.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, x) in [40.0, 15.0, 52.0].into_iter().enumerate() {
+                let id = ObjectId(100 + i as u64);
+                let o = GaussianSampler::with_instances(12)
+                    .sample(id, Point2::new(x, 5.0), 0, 6.0, &space, &mut rng)
+                    .unwrap();
+                store.insert(o).unwrap();
+            }
+            let mut index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+            let apply = |index: &mut CompositeIndex, space: &IndoorSpace, evs: &[TopologyEvent]| {
+                for ev in evs {
+                    index.apply_topology(space, &store, ev).unwrap();
+                }
+            };
+            let n = store.len();
+            let check = |space: &IndoorSpace, index: &CompositeIndex| {
+                summaries_match_kernel(space, &store, index)
+            };
+            prop_assert_eq!(check(&space, &index), (n, 0), "first reads fill");
+            prop_assert_eq!(check(&space, &index), (0, n), "then hit");
+
+            let layout = space.layout_id();
+            let toggle = space.close_door(door).unwrap();
+            apply(&mut index, &space, &[toggle]);
+            prop_assert_eq!(space.layout_id(), layout);
+            prop_assert_eq!(check(&space, &index), (0, n), "memos kept");
+
+            let (halves, events) = space
+                .split_partition(hall, SplitLine::AtX(split_at), Some(Point2::new(split_at, 5.0)))
+                .unwrap();
+            apply(&mut index, &space, &events);
+            prop_assert_ne!(space.layout_id(), layout);
+            prop_assert_eq!(check(&space, &index), (n, 0), "all fresh");
+
+            let (_, events) = space.merge_partitions(halves[0], halves[1]).unwrap();
+            apply(&mut index, &space, &events);
+            check(&space, &index);
+
+            let (_, _, events) = space
+                .insert_partition(PartitionSpec {
+                    kind: PartitionKind::Room,
+                    name: None,
+                    floor: 0,
+                    footprint: Polygon::from_rect(Rect2::from_bounds(0.0, -10.0, 50.0, 0.0)),
+                    doors: vec![DoorSpec {
+                        position: Point2::new(5.0, 0.0),
+                        other: a,
+                        direction: Direction::Bidirectional,
+                    }],
+                })
+                .unwrap();
+            apply(&mut index, &space, &events);
+            check(&space, &index);
         }
     }
 }

@@ -5,14 +5,15 @@
 //! queries and **groups them by query point and floor**: every group
 //! shares one evaluation context, i.e. one banded door-distance assembly
 //! (the subgraph phase, composed from the shared
-//! [`idq_distance::DistanceCache`] rows) and one subregion-decomposition
-//! cache — the two artefacts [`crate::RangeMonitor`] already identified
-//! as the dominant reusable cost. The group's context is truncated at the
-//! *maximum* of the members' reaches, so each member sees at least the
-//! horizon its own filtering phase retrieved partitions for. Batched and
-//! single-issue execution return bit-identical results because every
-//! refinement value is horizon-independent: the pipeline returns a banded
-//! value only when it is provably exact (at or below the context's
+//! [`idq_distance::DistanceCache`] rows) and one map of refinement
+//! decompositions. (Bounds need no sharing: they read each object's
+//! memoised subregion summary, which outlives any one batch.) The group's
+//! context is truncated at the *maximum* of the members' reaches, so each
+//! member sees at least the horizon its own filtering phase retrieved
+//! partitions for. Batched and single-issue execution return bit-identical
+//! results because every refinement value is horizon-independent: the
+//! pipeline returns a banded value only when it is provably exact (at or
+//! below the context's
 //! [`exit horizon`](idq_distance::DoorDistances::exit_horizon)) and falls
 //! back to the full graph otherwise, and bound certifications below the
 //! query radius cannot differ between any two sound horizons that cover
@@ -26,7 +27,7 @@ use crate::error::QueryError;
 use crate::iknn::{knn_finish, knn_prep, KnnPrep, KnnResult};
 use crate::irq::{range_finish, range_prep, RangePrep, RangeResult};
 use crate::options::QueryOptions;
-use crate::pipeline::{EvalContext, SubregionCache};
+use crate::pipeline::EvalContext;
 use crate::stats::QueryStats;
 use idq_distance::{indoor_distance, shortest_path};
 use idq_index::CompositeIndex;
@@ -82,9 +83,9 @@ impl Query {
     }
 
     /// Batch-grouping key: queries whose evaluation context (door-distance
-    /// tree + subregion cache) is shareable map to the same key. Distance
-    /// and path queries run their own point-to-point search and are not
-    /// grouped.
+    /// tree + refinement decompositions) is shareable map to the same key.
+    /// Distance and path queries run their own point-to-point search and
+    /// are not grouped.
     fn group_key(&self) -> Option<(u64, u64, u16)> {
         match self {
             Query::Range { q, .. } | Query::Knn { q, .. } => {
@@ -315,10 +316,12 @@ impl Prepped {
 /// Results are returned in input order and are identical to evaluating
 /// each query individually with [`execute`]; only the [`QueryStats`]
 /// reuse counters (`dijkstras_run`, `context_reuses`,
-/// `subregion_cache_hits`) differ. The filtering phase still runs per
-/// query — it is cheap and determines each query's candidates — while the
-/// group shares the banded door-distance context (truncated at the
-/// maximum of the members' reaches) and the subregion cache.
+/// `subregion_cache_hits`) differ. The filtering phase — kNN seeding
+/// included — still runs per query: it determines each query's
+/// candidates. The group shares the banded door-distance context
+/// (truncated at the maximum of the members' reaches) and its refinement
+/// decompositions; seeds and pruning read each object's memoised
+/// subregion summary, so they share nothing and hand nothing over.
 ///
 /// Errors abort the whole batch: queries are validated during their
 /// filtering phase, so an invalid radius or `k = 0` anywhere surfaces
@@ -379,28 +382,24 @@ pub fn execute_batch(
     }
 
     // Phases 2–4 per group: one banded context truncated at the maximum
-    // of the members' reaches, one shared subregion cache.
+    // of the members' reaches.
     for members in groups {
         let q = prepped[members[0]]
             .as_ref()
             .expect("grouped queries are prepped")
             .query_point();
 
-        // Maximum reach across the group, plus the kNN seed decompositions.
+        // Maximum reach across the group.
         let mut horizon = 0.0f64;
-        let mut cache = SubregionCache::new();
         for &i in &members {
-            let p = prepped[i].as_mut().expect("grouped queries are prepped");
+            let p = prepped[i].as_ref().expect("grouped queries are prepped");
             horizon = horizon.max(p.reach(options));
-            if let Prepped::Knn(k) = p {
-                cache.merge(std::mem::take(&mut k.seeds));
-            }
         }
 
         // The context build (the banded row composition) is charged to
         // the group's first member; the rest record a reuse.
         let t = Instant::now();
-        let mut ctx = EvalContext::new(space, store, index, q, horizon, options, cache)?;
+        let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
         let build_ms = t.elapsed().as_secs_f64() * 1e3;
         for (j, &i) in members.iter().enumerate() {
             let p = prepped[i].as_mut().expect("grouped queries are prepped");

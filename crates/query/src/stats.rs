@@ -39,10 +39,13 @@ pub struct QueryStats {
     /// 1 when this query reused a shared evaluation context built by an
     /// earlier query of its batch group, 0 otherwise.
     pub context_reuses: usize,
-    /// Subregion decompositions computed while evaluating this query.
+    /// Decompositions this query ran: subregion-summary memo fills (kNN
+    /// seeds and pruning; a read on a layout other than the memo's also
+    /// counts) plus refinement decompositions.
     pub subregions_computed: usize,
-    /// Subregion decompositions found already cached (pre-seeded by the
-    /// kNN seed phase or left behind by earlier queries of the group).
+    /// Decompositions this query reused: summary memo hits plus
+    /// refinement-map hits (an object refined twice, or already refined by
+    /// an earlier query of the batch group).
     pub subregion_cache_hits: usize,
     /// Shared-distance-cache row lookups this query issued (context
     /// build + lazy full-graph fallbacks). Always

@@ -122,12 +122,12 @@ proptest! {
         prop_assert!(euclid <= exact + 1e-9);
 
         // Table III bounds sandwich.
-        let b = object_bounds(&space, &dd, &object, &subs);
+        let b = object_bounds(&space, &dd, subs.summaries());
         prop_assert!(b.lower <= exact + 1e-9, "LB {} > exact {exact}", b.lower);
         prop_assert!(b.upper >= exact - 1e-9, "UB {} < exact {exact}", b.upper);
 
         // TLU dominates the exact value.
-        let tlu = SharedPathUpper::new(&space, &graph, q).upper(&subs);
+        let tlu = SharedPathUpper::new(&space, &graph, q).upper(subs.summaries());
         prop_assert!(tlu >= exact - 1e-9, "TLU {tlu} < exact {exact}");
     }
 
