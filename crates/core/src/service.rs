@@ -47,7 +47,12 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Default bound of a subscription's notification mailbox; consumers
 /// further behind than this see coalesced, [`Notification::lagged`]
 /// deliveries. See [`IndoorService::subscribe_bounded`] to choose.
-pub const DEFAULT_MAILBOX_CAPACITY: usize = 256;
+///
+/// The bound is what idle subscribers cost the fleet: each queued
+/// notification holds ~0.25 KiB, so 10 000 subscriptions that are never
+/// polled retain at most 10k × 32 × ~0.25 KiB ≈ 80 MiB, and 100 000 about
+/// 0.8 GiB. Callers who want a deeper backlog pass their own bound.
+pub const DEFAULT_MAILBOX_CAPACITY: usize = 32;
 
 // ---- shared service state -------------------------------------------------
 
@@ -841,6 +846,32 @@ mod tests {
             "coalesced changes still reconstruct the exact result set"
         );
         assert!(service.dispatch_stats().coalesced > 0);
+    }
+
+    #[test]
+    fn idle_subscriber_at_the_default_bound_coalesces() {
+        let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
+        let service = e.service();
+        let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
+        let mut sub = service.subscribe(Query::Range { q, r: 40.0 }).unwrap();
+        // Never polled while the commits land: the mailbox stops growing
+        // at the default bound.
+        let commits = DEFAULT_MAILBOX_CAPACITY + 8;
+        for seed in 1..=commits as u64 {
+            let x = 2.0 + (seed % 20) as f64;
+            e.insert_object_at(Point2::new(x, 5.0), 0, 1.0, 4, seed)
+                .unwrap();
+        }
+        service.quiesce();
+        let notifications = sub.poll().unwrap();
+        assert_eq!(notifications.len(), DEFAULT_MAILBOX_CAPACITY);
+        assert!(notifications[..DEFAULT_MAILBOX_CAPACITY - 1]
+            .iter()
+            .all(|n| !n.lagged));
+        let last = notifications.last().unwrap();
+        assert!(last.lagged, "the tail coalesced into one delivery");
+        assert_eq!(last.epoch, commits as u64);
+        assert_eq!(sub.current().len(), commits, "the view stays exact");
     }
 
     #[test]

@@ -519,7 +519,11 @@ impl Txn {
                 let radius = object.region.radius;
                 floors.insert(object.floor);
                 self.note_partitions(&units, partitions);
-                Arc::make_mut(&mut self.index).insert_object_prepared(id, units, mbr)?;
+                let index = Arc::make_mut(&mut self.index);
+                index.insert_object_prepared(id, units, mbr)?;
+                // A sampled object is covered by construction; a
+                // fully-formed one may have instances outside its units.
+                index.note_coverage(&self.space, &object)?;
                 Arc::make_mut(&mut self.store).insert(*object)?;
                 self.max_radius = self.max_radius.max(radius);
                 Ok(UpdateOutcome::ObjectInserted(id))

@@ -286,7 +286,11 @@ impl<'a> SharedPathUpper<'a> {
             arrivals.insert(src, (0.0, q.point));
             for &d in space.doors_of(src).unwrap_or(&[]) {
                 if space.can_leave(d, src) {
-                    let w = space.point_to_door(q, d).expect("door of source");
+                    // A door the space cannot price from `q` seeds no
+                    // path; the bound only loosens.
+                    let Ok(w) = space.point_to_door(q, d) else {
+                        continue;
+                    };
                     if w < dist[d.index()] {
                         dist[d.index()] = w;
                         heap.push(std::cmp::Reverse((idq_geom::OrdF64(w), d.0)));

@@ -18,7 +18,9 @@ use crate::skeleton::SkeletonTier;
 use crate::units::{UnitId, UnitStore};
 use idq_distance::DistanceCache;
 use idq_geom::{DecomposeConfig, Mbr3, Rect2};
-use idq_model::{DoorKind, DoorsGraph, IndoorPoint, IndoorSpace, PartitionId, TopologyEvent};
+use idq_model::{
+    DoorKind, DoorsGraph, IndoorPoint, IndoorSpace, Partition, PartitionId, TopologyEvent,
+};
 use idq_objects::{ObjectId, ObjectStore, UncertainObject};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -404,7 +406,8 @@ impl CompositeIndex {
         object: &UncertainObject,
     ) -> Result<(), IndexError> {
         let (units, mbr) = self.object_footprint(space, object);
-        self.insert_object_prepared(object.id, units, mbr)
+        self.insert_object_prepared(object.id, units, mbr)?;
+        self.note_coverage(space, object)
     }
 
     /// Indexes a new object from a footprint prepared by
@@ -412,6 +415,12 @@ impl CompositeIndex {
     /// [`CompositeIndex::unit_footprints_grouped`]. The footprint must
     /// have been computed against the current unit population (no topology
     /// change in between).
+    ///
+    /// The object is filed as covered: call
+    /// [`CompositeIndex::note_coverage`] afterwards unless every instance
+    /// lies inside a partition owning one of `units` — as it does when
+    /// the instances were drawn with those partitions as the sampler's
+    /// point-location hint.
     pub fn insert_object_prepared(
         &mut self,
         id: ObjectId,
@@ -434,12 +443,13 @@ impl CompositeIndex {
         object: &UncertainObject,
     ) -> Result<(), IndexError> {
         let (units, mbr) = self.object_footprint(space, object);
-        self.update_object_prepared(object.id, units, mbr)
+        self.update_object_prepared(object.id, units, mbr)?;
+        self.note_coverage(space, object)
     }
 
     /// Object update from a prepared footprint (see
-    /// [`CompositeIndex::insert_object_prepared`] for the freshness
-    /// contract).
+    /// [`CompositeIndex::insert_object_prepared`] for the freshness and
+    /// coverage contracts).
     pub fn update_object_prepared(
         &mut self,
         id: ObjectId,
@@ -447,6 +457,39 @@ impl CompositeIndex {
         mbr: Mbr3,
     ) -> Result<(), IndexError> {
         self.objects.update(id, units, mbr)
+    }
+
+    /// Marks an indexed object uncovered
+    /// ([`ObjectLayer::mark_uncovered`]) when one of its instances lies
+    /// outside every partition owning one of its units. Otherwise each
+    /// instance's host partition — the first such partition containing it
+    /// — lists the object, which is what lets a partition walk find every
+    /// object through the partitions hosting it.
+    pub fn note_coverage(
+        &mut self,
+        space: &IndoorSpace,
+        object: &UncertainObject,
+    ) -> Result<(), IndexError> {
+        let mut owners: Vec<PartitionId> = self
+            .objects
+            .units_of(object.id)?
+            .iter()
+            .filter_map(|&u| self.units.partition_of(u))
+            .collect();
+        owners.sort_unstable();
+        owners.dedup();
+        let owners: Vec<&Partition> = owners
+            .iter()
+            .filter_map(|&p| space.partition(p).ok())
+            .collect();
+        let covered = object
+            .instances()
+            .iter()
+            .all(|inst| owners.iter().any(|p| p.contains(inst.position, inst.floor)));
+        if !covered {
+            self.objects.mark_uncovered(object.id)?;
+        }
+        Ok(())
     }
 
     // ---- topology maintenance (§III-C.1) ------------------------------------------
@@ -758,6 +801,46 @@ mod tests {
             index.remove_object(ObjectId(1)),
             Err(IndexError::ObjectNotIndexed(_))
         ));
+    }
+
+    #[test]
+    fn uncovered_marks_follow_instances_outside_listed_partitions() {
+        let (mut space, mut store, mut index) = setup();
+        let marked = |index: &CompositeIndex| index.object_layer().uncovered().collect::<Vec<_>>();
+        assert!(marked(&index).is_empty());
+        // One instance beyond the south wall.
+        let region = Circle::new(Point2::new(30.0, 1.0), 1.0);
+        let stray = UncertainObject::with_uniform_weights(
+            ObjectId(4),
+            region,
+            0,
+            vec![Point2::new(30.0, 1.0), Point2::new(30.0, -0.5)],
+        )
+        .unwrap();
+        store.insert(stray.clone()).unwrap();
+        index.insert_object(&space, &stray).unwrap();
+        assert_eq!(marked(&index), [ObjectId(4)]);
+        // Deleting the room holding object 1 strands its instances.
+        let room = space
+            .partition_at(IndoorPoint::new(Point2::new(5.0, 5.0), 0))
+            .unwrap();
+        for event in space.delete_partition(room).unwrap() {
+            index.apply_topology(&space, &store, &event).unwrap();
+        }
+        assert_eq!(marked(&index), [ObjectId(1), ObjectId(4)]);
+        // A move back inside clears the mark.
+        let inside = UncertainObject::with_uniform_weights(
+            ObjectId(4),
+            region,
+            0,
+            vec![Point2::new(30.0, 1.0), Point2::new(30.5, 1.5)],
+        )
+        .unwrap();
+        store.remove(ObjectId(4)).unwrap();
+        store.insert(inside.clone()).unwrap();
+        index.update_object(&space, &inside).unwrap();
+        assert_eq!(marked(&index), [ObjectId(1)]);
+        index.validate();
     }
 
     #[test]

@@ -14,13 +14,21 @@
 //! buckets whose membership actually changes — an intra-floor move costs
 //! O(objects on that floor) map entries and O(changed buckets) bucket
 //! copies, never O(all objects).
+//!
+//! Coverage: a partition hosting one of an object's instances lists the
+//! object in one of its units whenever every instance lies inside a
+//! partition owning one of the object's units. The objects for which that
+//! is not known — an instance outside every such partition, snapped to the
+//! nearest partition by the decomposition — carry an *uncovered* mark
+//! ([`ObjectLayer::mark_uncovered`]); searches that walk partitions rather
+//! than geometry read them separately ([`ObjectLayer::uncovered`]).
 
 use crate::error::IndexError;
 use crate::units::UnitId;
 use idq_geom::Mbr3;
 use idq_model::Floor;
 use idq_objects::{FloorShards, ObjectId, Shard};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -41,6 +49,8 @@ struct ObjEntry {
 #[derive(Clone, Debug, Default)]
 pub struct FloorShard {
     o_table: HashMap<ObjectId, ObjEntry>,
+    /// The objects marked uncovered (see [`ObjectLayer::mark_uncovered`]).
+    uncovered: BTreeSet<ObjectId>,
 }
 
 impl FloorShard {
@@ -136,7 +146,8 @@ impl ObjectLayer {
     /// only the buckets whose membership actually changes. A move within
     /// one partition typically keeps an identical unit list, reducing the
     /// bucket maintenance to an MBR overwrite; a move across floors
-    /// re-homes the o-table entry, touching both floors' shards.
+    /// re-homes the o-table entry, touching both floors' shards. The
+    /// object's uncovered mark, if any, is cleared.
     pub fn update(
         &mut self,
         id: ObjectId,
@@ -176,10 +187,14 @@ impl ObjectLayer {
         let new_f = self.shards.slot(mbr.floor_lo);
         let entry = ObjEntry { units, mbr };
         if old_f != new_f {
-            self.shards.make_mut(old_f).o_table.remove(&id);
+            let old = self.shards.make_mut(old_f);
+            old.o_table.remove(&id);
+            old.uncovered.remove(&id);
             self.shards.file(id, mbr.floor_lo);
         }
-        self.shards.make_mut(new_f).o_table.insert(id, entry);
+        let shard = self.shards.make_mut(new_f);
+        shard.uncovered.remove(&id);
+        shard.o_table.insert(id, entry);
     }
 
     /// Unregisters an object, returning the (shared) unit list it
@@ -193,12 +208,9 @@ impl ObjectLayer {
     }
 
     fn remove_in_shard(&mut self, f: usize, id: ObjectId) -> Arc<[UnitId]> {
-        let entry = self
-            .shards
-            .make_mut(f)
-            .o_table
-            .remove(&id)
-            .expect("caller located the id");
+        let shard = self.shards.make_mut(f);
+        shard.uncovered.remove(&id);
+        let entry = shard.o_table.remove(&id).expect("caller located the id");
         self.shards.unfile(id);
         for &u in entry.units.iter() {
             self.bucket_drop(u, id);
@@ -233,6 +245,23 @@ impl ObjectLayer {
         self.entry(id)
             .map(|e| e.mbr)
             .ok_or(IndexError::ObjectNotIndexed(id))
+    }
+
+    /// Marks an indexed object as uncovered: some instance of it may lie
+    /// outside every partition owning one of its units. The mark lasts
+    /// until the object is re-registered or removed.
+    pub fn mark_uncovered(&mut self, id: ObjectId) -> Result<(), IndexError> {
+        let f = self
+            .shards
+            .find(id)
+            .ok_or(IndexError::ObjectNotIndexed(id))?;
+        self.shards.make_mut(f).uncovered.insert(id);
+        Ok(())
+    }
+
+    /// Every object carrying the uncovered mark, ascending per floor.
+    pub fn uncovered(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.shards.iter().flat_map(|s| s.uncovered.iter().copied())
     }
 
     /// Whether the object is indexed.
@@ -295,8 +324,9 @@ impl ObjectLayer {
     }
 
     /// Test/maintenance helper: verifies bucket ↔ o-table consistency
-    /// (including that every entry is filed under its MBR's floor and the
-    /// object count matches). Panics on violation.
+    /// (including that every entry is filed under its MBR's floor, every
+    /// uncovered mark names a filed object, and the object count matches).
+    /// Panics on violation.
     pub fn validate(&self) {
         let mut entries = 0;
         for (f, shard) in self.shards.iter().enumerate() {
@@ -314,6 +344,9 @@ impl ObjectLayer {
                         "o-table says {id} in {u} but bucket disagrees"
                     );
                 }
+            }
+            for id in &shard.uncovered {
+                assert!(shard.o_table.contains_key(id), "{id} marked, not filed");
             }
         }
         assert_eq!(entries, self.count, "shard entries == len");
@@ -456,6 +489,30 @@ mod tests {
         );
         a.validate();
         b.validate();
+    }
+
+    #[test]
+    fn uncovered_marks_last_until_re_registration() {
+        let mut l = ObjectLayer::new();
+        l.insert(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
+        l.insert(ObjectId(2), vec![UnitId(5)], mbr_on(2)).unwrap();
+        l.insert(ObjectId(3), vec![UnitId(0)], mbr_on(0)).unwrap();
+        for id in [1, 2, 3] {
+            l.mark_uncovered(ObjectId(id)).unwrap();
+        }
+        assert!(matches!(
+            l.mark_uncovered(ObjectId(9)),
+            Err(IndexError::ObjectNotIndexed(_))
+        ));
+        let marked: Vec<ObjectId> = l.uncovered().collect();
+        assert_eq!(marked, [ObjectId(1), ObjectId(3), ObjectId(2)]);
+        // Same-floor and cross-floor updates and a removal each clear it.
+        l.update(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
+        l.update(ObjectId(2), vec![UnitId(0)], mbr_on(0)).unwrap();
+        assert_eq!(l.uncovered().collect::<Vec<_>>(), [ObjectId(3)]);
+        l.remove(ObjectId(3)).unwrap();
+        assert_eq!(l.uncovered().count(), 0);
+        l.validate();
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   projection, the [`SubregionSummary`] list the bounds read. Each
 //!   object version memoises its summary per partition layout
 //!   ([`UncertainObject::subregion_summary`]), so bounds never read
-//!   instances;
+//!   instances, plus one subregion slot per instance, so refinement
+//!   rebuilds the full decomposition without point location
+//!   ([`UncertainObject::subregions`]);
 //! * [`GaussianSampler`] — the paper's instance generator (§V-A: 100
 //!   samples, Gaussian around the region centre, σ = diameter/6);
 //! * [`ObjectStore`] — the mutable population of objects, the ground truth

@@ -50,8 +50,9 @@ pub struct UncertainObject {
     instances: Box<[Instance]>,
     /// Cached tight bounding box of the instance positions.
     instance_bbox: Rect2,
-    /// The memoised subregion summary (see
-    /// [`UncertainObject::subregion_summary`]); 16 B while empty.
+    /// The memoised subregion summary and instance slots (see
+    /// [`UncertainObject::subregion_summary`] and
+    /// [`UncertainObject::subregions`]); 16 B while empty.
     pub(crate) summary: OnceLock<Box<StampedSummary>>,
 }
 

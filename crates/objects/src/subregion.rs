@@ -19,8 +19,13 @@
 //!   [`IndoorSpace::layout_id`]; a new object version (a move) starts
 //!   empty, and a reader on another layout computes its own and leaves
 //!   the memo alone. It is derived state and never encoded.
-//! * the full [`Subregions`] with instance indices, built per use by the
-//!   callers that need instances (refinement, the monitors).
+//! * the full [`Subregions`] with instance indices, read through
+//!   [`UncertainObject::subregions`] by the callers that need instances
+//!   (refinement). The memo keeps one byte per instance — the index of
+//!   its subregion — so on the memo's layout the decomposition is rebuilt
+//!   by one bucketing pass, without point location. The kernel runs only
+//!   to fill the memo, off the memo's layout, or for an object with more
+//!   subregions than a byte can name. The monitors still call the kernel.
 
 use crate::error::ObjectError;
 use crate::object::UncertainObject;
@@ -58,7 +63,7 @@ impl SubregionSummary {
 
 /// One uncertainty subregion `S[j]`: the instances of an object falling
 /// into a single partition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Subregion {
     /// Partition, mass and bounding box.
     pub summary: SubregionSummary,
@@ -66,11 +71,58 @@ pub struct Subregion {
     pub instance_indices: Vec<u32>,
 }
 
+/// Objects with more subregions than this keep no instance slots: a slot
+/// is one byte.
+const MAX_SLOTTED_SUBREGIONS: usize = 1 << u8::BITS;
+
 /// An object's memoised summary and the layout it was computed on.
 #[derive(Clone, Debug)]
 pub(crate) struct StampedSummary {
     layout: u64,
     entries: Box<[SubregionSummary]>,
+    /// Per instance, the index of its subregion in `entries`. Empty when
+    /// the object has more than [`MAX_SLOTTED_SUBREGIONS`] subregions.
+    slots: Box<[u8]>,
+}
+
+impl StampedSummary {
+    fn new(layout: u64, subs: &Subregions, instances: usize) -> Self {
+        let mut slots = Vec::new();
+        if subs.len() <= MAX_SLOTTED_SUBREGIONS {
+            slots.resize(instances, 0);
+            for (j, sub) in subs.iter().enumerate() {
+                for &i in &sub.instance_indices {
+                    slots[i as usize] = j as u8;
+                }
+            }
+        }
+        StampedSummary {
+            layout,
+            entries: subs.summaries().copied().collect(),
+            slots: slots.into_boxed_slice(),
+        }
+    }
+
+    /// The decomposition the memo was filled from, by one bucketing pass
+    /// over the slots: each subregion's indices come out ascending, as
+    /// the kernel pushes them. `None` without slots.
+    fn rebuild(&self) -> Option<Subregions> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut subs: Vec<Subregion> = self
+            .entries
+            .iter()
+            .map(|&summary| Subregion {
+                summary,
+                instance_indices: Vec::new(),
+            })
+            .collect();
+        for (i, &j) in self.slots.iter().enumerate() {
+            subs[j as usize].instance_indices.push(i as u32);
+        }
+        Some(Subregions { subs })
+    }
 }
 
 impl UncertainObject {
@@ -89,35 +141,59 @@ impl UncertainObject {
         hint: impl FnOnce() -> Vec<PartitionId>,
     ) -> Result<(Cow<'_, [SubregionSummary]>, bool), ObjectError> {
         let layout = space.layout_id();
-        if let Some(memo) = self.summary.get() {
-            if memo.layout == layout {
-                return Ok((Cow::Borrowed(&memo.entries), false));
-            }
+        if let Some(memo) = self.memo_on(layout) {
+            return Ok((Cow::Borrowed(&memo.entries), false));
         }
-        let fresh: Vec<SubregionSummary> = Subregions::compute_with_hint(self, space, &hint())?
-            .summaries()
-            .copied()
-            .collect();
-        // An empty memo takes the fresh summary. A filled one — another
-        // layout's, or a racing reader's on this layout, which is equal —
-        // stays as it is.
-        let mut fresh = Some(fresh);
-        let memo = self.summary.get_or_init(|| {
-            Box::new(StampedSummary {
-                layout,
-                entries: fresh.take().expect("initialises once").into_boxed_slice(),
-            })
-        });
-        Ok(match fresh {
-            Some(fresh) if memo.layout != layout => (Cow::Owned(fresh), true),
-            _ => (Cow::Borrowed(&memo.entries), true),
+        let subs = Subregions::compute_with_hint(self, space, &hint())?;
+        Ok(match self.fill_memo(layout, &subs) {
+            Some(memo) => (Cow::Borrowed(&memo.entries), true),
+            None => (Cow::Owned(subs.summaries().copied().collect()), true),
         })
+    }
+
+    /// The object's full decomposition on `space`'s partition layout,
+    /// equal field for field — instance indices included — to
+    /// [`Subregions::compute_with_hint`] with `hint()`.
+    ///
+    /// On the memo's layout it is rebuilt from the memo's instance slots
+    /// (flag `false`). Otherwise the kernel runs (flag `true`) and, when
+    /// the memo is empty, fills it as [`Self::subregion_summary`] would.
+    /// An object with more than 256 subregions has no slots and always
+    /// runs the kernel.
+    pub fn subregions(
+        &self,
+        space: &IndoorSpace,
+        hint: impl FnOnce() -> Vec<PartitionId>,
+    ) -> Result<(Subregions, bool), ObjectError> {
+        let layout = space.layout_id();
+        if let Some(subs) = self.memo_on(layout).and_then(StampedSummary::rebuild) {
+            return Ok((subs, false));
+        }
+        let subs = Subregions::compute_with_hint(self, space, &hint())?;
+        self.fill_memo(layout, &subs);
+        Ok((subs, true))
+    }
+
+    fn memo_on(&self, layout: u64) -> Option<&StampedSummary> {
+        let memo: &StampedSummary = self.summary.get()?;
+        (memo.layout == layout).then_some(memo)
+    }
+
+    /// Fills an empty memo from a kernel result on `layout`, and returns
+    /// the memo when it is on `layout` afterwards. A filled memo — another
+    /// layout's, or a racing reader's on this layout, which is equal —
+    /// stays as it is.
+    fn fill_memo(&self, layout: u64, subs: &Subregions) -> Option<&StampedSummary> {
+        let memo: &StampedSummary = self
+            .summary
+            .get_or_init(|| Box::new(StampedSummary::new(layout, subs, self.len())));
+        (memo.layout == layout).then_some(memo)
     }
 }
 
 /// The full decomposition of one object, sorted by descending probability
 /// mass (deterministic; ties broken by partition id).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Subregions {
     subs: Vec<Subregion>,
 }
@@ -343,6 +419,29 @@ mod tests {
         assert_eq!(other.len(), 1, "every instance now snaps to the left room");
         let (stale, _) = o.subregion_summary(&s, Vec::new).unwrap();
         assert!(matches!(stale, Cow::Owned(_)), "still not memoised");
+    }
+
+    #[test]
+    fn subregions_are_rebuilt_from_the_memo() {
+        let (mut s, o) = setup();
+        let kernel = Subregions::compute(&o, &s).unwrap();
+        let (first, computed) = o.subregions(&s, Vec::new).unwrap();
+        assert!(computed, "an empty memo: the kernel runs and fills it");
+        assert_eq!(first, kernel);
+        let (again, computed) = o
+            .subregions(&s, || unreachable!("a hit needs no hint"))
+            .unwrap();
+        assert!(!computed);
+        assert_eq!(again, kernel, "instance indices included");
+        assert!(!o.subregion_summary(&s, Vec::new).unwrap().1, "one memo");
+
+        // Another layout: the kernel runs, the memo stays as it was.
+        let right = s.partition_at(IndoorPoint::new(Point2::new(15.0, 5.0), 0));
+        s.delete_partition(right.unwrap()).unwrap();
+        let (other, computed) = o.subregions(&s, Vec::new).unwrap();
+        assert!(computed);
+        assert_eq!(other, Subregions::compute(&o, &s).unwrap());
+        assert_eq!(other.len(), 1);
     }
 
     #[test]

@@ -1,4 +1,13 @@
-//! Indoor k-Nearest-Neighbour Query — `ikNNQ` (Def. 4, Algorithm 2).
+//! Indoor k-Nearest-Neighbour Query — `ikNNQ` (Def. 4, Algorithm 2) — in
+//! one pass.
+//!
+//! The filtering phase is one best-first walk over partitions
+//! (`adaptive_kbound`): it derives the `kbound` radius and, from the
+//! same visits, yields the candidate set, so no second index search runs.
+//! Pruning keeps each survivor's lower bound, and refinement runs
+//! best-first in ascending lower-bound order: it stops as soon as `k`
+//! exact distances are in hand and the next lower bound is strictly
+//! greater than the k-th of them.
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
@@ -11,48 +20,97 @@ use idq_model::IndoorPoint;
 use idq_model::{IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
 
-/// `kSeedsSelection` (Algorithm 5), the filtering phase of `ikNNQ`, made
-/// adaptive. Starting from the query's partition, partitions are explored
-/// in ascending order of their geometric lower bound (a min-heap keyed by
-/// the skeleton bound of Eq. 10); every bucketed object is a seed and
-/// contributes its Topological Looser Upper Bound (Lemma 3). Where the
-/// paper stops at the first `k` seeds, expansion here continues while an
-/// unexplored partition's lower bound still beats the running k-th
-/// smallest TLU — so a nearby-but-huge corridor cannot freeze a loose
-/// bound in place. The k-th smallest TLU is the `kbound` radius of the
-/// subsequent range search: it certifies that at least k objects lie
-/// within it.
+/// What the filtering walk hands to the rest of the query.
+struct Walk {
+    /// The k-th smallest TLU; `∞` when fewer than `k` were finite.
+    kbound: f64,
+    /// The seen objects whose MBR lower bound is at most `kbound`,
+    /// ascending.
+    candidates: Vec<ObjectId>,
+    /// Partitions visited.
+    partitions: usize,
+    /// Distinct objects seen.
+    seen: usize,
+}
+
+/// `kSeedsSelection` (Algorithm 5), made adaptive, and the whole
+/// filtering phase of `ikNNQ`. Starting from the query's partition,
+/// partitions are explored in ascending order of their geometric lower
+/// bound (a min-heap keyed by the skeleton bound of Eq. 10); every
+/// bucketed object is a seed and contributes its Topological Looser Upper
+/// Bound (Lemma 3). Where the paper stops at the first `k` seeds,
+/// expansion here continues while an unexplored partition's lower bound
+/// still beats the running k-th smallest TLU — so a nearby-but-huge
+/// corridor cannot freeze a loose bound in place. The k-th smallest TLU
+/// is `kbound`: it certifies that at least k objects lie within it.
 ///
-/// Each seed is priced from its memoised subregion summary, never its
-/// instances; the summary reads are counted into `stats`.
+/// Every seen object's MBR lower bound (Lemma 6; the 3D Euclidean bound
+/// when `use_skeleton` is off) is recorded, and the objects with bound
+/// `≤ kbound` are the candidate set. It holds every object within
+/// `kbound`: such an object has an instance on a path of length
+/// `≤ kbound`, every partition on that path has an Eq. 10 key
+/// `≤ kbound`, and the walk stops only at keys above the running k-th
+/// TLU, which never falls below `kbound` — so it visits them all,
+/// including the partition hosting that instance. That partition lists
+/// the object unless the object layer marks it uncovered (an instance
+/// outside every partition owning its units, which the decomposition
+/// snaps to the nearest partition, listed or not); so after the walk
+/// every uncovered object is seen too, by its bound alone. Every
+/// candidate passes the object test `RangeSearch` applies at radius
+/// `kbound`; the walk reaches fewer such objects.
 ///
-/// Returns `∞` when fewer than `k` objects are expandable-to (the caller
-/// then falls back to an unbounded search).
+/// The same bound screens before pricing: once k TLUs are banked, an
+/// object whose bound exceeds the running k-th TLU has
+/// `TLU ≥ |q,O|_I ≥ lb > kth` and cannot improve the heap, so skipping it
+/// leaves `kbound` bit-identical while saving the summary read and path
+/// pricing. Each priced seed is read from its memoised subregion summary,
+/// never its instances; the summary reads are counted into `stats`.
+///
+/// With the query point outside every partition the walk sees nothing
+/// and `kbound` is `∞`; the caller's context build then reports it.
 fn adaptive_kbound(
     space: &IndoorSpace,
     index: &CompositeIndex,
     store: &ObjectStore,
     q: IndoorPoint,
     k: usize,
+    use_skeleton: bool,
     stats: &mut QueryStats,
-) -> Result<f64, QueryError> {
+) -> Result<Walk, QueryError> {
     let Some(start) = space.partition_at(q) else {
-        return Ok(f64::INFINITY);
+        return Ok(Walk {
+            kbound: f64::INFINITY,
+            candidates: Vec::new(),
+            partitions: 0,
+            seen: 0,
+        });
     };
+    let skeleton = index.skeleton();
+    let mut scratch = skeleton.scratch(q);
+    // Eq. 10 at screen ∞: bit-identical to `min_skeleton_distance`, its
+    // double loop factored once per target floor for the whole walk.
+    let mut eq10 = |m: &Mbr3| skeleton.min_skeleton_distance_pruned(&mut scratch, m, f64::INFINITY);
+    let q3 = q.at_elevation(space.floor_height());
     let mut frontier: BinaryHeap<Reverse<(OrdF64, PartitionId)>> = BinaryHeap::new();
     frontier.push(Reverse((OrdF64(0.0), start)));
     let mut visited: HashSet<PartitionId> = HashSet::new();
-    let mut seen: HashSet<ObjectId> = HashSet::new();
+    // Every object seen, with its MBR lower bound.
+    let mut seen: HashMap<ObjectId, f64> = HashMap::new();
     // Max-heap keeping the k smallest TLUs seen so far.
     let mut best: BinaryHeap<OrdF64> = BinaryHeap::new();
+    let kth = |best: &BinaryHeap<OrdF64>| match best.peek() {
+        Some(top) if best.len() >= k => top.0,
+        _ => f64::INFINITY,
+    };
     // One shared, lazily growing best-first search prices every seed.
     let mut tlu_eval = SharedPathUpper::new(space, index.doors_graph(), q);
 
     while let Some(Reverse((OrdF64(pmin), pid))) = frontier.pop() {
-        if best.len() >= k && pmin > best.peek().expect("non-empty").0 {
+        if pmin > kth(&best) {
             break; // no unexplored partition can improve the k-th TLU
         }
         if !visited.insert(pid) {
@@ -60,23 +118,19 @@ fn adaptive_kbound(
         }
         for &u in index.units().units_of(pid) {
             for &o in index.object_layer().objects_in(u) {
-                if !seen.insert(o) {
+                let Entry::Vacant(slot) = seen.entry(o) else {
                     continue;
-                }
-                // Screen before pricing: once k TLUs are banked, an
-                // object whose geometric lower bound (Lemma 6, the same
-                // bound the filtering phase trusts) already exceeds the
-                // running k-th TLU has `TLU ≥ |q,O|_I ≥ lb > kth` — it
-                // cannot improve the heap, so skipping it leaves the
-                // derived kbound bit-identical while saving the summary
-                // read and path pricing.
-                if best.len() >= k {
-                    let kth = best.peek().expect("non-empty").0;
-                    if let Ok(mbr) = index.object_layer().object_mbr(o) {
-                        if index.min_skeleton_distance(space, q, &mbr) > kth {
-                            continue;
-                        }
-                    }
+                };
+                let Ok(mbr) = index.object_layer().object_mbr(o) else {
+                    continue;
+                };
+                let lb = *slot.insert(if use_skeleton {
+                    eq10(&mbr)
+                } else {
+                    mbr.min_dist(q3)
+                });
+                if lb > kth(&best) {
+                    continue; // the screen
                 }
                 let summary = summary_of(space, index, store.get(o)?, stats)?;
                 let tlu = tlu_eval.upper(summary.iter());
@@ -114,15 +168,35 @@ fn adaptive_kbound(
                 (p.floor_lo, p.floor_hi),
                 (space.elevation(p.floor_lo), space.elevation(p.floor_hi)),
             );
-            let key = index.min_skeleton_distance(space, q, &mbr);
-            frontier.push(Reverse((OrdF64(key), next)));
+            frontier.push(Reverse((OrdF64(eq10(&mbr)), next)));
         }
     }
-    if best.len() >= k {
-        Ok(best.peek().expect("non-empty").0)
-    } else {
-        Ok(f64::INFINITY)
+    // An uncovered object may be hosted by a partition that does not list
+    // it, so partitions cannot be trusted to reach it: its bound alone
+    // decides. It is not priced, so `kbound` depends on the walk only.
+    for o in index.object_layer().uncovered() {
+        if let (Entry::Vacant(slot), Ok(mbr)) = (seen.entry(o), index.object_layer().object_mbr(o))
+        {
+            slot.insert(if use_skeleton {
+                eq10(&mbr)
+            } else {
+                mbr.min_dist(q3)
+            });
+        }
     }
+    let kbound = kth(&best);
+    let mut candidates: Vec<ObjectId> = seen
+        .iter()
+        .filter(|&(_, &lb)| lb <= kbound)
+        .map(|(&o, _)| o)
+        .collect();
+    candidates.sort_unstable();
+    Ok(Walk {
+        kbound,
+        candidates,
+        partitions: visited.len(),
+        seen: seen.len(),
+    })
 }
 
 /// One result object of a kNN query, with its exact expected distance.
@@ -146,7 +220,7 @@ pub struct KnnResult {
     pub kbound: f64,
 }
 
-/// Phase-1 output of a kNN query: the kbound and the filtered candidates.
+/// Phase-1 output of a kNN query: the kbound and the walk's candidates.
 pub(crate) struct KnnPrep {
     pub q: IndoorPoint,
     pub k: usize,
@@ -155,7 +229,10 @@ pub(crate) struct KnnPrep {
     pub stats: QueryStats,
 }
 
-/// Validates the query and runs seed selection + kbound + filtering.
+/// Validates the query and runs the filtering walk. For kNN the
+/// retrieval counters mean: `partitions_retrieved` the partitions the
+/// walk visited, `entries_checked` the distinct objects it saw, and
+/// `nodes_visited` 0 (no R-tree descent).
 pub(crate) fn knn_prep(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -173,27 +250,19 @@ pub(crate) fn knn_prep(
         ..QueryStats::default()
     };
 
-    // Phase 1: seed selection + kbound + range search.
+    // Phase 1: one walk derives kbound and yields the candidates.
     let t = Instant::now();
-    let kbound = adaptive_kbound(space, index, store, q, k, &mut stats)?;
-    let filtered = index.range_search_dual(
-        space,
-        q,
-        kbound,
-        kbound + options.subgraph_slack,
-        options.use_skeleton,
-    );
+    let walk = adaptive_kbound(space, index, store, q, k, options.use_skeleton, &mut stats)?;
     stats.filtering_ms = t.elapsed().as_secs_f64() * 1e3;
-    stats.candidates_after_filter = filtered.objects.len();
-    stats.partitions_retrieved = filtered.partitions.len();
-    stats.nodes_visited = filtered.stats.nodes_visited;
-    stats.entries_checked = filtered.stats.entries_checked;
+    stats.candidates_after_filter = walk.candidates.len();
+    stats.partitions_retrieved = walk.partitions;
+    stats.entries_checked = walk.seen;
 
     Ok(KnnPrep {
         q,
         k,
-        kbound,
-        objects: filtered.objects,
+        kbound: walk.kbound,
+        objects: walk.candidates,
         stats,
     })
 }
@@ -213,9 +282,10 @@ pub(crate) fn knn_finish(
         ..
     } = prep;
 
-    // Phase 3: pruning around the k-th smallest upper bound.
+    // Phase 3: pruning around the k-th smallest upper bound. Survivors
+    // keep their lower bound, ascending with ties by id, for phase 4.
     let t = Instant::now();
-    let mut to_refine: Vec<ObjectId> = Vec::new();
+    let mut to_refine: Vec<(f64, ObjectId)> = Vec::new();
     if options.use_pruning && objects.len() > k {
         let mut bounds = Vec::with_capacity(objects.len());
         for &o in &objects {
@@ -232,35 +302,47 @@ pub(crate) fn knn_finish(
         // k-th smallest true distance.
         for (o, b) in bounds {
             if b.lower <= ok_upper {
-                to_refine.push(o);
+                to_refine.push((b.lower, o));
             } else {
                 stats.pruned_by_bounds += 1;
             }
         }
+        to_refine.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     } else {
-        to_refine = objects;
+        // No bounds: 0 is a lower bound of every distance, so every
+        // candidate refines.
+        to_refine = objects.into_iter().map(|o| (0.0, o)).collect();
     }
     stats.pruning_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Phase 4: refinement and final ranking.
+    // Phase 4: best-first refinement into a max-heap of the k smallest
+    // exact (distance, id). Once it is full, a candidate whose lower
+    // bound is strictly above its top cannot enter it, and neither can
+    // any later one; a tie still refines, since a smaller id wins it.
     let t = Instant::now();
-    let mut scored: Vec<(OrdF64, ObjectId)> = Vec::with_capacity(to_refine.len());
-    for o in to_refine {
+    let mut top: BinaryHeap<(OrdF64, ObjectId)> = BinaryHeap::with_capacity(k + 1);
+    for (i, &(lower, o)) in to_refine.iter().enumerate() {
+        if top.len() == k && lower > top.peek().expect("k ≥ 1").0 .0 {
+            stats.pruned_by_bounds += to_refine.len() - i;
+            break;
+        }
         stats.refined += 1;
         // The k-th true distance is at most kbound; values beyond it can
         // only lose, so kbound is the safe fallback threshold.
         let v = ctx.refine_with_threshold(o, kbound, options)?;
         if v.is_finite() {
-            scored.push((OrdF64(v), o));
+            top.push((OrdF64(v), o));
+            if top.len() > k {
+                top.pop();
+            }
         }
     }
-    scored.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    scored.truncate(k);
     stats.refinement_ms = t.elapsed().as_secs_f64() * 1e3;
     ctx.drain_into(&mut stats);
 
     Ok(KnnResult {
-        results: scored
+        results: top
+            .into_sorted_vec()
             .into_iter()
             .map(|(d, object)| KnnHit {
                 object,
@@ -302,6 +384,134 @@ mod tests {
     use idq_index::IndexConfig;
     use idq_model::FloorPlanBuilder;
     use idq_objects::UncertainObject;
+    use idq_workloads::{
+        generate_building, generate_objects, generate_query_points, BuildingConfig, ObjectConfig,
+        QueryPointConfig,
+    };
+    use proptest::prelude::*;
+
+    /// A generated two-floor mall (staircases, one-way rooms) with four
+    /// explicit objects that each have an instance just outside the
+    /// building, and — with `delete` — one room deleted after indexing,
+    /// which leaves the objects it held with instances outside every
+    /// partition. Returns the query points that still lie in a partition.
+    fn stray_mall(
+        seed: u64,
+        delete: Option<usize>,
+    ) -> (IndoorSpace, ObjectStore, CompositeIndex, Vec<IndoorPoint>) {
+        let building = generate_building(&BuildingConfig {
+            bands: 2,
+            rooms_per_side: 3,
+            one_way_rooms: 1,
+            ..BuildingConfig::with_floors(2)
+        })
+        .unwrap();
+        let config = ObjectConfig {
+            count: 60,
+            radius: 10.0,
+            instances: 12,
+            seed,
+        };
+        let mut store = generate_objects(&building, &config).unwrap();
+        for i in 0..4u64 {
+            let x = 50.0 + 120.0 * i as f64;
+            let region = Circle::new(Point2::new(x, 6.0), 8.0);
+            let positions = vec![Point2::new(x, 5.0), Point2::new(x + 3.0, -0.5)];
+            let floor = (i % 2) as u16;
+            let o =
+                UncertainObject::with_uniform_weights(ObjectId(1000 + i), region, floor, positions);
+            store.insert(o.unwrap()).unwrap();
+        }
+        let points = generate_query_points(
+            &building,
+            &QueryPointConfig {
+                count: 4,
+                seed: seed ^ 0x5eed,
+            },
+        );
+        let mut space = building.space;
+        let mut index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        if let Some(i) = delete {
+            let rooms = building.rooms_by_floor.concat();
+            for event in space.delete_partition(rooms[i % rooms.len()]).unwrap() {
+                index.apply_topology(&space, &store, &event).unwrap();
+            }
+        }
+        let points = points
+            .into_iter()
+            .filter(|&q| space.partition_at(q).is_some())
+            .collect();
+        (space, store, index, points)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The walk's candidates hold every object whose exact distance
+        /// (refinement's arithmetic on the full graph, which snaps stray
+        /// instances where `naive_knn` gives up on them) is within
+        /// `kbound`, and pass `RangeSearch`'s object test at `kbound`; all
+        /// but the uncovered ones are also in what `RangeSearch` returns
+        /// at `kbound` / `kbound + slack`. The answers are that exact
+        /// ranking's first `k`, bit for bit.
+        #[test]
+        fn walk_candidates_lie_between_the_answers_and_range_search(
+            seed in any::<u64>(),
+            (remove, room) in (any::<bool>(), any::<usize>()),
+            k in 1usize..40,
+        ) {
+            let (space, store, index, points) = stray_mall(seed, remove.then_some(room));
+            let layer = index.object_layer();
+            let uncovered: Vec<ObjectId> = layer.uncovered().collect();
+            prop_assert!(uncovered.len() >= 4, "the explicit strays are marked");
+            let base = QueryOptions::for_max_radius(10.0);
+            for q in points {
+                let mut ctx =
+                    EvalContext::new(&space, &store, &index, q, f64::INFINITY, &base).unwrap();
+                let mut exact: Vec<(OrdF64, ObjectId)> = Vec::new();
+                for o in store.ids_sorted() {
+                    let d = ctx.refine_full(o).unwrap();
+                    if d.is_finite() {
+                        exact.push((OrdF64(d), o));
+                    }
+                }
+                exact.sort();
+                let want: Vec<(ObjectId, u64)> =
+                    exact.iter().take(k).map(|&(d, o)| (o, d.0.to_bits())).collect();
+                for opts in [base, base.without_skeleton()] {
+                    let prep = knn_prep(&space, &index, &store, q, k, &opts).unwrap();
+                    let (kbound, candidates) = (prep.kbound, &prep.objects);
+                    prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "sorted");
+                    let range = index.range_search_dual(
+                        &space, q, kbound, kbound + opts.subgraph_slack, opts.use_skeleton,
+                    );
+                    let q3 = q.at_elevation(space.floor_height());
+                    for &o in candidates {
+                        let mbr = layer.object_mbr(o).unwrap();
+                        let lb = if opts.use_skeleton {
+                            index.min_skeleton_distance(&space, q, &mbr)
+                        } else {
+                            mbr.min_dist(q3)
+                        };
+                        prop_assert!(lb <= kbound, "{}: bound {} > {}", o, lb, kbound);
+                        prop_assert!(
+                            range.objects.contains(&o) || uncovered.contains(&o),
+                            "{} beyond RangeSearch", o
+                        );
+                    }
+                    for &(d, o) in &exact {
+                        if d.0 <= kbound {
+                            prop_assert!(candidates.contains(&o), "{} at {} ≤ {}", o, d.0, kbound);
+                        }
+                    }
+                    let out = knn_query(&space, &index, &store, q, k, &opts).unwrap();
+                    let got: Vec<(ObjectId, u64)> =
+                        out.results.iter().map(|h| (h.object, h.distance.to_bits())).collect();
+                    prop_assert_eq!(got, want.clone());
+                }
+            }
+        }
+    }
 
     /// Same two-floor world as the iRQ tests.
     fn setup() -> (IndoorSpace, ObjectStore, CompositeIndex) {
@@ -388,6 +598,39 @@ mod tests {
         for w in res.results.windows(2) {
             assert!(w[0].distance <= w[1].distance);
         }
+    }
+
+    #[test]
+    fn a_tie_at_the_kth_distance_still_refines() {
+        // One room. Object 5 straddles q (instances 2 m and 10 m away,
+        // expected distance 6, loose lower bound); object 3 is a point
+        // 6 m away (tight lower bound 6). Best-first refines 5 first;
+        // 3's lower bound equals the heap's top, and 3 wins the tie by id.
+        let mut b = FloorPlanBuilder::new(4.0);
+        b.add_room(0, Rect2::from_bounds(0.0, 0.0, 30.0, 10.0))
+            .unwrap();
+        let space = b.finish().unwrap();
+        let mut store = ObjectStore::new();
+        let spread = vec![Point2::new(8.0, 5.0), Point2::new(20.0, 5.0)];
+        let region = Circle::new(Point2::new(14.0, 5.0), 6.0);
+        store
+            .insert(UncertainObject::with_uniform_weights(ObjectId(5), region, 0, spread).unwrap())
+            .unwrap();
+        let point = IndoorPoint::new(Point2::new(4.0, 5.0), 0);
+        store
+            .insert(UncertainObject::point_object(ObjectId(3), point))
+            .unwrap();
+        let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let q = IndoorPoint::new(Point2::new(10.0, 5.0), 0);
+        let res = knn_query(&space, &index, &store, q, 1, &QueryOptions::default()).unwrap();
+        assert_eq!(
+            res.results,
+            vec![KnnHit {
+                object: ObjectId(3),
+                distance: 6.0
+            }]
+        );
+        assert_eq!(res.stats.refined, 2, "the tie was refined");
     }
 
     #[test]

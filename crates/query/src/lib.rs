@@ -7,6 +7,10 @@
 //!   (Algorithm 1);
 //! * [`knn_query`] — `ikNNQ(q, k)`: the `k` objects with the smallest
 //!   `|q,O|_I` (Algorithm 2, seeded by `kSeedsSelection`, Algorithm 5).
+//!   Its filtering phase is one walk over partitions that derives the
+//!   `kbound` radius and yields the candidates together; its refinement
+//!   runs best-first and stops once no lower bound can beat the k-th
+//!   exact distance.
 //!
 //! Both run the paper's four-phase pipeline — **filtering** (geometric
 //! lower bounds through the composite index), **subgraph** (door
@@ -33,7 +37,8 @@
 //! Seeding and pruning never read instances: they price each object from
 //! its subregion summary, memoised in the object per partition layout
 //! ([`idq_objects::UncertainObject::subregion_summary`]). Only refinement
-//! decomposes objects with their instances.
+//! needs instance indices, and it rebuilds them from the same memo's
+//! per-instance slots ([`idq_objects::UncertainObject::subregions`]).
 
 pub mod error;
 pub mod iknn;

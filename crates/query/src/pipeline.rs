@@ -5,8 +5,11 @@
 //! The phases before refinement — the ikNN seeds and both queries'
 //! pruning — read each object's memoised subregion summary
 //! ([`idq_objects::UncertainObject::subregion_summary`]) and never its
-//! instances. Only refinement decomposes an object with its
-//! instance indices, once per context, in the context's private map.
+//! instances. Only refinement needs an object's instance indices: it
+//! takes the decomposition once per context, into the context's private
+//! map, from [`idq_objects::UncertainObject::subregions`] — rebuilt from
+//! the memo's per-instance slots on the memo's layout, so the point
+//! location kernel runs only at memo fill or off the memo's layout.
 //!
 //! Since the shared-cache PR, **every** door-distance context here is
 //! assembled by [`DoorDistances::compute_banded`] — a composition of
@@ -156,7 +159,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Decomposition of one object with instance indices — for
-    /// refinement — computed on first use and kept for every later
+    /// refinement — taken on first use (from the object's memo when it is
+    /// on this layout, counted as a hit) and kept for every later
     /// refinement of the same object in this context.
     pub fn subregions_of(&mut self, id: ObjectId) -> Result<&Subregions, QueryError> {
         Ok(match self.refined.entry(id) {
@@ -166,9 +170,9 @@ impl<'a> EvalContext<'a> {
             }
             Entry::Vacant(e) => {
                 let obj = self.store.get(id)?;
-                let hint = object_partition_hint(self.index, id);
-                let subs = Subregions::compute_with_hint(obj, self.space, &hint)?;
-                self.delta.subregions_computed += 1;
+                let (subs, computed) =
+                    obj.subregions(self.space, || object_partition_hint(self.index, id))?;
+                tally(&mut self.delta, computed);
                 e.insert(subs)
             }
         })
@@ -258,12 +262,17 @@ pub(crate) fn summary_of<'o>(
 ) -> Result<Cow<'o, [SubregionSummary]>, QueryError> {
     let (summary, computed) =
         obj.subregion_summary(space, || object_partition_hint(index, obj.id))?;
+    tally(stats, computed);
+    Ok(summary)
+}
+
+/// Counts one decomposition read as computed (the kernel ran) or reused.
+fn tally(stats: &mut QueryStats, computed: bool) {
     if computed {
         stats.subregions_computed += 1;
     } else {
         stats.subregion_cache_hits += 1;
     }
-    Ok(summary)
 }
 
 /// The partitions an object overlaps according to the index's o-table
@@ -439,17 +448,66 @@ mod tests {
         assert_eq!(counts(&ctx), (1, 0));
         ctx.bounds(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 1));
-        // Refinement decomposes once per context, then reuses it.
+        // Refinement rebuilds the decomposition from the filled memo (a
+        // hit), once per context, then reuses it from the context's map.
         ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(counts(&ctx), (2, 1));
+        assert_eq!(counts(&ctx), (1, 2));
         ctx.subregions_of(ObjectId(1)).unwrap();
-        assert_eq!(counts(&ctx), (2, 2));
+        assert_eq!(counts(&ctx), (1, 3));
 
         // The memo outlives the context; the refinement map does not.
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         ctx.bounds(ObjectId(1)).unwrap();
         ctx.subregions_of(ObjectId(1)).unwrap();
+        assert_eq!(counts(&ctx), (0, 2));
+
+        // A refinement that finds the memo empty runs the kernel and
+        // fills it for the bounds.
+        let (space, store, index) = setup();
+        let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+        ctx.subregions_of(ObjectId(1)).unwrap();
+        ctx.bounds(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 1));
+    }
+
+    #[test]
+    fn objects_beyond_256_subregions_decompose_with_the_kernel() {
+        // 300 one-metre rooms in a row, one instance in each.
+        let mut b = FloorPlanBuilder::new(4.0);
+        for i in 0..300 {
+            let x = i as f64;
+            b.add_room(0, Rect2::from_bounds(x, 0.0, x + 1.0, 10.0))
+                .unwrap();
+        }
+        let space = b.finish().unwrap();
+        let positions = (0..300).map(|i| Point2::new(i as f64 + 0.5, 5.0)).collect();
+        let region = Circle::new(Point2::new(150.0, 5.0), 150.0);
+        let obj = UncertainObject::with_uniform_weights(ObjectId(1), region, 0, positions).unwrap();
+        let mut store = ObjectStore::new();
+        store.insert(obj).unwrap();
+        let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let hint = object_partition_hint(&index, ObjectId(1));
+        let kernel =
+            Subregions::compute_with_hint(store.get(ObjectId(1)).unwrap(), &space, &hint).unwrap();
+        assert_eq!(kernel.len(), 300);
+
+        let q = IndoorPoint::new(Point2::new(0.5, 5.0), 0);
+        let opts = QueryOptions::default();
+        for pass in 0..2 {
+            let mut ctx =
+                EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+            ctx.bounds(ObjectId(1)).unwrap();
+            assert_eq!(*ctx.subregions_of(ObjectId(1)).unwrap(), kernel);
+            let counts = (
+                ctx.delta.subregions_computed,
+                ctx.delta.subregion_cache_hits,
+            );
+            // The summary is memoised on the first pass and read from
+            // the memo on the second; the decomposition has no slots and
+            // runs the kernel both times.
+            let want = if pass == 0 { (2, 0) } else { (1, 1) };
+            assert_eq!(counts, want, "pass {pass}");
+        }
     }
 
     #[test]
@@ -518,9 +576,11 @@ mod tests {
         (b.finish().unwrap(), a, hall, door)
     }
 
-    /// Reads every object's summary the way the pipeline does and checks
-    /// it against the kernel on the current layout, field for field.
-    /// Returns the (computed, reused) counts of the reads.
+    /// Reads every object's summary, then its decomposition, the way the
+    /// pipeline does and checks both against the kernel on the current
+    /// layout, field for field (instance indices included). The
+    /// decomposition comes from the memo's slots exactly when the summary
+    /// did. Returns the (computed, reused) counts of the summary reads.
     fn summaries_match_kernel(
         space: &IndoorSpace,
         store: &ObjectStore,
@@ -537,6 +597,14 @@ mod tests {
                 assert_eq!(m.prob.to_bits(), k.prob.to_bits(), "{}", obj.id);
                 assert_eq!(m.bbox, k.bbox, "{}", obj.id);
             }
+            let (subs, computed) = obj.subregions(space, || hint.clone()).unwrap();
+            assert_eq!(subs, kernel, "{}", obj.id);
+            let on_layout = matches!(summary, Cow::Borrowed(_));
+            assert_eq!(
+                computed, !on_layout,
+                "{}: slots serve the memo's layout",
+                obj.id
+            );
         }
         (stats.subregions_computed, stats.subregion_cache_hits)
     }

@@ -17,19 +17,23 @@ pub struct QueryStats {
     pub total_objects: usize,
     /// Candidates surviving the filtering phase (`|Ro|`).
     pub candidates_after_filter: usize,
-    /// Candidate partitions (`|Rp|`).
+    /// Candidate partitions (`|Rp|`). For kNN: the partitions the
+    /// filtering walk visited.
     pub partitions_retrieved: usize,
     /// Objects accepted outright by their upper bound.
     pub accepted_by_bounds: usize,
-    /// Objects discarded by their lower bound.
+    /// Objects discarded by their lower bound — for kNN also those the
+    /// best-first refinement never reached.
     pub pruned_by_bounds: usize,
     /// Objects whose exact expected distance was computed.
     pub refined: usize,
     /// Refinements that needed the full-graph Dijkstra fallback.
     pub full_graph_fallbacks: usize,
-    /// indR-tree nodes visited during filtering.
+    /// indR-tree nodes visited during filtering. Always 0 for kNN, whose
+    /// filtering walk follows doors and descends no tree.
     pub nodes_visited: usize,
-    /// Leaf entries checked during filtering.
+    /// Leaf entries checked during filtering. For kNN: the distinct
+    /// objects the filtering walk saw.
     pub entries_checked: usize,
     /// Subgraph-phase Dijkstra runs charged to this query. A single-issue
     /// query always runs its own (1); in a batch group only the query that
@@ -39,11 +43,13 @@ pub struct QueryStats {
     /// 1 when this query reused a shared evaluation context built by an
     /// earlier query of its batch group, 0 otherwise.
     pub context_reuses: usize,
-    /// Decompositions this query ran: subregion-summary memo fills (kNN
-    /// seeds and pruning; a read on a layout other than the memo's also
-    /// counts) plus refinement decompositions.
+    /// Decompositions this query ran through the point-location kernel:
+    /// memo fills (by kNN seeds, pruning or refinement), reads on a layout
+    /// other than the memo's, and refinements of objects too fragmented
+    /// for the memo's instance slots.
     pub subregions_computed: usize,
-    /// Decompositions this query reused: summary memo hits plus
+    /// Decompositions this query reused: summary memo hits, refinement
+    /// decompositions rebuilt from the memo's instance slots, and
     /// refinement-map hits (an object refined twice, or already refined by
     /// an earlier query of the batch group).
     pub subregion_cache_hits: usize,

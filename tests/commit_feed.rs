@@ -43,9 +43,14 @@ fn subscription_and_recorder_both_drain_and_end_with_the_last_writer() {
     let recorder = HistoryRecorder::attach(&engine, HistoryOptions::default()).unwrap();
     let service = engine.service();
     let baseline = service.epoch();
-    // Wide enough that every commit routes to it.
+    // Wide enough that every commit routes to it, with a mailbox that
+    // holds every commit: a consumer slower than the writers still sees
+    // each epoch on its own rather than coalesced.
     let q = IndoorPoint::new(Point2::new(15.0, 5.0), 0);
-    let mut sub = service.subscribe(Query::Range { q, r: 100.0 }).unwrap();
+    let commits = (WRITERS * BATCHES_PER_WRITER) as usize;
+    let mut sub = service
+        .subscribe_bounded(Query::Range { q, r: 100.0 }, commits)
+        .unwrap();
     assert_eq!(sub.initial().len(), ids.len());
 
     // Returns only when the stream has ended: `wait` yields `None`.

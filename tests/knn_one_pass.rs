@@ -1,0 +1,381 @@
+//! Oracles for the one-pass ikNN: the filtering walk that derives
+//! `kbound` also yields the candidate set, and refinement runs
+//! best-first. (The candidate set itself is checked against
+//! `RangeSearch` and the naive oracle by `idq-query`'s own tests, which
+//! reach the crate-private filtering phase.)
+//!
+//! * The answers are bit-equal to a brute-force ranking of every object by
+//!   the refinement's own exact arithmetic (full-graph door distances,
+//!   o-table-hinted decomposition), under every ablation; that ranking
+//!   agrees with `naive_knn`'s per-instance sums to 1e-9. They stay so
+//!   after a partition that holds objects is deleted.
+//! * `kbound` is pinned bit for bit on generated malls, and a query point
+//!   outside every partition still fails with `QueryOutsideSpace`.
+//!
+//! The worlds have staircases, one-way doors, long slack halls and
+//! instances that fall outside every partition (which snap to the
+//! nearest one).
+
+use indoor_dq::core::{EngineConfig, IndoorEngine};
+use indoor_dq::distance::{expected_indoor_distance, DistanceError, DoorDistances, DoorRow};
+use indoor_dq::geom::{Circle, OrdF64, Point2, Rect2};
+use indoor_dq::index::{CompositeIndex, IndexConfig};
+use indoor_dq::model::{FloorPlanBuilder, IndoorPoint, IndoorSpace, PartitionId};
+use indoor_dq::objects::{GaussianSampler, ObjectId, ObjectStore, Subregions, UncertainObject};
+use indoor_dq::query::{execute_batch, knn_query, naive_knn, Query, QueryError, QueryOptions};
+use indoor_dq::workloads::{
+    generate_building, generate_objects, generate_query_points, BuildingConfig, ObjectConfig,
+    QueryPointConfig,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+
+/// Two floors of rooms A | B | C and a long hall on y ∈ [0, 10], joined by
+/// a staircase at each end (x ∈ [-4, 0] and [60, 64]). B → C is one-way
+/// on floor 0 and C → B on floor 1, so routes differ by direction.
+fn world() -> IndoorSpace {
+    let mut b = FloorPlanBuilder::new(4.0);
+    let mut ends = Vec::new();
+    for f in 0..2u16 {
+        let mut room = |x0: f64, x1: f64| {
+            b.add_room(f, Rect2::from_bounds(x0, 0.0, x1, 10.0))
+                .unwrap()
+        };
+        let (a, rb, c, hall) = (
+            room(0.0, 10.0),
+            room(10.0, 20.0),
+            room(20.0, 30.0),
+            room(30.0, 60.0),
+        );
+        b.add_door_between(a, rb, Point2::new(10.0, 5.0)).unwrap();
+        let bc = Point2::new(20.0, 5.0);
+        if f == 0 {
+            b.add_one_way_door(rb, c, bc).unwrap();
+        } else {
+            b.add_one_way_door(c, rb, bc).unwrap();
+        }
+        b.add_door_between(c, hall, Point2::new(30.0, 5.0)).unwrap();
+        ends.push((a, hall));
+    }
+    let west = b
+        .add_staircase((0, 1), Rect2::from_bounds(-4.0, 0.0, 0.0, 10.0))
+        .unwrap();
+    let east = b
+        .add_staircase((0, 1), Rect2::from_bounds(60.0, 0.0, 64.0, 10.0))
+        .unwrap();
+    for (f, (a, hall)) in ends.into_iter().enumerate() {
+        let f = f as u16;
+        b.add_staircase_entrance(west, a, f, Point2::new(0.0, 5.0))
+            .unwrap();
+        b.add_staircase_entrance(east, hall, f, Point2::new(60.0, 5.0))
+            .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+/// The partitions the index's o-table records for an object — the hint
+/// the pipeline decomposes with.
+fn hint(index: &CompositeIndex, id: ObjectId) -> Vec<PartitionId> {
+    let mut hint: Vec<PartitionId> = index
+        .object_layer()
+        .units_of(id)
+        .unwrap()
+        .iter()
+        .filter_map(|&u| index.units().partition_of(u))
+        .collect();
+    hint.sort_unstable();
+    hint.dedup();
+    hint
+}
+
+/// Every object's exact expected distance by the refinement's arithmetic:
+/// full-graph door distances composed from expanded rows, decomposition
+/// with the o-table hint. Ascending `(distance, id)`; unreachable objects
+/// are left out.
+fn exact_ranking(
+    space: &IndoorSpace,
+    index: &CompositeIndex,
+    store: &ObjectStore,
+    q: IndoorPoint,
+) -> Vec<(ObjectId, f64)> {
+    let dd =
+        DoorDistances::compute_banded(space, index.doors_graph(), q, f64::INFINITY, |g, d, h| {
+            Arc::new(DoorRow::expand(g, d, h))
+        })
+        .unwrap();
+    let mut scored: Vec<(OrdF64, ObjectId)> = store
+        .iter()
+        .filter_map(|obj| {
+            let subs = Subregions::compute_with_hint(obj, space, &hint(index, obj.id)).unwrap();
+            let v = expected_indoor_distance(space, &dd, obj, &subs).value;
+            v.is_finite().then_some((OrdF64(v), obj.id))
+        })
+        .collect();
+    scored.sort();
+    scored.into_iter().map(|(d, id)| (id, d.0)).collect()
+}
+
+fn bits(hits: &[(ObjectId, f64)]) -> Vec<(ObjectId, u64)> {
+    hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+}
+
+fn variants(base: QueryOptions) -> [(&'static str, QueryOptions); 4] {
+    [
+        ("default", base),
+        ("without_skeleton", base.without_skeleton()),
+        ("without_pruning", base.without_pruning()),
+        ("with_exact_refinement", base.with_exact_refinement()),
+    ]
+}
+
+type ExplicitObject = (f64, f64, u16, Vec<(f64, f64)>);
+
+fn build_store(space: &IndoorSpace, explicit: &[ExplicitObject], seed: u64) -> ObjectStore {
+    let mut store = ObjectStore::new();
+    // Explicit instances: the centre, a point on the nearest wall, for
+    // every other object a stray below the building, and the drawn
+    // offsets (which may stray too).
+    for (i, (cx, cy, floor, offsets)) in explicit.iter().enumerate() {
+        let wall = (cx / 10.0).round().clamp(1.0, 3.0) * 10.0;
+        let mut positions = vec![Point2::new(*cx, *cy), Point2::new(wall, *cy)];
+        if i % 2 == 1 {
+            positions.push(Point2::new(*cx, -0.5));
+        }
+        positions.extend(offsets.iter().map(|(dx, dy)| Point2::new(cx + dx, cy + dy)));
+        let region = Circle::new(Point2::new(*cx, *cy), 4.0);
+        let o =
+            UncertainObject::with_uniform_weights(ObjectId(i as u64), region, *floor, positions);
+        store.insert(o.unwrap()).unwrap();
+    }
+    // Sampled objects, one of them in each staircase.
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (i, (x, floor)) in [(45.0, 0u16), (15.0, 1), (62.0, 0), (-2.0, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let id = ObjectId(100 + i as u64);
+        let o = GaussianSampler::with_instances(12)
+            .sample(id, Point2::new(x, 5.0), floor, 6.0, space, &mut rng)
+            .unwrap();
+        store.insert(o).unwrap();
+    }
+    store
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn one_pass_candidates_and_answers_match_the_oracles(
+        explicit in proptest::collection::vec(
+            (1.0f64..59.0, 0.5f64..9.5, 0u16..2,
+             proptest::collection::vec((-3.0f64..3.0, -3.0f64..3.0), 1..5)),
+            4..12,
+        ),
+        seed in any::<u64>(),
+        (qx, qy, qf) in (0.5f64..59.5, 0.5f64..9.5, 0u16..2),
+        k in 1usize..10,
+    ) {
+        let space = world();
+        let store = build_store(&space, &explicit, seed);
+        let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let q = IndoorPoint::new(Point2::new(qx, qy), qf);
+        let ranking = exact_ranking(&space, &index, &store, q);
+        let mut want = ranking.clone();
+        want.truncate(k);
+
+        // The exact ranking is the naive oracle's, up to summation order.
+        let naive = naive_knn(&space, index.doors_graph(), &store, q, store.len()).unwrap();
+        for (id, d) in &naive {
+            let exact = ranking.iter().find(|(o, _)| o == id).map(|&(_, e)| e);
+            prop_assert!(exact.is_some_and(|e| (e - d).abs() < 1e-9), "{}: naive {}", id, d);
+        }
+
+        let base = QueryOptions::for_max_radius(6.0);
+        let reference = knn_query(&space, &index, &store, q, k, &base).unwrap();
+        for (name, opts) in variants(base) {
+            let out = knn_query(&space, &index, &store, q, k, &opts).unwrap();
+            prop_assert_eq!(out.kbound.to_bits(), reference.kbound.to_bits(), "{}", name);
+            let got: Vec<(ObjectId, f64)> =
+                out.results.iter().map(|h| (h.object, h.distance)).collect();
+            prop_assert_eq!(bits(&got), bits(&want), "{}", name);
+            prop_assert_eq!(out.stats.nodes_visited, 0, "{}: no tree descent", name);
+            prop_assert!(out.stats.refined <= out.stats.candidates_after_filter, "{}", name);
+        }
+    }
+}
+
+/// `kbound` for 36 fixed queries on two generated malls, recorded before
+/// the walk yielded the candidate set: one pass must not move it by a bit.
+#[test]
+fn kbound_is_pinned_on_generated_malls() {
+    const GOLDEN: [(u64, [u64; 18]); 2] = [
+        (
+            1,
+            [
+                0x405ba16e536fc2a5,
+                0x406a4bccf1f368ab,
+                0x407ec958be5b2a32,
+                0x40503581655ab83f,
+                0x406ea4be97c6c076,
+                0x40824487ef47241a,
+                0x4052446b0eb42666,
+                0x406ef207b49f2500,
+                0x408a359054930d16,
+                0x403bdb9f2277b124,
+                0x4064448089086ba6,
+                0x4083cde72942bd7b,
+                0x4048814a225e4129,
+                0x40658c3ee8b066da,
+                0x407aef1ba8381940,
+                0x404bd693c10b4948,
+                0x4063886ee6878a63,
+                0x4080687f349c953c,
+            ],
+        ),
+        (
+            2,
+            [
+                0x403309a5199d4a25,
+                0x40634bf7dad5f644,
+                0x4079fbc620298b60,
+                0x4049981d6f5ba05c,
+                0x406770e8914668a4,
+                0x40836a41d61803ad,
+                0x403752b9f06a90ad,
+                0x406b4afa49ab3f7e,
+                0x408246e6ed7f2d0d,
+                0x405aa03e8b7ca107,
+                0x406fdd51157d206c,
+                0x4085855bf725b19f,
+                0x40463d9ed1ffdb4b,
+                0x406cf447e39a1334,
+                0x4082b13a53fae1fa,
+                0x4043ab06982d121a,
+                0x406629b347e017b2,
+                0x4083187483be6f71,
+            ],
+        ),
+    ];
+    for (seed, golden) in GOLDEN {
+        let building = generate_building(&BuildingConfig {
+            bands: 2,
+            rooms_per_side: 3,
+            one_way_rooms: 1,
+            ..BuildingConfig::with_floors(3)
+        })
+        .unwrap();
+        let store = generate_objects(
+            &building,
+            &ObjectConfig {
+                count: 250,
+                radius: 10.0,
+                instances: 12,
+                seed,
+            },
+        )
+        .unwrap();
+        let index = CompositeIndex::build(&building.space, &store, IndexConfig::default()).unwrap();
+        let points = generate_query_points(
+            &building,
+            &QueryPointConfig {
+                count: 6,
+                seed: seed ^ 0xAB,
+            },
+        );
+        let opts = QueryOptions::for_max_radius(10.0);
+        let mut got = Vec::new();
+        for &q in &points {
+            for k in [1usize, 10, 40] {
+                let out = knn_query(&building.space, &index, &store, q, k, &opts).unwrap();
+                got.push(out.kbound.to_bits());
+            }
+        }
+        assert_eq!(got, golden, "seed {seed}");
+    }
+}
+
+/// Rooms P | R | Q in a row; deleting R leaves objects in its place whose
+/// instances lie outside every partition. Object 1's instances sit nearer
+/// P's box, so P hosts them, but its footprint reaches only Q — the o-table
+/// lists it under Q alone, which a query in P never reaches (Q is cut off).
+/// The answers must still be the exact ranking's, before and after.
+#[test]
+fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
+    let mut b = FloorPlanBuilder::new(4.0);
+    let room = |b: &mut FloorPlanBuilder, x0: f64| {
+        b.add_room(0, Rect2::from_bounds(x0, 0.0, x0 + 10.0, 10.0))
+            .unwrap()
+    };
+    let (p, r, q_room) = (room(&mut b, 0.0), room(&mut b, 10.0), room(&mut b, 20.0));
+    b.add_door_between(p, r, Point2::new(10.0, 5.0)).unwrap();
+    b.add_door_between(r, q_room, Point2::new(20.0, 5.0))
+        .unwrap();
+    let mut engine = IndoorEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
+    let explicit = |id: u64, cx: f64, radius: f64, xs: &[f64]| {
+        let positions = xs.iter().map(|&x| Point2::new(x, 5.0)).collect();
+        let region = Circle::new(Point2::new(cx, 5.0), radius);
+        UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions).unwrap()
+    };
+    // Footprint x ∈ [14, 21]: R and Q. Instances 4–5 m from P, 5–6 m from Q.
+    engine
+        .insert_object(explicit(1, 17.5, 3.5, &[14.0, 15.0]))
+        .unwrap();
+    // Inside P, farther from the query than object 1 will be.
+    engine.insert_object(explicit(2, 1.0, 0.5, &[1.0])).unwrap();
+    // Inside Q: cut off once R is gone.
+    engine
+        .insert_object(explicit(3, 25.0, 1.0, &[25.0]))
+        .unwrap();
+
+    let q = IndoorPoint::new(Point2::new(9.0, 5.0), 0);
+    let check = |engine: &IndoorEngine, stage: &str| {
+        let ranking = exact_ranking(engine.space(), engine.index(), engine.store(), q);
+        for k in 1..=3 {
+            let mut want = ranking.clone();
+            want.truncate(k);
+            for (name, opts) in variants(engine.query_options()) {
+                let out =
+                    knn_query(engine.space(), engine.index(), engine.store(), q, k, &opts).unwrap();
+                let got: Vec<(ObjectId, f64)> =
+                    out.results.iter().map(|h| (h.object, h.distance)).collect();
+                assert_eq!(bits(&got), bits(&want), "{stage} k={k} {name}");
+            }
+        }
+        ranking
+    };
+    check(&engine, "before");
+    engine.delete_partition(r).unwrap();
+    let ranking = check(&engine, "after");
+    assert_eq!(
+        ranking.iter().map(|&(o, _)| o).collect::<Vec<_>>(),
+        [ObjectId(1), ObjectId(2)],
+        "P hosts object 1, 5 m away; object 3 is unreachable"
+    );
+
+    // Inserted into the gap R left: its footprint meets no unit at all,
+    // yet P hosts it, 3 m from the query.
+    engine
+        .insert_object(explicit(4, 12.0, 0.5, &[11.5, 12.5]))
+        .unwrap();
+    let ranking = check(&engine, "inserted");
+    assert_eq!(ranking[0].0, ObjectId(4));
+}
+
+#[test]
+fn query_outside_every_partition_is_a_typed_error() {
+    let space = world();
+    let store = build_store(&space, &[(15.0, 5.0, 0, vec![(1.0, 1.0)])], 3);
+    let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+    let q = IndoorPoint::new(Point2::new(30.0, -20.0), 0);
+    let opts = QueryOptions::for_max_radius(6.0);
+    let want = QueryError::Distance(DistanceError::QueryOutsideSpace(q));
+    for (name, opts) in variants(opts) {
+        let err = knn_query(&space, &index, &store, q, 3, &opts).unwrap_err();
+        assert_eq!(err, want, "{name}");
+        let err = execute_batch(&space, &index, &store, &[Query::Knn { q, k: 3 }], &opts);
+        assert_eq!(err.unwrap_err(), want, "{name}: batch");
+    }
+}
