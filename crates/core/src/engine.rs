@@ -29,12 +29,10 @@ use crate::update::{Update, UpdateOutcome, UpdateReport};
 use crate::wire;
 use crate::write::WriteHandle;
 use crate::DurabilityOptions;
-use idq_geom::Point2;
 use idq_index::{CompositeIndex, IndexConfig};
-use idq_model::IndoorPoint;
-use idq_model::{Direction, DoorId, Floor, IndoorSpace, PartitionId, PartitionSpec, SplitLine};
-use idq_objects::{ObjectId, ObjectStore, UncertainObject};
-use idq_query::{KnnResult, Outcome, Query, QueryOptions, RangeResult};
+use idq_model::IndoorSpace;
+use idq_objects::{ObjectId, ObjectStore};
+use idq_query::QueryOptions;
 use idq_storage::codec::Cursor;
 use idq_storage::{FileBackend, StorageBackend, StorageError, WalRecord};
 use std::path::Path;
@@ -65,8 +63,8 @@ pub struct EngineConfig {
 /// [`IndoorEngine::index`], [`IndoorEngine::validate`]) answer on that
 /// pin, which trails the published version only while *other* write
 /// handles commit — [`IndoorEngine::refresh`] re-pins to the latest.
-/// Everything else ([`IndoorEngine::epoch`], [`IndoorEngine::snapshot`],
-/// the query conveniences) reads the latest published version directly.
+/// [`IndoorEngine::epoch`] and [`IndoorEngine::snapshot`] read the latest
+/// published version directly.
 #[derive(Debug)]
 pub struct IndoorEngine {
     shared: Arc<Shared>,
@@ -382,12 +380,6 @@ impl IndoorEngine {
         self.shared.current().epoch
     }
 
-    /// The effective default query options (slack widened to the largest
-    /// uncertainty region inserted so far).
-    pub fn query_options(&self) -> QueryOptions {
-        self.shared.current().effective_options()
-    }
-
     /// Re-pins the engine's borrowing accessors to the latest committed
     /// version — only needed after *other* [`WriteHandle`]s commit (the
     /// engine's own applies re-pin automatically).
@@ -436,23 +428,6 @@ impl IndoorEngine {
         let current = self.shared.current();
         let options = current.effective_options();
         Snapshot::from_state(current, options)
-    }
-
-    /// A pinned snapshot with explicit query options (ablations, exact
-    /// refinement…).
-    pub fn snapshot_with(&self, options: QueryOptions) -> Snapshot {
-        Snapshot::from_state(self.shared.current(), options)
-    }
-
-    /// Evaluates one typed [`Query`] on a fresh default snapshot.
-    pub fn execute(&self, query: &Query) -> Result<Outcome, EngineError> {
-        self.snapshot().execute(query)
-    }
-
-    /// Evaluates a batch of typed [`Query`]s on a fresh default snapshot,
-    /// reusing one evaluation context per (query point, floor) group.
-    pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<Outcome>, EngineError> {
-        self.snapshot().execute_batch(queries)
     }
 
     // ---- typed updates (§III-C) ------------------------------------------
@@ -514,226 +489,6 @@ impl IndoorEngine {
         result
     }
 
-    // ---- object management (§III-C.2) ------------------------------------
-    //
-    // Stability contract (mirroring the read side): these convenience
-    // methods are kept indefinitely as thin delegations onto
-    // [`IndoorEngine::apply`] — existing callers never need to name
-    // [`Update`]. New code, and anything issuing several updates that must
-    // commit or fail together, should prefer typed updates and
-    // [`IndoorEngine::apply_batch`] — under MVCC each of these calls is
-    // one commit and pays the copy-on-write of the floor shards it
-    // touches (see the cost note on [`IndoorEngine::apply`]), so update
-    // streams belong in batches.
-
-    /// Inserts a fully-formed uncertain object.
-    pub fn insert_object(&mut self, object: UncertainObject) -> Result<(), EngineError> {
-        self.apply(Update::InsertObject(Box::new(object)))
-            .map(|_| ())
-    }
-
-    /// Samples and inserts an object: Gaussian instances in a circular
-    /// region, per the paper's object model (§V-A).
-    pub fn insert_object_at(
-        &mut self,
-        center: Point2,
-        floor: Floor,
-        radius: f64,
-        instances: usize,
-        seed: u64,
-    ) -> Result<ObjectId, EngineError> {
-        let outcome = self.apply(Update::InsertObjectAt {
-            center,
-            floor,
-            radius,
-            instances,
-            seed,
-        })?;
-        Ok(outcome
-            .inserted_object()
-            .expect("insert yields an inserted-object outcome"))
-    }
-
-    /// Removes an object, returning it (a copy — the versions pinned by
-    /// older snapshots keep the entry; the new version does not).
-    pub fn remove_object(&mut self, id: ObjectId) -> Result<UncertainObject, EngineError> {
-        let object = self.shared.current().store.get(id)?.clone();
-        self.apply(Update::RemoveObject(id))?;
-        Ok(object)
-    }
-
-    /// Moves an object: deletion followed by insertion with a re-sampled
-    /// uncertainty region at the new position (§III-C.2's update flow).
-    /// The new region is sampled (and can fail) *before* anything commits,
-    /// so a failed move leaves the object exactly where it was.
-    pub fn move_object(
-        &mut self,
-        id: ObjectId,
-        center: Point2,
-        floor: Floor,
-        seed: u64,
-    ) -> Result<(), EngineError> {
-        self.apply(Update::MoveObject {
-            id,
-            center,
-            floor,
-            seed,
-        })
-        .map(|_| ())
-    }
-
-    // ---- queries (§IV) ---------------------------------------------------
-    //
-    // Stability contract: these convenience methods are kept indefinitely
-    // as thin delegations onto a default snapshot — existing callers never
-    // need to name `Query` or `Outcome`. All of them route through the
-    // owned [`Snapshot`] (one code path with the concurrent sessions). New
-    // code (and anything issuing several queries against one consistent
-    // view) should prefer [`IndoorEngine::snapshot`] +
-    // [`Snapshot::execute`] / [`Snapshot::execute_batch`].
-
-    /// `iRQ(q, r)` with the engine's default options.
-    pub fn range_query(&self, q: IndoorPoint, r: f64) -> Result<RangeResult, EngineError> {
-        self.range_query_with(q, r, &self.query_options())
-    }
-
-    /// `iRQ(q, r)` with explicit options (ablations, exact refinement…).
-    pub fn range_query_with(
-        &self,
-        q: IndoorPoint,
-        r: f64,
-        options: &QueryOptions,
-    ) -> Result<RangeResult, EngineError> {
-        Ok(self
-            .snapshot_with(*options)
-            .execute(&Query::Range { q, r })?
-            .into_range()
-            .expect("range query yields a range outcome"))
-    }
-
-    /// `ikNNQ(q, k)` with the engine's default options.
-    pub fn knn(&self, q: IndoorPoint, k: usize) -> Result<KnnResult, EngineError> {
-        self.knn_with(q, k, &self.query_options())
-    }
-
-    /// `ikNNQ(q, k)` with explicit options.
-    pub fn knn_with(
-        &self,
-        q: IndoorPoint,
-        k: usize,
-        options: &QueryOptions,
-    ) -> Result<KnnResult, EngineError> {
-        Ok(self
-            .snapshot_with(*options)
-            .execute(&Query::Knn { q, k })?
-            .into_knn()
-            .expect("kNN query yields a kNN outcome"))
-    }
-
-    /// Point-to-point indoor distance `|q,p|_I`.
-    pub fn indoor_distance(&self, q: IndoorPoint, p: IndoorPoint) -> Result<f64, EngineError> {
-        Ok(self
-            .snapshot()
-            .execute(&Query::Distance { q, p })?
-            .into_distance()
-            .expect("distance query yields a distance outcome")
-            .distance)
-    }
-
-    /// Shortest indoor path `q ⇝δ p`: length plus the door sequence.
-    pub fn shortest_path(
-        &self,
-        q: IndoorPoint,
-        p: IndoorPoint,
-    ) -> Result<Option<(f64, Vec<DoorId>)>, EngineError> {
-        Ok(self
-            .snapshot()
-            .execute(&Query::Path { q, p })?
-            .into_path()
-            .expect("path query yields a path outcome")
-            .path)
-    }
-
-    // ---- topology updates (§III-C.1) -------------------------------------
-    //
-    // Same stability contract: thin delegations onto [`IndoorEngine::apply`].
-
-    /// Closes a door and updates the index layers.
-    pub fn close_door(&mut self, d: DoorId) -> Result<(), EngineError> {
-        self.apply(Update::CloseDoor(d)).map(|_| ())
-    }
-
-    /// Re-opens a door.
-    pub fn open_door(&mut self, d: DoorId) -> Result<(), EngineError> {
-        self.apply(Update::OpenDoor(d)).map(|_| ())
-    }
-
-    /// Adds a temporary door between two partitions.
-    pub fn insert_door(
-        &mut self,
-        a: PartitionId,
-        b: PartitionId,
-        position: Point2,
-        floor: Floor,
-        direction: Direction,
-    ) -> Result<DoorId, EngineError> {
-        Ok(self
-            .apply(Update::InsertDoor {
-                a,
-                b,
-                position,
-                floor,
-                direction,
-            })?
-            .inserted_door()
-            .expect("door insert yields an inserted-door outcome"))
-    }
-
-    /// Inserts a partition with its doors.
-    pub fn insert_partition(
-        &mut self,
-        spec: PartitionSpec,
-    ) -> Result<(PartitionId, Vec<DoorId>), EngineError> {
-        match self.apply(Update::InsertPartition(spec))? {
-            UpdateOutcome::PartitionInserted { partition, doors } => Ok((partition, doors)),
-            _ => unreachable!("partition insert yields a partition-inserted outcome"),
-        }
-    }
-
-    /// Deletes a partition and its doors.
-    pub fn delete_partition(&mut self, pid: PartitionId) -> Result<(), EngineError> {
-        self.apply(Update::DeletePartition(pid)).map(|_| ())
-    }
-
-    /// Splits a rectangular partition with a sliding wall.
-    pub fn split_partition(
-        &mut self,
-        pid: PartitionId,
-        line: SplitLine,
-        connecting_door: Option<Point2>,
-    ) -> Result<[PartitionId; 2], EngineError> {
-        Ok(self
-            .apply(Update::SplitPartition {
-                partition: pid,
-                line,
-                connecting_door,
-            })?
-            .split_halves()
-            .expect("split yields a partition-split outcome"))
-    }
-
-    /// Merges two partitions (dismounts a sliding wall).
-    pub fn merge_partitions(
-        &mut self,
-        a: PartitionId,
-        b: PartitionId,
-    ) -> Result<PartitionId, EngineError> {
-        Ok(self
-            .apply(Update::MergePartitions(a, b))?
-            .merged_partition()
-            .expect("merge yields a partitions-merged outcome"))
-    }
-
     /// Validates cross-layer invariants of the engine's pinned version
     /// (test/diagnostic support): returns an error when the index has not
     /// absorbed every space mutation, and panics on broken index-internal
@@ -748,64 +503,62 @@ impl IndoorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idq_geom::Rect2;
-    use idq_model::FloorPlanBuilder;
+    use crate::testkit::{insert_at, knn, range, three_rooms};
+    use idq_geom::Point2;
+    use idq_model::{DoorId, IndoorPoint, SplitLine};
+    use idq_objects::{ObjectError, UncertainObject};
+    use idq_query::Query;
 
-    fn three_rooms() -> IndoorSpace {
-        let mut b = FloorPlanBuilder::new(4.0);
-        let r0 = b
-            .add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
-        let r1 = b
-            .add_room(0, Rect2::from_bounds(10.0, 0.0, 20.0, 10.0))
-            .unwrap();
-        let r2 = b
-            .add_room(0, Rect2::from_bounds(20.0, 0.0, 30.0, 10.0))
-            .unwrap();
-        b.add_door_between(r0, r1, Point2::new(10.0, 5.0)).unwrap();
-        b.add_door_between(r1, r2, Point2::new(20.0, 5.0)).unwrap();
-        b.finish().unwrap()
+    fn move_to(id: ObjectId, center: Point2, seed: u64) -> Update {
+        Update::MoveObject {
+            id,
+            center,
+            floor: 0,
+            seed,
+        }
+    }
+
+    fn distance(e: &IndoorEngine, q: IndoorPoint, p: IndoorPoint) -> f64 {
+        let out = e.snapshot().execute(&Query::Distance { q, p }).unwrap();
+        out.into_distance().unwrap().distance
+    }
+
+    fn path_doors(e: &IndoorEngine, q: IndoorPoint, p: IndoorPoint) -> Vec<DoorId> {
+        let out = e.snapshot().execute(&Query::Path { q, p }).unwrap();
+        out.into_path().unwrap().path.unwrap().1
     }
 
     #[test]
     fn end_to_end_insert_query_remove() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
-        let o2 = e
-            .insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 8, 2)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
+        let o2 = insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 8, 2);
         e.validate().unwrap();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        let knn = e.knn(q, 2).unwrap();
-        assert_eq!(knn.results.len(), 2);
-        assert_eq!(knn.results[0].object, o1);
-        assert_eq!(knn.results[1].object, o2);
-        let within = e.range_query(q, 16.0).unwrap();
+        let before = knn(&e, q, 2);
+        assert_eq!(before.results.len(), 2);
+        assert_eq!(before.results[0].object, o1);
+        assert_eq!(before.results[1].object, o2);
+        let within = range(&e, q, 16.0);
         assert_eq!(within.results.len(), 1);
-        e.remove_object(o1).unwrap();
-        let knn = e.knn(q, 2).unwrap();
-        assert_eq!(knn.results.len(), 1);
-        assert_eq!(knn.results[0].object, o2);
+        e.apply(Update::RemoveObject(o1)).unwrap();
+        let after = knn(&e, q, 2);
+        assert_eq!(after.results.len(), 1);
+        assert_eq!(after.results[0].object, o2);
         e.validate().unwrap();
     }
 
     #[test]
     fn move_object_changes_ranking() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
-        let o2 = e
-            .insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 8, 2)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
+        let o2 = insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 8, 2);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        assert_eq!(e.knn(q, 1).unwrap().results[0].object, o1);
+        assert_eq!(knn(&e, q, 1).results[0].object, o1);
         // Move o1 to the far room and o2 near the query.
-        e.move_object(o1, Point2::new(28.0, 5.0), 0, 9).unwrap();
-        e.move_object(o2, Point2::new(12.0, 5.0), 0, 9).unwrap();
-        assert_eq!(e.knn(q, 1).unwrap().results[0].object, o2);
+        e.apply(move_to(o1, Point2::new(28.0, 5.0), 9)).unwrap();
+        e.apply(move_to(o2, Point2::new(12.0, 5.0), 9)).unwrap();
+        assert_eq!(knn(&e, q, 1).results[0].object, o2);
         e.validate().unwrap();
     }
 
@@ -814,54 +567,60 @@ mod tests {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let p = IndoorPoint::new(Point2::new(28.0, 5.0), 0);
-        let before = e.indoor_distance(q, p).unwrap();
+        let before = distance(&e, q, p);
         assert!(before.is_finite());
-        let (_, doors) = e.shortest_path(q, p).unwrap().unwrap();
+        let doors = path_doors(&e, q, p);
         assert_eq!(doors.len(), 2);
-        e.close_door(doors[1]).unwrap();
-        assert!(e.indoor_distance(q, p).unwrap().is_infinite());
-        e.open_door(doors[1]).unwrap();
-        assert!((e.indoor_distance(q, p).unwrap() - before).abs() < 1e-9);
+        e.apply(Update::CloseDoor(doors[1])).unwrap();
+        assert!(distance(&e, q, p).is_infinite());
+        e.apply(Update::OpenDoor(doors[1])).unwrap();
+        assert!((distance(&e, q, p) - before).abs() < 1e-9);
         e.validate().unwrap();
     }
 
     #[test]
     fn split_and_merge_keep_queries_working() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 3)
-            .unwrap();
+        let o = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 3);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mid = e
             .space()
             .partition_at(IndoorPoint::new(Point2::new(15.0, 2.0), 0))
             .unwrap();
         let halves = e
-            .split_partition(mid, SplitLine::AtX(15.5), Some(Point2::new(15.5, 5.0)))
+            .apply(Update::SplitPartition {
+                partition: mid,
+                line: SplitLine::AtX(15.5),
+                connecting_door: Some(Point2::new(15.5, 5.0)),
+            })
+            .unwrap()
+            .split_halves()
             .unwrap();
         e.validate().unwrap();
-        let hits = e.range_query(q, 30.0).unwrap();
+        let hits = range(&e, q, 30.0);
         assert!(hits.results.iter().any(|h| h.object == o));
-        let merged = e.merge_partitions(halves[0], halves[1]).unwrap();
+        let merged = e
+            .apply(Update::MergePartitions(halves[0], halves[1]))
+            .unwrap()
+            .merged_partition()
+            .unwrap();
         e.validate().unwrap();
         assert!(e.space().partition(merged).is_ok());
-        let hits = e.range_query(q, 30.0).unwrap();
+        let hits = range(&e, q, 30.0);
         assert!(hits.results.iter().any(|h| h.object == o));
     }
 
     #[test]
     fn duplicate_insert_is_rejected_consistently() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let id = e
-            .insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        let id = insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         let dup = UncertainObject::point_object(id, IndoorPoint::new(Point2::new(5.0, 5.0), 0));
-        assert!(e.insert_object(dup).is_err());
+        assert!(e.apply(Update::InsertObject(Box::new(dup))).is_err());
         // The failed insert left no trace: cross-layer invariants hold and
         // the original object still answers queries.
         e.validate().unwrap();
         let q = IndoorPoint::new(Point2::new(8.0, 5.0), 0);
-        assert_eq!(e.knn(q, 1).unwrap().results[0].object, id);
+        assert_eq!(knn(&e, q, 1).results[0].object, id);
     }
 
     #[test]
@@ -873,7 +632,7 @@ mod tests {
         let epoch = e.epoch();
         let stray =
             UncertainObject::point_object(ObjectId(7), IndoorPoint::new(Point2::new(5.0, 5.0), 9));
-        let err = e.insert_object(stray).unwrap_err();
+        let err = e.apply(Update::InsertObject(Box::new(stray))).unwrap_err();
         assert!(matches!(err, EngineError::FloorOutOfSpace { floor: 9, .. }));
         assert!(err.to_string().contains("floor 9"));
         assert_eq!(e.epoch(), epoch);
@@ -882,18 +641,52 @@ mod tests {
     }
 
     #[test]
+    fn bad_radius_is_rejected_before_anything_changes() {
+        let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
+        insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
+        let (epoch, watermark) = (e.epoch(), e.store().id_watermark());
+        let slack = e.snapshot().options().subgraph_slack;
+        for radius in [f64::INFINITY, f64::NAN, -1.0] {
+            let sampled = Update::InsertObjectAt {
+                center: Point2::new(15.0, 5.0),
+                floor: 0,
+                radius,
+                instances: 4,
+                seed: 2,
+            };
+            let mut formed = UncertainObject::point_object(
+                ObjectId(9),
+                IndoorPoint::new(Point2::new(15.0, 5.0), 0),
+            );
+            formed.region.radius = radius;
+            for update in [sampled, Update::InsertObject(Box::new(formed))] {
+                let err = e.apply(update).unwrap_err();
+                assert!(
+                    matches!(err, EngineError::Object(ObjectError::BadRadius(r)) if r.to_bits() == radius.to_bits()),
+                    "{err}"
+                );
+            }
+        }
+        assert_eq!(e.epoch(), epoch);
+        assert_eq!(e.store().id_watermark(), watermark);
+        assert_eq!(
+            e.snapshot().options().subgraph_slack.to_bits(),
+            slack.to_bits()
+        );
+        e.validate().unwrap();
+    }
+
+    #[test]
     fn failed_move_restores_the_original_object() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let id = e
-            .insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        let id = insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         // Moving to a position outside every partition fails in sampling,
         // before anything commits.
-        assert!(e.move_object(id, Point2::new(-50.0, -50.0), 0, 9).is_err());
+        assert!(e.apply(move_to(id, Point2::new(-50.0, -50.0), 9)).is_err());
         e.validate().unwrap();
         assert!(e.store().contains(id));
         let q = IndoorPoint::new(Point2::new(8.0, 5.0), 0);
-        assert_eq!(e.knn(q, 1).unwrap().results[0].object, id);
+        assert_eq!(knn(&e, q, 1).results[0].object, id);
     }
 
     #[test]
@@ -901,8 +694,7 @@ mod tests {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         assert_eq!(e.epoch(), 0);
         assert_eq!(e.snapshot().version(), 0);
-        e.insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         assert_eq!(e.epoch(), 1);
         let report = e
             .apply_batch(&[
@@ -934,7 +726,7 @@ mod tests {
         assert!(!report.delta.topology_changed);
         // A failed apply leaves the epoch alone.
         assert!(e
-            .move_object(ObjectId(0), Point2::new(-9.0, -9.0), 0, 1)
+            .apply(move_to(ObjectId(0), Point2::new(-9.0, -9.0), 1))
             .is_err());
         assert_eq!(e.epoch(), 2);
         // An empty batch is a committed no-op.
@@ -946,13 +738,11 @@ mod tests {
     #[test]
     fn failed_batch_rolls_everything_back() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         let epoch = e.epoch();
         let watermark = e.store().id_watermark();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        let before = e.range_query(q, 40.0).unwrap().results;
+        let before = range(&e, q, 40.0).results;
         // Two good updates followed by a failing one (move to nowhere).
         let err = e.apply_batch(&[
             Update::MoveObject {
@@ -980,7 +770,7 @@ mod tests {
         assert_eq!(e.epoch(), epoch);
         assert_eq!(e.store().id_watermark(), watermark);
         assert_eq!(e.store().len(), 1);
-        assert_eq!(e.range_query(q, 40.0).unwrap().results, before);
+        assert_eq!(range(&e, q, 40.0).results, before);
         // The object is back at its original position.
         assert_eq!(
             e.store().get(o1).unwrap().region.center,
@@ -991,14 +781,12 @@ mod tests {
     #[test]
     fn failed_topology_batch_leaves_the_committed_version() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 4, 1);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let p = IndoorPoint::new(Point2::new(28.0, 5.0), 0);
-        let d_before = e.indoor_distance(q, p).unwrap();
+        let d_before = distance(&e, q, p);
         let version = e.space().version();
-        let (_, doors) = e.shortest_path(q, p).unwrap().unwrap();
+        let doors = path_doors(&e, q, p);
         // A move, a door closure, then a failing update: the closure ran
         // on the dropped transaction copy, so the committed space is
         // untouched (structurally, not via undo).
@@ -1015,7 +803,7 @@ mod tests {
         assert!(err.is_err());
         e.validate().unwrap();
         assert_eq!(e.space().version(), version, "space untouched");
-        assert!((e.indoor_distance(q, p).unwrap() - d_before).abs() < 1e-9);
+        assert!((distance(&e, q, p) - d_before).abs() < 1e-9);
         assert_eq!(
             e.store().get(o1).unwrap().region.center,
             Point2::new(15.0, 5.0)
@@ -1117,10 +905,7 @@ mod tests {
             assert_eq!(a.len(), b.len());
         }
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        let (a, b) = (
-            seq.range_query(q, 30.0).unwrap(),
-            bat.range_query(q, 30.0).unwrap(),
-        );
+        let (a, b) = (range(&seq, q, 30.0), range(&bat, q, 30.0));
         assert_eq!(a.results, b.results);
     }
 
@@ -1131,8 +916,7 @@ mod tests {
         // sessions on service snapshots while the writer commits, and
         // every answer is consistent with the version its snapshot pins.
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         let service = e.service();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         std::thread::scope(|scope| {
@@ -1150,8 +934,7 @@ mod tests {
                 });
             }
             for seed in 2..=8u64 {
-                e.insert_object_at(Point2::new(14.0 + seed as f64, 5.0), 0, 1.0, 8, seed)
-                    .unwrap();
+                insert_at(&mut e, Point2::new(14.0 + seed as f64, 5.0), 1.0, 8, seed);
             }
         });
         assert_eq!(e.epoch(), 8);
@@ -1194,12 +977,9 @@ mod tests {
             .unwrap();
             assert!(e.is_durable());
             assert_eq!(e.last_checkpoint_epoch(), Some(0));
-            let o1 = e
-                .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-                .unwrap();
-            e.insert_object_at(Point2::new(25.0, 5.0), 0, 2.0, 8, 2)
-                .unwrap();
-            e.move_object(o1, Point2::new(5.0, 5.0), 0, 7).unwrap();
+            let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
+            insert_at(&mut e, Point2::new(25.0, 5.0), 2.0, 8, 2);
+            e.apply(move_to(o1, Point2::new(5.0, 5.0), 7)).unwrap();
             world_digest(&e)
         };
         // Reopen: same backend now holds a checkpoint, so `open_with`
@@ -1233,16 +1013,14 @@ mod tests {
             )
             .unwrap();
             for seed in 1..=4u64 {
-                e.insert_object_at(Point2::new(10.0 + seed as f64, 5.0), 0, 1.0, 8, seed)
-                    .unwrap();
+                insert_at(&mut e, Point2::new(10.0 + seed as f64, 5.0), 1.0, 8, seed);
             }
             // Mid-stream checkpoint, then more commits: recovery loads the
             // checkpoint and replays only the suffix.
             assert_eq!(e.checkpoint().unwrap(), Some(4));
             assert_eq!(e.last_checkpoint_epoch(), Some(4));
             for seed in 5..=7u64 {
-                e.insert_object_at(Point2::new(10.0 + seed as f64, 5.0), 0, 1.0, 8, seed)
-                    .unwrap();
+                insert_at(&mut e, Point2::new(10.0 + seed as f64, 5.0), 1.0, 8, seed);
             }
             world_digest(&e)
         };
@@ -1288,8 +1066,7 @@ mod tests {
                 opts,
             )
             .unwrap();
-            e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-                .unwrap();
+            insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         }
         // Forge a record that skips an epoch.
         {

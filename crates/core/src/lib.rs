@@ -16,10 +16,10 @@
 //! no locks held during evaluation:
 //!
 //! ```
-//! use idq_core::{EngineConfig, IndoorEngine};
+//! use idq_core::{EngineConfig, IndoorEngine, Update};
 //! use idq_geom::{Point2, Rect2};
 //! use idq_model::{FloorPlanBuilder, IndoorPoint};
-//! use idq_query::{Outcome, Query};
+//! use idq_query::Query;
 //!
 //! let mut b = FloorPlanBuilder::new(4.0);
 //! let a = b.add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0)).unwrap();
@@ -27,7 +27,10 @@
 //! b.add_door_between(a, c, Point2::new(10.0, 5.0)).unwrap();
 //!
 //! let mut engine = IndoorEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
-//! let id = engine.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 42).unwrap();
+//! let insert = |x: f64, seed: u64| Update::InsertObjectAt {
+//!     center: Point2::new(x, 5.0), floor: 0, radius: 1.0, instances: 8, seed,
+//! };
+//! let id = engine.apply(insert(15.0, 42)).unwrap().inserted_object().unwrap();
 //! let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
 //!
 //! // One snapshot answers a whole wave of queries consistently; sharing
@@ -46,11 +49,8 @@
 //! let worker = std::thread::spawn(move || {
 //!     service.execute(&Query::Range { q, r: 30.0 }).unwrap()
 //! });
-//! engine.insert_object_at(Point2::new(18.0, 5.0), 0, 1.0, 8, 43).unwrap();
+//! engine.apply(insert(18.0, 43)).unwrap();
 //! worker.join().unwrap();
-//!
-//! // The pre-session convenience methods remain as thin delegations.
-//! assert_eq!(engine.range_query(q, 30.0).unwrap().results[0].object, id);
 //! ```
 //!
 //! Writes mirror the read side: typed [`Update`]s through
@@ -101,6 +101,8 @@ pub mod monitor;
 pub mod service;
 pub mod snapshot;
 pub mod state;
+#[cfg(test)]
+mod testkit;
 pub mod update;
 pub mod wire;
 pub mod write;

@@ -78,27 +78,12 @@ impl MonitorExt for RangeMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{insert_at, range, three_rooms};
     use crate::update::Update;
     use crate::{EngineConfig, IndoorEngine};
-    use idq_geom::{Point2, Rect2};
-    use idq_model::{FloorPlanBuilder, IndoorPoint};
+    use idq_geom::Point2;
+    use idq_model::IndoorPoint;
     use idq_query::QueryOptions;
-
-    fn three_rooms() -> idq_model::IndoorSpace {
-        let mut b = FloorPlanBuilder::new(4.0);
-        let r0 = b
-            .add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
-        let r1 = b
-            .add_room(0, Rect2::from_bounds(10.0, 0.0, 20.0, 10.0))
-            .unwrap();
-        let r2 = b
-            .add_room(0, Rect2::from_bounds(20.0, 0.0, 30.0, 10.0))
-            .unwrap();
-        b.add_door_between(r0, r1, Point2::new(10.0, 5.0)).unwrap();
-        b.add_door_between(r1, r2, Point2::new(20.0, 5.0)).unwrap();
-        b.finish().unwrap()
-    }
 
     #[test]
     fn absorb_tracks_a_batch_without_destructuring() {
@@ -130,9 +115,7 @@ mod tests {
         assert_eq!(changes.len(), 1, "only the near object entered");
         let inside = mon.current();
         // The absorbed set matches a from-scratch evaluation.
-        let fresh: Vec<_> = e
-            .range_query(q, 15.0)
-            .unwrap()
+        let fresh: Vec<_> = range(&e, q, 15.0)
             .results
             .iter()
             .map(|h| h.object)
@@ -148,9 +131,7 @@ mod tests {
     #[test]
     fn absorb_falls_back_to_refresh_on_topology_change() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let id = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        let id = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 4, 1);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut mon = RangeMonitor::new(q, 20.0, QueryOptions::default()).unwrap();
         mon.refresh_on(&e.snapshot()).unwrap();

@@ -260,7 +260,7 @@ fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
 /// drain and report the end of the stream).
 ///
 /// ```
-/// use idq_core::{EngineConfig, IndoorEngine};
+/// use idq_core::{EngineConfig, IndoorEngine, Update};
 /// use idq_geom::{Point2, Rect2};
 /// use idq_model::{FloorPlanBuilder, IndoorPoint};
 /// use idq_query::Query;
@@ -279,7 +279,11 @@ fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
 ///     let service = service.clone();
 ///     move || service.execute(&Query::Range { q, r: 30.0 }).unwrap()
 /// });
-/// engine.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 7).unwrap();
+/// engine
+///     .apply(Update::InsertObjectAt {
+///         center: Point2::new(15.0, 5.0), floor: 0, radius: 1.0, instances: 8, seed: 7,
+///     })
+///     .unwrap();
 /// reader.join().unwrap();
 /// assert_eq!(service.snapshot().version(), engine.epoch());
 /// ```
@@ -312,12 +316,6 @@ impl IndoorService {
         let state = self.shared.current();
         let options = state.effective_options();
         Snapshot::from_state(state, options)
-    }
-
-    /// A snapshot pinned to the latest committed version, with explicit
-    /// query options (ablations, exact refinement…).
-    pub fn snapshot_with(&self, options: QueryOptions) -> Snapshot {
-        Snapshot::from_state(self.shared.current(), options)
     }
 
     /// Evaluates one typed [`Query`] on a fresh snapshot of the latest
@@ -626,26 +624,11 @@ impl Drop for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{insert_at, knn, range, three_rooms};
     use crate::update::Update;
     use crate::{EngineConfig, IndoorEngine};
-    use idq_geom::{Point2, Rect2};
-    use idq_model::{FloorPlanBuilder, IndoorPoint, IndoorSpace};
-
-    fn three_rooms() -> IndoorSpace {
-        let mut b = FloorPlanBuilder::new(4.0);
-        let r0 = b
-            .add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
-        let r1 = b
-            .add_room(0, Rect2::from_bounds(10.0, 0.0, 20.0, 10.0))
-            .unwrap();
-        let r2 = b
-            .add_room(0, Rect2::from_bounds(20.0, 0.0, 30.0, 10.0))
-            .unwrap();
-        b.add_door_between(r0, r1, Point2::new(10.0, 5.0)).unwrap();
-        b.add_door_between(r1, r2, Point2::new(20.0, 5.0)).unwrap();
-        b.finish().unwrap()
-    }
+    use idq_geom::Point2;
+    use idq_model::IndoorPoint;
 
     #[test]
     fn service_snapshots_track_commits() {
@@ -653,8 +636,7 @@ mod tests {
         let service = e.service();
         assert_eq!(service.epoch(), 0);
         let pinned = service.snapshot();
-        e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         assert_eq!(service.epoch(), 1);
         assert_eq!(pinned.version(), 0, "pinned snapshots do not move");
         assert_eq!(pinned.store().len(), 0);
@@ -718,8 +700,7 @@ mod tests {
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut sub = service.subscribe(Query::Range { q, r: 40.0 }).unwrap();
         for seed in 1..=3u64 {
-            e.insert_object_at(Point2::new(5.0 + seed as f64, 5.0), 0, 1.0, 4, seed)
-                .unwrap();
+            insert_at(&mut e, Point2::new(5.0 + seed as f64, 5.0), 1.0, 4, seed);
         }
         // Routing is asynchronous; wait for the dispatch thread to catch
         // up before draining.
@@ -750,8 +731,7 @@ mod tests {
 
         // Far-room churn: provably outside the footprint.
         for seed in 1..=4u64 {
-            e.insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 4, seed)
-                .unwrap();
+            insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 4, seed);
         }
         service.quiesce();
         assert!(
@@ -764,8 +744,7 @@ mod tests {
         assert_eq!(stats.deliveries, 0);
 
         // A commit inside the footprint still gets through.
-        e.insert_object_at(Point2::new(3.0, 5.0), 0, 1.0, 4, 9)
-            .unwrap();
+        insert_at(&mut e, Point2::new(3.0, 5.0), 1.0, 4, 9);
         let n = sub.wait().unwrap().expect("near commit routed");
         assert_eq!(n.changes.len(), 1);
         assert_eq!(sub.epoch(), e.epoch());
@@ -780,19 +759,16 @@ mod tests {
         assert!(sub.initial().is_empty());
         assert_eq!(sub.ranked().map(|r| r.len()), Some(0));
 
-        e.insert_object_at(Point2::new(12.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
-        e.insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 4, 2)
-            .unwrap();
-        e.insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 3)
-            .unwrap();
+        insert_at(&mut e, Point2::new(12.0, 5.0), 1.0, 4, 1);
+        insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 4, 2);
+        insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 3);
         let mut last_ranked = None;
         while sub.epoch() < e.epoch() {
             let n = sub.wait().unwrap().expect("stream is live");
             last_ranked = n.ranked;
         }
         // The maintained ranking equals a fresh ikNNQ at the final epoch.
-        let fresh = e.knn(q, 2).unwrap();
+        let fresh = knn(&e, q, 2);
         let fresh_ranked: Vec<(ObjectId, f64)> = fresh
             .results
             .iter()
@@ -812,7 +788,7 @@ mod tests {
         e.apply_batch(&[Update::CloseDoor(door)]).unwrap();
         let n = sub.wait().unwrap().expect("topology routed");
         assert!(n.report.delta.topology_changed);
-        let fresh = e.knn(q, 2).unwrap();
+        let fresh = knn(&e, q, 2);
         assert_eq!(
             sub.ranked().map(|r| r.len()),
             Some(fresh.results.len()),
@@ -831,8 +807,7 @@ mod tests {
         // Never polled while 5 commits land: capacity 2 forces the tail
         // to coalesce.
         for seed in 1..=5u64 {
-            e.insert_object_at(Point2::new(5.0 + seed as f64, 5.0), 0, 1.0, 4, seed)
-                .unwrap();
+            insert_at(&mut e, Point2::new(5.0 + seed as f64, 5.0), 1.0, 4, seed);
         }
         service.quiesce();
         let notifications = sub.poll().unwrap();
@@ -859,8 +834,7 @@ mod tests {
         let commits = DEFAULT_MAILBOX_CAPACITY + 8;
         for seed in 1..=commits as u64 {
             let x = 2.0 + (seed % 20) as f64;
-            e.insert_object_at(Point2::new(x, 5.0), 0, 1.0, 4, seed)
-                .unwrap();
+            insert_at(&mut e, Point2::new(x, 5.0), 1.0, 4, seed);
         }
         service.quiesce();
         let notifications = sub.poll().unwrap();
@@ -881,25 +855,21 @@ mod tests {
         // subscription must adopt the widened effective options, so its
         // internal refresh matches a fresh default query at that epoch.
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 4, 1);
         let service = e.service();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut sub = service.subscribe(Query::Range { q, r: 30.0 }).unwrap();
 
         // Radius 15 pushes the effective slack past the 60 m floor
         // (`QueryOptions::for_max_radius`: max(4r + 20, 60)).
-        e.insert_object_at(Point2::new(25.0, 5.0), 0, 15.0, 8, 2)
-            .unwrap();
+        insert_at(&mut e, Point2::new(25.0, 5.0), 15.0, 8, 2);
         let door = e.space().doors().next().unwrap().id;
         e.apply_batch(&[Update::CloseDoor(door), Update::OpenDoor(door)])
             .unwrap();
         while sub.epoch() < e.epoch() {
             assert!(sub.wait().unwrap().is_some(), "writer is still alive");
         }
-        let fresh: Vec<ObjectId> = e
-            .range_query(q, 30.0)
-            .unwrap()
+        let fresh: Vec<ObjectId> = range(&e, q, 30.0)
             .results
             .iter()
             .map(|h| h.object)
@@ -939,8 +909,7 @@ mod tests {
         let sub = service.subscribe(Query::Range { q, r: 40.0 }).unwrap();
         let keeper = service.subscribe(Query::Range { q, r: 40.0 }).unwrap();
         drop(sub);
-        e.insert_object_at(Point2::new(5.0, 5.0), 0, 1.0, 4, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         service.quiesce();
         let stats = service.dispatch_stats();
         assert_eq!(stats.registered, 2);

@@ -143,32 +143,15 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{insert_at, three_rooms};
     use crate::{EngineConfig, IndoorEngine};
-    use idq_geom::{Point2, Rect2};
-    use idq_model::{FloorPlanBuilder, IndoorPoint};
-
-    fn three_rooms() -> IndoorSpace {
-        let mut b = FloorPlanBuilder::new(4.0);
-        let r0 = b
-            .add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
-        let r1 = b
-            .add_room(0, Rect2::from_bounds(10.0, 0.0, 20.0, 10.0))
-            .unwrap();
-        let r2 = b
-            .add_room(0, Rect2::from_bounds(20.0, 0.0, 30.0, 10.0))
-            .unwrap();
-        b.add_door_between(r0, r1, Point2::new(10.0, 5.0)).unwrap();
-        b.add_door_between(r1, r2, Point2::new(20.0, 5.0)).unwrap();
-        b.finish().unwrap()
-    }
+    use idq_geom::Point2;
+    use idq_model::IndoorPoint;
 
     #[test]
     fn snapshot_executes_all_query_kinds() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let p = IndoorPoint::new(Point2::new(25.0, 5.0), 0);
 
@@ -187,10 +170,8 @@ mod tests {
     #[test]
     fn one_snapshot_serves_a_batch_with_reuse() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
-        e.insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 8, 2)
-            .unwrap();
+        insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
+        insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 8, 2);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let queries = vec![
             Query::Range { q, r: 16.0 },
@@ -214,8 +195,7 @@ mod tests {
     #[test]
     fn snapshot_options_can_be_overridden() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        e.insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
+        insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let base = e.snapshot();
         assert!(base.options().use_pruning);
@@ -224,29 +204,25 @@ mod tests {
             .with_options(QueryOptions::builder().pruning(false).build());
         let out = ablated.execute(&Query::Range { q, r: 20.0 }).unwrap();
         assert_eq!(out.as_range().unwrap().stats.accepted_by_bounds, 0);
-        // The pre-sized snapshot from the engine widens the slack like
-        // query_options() does.
+        // The engine's snapshot carries the effective options: slack
+        // widened to the largest inserted radius.
         assert_eq!(
             base.options().subgraph_slack,
-            e.query_options().subgraph_slack
+            base.state().effective_options().subgraph_slack
         );
     }
 
     #[test]
     fn snapshots_pin_their_version_across_writes() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
-        let o1 = e
-            .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 1)
-            .unwrap();
+        let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let pinned = e.snapshot();
         assert_eq!(pinned.version(), 1);
 
         // Writer keeps committing; the pinned snapshot must not notice.
-        e.remove_object(o1).unwrap();
-        let o2 = e
-            .insert_object_at(Point2::new(25.0, 5.0), 0, 1.0, 8, 2)
-            .unwrap();
+        e.apply(crate::Update::RemoveObject(o1)).unwrap();
+        let o2 = insert_at(&mut e, Point2::new(25.0, 5.0), 1.0, 8, 2);
         assert_eq!(e.epoch(), 3);
 
         let old = pinned.execute(&Query::Range { q, r: 20.0 }).unwrap();

@@ -295,6 +295,7 @@ impl Txn {
                 if exists {
                     return Err(ObjectError::DuplicateObject(id).into());
                 }
+                check_radius(object.region.radius)?;
                 // A fully-formed insert is the one object path with no
                 // sampling step to reject a floor the space does not
                 // cover — and an out-of-space floor would permanently
@@ -327,6 +328,7 @@ impl Txn {
                 instances,
                 seed,
             } => {
+                check_radius(*radius)?;
                 let id = Arc::make_mut(&mut self.store).allocate_id();
                 let instances = (*instances).max(1);
                 pending.insert(
@@ -1278,6 +1280,16 @@ fn settle(
         batch.outcomes.push(outcome);
     }
     Ok((batch, footprint, updates))
+}
+
+/// Rejects a non-finite or negative uncertainty radius before it can
+/// reach the store or the engine's radius high-water mark.
+fn check_radius(radius: f64) -> Result<(), EngineError> {
+    if radius.is_finite() && radius >= 0.0 {
+        Ok(())
+    } else {
+        Err(ObjectError::BadRadius(radius).into())
+    }
 }
 
 #[cfg(test)]

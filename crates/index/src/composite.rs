@@ -322,6 +322,19 @@ impl CompositeIndex {
                 ControlFlow::Continue(())
             },
         );
+        // An uncovered object may sit where no unit lists it (e.g. in a
+        // deleted room's gap), so its bound alone decides, as in the ikNN
+        // walk.
+        for o in self.objects.uncovered() {
+            if object_set.contains(&o) {
+                continue;
+            }
+            if let Ok(mbr) = self.objects.object_mbr(o) {
+                if metric(&mbr) <= r_objects {
+                    objects.push(o);
+                }
+            }
+        }
         let mut partitions: Vec<PartitionId> = partitions.into_iter().collect();
         partitions.sort_unstable();
         objects.sort_unstable();

@@ -20,6 +20,8 @@ pub enum ObjectError {
     DuplicateObject(ObjectId),
     /// No partition could host an instance (point is outside the building).
     NoHostPartition,
+    /// The uncertainty radius must be non-negative and finite.
+    BadRadius(f64),
 }
 
 impl std::fmt::Display for ObjectError {
@@ -35,6 +37,7 @@ impl std::fmt::Display for ObjectError {
             ObjectError::NoHostPartition => {
                 write!(f, "no partition can host the object's instances")
             }
+            ObjectError::BadRadius(r) => write!(f, "invalid object radius {r}"),
         }
     }
 }
@@ -53,5 +56,6 @@ mod tests {
         assert!(ObjectError::UnknownObject(ObjectId(7))
             .to_string()
             .contains("O7"));
+        assert!(ObjectError::BadRadius(-1.0).to_string().contains("-1"));
     }
 }

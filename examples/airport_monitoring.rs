@@ -70,8 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = IndoorEngine::new(space, EngineConfig::default())?;
 
     // Passengers: some landside, some airside near the gates.
-    let mut passengers = Vec::new();
-    for (i, (x, y)) in [
+    let arrivals: Vec<Update> = [
         (10.0, 30.0),  // landside hall
         (45.0, 10.0),  // shops
         (70.0, 30.0),  // airside, just past security
@@ -80,10 +79,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (110.0, 30.0), // airside, far end
     ]
     .iter()
-    .enumerate()
-    {
-        passengers.push(engine.insert_object_at(Point2::new(*x, *y), 0, 3.0, 64, i as u64)?);
-    }
+    .zip(0..)
+    .map(|(&(x, y), seed)| Update::InsertObjectAt {
+        center: Point2::new(x, y),
+        floor: 0,
+        radius: 3.0,
+        instances: 64,
+        seed,
+    })
+    .collect();
+    let report = engine.apply_batch(&arrivals)?;
+    let passengers: Vec<ObjectId> = report
+        .outcomes
+        .iter()
+        .filter_map(UpdateOutcome::inserted_object)
+        .collect();
 
     // The sensitive point: a power distribution unit on the airside wall.
     let pdu = IndoorPoint::new(Point2::new(65.0, 38.0), 0);
@@ -178,9 +188,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Emergency drill: security closes. The perimeter from the PDU still
     // covers airside passengers, but the landside guard can no longer
     // reach it at all. (A topology change — the ring keyframes it.)
-    engine.close_door(security)?;
-    ground_truth.push(engine.snapshot());
-    let to_pdu_closed = engine
+    engine.apply(Update::CloseDoor(security))?;
+    let closed = engine.snapshot();
+    ground_truth.push(closed.clone());
+    let to_pdu_closed = closed
         .execute(&Query::Distance {
             q: landside_guard,
             p: pdu,
@@ -196,7 +207,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "unreachable".to_string()
         }
     );
-    let watch = engine.range_query(pdu, 30.0)?;
+    let watch = closed
+        .execute(&Query::Range { q: pdu, r: 30.0 })?
+        .into_range()
+        .expect("range outcome");
     println!(
         "perimeter check still sees {} airside passenger(s)",
         watch.results.len()

@@ -70,6 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let banquet = engine
+        .snapshot()
         .execute(&Query::Knn { q: usher, k: 2 })?
         .into_knn()
         .expect("knn outcome");
@@ -163,8 +164,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         notice.epoch
     );
     assert!(coffee_call.contains(east_attendee));
-    let back = engine.knn(usher, 2)?;
-    for h in &back.results {
+    let back = engine.snapshot().execute(&Query::Knn { q: usher, k: 2 })?;
+    for h in &back.as_knn().expect("kNN outcome").results {
         println!("  {} at {:.1} m", h.object, h.distance);
     }
 

@@ -50,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ids = engine.store().ids_sorted();
     for minute in 0..5 {
         // A slice of shoppers wander to new positions (object updates are
-        // deletion + insertion, §III-C.2).
+        // deletion + insertion, §III-C.2), committed as one batch.
+        let mut moves = Vec::new();
         for &id in ids.iter().skip(minute * 37).step_by(101).take(60) {
             let floor = rng.random_range(0..engine.space().num_floors() as u16);
             let dest = Point2::new(rng.random_range(15.0..585.0), rng.random_range(15.0..585.0));
@@ -59,9 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .partition_at(IndoorPoint::new(dest, floor))
                 .is_some()
             {
-                engine.move_object(id, dest, floor, minute as u64)?;
+                moves.push(Update::MoveObject {
+                    id,
+                    center: dest,
+                    floor,
+                    seed: minute as u64,
+                });
             }
         }
+        engine.apply_batch(&moves)?;
 
         // Send two coupon tiers per round: a premium offer to shoppers
         // within 25 m walking distance and a standard one within 60 m.
@@ -100,7 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (planar * planar + dz * dz).sqrt() <= 60.0
         })
         .count();
-    let walking_hits = engine.range_query(cafe, 60.0)?.results.len();
+    let walking = engine
+        .snapshot()
+        .execute(&Query::Range { q: cafe, r: 60.0 })?;
+    let walking_hits = walking.as_range().expect("range outcome").results.len();
     println!(
         "\nEuclidean 60 m ball: {euclidean_hits} shoppers; true walking-distance ball: {walking_hits}.\n\
          The difference is who gets spammed through walls and floors."

@@ -50,7 +50,11 @@
 //!
 //! let mut engine = IndoorEngine::new(space, EngineConfig::default()).unwrap();
 //! let o1 = engine
-//!     .insert_object_at(Point2::new(18.0, 5.0), 0, 1.0, 16, 7)
+//!     .apply(Update::InsertObjectAt {
+//!         center: Point2::new(18.0, 5.0), floor: 0, radius: 1.0, instances: 16, seed: 7,
+//!     })
+//!     .unwrap()
+//!     .inserted_object()
 //!     .unwrap();
 //!
 //! // One snapshot, three queries, one shared evaluation context.
@@ -68,12 +72,6 @@
 //! assert_eq!(outcomes[2].as_knn().unwrap().results[0].object, o1);
 //! let dijkstras: usize = outcomes.iter().map(|o| o.stats().dijkstras_run).sum();
 //! assert_eq!(dijkstras, 1);
-//!
-//! // The pre-session convenience methods remain as thin delegations onto
-//! // a default snapshot.
-//! let hits = engine.range_query(q, 25.0).unwrap();
-//! assert_eq!(hits.results.len(), 1);
-//! assert_eq!(hits.results[0].object, o1);
 //! ```
 
 pub use idq_core as core;

@@ -33,11 +33,14 @@ fn subscription_and_recorder_both_drain_and_end_with_the_last_writer() {
     let mut ids = Vec::new();
     for seed in 0..WRITERS * OBJECTS_PER_WRITER {
         let x = 2.0 + 3.0 * seed as f64;
-        ids.push(
-            engine
-                .insert_object_at(Point2::new(x, 5.0), 0, 1.0, 4, seed)
-                .unwrap(),
-        );
+        let insert = Update::InsertObjectAt {
+            center: Point2::new(x, 5.0),
+            floor: 0,
+            radius: 1.0,
+            instances: 4,
+            seed,
+        };
+        ids.push(engine.apply(insert).unwrap().inserted_object().unwrap());
     }
 
     let recorder = HistoryRecorder::attach(&engine, HistoryOptions::default()).unwrap();

@@ -260,6 +260,7 @@ fn parallel_sessions_and_subscriptions_reproduce_their_epochs() {
         }
         assert_eq!(replay.epoch(), epoch);
         let fresh: Vec<_> = replay
+            .snapshot()
             .execute_batch(&queries)
             .unwrap()
             .iter()
@@ -269,7 +270,10 @@ fn parallel_sessions_and_subscriptions_reproduce_their_epochs() {
             assert_eq!(digests, &fresh, "observation at epoch {e} not reproducible");
         }
         let fresh_members: BTreeSet<ObjectId> = replay
-            .range_query(sub_q, sub_r)
+            .snapshot()
+            .execute(&Query::Range { q: sub_q, r: sub_r })
+            .unwrap()
+            .into_range()
             .unwrap()
             .results
             .iter()
@@ -520,6 +524,7 @@ fn four_writers_group_commits_stay_epoch_reproducible() {
         }
         assert_eq!(replay.epoch(), epoch);
         let fresh: Vec<_> = replay
+            .snapshot()
             .execute_batch(&queries)
             .unwrap()
             .iter()
@@ -529,7 +534,10 @@ fn four_writers_group_commits_stay_epoch_reproducible() {
             assert_eq!(digests, &fresh, "observation at epoch {e} not reproducible");
         }
         let fresh_members: BTreeSet<ObjectId> = replay
-            .range_query(sub_q, sub_r)
+            .snapshot()
+            .execute(&Query::Range { q: sub_q, r: sub_r })
+            .unwrap()
+            .into_range()
             .unwrap()
             .results
             .iter()

@@ -96,7 +96,9 @@ fn queries(b: &GeneratedBuilding) -> Vec<Query> {
 /// query battery (options pinned — the engines under test differ in
 /// history, not in state).
 fn digest(e: &IndoorEngine, queries: &[Query]) -> Vec<u64> {
-    let snap = e.snapshot_with(QueryOptions::for_max_radius(10.0));
+    let snap = e
+        .snapshot()
+        .with_options(QueryOptions::for_max_radius(10.0));
     let mut d = vec![e.epoch(), snap.store().len() as u64];
     let mut ids: Vec<u64> = snap.store().iter().map(|o| o.id.0).collect();
     ids.sort_unstable();

@@ -179,18 +179,34 @@ fn engine_keeps_knn_consistent_after_everything() {
         IndoorEngine::with_objects(building.space.clone(), store, EngineConfig::default()).unwrap();
     // A burst of engine-level operations.
     let new_id = engine
-        .insert_object_at(Point2::new(300.0, 300.0), 1, 6.0, 6, 9)
-        .unwrap();
-    engine
-        .move_object(new_id, Point2::new(100.0, 100.0), 0, 10)
+        .apply(Update::InsertObjectAt {
+            center: Point2::new(300.0, 300.0),
+            floor: 1,
+            radius: 6.0,
+            instances: 6,
+            seed: 9,
+        })
+        .unwrap()
+        .inserted_object()
         .unwrap();
     let some_door = engine.space().doors().nth(5).unwrap().id;
-    engine.close_door(some_door).unwrap();
-    engine.open_door(some_door).unwrap();
+    for update in [
+        Update::MoveObject {
+            id: new_id,
+            center: Point2::new(100.0, 100.0),
+            floor: 0,
+            seed: 10,
+        },
+        Update::CloseDoor(some_door),
+        Update::OpenDoor(some_door),
+    ] {
+        engine.apply(update).unwrap();
+    }
     engine.validate().unwrap();
     // kNN equals the oracle.
     let q = IndoorPoint::new(Point2::new(305.0, 305.0), 0);
-    let fast = engine.knn(q, 15).unwrap();
+    let fast = engine.snapshot().execute(&Query::Knn { q, k: 15 }).unwrap();
+    let fast = fast.into_knn().unwrap();
     let slow = naive_knn(
         engine.space(),
         engine.index().doors_graph(),

@@ -82,6 +82,23 @@ fn build() -> Fig1 {
     }
 }
 
+impl Fig1 {
+    /// Shortest indoor path `a ⇝ b`: length plus the door sequence.
+    fn path(&self, a: IndoorPoint, b: IndoorPoint) -> Option<(f64, Vec<DoorId>)> {
+        let out = self.engine.snapshot().execute(&Query::Path { q: a, p: b });
+        out.unwrap().into_path().unwrap().path
+    }
+
+    /// Point-to-point indoor distance `|a, b|_I`.
+    fn distance(&self, a: IndoorPoint, b: IndoorPoint) -> f64 {
+        let out = self
+            .engine
+            .snapshot()
+            .execute(&Query::Distance { q: a, p: b });
+        out.unwrap().into_distance().unwrap().distance
+    }
+}
+
 fn q() -> indoor_dq::model::IndoorPoint {
     indoor_dq::model::IndoorPoint::new(Point2::new(5.0, 5.0), 0)
 }
@@ -93,11 +110,7 @@ fn p() -> indoor_dq::model::IndoorPoint {
 #[test]
 fn q_to_p_goes_through_d13_then_d15() {
     let f = build();
-    let (len, doors) = f
-        .engine
-        .shortest_path(q(), p())
-        .unwrap()
-        .expect("p reachable");
+    let (len, doors) = f.path(q(), p()).expect("p reachable");
     assert_eq!(doors, vec![f.d13, f.d15], "the paper's q ⇝(d13,d15) p path");
     assert!(len > 0.0);
     // Euclidean distance is meaningless through the wall: the indoor
@@ -115,10 +128,10 @@ fn room12_cannot_be_entered_through_d12() {
     // From inside room 12, d12 gives a direct shortcut down to hall 13.
     let inside = indoor_dq::model::IndoorPoint::new(Point2::new(30.0, 12.0), 0);
     let below = indoor_dq::model::IndoorPoint::new(Point2::new(30.0, 5.0), 0);
-    let (_, out_doors) = f.engine.shortest_path(inside, below).unwrap().unwrap();
+    let (_, out_doors) = f.path(inside, below).unwrap();
     assert_eq!(out_doors, vec![f.d12], "exit uses the one-way shortcut");
     // The reverse trip must avoid d12 and go around through d13, d15.
-    let (_, in_doors) = f.engine.shortest_path(below, inside).unwrap().unwrap();
+    let (_, in_doors) = f.path(below, inside).unwrap();
     assert_eq!(
         in_doors,
         vec![f.d13, f.d15],
@@ -129,12 +142,12 @@ fn room12_cannot_be_entered_through_d12() {
 #[test]
 fn closing_d15_seals_room12() {
     let mut f = build();
-    f.engine.close_door(f.d15).unwrap();
+    f.engine.apply(Update::CloseDoor(f.d15)).unwrap();
     // With d15 closed and d12 exit-only, p is unreachable.
-    assert!(f.engine.shortest_path(q(), p()).unwrap().is_none());
+    assert!(f.path(q(), p()).is_none());
     // Re-opening restores the original path.
-    f.engine.open_door(f.d15).unwrap();
-    let (_, doors) = f.engine.shortest_path(q(), p()).unwrap().unwrap();
+    f.engine.apply(Update::OpenDoor(f.d15)).unwrap();
+    let (_, doors) = f.path(q(), p()).unwrap();
     assert_eq!(doors, vec![f.d13, f.d15]);
 }
 
@@ -144,26 +157,29 @@ fn sliding_wall_forces_s_t_reroute() {
     let s = indoor_dq::model::IndoorPoint::new(Point2::new(44.0, 18.0), 0);
     let t = indoor_dq::model::IndoorPoint::new(Point2::new(76.0, 18.0), 0);
     // Banquet style: s and t share room 21, distance is the straight line.
-    let before = f.engine.indoor_distance(s, t).unwrap();
+    let before = f.distance(s, t);
     assert!((before - s.point.dist(t.point)).abs() < 1e-9);
 
     // Mount the sliding wall (meeting style): split at x = 60, no
     // connecting door. s must now leave via d41 and re-enter via d42.
-    let halves = f
-        .engine
-        .split_partition(f.room21, SplitLine::AtX(60.0), None)
-        .unwrap();
-    let after = f.engine.indoor_distance(s, t).unwrap();
+    let split = Update::SplitPartition {
+        partition: f.room21,
+        line: SplitLine::AtX(60.0),
+        connecting_door: None,
+    };
+    let halves = f.engine.apply(split).unwrap().split_halves().unwrap();
+    let after = f.distance(s, t);
     assert!(
         after > before,
         "recalculated via d41 and d42: {after} vs {before}"
     );
-    let (_, doors) = f.engine.shortest_path(s, t).unwrap().unwrap();
+    let (_, doors) = f.path(s, t).unwrap();
     assert_eq!(doors, vec![f.d41, f.d42], "the paper's d41/d42 reroute");
 
     // Dismounting the wall restores the direct distance.
-    f.engine.merge_partitions(halves[0], halves[1]).unwrap();
-    let restored = f.engine.indoor_distance(s, t).unwrap();
+    let merge = Update::MergePartitions(halves[0], halves[1]);
+    f.engine.apply(merge).unwrap();
+    let restored = f.distance(s, t);
     assert!((restored - before).abs() < 1e-9);
 }
 
@@ -173,12 +189,17 @@ fn queries_respect_the_one_way_topology() {
     // An object inside room 12 and a query in hall 13 below it: the
     // expected distance must follow the d13-d15 detour, not the one-way
     // shortcut.
-    let o = f
-        .engine
-        .insert_object_at(Point2::new(30.0, 15.0), 0, 1.0, 8, 11)
-        .unwrap();
+    let insert = Update::InsertObjectAt {
+        center: Point2::new(30.0, 15.0),
+        floor: 0,
+        radius: 1.0,
+        instances: 8,
+        seed: 11,
+    };
+    let o = f.engine.apply(insert).unwrap().inserted_object().unwrap();
     let below = indoor_dq::model::IndoorPoint::new(Point2::new(30.0, 5.0), 0);
-    let knn = f.engine.knn(below, 1).unwrap();
+    let knn = f.engine.snapshot().execute(&Query::Knn { q: below, k: 1 });
+    let knn = knn.unwrap().into_knn().unwrap();
     assert_eq!(knn.results[0].object, o);
     let detour = knn.results[0].distance;
     // The detour is far longer than the straight-line ~10 m.

@@ -8,7 +8,8 @@
 //!   the refinement's own exact arithmetic (full-graph door distances,
 //!   o-table-hinted decomposition), under every ablation; that ranking
 //!   agrees with `naive_knn`'s per-instance sums to 1e-9. They stay so
-//!   after a partition that holds objects is deleted.
+//!   after a partition that holds objects is deleted, and so do iRQ's
+//!   answers (single, batched and as a subscription's initial set).
 //! * `kbound` is pinned bit for bit on generated malls, and a query point
 //!   outside every partition still fails with `QueryOutsideSpace`.
 //!
@@ -16,13 +17,15 @@
 //! instances that fall outside every partition (which snap to the
 //! nearest one).
 
-use indoor_dq::core::{EngineConfig, IndoorEngine};
+use indoor_dq::core::{EngineConfig, IndoorEngine, Update};
 use indoor_dq::distance::{expected_indoor_distance, DistanceError, DoorDistances, DoorRow};
 use indoor_dq::geom::{Circle, OrdF64, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
 use indoor_dq::model::{FloorPlanBuilder, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_dq::objects::{GaussianSampler, ObjectId, ObjectStore, Subregions, UncertainObject};
-use indoor_dq::query::{execute_batch, knn_query, naive_knn, Query, QueryError, QueryOptions};
+use indoor_dq::query::{
+    execute_batch, knn_query, naive_knn, range_query, Outcome, Query, QueryError, QueryOptions,
+};
 use indoor_dq::workloads::{
     generate_building, generate_objects, generate_query_points, BuildingConfig, ObjectConfig,
     QueryPointConfig,
@@ -301,7 +304,8 @@ fn kbound_is_pinned_on_generated_malls() {
 /// instances lie outside every partition. Object 1's instances sit nearer
 /// P's box, so P hosts them, but its footprint reaches only Q — the o-table
 /// lists it under Q alone, which a query in P never reaches (Q is cut off).
-/// The answers must still be the exact ranking's, before and after.
+/// The kNN answers must still be the exact ranking's, before and after,
+/// and the iRQ answers that ranking cut at `d ≤ r`.
 #[test]
 fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
     let mut b = FloorPlanBuilder::new(4.0);
@@ -317,37 +321,72 @@ fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
     let explicit = |id: u64, cx: f64, radius: f64, xs: &[f64]| {
         let positions = xs.iter().map(|&x| Point2::new(x, 5.0)).collect();
         let region = Circle::new(Point2::new(cx, 5.0), radius);
-        UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions).unwrap()
+        let object = UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions);
+        Update::InsertObject(Box::new(object.unwrap()))
     };
-    // Footprint x ∈ [14, 21]: R and Q. Instances 4–5 m from P, 5–6 m from Q.
     engine
-        .insert_object(explicit(1, 17.5, 3.5, &[14.0, 15.0]))
-        .unwrap();
-    // Inside P, farther from the query than object 1 will be.
-    engine.insert_object(explicit(2, 1.0, 0.5, &[1.0])).unwrap();
-    // Inside Q: cut off once R is gone.
-    engine
-        .insert_object(explicit(3, 25.0, 1.0, &[25.0]))
+        .apply_batch(&[
+            // Footprint x ∈ [14, 21]: R and Q. Instances 4–5 m from P, 5–6 m
+            // from Q.
+            explicit(1, 17.5, 3.5, &[14.0, 15.0]),
+            // Inside P, farther from the query than object 1 will be.
+            explicit(2, 1.0, 0.5, &[1.0]),
+            // Inside Q: cut off once R is gone.
+            explicit(3, 25.0, 1.0, &[25.0]),
+        ])
         .unwrap();
 
     let q = IndoorPoint::new(Point2::new(9.0, 5.0), 0);
+    let radii = [4.0, 6.0, 20.0];
+    let ranges: Vec<Query> = radii.iter().map(|&r| Query::Range { q, r }).collect();
     let check = |engine: &IndoorEngine, stage: &str| {
-        let ranking = exact_ranking(engine.space(), engine.index(), engine.store(), q);
+        let (space, index, store) = (engine.space(), engine.index(), engine.store());
+        let ranking = exact_ranking(space, index, store, q);
+        let options = *engine.snapshot().options();
         for k in 1..=3 {
             let mut want = ranking.clone();
             want.truncate(k);
-            for (name, opts) in variants(engine.query_options()) {
-                let out =
-                    knn_query(engine.space(), engine.index(), engine.store(), q, k, &opts).unwrap();
+            for (name, opts) in variants(options) {
+                let out = knn_query(space, index, store, q, k, &opts).unwrap();
                 let got: Vec<(ObjectId, f64)> =
                     out.results.iter().map(|h| (h.object, h.distance)).collect();
                 assert_eq!(bits(&got), bits(&want), "{stage} k={k} {name}");
             }
         }
+        let within = |r: f64| {
+            let mut ids: Vec<ObjectId> = ranking
+                .iter()
+                .filter(|&&(_, d)| d <= r)
+                .map(|&(o, _)| o)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let ids = |out: &Outcome| -> Vec<ObjectId> {
+            out.as_range()
+                .unwrap()
+                .results
+                .iter()
+                .map(|h| h.object)
+                .collect()
+        };
+        for (name, opts) in variants(options) {
+            let batch = execute_batch(space, index, store, &ranges, &opts).unwrap();
+            for (&r, out) in radii.iter().zip(&batch) {
+                let single = range_query(space, index, store, q, r, &opts).unwrap();
+                let single: Vec<ObjectId> = single.results.iter().map(|h| h.object).collect();
+                assert_eq!(single, within(r), "{stage} r={r} {name}");
+                assert_eq!(ids(out), within(r), "{stage} r={r} {name}: batch");
+            }
+        }
+        for (&r, range) in radii.iter().zip(&ranges) {
+            let sub = engine.service().subscribe(*range).unwrap();
+            assert_eq!(sub.initial(), within(r), "{stage} r={r}: subscription");
+        }
         ranking
     };
     check(&engine, "before");
-    engine.delete_partition(r).unwrap();
+    engine.apply(Update::DeletePartition(r)).unwrap();
     let ranking = check(&engine, "after");
     assert_eq!(
         ranking.iter().map(|&(o, _)| o).collect::<Vec<_>>(),
@@ -357,9 +396,7 @@ fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
 
     // Inserted into the gap R left: its footprint meets no unit at all,
     // yet P hosts it, 3 m from the query.
-    engine
-        .insert_object(explicit(4, 12.0, 0.5, &[11.5, 12.5]))
-        .unwrap();
+    engine.apply(explicit(4, 12.0, 0.5, &[11.5, 12.5])).unwrap();
     let ranking = check(&engine, "inserted");
     assert_eq!(ranking[0].0, ObjectId(4));
 }

@@ -82,7 +82,8 @@ fn digests(e: &IndoorEngine, b: &GeneratedBuilding) -> Vec<Vec<(u64, u64)>> {
         queries.push(Query::Range { q, r: 120.0 });
         queries.push(Query::Knn { q, k: 5 });
     }
-    e.snapshot_with(options())
+    e.snapshot()
+        .with_options(options())
         .execute_batch(&queries)
         .unwrap()
         .iter()

@@ -71,7 +71,15 @@ fn snapshot_and_outcome_cross_threads() {
     b.add_door_between(a, c, Point2::new(10.0, 5.0)).unwrap();
     let mut engine = IndoorEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
     let id = engine
-        .insert_object_at(Point2::new(15.0, 5.0), 0, 1.0, 8, 7)
+        .apply(Update::InsertObjectAt {
+            center: Point2::new(15.0, 5.0),
+            floor: 0,
+            radius: 1.0,
+            instances: 8,
+            seed: 7,
+        })
+        .unwrap()
+        .inserted_object()
         .unwrap();
 
     let snapshot = engine.snapshot();

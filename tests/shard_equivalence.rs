@@ -98,7 +98,8 @@ fn digest(out: &Outcome) -> Vec<(u64, u64)> {
 }
 
 fn digests(e: &IndoorEngine, queries: &[Query]) -> Vec<Vec<(u64, u64)>> {
-    e.snapshot_with(options())
+    e.snapshot()
+        .with_options(options())
         .execute_batch(queries)
         .unwrap()
         .iter()
@@ -276,7 +277,8 @@ fn topology_ops_that_resize_the_shard_set_stay_equivalent() {
     );
     queries.push(Query::Range { q: up, r: 10.0 });
     let out = e
-        .snapshot_with(options())
+        .snapshot()
+        .with_options(options())
         .execute(&Query::Range { q: up, r: 10.0 })
         .unwrap();
     assert_eq!(out.as_range().unwrap().results.len(), 1, "penthouse object");

@@ -81,17 +81,23 @@ fn digest(engine: &IndoorEngine) -> Digest {
 }
 
 fn assert_query_equivalent(a: &IndoorEngine, b: &IndoorEngine, queries: &[IndoorPoint]) {
+    let (sa, sb) = (a.snapshot(), b.snapshot());
     for &q in queries {
         if a.space().partition_at(q).is_none() {
             continue;
         }
+        let range = Query::Range { q, r: 80.0 };
         let (ra, rb) = (
-            a.range_query(q, 80.0).unwrap(),
-            b.range_query(q, 80.0).unwrap(),
+            sa.execute(&range).unwrap().into_range().unwrap(),
+            sb.execute(&range).unwrap().into_range().unwrap(),
         );
         let ids = |r: &RangeResult| r.results.iter().map(|h| h.object).collect::<Vec<_>>();
         assert_eq!(ids(&ra), ids(&rb), "range parity at q={q}");
-        let (ka, kb) = (a.knn(q, 10).unwrap(), b.knn(q, 10).unwrap());
+        let knn = Query::Knn { q, k: 10 };
+        let (ka, kb) = (
+            sa.execute(&knn).unwrap().into_knn().unwrap(),
+            sb.execute(&knn).unwrap().into_knn().unwrap(),
+        );
         assert_eq!(ka.results.len(), kb.results.len(), "knn parity at q={q}");
         for (x, y) in ka.results.iter().zip(&kb.results) {
             assert_eq!(x.object, y.object);
@@ -197,7 +203,7 @@ fn monitor_absorb_matches_from_scratch_refresh() {
     let (building, mut engine) = world(17);
     let queries = generate_query_points(&building, &QueryPointConfig { count: 3, seed: 41 });
     let q = queries[0];
-    let mut absorbed = RangeMonitor::new(q, 70.0, engine.query_options()).unwrap();
+    let mut absorbed = RangeMonitor::new(q, 70.0, *engine.snapshot().options()).unwrap();
     absorbed.refresh_on(&engine.snapshot()).unwrap();
 
     // Several mixed batches (object churn + door events); after each, the
@@ -223,7 +229,7 @@ fn monitor_absorb_matches_from_scratch_refresh() {
                 MonitorChange::Unchanged => unreachable!("absorb reports changes only"),
             }
         }
-        let mut fresh = RangeMonitor::new(q, 70.0, engine.query_options()).unwrap();
+        let mut fresh = RangeMonitor::new(q, 70.0, *snapshot.options()).unwrap();
         let expect = fresh.refresh_on(&snapshot).unwrap();
         assert_eq!(absorbed.current(), expect, "round {round}");
     }
