@@ -1,5 +1,5 @@
-//! Shared harness for the figure binaries and Criterion benches: world
-//! construction at paper scale (§V-A) and workload-averaged query timing.
+//! Shared harness for the figure binaries: world construction at paper
+//! scale (§V-A) and workload-averaged query timing.
 //!
 //! Scale control: the environment variable `IDQ_SCALE` (a float, default
 //! `1.0`) multiplies the object counts and floor counts of every
@@ -11,7 +11,7 @@ use idq_core::Snapshot;
 use idq_index::{CompositeIndex, IndexConfig};
 use idq_model::{IndoorPoint, IndoorSpace};
 use idq_objects::ObjectStore;
-use idq_query::{Outcome, Query, QueryOptions, QueryStats};
+use idq_query::{Query, QueryOptions, QueryStats};
 use idq_workloads::{
     generate_building, generate_objects, generate_query_points, BuildingConfig, GeneratedBuilding,
     ObjectConfig, PaperDefaults, QueryPointConfig,
@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// A fully built experimental world.
 ///
 /// The three layers are `Arc`-shared so [`World::snapshot`] assembles an
-/// owned [`Snapshot`] for free (bench bins that mutate a layer in place go
+/// owned [`Snapshot`] for free (`fig15`, which mutates layers in place, goes
 /// through `Arc::make_mut`). `space` is the snapshot-facing copy of
 /// `building.space`, taken at construction: harnesses that mutate the
 /// building afterwards work on `building.space` and never snapshot.
@@ -151,15 +151,6 @@ pub fn mean_irq(world: &World, r: f64, options: &QueryOptions) -> (f64, QuerySta
 /// Average ikNNQ wall time (ms) and averaged stats.
 pub fn mean_knn(world: &World, k: usize, options: &QueryOptions) -> (f64, QueryStats) {
     mean_single(world, |q| Query::Knn { q, k }, options)
-}
-
-/// Executes a query batch through one snapshot, returning total wall time
-/// (ms) and the outcomes.
-pub fn run_batch(world: &World, queries: &[Query], options: &QueryOptions) -> (f64, Vec<Outcome>) {
-    let snapshot = world.snapshot(options);
-    let t = std::time::Instant::now();
-    let outcomes = snapshot.execute_batch(queries).expect("batch succeeds");
-    (t.elapsed().as_secs_f64() * 1e3, outcomes)
 }
 
 /// Pretty count label: `20000` → `"20K"`.

@@ -446,12 +446,11 @@ impl IndoorEngine {
     /// single-update commit therefore costs O(objects on its floor)
     /// rather than O(all objects). Batching still wins (shared footprint
     /// traversals, one shard copy amortized over the whole batch instead
-    /// of one per update): on the `ingest` benchmark workload,
-    /// [`IndoorEngine::apply_batch`] sustains hundreds of thousands of
-    /// updates/s. Concurrent single-`apply` callers get the same
-    /// amortization automatically through **group commit**: clone
-    /// [`IndoorEngine::writer`] into the submitting threads and their
-    /// commits coalesce into shared epochs (see [`crate::write`]).
+    /// of one per update; see [`IndoorEngine::apply_batch`]). Concurrent
+    /// single-`apply` callers get the same amortization automatically
+    /// through **group commit**: clone [`IndoorEngine::writer`] into the
+    /// submitting threads and their commits coalesce into shared epochs
+    /// (see [`crate::write`]).
     pub fn apply(&mut self, update: Update) -> Result<UpdateOutcome, EngineError> {
         let report = self.apply_batch(std::slice::from_ref(&update))?;
         Ok(report
@@ -641,11 +640,26 @@ mod tests {
     }
 
     #[test]
-    fn bad_radius_is_rejected_before_anything_changes() {
+    fn bad_radius_or_instance_count_is_rejected_before_anything_changes() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
         let (epoch, watermark) = (e.epoch(), e.store().id_watermark());
         let slack = e.snapshot().options().subgraph_slack;
+        for instances in [1 << 40, usize::MAX] {
+            let err = e
+                .apply(Update::InsertObjectAt {
+                    center: Point2::new(15.0, 5.0),
+                    floor: 0,
+                    radius: 1.0,
+                    instances,
+                    seed: 2,
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::Object(ObjectError::TooManyInstances(n)) if n == instances),
+                "{err}"
+            );
+        }
         for radius in [f64::INFINITY, f64::NAN, -1.0] {
             let sampled = Update::InsertObjectAt {
                 center: Point2::new(15.0, 5.0),

@@ -291,7 +291,7 @@ impl DeltaBuilder {
 }
 
 /// Maintenance counters of one committed batch — the evidence that the
-/// amortized paths engaged (`idq-bench`'s `ingest` binary reports them).
+/// amortized paths engaged (`benchmark/` reports them per commit).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Updates in the batch.

@@ -363,8 +363,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn engine_checkpoint_round_trips() {
+    /// The two-room building and one-object store the checkpoint tests
+    /// encode.
+    fn test_world() -> (IndoorSpace, ObjectStore) {
         let mut b = FloorPlanBuilder::new(4.0);
         let a = b
             .add_room(0, Rect2::from_bounds(0.0, 0.0, 10.0, 10.0))
@@ -386,7 +387,12 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
+        (space, store)
+    }
 
+    #[test]
+    fn engine_checkpoint_round_trips() {
+        let (space, store) = test_world();
         let mut buf = Vec::new();
         put_engine_checkpoint(&mut buf, &space, &store, 7.5);
         let mut c = Cursor::new(&buf);
@@ -399,5 +405,41 @@ mod tests {
         // A format-version mismatch fails loudly.
         buf[0] = 0xFF;
         assert!(take_engine_checkpoint(&mut Cursor::new(&buf)).is_err());
+    }
+
+    /// Every single-byte mutation (XOR `0x01`, `0x80`, `0xFF`) and every
+    /// truncation of a WAL batch and of a checkpoint decodes to `Ok` or a
+    /// typed `Err`: never a panic, and never an allocation that aborts.
+    #[test]
+    fn mutated_payloads_decode_or_fail_without_panicking() {
+        let mut batch = Vec::new();
+        put_batch(
+            &mut batch,
+            &WalBatch {
+                updates: all_variants(),
+                inserted: vec![ObjectId(5), ObjectId(60)],
+            },
+        );
+        let (space, store) = test_world();
+        let mut checkpoint = Vec::new();
+        put_engine_checkpoint(&mut checkpoint, &space, &store, 7.5);
+
+        fn sweep(name: &str, payload: &[u8], decode: fn(&[u8])) {
+            let survives = |bytes: &[u8]| std::panic::catch_unwind(|| decode(bytes)).is_ok();
+            for len in 0..payload.len() {
+                assert!(survives(&payload[..len]), "{name}: cut at {len} panicked");
+            }
+            for at in 0..payload.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bytes = payload.to_vec();
+                    bytes[at] ^= mask;
+                    assert!(survives(&bytes), "{name}: byte {at} ^ {mask:#04x} panicked");
+                }
+            }
+        }
+        sweep("batch", &batch, |b| drop(take_batch(&mut Cursor::new(b))));
+        sweep("checkpoint", &checkpoint, |b| {
+            drop(take_engine_checkpoint(&mut Cursor::new(b)))
+        });
     }
 }

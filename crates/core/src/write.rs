@@ -329,6 +329,7 @@ impl Txn {
                 seed,
             } => {
                 check_radius(*radius)?;
+                check_instances(*instances)?;
                 let id = Arc::make_mut(&mut self.store).allocate_id();
                 let instances = (*instances).max(1);
                 pending.insert(
@@ -1289,6 +1290,23 @@ fn check_radius(radius: f64) -> Result<(), EngineError> {
         Ok(())
     } else {
         Err(ObjectError::BadRadius(radius).into())
+    }
+}
+
+/// The most instances one sampled insert may ask for. Each instance is a
+/// 32 B `Instance` plus one byte in the object's summary memo, so the cap
+/// bounds one object at about 2 MiB, 655 times the paper's 100 instances.
+/// A larger request would abort the process in the sampler's allocation,
+/// live and again in WAL replay.
+const MAX_INSTANCES: usize = 1 << 16;
+
+/// Rejects a sampled insert's instance count above [`MAX_INSTANCES`]
+/// before an id is allocated or the sampler allocates.
+fn check_instances(instances: usize) -> Result<(), EngineError> {
+    if instances <= MAX_INSTANCES {
+        Ok(())
+    } else {
+        Err(ObjectError::TooManyInstances(instances).into())
     }
 }
 

@@ -324,6 +324,14 @@ pub fn take_space(c: &mut Cursor<'_>) -> Result<IndoorSpace, StorageError> {
     let floor_height = c.take_f64("space floor height")?;
     let stair_walk_factor = c.take_f64("space stair walk factor")?;
     let num_floors = c.take_usize("space floor count")?;
+    // `from_wire_parts` allocates one list per floor, so a corrupt count
+    // must fail here rather than abort in that allocation.
+    if num_floors > Floor::MAX as usize + 1 {
+        return Err(StorageError::Decode {
+            what: "space floor count",
+            offset: c.pos(),
+        });
+    }
     let version = c.take_u64("space version")?;
     let np = c.take_len("space partition count")?;
     let mut partitions = Vec::with_capacity(np);

@@ -22,6 +22,8 @@ pub enum ObjectError {
     NoHostPartition,
     /// The uncertainty radius must be non-negative and finite.
     BadRadius(f64),
+    /// A sampled insert asked for more instances than one object may hold.
+    TooManyInstances(usize),
 }
 
 impl std::fmt::Display for ObjectError {
@@ -38,6 +40,9 @@ impl std::fmt::Display for ObjectError {
                 write!(f, "no partition can host the object's instances")
             }
             ObjectError::BadRadius(r) => write!(f, "invalid object radius {r}"),
+            ObjectError::TooManyInstances(n) => {
+                write!(f, "{n} instances requested for one object")
+            }
         }
     }
 }
@@ -57,5 +62,8 @@ mod tests {
             .to_string()
             .contains("O7"));
         assert!(ObjectError::BadRadius(-1.0).to_string().contains("-1"));
+        assert!(ObjectError::TooManyInstances(1 << 40)
+            .to_string()
+            .contains("1099511627776 instances"));
     }
 }

@@ -1,25 +1,4 @@
-//! Experiment utilities: simple statistics and paper-style series tables
-//! shared by the figure binaries.
-
-/// Arithmetic mean; 0 for empty input.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Percentile (nearest-rank, `p` in [0, 100]); 0 for empty input.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
-    v[rank.min(v.len() - 1)]
-}
+//! Paper-style series tables shared by the figure binaries.
 
 /// A printable series table, mirroring one panel of a paper figure: one
 /// row per x value, one column per series.
@@ -89,26 +68,6 @@ impl SeriesTable {
         }
         out
     }
-
-    /// CSV rendering (for downstream plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.x_label);
-        for s in &self.series {
-            out.push(',');
-            out.push_str(s);
-        }
-        out.push('\n');
-        for (x, vals) in &self.rows {
-            out.push_str(x);
-            for v in vals {
-                out.push(',');
-                out.push_str(&format!("{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn format_value(v: f64) -> String {
@@ -128,16 +87,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_basics() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(percentile(&[5.0, 1.0, 3.0], 50.0), 3.0);
-        assert_eq!(percentile(&[5.0, 1.0, 3.0], 0.0), 1.0);
-        assert_eq!(percentile(&[5.0, 1.0, 3.0], 100.0), 5.0);
-    }
-
-    #[test]
-    fn table_renders_aligned_and_csv() {
+    fn table_renders_aligned() {
         let mut t = SeriesTable::new("Fig X", "|O|", &["r=50", "r=100"]);
         t.push_row("10K", vec![1.25, 2.5]);
         t.push_row("20K", vec![2.0, 4.0]);
@@ -145,9 +95,6 @@ mod tests {
         assert!(s.contains("Fig X"));
         assert!(s.contains("r=100"));
         assert!(s.lines().count() >= 4);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("|O|,r=50,r=100\n"));
-        assert!(csv.contains("10K,1.25,2.5"));
     }
 
     #[test]

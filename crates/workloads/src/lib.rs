@@ -18,8 +18,8 @@
 //!   and co-movement queries;
 //! * [`SubscriptionSetConfig`] / [`generate_subscription_set`] — standing
 //!   continuous-query fleets for the dispatch engine's routing benchmarks;
-//! * [`experiment`] — statistics and paper-style table printing
-//!   shared by the figure binaries and Criterion benches.
+//! * [`experiment`] — paper-style table printing for the figure
+//!   binaries.
 
 pub mod building;
 pub mod defaults;
@@ -32,9 +32,9 @@ pub mod updates;
 
 pub use building::{generate_building, BuildingConfig, GeneratedBuilding};
 pub use defaults::PaperDefaults;
-pub use experiment::{mean, percentile, SeriesTable};
+pub use experiment::SeriesTable;
 pub use objects::{generate_objects, sample_one, ObjectConfig};
-pub use queries::{generate_query_points, generate_range_batches, QueryPointConfig};
+pub use queries::{generate_query_points, QueryPointConfig};
 pub use subscriptions::{generate_subscription_set, SubscriptionSetConfig};
 pub use trajectories::{generate_trajectory_stream, TrajectoryStreamConfig};
 pub use updates::{generate_update_stream, UpdateStreamConfig};

@@ -1,10 +1,8 @@
-//! Query-point workloads (§V-A: 50 random query points per experiment)
-//! and batched [`Query`] workloads for the session API's reuse path.
+//! Query-point workloads (§V-A: 50 random query points per experiment).
 
 use crate::building::GeneratedBuilding;
 use idq_geom::Point2;
 use idq_model::IndoorPoint;
-use idq_query::Query;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -50,61 +48,10 @@ pub fn generate_query_points(
     out
 }
 
-/// Builds a batched range-query workload: for every query point one
-/// batch of `per_point` `Query::Range`s anchored at it, cycling through
-/// `radii` — the "related queries arrive in a short period" scenario the
-/// paper's §VII reuse proposal targets. Each inner vector is one
-/// `execute_batch` group sharing a query point (hence one evaluation
-/// context).
-pub fn generate_range_batches(
-    points: &[IndoorPoint],
-    radii: &[f64],
-    per_point: usize,
-) -> Vec<Vec<Query>> {
-    assert!(!radii.is_empty(), "at least one radius");
-    points
-        .iter()
-        .map(|&q| {
-            (0..per_point)
-                .map(|i| Query::Range {
-                    q,
-                    r: radii[i % radii.len()],
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::building::{generate_building, BuildingConfig};
-
-    #[test]
-    fn range_batches_share_points_and_cycle_radii() {
-        let points = vec![
-            IndoorPoint::new(Point2::new(1.0, 2.0), 0),
-            IndoorPoint::new(Point2::new(3.0, 4.0), 1),
-        ];
-        let batches = generate_range_batches(&points, &[50.0, 100.0], 3);
-        assert_eq!(batches.len(), 2);
-        for (point, batch) in points.iter().zip(&batches) {
-            assert_eq!(batch.len(), 3);
-            for query in batch {
-                assert_eq!(query.query_point(), *point);
-            }
-            assert_eq!(
-                batch
-                    .iter()
-                    .map(|b| match b {
-                        Query::Range { r, .. } => *r,
-                        _ => unreachable!("range batches hold range queries"),
-                    })
-                    .collect::<Vec<_>>(),
-                vec![50.0, 100.0, 50.0]
-            );
-        }
-    }
 
     #[test]
     fn points_are_valid_and_deterministic() {
