@@ -1,15 +1,14 @@
-//! Engine-level entry points for [`RangeMonitor`] — snapshot-based
-//! conveniences plus the delta-driven [`MonitorExt::absorb`].
+//! Engine-level entry points for [`RangeMonitor`] — a snapshot-based
+//! refresh plus the delta-driven [`MonitorExt::absorb`].
 //!
 //! `RangeMonitor` lives in `idq-query` beneath the engine, so its raw
 //! methods take the `(space, index, store)` triple. The [`MonitorExt`]
-//! extension trait closes that gap for engine users: every method reads
+//! extension trait closes that gap for engine users: both methods read
 //! the layers out of an owned [`Snapshot`], and `absorb` consumes the
 //! [`UpdateReport`] a committed [`crate::IndoorEngine::apply_batch`]
 //! returns — the monitor re-evaluates exactly the objects the batch's net
 //! delta names (falling back to one full refresh when the topology
-//! changed), replacing the caller-orchestrated
-//! `on_object_update`/`invalidate` dance.
+//! changed), so the caller never feeds objects one by one.
 //!
 //! For a monitor that is *fed automatically* on every commit — without
 //! the caller routing reports — see [`crate::IndoorService::subscribe`],
@@ -27,14 +26,6 @@ pub trait MonitorExt {
     /// (see [`RangeMonitor::refresh`]). Returns the objects inside.
     fn refresh_on(&mut self, snapshot: &Snapshot) -> Result<Vec<ObjectId>, EngineError>;
 
-    /// Re-evaluates one updated object against the cached distance tree
-    /// (see [`RangeMonitor::on_object_update`]).
-    fn on_object_update_on(
-        &mut self,
-        snapshot: &Snapshot,
-        id: ObjectId,
-    ) -> Result<MonitorChange, EngineError>;
-
     /// Absorbs a committed batch: removals leave the result set, inserted
     /// and moved objects are re-evaluated, and a topology change triggers
     /// one full refresh. Returns every membership change, ascending by id.
@@ -48,14 +39,6 @@ pub trait MonitorExt {
 impl MonitorExt for RangeMonitor {
     fn refresh_on(&mut self, snapshot: &Snapshot) -> Result<Vec<ObjectId>, EngineError> {
         Ok(self.refresh(snapshot.space(), snapshot.index(), snapshot.store())?)
-    }
-
-    fn on_object_update_on(
-        &mut self,
-        snapshot: &Snapshot,
-        id: ObjectId,
-    ) -> Result<MonitorChange, EngineError> {
-        Ok(self.on_object_update(snapshot.space(), snapshot.index(), snapshot.store(), id)?)
     }
 
     fn absorb(
@@ -121,11 +104,6 @@ mod tests {
             .map(|h| h.object)
             .collect();
         assert_eq!(inside, fresh);
-
-        // Per-object convenience path agrees as well.
-        let id = inside[0];
-        let change = mon.on_object_update_on(&e.snapshot(), id).unwrap();
-        assert_eq!(change, MonitorChange::Unchanged);
     }
 
     #[test]

@@ -479,12 +479,7 @@ impl Txn {
         spec: &SampleSpec,
         units: &[UnitId],
     ) -> Result<UncertainObject, EngineError> {
-        let mut hint: Vec<_> = units
-            .iter()
-            .filter_map(|&u| self.index.units().partition_of(u))
-            .collect();
-        hint.sort_unstable();
-        hint.dedup();
+        let hint = self.index.units().owning_partitions(units);
         let sampler = GaussianSampler {
             instances: spec.instances,
             ..GaussianSampler::default()
@@ -521,13 +516,14 @@ impl Txn {
                 let id = object.id;
                 let radius = object.region.radius;
                 floors.insert(object.floor);
-                self.note_partitions(&units, partitions);
+                let owners = self.index.units().owning_partitions(&units);
                 let index = Arc::make_mut(&mut self.index);
                 index.insert_object_prepared(id, units, mbr)?;
                 // A sampled object is covered by construction; a
                 // fully-formed one may have instances outside its units.
                 index.note_coverage(&self.space, &object)?;
                 Arc::make_mut(&mut self.store).insert(*object)?;
+                self.note_partitions(id, owners, partitions);
                 self.max_radius = self.max_radius.max(radius);
                 Ok(UpdateOutcome::ObjectInserted(id))
             }
@@ -536,22 +532,16 @@ impl Txn {
                 // A cross-floor move touches the old floor's shard too.
                 floors.insert(old_floor);
                 floors.insert(object.floor);
-                // The partitions the object is *leaving* belong to the
-                // routing footprint too: capture them before the index
-                // forgets the old placement.
-                if let Ok(old_units) = self.index.object_layer().units_of(id) {
-                    self.note_partitions(old_units, partitions);
-                }
-                self.note_partitions(&units, partitions);
+                self.note_leaving(id, partitions);
+                // The new version is sampled, so covered by its units.
+                partitions.extend(self.index.units().owning_partitions(&units));
                 Arc::make_mut(&mut self.store).replace_discarding(*object)?;
                 Arc::make_mut(&mut self.index).update_object_prepared(id, units, mbr)?;
                 Ok(UpdateOutcome::ObjectMoved(id))
             }
             PreparedOp::Remove(id, floor) => {
                 floors.insert(floor);
-                if let Ok(old_units) = self.index.object_layer().units_of(id) {
-                    self.note_partitions(old_units, partitions);
-                }
+                self.note_leaving(id, partitions);
                 Arc::make_mut(&mut self.index).remove_object(id)?;
                 Arc::make_mut(&mut self.store).discard(id)?;
                 Ok(UpdateOutcome::ObjectRemoved(id))
@@ -559,14 +549,35 @@ impl Txn {
         }
     }
 
-    /// Folds the partitions owning `units` into the batch's routing
-    /// footprint.
-    fn note_partitions(&self, units: &[UnitId], partitions: &mut BTreeSet<PartitionId>) {
-        for &u in units {
-            if let Some(p) = self.index.units().partition_of(u) {
-                partitions.insert(p);
+    /// Folds the partitions the object's current version occupies into
+    /// the batch's routing footprint, before the op replaces or removes
+    /// it: the partitions an object is *leaving* route too.
+    fn note_leaving(&self, id: ObjectId, partitions: &mut BTreeSet<PartitionId>) {
+        if let Ok(units) = self.index.object_layer().units_of(id) {
+            self.note_partitions(id, self.index.units().owning_partitions(units), partitions);
+        }
+    }
+
+    /// Folds the partitions of the object version the store and index
+    /// hold for `id` into the batch's routing footprint: `owners`, the
+    /// partitions owning its units, and, when the index marks it
+    /// uncovered, the partitions hosting its instances, which `owners`
+    /// may miss.
+    fn note_partitions(
+        &self,
+        id: ObjectId,
+        owners: Vec<PartitionId>,
+        partitions: &mut BTreeSet<PartitionId>,
+    ) {
+        if self.index.object_layer().is_uncovered(id) {
+            if let Ok(object) = self.store.get(id) {
+                // A floor without partitions hosts nothing.
+                if let Ok((hosts, _)) = object.subregion_summary(&self.space, || owners.clone()) {
+                    partitions.extend(hosts.iter().map(|s| s.partition));
+                }
             }
         }
+        partitions.extend(owners);
     }
 
     /// Applies one topology [`Update`]: the space-layer operation (on the

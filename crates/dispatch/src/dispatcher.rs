@@ -374,8 +374,9 @@ impl<R> Dispatcher<R> {
     /// which since the shared distance cache composes per-door rows
     /// memoized in the index: bulk registration over a warm cache pays
     /// each door's expansion once, not once per subscription. The
-    /// monitor's complete door-distance context is built lazily at the
-    /// first incremental update instead of here.
+    /// monitor's complete evaluation context — the query pipeline's,
+    /// over full-graph door distances it then keeps — is built lazily at
+    /// the first incremental update instead of here.
     pub fn register(
         &mut self,
         monitor: StandingMonitor,
@@ -485,8 +486,11 @@ impl<R> Dispatcher<R> {
         // that cannot concern it; re-deriving each updated object's
         // current partitions lets every target absorb only its relevant
         // subset. `None` marks an object the index cannot place (not
-        // indexed, or spanning no partition) — conservatively relevant
+        // indexed, or spanning no partition) or marks uncovered (an
+        // instance outside every partition owning its units, so its
+        // bounds read partitions these miss) — conservatively relevant
         // to everyone, mirroring the commit-level empty-footprint guard.
+        let layer = index.object_layer();
         let object_partitions: Vec<(ObjectId, Option<Vec<PartitionId>>)> =
             if route_all || targets.is_empty() {
                 Vec::new()
@@ -495,19 +499,12 @@ impl<R> Dispatcher<R> {
                     .updated
                     .iter()
                     .map(|&oid| {
-                        let parts = index.object_layer().units_of(oid).ok().and_then(|units| {
-                            let mut ps: Vec<PartitionId> = units
-                                .iter()
-                                .filter_map(|&u| index.units().partition_of(u))
-                                .collect();
-                            ps.sort_unstable();
-                            ps.dedup();
-                            if ps.is_empty() {
-                                None
-                            } else {
-                                Some(ps)
-                            }
-                        });
+                        let parts = layer
+                            .units_of(oid)
+                            .ok()
+                            .filter(|_| !layer.is_uncovered(oid))
+                            .map(|units| index.units().owning_partitions(units))
+                            .filter(|ps| !ps.is_empty());
                         (oid, parts)
                     })
                     .collect()

@@ -483,15 +483,9 @@ impl CompositeIndex {
         space: &IndoorSpace,
         object: &UncertainObject,
     ) -> Result<(), IndexError> {
-        let mut owners: Vec<PartitionId> = self
-            .objects
-            .units_of(object.id)?
-            .iter()
-            .filter_map(|&u| self.units.partition_of(u))
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
-        let owners: Vec<&Partition> = owners
+        let owners: Vec<&Partition> = self
+            .units
+            .owning_partitions(self.objects.units_of(object.id)?)
             .iter()
             .filter_map(|&p| space.partition(p).ok())
             .collect();

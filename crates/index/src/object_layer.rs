@@ -259,6 +259,14 @@ impl ObjectLayer {
         Ok(())
     }
 
+    /// Whether the object carries the uncovered mark.
+    pub fn is_uncovered(&self, id: ObjectId) -> bool {
+        self.shards
+            .find(id)
+            .and_then(|f| self.shards.get(f as Floor))
+            .is_some_and(|s| s.uncovered.contains(&id))
+    }
+
     /// Every object carrying the uncovered mark, ascending per floor.
     pub fn uncovered(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.shards.iter().flat_map(|s| s.uncovered.iter().copied())
@@ -510,8 +518,10 @@ mod tests {
         l.update(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
         l.update(ObjectId(2), vec![UnitId(0)], mbr_on(0)).unwrap();
         assert_eq!(l.uncovered().collect::<Vec<_>>(), [ObjectId(3)]);
+        assert!(l.is_uncovered(ObjectId(3)) && !l.is_uncovered(ObjectId(2)));
         l.remove(ObjectId(3)).unwrap();
         assert_eq!(l.uncovered().count(), 0);
+        assert!(!l.is_uncovered(ObjectId(3)), "gone objects are not marked");
         l.validate();
     }
 

@@ -105,6 +105,16 @@ impl UnitStore {
         self.get(u).filter(|x| x.active).map(|x| x.partition)
     }
 
+    /// The partitions owning `units`, ascending and deduplicated —
+    /// `partition_of` over a unit list; tombstoned units own nothing.
+    pub fn owning_partitions(&self, units: &[UnitId]) -> Vec<PartitionId> {
+        let mut partitions: Vec<PartitionId> =
+            units.iter().filter_map(|&u| self.partition_of(u)).collect();
+        partitions.sort_unstable();
+        partitions.dedup();
+        partitions
+    }
+
     /// Units of a partition — the reverse `h-table`.
     pub fn units_of(&self, p: PartitionId) -> &[UnitId] {
         self.by_partition.get(&p).map(Vec::as_slice).unwrap_or(&[])

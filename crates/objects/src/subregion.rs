@@ -25,7 +25,8 @@
 //!   its subregion — so on the memo's layout the decomposition is rebuilt
 //!   by one bucketing pass, without point location. The kernel runs only
 //!   to fill the memo, off the memo's layout, or for an object with more
-//!   subregions than a byte can name. The monitors still call the kernel.
+//!   subregions than a byte can name. One-shot queries and standing
+//!   monitors read both forms through the same evaluation context.
 
 use crate::error::ObjectError;
 use crate::object::UncertainObject;

@@ -5,34 +5,77 @@
 //! reusable artefact of the pipeline is the single-source door-distance
 //! tree from the query point: for a *standing* range query (the airport
 //! perimeter of §I), the query point never moves — only objects do. A
-//! [`RangeMonitor`] therefore caches full-graph [`DoorDistances`] for its
+//! [`RangeMonitor`] therefore keeps full-graph [`DoorDistances`] for its
 //! query point and re-evaluates **only the updated object** on each object
 //! update, falling back to a full refresh when the topology changes
-//! (which invalidates cached distances). [`KnnMonitor`] applies the same
+//! (which invalidates the kept distances). [`KnnMonitor`] applies the same
 //! idea to a standing `ikNNQ(q, k)`: incremental top-k maintenance where
 //! it is provably exact, and threshold re-verification (one fresh query)
 //! whenever the result set may shrink.
+//!
+//! Both monitors price an object the way the one-shot queries do, through
+//! the pipeline's `EvalContext`: bounds from the object's memoised
+//! subregion summary, the exact expected distance from the decomposition
+//! the memo's instance slots rebuild. The context is built lazily, at the
+//! first evaluation after a refresh, over distances kept between
+//! evaluations and stamped with the space version they were assembled on.
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
-use crate::pipeline::object_partition_hint;
-use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances};
+use crate::pipeline::EvalContext;
+use idq_distance::DoorDistances;
 use idq_index::CompositeIndex;
 use idq_model::IndoorPoint;
 use idq_model::IndoorSpace;
-use idq_objects::{ObjectId, ObjectStore, Subregions};
+use idq_objects::{ObjectId, ObjectStore};
 use std::collections::BTreeSet;
+
+/// What both monitor kinds evaluate objects with: the standing query
+/// point and options, and the full-graph door distances from the point,
+/// kept with the space version they were assembled on.
+#[derive(Debug)]
+struct Evaluator {
+    q: IndoorPoint,
+    options: QueryOptions,
+    /// `None` until the first evaluation after a refresh.
+    kept: Option<(u64, DoorDistances)>,
+}
+
+impl Evaluator {
+    fn new(q: IndoorPoint, options: QueryOptions) -> Self {
+        Evaluator {
+            q,
+            options,
+            kept: None,
+        }
+    }
+
+    /// Runs `eval` on a complete [`EvalContext`] from `q`: over the kept
+    /// distances while the space version matches, over freshly assembled
+    /// ones otherwise. The context's distances are kept afterwards.
+    fn with<T>(
+        &mut self,
+        space: &IndoorSpace,
+        index: &CompositeIndex,
+        store: &ObjectStore,
+        eval: impl FnOnce(&mut EvalContext<'_>, &QueryOptions) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let (q, options, version) = (self.q, &self.options, space.version());
+        let mut ctx = match self.kept.take() {
+            Some((v, dd)) if v == version => EvalContext::over(space, store, index, q, dd, options),
+            _ => EvalContext::new(space, store, index, q, f64::INFINITY, options)?,
+        };
+        let out = eval(&mut ctx, options);
+        self.kept = Some((version, ctx.into_distances()));
+        out
+    }
+}
 
 /// A standing `iRQ(q, r)` kept current under object updates.
 #[derive(Debug)]
 pub struct RangeMonitor {
-    q: IndoorPoint,
+    eval: Evaluator,
     r: f64,
-    options: QueryOptions,
-    /// Cached single-source door distances from `q` (full graph).
-    dd: Option<DoorDistances>,
-    /// Space version the cache is valid for.
-    cached_version: u64,
     /// Current result set.
     inside: BTreeSet<ObjectId>,
 }
@@ -66,18 +109,15 @@ impl RangeMonitor {
             return Err(QueryError::BadRange(r));
         }
         Ok(RangeMonitor {
-            q,
+            eval: Evaluator::new(q, options),
             r,
-            options,
-            dd: None,
-            cached_version: u64::MAX,
             inside: BTreeSet::new(),
         })
     }
 
     /// The standing query point.
     pub fn query_point(&self) -> IndoorPoint {
-        self.q
+        self.eval.q
     }
 
     /// The standing radius.
@@ -87,16 +127,16 @@ impl RangeMonitor {
 
     /// The query options evaluations use.
     pub fn options(&self) -> &QueryOptions {
-        &self.options
+        &self.eval.options
     }
 
     /// Replaces the query options (e.g. a serving engine's effective
     /// options widened because a larger uncertainty region arrived).
-    /// Takes effect from the next evaluation; the cached distance tree
-    /// stays valid — it is a full-graph artefact, independent of the
+    /// Takes effect from the next evaluation; the kept distances stay
+    /// valid — they are a full-graph artefact, independent of the
     /// options.
     pub fn set_options(&mut self, options: QueryOptions) {
-        self.options = options;
+        self.eval.options = options;
     }
 
     /// Objects currently inside the range, ascending by id.
@@ -109,23 +149,6 @@ impl RangeMonitor {
         self.inside.contains(&id)
     }
 
-    fn ensure_dd(
-        &mut self,
-        space: &IndoorSpace,
-        index: &CompositeIndex,
-    ) -> Result<&DoorDistances, QueryError> {
-        if self.dd.is_none() || self.cached_version != space.version() {
-            self.dd = Some(crate::pipeline::complete_dd(
-                space,
-                index,
-                self.q,
-                &self.options,
-            )?);
-            self.cached_version = space.version();
-        }
-        Ok(self.dd.as_ref().expect("just ensured"))
-    }
-
     /// Full re-evaluation through the indexed pipeline (used at start-up
     /// and after topology changes). Returns the objects inside.
     pub fn refresh(
@@ -134,20 +157,21 @@ impl RangeMonitor {
         index: &CompositeIndex,
         store: &ObjectStore,
     ) -> Result<Vec<ObjectId>, QueryError> {
-        let out = crate::irq::range_query(space, index, store, self.q, self.r, &self.options)?;
+        let Evaluator { q, options, .. } = &self.eval;
+        let out = crate::irq::range_query(space, index, store, *q, self.r, options)?;
         self.inside = out.results.iter().map(|h| h.object).collect();
-        // Drop the cached distance context; `ensure_dd` rebuilds it
-        // lazily at the first incremental update that needs it. Keeping
-        // the rebuild out of refresh makes registration (and topology
-        // fallback) pay only for the query — a fleet of mostly-idle
-        // monitors never materializes per-monitor distance vectors.
-        self.dd = None;
+        // Drop the kept distances; the next incremental update rebuilds
+        // them. Keeping the rebuild out of refresh makes registration
+        // (and topology fallback) pay only for the query — a fleet of
+        // mostly-idle monitors never materializes per-monitor distance
+        // vectors.
+        self.eval.kept = None;
         Ok(self.current())
     }
 
     /// Processes one object update (insert, move or re-sample): evaluates
-    /// **only** that object against the cached distance tree — bounds
-    /// first, exact expected distance only when they straddle `r`.
+    /// **only** that object against the kept distances — bounds first,
+    /// exact expected distance only when they straddle `r`.
     pub fn on_object_update(
         &mut self,
         space: &IndoorSpace,
@@ -155,26 +179,17 @@ impl RangeMonitor {
         store: &ObjectStore,
         id: ObjectId,
     ) -> Result<MonitorChange, QueryError> {
-        self.ensure_dd(space, index)?;
-        let dd = self.dd.as_ref().expect("ensured above");
-        let was_inside = self.inside.contains(&id);
-        let obj = store.get(id)?;
-        let hint = object_partition_hint(index, id);
-        let subs = Subregions::compute_with_hint(obj, space, &hint)?;
-
-        let inside_now = if self.options.use_pruning {
-            let b = object_bounds(space, dd, subs.summaries());
-            if b.upper <= self.r {
-                true
-            } else if b.lower > self.r {
-                false
-            } else {
-                expected_indoor_distance(space, dd, obj, &subs).value <= self.r
+        let r = self.r;
+        let inside_now = self.eval.with(space, index, store, |ctx, options| {
+            if options.use_pruning {
+                let b = ctx.bounds(id)?;
+                if b.upper <= r || b.lower > r {
+                    return Ok(b.upper <= r);
+                }
             }
-        } else {
-            expected_indoor_distance(space, dd, obj, &subs).value <= self.r
-        };
-
+            Ok(ctx.refine_with_threshold(id, r, options)? <= r)
+        })?;
+        let was_inside = self.inside.contains(&id);
         Ok(match (was_inside, inside_now) {
             (false, true) => {
                 self.inside.insert(id);
@@ -190,8 +205,8 @@ impl RangeMonitor {
 
     /// Absorbs a whole update delta — the net effect of a committed update
     /// batch — in one call: removals drop out of the result set, updated
-    /// objects (inserts and moves) are re-evaluated against the cached
-    /// distance tree, and a topology change falls back to one full
+    /// objects (inserts and moves) are re-evaluated against the kept
+    /// distances, and a topology change falls back to one full
     /// [`RangeMonitor::refresh`]. Returns every membership change, ascending
     /// by object id. This is the raw form behind the engine-level
     /// `RangeMonitor::absorb(&report, &snapshot)` entry point.
@@ -206,7 +221,6 @@ impl RangeMonitor {
     ) -> Result<Vec<(ObjectId, MonitorChange)>, QueryError> {
         if topology_changed {
             let before = self.inside.clone();
-            self.invalidate();
             self.refresh(space, index, store)?;
             let mut changes = Vec::new();
             for &id in before.difference(&self.inside) {
@@ -243,21 +257,12 @@ impl RangeMonitor {
             MonitorChange::Unchanged
         }
     }
-
-    /// Invalidate after a topology change: the cached distance tree no
-    /// longer reflects the space. Callers should [`RangeMonitor::refresh`]
-    /// afterwards (cheap relative to re-pre-computing door-to-door
-    /// distances, which this design never does).
-    pub fn invalidate(&mut self) {
-        self.dd = None;
-        self.cached_version = u64::MAX;
-    }
 }
 
 /// A standing `ikNNQ(q, k)` kept current under object updates — the kNN
 /// twin of [`RangeMonitor`].
 ///
-/// Caches the full-graph door-distance tree from `q` and maintains the
+/// Keeps the full-graph door distances from `q` and maintains the
 /// ranked top-k in exactly [`crate::iknn::knn_query`]'s order (ascending
 /// `(distance, id)`). Object updates fold in incrementally where that is
 /// provably equivalent to a fresh query: a non-member beating the current
@@ -271,13 +276,8 @@ impl RangeMonitor {
 /// `ikNNQ(q, k)` from scratch on the current state.
 #[derive(Debug)]
 pub struct KnnMonitor {
-    q: IndoorPoint,
+    eval: Evaluator,
     k: usize,
-    options: QueryOptions,
-    /// Cached single-source door distances from `q` (full graph).
-    dd: Option<DoorDistances>,
-    /// Space version the cache is valid for.
-    cached_version: u64,
     /// Current top-k, ascending by `(distance, id)` — fresh-query order.
     topk: Vec<(f64, ObjectId)>,
 }
@@ -290,18 +290,15 @@ impl KnnMonitor {
             return Err(QueryError::ZeroK);
         }
         Ok(KnnMonitor {
-            q,
+            eval: Evaluator::new(q, options),
             k,
-            options,
-            dd: None,
-            cached_version: u64::MAX,
             topk: Vec::new(),
         })
     }
 
     /// The standing query point.
     pub fn query_point(&self) -> IndoorPoint {
-        self.q
+        self.eval.q
     }
 
     /// The standing `k`.
@@ -311,12 +308,12 @@ impl KnnMonitor {
 
     /// The query options evaluations use.
     pub fn options(&self) -> &QueryOptions {
-        &self.options
+        &self.eval.options
     }
 
     /// Replaces the query options (see [`RangeMonitor::set_options`]).
     pub fn set_options(&mut self, options: QueryOptions) {
-        self.options = options;
+        self.eval.options = options;
     }
 
     /// The current top-k as `(object, distance)`, ascending by
@@ -350,27 +347,6 @@ impl KnnMonitor {
         }
     }
 
-    fn ensure_dd(&mut self, space: &IndoorSpace, index: &CompositeIndex) -> Result<(), QueryError> {
-        if self.dd.is_none() || self.cached_version != space.version() {
-            self.dd = Some(crate::pipeline::complete_dd(
-                space,
-                index,
-                self.q,
-                &self.options,
-            )?);
-            self.cached_version = space.version();
-        }
-        Ok(())
-    }
-
-    fn resort(&mut self) {
-        self.topk.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite distances")
-                .then(a.1.cmp(&b.1))
-        });
-    }
-
     /// Full re-evaluation through the indexed pipeline (used at start-up
     /// and after topology changes or shrink re-verification). Returns the
     /// ranked result.
@@ -380,72 +356,14 @@ impl KnnMonitor {
         index: &CompositeIndex,
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, f64)>, QueryError> {
-        let out = crate::iknn::knn_query(space, index, store, self.q, self.k, &self.options)?;
+        let Evaluator { q, options, .. } = &self.eval;
+        let out = crate::iknn::knn_query(space, index, store, *q, self.k, options)?;
         self.topk = out.results.iter().map(|h| (h.distance, h.object)).collect();
-        // Drop the cached distance context; `ensure_dd` rebuilds it
-        // lazily at the first incremental update that needs it (see the
-        // range monitor's refresh for the registration-cost rationale).
-        self.dd = None;
+        // Drop the kept distances; the next incremental update rebuilds
+        // them (see the range monitor's refresh for the registration-cost
+        // rationale).
+        self.eval.kept = None;
         Ok(self.ranked())
-    }
-
-    /// Folds one object update into the top-k. Returns `true` when the
-    /// incremental step is not provably exact — the result set may shrink,
-    /// raising the threshold — and the caller must fall back to a fresh
-    /// re-query.
-    fn absorb_object_update(
-        &mut self,
-        space: &IndoorSpace,
-        index: &CompositeIndex,
-        store: &ObjectStore,
-        id: ObjectId,
-    ) -> Result<bool, QueryError> {
-        self.ensure_dd(space, index)?;
-        let dd = self.dd.as_ref().expect("ensured above");
-        let obj = store.get(id)?;
-        let hint = object_partition_hint(index, id);
-        let subs = Subregions::compute_with_hint(obj, space, &hint)?;
-
-        if let Some(pos) = self.topk.iter().position(|&(_, m)| m == id) {
-            let old = self.topk[pos].0;
-            let d = expected_indoor_distance(space, dd, obj, &subs).value;
-            if !d.is_finite() || d > old {
-                // A member worsened: objects the monitor never evaluated
-                // may now beat the (grown) threshold. Re-verify.
-                return Ok(true);
-            }
-            self.topk[pos].0 = d;
-            self.resort();
-            return Ok(false);
-        }
-
-        if self.topk.len() < self.k {
-            // Fewer than k reachable: every reachable object qualifies.
-            let d = expected_indoor_distance(space, dd, obj, &subs).value;
-            if d.is_finite() {
-                self.topk.push((d, id));
-                self.resort();
-            }
-            return Ok(false);
-        }
-
-        let &(dk, idk) = self.topk.last().expect("len == k >= 1");
-        let d = if self.options.use_pruning {
-            let b = object_bounds(space, dd, subs.summaries());
-            if b.lower > dk {
-                // Cannot beat the kth even on a tie: d ≥ lower > dk.
-                return Ok(false);
-            }
-            expected_indoor_distance(space, dd, obj, &subs).value
-        } else {
-            expected_indoor_distance(space, dd, obj, &subs).value
-        };
-        if d.is_finite() && (d < dk || (d == dk && id < idk)) {
-            self.topk.pop();
-            self.topk.push((d, id));
-            self.resort();
-        }
-        Ok(false)
     }
 
     /// Absorbs a whole update delta in one call — the kNN counterpart of
@@ -464,19 +382,18 @@ impl KnnMonitor {
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, MonitorChange)>, QueryError> {
         let before: BTreeSet<ObjectId> = self.topk.iter().map(|&(_, id)| id).collect();
-        let mut need_refresh = topology_changed;
-        if topology_changed {
-            self.invalidate();
-        }
         // A removed member shrinks the set: the threshold grows.
-        need_refresh = need_refresh || removed.iter().any(|id| before.contains(id));
-        if !need_refresh {
-            for &id in updated {
-                if self.absorb_object_update(space, index, store, id)? {
-                    need_refresh = true;
-                    break;
+        let mut need_refresh = topology_changed || removed.iter().any(|id| before.contains(id));
+        if !need_refresh && !updated.is_empty() {
+            let (k, topk) = (self.k, &mut self.topk);
+            need_refresh = self.eval.with(space, index, store, |ctx, options| {
+                for &id in updated {
+                    if fold_update(topk, k, ctx, options, id)? {
+                        return Ok(true);
+                    }
                 }
-            }
+                Ok(false)
+            })?;
         }
         if need_refresh {
             self.refresh(space, index, store)?;
@@ -492,19 +409,58 @@ impl KnnMonitor {
         changes.sort_unstable_by_key(|(id, _)| *id);
         Ok(changes)
     }
+}
 
-    /// Invalidate after a topology change (see
-    /// [`RangeMonitor::invalidate`]).
-    pub fn invalidate(&mut self) {
-        self.dd = None;
-        self.cached_version = u64::MAX;
+/// Folds one object update into a top-k of `k`. Returns `true` when the
+/// incremental step is not provably exact — the result set may shrink,
+/// raising the threshold — and the caller must fall back to a fresh
+/// re-query.
+fn fold_update(
+    topk: &mut Vec<(f64, ObjectId)>,
+    k: usize,
+    ctx: &mut EvalContext<'_>,
+    options: &QueryOptions,
+    id: ObjectId,
+) -> Result<bool, QueryError> {
+    if let Some(pos) = topk.iter().position(|&(_, m)| m == id) {
+        let old = topk[pos].0;
+        let d = ctx.refine_with_threshold(id, old, options)?;
+        if !d.is_finite() || d > old {
+            // A member worsened: objects the monitor never evaluated may
+            // now beat the (grown) threshold. Re-verify.
+            return Ok(true);
+        }
+        topk[pos].0 = d;
+    } else if topk.len() < k {
+        // Fewer than k reachable: every reachable object qualifies.
+        let d = ctx.refine_with_threshold(id, f64::INFINITY, options)?;
+        if !d.is_finite() {
+            return Ok(false);
+        }
+        topk.push((d, id));
+    } else {
+        let &(dk, idk) = topk.last().expect("len == k >= 1");
+        if options.use_pruning && ctx.bounds(id)?.lower > dk {
+            // Cannot beat the kth even on a tie: d ≥ lower > dk.
+            return Ok(false);
+        }
+        let d = ctx.refine_with_threshold(id, dk, options)?;
+        if !(d.is_finite() && (d < dk || (d == dk && id < idk))) {
+            return Ok(false);
+        }
+        topk.pop();
+        topk.push((d, id));
     }
+    // `total_cmp` orders the finite distances admitted above exactly as
+    // `<` does, without a panic site.
+    topk.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    Ok(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idq_geom::{Point2, Rect2};
+    use idq_geom::{Circle, Point2, Rect2};
     use idq_index::IndexConfig;
     use idq_model::FloorPlanBuilder;
     use idq_objects::UncertainObject;
@@ -542,13 +498,21 @@ mod tests {
         id: u64,
         x: f64,
     ) {
-        let obj = point_obj(id, x);
-        if store.contains(ObjectId(id)) {
-            store.remove(ObjectId(id)).unwrap();
+        put(store, index, space, point_obj(id, x));
+    }
+
+    /// Inserts `obj`, or replaces the object with its id.
+    fn put(
+        store: &mut ObjectStore,
+        index: &mut CompositeIndex,
+        space: &IndoorSpace,
+        obj: UncertainObject,
+    ) {
+        let id = obj.id;
+        if store.contains(id) {
+            store.remove(id).unwrap();
             store.insert(obj).unwrap();
-            index
-                .update_object(space, store.get(ObjectId(id)).unwrap())
-                .unwrap();
+            index.update_object(space, store.get(id).unwrap()).unwrap();
         } else {
             index.insert_object(space, &obj).unwrap();
             store.insert(obj).unwrap();
@@ -615,7 +579,6 @@ mod tests {
         let d = space.doors().next().unwrap().id;
         let ev = space.close_door(d).unwrap();
         index.apply_topology(&space, &store, &ev).unwrap();
-        mon.invalidate();
         let now = mon.refresh(&space, &index, &store).unwrap();
         assert!(now.is_empty(), "door closed: nothing in range");
     }
@@ -626,16 +589,22 @@ mod tests {
         let q = idq_model::IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut mon = RangeMonitor::new(q, 25.0, QueryOptions::default()).unwrap();
         mon.refresh(&space, &index, &store).unwrap();
-        // A topology change bumps the version; the next update recomputes
-        // the cached tree automatically (no invalidate() needed).
-        let d = space.doors().next().unwrap().id;
-        let ev = space.close_door(d).unwrap();
-        index.apply_topology(&space, &store, &ev).unwrap();
+        // The first update builds and keeps the distances.
         move_to(&mut store, &mut index, &space, 9, 15.0);
         let c = mon
             .on_object_update(&space, &index, &store, ObjectId(9))
             .unwrap();
-        assert_eq!(c, MonitorChange::Unchanged, "unreachable after door close");
+        assert_eq!(c, MonitorChange::Entered);
+        // A topology change bumps the version; the next update rebuilds
+        // the kept distances without being told.
+        let d = space.doors().next().unwrap().id;
+        let ev = space.close_door(d).unwrap();
+        index.apply_topology(&space, &store, &ev).unwrap();
+        move_to(&mut store, &mut index, &space, 9, 16.0);
+        let c = mon
+            .on_object_update(&space, &index, &store, ObjectId(9))
+            .unwrap();
+        assert_eq!(c, MonitorChange::Left, "unreachable after door close");
     }
 
     #[test]
@@ -777,5 +746,62 @@ mod tests {
         assert_eq!(changes, vec![(ObjectId(2), MonitorChange::Left)]);
         assert!(mon.ranked().is_empty());
         assert_eq!(mon.ranked(), fresh_knn(&space, &index, &store, q, 1));
+    }
+
+    #[test]
+    fn monitors_price_moved_objects_through_the_summary_memo() {
+        let (space, mut store, mut index) = setup();
+        let q = idq_model::IndoorPoint::new(Point2::new(2.0, 5.0), 0);
+        // Three instances around `x`; one centred on the r0/r1 door
+        // splits into two subregions.
+        let spread = |id: u64, x: f64| {
+            let positions = vec![
+                Point2::new(x - 1.5, 4.0),
+                Point2::new(x, 5.0),
+                Point2::new(x + 1.5, 6.0),
+            ];
+            let region = Circle::new(Point2::new(x, 5.0), 2.0);
+            UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions).unwrap()
+        };
+        for (id, x) in [(1, 25.0), (2, 28.0), (3, 15.0)] {
+            put(&mut store, &mut index, &space, spread(id, x));
+        }
+        let (r, opts) = (8.5, QueryOptions::default());
+        let mut range = RangeMonitor::new(q, r, opts).unwrap();
+        let mut knn = KnnMonitor::new(q, 2, opts).unwrap();
+        range.refresh(&space, &index, &store).unwrap();
+        knn.refresh(&space, &index, &store).unwrap();
+
+        // A far non-member moves onto the door (admitted), a member
+        // improves, a non-member stays beyond the kth: no step shrinks the
+        // top-k, so neither monitor re-queries.
+        for (id, x) in [(2, 10.0), (3, 12.0), (1, 20.5)] {
+            put(&mut store, &mut index, &space, spread(id, x));
+            let moved = [ObjectId(id)];
+            range
+                .absorb_delta(&moved, &[], false, &space, &index, &store)
+                .unwrap();
+            knn.absorb_delta(&moved, &[], false, &space, &index, &store)
+                .unwrap();
+            let obj = store.get(ObjectId(id)).unwrap();
+            let (_, computed) = obj.subregion_summary(&space, Vec::new).unwrap();
+            assert!(!computed, "object {id}: the monitors filled the memo");
+
+            let bits = |ranked: &[(ObjectId, f64)]| -> Vec<(ObjectId, u64)> {
+                ranked.iter().map(|&(o, d)| (o, d.to_bits())).collect()
+            };
+            let fresh = fresh_knn(&space, &index, &store, q, 2);
+            assert_eq!(bits(&knn.ranked()), bits(&fresh), "object {id}");
+            let fresh = crate::irq::range_query(&space, &index, &store, q, r, &opts).unwrap();
+            let fresh: Vec<ObjectId> = fresh.results.iter().map(|h| h.object).collect();
+            assert_eq!(range.current(), fresh, "object {id}");
+        }
+        assert_eq!(range.current(), [ObjectId(2)]);
+
+        // Object 2's bounds straddle `r`, so the range monitor priced it
+        // exactly.
+        let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+        let b = ctx.bounds(ObjectId(2)).unwrap();
+        assert!(b.lower <= r && r < b.upper, "{b:?}");
     }
 }

@@ -10,6 +10,9 @@
 //! map, from [`idq_objects::UncertainObject::subregions`] — rebuilt from
 //! the memo's per-instance slots on the memo's layout, so the point
 //! location kernel runs only at memo fill or off the memo's layout.
+//! The standing monitors price objects through the same context, over
+//! complete door distances they keep between evaluations
+//! (`EvalContext::over`).
 //!
 //! Since the shared-cache PR, **every** door-distance context here is
 //! assembled by [`DoorDistances::compute_banded`] — a composition of
@@ -95,27 +98,6 @@ fn assemble_dd(
     })
 }
 
-/// A complete (infinite-horizon) door-distance context for callers
-/// outside the four-phase pipeline — monitors and other unrestricted
-/// consumers. Honors `options.distance_cache`; per-query counters are
-/// dropped (the cache's own global counters still tick).
-pub(crate) fn complete_dd(
-    space: &IndoorSpace,
-    index: &CompositeIndex,
-    q: IndoorPoint,
-    options: &QueryOptions,
-) -> Result<DoorDistances, QueryError> {
-    assemble_dd(
-        space,
-        index,
-        q,
-        f64::INFINITY,
-        options.distance_cache,
-        options.distance_cache_bytes,
-        &mut QueryStats::default(),
-    )
-}
-
 impl<'a> EvalContext<'a> {
     /// Builds the context, assembling door distances truncated at
     /// `horizon` (pass `f64::INFINITY` for a complete context) from the
@@ -133,6 +115,24 @@ impl<'a> EvalContext<'a> {
         let mut delta = QueryStats::default();
         let dd = assemble_dd(space, index, q, horizon, use_shared, budget, &mut delta)?;
         Ok(EvalContext {
+            delta,
+            ..Self::over(space, store, index, q, dd, options)
+        })
+    }
+
+    /// A context over door distances from `q` that an earlier context
+    /// assembled on this space version and gave back through
+    /// [`EvalContext::into_distances`] — how a standing query keeps its
+    /// complete context between evaluations.
+    pub fn over(
+        space: &'a IndoorSpace,
+        store: &'a ObjectStore,
+        index: &'a CompositeIndex,
+        q: IndoorPoint,
+        dd: DoorDistances,
+        options: &QueryOptions,
+    ) -> Self {
+        EvalContext {
             space,
             store,
             index,
@@ -140,10 +140,15 @@ impl<'a> EvalContext<'a> {
             dd,
             full_dd: None,
             refined: HashMap::new(),
-            use_shared_cache: use_shared,
-            cache_budget: budget,
-            delta,
-        })
+            use_shared_cache: options.distance_cache,
+            cache_budget: options.distance_cache_bytes,
+            delta: QueryStats::default(),
+        }
+    }
+
+    /// The context's door distances, for a later [`EvalContext::over`].
+    pub fn into_distances(self) -> DoorDistances {
+        self.dd
     }
 
     /// Moves the work counted since the last drain (or since the context
@@ -279,19 +284,11 @@ fn tally(stats: &mut QueryStats, computed: bool) {
 /// (via the h-table); empty when the object is not indexed. Point location
 /// per instance becomes a handful of containment checks.
 pub(crate) fn object_partition_hint(index: &CompositeIndex, id: ObjectId) -> Vec<PartitionId> {
-    let mut hint: Vec<PartitionId> = index
+    index
         .object_layer()
         .units_of(id)
-        .map(|units| {
-            units
-                .iter()
-                .filter_map(|&u| index.units().partition_of(u))
-                .collect()
-        })
-        .unwrap_or_default();
-    hint.sort_unstable();
-    hint.dedup();
-    hint
+        .map(|units| index.units().owning_partitions(units))
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -105,7 +105,6 @@ fn monitor_survives_topology_change_with_refresh() {
     if let Some(&d) = doors.first() {
         let ev = space.close_door(d).unwrap();
         index.apply_topology(&space, &store, &ev).unwrap();
-        mon.invalidate();
         mon.refresh(&space, &index, &store).unwrap();
         let truth = naive_range(&space, index.doors_graph(), &store, q, 100.0).unwrap();
         assert_eq!(mon.current().len(), truth.len());

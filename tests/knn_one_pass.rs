@@ -9,7 +9,8 @@
 //!   o-table-hinted decomposition), under every ablation; that ranking
 //!   agrees with `naive_knn`'s per-instance sums to 1e-9. They stay so
 //!   after a partition that holds objects is deleted, and so do iRQ's
-//!   answers (single, batched and as a subscription's initial set).
+//!   answers (single, batched and as a subscription's initial set) and
+//!   open range and kNN subscriptions across later writes.
 //! * `kbound` is pinned bit for bit on generated malls, and a query point
 //!   outside every partition still fails with `QueryOutsideSpace`.
 //!
@@ -17,7 +18,7 @@
 //! instances that fall outside every partition (which snap to the
 //! nearest one).
 
-use indoor_dq::core::{EngineConfig, IndoorEngine, Update};
+use indoor_dq::core::{EngineConfig, IndoorEngine, Subscription, Update};
 use indoor_dq::distance::{expected_indoor_distance, DistanceError, DoorDistances, DoorRow};
 use indoor_dq::geom::{Circle, OrdF64, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
@@ -394,11 +395,57 @@ fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
         "P hosts object 1, 5 m away; object 3 is unreachable"
     );
 
+    // Standing queries around q stay open across the next writes. Object
+    // 5's footprint reaches only Q, yet P hosts it: its commits must route
+    // to them by its host partitions.
+    let service = engine.service();
+    let mut subs = [
+        service.subscribe(Query::Range { q, r: 6.0 }).unwrap(),
+        service.subscribe(Query::Knn { q, k: 1 }).unwrap(),
+    ];
+    engine.apply(explicit(5, 17.5, 3.5, &[14.0, 15.0])).unwrap();
+    assert_standing_exact(&engine, &mut subs, "uncovered insert");
+    assert!(subs[0].contains(ObjectId(5)));
+
     // Inserted into the gap R left: its footprint meets no unit at all,
     // yet P hosts it, 3 m from the query.
     engine.apply(explicit(4, 12.0, 0.5, &[11.5, 12.5])).unwrap();
     let ranking = check(&engine, "inserted");
     assert_eq!(ranking[0].0, ObjectId(4));
+    assert_standing_exact(&engine, &mut subs, "inserted");
+
+    engine.apply(Update::RemoveObject(ObjectId(5))).unwrap();
+    assert_standing_exact(&engine, &mut subs, "uncovered removal");
+    assert!(!subs[0].contains(ObjectId(5)));
+}
+
+/// Brings every subscription up to date and checks it against a fresh
+/// query on the engine's current state: ids for a range, ranked distance
+/// bits for a kNN.
+fn assert_standing_exact(engine: &IndoorEngine, subs: &mut [Subscription], stage: &str) {
+    engine.service().quiesce();
+    let (space, index, store) = (engine.space(), engine.index(), engine.store());
+    let options = *engine.snapshot().options();
+    for sub in subs {
+        sub.poll().unwrap();
+        match *sub.query() {
+            Query::Range { q, r } => {
+                let fresh = range_query(space, index, store, q, r, &options).unwrap();
+                let fresh: Vec<ObjectId> = fresh.results.iter().map(|h| h.object).collect();
+                assert_eq!(sub.current(), fresh, "{stage}: r={r}");
+            }
+            Query::Knn { q, k } => {
+                let fresh = knn_query(space, index, store, q, k, &options).unwrap();
+                let fresh: Vec<(ObjectId, f64)> = fresh
+                    .results
+                    .iter()
+                    .map(|h| (h.object, h.distance))
+                    .collect();
+                assert_eq!(bits(sub.ranked().unwrap()), bits(&fresh), "{stage}: k={k}");
+            }
+            _ => unreachable!("only range and kNN subscriptions"),
+        }
+    }
 }
 
 #[test]
