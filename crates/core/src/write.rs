@@ -39,13 +39,13 @@ use crate::service::Shared;
 use crate::snapshot::Snapshot;
 use crate::state::EngineState;
 use crate::update::{DeltaBuilder, Update, UpdateOutcome, UpdateReport, UpdateStats};
-use idq_geom::{Circle, Mbr3, Point2};
+use idq_geom::{Circle, IdMap, Mbr3, Point2};
 use idq_index::{CompositeIndex, UnitId};
 use idq_model::{Floor, IndoorSpace, PartitionId, TopologyEvent};
 use idq_objects::{GaussianSampler, ObjectError, ObjectId, ObjectStore, UncertainObject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -266,7 +266,7 @@ impl Txn {
         // run (shared footprint traversals, hint-assisted sampling — all
         // remaining fallible work, still nothing committed).
         let mut intents: Vec<Intent> = Vec::with_capacity(updates.len());
-        let mut pending: HashMap<ObjectId, PendingState> = HashMap::new();
+        let mut pending: IdMap<ObjectId, PendingState> = IdMap::default();
         for update in updates {
             intents.push(self.prepare_intent(update, &mut pending)?);
             stats.position_updates += 1;
@@ -282,7 +282,7 @@ impl Txn {
     fn prepare_intent(
         &mut self,
         update: &Update,
-        pending: &mut HashMap<ObjectId, PendingState>,
+        pending: &mut IdMap<ObjectId, PendingState>,
     ) -> Result<Intent, EngineError> {
         match update {
             Update::InsertObject(object) => {

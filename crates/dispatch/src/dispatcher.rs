@@ -2,11 +2,12 @@
 //! partition → subscription map, and per-commit delta dispatch.
 
 use crate::mailbox::{DeltaMsg, Mailbox, MailboxReceiver, PushOutcome};
+use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
 use idq_query::{KnnMonitor, MonitorChange, QueryError, QueryOptions, RangeMonitor};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Handle identifying one registered subscription.
@@ -267,9 +268,9 @@ struct SubEntry<R> {
 /// synchronisation lives in the engine, not here.
 #[derive(Debug)]
 pub struct Dispatcher<R> {
-    subs: HashMap<SubId, SubEntry<R>>,
+    subs: IdMap<SubId, SubEntry<R>>,
     /// Inverted index: partition → subscriptions whose footprint holds it.
-    by_partition: HashMap<PartitionId, BTreeSet<SubId>>,
+    by_partition: IdMap<PartitionId, BTreeSet<SubId>>,
     /// Subscriptions whose footprint covers everything.
     everything: BTreeSet<SubId>,
     next_id: SubId,
@@ -284,7 +285,7 @@ impl<R> Default for Dispatcher<R> {
 }
 
 fn link(
-    by_partition: &mut HashMap<PartitionId, BTreeSet<SubId>>,
+    by_partition: &mut IdMap<PartitionId, BTreeSet<SubId>>,
     everything: &mut BTreeSet<SubId>,
     id: SubId,
     fp: &QueryFootprint,
@@ -299,7 +300,7 @@ fn link(
 }
 
 fn unlink(
-    by_partition: &mut HashMap<PartitionId, BTreeSet<SubId>>,
+    by_partition: &mut IdMap<PartitionId, BTreeSet<SubId>>,
     everything: &mut BTreeSet<SubId>,
     id: SubId,
     fp: &QueryFootprint,
@@ -322,8 +323,8 @@ impl<R> Dispatcher<R> {
     /// An empty dispatcher.
     pub fn new() -> Self {
         Dispatcher {
-            subs: HashMap::new(),
-            by_partition: HashMap::new(),
+            subs: IdMap::default(),
+            by_partition: IdMap::default(),
             everything: BTreeSet::new(),
             next_id: 0,
             closed: false,

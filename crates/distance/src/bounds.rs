@@ -272,7 +272,8 @@ pub struct SharedPathUpper<'a> {
     source: Option<PartitionId>,
     dist: Vec<f64>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(idq_geom::OrdF64, u32)>>,
-    arrivals: std::collections::HashMap<PartitionId, (f64, idq_geom::Point2)>,
+    /// First arrival per partition slot, `None` until reached.
+    arrivals: Vec<Option<(f64, idq_geom::Point2)>>,
 }
 
 impl<'a> SharedPathUpper<'a> {
@@ -281,9 +282,9 @@ impl<'a> SharedPathUpper<'a> {
         let source = space.partition_at(q);
         let mut dist = vec![f64::INFINITY; space.door_slots()];
         let mut heap = std::collections::BinaryHeap::new();
-        let mut arrivals = std::collections::HashMap::new();
+        let mut arrivals = vec![None; space.partition_slots()];
         if let Some(src) = source {
-            arrivals.insert(src, (0.0, q.point));
+            arrivals[src.index()] = Some((0.0, q.point));
             for &d in space.doors_of(src).unwrap_or(&[]) {
                 if space.can_leave(d, src) {
                     // A door the space cannot price from `q` seeds no
@@ -311,8 +312,8 @@ impl<'a> SharedPathUpper<'a> {
     /// First-arrival (distance, entry position) for a partition, growing
     /// the search only as far as needed. `None` when unreachable.
     fn arrival(&mut self, pid: PartitionId) -> Option<(f64, idq_geom::Point2)> {
-        if let Some(&a) = self.arrivals.get(&pid) {
-            return Some(a);
+        if let a @ Some(_) = *self.arrivals.get(pid.index())? {
+            return a;
         }
         while let Some(std::cmp::Reverse((idq_geom::OrdF64(du), u))) = self.heap.pop() {
             let u = DoorId(u);
@@ -322,7 +323,7 @@ impl<'a> SharedPathUpper<'a> {
             if let Ok(door) = self.space.door(u) {
                 for p in door.partitions {
                     if self.space.can_enter(u, p) {
-                        self.arrivals.entry(p).or_insert((du, door.position));
+                        self.arrivals[p.index()].get_or_insert((du, door.position));
                     }
                 }
             }
@@ -335,11 +336,11 @@ impl<'a> SharedPathUpper<'a> {
                         .push(std::cmp::Reverse((idq_geom::OrdF64(nd), e.to.0)));
                 }
             }
-            if let Some(&a) = self.arrivals.get(&pid) {
-                return Some(a);
+            if let a @ Some(_) = self.arrivals[pid.index()] {
+                return a;
             }
         }
-        self.arrivals.get(&pid).copied()
+        None
     }
 
     /// The Lemma-3 looser upper bound of one object (mass-weighted over

@@ -35,10 +35,11 @@
 //! byte budget is exceeded; eviction only costs recompute, never
 //! correctness.
 
+use idq_geom::IdMap;
 use idq_geom::OrdF64;
 use idq_model::{DoorId, DoorsGraph};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -184,7 +185,7 @@ struct CacheEntry {
 
 #[derive(Default)]
 struct Shard {
-    rows: HashMap<u32, CacheEntry>,
+    rows: IdMap<u32, CacheEntry>,
     bytes: usize,
 }
 
@@ -507,7 +508,7 @@ mod tests {
             assert_eq!(rv.to_bits(), fv.to_bits());
         }
         // doors[2] reaches doors[1] and doors[3] at 10, doors[0]/[4] at 20.
-        let by_door: HashMap<u32, f64> = row.entries_within(f64::INFINITY).collect();
+        let by_door: IdMap<u32, f64> = row.entries_within(f64::INFINITY).collect();
         assert_eq!(by_door[&doors[2].0], 0.0);
         assert!((by_door[&doors[1].0] - 10.0).abs() < 1e-9);
         assert!((by_door[&doors[4].0] - 20.0).abs() < 1e-9);

@@ -14,7 +14,9 @@
 //! * [`decompose()`](decompose::decompose) — the irregular-partition decomposition of Algorithm 3,
 //!   producing quadratic index units bounded by the `T_shape` threshold;
 //! * [`bisector`] — additive-weighted bisectors (Table II) used by the
-//!   single-partition multi-path distance case (§II-C.2).
+//!   single-partition multi-path distance case (§II-C.2);
+//! * [`IdMap`] / [`IdSet`] — the hash containers for every id-keyed map
+//!   in the workspace (a folded-multiply hasher, seeded per process).
 //!
 //! The crate has no dependencies and is deliberately `f64`-based: indoor
 //! coordinates are metres and all distances the paper manipulates are
@@ -24,6 +26,7 @@ pub mod bisector;
 pub mod circle;
 pub mod decompose;
 pub mod fp;
+pub mod idmap;
 pub mod mbr;
 pub mod point;
 pub mod polygon;
@@ -34,6 +37,7 @@ pub use bisector::{BisectorShape, Side, WeightedBisector};
 pub use circle::Circle;
 pub use decompose::{decompose, decompose_rect, DecomposeConfig};
 pub use fp::{approx_eq, OrdF64, EPSILON};
+pub use idmap::{IdMap, IdSet};
 pub use mbr::Mbr3;
 pub use point::{Point2, Point3};
 pub use polygon::Polygon;

@@ -22,11 +22,10 @@
 //! prefixes by flipping `alive` flags and rebuilding a floor's tree once
 //! the dead fraction passes one half.
 
-use idq_geom::{Point2, Rect2};
+use idq_geom::{IdMap, Point2, Rect2};
 use idq_index::rtree::{Bounds, LeafEntry, RTree};
 use idq_model::{Floor, PartitionId};
 use idq_objects::ObjectId;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 /// A 3D axis-aligned box: a planar rect extruded over an inclusive epoch
@@ -139,8 +138,8 @@ pub struct SegmentStore {
     arena: Vec<Segment>,
     /// One tree per floor, indexed by floor number; grown on demand.
     trees: Vec<SegmentTree>,
-    by_object: HashMap<ObjectId, Vec<u32>>,
-    by_partition: HashMap<PartitionId, Vec<u32>>,
+    by_object: IdMap<ObjectId, Vec<u32>>,
+    by_partition: IdMap<PartitionId, Vec<u32>>,
     dead: usize,
 }
 

@@ -19,11 +19,11 @@
 use crate::index3d::{Segment, SegmentStore};
 use crate::options::{HistoryOptions, HistoryStats};
 use idq_core::{CommitRecord, Snapshot};
-use idq_geom::{Point2, Rect2};
+use idq_geom::{IdMap, Point2, Rect2};
 use idq_model::{Floor, IndoorPoint, PartitionId};
 use idq_objects::{ObjectId, UncertainObject};
 use idq_query::QueryOptions;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The compressed payload of one non-keyframe epoch: what the commit
@@ -113,7 +113,7 @@ fn snapshot_bytes(snapshot: &Snapshot) -> usize {
 pub(crate) struct Ring {
     records: VecDeque<EpochRecord>,
     pub(crate) segments: SegmentStore,
-    open: HashMap<ObjectId, OpenTrack>,
+    open: IdMap<ObjectId, OpenTrack>,
     options: HistoryOptions,
     pub(crate) base_options: QueryOptions,
     /// Sum of `records[i].bytes` plus the segment store estimate.
@@ -129,7 +129,7 @@ impl Ring {
         Ring {
             records: VecDeque::new(),
             segments: SegmentStore::default(),
-            open: HashMap::new(),
+            open: IdMap::default(),
             options: HistoryOptions {
                 max_epochs: options.max_epochs.max(1),
                 max_bytes: options.max_bytes,

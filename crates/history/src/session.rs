@@ -13,12 +13,11 @@ use crate::error::HistoryError;
 use crate::index3d::{Box3, SegmentStore};
 use crate::ring::{DeltaRecord, EpochRecord, Payload, Ring};
 use idq_core::{EngineState, Snapshot};
-use idq_geom::{Point2, Rect2};
+use idq_geom::{IdMap, Point2, Rect2};
 use idq_index::CompositeIndex;
 use idq_model::{Floor, IndoorPoint, IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
 use idq_query::{KnnResult, Query, QueryOptions, RangeMonitor};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One leg of a historical trajectory: the object rested at `position`
@@ -411,7 +410,7 @@ impl HistorySession {
         min_shared: u64,
     ) -> Result<Vec<Companion>, HistoryError> {
         self.check_window(from, to)?;
-        let mut shared: HashMap<ObjectId, u64> = HashMap::new();
+        let mut shared: IdMap<ObjectId, u64> = IdMap::default();
         for span in self.segments.of_object(object, from, to) {
             let Some(partition) = span.partition else {
                 continue;

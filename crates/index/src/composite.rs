@@ -17,12 +17,11 @@ use crate::rtree::{LeafEntry, RTree, SearchStats};
 use crate::skeleton::SkeletonTier;
 use crate::units::{UnitId, UnitStore};
 use idq_distance::DistanceCache;
-use idq_geom::{DecomposeConfig, Mbr3, Rect2};
+use idq_geom::{DecomposeConfig, IdSet, Mbr3, Rect2};
 use idq_model::{
     DoorKind, DoorsGraph, IndoorPoint, IndoorSpace, Partition, PartitionId, TopologyEvent,
 };
 use idq_objects::{ObjectId, ObjectStore, UncertainObject};
-use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -296,8 +295,8 @@ impl CompositeIndex {
                 m.min_dist(q3)
             }
         };
-        let mut partitions: HashSet<PartitionId> = HashSet::new();
-        let mut object_set: HashSet<ObjectId> = HashSet::new();
+        let mut partitions: IdSet<PartitionId> = IdSet::default();
+        let mut object_set: IdSet<ObjectId> = IdSet::default();
         let mut objects = Vec::new();
         let mut objects_checked = 0usize;
         let stats = self.rtree.search(

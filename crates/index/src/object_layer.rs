@@ -25,10 +25,10 @@
 
 use crate::error::IndexError;
 use crate::units::UnitId;
-use idq_geom::Mbr3;
+use idq_geom::{IdMap, IdSet, Mbr3};
 use idq_model::Floor;
 use idq_objects::{FloorShards, ObjectId, Shard};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -48,7 +48,7 @@ struct ObjEntry {
 /// MBR's floor and copy-on-writes only the shard(s) it lands in.
 #[derive(Clone, Debug, Default)]
 pub struct FloorShard {
-    o_table: HashMap<ObjectId, ObjEntry>,
+    o_table: IdMap<ObjectId, ObjEntry>,
     /// The objects marked uncovered (see [`ObjectLayer::mark_uncovered`]).
     uncovered: BTreeSet<ObjectId>,
 }
@@ -289,7 +289,7 @@ impl ObjectLayer {
 
     /// All object ids registered in any of the given units (deduplicated).
     pub fn objects_in_units<'a>(&self, units: impl Iterator<Item = &'a UnitId>) -> Vec<ObjectId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut out = Vec::new();
         for &u in units {
             for &o in self.objects_in(u) {

@@ -6,9 +6,8 @@
 //! the unit → partition mapping; its reverse (partition → units) drives
 //! incremental maintenance.
 
-use idq_geom::{decompose, DecomposeConfig, Mbr3, Rect2};
+use idq_geom::{decompose, DecomposeConfig, IdMap, Mbr3, Rect2};
 use idq_model::{IndoorSpace, Partition, PartitionId};
-use std::collections::HashMap;
 
 /// Identifier of an index unit (dense arena index; tombstoned on removal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,7 +46,7 @@ pub struct IndexUnit {
 #[derive(Clone, Debug, Default)]
 pub struct UnitStore {
     units: Vec<IndexUnit>,
-    by_partition: HashMap<PartitionId, Vec<UnitId>>,
+    by_partition: IdMap<PartitionId, Vec<UnitId>>,
 }
 
 impl UnitStore {

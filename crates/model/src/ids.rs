@@ -51,8 +51,7 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut s = HashSet::new();
+        let mut s = idq_geom::IdSet::default();
         s.insert(PartitionId(3));
         s.insert(PartitionId(3));
         assert_eq!(s.len(), 1);

@@ -12,14 +12,15 @@
 //! The route directory is what keeps **reads** at pre-sharding cost: a
 //! `store.get(id)` / o-table lookup lands on its shard in one dense-array
 //! read instead of probing every floor's map. It is a flat `Vec<u32>`
-//! indexed by id (plus a spill map for absurdly large external ids),
-//! `Arc`-shared like the shards: copying it on first touch per commit is
-//! a ~4 bytes/object `memcpy` — microseconds, against the touched shard's
-//! own map clone.
+//! indexed by id (plus a spill map for absurdly large external ids — an
+//! [`IdMap`], whose per-process seed keeps crafted ids from forcing bucket
+//! collisions), `Arc`-shared like the shards: copying it on first touch
+//! per commit is a ~4 bytes/object `memcpy` — microseconds, against the
+//! touched shard's own map clone.
 
 use crate::object::ObjectId;
+use idq_geom::IdMap;
 use idq_model::Floor;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One floor's slice of an id-keyed layer.
@@ -43,7 +44,7 @@ const ABSENT: u32 = u32::MAX;
 #[derive(Clone, Debug, Default)]
 struct Route {
     dense: Vec<u32>,
-    spill: HashMap<ObjectId, Floor>,
+    spill: IdMap<ObjectId, Floor>,
 }
 
 impl Route {
@@ -193,10 +194,10 @@ impl<S: Shard> FloorShards<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use idq_geom::IdSet;
 
     #[derive(Clone, Debug, Default)]
-    struct TestShard(HashSet<ObjectId>);
+    struct TestShard(IdSet<ObjectId>);
 
     impl Shard for TestShard {
         fn contains_id(&self, id: ObjectId) -> bool {

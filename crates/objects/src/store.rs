@@ -14,8 +14,8 @@
 use crate::error::ObjectError;
 use crate::object::{ObjectId, UncertainObject};
 use crate::shards::{FloorShards, Shard};
+use idq_geom::IdMap;
 use idq_model::Floor;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One floor's slice of the object population: the per-floor unit of
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// object's floor and copy-on-writes only the shards it lands in.
 #[derive(Clone, Debug, Default)]
 pub struct StoreShard {
-    objects: HashMap<ObjectId, Arc<UncertainObject>>,
+    objects: IdMap<ObjectId, Arc<UncertainObject>>,
 }
 
 impl StoreShard {
@@ -485,6 +485,24 @@ mod tests {
         assert!(!b.same_shard(&c, 0));
         assert!(b.same_shard(&c, 1));
         assert!(!b.same_shard(&c, 2));
+    }
+
+    /// External ids far above the dense route table (`i << 40`) go to the
+    /// route's spill map, and all share their low 40 bits in the shards'
+    /// maps: every one reads back.
+    #[test]
+    fn shifted_external_ids_read_back() {
+        let mut s = ObjectStore::new();
+        let ids: Vec<ObjectId> = (1..=10_000u64).map(|i| ObjectId(i << 40)).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            s.insert(point_obj_on(id.0, (i % 3) as Floor)).unwrap();
+        }
+        assert_eq!(s.len(), ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(s.get(id).unwrap().id, id);
+            assert_eq!(s.floor_of(id), Some((i % 3) as Floor));
+        }
+        assert!(!s.contains(ObjectId(3 << 39)));
     }
 
     #[test]

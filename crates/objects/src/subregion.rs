@@ -30,7 +30,7 @@
 
 use crate::error::ObjectError;
 use crate::object::UncertainObject;
-use idq_geom::{Point2, Rect2};
+use idq_geom::{IdMap, Point2, Rect2};
 use idq_model::{IndoorSpace, PartitionId};
 use std::borrow::Cow;
 
@@ -229,8 +229,7 @@ impl Subregions {
         space: &IndoorSpace,
         hint: &[PartitionId],
     ) -> Result<Self, ObjectError> {
-        let mut by_partition: std::collections::HashMap<PartitionId, Vec<u32>> =
-            std::collections::HashMap::new();
+        let mut by_partition: IdMap<PartitionId, Vec<u32>> = IdMap::default();
         for (idx, inst) in object.instances().iter().enumerate() {
             let hinted = hint.iter().copied().find(|&pid| {
                 space

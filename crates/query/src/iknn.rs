@@ -14,14 +14,14 @@ use crate::options::QueryOptions;
 use crate::pipeline::{summary_of, EvalContext};
 use crate::stats::QueryStats;
 use idq_distance::SharedPathUpper;
-use idq_geom::{Mbr3, OrdF64};
+use idq_geom::{IdMap, Mbr3, OrdF64};
 use idq_index::CompositeIndex;
 use idq_model::IndoorPoint;
 use idq_model::{IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// What the filtering walk hands to the rest of the query.
@@ -68,7 +68,8 @@ struct Walk {
 /// `TLU ≥ |q,O|_I ≥ lb > kth` and cannot improve the heap, so skipping it
 /// leaves `kbound` bit-identical while saving the summary read and path
 /// pricing. Each priced seed is read from its memoised subregion summary,
-/// never its instances; the summary reads are counted into `stats`.
+/// never its instances; the summary reads and the priced seeds
+/// (`seeds_priced`) are counted into `stats`.
 ///
 /// With the query point outside every partition the walk sees nothing
 /// and `kbound` is `∞`; the caller's context build then reports it.
@@ -97,9 +98,12 @@ fn adaptive_kbound(
     let q3 = q.at_elevation(space.floor_height());
     let mut frontier: BinaryHeap<Reverse<(OrdF64, PartitionId)>> = BinaryHeap::new();
     frontier.push(Reverse((OrdF64(0.0), start)));
-    let mut visited: HashSet<PartitionId> = HashSet::new();
+    // Per-query partition state is a slot vector: partition ids are
+    // dense arena indices of this space.
+    let mut visited = vec![false; space.partition_slots()];
+    let mut partitions = 0;
     // Every object seen, with its MBR lower bound.
-    let mut seen: HashMap<ObjectId, f64> = HashMap::new();
+    let mut seen: IdMap<ObjectId, f64> = IdMap::default();
     // Max-heap keeping the k smallest TLUs seen so far.
     let mut best: BinaryHeap<OrdF64> = BinaryHeap::new();
     let kth = |best: &BinaryHeap<OrdF64>| match best.peek() {
@@ -113,9 +117,10 @@ fn adaptive_kbound(
         if pmin > kth(&best) {
             break; // no unexplored partition can improve the k-th TLU
         }
-        if !visited.insert(pid) {
+        if std::mem::replace(&mut visited[pid.index()], true) {
             continue;
         }
+        partitions += 1;
         for &u in index.units().units_of(pid) {
             for &o in index.object_layer().objects_in(u) {
                 let Entry::Vacant(slot) = seen.entry(o) else {
@@ -134,6 +139,7 @@ fn adaptive_kbound(
                 }
                 let summary = summary_of(space, index, store.get(o)?, stats)?;
                 let tlu = tlu_eval.upper(summary.iter());
+                stats.seeds_priced += 1;
                 if tlu.is_finite() {
                     if best.len() < k {
                         best.push(OrdF64(tlu));
@@ -157,7 +163,7 @@ fn adaptive_kbound(
             let Some(next) = door.other_side(pid) else {
                 continue;
             };
-            if visited.contains(&next) {
+            if visited[next.index()] {
                 continue;
             }
             let Ok(p) = space.partition(next) else {
@@ -194,7 +200,7 @@ fn adaptive_kbound(
     Ok(Walk {
         kbound,
         candidates,
-        partitions: visited.len(),
+        partitions,
         seen: seen.len(),
     })
 }
@@ -231,8 +237,9 @@ pub(crate) struct KnnPrep {
 
 /// Validates the query and runs the filtering walk. For kNN the
 /// retrieval counters mean: `partitions_retrieved` the partitions the
-/// walk visited, `entries_checked` the distinct objects it saw, and
-/// `nodes_visited` 0 (no R-tree descent).
+/// walk visited, `entries_checked` the distinct objects it saw,
+/// `seeds_priced` those of them it priced for a TLU, and `nodes_visited`
+/// 0 (no R-tree descent).
 pub(crate) fn knn_prep(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -382,7 +389,7 @@ mod tests {
     use crate::naive::naive_knn;
     use idq_geom::{Circle, Point2, Rect2};
     use idq_index::IndexConfig;
-    use idq_model::FloorPlanBuilder;
+    use idq_model::{FloorPlanBuilder, SplitLine};
     use idq_objects::UncertainObject;
     use idq_workloads::{
         generate_building, generate_objects, generate_query_points, BuildingConfig, ObjectConfig,
@@ -390,15 +397,33 @@ mod tests {
     };
     use proptest::prelude::*;
 
+    /// What happens to one generated room after indexing.
+    #[derive(Clone, Copy, Debug)]
+    enum RoomChange {
+        /// The room is deleted, which leaves the objects it held with
+        /// instances outside every partition.
+        Delete,
+        /// A sliding wall with a door splits the room into two new
+        /// partitions, whose slots lie past those the index was built
+        /// with; two explicit objects sit one in each half.
+        Split,
+    }
+
     /// A generated two-floor mall (staircases, one-way rooms) with four
     /// explicit objects that each have an instance just outside the
-    /// building, and — with `delete` — one room deleted after indexing,
-    /// which leaves the objects it held with instances outside every
-    /// partition. Returns the query points that still lie in a partition.
+    /// building, and — with `change` — one room changed after indexing.
+    /// Returns the query points that still lie in a partition, and the
+    /// halves of a split room.
     fn stray_mall(
         seed: u64,
-        delete: Option<usize>,
-    ) -> (IndoorSpace, ObjectStore, CompositeIndex, Vec<IndoorPoint>) {
+        change: Option<(RoomChange, usize)>,
+    ) -> (
+        IndoorSpace,
+        ObjectStore,
+        CompositeIndex,
+        Vec<IndoorPoint>,
+        Vec<PartitionId>,
+    ) {
         let building = generate_building(&BuildingConfig {
             bands: 2,
             rooms_per_side: 3,
@@ -429,19 +454,57 @@ mod tests {
                 seed: seed ^ 0x5eed,
             },
         );
+        let rooms = building.rooms_by_floor.concat();
         let mut space = building.space;
-        let mut index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
-        if let Some(i) = delete {
-            let rooms = building.rooms_by_floor.concat();
-            for event in space.delete_partition(rooms[i % rooms.len()]).unwrap() {
-                index.apply_topology(&space, &store, &event).unwrap();
+        let changed = change.map(|(how, i)| (how, rooms[i % rooms.len()]));
+        // The split line runs across the room's middle, parallel to the
+        // corridor wall that carries its doors.
+        let (room_floor, bbox) = match changed {
+            Some((_, room)) => {
+                let p = space.partition(room).unwrap();
+                (p.floor_lo, p.bbox)
             }
+            None => (0, Rect2::from_bounds(0.0, 0.0, 1.0, 1.0)),
+        };
+        let (cx, mid) = ((bbox.lo.x + bbox.hi.x) / 2.0, (bbox.lo.y + bbox.hi.y) / 2.0);
+        if let Some((RoomChange::Split, _)) = changed {
+            let quarter = (mid - bbox.lo.y) / 2.0;
+            for (id, y) in [(2000, mid - quarter), (2001, mid + quarter)] {
+                let region = Circle::new(Point2::new(cx, y), 1.0);
+                let positions = vec![Point2::new(cx - 0.5, y), Point2::new(cx + 0.5, y)];
+                let o = UncertainObject::with_uniform_weights(
+                    ObjectId(id),
+                    region,
+                    room_floor,
+                    positions,
+                );
+                store.insert(o.unwrap()).unwrap();
+            }
+        }
+        let mut index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let slots = space.partition_slots();
+        let (halves, events) = match changed {
+            None => (Vec::new(), Vec::new()),
+            Some((RoomChange::Delete, room)) => (Vec::new(), space.delete_partition(room).unwrap()),
+            Some((RoomChange::Split, room)) => {
+                let door = Some(Point2::new(cx, mid));
+                let (halves, events) = space
+                    .split_partition(room, SplitLine::AtY(mid), door)
+                    .unwrap();
+                assert!(
+                    space.partition_slots() > slots && halves.iter().all(|h| h.index() >= slots)
+                );
+                (halves.to_vec(), events)
+            }
+        };
+        for event in events {
+            index.apply_topology(&space, &store, &event).unwrap();
         }
         let points = points
             .into_iter()
             .filter(|&q| space.partition_at(q).is_some())
             .collect();
-        (space, store, index, points)
+        (space, store, index, points, halves)
     }
 
     proptest! {
@@ -453,16 +516,42 @@ mod tests {
         /// `kbound`, and pass `RangeSearch`'s object test at `kbound`, so
         /// all are in what `RangeSearch` returns at `kbound` /
         /// `kbound + slack`. The answers are that exact
-        /// ranking's first `k`, bit for bit.
+        /// ranking's first `k`, bit for bit — also when a split adds
+        /// partition slots the index was not built with, where every
+        /// object in either half with a finite distance has a finite TLU.
         #[test]
         fn walk_candidates_lie_between_the_answers_and_range_search(
             seed in any::<u64>(),
-            (remove, room) in (any::<bool>(), any::<usize>()),
+            (change, room) in (0u8..3, any::<usize>()),
             k in 1usize..40,
         ) {
-            let (space, store, index, points) = stray_mall(seed, remove.then_some(room));
+            let change = match change {
+                0 => None,
+                1 => Some((RoomChange::Delete, room)),
+                _ => Some((RoomChange::Split, room)),
+            };
+            let (space, store, index, points, halves) = stray_mall(seed, change);
             let layer = index.object_layer();
             prop_assert!(layer.uncovered().count() >= 4, "the explicit strays are marked");
+            // Each object with a subregion in a split half, with its summary.
+            let mut in_halves = Vec::new();
+            for o in store.ids_sorted() {
+                let object = store.get(o).unwrap();
+                let summary =
+                    summary_of(&space, &index, object, &mut QueryStats::default()).unwrap();
+                if summary.iter().any(|s| halves.contains(&s.partition)) {
+                    in_halves.push((o, summary));
+                }
+            }
+            for (i, &half) in halves.iter().enumerate() {
+                let explicit = ObjectId(2000 + i as u64);
+                prop_assert!(
+                    in_halves.iter().any(|(o, summary)| {
+                        *o == explicit && summary.iter().any(|s| s.partition == half)
+                    }),
+                    "{} lies in {}", explicit, half
+                );
+            }
             let base = QueryOptions::for_max_radius(10.0);
             for q in points {
                 let mut ctx =
@@ -475,6 +564,12 @@ mod tests {
                     }
                 }
                 exact.sort();
+                let mut tlu = SharedPathUpper::new(&space, index.doors_graph(), q);
+                for (o, summary) in &in_halves {
+                    if exact.iter().any(|&(_, e)| e == *o) {
+                        prop_assert!(tlu.upper(summary.iter()).is_finite(), "{} has no TLU", o);
+                    }
+                }
                 let want: Vec<(ObjectId, u64)> =
                     exact.iter().take(k).map(|&(d, o)| (o, d.0.to_bits())).collect();
                 for opts in [base, base.without_skeleton()] {
@@ -667,5 +762,14 @@ mod tests {
         for h in &res.results {
             assert!(h.distance <= res.kbound + 1e-9);
         }
+        // The k TLUs behind kbound were priced among the seen objects; iRQ
+        // prices none.
+        let s = res.stats;
+        assert!(
+            s.seeds_priced >= 2 && s.seeds_priced <= s.entries_checked,
+            "{s}"
+        );
+        let range = crate::range_query(&space, &index, &store, q, 30.0, &QueryOptions::default());
+        assert_eq!(range.unwrap().stats.seeds_priced, 0);
     }
 }

@@ -26,12 +26,12 @@ use crate::error::QueryError;
 use crate::options::QueryOptions;
 use crate::stats::QueryStats;
 use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, DoorRow, ObjectBounds};
+use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore, SubregionSummary, Subregions, UncertainObject};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-query evaluation context.
@@ -49,7 +49,7 @@ pub(crate) struct EvalContext<'a> {
     pub dd: DoorDistances,
     full_dd: Option<DoorDistances>,
     /// Decompositions with instance indices, built for refinement only.
-    refined: HashMap<ObjectId, Subregions>,
+    refined: IdMap<ObjectId, Subregions>,
     use_shared_cache: bool,
     cache_budget: usize,
     /// Work this context did since the last [`EvalContext::drain_into`]:
@@ -139,7 +139,7 @@ impl<'a> EvalContext<'a> {
             q,
             dd,
             full_dd: None,
-            refined: HashMap::new(),
+            refined: IdMap::default(),
             use_shared_cache: options.distance_cache,
             cache_budget: options.distance_cache_bytes,
             delta: QueryStats::default(),

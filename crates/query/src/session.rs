@@ -30,10 +30,10 @@ use crate::options::QueryOptions;
 use crate::pipeline::EvalContext;
 use crate::stats::QueryStats;
 use idq_distance::{indoor_distance, shortest_path};
+use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{DoorId, IndoorPoint, IndoorSpace};
 use idq_objects::ObjectStore;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A typed query against one consistent view of the indoor world.
@@ -340,7 +340,7 @@ pub fn execute_batch(
     // Group key → slot in `groups`; groups keep first-seen order so the
     // evaluation order is deterministic. The map keeps bucketing O(n) for
     // large batches of mostly-distinct query points.
-    let mut group_slots: HashMap<(u64, u64, u16), usize> = HashMap::new();
+    let mut group_slots: IdMap<(u64, u64, u16), usize> = IdMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, query) in queries.iter().enumerate() {
         match *query {

@@ -33,8 +33,13 @@ pub struct QueryStats {
     /// filtering walk follows doors and descends no tree.
     pub nodes_visited: usize,
     /// Leaf entries checked during filtering. For kNN: the distinct
-    /// objects the filtering walk saw.
+    /// objects the filtering walk saw, of which `seeds_priced` were
+    /// priced.
     pub entries_checked: usize,
+    /// Objects the kNN filtering walk priced for a Topological Looser
+    /// Upper Bound: the seen objects its screen did not skip. Always 0
+    /// for iRQ, which prices no seeds.
+    pub seeds_priced: usize,
     /// Subgraph-phase Dijkstra runs charged to this query. A single-issue
     /// query always runs its own (1); in a batch group only the query that
     /// builds the shared evaluation context pays for the run, so summing
@@ -108,6 +113,7 @@ impl QueryStats {
         self.full_graph_fallbacks += other.full_graph_fallbacks;
         self.nodes_visited += other.nodes_visited;
         self.entries_checked += other.entries_checked;
+        self.seeds_priced += other.seeds_priced;
         self.dijkstras_run += other.dijkstras_run;
         self.context_reuses += other.context_reuses;
         self.subregions_computed += other.subregions_computed;
@@ -140,6 +146,7 @@ impl QueryStats {
             full_graph_fallbacks: self.full_graph_fallbacks / n,
             nodes_visited: self.nodes_visited / n,
             entries_checked: self.entries_checked / n,
+            seeds_priced: self.seeds_priced / n,
             dijkstras_run: self.dijkstras_run / n,
             context_reuses: self.context_reuses / n,
             subregions_computed: self.subregions_computed / n,
@@ -158,7 +165,8 @@ impl std::fmt::Display for QueryStats {
         write!(
             f,
             "phases[filter {:.3} ms, subgraph {:.3} ms, prune {:.3} ms, refine {:.3} ms] \
-             candidates[{} of {}] bounds[accepted {} pruned {} refined {}] \
+             candidates[{} of {}] seeds[priced {}] \
+             bounds[accepted {} pruned {} refined {}] \
              dijkstra[runs {} reuses {} fallbacks {}] \
              subregions[computed {} hits {}] \
              shared-cache[lookups {} hits {} misses {} evictions {} ~{} B]",
@@ -168,6 +176,7 @@ impl std::fmt::Display for QueryStats {
             self.refinement_ms,
             self.candidates_after_filter,
             self.total_objects,
+            self.seeds_priced,
             self.accepted_by_bounds,
             self.pruned_by_bounds,
             self.refined,
@@ -207,19 +216,24 @@ mod tests {
         let mut a = QueryStats {
             filtering_ms: 1.0,
             refined: 4,
+            seeds_priced: 10,
             ..Default::default()
         };
         let b = QueryStats {
             filtering_ms: 3.0,
             refined: 2,
+            seeds_priced: 4,
             ..Default::default()
         };
         a.accumulate(&b);
         assert_eq!(a.filtering_ms, 4.0);
         assert_eq!(a.refined, 6);
+        assert_eq!(a.seeds_priced, 14);
+        assert!(a.to_string().contains("seeds[priced 14]"));
         let avg = a.scale_down(2);
         assert_eq!(avg.filtering_ms, 2.0);
         assert_eq!(avg.refined, 3);
+        assert_eq!(avg.seeds_priced, 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The in-memory test backend with byte-accurate crash simulation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::backend::{LogFile, StorageBackend};
@@ -27,21 +27,21 @@ struct MemFile {
 /// directory syncs; data bytes are durable only up to the last `sync`.
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
+    files: Arc<Mutex<BTreeMap<String, MemFile>>>,
     label: String,
 }
 
 impl MemBackend {
     pub fn new() -> Self {
         MemBackend {
-            files: Arc::new(Mutex::new(HashMap::new())),
+            files: Arc::new(Mutex::new(BTreeMap::new())),
             label: "mem".to_string(),
         }
     }
 
     pub fn with_label(label: &str) -> Self {
         MemBackend {
-            files: Arc::new(Mutex::new(HashMap::new())),
+            files: Arc::new(Mutex::new(BTreeMap::new())),
             label: label.to_string(),
         }
     }
@@ -50,7 +50,7 @@ impl MemBackend {
     /// their durable (synced) prefixes.
     pub fn crashed(&self) -> MemBackend {
         let files = self.files.lock().expect("mem backend poisoned");
-        let survivors: HashMap<String, MemFile> = files
+        let survivors: BTreeMap<String, MemFile> = files
             .iter()
             .map(|(name, f)| {
                 (
@@ -92,7 +92,7 @@ impl MemBackend {
 
 #[derive(Debug)]
 struct MemLogFile {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
+    files: Arc<Mutex<BTreeMap<String, MemFile>>>,
     name: String,
     len: u64,
 }

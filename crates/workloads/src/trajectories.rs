@@ -193,7 +193,7 @@ mod tests {
             max_step: 3.0,
             ..TrajectoryStreamConfig::default()
         };
-        let mut at: std::collections::HashMap<ObjectId, Point2> =
+        let mut at: idq_geom::IdMap<ObjectId, Point2> =
             store.iter().map(|o| (o.id, o.region.center)).collect();
         for wave in generate_trajectory_stream(&building, &store, &cfg) {
             for update in wave {

@@ -12,11 +12,11 @@
 use crate::building::GeneratedBuilding;
 use crate::objects::sample_one;
 use idq_core::Update;
+use idq_geom::IdSet;
 use idq_model::DoorId;
 use idq_objects::{ObjectId, ObjectStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashSet;
 
 /// Parameters of a mixed update stream. The four kind weights are
 /// normalized internally, so any non-negative mix works; kinds that need a
@@ -80,7 +80,7 @@ pub fn generate_update_stream(
     let mut live: Vec<ObjectId> = store.ids_sorted();
     let mut next_id: u64 = live.iter().map(|id| id.0 + 1).max().unwrap_or(0);
     let doors: Vec<DoorId> = space.doors().map(|d| d.id).collect();
-    let mut closed: HashSet<DoorId> = HashSet::new();
+    let mut closed: IdSet<DoorId> = IdSet::default();
 
     let mut out = Vec::with_capacity(config.count);
     while out.len() < config.count {
