@@ -218,7 +218,16 @@ impl IndoorEngine {
             cause,
         })?;
         let (durability, records) = Durability::open(backend, options, ckpt.epoch)?;
-        let mut engine = Self::with_objects_at(space, store, config, ckpt.epoch, max_radius)?;
+        let mut engine = Self::with_objects_at(space, store, config, ckpt.epoch, max_radius)
+            .map_err(|e| EngineError::Recovery {
+                path: label.clone(),
+                epoch: ckpt.epoch,
+                cause: StorageError::Corrupt {
+                    path: label.clone(),
+                    offset: 0,
+                    reason: format!("checkpoint does not index: {e}"),
+                },
+            })?;
         engine.replay(&records, ckpt.epoch, &label)?;
         engine.shared.attach_durability(durability);
         engine.refresh();
@@ -491,10 +500,21 @@ impl IndoorEngine {
     /// Validates cross-layer invariants of the engine's pinned version
     /// (test/diagnostic support): returns an error when the index has not
     /// absorbed every space mutation, and panics on broken index-internal
-    /// invariants (those indicate a bug, never an operational state).
+    /// invariants (those indicate a bug, never an operational state) —
+    /// among them that every stored instance lies in an active partition.
     pub fn validate(&self) -> Result<(), EngineError> {
         self.state.index.validate();
         self.state.index.check_fresh(&self.state.space)?;
+        for object in self.state.store.iter() {
+            for inst in object.instances() {
+                assert!(
+                    self.state.space.partition_at(inst.indoor_point()).is_some(),
+                    "{} has an instance at {:?} outside every partition",
+                    object.id,
+                    inst.indoor_point()
+                );
+            }
+        }
         Ok(())
     }
 }
@@ -503,8 +523,8 @@ impl IndoorEngine {
 mod tests {
     use super::*;
     use crate::testkit::{insert_at, knn, range, three_rooms};
-    use idq_geom::Point2;
-    use idq_model::{DoorId, IndoorPoint, SplitLine};
+    use idq_geom::{Circle, Point2, Polygon, Rect2};
+    use idq_model::{DoorId, IndoorPoint, PartitionKind, PartitionSpec, SplitLine};
     use idq_objects::{ObjectError, UncertainObject};
     use idq_query::Query;
 
@@ -643,6 +663,15 @@ mod tests {
     fn bad_radius_or_instance_count_is_rejected_before_anything_changes() {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
+        // A room east of a 1 m wall gap.
+        e.apply(Update::InsertPartition(PartitionSpec {
+            kind: PartitionKind::Room,
+            name: None,
+            floor: 0,
+            footprint: Polygon::from_rect(Rect2::from_bounds(31.0, 0.0, 41.0, 10.0)),
+            doors: vec![],
+        }))
+        .unwrap();
         let (epoch, watermark) = (e.epoch(), e.store().id_watermark());
         let slack = e.snapshot().options().subgraph_slack;
         for instances in [1 << 40, usize::MAX] {
@@ -680,6 +709,18 @@ mod tests {
                     "{err}"
                 );
             }
+        }
+        // One instance outside the building, then one in the wall gap.
+        for stray in [Point2::new(15.0, -1.0), Point2::new(30.5, 5.0)] {
+            let formed = UncertainObject::with_uniform_weights(
+                ObjectId(9),
+                Circle::new(Point2::new(29.0, 5.0), 2.0),
+                0,
+                vec![Point2::new(29.0, 5.0), stray],
+            )
+            .unwrap();
+            let err = e.apply(Update::InsertObject(Box::new(formed))).unwrap_err();
+            assert_eq!(err, EngineError::Object(ObjectError::NoHostPartition));
         }
         assert_eq!(e.epoch(), epoch);
         assert_eq!(e.store().id_watermark(), watermark);
@@ -1099,5 +1140,56 @@ mod tests {
             }
             other => panic!("expected a recovery error, got {other}"),
         }
+    }
+
+    #[test]
+    fn recovery_rejects_a_log_or_checkpoint_that_strands_an_object() {
+        use idq_storage::{write_checkpoint, MemBackend, SyncPolicy, Wal};
+        let space = three_rooms();
+        let durable = |store: &ObjectStore, epoch: u64| {
+            let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let mut payload = Vec::new();
+            wire::put_engine_checkpoint(&mut payload, &space, store, 0.0);
+            write_checkpoint(&backend, epoch, &payload).unwrap();
+            backend
+        };
+        let recover = |backend| {
+            let options = DurabilityOptions::default();
+            IndoorEngine::recover_with(backend, EngineConfig::default(), options).unwrap_err()
+        };
+        // A logged batch that inserts into a room, then deletes the room.
+        let backend = durable(&ObjectStore::new(), 0);
+        let room = space.partition_at(IndoorPoint::new(Point2::new(25.0, 5.0), 0));
+        let batch = [
+            Update::InsertObjectAt {
+                center: Point2::new(25.0, 5.0),
+                floor: 0,
+                radius: 1.0,
+                instances: 4,
+                seed: 2,
+            },
+            Update::DeletePartition(room.unwrap()),
+        ];
+        let mut payload = Vec::new();
+        wire::put_batch_parts(&mut payload, &batch, &[ObjectId(0)]);
+        let (mut wal, _) = Wal::open(Arc::clone(&backend), SyncPolicy::Always, 1 << 20).unwrap();
+        wal.append_commit(1, &[payload]).unwrap();
+        drop(wal);
+        let err = recover(backend);
+        assert!(
+            matches!(err, EngineError::Recovery { epoch: 1, .. }),
+            "{err}"
+        );
+        // A checkpoint whose store holds an instance outside the building.
+        let mut store = ObjectStore::new();
+        let stray = IndoorPoint::new(Point2::new(5.0, -1.0), 0);
+        store
+            .insert(UncertainObject::point_object(ObjectId(0), stray))
+            .unwrap();
+        let err = recover(durable(&store, 4));
+        assert!(
+            matches!(err, EngineError::Recovery { epoch: 4, .. }),
+            "{err}"
+        );
     }
 }

@@ -29,6 +29,14 @@ pub enum EngineError {
         /// Floors the space covers (valid floors are `0..num_floors`).
         num_floors: usize,
     },
+    /// A partition deletion would leave an object instance outside every
+    /// partition. Nothing committed; move or remove the object first.
+    PartitionOccupied {
+        /// The partition the update tried to delete.
+        partition: idq_model::PartitionId,
+        /// An object with an instance only that partition contains.
+        object: idq_objects::ObjectId,
+    },
     /// A durability operation failed: the write-ahead log or a checkpoint
     /// could not be written. The failing commit did **not** publish — the
     /// in-memory state still matches what is durable.
@@ -77,6 +85,12 @@ impl std::fmt::Display for EngineError {
                 write!(
                     f,
                     "floor {floor} is outside the space (covers {num_floors} floor(s))"
+                )
+            }
+            EngineError::PartitionOccupied { partition, object } => {
+                write!(
+                    f,
+                    "partition {partition} still hosts an instance of object {object}"
                 )
             }
             EngineError::Storage { path, epoch, .. } => {

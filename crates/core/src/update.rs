@@ -27,6 +27,8 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug)]
 pub enum Update {
     /// Insert a fully-formed uncertain object (the id must be unused).
+    /// Every instance must lie inside a partition, or the update fails
+    /// with [`idq_objects::ObjectError::NoHostPartition`].
     InsertObject(Box<UncertainObject>),
     /// Sample and insert an object: Gaussian instances in a circular
     /// region (§V-A's object model); the engine allocates the id.
@@ -75,7 +77,11 @@ pub enum Update {
     },
     /// Insert a partition with its doors.
     InsertPartition(PartitionSpec),
-    /// Delete a partition and its doors.
+    /// Delete a partition and its doors. Fails with
+    /// [`crate::EngineError::PartitionOccupied`] while an object instance
+    /// lies in the partition and in no other (an instance on a wall it
+    /// shares with a surviving partition stays put): move or remove the
+    /// occupants first, earlier in the same batch if need be.
     DeletePartition(PartitionId),
     /// Split a rectangular partition with a sliding wall.
     SplitPartition {

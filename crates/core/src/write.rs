@@ -40,7 +40,7 @@ use crate::snapshot::Snapshot;
 use crate::state::EngineState;
 use crate::update::{DeltaBuilder, Update, UpdateOutcome, UpdateReport, UpdateStats};
 use idq_geom::{Circle, IdMap, Mbr3, Point2};
-use idq_index::{CompositeIndex, UnitId};
+use idq_index::{CompositeIndex, IndexError, UnitId};
 use idq_model::{Floor, IndoorSpace, PartitionId, TopologyEvent};
 use idq_objects::{GaussianSampler, ObjectError, ObjectId, ObjectStore, UncertainObject};
 use rand::rngs::StdRng;
@@ -408,8 +408,9 @@ impl Txn {
     /// one footprint traversal per group, then executes the deferred
     /// Gaussian draws with each footprint's partitions as the
     /// point-location hint (identical results to full point location, a
-    /// fraction of the cost). Sampling can fail — a centre outside every
-    /// partition — but nothing is applied until every op is staged.
+    /// fraction of the cost). Staging can fail — a sampled centre or a
+    /// fully-formed instance outside every partition — but nothing is
+    /// applied until every op is staged.
     fn stage_run(
         &self,
         intents: Vec<Intent>,
@@ -454,6 +455,11 @@ impl Txn {
             .map(|(intent, footprint)| match intent {
                 Intent::InsertReady(object) => {
                     let (units, mbr) = footprint.expect("writes carry a footprint");
+                    // Sampled objects are covered by construction; a
+                    // fully-formed one may have an instance in no partition.
+                    self.index
+                        .check_covered(&self.space, &object, &units)
+                        .map_err(|_| ObjectError::NoHostPartition)?;
                     Ok(PreparedOp::Insert(object, units, mbr))
                 }
                 Intent::SampleInsert(spec) => {
@@ -516,14 +522,9 @@ impl Txn {
                 let id = object.id;
                 let radius = object.region.radius;
                 floors.insert(object.floor);
-                let owners = self.index.units().owning_partitions(&units);
-                let index = Arc::make_mut(&mut self.index);
-                index.insert_object_prepared(id, units, mbr)?;
-                // A sampled object is covered by construction; a
-                // fully-formed one may have instances outside its units.
-                index.note_coverage(&self.space, &object)?;
+                partitions.extend(self.index.units().owning_partitions(&units));
+                Arc::make_mut(&mut self.index).insert_object_prepared(id, units, mbr)?;
                 Arc::make_mut(&mut self.store).insert(*object)?;
-                self.note_partitions(id, owners, partitions);
                 self.max_radius = self.max_radius.max(radius);
                 Ok(UpdateOutcome::ObjectInserted(id))
             }
@@ -533,7 +534,6 @@ impl Txn {
                 floors.insert(old_floor);
                 floors.insert(object.floor);
                 self.note_leaving(id, partitions);
-                // The new version is sampled, so covered by its units.
                 partitions.extend(self.index.units().owning_partitions(&units));
                 Arc::make_mut(&mut self.store).replace_discarding(*object)?;
                 Arc::make_mut(&mut self.index).update_object_prepared(id, units, mbr)?;
@@ -549,35 +549,14 @@ impl Txn {
         }
     }
 
-    /// Folds the partitions the object's current version occupies into
-    /// the batch's routing footprint, before the op replaces or removes
-    /// it: the partitions an object is *leaving* route too.
+    /// Folds the partitions owning the object's current units into the
+    /// batch's routing footprint, before the op replaces or removes it:
+    /// the partitions an object is *leaving* route too. Every instance
+    /// lies in one of them (the index's coverage invariant).
     fn note_leaving(&self, id: ObjectId, partitions: &mut BTreeSet<PartitionId>) {
         if let Ok(units) = self.index.object_layer().units_of(id) {
-            self.note_partitions(id, self.index.units().owning_partitions(units), partitions);
+            partitions.extend(self.index.units().owning_partitions(units));
         }
-    }
-
-    /// Folds the partitions of the object version the store and index
-    /// hold for `id` into the batch's routing footprint: `owners`, the
-    /// partitions owning its units, and, when the index marks it
-    /// uncovered, the partitions hosting its instances, which `owners`
-    /// may miss.
-    fn note_partitions(
-        &self,
-        id: ObjectId,
-        owners: Vec<PartitionId>,
-        partitions: &mut BTreeSet<PartitionId>,
-    ) {
-        if self.index.object_layer().is_uncovered(id) {
-            if let Ok(object) = self.store.get(id) {
-                // A floor without partitions hosts nothing.
-                if let Ok((hosts, _)) = object.subregion_summary(&self.space, || owners.clone()) {
-                    partitions.extend(hosts.iter().map(|s| s.partition));
-                }
-            }
-        }
-        partitions.extend(owners);
     }
 
     /// Applies one topology [`Update`]: the space-layer operation (on the
@@ -621,7 +600,16 @@ impl Txn {
             }
             Update::DeletePartition(p) => {
                 let events = Arc::make_mut(&mut self.space).delete_partition(*p)?;
-                self.absorb_events(&events, skeleton_dirty)?;
+                self.absorb_events(&events, skeleton_dirty)
+                    .map_err(|e| match e {
+                        EngineError::Index(IndexError::Uncovered(object)) => {
+                            EngineError::PartitionOccupied {
+                                partition: *p,
+                                object,
+                            }
+                        }
+                        e => e,
+                    })?;
                 Ok(UpdateOutcome::PartitionDeleted(*p))
             }
             Update::SplitPartition {

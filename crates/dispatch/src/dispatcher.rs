@@ -487,9 +487,7 @@ impl<R> Dispatcher<R> {
         // that cannot concern it; re-deriving each updated object's
         // current partitions lets every target absorb only its relevant
         // subset. `None` marks an object the index cannot place (not
-        // indexed, or spanning no partition) or marks uncovered (an
-        // instance outside every partition owning its units, so its
-        // bounds read partitions these miss) — conservatively relevant
+        // indexed, or spanning no partition) — conservatively relevant
         // to everyone, mirroring the commit-level empty-footprint guard.
         let layer = index.object_layer();
         let object_partitions: Vec<(ObjectId, Option<Vec<PartitionId>>)> =
@@ -503,7 +501,6 @@ impl<R> Dispatcher<R> {
                         let parts = layer
                             .units_of(oid)
                             .ok()
-                            .filter(|_| !layer.is_uncovered(oid))
                             .map(|units| index.units().owning_partitions(units))
                             .filter(|ps| !ps.is_empty());
                         (oid, parts)

@@ -321,19 +321,6 @@ impl CompositeIndex {
                 ControlFlow::Continue(())
             },
         );
-        // An uncovered object may sit where no unit lists it (e.g. in a
-        // deleted room's gap), so its bound alone decides, as in the ikNN
-        // walk.
-        for o in self.objects.uncovered() {
-            if object_set.contains(&o) {
-                continue;
-            }
-            if let Ok(mbr) = self.objects.object_mbr(o) {
-                if metric(&mbr) <= r_objects {
-                    objects.push(o);
-                }
-            }
-        }
         let mut partitions: Vec<PartitionId> = partitions.into_iter().collect();
         partitions.sort_unstable();
         objects.sort_unstable();
@@ -411,15 +398,16 @@ impl CompositeIndex {
         units
     }
 
-    /// Indexes a new object.
+    /// Indexes a new object. Fails with [`IndexError::Uncovered`], leaving
+    /// the index unchanged, when an instance lies outside every partition.
     pub fn insert_object(
         &mut self,
         space: &IndoorSpace,
         object: &UncertainObject,
     ) -> Result<(), IndexError> {
         let (units, mbr) = self.object_footprint(space, object);
-        self.insert_object_prepared(object.id, units, mbr)?;
-        self.note_coverage(space, object)
+        self.check_covered(space, object, &units)?;
+        self.insert_object_prepared(object.id, units, mbr)
     }
 
     /// Indexes a new object from a footprint prepared by
@@ -428,10 +416,10 @@ impl CompositeIndex {
     /// have been computed against the current unit population (no topology
     /// change in between).
     ///
-    /// The object is filed as covered: call
-    /// [`CompositeIndex::note_coverage`] afterwards unless every instance
-    /// lies inside a partition owning one of `units` — as it does when
-    /// the instances were drawn with those partitions as the sampler's
+    /// Every instance must lie inside a partition owning one of `units`:
+    /// check a fully-formed object with [`CompositeIndex::check_covered`]
+    /// first. A sampled object is covered by construction, since its
+    /// instances were drawn with those partitions as the sampler's
     /// point-location hint.
     pub fn insert_object_prepared(
         &mut self,
@@ -449,14 +437,16 @@ impl CompositeIndex {
 
     /// Object update = deletion followed by insertion (§III-C.2); the
     /// object layer edits only the buckets whose membership changes.
+    /// Fails like [`CompositeIndex::insert_object`] on an uncovered
+    /// instance, leaving the index unchanged.
     pub fn update_object(
         &mut self,
         space: &IndoorSpace,
         object: &UncertainObject,
     ) -> Result<(), IndexError> {
         let (units, mbr) = self.object_footprint(space, object);
-        self.update_object_prepared(object.id, units, mbr)?;
-        self.note_coverage(space, object)
+        self.check_covered(space, object, &units)?;
+        self.update_object_prepared(object.id, units, mbr)
     }
 
     /// Object update from a prepared footprint (see
@@ -471,20 +461,22 @@ impl CompositeIndex {
         self.objects.update(id, units, mbr)
     }
 
-    /// Marks an indexed object uncovered
-    /// ([`ObjectLayer::mark_uncovered`]) when one of its instances lies
-    /// outside every partition owning one of its units. Otherwise each
-    /// instance's host partition — the first such partition containing it
-    /// — lists the object, which is what lets a partition walk find every
-    /// object through the partitions hosting it.
-    pub fn note_coverage(
-        &mut self,
+    /// The index's one invariant on objects: every instance lies inside a
+    /// partition owning one of `units`, the object's footprint. Then each
+    /// instance's host partition lists the object, which is what lets a
+    /// partition walk find every object through the partitions hosting
+    /// it. A footprint holds a unit of every partition its instances lie
+    /// in, so failing here means an instance lies outside every active
+    /// partition: [`IndexError::Uncovered`].
+    pub fn check_covered(
+        &self,
         space: &IndoorSpace,
         object: &UncertainObject,
+        units: &[UnitId],
     ) -> Result<(), IndexError> {
         let owners: Vec<&Partition> = self
             .units
-            .owning_partitions(self.objects.units_of(object.id)?)
+            .owning_partitions(units)
             .iter()
             .filter_map(|&p| space.partition(p).ok())
             .collect();
@@ -492,10 +484,11 @@ impl CompositeIndex {
             .instances()
             .iter()
             .all(|inst| owners.iter().any(|p| p.contains(inst.position, inst.floor)));
-        if !covered {
-            self.objects.mark_uncovered(object.id)?;
+        if covered {
+            Ok(())
+        } else {
+            Err(IndexError::Uncovered(object.id))
         }
-        Ok(())
     }
 
     // ---- topology maintenance (§III-C.1) ------------------------------------------
@@ -524,6 +517,17 @@ impl CompositeIndex {
     /// identical because a rebuild only reads the (already fully mutated)
     /// space. Queries must not run between a deferred `true` and the
     /// rebuild.
+    ///
+    /// Coverage ([`CompositeIndex::check_covered`]) survives every event
+    /// but one. Inserting a partition or touching a door only adds or
+    /// keeps hosts. Split halves are closed rectangles that tile their
+    /// parent, and a merged partition is exactly the union of its two
+    /// rectangles, so every instance keeps a host; the re-footprinted
+    /// occupants are checked all the same. Removing a partition strands
+    /// an occupant unless a surviving partition also contains it (an
+    /// instance on a shared wall): that fails with
+    /// [`IndexError::Uncovered`] and leaves the index half-updated, so
+    /// apply removals to a copy that is dropped on error.
     pub fn apply_topology_deferred(
         &mut self,
         space: &IndoorSpace,
@@ -538,23 +542,20 @@ impl CompositeIndex {
             TopologyEvent::PartitionRemoved(p) => {
                 self.unindex_partition(space, store, *p)?;
             }
+            // Successors are indexed first, so the objects displaced from
+            // the old units re-footprint straight onto them. The new
+            // rectangles lie within the old ones, so every object that
+            // meets a new unit met an old one and is among the displaced.
             TopologyEvent::PartitionSplit { old, new } => {
-                self.unindex_partition(space, store, *old)?;
                 for p in new {
                     skeleton_dirty |= self.index_partition(space, *p)?;
                 }
-                // Objects previously bucketed in the old partition's units
-                // were re-footprinted by unindex_partition, which ran before
-                // the new units existed — re-run them now.
-                self.refresh_objects_near(space, store, *old)?;
+                self.unindex_partition(space, store, *old)?;
             }
             TopologyEvent::PartitionsMerged { old, new } => {
-                for p in old {
-                    self.unindex_partition(space, store, *p)?;
-                }
                 skeleton_dirty |= self.index_partition(space, *new)?;
                 for p in old {
-                    self.refresh_objects_near(space, store, *p)?;
+                    self.unindex_partition(space, store, *p)?;
                 }
             }
             TopologyEvent::DoorInserted(d)
@@ -634,44 +635,6 @@ impl CompositeIndex {
                 // The object is gone from the store too: drop it.
                 let _ = self.objects.remove(id);
             }
-        }
-        Ok(())
-    }
-
-    /// Re-footprints objects whose stored MBR intersects the bbox of a
-    /// (former) partition — used after split/merge so objects land in the
-    /// successor units.
-    fn refresh_objects_near(
-        &mut self,
-        space: &IndoorSpace,
-        store: &ObjectStore,
-        former: PartitionId,
-    ) -> Result<(), IndexError> {
-        let Ok(partition) = space.partition_raw(former) else {
-            return Ok(());
-        };
-        let area = Mbr3::spanning(
-            partition.bbox,
-            (partition.floor_lo, partition.floor_hi),
-            (
-                space.elevation(partition.floor_lo),
-                space.elevation(partition.floor_hi),
-            ),
-        );
-        let ids: Vec<ObjectId> = store
-            .iter()
-            .filter(|o| {
-                self.objects
-                    .object_mbr(o.id)
-                    .map(|m| m.intersects(&area))
-                    .unwrap_or(false)
-            })
-            .map(|o| o.id)
-            .collect();
-        for id in ids {
-            let obj = store.get(id)?;
-            self.objects.remove(id)?;
-            self.insert_object(space, obj)?;
         }
         Ok(())
     }
@@ -810,43 +773,30 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_marks_follow_instances_outside_listed_partitions() {
+    fn instances_outside_every_partition_are_refused() {
         let (mut space, mut store, mut index) = setup();
-        let marked = |index: &CompositeIndex| index.object_layer().uncovered().collect::<Vec<_>>();
-        assert!(marked(&index).is_empty());
-        // One instance beyond the south wall.
+        // One instance beyond the south wall: refused, nothing changes.
         let region = Circle::new(Point2::new(30.0, 1.0), 1.0);
-        let stray = UncertainObject::with_uniform_weights(
-            ObjectId(4),
-            region,
-            0,
-            vec![Point2::new(30.0, 1.0), Point2::new(30.0, -0.5)],
-        )
-        .unwrap();
-        store.insert(stray.clone()).unwrap();
-        index.insert_object(&space, &stray).unwrap();
-        assert_eq!(marked(&index), [ObjectId(4)]);
-        // Deleting the room holding object 1 strands its instances.
-        let room = space
-            .partition_at(IndoorPoint::new(Point2::new(5.0, 5.0), 0))
-            .unwrap();
-        for event in space.delete_partition(room).unwrap() {
-            index.apply_topology(&space, &store, &event).unwrap();
-        }
-        assert_eq!(marked(&index), [ObjectId(1), ObjectId(4)]);
-        // A move back inside clears the mark.
-        let inside = UncertainObject::with_uniform_weights(
-            ObjectId(4),
-            region,
-            0,
-            vec![Point2::new(30.0, 1.0), Point2::new(30.5, 1.5)],
-        )
-        .unwrap();
+        let positions = vec![Point2::new(30.0, 1.0), Point2::new(30.0, -0.5)];
+        let stray =
+            |id| UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions.clone());
+        let refused = |id| Err(IndexError::Uncovered(ObjectId(id)));
+        let units = index.object_layer().units_of(ObjectId(2)).unwrap().to_vec();
+        assert_eq!(index.insert_object(&space, &stray(4).unwrap()), refused(4));
+        assert_eq!(index.update_object(&space, &stray(2).unwrap()), refused(2));
+        assert!(!index.object_layer().contains(ObjectId(4)));
+        assert_eq!(index.object_layer().units_of(ObjectId(2)).unwrap(), units);
+        store.insert(stray(4).unwrap()).unwrap();
+        let built = CompositeIndex::build(&space, &store, IndexConfig::default());
+        assert_eq!(built.map(|_| ()), refused(4), "a build refuses it too");
         store.remove(ObjectId(4)).unwrap();
-        store.insert(inside.clone()).unwrap();
-        index.update_object(&space, &inside).unwrap();
-        assert_eq!(marked(&index), [ObjectId(1)]);
-        index.validate();
+        // Deleting the room holding object 1 would strand its instances.
+        let room = space.partition_at(IndoorPoint::new(Point2::new(5.0, 5.0), 0));
+        let events = space.delete_partition(room.unwrap()).unwrap();
+        let err = events
+            .iter()
+            .try_for_each(|ev| index.apply_topology(&space, &store, ev));
+        assert_eq!(err, refused(1));
     }
 
     #[test]

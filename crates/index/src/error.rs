@@ -12,6 +12,9 @@ pub enum IndexError {
     ObjectNotIndexed(ObjectId),
     /// The object is already present.
     ObjectAlreadyIndexed(ObjectId),
+    /// An instance of the object lies outside every active partition, so
+    /// no partition can list it (see [`crate::CompositeIndex::check_covered`]).
+    Uncovered(ObjectId),
     /// The index no longer matches the space (apply the missing topology
     /// events or rebuild).
     StaleIndex {
@@ -32,6 +35,9 @@ impl std::fmt::Display for IndexError {
             IndexError::PartitionNotIndexed(p) => write!(f, "partition {p} is not indexed"),
             IndexError::ObjectNotIndexed(o) => write!(f, "object {o} is not indexed"),
             IndexError::ObjectAlreadyIndexed(o) => write!(f, "object {o} is already indexed"),
+            IndexError::Uncovered(o) => {
+                write!(f, "object {o} has an instance outside every partition")
+            }
             IndexError::StaleIndex {
                 index_version,
                 space_version,

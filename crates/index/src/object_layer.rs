@@ -14,21 +14,12 @@
 //! buckets whose membership actually changes — an intra-floor move costs
 //! O(objects on that floor) map entries and O(changed buckets) bucket
 //! copies, never O(all objects).
-//!
-//! Coverage: a partition hosting one of an object's instances lists the
-//! object in one of its units whenever every instance lies inside a
-//! partition owning one of the object's units. The objects for which that
-//! is not known — an instance outside every such partition, snapped to the
-//! nearest partition by the decomposition — carry an *uncovered* mark
-//! ([`ObjectLayer::mark_uncovered`]); searches that walk partitions rather
-//! than geometry read them separately ([`ObjectLayer::uncovered`]).
 
 use crate::error::IndexError;
 use crate::units::UnitId;
 use idq_geom::{IdMap, IdSet, Mbr3};
 use idq_model::Floor;
 use idq_objects::{FloorShards, ObjectId, Shard};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -49,8 +40,6 @@ struct ObjEntry {
 #[derive(Clone, Debug, Default)]
 pub struct FloorShard {
     o_table: IdMap<ObjectId, ObjEntry>,
-    /// The objects marked uncovered (see [`ObjectLayer::mark_uncovered`]).
-    uncovered: BTreeSet<ObjectId>,
 }
 
 impl FloorShard {
@@ -146,8 +135,7 @@ impl ObjectLayer {
     /// only the buckets whose membership actually changes. A move within
     /// one partition typically keeps an identical unit list, reducing the
     /// bucket maintenance to an MBR overwrite; a move across floors
-    /// re-homes the o-table entry, touching both floors' shards. The
-    /// object's uncovered mark, if any, is cleared.
+    /// re-homes the o-table entry, touching both floors' shards.
     pub fn update(
         &mut self,
         id: ObjectId,
@@ -187,14 +175,10 @@ impl ObjectLayer {
         let new_f = self.shards.slot(mbr.floor_lo);
         let entry = ObjEntry { units, mbr };
         if old_f != new_f {
-            let old = self.shards.make_mut(old_f);
-            old.o_table.remove(&id);
-            old.uncovered.remove(&id);
+            self.shards.make_mut(old_f).o_table.remove(&id);
             self.shards.file(id, mbr.floor_lo);
         }
-        let shard = self.shards.make_mut(new_f);
-        shard.uncovered.remove(&id);
-        shard.o_table.insert(id, entry);
+        self.shards.make_mut(new_f).o_table.insert(id, entry);
     }
 
     /// Unregisters an object, returning the (shared) unit list it
@@ -208,9 +192,12 @@ impl ObjectLayer {
     }
 
     fn remove_in_shard(&mut self, f: usize, id: ObjectId) -> Arc<[UnitId]> {
-        let shard = self.shards.make_mut(f);
-        shard.uncovered.remove(&id);
-        let entry = shard.o_table.remove(&id).expect("caller located the id");
+        let entry = self
+            .shards
+            .make_mut(f)
+            .o_table
+            .remove(&id)
+            .expect("caller located the id");
         self.shards.unfile(id);
         for &u in entry.units.iter() {
             self.bucket_drop(u, id);
@@ -245,31 +232,6 @@ impl ObjectLayer {
         self.entry(id)
             .map(|e| e.mbr)
             .ok_or(IndexError::ObjectNotIndexed(id))
-    }
-
-    /// Marks an indexed object as uncovered: some instance of it may lie
-    /// outside every partition owning one of its units. The mark lasts
-    /// until the object is re-registered or removed.
-    pub fn mark_uncovered(&mut self, id: ObjectId) -> Result<(), IndexError> {
-        let f = self
-            .shards
-            .find(id)
-            .ok_or(IndexError::ObjectNotIndexed(id))?;
-        self.shards.make_mut(f).uncovered.insert(id);
-        Ok(())
-    }
-
-    /// Whether the object carries the uncovered mark.
-    pub fn is_uncovered(&self, id: ObjectId) -> bool {
-        self.shards
-            .find(id)
-            .and_then(|f| self.shards.get(f as Floor))
-            .is_some_and(|s| s.uncovered.contains(&id))
-    }
-
-    /// Every object carrying the uncovered mark, ascending per floor.
-    pub fn uncovered(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.shards.iter().flat_map(|s| s.uncovered.iter().copied())
     }
 
     /// Whether the object is indexed.
@@ -332,8 +294,8 @@ impl ObjectLayer {
     }
 
     /// Test/maintenance helper: verifies bucket ↔ o-table consistency
-    /// (including that every entry is filed under its MBR's floor, every
-    /// uncovered mark names a filed object, and the object count matches).
+    /// (including that every entry is filed under its MBR's floor and the
+    /// object count matches).
     /// Panics on violation.
     pub fn validate(&self) {
         let mut entries = 0;
@@ -352,9 +314,6 @@ impl ObjectLayer {
                         "o-table says {id} in {u} but bucket disagrees"
                     );
                 }
-            }
-            for id in &shard.uncovered {
-                assert!(shard.o_table.contains_key(id), "{id} marked, not filed");
             }
         }
         assert_eq!(entries, self.count, "shard entries == len");
@@ -497,32 +456,6 @@ mod tests {
         );
         a.validate();
         b.validate();
-    }
-
-    #[test]
-    fn uncovered_marks_last_until_re_registration() {
-        let mut l = ObjectLayer::new();
-        l.insert(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
-        l.insert(ObjectId(2), vec![UnitId(5)], mbr_on(2)).unwrap();
-        l.insert(ObjectId(3), vec![UnitId(0)], mbr_on(0)).unwrap();
-        for id in [1, 2, 3] {
-            l.mark_uncovered(ObjectId(id)).unwrap();
-        }
-        assert!(matches!(
-            l.mark_uncovered(ObjectId(9)),
-            Err(IndexError::ObjectNotIndexed(_))
-        ));
-        let marked: Vec<ObjectId> = l.uncovered().collect();
-        assert_eq!(marked, [ObjectId(1), ObjectId(3), ObjectId(2)]);
-        // Same-floor and cross-floor updates and a removal each clear it.
-        l.update(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
-        l.update(ObjectId(2), vec![UnitId(0)], mbr_on(0)).unwrap();
-        assert_eq!(l.uncovered().collect::<Vec<_>>(), [ObjectId(3)]);
-        assert!(l.is_uncovered(ObjectId(3)) && !l.is_uncovered(ObjectId(2)));
-        l.remove(ObjectId(3)).unwrap();
-        assert_eq!(l.uncovered().count(), 0);
-        assert!(!l.is_uncovered(ObjectId(3)), "gone objects are not marked");
-        l.validate();
     }
 
     #[test]

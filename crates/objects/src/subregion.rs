@@ -200,17 +200,13 @@ pub struct Subregions {
 }
 
 impl Subregions {
-    /// Computes the subregions of `object` against the current topology.
+    /// Computes the subregions of `object` against the current topology:
+    /// each instance is assigned to the partition containing it.
     ///
-    /// Instance-to-partition assignment:
-    /// 1. the partition containing the instance point (normal case);
-    /// 2. otherwise — an instance numerically outside every footprint
-    ///    (sampler clamping, wall sliver after a topology change) — the
-    ///    nearest active partition on the instance's floor by bounding-box
-    ///    distance.
-    ///
-    /// Errors with [`ObjectError::NoHostPartition`] only if a floor has no
-    /// partitions at all.
+    /// Errors with [`ObjectError::NoHostPartition`] when an instance lies
+    /// outside every active partition. An indexed object never does: the
+    /// composite index refuses such an object, and the sampler draws
+    /// inside partitions only.
     pub fn compute(object: &UncertainObject, space: &IndoorSpace) -> Result<Self, ObjectError> {
         Self::compute_with_hint(object, space, &[])
     }
@@ -237,14 +233,9 @@ impl Subregions {
                     .map(|p| p.contains(inst.position, inst.floor))
                     .unwrap_or(false)
             });
-            let pid = match hinted {
-                Some(p) => p,
-                None => match space.partition_at(inst.indoor_point()) {
-                    Some(p) => p,
-                    None => nearest_partition(space, inst.position, inst.floor)
-                        .ok_or(ObjectError::NoHostPartition)?,
-                },
-            };
+            let pid = hinted
+                .or_else(|| space.partition_at(inst.indoor_point()))
+                .ok_or(ObjectError::NoHostPartition)?;
             by_partition.entry(pid).or_default().push(idx as u32);
         }
         let mut subs: Vec<Subregion> = by_partition
@@ -321,32 +312,12 @@ impl Subregions {
     }
 }
 
-/// Nearest active partition on `floor` to `p` by bounding-box distance.
-fn nearest_partition(space: &IndoorSpace, p: Point2, floor: u16) -> Option<PartitionId> {
-    space
-        .partitions_on_floor(floor)
-        .iter()
-        .copied()
-        .filter(|&pid| space.partition(pid).is_ok())
-        .min_by(|&a, &b| {
-            let da = space
-                .partition(a)
-                .map(|x| x.bbox.min_dist(p))
-                .unwrap_or(f64::INFINITY);
-            let db = space
-                .partition(b)
-                .map(|x| x.bbox.min_dist(p))
-                .unwrap_or(f64::INFINITY);
-            da.total_cmp(&db).then(a.cmp(&b))
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::{ObjectId, UncertainObject};
     use idq_geom::{Circle, Rect2 as R};
-    use idq_model::{FloorPlanBuilder, IndoorPoint};
+    use idq_model::{FloorPlanBuilder, IndoorPoint, SplitLine};
 
     /// Two rooms with a door; object instances straddle the wall.
     fn setup() -> (IndoorSpace, UncertainObject) {
@@ -391,6 +362,15 @@ mod tests {
         assert!(subs.as_slice()[0].summary.prob >= subs.as_slice()[1].summary.prob);
     }
 
+    /// Splits room c at x = 15, a new layout; returns the halves.
+    fn split_right_room(s: &mut IndoorSpace) -> [PartitionId; 2] {
+        let right = s.partition_at(IndoorPoint::new(Point2::new(15.0, 5.0), 0));
+        let (halves, _) = s
+            .split_partition(right.unwrap(), SplitLine::AtX(15.0), None)
+            .unwrap();
+        halves
+    }
+
     #[test]
     fn summary_is_memoised_per_layout() {
         let (mut s, o) = setup();
@@ -412,11 +392,14 @@ mod tests {
         assert_eq!(again.as_ptr(), first.as_ptr(), "the memo itself");
 
         // Another layout: a fresh summary, the memo left as it was.
-        let right = s.partition_at(IndoorPoint::new(Point2::new(15.0, 5.0), 0));
-        s.delete_partition(right.unwrap()).unwrap();
+        let halves = split_right_room(&mut s);
         let (other, computed) = o.subregion_summary(&s, Vec::new).unwrap();
         assert!(computed && matches!(other, Cow::Owned(_)));
-        assert_eq!(other.len(), 1, "every instance now snaps to the left room");
+        assert_eq!(other.len(), 2);
+        assert!(
+            other.iter().any(|x| x.partition == halves[0]),
+            "room c's instances now lie in its west half"
+        );
         let (stale, _) = o.subregion_summary(&s, Vec::new).unwrap();
         assert!(matches!(stale, Cow::Owned(_)), "still not memoised");
     }
@@ -436,12 +419,11 @@ mod tests {
         assert!(!o.subregion_summary(&s, Vec::new).unwrap().1, "one memo");
 
         // Another layout: the kernel runs, the memo stays as it was.
-        let right = s.partition_at(IndoorPoint::new(Point2::new(15.0, 5.0), 0));
-        s.delete_partition(right.unwrap()).unwrap();
+        split_right_room(&mut s);
         let (other, computed) = o.subregions(&s, Vec::new).unwrap();
         assert!(computed);
         assert_eq!(other, Subregions::compute(&o, &s).unwrap());
-        assert_eq!(other.len(), 1);
+        assert_ne!(other, kernel, "room c's subregion moved to a half");
     }
 
     #[test]
@@ -481,33 +463,22 @@ mod tests {
     }
 
     #[test]
-    fn stray_instance_snaps_to_nearest_partition() {
-        let (s, _) = setup();
-        // Instance slightly outside the building (x = -0.5).
-        let o = UncertainObject::with_uniform_weights(
-            ObjectId(3),
-            Circle::new(Point2::new(0.0, 5.0), 1.0),
-            0,
-            vec![Point2::new(-0.5, 5.0), Point2::new(0.5, 5.0)],
-        )
-        .unwrap();
-        let subs = Subregions::compute(&o, &s).unwrap();
-        assert_eq!(subs.len(), 1, "stray instance joins room a");
-    }
-
-    #[test]
     fn no_partitions_on_floor_errors() {
         let (s, _) = setup();
-        let o = UncertainObject::with_uniform_weights(
-            ObjectId(4),
-            Circle::new(Point2::new(5.0, 5.0), 1.0),
-            7, // no such floor
-            vec![Point2::new(5.0, 5.0)],
-        )
-        .unwrap();
-        assert!(matches!(
-            Subregions::compute(&o, &s),
-            Err(ObjectError::NoHostPartition)
-        ));
+        // A floor without partitions, then an instance slightly outside
+        // the building (x = -0.5) on a covered floor.
+        for (floor, x) in [(7, 5.0), (0, -0.5)] {
+            let o = UncertainObject::with_uniform_weights(
+                ObjectId(4),
+                Circle::new(Point2::new(0.0, 5.0), 1.0),
+                floor,
+                vec![Point2::new(x, 5.0), Point2::new(0.5, 5.0)],
+            )
+            .unwrap();
+            assert!(matches!(
+                Subregions::compute(&o, &s),
+                Err(ObjectError::NoHostPartition)
+            ));
+        }
     }
 }

@@ -55,13 +55,11 @@ struct Walk {
 /// `≤ kbound`, every partition on that path has an Eq. 10 key
 /// `≤ kbound`, and the walk stops only at keys above the running k-th
 /// TLU, which never falls below `kbound` — so it visits them all,
-/// including the partition hosting that instance. That partition lists
-/// the object unless the object layer marks it uncovered (an instance
-/// outside every partition owning its units, which the decomposition
-/// snaps to the nearest partition, listed or not); so after the walk
-/// every uncovered object is seen too, by its bound alone. Every
-/// candidate passes the object test `RangeSearch` applies at radius
-/// `kbound`; the walk reaches fewer such objects.
+/// including the partition hosting that instance, which lists the
+/// object: the index refuses an object with an instance outside every
+/// partition ([`CompositeIndex::check_covered`]). Every candidate passes
+/// the object test `RangeSearch` applies at radius `kbound`; the walk
+/// reaches fewer such objects.
 ///
 /// The same bound screens before pricing: once k TLUs are banked, an
 /// object whose bound exceeds the running k-th TLU has
@@ -175,19 +173,6 @@ fn adaptive_kbound(
                 (space.elevation(p.floor_lo), space.elevation(p.floor_hi)),
             );
             frontier.push(Reverse((OrdF64(eq10(&mbr)), next)));
-        }
-    }
-    // An uncovered object may be hosted by a partition that does not list
-    // it, so partitions cannot be trusted to reach it: its bound alone
-    // decides. It is not priced, so `kbound` depends on the walk only.
-    for o in index.object_layer().uncovered() {
-        if let (Entry::Vacant(slot), Ok(mbr)) = (seen.entry(o), index.object_layer().object_mbr(o))
-        {
-            slot.insert(if use_skeleton {
-                eq10(&mbr)
-            } else {
-                mbr.min_dist(q3)
-            });
         }
     }
     let kbound = kth(&best);
@@ -400,8 +385,8 @@ mod tests {
     /// What happens to one generated room after indexing.
     #[derive(Clone, Copy, Debug)]
     enum RoomChange {
-        /// The room is deleted, which leaves the objects it held with
-        /// instances outside every partition.
+        /// The room's occupants are removed, then the room is deleted;
+        /// objects whose regions reach into it are re-footprinted.
         Delete,
         /// A sliding wall with a door splits the room into two new
         /// partitions, whose slots lie past those the index was built
@@ -410,11 +395,11 @@ mod tests {
     }
 
     /// A generated two-floor mall (staircases, one-way rooms) with four
-    /// explicit objects that each have an instance just outside the
-    /// building, and — with `change` — one room changed after indexing.
+    /// explicit objects that each have an instance on the building's
+    /// south wall, and — with `change` — one room changed after indexing.
     /// Returns the query points that still lie in a partition, and the
     /// halves of a split room.
-    fn stray_mall(
+    fn changed_mall(
         seed: u64,
         change: Option<(RoomChange, usize)>,
     ) -> (
@@ -441,7 +426,7 @@ mod tests {
         for i in 0..4u64 {
             let x = 50.0 + 120.0 * i as f64;
             let region = Circle::new(Point2::new(x, 6.0), 8.0);
-            let positions = vec![Point2::new(x, 5.0), Point2::new(x + 3.0, -0.5)];
+            let positions = vec![Point2::new(x, 5.0), Point2::new(x + 3.0, 0.0)];
             let floor = (i % 2) as u16;
             let o =
                 UncertainObject::with_uniform_weights(ObjectId(1000 + i), region, floor, positions);
@@ -485,7 +470,23 @@ mod tests {
         let slots = space.partition_slots();
         let (halves, events) = match changed {
             None => (Vec::new(), Vec::new()),
-            Some((RoomChange::Delete, room)) => (Vec::new(), space.delete_partition(room).unwrap()),
+            Some((RoomChange::Delete, room)) => {
+                let p = space.partition(room).unwrap();
+                let occupants: Vec<ObjectId> = store
+                    .iter()
+                    .filter(|o| {
+                        o.instances()
+                            .iter()
+                            .any(|i| p.contains(i.position, i.floor))
+                    })
+                    .map(|o| o.id)
+                    .collect();
+                for id in occupants {
+                    store.remove(id).unwrap();
+                    index.remove_object(id).unwrap();
+                }
+                (Vec::new(), space.delete_partition(room).unwrap())
+            }
             Some((RoomChange::Split, room)) => {
                 let door = Some(Point2::new(cx, mid));
                 let (halves, events) = space
@@ -511,8 +512,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The walk's candidates hold every object whose exact distance
-        /// (refinement's arithmetic on the full graph, which snaps stray
-        /// instances where `naive_knn` gives up on them) is within
+        /// (refinement's arithmetic on the full graph) is within
         /// `kbound`, and pass `RangeSearch`'s object test at `kbound`, so
         /// all are in what `RangeSearch` returns at `kbound` /
         /// `kbound + slack`. The answers are that exact
@@ -530,9 +530,8 @@ mod tests {
                 1 => Some((RoomChange::Delete, room)),
                 _ => Some((RoomChange::Split, room)),
             };
-            let (space, store, index, points, halves) = stray_mall(seed, change);
+            let (space, store, index, points, halves) = changed_mall(seed, change);
             let layer = index.object_layer();
-            prop_assert!(layer.uncovered().count() >= 4, "the explicit strays are marked");
             // Each object with a subregion in a split half, with its summary.
             let mut in_halves = Vec::new();
             for o in store.ids_sorted() {

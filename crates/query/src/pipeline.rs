@@ -627,18 +627,20 @@ mod tests {
             let (mut space, a, hall, door) = oracle_world();
             let mut store = ObjectStore::new();
             // Explicit instances: the centre, a point on the nearest
-            // partition wall (x = 50 is the staircase's), a stray below
-            // the building (the nearest-partition fallback), one in the
-            // staircase, and the drawn offsets.
+            // partition wall (x = 50 is the staircase's), one on the
+            // south outer wall, one in the staircase, and the drawn
+            // offsets, kept inside the building.
             for (i, (cx, cy, floor, offsets)) in objects.iter().enumerate() {
                 let wall = (cx / 10.0).round().clamp(1.0, 5.0) * 10.0;
                 let mut positions = vec![
                     Point2::new(*cx, *cy),
                     Point2::new(wall, *cy),
-                    Point2::new(*cx, -0.5),
+                    Point2::new(*cx, 0.0),
                     Point2::new(52.0, *cy),
                 ];
-                positions.extend(offsets.iter().map(|(dx, dy)| Point2::new(cx + dx, cy + dy)));
+                positions.extend(offsets.iter().map(|(dx, dy)| {
+                    Point2::new((cx + dx).clamp(0.0, 54.0), (cy + dy).clamp(0.0, 10.0))
+                }));
                 let region = Circle::new(Point2::new(*cx, *cy), 4.0);
                 let o = UncertainObject::with_uniform_weights(ObjectId(i as u64), region, *floor, positions);
                 store.insert(o.unwrap()).unwrap();

@@ -35,12 +35,17 @@ fn every_engine_variant() -> Vec<EngineError> {
         EngineError::Model(ModelError::UnknownPartition(PartitionId(7))),
         EngineError::Object(ObjectError::EmptyInstances),
         EngineError::Index(IndexError::ObjectNotIndexed(ObjectId(4))),
+        EngineError::Index(IndexError::Uncovered(ObjectId(5))),
         EngineError::Distance(DistanceError::QueryOutsideSpace(q)),
         EngineError::Query(QueryError::ZeroK),
         EngineError::UnsupportedSubscription(Query::Distance { q, p: q }),
         EngineError::FloorOutOfSpace {
             floor: 9,
             num_floors: 2,
+        },
+        EngineError::PartitionOccupied {
+            partition: PartitionId(3),
+            object: ObjectId(6),
         },
         EngineError::Storage {
             path: "/tmp/idq-wal".into(),
@@ -85,6 +90,10 @@ fn engine_error_display_and_source_round_trip() {
         match &err {
             EngineError::FloorOutOfSpace { floor, .. } => {
                 assert!(msg.contains(&floor.to_string()))
+            }
+            EngineError::PartitionOccupied { partition, object } => {
+                assert!(msg.contains(&partition.to_string()));
+                assert!(msg.contains(&object.to_string()));
             }
             EngineError::Query(_) => assert!(msg.contains('k')),
             _ => {}

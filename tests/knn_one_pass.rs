@@ -7,23 +7,28 @@
 //! * The answers are bit-equal to a brute-force ranking of every object by
 //!   the refinement's own exact arithmetic (full-graph door distances,
 //!   o-table-hinted decomposition), under every ablation; that ranking
-//!   agrees with `naive_knn`'s per-instance sums to 1e-9. They stay so
-//!   after a partition that holds objects is deleted, and so do iRQ's
-//!   answers (single, batched and as a subscription's initial set) and
-//!   open range and kNN subscriptions across later writes.
+//!   agrees with `naive_knn`'s per-instance sums to 1e-9.
+//! * Deleting a partition that still holds an object instance is refused
+//!   with `PartitionOccupied`, and nothing changes. Once earlier ops in
+//!   the batch move or remove the occupants, the deletion commits, and
+//!   kNN and iRQ answers (single, batched and as a subscription's initial
+//!   set) stay exact before and after, as do open range and kNN
+//!   subscriptions across later writes. An insert into the deleted
+//!   room's gap is refused with `NoHostPartition`.
 //! * `kbound` is pinned bit for bit on generated malls, and a query point
 //!   outside every partition still fails with `QueryOutsideSpace`.
 //!
 //! The worlds have staircases, one-way doors, long slack halls and
-//! instances that fall outside every partition (which snap to the
-//! nearest one).
+//! instances on partition walls.
 
-use indoor_dq::core::{EngineConfig, IndoorEngine, Subscription, Update};
+use indoor_dq::core::{EngineConfig, EngineError, IndoorEngine, Subscription, Update};
 use indoor_dq::distance::{expected_indoor_distance, DistanceError, DoorDistances, DoorRow};
 use indoor_dq::geom::{Circle, OrdF64, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
 use indoor_dq::model::{FloorPlanBuilder, IndoorPoint, IndoorSpace, PartitionId};
-use indoor_dq::objects::{GaussianSampler, ObjectId, ObjectStore, Subregions, UncertainObject};
+use indoor_dq::objects::{
+    GaussianSampler, ObjectError, ObjectId, ObjectStore, Subregions, UncertainObject,
+};
 use indoor_dq::query::{
     execute_batch, knn_query, naive_knn, range_query, Outcome, Query, QueryError, QueryOptions,
 };
@@ -139,15 +144,19 @@ type ExplicitObject = (f64, f64, u16, Vec<(f64, f64)>);
 fn build_store(space: &IndoorSpace, explicit: &[ExplicitObject], seed: u64) -> ObjectStore {
     let mut store = ObjectStore::new();
     // Explicit instances: the centre, a point on the nearest wall, for
-    // every other object a stray below the building, and the drawn
-    // offsets (which may stray too).
+    // every other object a point on the south outer wall, and the drawn
+    // offsets, kept inside the building.
     for (i, (cx, cy, floor, offsets)) in explicit.iter().enumerate() {
         let wall = (cx / 10.0).round().clamp(1.0, 3.0) * 10.0;
         let mut positions = vec![Point2::new(*cx, *cy), Point2::new(wall, *cy)];
         if i % 2 == 1 {
-            positions.push(Point2::new(*cx, -0.5));
+            positions.push(Point2::new(*cx, 0.0));
         }
-        positions.extend(offsets.iter().map(|(dx, dy)| Point2::new(cx + dx, cy + dy)));
+        positions.extend(
+            offsets
+                .iter()
+                .map(|(dx, dy)| Point2::new(cx + dx, (cy + dy).clamp(0.0, 10.0))),
+        );
         let region = Circle::new(Point2::new(*cx, *cy), 4.0);
         let o =
             UncertainObject::with_uniform_weights(ObjectId(i as u64), region, *floor, positions);
@@ -301,12 +310,12 @@ fn kbound_is_pinned_on_generated_malls() {
     }
 }
 
-/// Rooms P | R | Q in a row; deleting R leaves objects in its place whose
-/// instances lie outside every partition. Object 1's instances sit nearer
-/// P's box, so P hosts them, but its footprint reaches only Q — the o-table
-/// lists it under Q alone, which a query in P never reaches (Q is cut off).
-/// The kNN answers must still be the exact ranking's, before and after,
-/// and the iRQ answers that ranking cut at `d ≤ r`.
+/// Rooms P | R | Q in a row, with object 1 in R, object 2 in P and object
+/// 3 in Q. Deleting R is refused while object 1 is there, and the refusal
+/// changes nothing. Moving or removing object 1 earlier in the batch makes
+/// the deletion legal; an object on the P | R wall does not block it. The
+/// kNN answers are the exact ranking's before and after, and the iRQ
+/// answers that ranking cut at `d ≤ r`.
 #[test]
 fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
     let mut b = FloorPlanBuilder::new(4.0);
@@ -318,24 +327,28 @@ fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
     b.add_door_between(p, r, Point2::new(10.0, 5.0)).unwrap();
     b.add_door_between(r, q_room, Point2::new(20.0, 5.0))
         .unwrap();
-    let mut engine = IndoorEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
+    let space = b.finish().unwrap();
     let explicit = |id: u64, cx: f64, radius: f64, xs: &[f64]| {
         let positions = xs.iter().map(|&x| Point2::new(x, 5.0)).collect();
         let region = Circle::new(Point2::new(cx, 5.0), radius);
         let object = UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions);
         Update::InsertObject(Box::new(object.unwrap()))
     };
-    engine
-        .apply_batch(&[
-            // Footprint x ∈ [14, 21]: R and Q. Instances 4–5 m from P, 5–6 m
-            // from Q.
-            explicit(1, 17.5, 3.5, &[14.0, 15.0]),
-            // Inside P, farther from the query than object 1 will be.
-            explicit(2, 1.0, 0.5, &[1.0]),
-            // Inside Q: cut off once R is gone.
-            explicit(3, 25.0, 1.0, &[25.0]),
-        ])
-        .unwrap();
+    let populated = || {
+        let mut engine = IndoorEngine::new(space.clone(), EngineConfig::default()).unwrap();
+        engine
+            .apply_batch(&[
+                // Footprint x ∈ [14, 21]: R and Q; both instances in R.
+                explicit(1, 17.5, 3.5, &[14.0, 15.0]),
+                // Inside P, farther from the query than object 1.
+                explicit(2, 1.0, 0.5, &[1.0]),
+                // Inside Q: cut off once R is gone.
+                explicit(3, 25.0, 1.0, &[25.0]),
+            ])
+            .unwrap();
+        engine
+    };
+    let mut engine = populated();
 
     let q = IndoorPoint::new(Point2::new(9.0, 5.0), 0);
     let radii = [4.0, 6.0, 20.0];
@@ -384,38 +397,66 @@ fn deleting_a_partition_that_holds_objects_keeps_answers_exact() {
             let sub = engine.service().subscribe(*range).unwrap();
             assert_eq!(sub.initial(), within(r), "{stage} r={r}: subscription");
         }
-        ranking
+        bits(&ranking)
     };
-    check(&engine, "before");
-    engine.apply(Update::DeletePartition(r)).unwrap();
-    let ranking = check(&engine, "after");
-    assert_eq!(
-        ranking.iter().map(|&(o, _)| o).collect::<Vec<_>>(),
-        [ObjectId(1), ObjectId(2)],
-        "P hosts object 1, 5 m away; object 3 is unreachable"
-    );
+    let before = check(&engine, "before");
+    let (epoch, watermark) = (engine.epoch(), engine.store().id_watermark());
+    let occupied = Err(EngineError::PartitionOccupied {
+        partition: r,
+        object: ObjectId(1),
+    });
+    let delete = Update::DeletePartition(r);
+    // A removal later in the batch comes too late.
+    let remove = Update::RemoveObject(ObjectId(1));
+    for batch in [vec![delete.clone()], vec![delete.clone(), remove.clone()]] {
+        assert_eq!(engine.apply_batch(&batch).map(|_| ()), occupied);
+    }
+    let unchanged = (engine.epoch(), engine.store().id_watermark());
+    assert_eq!(unchanged, (epoch, watermark));
+    assert_eq!(check(&engine, "refused"), before);
 
-    // Standing queries around q stay open across the next writes. Object
-    // 5's footprint reaches only Q, yet P hosts it: its commits must route
-    // to them by its host partitions.
+    // A removal earlier in the batch makes the deletion legal, also with
+    // an object on the P | R wall, which P still hosts.
+    let mut fresh = populated();
+    let on_wall = explicit(6, 10.0, 0.5, &[10.0]);
+    fresh
+        .apply_batch(&[on_wall, remove, delete.clone()])
+        .unwrap();
+    fresh.validate().unwrap();
+    let ranking = check(&fresh, "removed first");
+    assert_eq!(ranking.len(), 2, "objects 6 and 2; object 3 is unreachable");
+    // So does a move into P.
+    let into_p = |center: Point2, seed: u64| Update::MoveObject {
+        id: ObjectId(1),
+        center,
+        floor: 0,
+        seed,
+    };
+    engine
+        .apply_batch(&[into_p(Point2::new(5.0, 5.0), 7), delete])
+        .unwrap();
+    engine.validate().unwrap();
+    let ranking = check(&engine, "after");
+    assert_eq!(ranking.len(), 2, "objects 1 and 2; object 3 is unreachable");
+
+    // An insert into the gap R left is refused.
+    let refused = Err(EngineError::Object(ObjectError::NoHostPartition));
+    let gap = explicit(4, 12.0, 0.5, &[11.5, 12.5]);
+    assert_eq!(engine.apply(gap).map(|_| ()), refused);
+
+    // Standing queries around q stay open across the next writes.
     let service = engine.service();
     let mut subs = [
         service.subscribe(Query::Range { q, r: 6.0 }).unwrap(),
         service.subscribe(Query::Knn { q, k: 1 }).unwrap(),
     ];
-    engine.apply(explicit(5, 17.5, 3.5, &[14.0, 15.0])).unwrap();
-    assert_standing_exact(&engine, &mut subs, "uncovered insert");
+    engine.apply(explicit(5, 7.5, 2.0, &[7.0, 8.5])).unwrap();
+    assert_standing_exact(&engine, &mut subs, "insert");
     assert!(subs[0].contains(ObjectId(5)));
-
-    // Inserted into the gap R left: its footprint meets no unit at all,
-    // yet P hosts it, 3 m from the query.
-    engine.apply(explicit(4, 12.0, 0.5, &[11.5, 12.5])).unwrap();
-    let ranking = check(&engine, "inserted");
-    assert_eq!(ranking[0].0, ObjectId(4));
-    assert_standing_exact(&engine, &mut subs, "inserted");
-
+    engine.apply(into_p(Point2::new(8.0, 5.0), 8)).unwrap();
+    assert_standing_exact(&engine, &mut subs, "move");
     engine.apply(Update::RemoveObject(ObjectId(5))).unwrap();
-    assert_standing_exact(&engine, &mut subs, "uncovered removal");
+    assert_standing_exact(&engine, &mut subs, "removal");
     assert!(!subs[0].contains(ObjectId(5)));
 }
 

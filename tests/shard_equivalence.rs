@@ -257,17 +257,33 @@ fn topology_ops_that_resize_the_shard_set_stay_equivalent() {
     let mut e = engine(&b, 11);
     let shards_before = e.store().shard_count();
     assert_eq!(shards_before, FLOORS as usize, "one shard per built floor");
+    // The split room holds an object, so split and merge both
+    // re-footprint occupants.
+    let held = b.space.partition(room).unwrap();
+    assert!(
+        e.store().iter().any(|o| o
+            .instances()
+            .iter()
+            .any(|i| held.contains(i.position, i.floor))),
+        "the split room holds an object"
+    );
 
-    for batch in [split_batch, penthouse_batch] {
-        let report = e.apply_batch(&batch).unwrap();
+    let commit = |e: &mut IndoorEngine, batch: &[Update]| {
+        let report = e.apply_batch(batch).unwrap();
         assert!(report.stats.checkpointed, "topology batches checkpoint");
         e.validate().unwrap();
         assert_eq!(
-            digests(&e, &queries),
-            digests(&rebuilt(&e), &queries),
+            digests(e, &queries),
+            digests(&rebuilt(e), &queries),
             "topology batch diverges from a rebuild"
         );
-    }
+        report
+    };
+    let halves = commit(&mut e, &split_batch).outcomes[0]
+        .split_halves()
+        .unwrap();
+    commit(&mut e, &[Update::MergePartitions(halves[0], halves[1])]);
+    commit(&mut e, &penthouse_batch);
 
     // The shard set grew, and the new floor answers queries.
     assert_eq!(e.store().shard_count(), new_floor as usize + 1);
