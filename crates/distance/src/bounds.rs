@@ -16,24 +16,26 @@
 //! * [`lemma5_bounds`] — the two-group probabilistic bounds exactly in the
 //!   shape of Lemma 5 / Eq. 8 (with the paper's heuristic split choice and
 //!   its applicability condition);
-//! * [`markov_lower`] — the Markov lower bound of Lemma 4;
-//! * [`SharedPathUpper`] — the Topological Looser Upper Bound of Lemma 3
-//!   (TLU): uses *some* path, found by one lazily growing search shared
-//!   by every object priced from the same query point, instead of the
-//!   shortest one from a full Dijkstra — this seeds `ikNNQ`'s `kbound`.
+//! * [`markov_lower`] — the Markov lower bound of Lemma 4.
 //!
 //! ### Soundness note (restricted door distances)
 //!
 //! All bounds are sound when computed from **full-graph** door distances.
-//! Under a *restricted* search (subgraph phase) door distances may
-//! over-estimate, which preserves upper bounds but can inflate lower
-//! bounds; the query processors compensate by re-checking borderline
-//! objects against full-graph distances before discarding results (see
-//! `idq-query`), and the oracle-equivalence tests verify the end-to-end
+//! A *banded* context (subgraph phase) may over-estimate or miss the
+//! doors beyond its [exit horizon](DoorDistances::exit_horizon), which
+//! preserves upper bounds but could inflate a lower bound. So
+//! [`subregion_bounds`] clamps each lower bound at the exit horizon — any
+//! route leaving the band costs at least that much — and reports the
+//! clamp ([`SubregionBounds::clamped`], [`ObjectBounds::clamped`]). A
+//! bound that was not clamped equals the complete context's bound bit for
+//! bit: it is attained through a door at or below the exit horizon, where
+//! banded distances are exact, and every door a banded context lacks lies
+//! beyond it. `ikNNQ` re-keys an object whose bound was clamped once its
+//! context has grown; the oracle-equivalence tests verify the end-to-end
 //! guarantee.
 
 use crate::dijkstra::DoorDistances;
-use idq_model::{DoorId, DoorsGraph, IndoorPoint, IndoorSpace, PartitionId};
+use idq_model::IndoorSpace;
 use idq_objects::SubregionSummary;
 
 /// Which bound family produced an [`ObjectBounds`] (Table III).
@@ -54,6 +56,9 @@ pub struct ObjectBounds {
     pub upper: f64,
     /// Which family applied.
     pub kind: BoundKind,
+    /// Some subregion's lower bound was clamped at the context's exit
+    /// horizon, so a wider context may raise `lower`.
+    pub clamped: bool,
 }
 
 /// Topological bounds for one subregion: `t_min(S[i])` and `t_max(S[i])`
@@ -67,6 +72,8 @@ pub struct SubregionBounds {
     pub upper: f64,
     /// Probability mass of the subregion.
     pub prob: f64,
+    /// `lower` was clamped at the context's exit horizon.
+    pub clamped: bool,
 }
 
 /// Computes `t_min` / `t_max` for one subregion from door distances:
@@ -88,6 +95,7 @@ pub fn subregion_bounds(
             lower: f64::INFINITY,
             upper: f64::INFINITY,
             prob: sub.prob,
+            clamped: false,
         };
     };
     let z_slack = vertical_slack(space, partition.floor_lo, partition.floor_hi);
@@ -119,11 +127,12 @@ pub fn subregion_bounds(
     // inflated minimum. (`upper` needs no clamp — dropping routes or
     // inflating their cost only loosens an upper bound, never
     // invalidates it. Complete contexts have exit horizon ∞: no-op.)
-    lower = lower.min(dd.exit_horizon());
+    let clamped = lower > dd.exit_horizon();
     SubregionBounds {
-        lower,
+        lower: lower.min(dd.exit_horizon()),
         upper,
         prob: sub.prob,
+        clamped,
     }
 }
 
@@ -147,10 +156,12 @@ pub fn object_bounds<'s>(
     let mut count = 0;
     let mut lower = 0.0;
     let mut upper = 0.0;
+    let mut clamped = false;
     for sub in summary {
         let b = subregion_bounds(space, dd, sub);
         lower += b.prob * b.lower;
         upper += b.prob * b.upper;
+        clamped |= b.clamped;
         first.get_or_insert(b);
         count += 1;
     }
@@ -159,11 +170,13 @@ pub fn object_bounds<'s>(
             lower: b.lower,
             upper: b.upper,
             kind: BoundKind::Topological,
+            clamped,
         },
         _ => ObjectBounds {
             lower,
             upper,
             kind: BoundKind::Probabilistic,
+            clamped,
         },
     }
 }
@@ -244,134 +257,13 @@ fn vertical_slack(space: &IndoorSpace, floor_lo: u16, floor_hi: u16) -> f64 {
     }
 }
 
-/// Lemma 3 — the **Topological Looser Upper Bound** (TLU) — as one
-/// incrementally growing best-first search from `q`, shared across many
-/// objects.
-///
-/// Lemma 3 needs only *some* path to each of an object's subregions, so
-/// there is no all-pairs work and no full single-source tree: the search
-/// grows just until every partition asked for has been reached. (A
-/// cost-ordered search dominates hop-count BFS here: indoor edge weights
-/// vary by two orders of magnitude — a corridor end-to-end edge is ~60× a
-/// doorway hop — so hop-wise-first paths can be arbitrarily long and would
-/// destroy the `kbound` this feeds.)
-///
-/// `ikNNQ`'s seed phase evaluates the TLU of dozens to hundreds of nearby
-/// objects from the same query point; a search per object would
-/// re-explore the same ball each time. This structure settles doors once,
-/// on demand, recording the first (hence cheapest) arrival per partition,
-/// and prices each object from the recorded arrivals and its subregion
-/// summary alone. From the arrival door, any instance of a subregion is at
-/// most `bbox.max_dist(door position)` away through the partition (plus
-/// the vertical slack for staircases); Lemma 3 takes the max over
-/// subregions of that per-subregion bound — [`SharedPathUpper::upper`]
-/// reports the (tighter, still valid) mass-weighted version.
-pub struct SharedPathUpper<'a> {
-    space: &'a IndoorSpace,
-    graph: &'a DoorsGraph,
-    source: Option<PartitionId>,
-    dist: Vec<f64>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(idq_geom::OrdF64, u32)>>,
-    /// First arrival per partition slot, `None` until reached.
-    arrivals: Vec<Option<(f64, idq_geom::Point2)>>,
-}
-
-impl<'a> SharedPathUpper<'a> {
-    /// Prepares the shared search from `q` (no exploration happens yet).
-    pub fn new(space: &'a IndoorSpace, graph: &'a DoorsGraph, q: IndoorPoint) -> Self {
-        let source = space.partition_at(q);
-        let mut dist = vec![f64::INFINITY; space.door_slots()];
-        let mut heap = std::collections::BinaryHeap::new();
-        let mut arrivals = vec![None; space.partition_slots()];
-        if let Some(src) = source {
-            arrivals[src.index()] = Some((0.0, q.point));
-            for &d in space.doors_of(src).unwrap_or(&[]) {
-                if space.can_leave(d, src) {
-                    // A door the space cannot price from `q` seeds no
-                    // path; the bound only loosens.
-                    let Ok(w) = space.point_to_door(q, d) else {
-                        continue;
-                    };
-                    if w < dist[d.index()] {
-                        dist[d.index()] = w;
-                        heap.push(std::cmp::Reverse((idq_geom::OrdF64(w), d.0)));
-                    }
-                }
-            }
-        }
-        SharedPathUpper {
-            space,
-            graph,
-            source,
-            dist,
-            heap,
-            arrivals,
-        }
-    }
-
-    /// First-arrival (distance, entry position) for a partition, growing
-    /// the search only as far as needed. `None` when unreachable.
-    fn arrival(&mut self, pid: PartitionId) -> Option<(f64, idq_geom::Point2)> {
-        if let a @ Some(_) = *self.arrivals.get(pid.index())? {
-            return a;
-        }
-        while let Some(std::cmp::Reverse((idq_geom::OrdF64(du), u))) = self.heap.pop() {
-            let u = DoorId(u);
-            if du > self.dist[u.index()] {
-                continue;
-            }
-            if let Ok(door) = self.space.door(u) {
-                for p in door.partitions {
-                    if self.space.can_enter(u, p) {
-                        self.arrivals[p.index()].get_or_insert((du, door.position));
-                    }
-                }
-            }
-            for e in self.graph.edges_from(u) {
-                let v = e.to.index();
-                let nd = du + e.weight;
-                if nd < self.dist[v] {
-                    self.dist[v] = nd;
-                    self.heap
-                        .push(std::cmp::Reverse((idq_geom::OrdF64(nd), e.to.0)));
-                }
-            }
-            if let a @ Some(_) = self.arrivals[pid.index()] {
-                return a;
-            }
-        }
-        None
-    }
-
-    /// The Lemma-3 looser upper bound of one object (mass-weighted over
-    /// the entries of its subregion summary), `∞` when a subregion is
-    /// unreachable.
-    pub fn upper<'s>(&mut self, summary: impl IntoIterator<Item = &'s SubregionSummary>) -> f64 {
-        if self.source.is_none() {
-            return f64::INFINITY;
-        }
-        let mut weighted = 0.0;
-        for sub in summary {
-            let Ok(partition) = self.space.partition(sub.partition) else {
-                return f64::INFINITY;
-            };
-            let Some((base, entry)) = self.arrival(sub.partition) else {
-                return f64::INFINITY;
-            };
-            let z_slack = vertical_slack(self.space, partition.floor_lo, partition.floor_hi);
-            weighted += sub.prob * (base + sub.bbox.max_dist(entry) + z_slack);
-        }
-        weighted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra::DoorDistances;
     use crate::expected::expected_indoor_distance_naive;
     use idq_geom::{Circle, Point2, Rect2};
-    use idq_model::{DoorsGraph, FloorPlanBuilder};
+    use idq_model::{DoorsGraph, FloorPlanBuilder, IndoorPoint};
     use idq_objects::{ObjectId, Subregions, UncertainObject};
 
     /// Three rooms in a row plus a far room, giving multi-partition
@@ -484,17 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn tlu_upper_bounds_exact_and_exceeds_tight_upper() {
-        let (s, g) = space();
-        let o = multi_part_object();
-        let dd = DoorDistances::compute(&s, &g, q()).unwrap();
-        let subs = Subregions::compute(&o, &s).unwrap();
-        let exact = expected_indoor_distance_naive(&s, &dd, &o);
-        let tlu = SharedPathUpper::new(&s, &g, q()).upper(subs.summaries());
-        assert!(tlu >= exact - 1e-9, "TLU {tlu} exact {exact}");
-    }
-
-    #[test]
     fn unreachable_subregion_pushes_bounds_to_infinity() {
         let (mut s, _) = space();
         // Close the r2–r3 door: instances in r3 become unreachable.
@@ -507,8 +388,6 @@ mod tests {
         let b = object_bounds(&s, &dd, subs.summaries());
         assert!(b.upper.is_infinite());
         assert!(b.lower.is_infinite());
-        let tlu = SharedPathUpper::new(&s, &g, q()).upper(subs.summaries());
-        assert!(tlu.is_infinite());
     }
 
     #[test]

@@ -60,6 +60,9 @@ const MIN_BAND: f64 = 32.0;
 pub struct DoorRow {
     horizon: f64,
     entries: Vec<(u32, f64)>,
+    /// The expansion settled every door reachable from the source before
+    /// it passed the horizon.
+    exhausted: bool,
 }
 
 impl DoorRow {
@@ -74,17 +77,23 @@ impl DoorRow {
         let n = graph.door_slots();
         let mut entries = Vec::new();
         if src.index() >= n {
-            return DoorRow { horizon, entries };
+            return DoorRow {
+                horizon,
+                entries,
+                exhausted: false,
+            };
         }
         let mut dist = vec![f64::INFINITY; n];
         let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
         dist[src.index()] = 0.0;
         heap.push(Reverse((OrdF64(0.0), src.0)));
+        let mut exhausted = true;
         while let Some(Reverse((OrdF64(du), u))) = heap.pop() {
             if du > dist[u as usize] {
                 continue; // stale heap entry
             }
             if du > horizon {
+                exhausted = false;
                 break; // everything left in the heap is farther still
             }
             entries.push((u, du));
@@ -97,7 +106,20 @@ impl DoorRow {
                 }
             }
         }
-        DoorRow { horizon, entries }
+        DoorRow {
+            horizon,
+            entries,
+            exhausted,
+        }
+    }
+
+    /// Whether this row holds every door reachable from its source and
+    /// none of them lies beyond `h`: a read at `h` or any wider horizon
+    /// is then the complete row. A pure function of the geometry and `h`,
+    /// whatever horizon the row was expanded to.
+    #[inline]
+    pub fn complete_within(&self, h: f64) -> bool {
+        self.exhausted && self.entries.last().is_none_or(|&(_, d)| d <= h)
     }
 
     /// The horizon this row was expanded to.

@@ -118,6 +118,11 @@ impl DoorDistances {
     /// `(q, horizon, geometry)` — independent of how wide the supplied
     /// rows actually are — which is what makes cache reuse bit-exact.
     ///
+    /// When every seed row is [complete within](DoorRow::complete_within)
+    /// the horizon, the truncated reads are the complete rows, so the
+    /// context is returned unrestricted (exit horizon `∞`): it has the
+    /// same entries, hence the same bits, as the composition at `∞`.
+    ///
     /// The composed context carries no predecessor tree; [`Self::path_to`]
     /// returns `None`.
     pub fn compute_banded(
@@ -140,6 +145,7 @@ impl DoorDistances {
         let n = graph.door_slots().max(space.door_slots());
         let mut dist = vec![f64::INFINITY; n];
         let mut min_w = f64::INFINITY;
+        let mut complete = true;
         for &d in space.doors_of(source_partition).unwrap_or(&[]) {
             if !space.can_leave(d, source_partition) {
                 continue;
@@ -149,6 +155,7 @@ impl DoorDistances {
                 .expect("door of the source partition");
             min_w = min_w.min(w);
             let row = row_source(graph, d, horizon);
+            complete &= row.complete_within(horizon);
             for (v, rv) in row.entries_within(horizon) {
                 let nd = w + rv;
                 let v = v as usize;
@@ -158,7 +165,7 @@ impl DoorDistances {
             }
         }
 
-        let restricted = horizon.is_finite();
+        let restricted = horizon.is_finite() && !complete;
         Ok(DoorDistances {
             query: q,
             source_partition,
@@ -187,9 +194,9 @@ impl DoorDistances {
     }
 
     /// Whether the distances were truncated at a finite horizon
-    /// ([`Self::compute_banded`] with a finite `horizon`): values beyond
-    /// [`Self::exit_horizon`] may over-estimate the true distance or be
-    /// missing. Never set by [`Self::compute`].
+    /// ([`Self::compute_banded`] with a finite `horizon` that cut a seed
+    /// row short): values beyond [`Self::exit_horizon`] may over-estimate
+    /// the true distance or be missing. Never set by [`Self::compute`].
     #[inline]
     pub fn is_restricted(&self) -> bool {
         self.restricted
@@ -323,6 +330,30 @@ mod tests {
         assert!(banded.exit_horizon().is_infinite());
         assert!((banded.door_distance(doors[2]) - 28.0).abs() < 1e-9);
         assert_eq!(banded.reached_count(), 3);
+    }
+
+    #[test]
+    fn complete_seed_rows_make_an_unrestricted_context() {
+        // The only seed door is 8 m from q and reaches the other two at
+        // 10 and 20 m: a 25 m horizon holds its whole row.
+        let (s, g, _, doors) = corridor();
+        let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
+        let expand =
+            |g: &DoorsGraph, d, h| std::sync::Arc::new(crate::cache::DoorRow::expand(g, d, h));
+        let full = DoorDistances::compute_banded(&s, &g, q, f64::INFINITY, expand).unwrap();
+        for (horizon, restricted) in [(15.0, true), (20.0, false), (25.0, false)] {
+            let banded = DoorDistances::compute_banded(&s, &g, q, horizon, expand).unwrap();
+            assert_eq!(banded.is_restricted(), restricted, "horizon {horizon}");
+            assert_eq!(banded.exit_horizon().is_infinite(), !restricted);
+            if !restricted {
+                for &d in &doors {
+                    assert_eq!(
+                        banded.door_distance(d).to_bits(),
+                        full.door_distance(d).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

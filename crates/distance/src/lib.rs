@@ -13,8 +13,7 @@
 //!   additive-weighted bisectors), single-partition multi-path (Eq. 4) and
 //!   multi-partition (Eq. 6);
 //! * [`bounds`] — the pruning-bound family: topological upper/lower bounds
-//!   (Lemmas 1–2 / Eq. 7), the topological looser upper bound (Lemma 3),
-//!   the Markov lower bound (Lemma 4), probabilistic bounds (Lemma 5 /
+//!   (Lemmas 1–2 / Eq. 7), the Markov lower bound (Lemma 4), probabilistic bounds (Lemma 5 /
 //!   Eq. 8) and the Table III dispatch;
 //! * [`cache`] — the shared geometry-keyed [`DistanceCache`]: memoized
 //!   per-door expansion rows composed into query contexts by
@@ -30,7 +29,7 @@ pub mod point_dist;
 
 pub use bounds::{
     lemma5_bounds, markov_lower, object_bounds, subregion_bounds, BoundKind, ObjectBounds,
-    SharedPathUpper, SubregionBounds,
+    SubregionBounds,
 };
 pub use cache::{band_for, CacheCounters, DistanceCache, DoorRow, RowFetch};
 pub use dijkstra::DoorDistances;

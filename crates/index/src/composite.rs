@@ -464,7 +464,7 @@ impl CompositeIndex {
     /// The index's one invariant on objects: every instance lies inside a
     /// partition owning one of `units`, the object's footprint. Then each
     /// instance's host partition lists the object, which is what lets a
-    /// partition walk find every object through the partitions hosting
+    /// kNN search find every object through the partitions hosting
     /// it. A footprint holds a unit of every partition its instances lie
     /// in, so failing here means an instance lies outside every active
     /// partition: [`IndexError::Uncovered`].

@@ -1,194 +1,46 @@
-//! Indoor k-Nearest-Neighbour Query — `ikNNQ` (Def. 4, Algorithm 2) — in
-//! one pass.
+//! Indoor k-Nearest-Neighbour Query — `ikNNQ` (Def. 4, Algorithm 2) — as
+//! one multi-step search.
 //!
-//! The filtering phase is one best-first walk over partitions
-//! (`adaptive_kbound`): it derives the `kbound` radius and, from the
-//! same visits, yields the candidate set, so no second index search runs.
-//! Pruning keeps each survivor's lower bound, and refinement runs
-//! best-first in ascending lower-bound order: it stops as soon as `k`
-//! exact distances are in hand and the next lower bound is strictly
-//! greater than the k-th of them.
+//! Where the paper seeds the query with `kSeedsSelection` (Algorithm 5)
+//! and an upper-bound radius, this is optimal multi-step kNN (Seidl &
+//! Kriegel, SIGMOD 1998), which needs no upper bound. One min-heap holds
+//! partitions and objects, every key is a lower bound, and an object is
+//! refined exactly only when its best bound pops. The search stops at the
+//! first key strictly above the k-th exact distance in hand, so the
+//! refined set is exactly the objects whose best key is at most the final
+//! k-th distance: no search with the same bounds refines fewer. Three
+//! kinds of entry share the heap:
+//!
+//! * a partition, keyed by Eq. 10 on its MBR (the skeleton lower bound);
+//! * an object first listed by a popped partition, at its **MBR key**:
+//!   Eq. 10 on its MBR (Lemma 6), or the 3D Euclidean bound when
+//!   `use_skeleton` is off;
+//! * an object whose MBR entry popped, at its **summary key**
+//!   `max(MBR key, summary lower bound)` (Table III, from the current
+//!   context). With `use_pruning` off the MBR pop refines at once.
+//!
+//! The door-distance context starts at `band_for(2 × subgraph_slack)` and
+//! grows in cache bands as the keys rise: to `band_for(key + slack)`
+//! before an object is priced or refined past the horizon, and by one
+//! band when a summary bound with a subregion clamped at the exit horizon
+//! pops and the context has not grown since that bound was computed. A
+//! bound with no clamped subregion equals the complete context's bit for
+//! bit, so every refined key is the complete context's key; exact values
+//! do not depend on the horizon either, so the answers are those of a
+//! search over the complete context.
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
-use crate::pipeline::{summary_of, EvalContext};
+use crate::pipeline::EvalContext;
 use crate::stats::QueryStats;
-use idq_distance::SharedPathUpper;
-use idq_geom::{IdMap, Mbr3, OrdF64};
+use idq_distance::band_for;
+use idq_geom::{IdSet, Mbr3, OrdF64};
 use idq_index::CompositeIndex;
-use idq_model::IndoorPoint;
-use idq_model::{IndoorSpace, PartitionId};
+use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// What the filtering walk hands to the rest of the query.
-struct Walk {
-    /// The k-th smallest TLU; `∞` when fewer than `k` were finite.
-    kbound: f64,
-    /// The seen objects whose MBR lower bound is at most `kbound`,
-    /// ascending.
-    candidates: Vec<ObjectId>,
-    /// Partitions visited.
-    partitions: usize,
-    /// Distinct objects seen.
-    seen: usize,
-}
-
-/// `kSeedsSelection` (Algorithm 5), made adaptive, and the whole
-/// filtering phase of `ikNNQ`. Starting from the query's partition,
-/// partitions are explored in ascending order of their geometric lower
-/// bound (a min-heap keyed by the skeleton bound of Eq. 10); every
-/// bucketed object is a seed and contributes its Topological Looser Upper
-/// Bound (Lemma 3). Where the paper stops at the first `k` seeds,
-/// expansion here continues while an unexplored partition's lower bound
-/// still beats the running k-th smallest TLU — so a nearby-but-huge
-/// corridor cannot freeze a loose bound in place. The k-th smallest TLU
-/// is `kbound`: it certifies that at least k objects lie within it.
-///
-/// Every seen object's MBR lower bound (Lemma 6; the 3D Euclidean bound
-/// when `use_skeleton` is off) is recorded, and the objects with bound
-/// `≤ kbound` are the candidate set. It holds every object within
-/// `kbound`: such an object has an instance on a path of length
-/// `≤ kbound`, every partition on that path has an Eq. 10 key
-/// `≤ kbound`, and the walk stops only at keys above the running k-th
-/// TLU, which never falls below `kbound` — so it visits them all,
-/// including the partition hosting that instance, which lists the
-/// object: the index refuses an object with an instance outside every
-/// partition ([`CompositeIndex::check_covered`]). Every candidate passes
-/// the object test `RangeSearch` applies at radius `kbound`; the walk
-/// reaches fewer such objects.
-///
-/// The same bound screens before pricing: once k TLUs are banked, an
-/// object whose bound exceeds the running k-th TLU has
-/// `TLU ≥ |q,O|_I ≥ lb > kth` and cannot improve the heap, so skipping it
-/// leaves `kbound` bit-identical while saving the summary read and path
-/// pricing. Each priced seed is read from its memoised subregion summary,
-/// never its instances; the summary reads and the priced seeds
-/// (`seeds_priced`) are counted into `stats`.
-///
-/// With the query point outside every partition the walk sees nothing
-/// and `kbound` is `∞`; the caller's context build then reports it.
-fn adaptive_kbound(
-    space: &IndoorSpace,
-    index: &CompositeIndex,
-    store: &ObjectStore,
-    q: IndoorPoint,
-    k: usize,
-    use_skeleton: bool,
-    stats: &mut QueryStats,
-) -> Result<Walk, QueryError> {
-    let Some(start) = space.partition_at(q) else {
-        return Ok(Walk {
-            kbound: f64::INFINITY,
-            candidates: Vec::new(),
-            partitions: 0,
-            seen: 0,
-        });
-    };
-    let skeleton = index.skeleton();
-    let mut scratch = skeleton.scratch(q);
-    // Eq. 10 at screen ∞: bit-identical to `min_skeleton_distance`, its
-    // double loop factored once per target floor for the whole walk.
-    let mut eq10 = |m: &Mbr3| skeleton.min_skeleton_distance_pruned(&mut scratch, m, f64::INFINITY);
-    let q3 = q.at_elevation(space.floor_height());
-    let mut frontier: BinaryHeap<Reverse<(OrdF64, PartitionId)>> = BinaryHeap::new();
-    frontier.push(Reverse((OrdF64(0.0), start)));
-    // Per-query partition state is a slot vector: partition ids are
-    // dense arena indices of this space.
-    let mut visited = vec![false; space.partition_slots()];
-    let mut partitions = 0;
-    // Every object seen, with its MBR lower bound.
-    let mut seen: IdMap<ObjectId, f64> = IdMap::default();
-    // Max-heap keeping the k smallest TLUs seen so far.
-    let mut best: BinaryHeap<OrdF64> = BinaryHeap::new();
-    let kth = |best: &BinaryHeap<OrdF64>| match best.peek() {
-        Some(top) if best.len() >= k => top.0,
-        _ => f64::INFINITY,
-    };
-    // One shared, lazily growing best-first search prices every seed.
-    let mut tlu_eval = SharedPathUpper::new(space, index.doors_graph(), q);
-
-    while let Some(Reverse((OrdF64(pmin), pid))) = frontier.pop() {
-        if pmin > kth(&best) {
-            break; // no unexplored partition can improve the k-th TLU
-        }
-        if std::mem::replace(&mut visited[pid.index()], true) {
-            continue;
-        }
-        partitions += 1;
-        for &u in index.units().units_of(pid) {
-            for &o in index.object_layer().objects_in(u) {
-                let Entry::Vacant(slot) = seen.entry(o) else {
-                    continue;
-                };
-                let Ok(mbr) = index.object_layer().object_mbr(o) else {
-                    continue;
-                };
-                let lb = *slot.insert(if use_skeleton {
-                    eq10(&mbr)
-                } else {
-                    mbr.min_dist(q3)
-                });
-                if lb > kth(&best) {
-                    continue; // the screen
-                }
-                let summary = summary_of(space, index, store.get(o)?, stats)?;
-                let tlu = tlu_eval.upper(summary.iter());
-                stats.seeds_priced += 1;
-                if tlu.is_finite() {
-                    if best.len() < k {
-                        best.push(OrdF64(tlu));
-                    } else if OrdF64(tlu) < *best.peek().expect("non-empty") {
-                        best.pop();
-                        best.push(OrdF64(tlu));
-                    }
-                }
-            }
-        }
-        // Expand to adjacent partitions, keyed by their geometric lower
-        // bound (Eq. 10).
-        let Ok(doors) = space.doors_of(pid) else {
-            continue;
-        };
-        for &d in doors {
-            if !space.can_leave(d, pid) {
-                continue;
-            }
-            let Ok(door) = space.door(d) else { continue };
-            let Some(next) = door.other_side(pid) else {
-                continue;
-            };
-            if visited[next.index()] {
-                continue;
-            }
-            let Ok(p) = space.partition(next) else {
-                continue;
-            };
-            let mbr = Mbr3::spanning(
-                p.bbox,
-                (p.floor_lo, p.floor_hi),
-                (space.elevation(p.floor_lo), space.elevation(p.floor_hi)),
-            );
-            frontier.push(Reverse((OrdF64(eq10(&mbr)), next)));
-        }
-    }
-    let kbound = kth(&best);
-    let mut candidates: Vec<ObjectId> = seen
-        .iter()
-        .filter(|&(_, &lb)| lb <= kbound)
-        .map(|(&o, _)| o)
-        .collect();
-    candidates.sort_unstable();
-    Ok(Walk {
-        kbound,
-        candidates,
-        partitions,
-        seen: seen.len(),
-    })
-}
 
 /// One result object of a kNN query, with its exact expected distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -207,121 +59,249 @@ pub struct KnnResult {
     pub results: Vec<KnnHit>,
     /// Phase timings and counters.
     pub stats: QueryStats,
-    /// The `kbound` radius derived from the seeds' looser upper bounds.
-    pub kbound: f64,
 }
 
-/// Phase-1 output of a kNN query: the kbound and the walk's candidates.
-pub(crate) struct KnnPrep {
-    pub q: IndoorPoint,
-    pub k: usize,
-    pub kbound: f64,
-    pub objects: Vec<ObjectId>,
-    pub stats: QueryStats,
+/// One entry of the search heap. Entries with equal keys pop in
+/// declaration order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Entry {
+    /// A partition, at its Eq. 10 key.
+    Partition(PartitionId),
+    /// An object at its MBR key.
+    Seen(ObjectId),
+    /// An object at its summary key. `Some(g)`: a subregion bound was
+    /// clamped at the exit horizon of the context after `g` growths.
+    Bounded(ObjectId, Option<u32>),
 }
 
-/// Validates the query and runs the filtering walk. For kNN the
-/// retrieval counters mean: `partitions_retrieved` the partitions the
-/// walk visited, `entries_checked` the distinct objects it saw,
-/// `seeds_priced` those of them it priced for a TLU, and `nodes_visited`
-/// 0 (no R-tree descent).
-pub(crate) fn knn_prep(
+/// The four columns of Fig. 13(b).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Partition pops: listing objects and keying their MBRs.
+    Filtering,
+    /// Context growth.
+    Subgraph,
+    /// Summary reads: pricing an object's summary key.
+    Pruning,
+    /// Exact evaluations.
+    Refinement,
+}
+
+/// Wall time per [`Phase`]. The clock is read only when the phase
+/// changes, not per pop.
+struct PhaseClock {
+    phase: Phase,
+    since: Instant,
+    ms: [f64; 4],
+}
+
+impl PhaseClock {
+    /// Charges the time since the last read to the current phase.
+    fn read(&mut self) {
+        let now = Instant::now();
+        self.ms[self.phase as usize] += (now - self.since).as_secs_f64() * 1e3;
+        self.since = now;
+    }
+
+    fn enter(&mut self, phase: Phase) {
+        if phase != self.phase {
+            self.read();
+            self.phase = phase;
+        }
+    }
+}
+
+/// The search's state besides its context.
+struct Search<'o> {
+    options: &'o QueryOptions,
+    heap: BinaryHeap<Reverse<(OrdF64, Entry)>>,
+    clock: PhaseClock,
+    /// Context growths so far: the tag of a clamped bound.
+    growths: u32,
+}
+
+impl Search<'_> {
+    /// Grows the context to `horizon` when that is wider.
+    fn grow(&mut self, ctx: &mut EvalContext<'_>, horizon: f64) -> Result<(), QueryError> {
+        if horizon > ctx.horizon() {
+            self.clock.enter(Phase::Subgraph);
+            ctx.grow(horizon)?;
+            self.growths += 1;
+        }
+        Ok(())
+    }
+
+    /// Grows the context to cover an object evaluated at `key`.
+    fn cover(&mut self, ctx: &mut EvalContext<'_>, key: f64) -> Result<(), QueryError> {
+        let reach = key + self.options.subgraph_slack;
+        if reach > ctx.horizon() {
+            self.grow(ctx, band_for(reach))?;
+        }
+        Ok(())
+    }
+
+    /// Pushes `o` at its summary key, at least `key`.
+    fn price(
+        &mut self,
+        ctx: &mut EvalContext<'_>,
+        o: ObjectId,
+        key: f64,
+    ) -> Result<(), QueryError> {
+        self.cover(ctx, key)?;
+        self.clock.enter(Phase::Pruning);
+        let b = ctx.bounds(o)?;
+        let entry = Entry::Bounded(o, b.clamped.then_some(self.growths));
+        self.heap.push(Reverse((OrdF64(key.max(b.lower)), entry)));
+        Ok(())
+    }
+}
+
+/// The context horizon a search starts at: `band_for(2 × slack)`.
+pub(crate) fn start_horizon(options: &QueryOptions) -> f64 {
+    band_for(2.0 * options.subgraph_slack)
+}
+
+/// Validates a kNN query; returns its initial statistics.
+pub(crate) fn knn_validate(
     space: &IndoorSpace,
     index: &CompositeIndex,
     store: &ObjectStore,
-    q: IndoorPoint,
     k: usize,
-    options: &QueryOptions,
-) -> Result<KnnPrep, QueryError> {
+) -> Result<QueryStats, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
     index.check_fresh(space)?;
-    let mut stats = QueryStats {
+    Ok(QueryStats {
         total_objects: store.len(),
         ..QueryStats::default()
-    };
-
-    // Phase 1: one walk derives kbound and yields the candidates.
-    let t = Instant::now();
-    let walk = adaptive_kbound(space, index, store, q, k, options.use_skeleton, &mut stats)?;
-    stats.filtering_ms = t.elapsed().as_secs_f64() * 1e3;
-    stats.candidates_after_filter = walk.candidates.len();
-    stats.partitions_retrieved = walk.partitions;
-    stats.entries_checked = walk.seen;
-
-    Ok(KnnPrep {
-        q,
-        k,
-        kbound: walk.kbound,
-        objects: walk.candidates,
-        stats,
     })
 }
 
-/// Phases 3–4 against an evaluation context whose banded door distances
-/// cover (at least) the prep's reach `kbound + slack`.
-pub(crate) fn knn_finish(
+/// The multi-step search (see the module docs) on `ctx`, which it grows
+/// in place. The retrieval counters mean: `partitions_retrieved` the
+/// partitions popped, `entries_checked` the distinct objects seen,
+/// `candidates_after_filter` the objects whose MBR entry popped,
+/// `pruned_by_bounds` those of them not refined, and `nodes_visited` 0
+/// (no R-tree descent). Context growths add to `dijkstras_run` unless
+/// the query reuses a context its batch group built (`context_reuses`),
+/// which charges it for no assembly.
+pub(crate) fn knn_search(
     ctx: &mut EvalContext<'_>,
-    prep: KnnPrep,
+    k: usize,
     options: &QueryOptions,
+    mut stats: QueryStats,
 ) -> Result<KnnResult, QueryError> {
-    let KnnPrep {
-        k,
-        kbound,
-        objects,
-        mut stats,
-        ..
-    } = prep;
-
-    // Phase 3: pruning around the k-th smallest upper bound. Survivors
-    // keep their lower bound, ascending with ties by id, for phase 4.
-    let t = Instant::now();
-    let mut to_refine: Vec<(f64, ObjectId)> = Vec::new();
-    if options.use_pruning && objects.len() > k {
-        let mut bounds = Vec::with_capacity(objects.len());
-        for &o in &objects {
-            bounds.push((o, ctx.bounds(o)?));
-        }
-        // O_k: the object with the k-th smallest upper bound.
-        let mut uppers: Vec<f64> = bounds.iter().map(|(_, b)| b.upper).collect();
-        uppers.sort_by(f64::total_cmp);
-        let ok_upper = uppers[k - 1];
-        // Sound under banding: lower bounds are clamped to the exit
-        // horizon (see `subregion_bounds`) so they never exceed a true
-        // distance, and upper bounds only loosen under truncation — a
-        // pruned object's true distance therefore provably exceeds the
-        // k-th smallest true distance.
-        for (o, b) in bounds {
-            if b.lower <= ok_upper {
-                to_refine.push((b.lower, o));
-            } else {
-                stats.pruned_by_bounds += 1;
-            }
-        }
-        to_refine.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    } else {
-        // No bounds: 0 is a lower bound of every distance, so every
-        // candidate refines.
-        to_refine = objects.into_iter().map(|o| (0.0, o)).collect();
-    }
-    stats.pruning_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Phase 4: best-first refinement into a max-heap of the k smallest
-    // exact (distance, id). Once it is full, a candidate whose lower
-    // bound is strictly above its top cannot enter it, and neither can
-    // any later one; a tie still refines, since a smaller id wins it.
-    let t = Instant::now();
+    let (space, index, q) = (ctx.space, ctx.index, ctx.q);
+    let mut search = Search {
+        options,
+        heap: BinaryHeap::new(),
+        clock: PhaseClock {
+            phase: Phase::Filtering,
+            since: Instant::now(),
+            ms: [0.0; 4],
+        },
+        growths: 0,
+    };
+    let skeleton = index.skeleton();
+    let mut scratch = skeleton.scratch(q);
+    // Eq. 10 at screen ∞: bit-identical to `min_skeleton_distance`, its
+    // double loop factored once per target floor for the whole search.
+    let mut eq10 = |m: &Mbr3| skeleton.min_skeleton_distance_pruned(&mut scratch, m, f64::INFINITY);
+    let q3 = q.at_elevation(space.floor_height());
+    let start = Entry::Partition(ctx.dd.source_partition);
+    search.heap.push(Reverse((OrdF64(0.0), start)));
+    // Per-query partition state is a slot vector: partition ids are
+    // dense arena indices of this space.
+    let mut visited = vec![false; space.partition_slots()];
+    let mut seen: IdSet<ObjectId> = IdSet::default();
+    // Max-heap of the k smallest exact (distance, id).
     let mut top: BinaryHeap<(OrdF64, ObjectId)> = BinaryHeap::with_capacity(k + 1);
-    for (i, &(lower, o)) in to_refine.iter().enumerate() {
-        if top.len() == k && lower > top.peek().expect("k ≥ 1").0 .0 {
-            stats.pruned_by_bounds += to_refine.len() - i;
+
+    while let Some(Reverse((OrdF64(key), entry))) = search.heap.pop() {
+        // Once the top is full, an entry keyed strictly above its k-th
+        // distance cannot improve it, nor can any later one; a tie still
+        // pops, since a smaller id wins it. A key of ∞ proves every
+        // object left unreachable.
+        if key == f64::INFINITY || (top.len() == k && key > top.peek().expect("k ≥ 1").0 .0) {
             break;
         }
+        let o = match entry {
+            Entry::Partition(pid) => {
+                search.clock.enter(Phase::Filtering);
+                if std::mem::replace(&mut visited[pid.index()], true) {
+                    continue;
+                }
+                stats.partitions_retrieved += 1;
+                for &u in index.units().units_of(pid) {
+                    for &o in index.object_layer().objects_in(u) {
+                        if !seen.insert(o) {
+                            continue;
+                        }
+                        let Ok(mbr) = index.object_layer().object_mbr(o) else {
+                            continue;
+                        };
+                        let lb = if options.use_skeleton {
+                            eq10(&mbr)
+                        } else {
+                            mbr.min_dist(q3)
+                        };
+                        search.heap.push(Reverse((OrdF64(lb), Entry::Seen(o))));
+                    }
+                }
+                // Expand to adjacent partitions, keyed by their
+                // geometric lower bound (Eq. 10).
+                let Ok(doors) = space.doors_of(pid) else {
+                    continue;
+                };
+                for &d in doors {
+                    if !space.can_leave(d, pid) {
+                        continue;
+                    }
+                    let Ok(door) = space.door(d) else { continue };
+                    let Some(next) = door.other_side(pid) else {
+                        continue;
+                    };
+                    if visited[next.index()] {
+                        continue;
+                    }
+                    let Ok(p) = space.partition(next) else {
+                        continue;
+                    };
+                    let mbr = Mbr3::spanning(
+                        p.bbox,
+                        (p.floor_lo, p.floor_hi),
+                        (space.elevation(p.floor_lo), space.elevation(p.floor_hi)),
+                    );
+                    let entry = Entry::Partition(next);
+                    search.heap.push(Reverse((OrdF64(eq10(&mbr)), entry)));
+                }
+                continue;
+            }
+            Entry::Seen(o) => {
+                stats.candidates_after_filter += 1;
+                if options.use_pruning {
+                    search.price(ctx, o, key)?;
+                    continue;
+                }
+                o
+            }
+            Entry::Bounded(o, Some(tag)) => {
+                // A clamped bound is still valid; unless the context has
+                // grown since it was computed, grow one band, then
+                // re-key.
+                if tag == search.growths {
+                    search.grow(ctx, band_for(2.0 * ctx.horizon()))?;
+                }
+                search.price(ctx, o, key)?;
+                continue;
+            }
+            Entry::Bounded(o, None) => o,
+        };
+        search.cover(ctx, key)?;
+        search.clock.enter(Phase::Refinement);
         stats.refined += 1;
-        // The k-th true distance is at most kbound; values beyond it can
-        // only lose, so kbound is the safe fallback threshold.
-        let v = ctx.refine_with_threshold(o, kbound, options)?;
+        let v = ctx.refine(o, options)?;
         if v.is_finite() {
             top.push((OrdF64(v), o));
             if top.len() > k {
@@ -329,7 +309,17 @@ pub(crate) fn knn_finish(
             }
         }
     }
-    stats.refinement_ms = t.elapsed().as_secs_f64() * 1e3;
+    search.clock.read();
+    let [filtering, subgraph, pruning, refinement] = search.clock.ms;
+    stats.filtering_ms += filtering;
+    stats.subgraph_ms += subgraph;
+    stats.pruning_ms += pruning;
+    stats.refinement_ms += refinement;
+    stats.entries_checked = seen.len();
+    stats.pruned_by_bounds = stats.candidates_after_filter - stats.refined;
+    if stats.context_reuses == 0 {
+        stats.dijkstras_run += search.growths as usize;
+    }
     ctx.drain_into(&mut stats);
 
     Ok(KnnResult {
@@ -342,7 +332,6 @@ pub(crate) fn knn_finish(
             })
             .collect(),
         stats,
-        kbound,
     })
 }
 
@@ -355,23 +344,22 @@ pub fn knn_query(
     k: usize,
     options: &QueryOptions,
 ) -> Result<KnnResult, QueryError> {
-    let mut prep = knn_prep(space, index, store, q, k, options)?;
-
-    // Phase 2: banded door distances truncated at the kbound's reach
-    // (∞ — a complete context — when fewer than k seeds were found).
+    let stats = knn_validate(space, index, store, k)?;
     let t = Instant::now();
-    let horizon = prep.kbound + options.subgraph_slack;
-    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
-    prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
-    prep.stats.dijkstras_run = 1;
-
-    knn_finish(&mut ctx, prep, options)
+    let mut ctx = EvalContext::new(space, store, index, q, start_horizon(options), options)?;
+    let stats = QueryStats {
+        subgraph_ms: t.elapsed().as_secs_f64() * 1e3,
+        dijkstras_run: 1,
+        ..stats
+    };
+    knn_search(&mut ctx, k, options, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_knn;
+    use crate::pipeline::summary_of;
     use idq_geom::{Circle, Point2, Rect2};
     use idq_index::IndexConfig;
     use idq_model::{FloorPlanBuilder, SplitLine};
@@ -508,19 +496,44 @@ mod tests {
         (space, store, index, points, halves)
     }
 
+    /// Every object's exact expected distance on a complete context,
+    /// ascending `(distance, id)`, unreachable objects left out, as
+    /// `(id, distance bits)`.
+    fn exact_ranking(
+        space: &IndoorSpace,
+        store: &ObjectStore,
+        index: &CompositeIndex,
+        q: IndoorPoint,
+    ) -> Vec<(ObjectId, u64)> {
+        let opts = QueryOptions::default();
+        let mut ctx = EvalContext::new(space, store, index, q, f64::INFINITY, &opts).unwrap();
+        let mut exact: Vec<(OrdF64, ObjectId)> = Vec::new();
+        for o in store.ids_sorted() {
+            let d = ctx.refine_full(o).unwrap();
+            if d.is_finite() {
+                exact.push((OrdF64(d), o));
+            }
+        }
+        exact.sort();
+        exact.into_iter().map(|(d, o)| (o, d.0.to_bits())).collect()
+    }
+
+    fn bits(res: &KnnResult) -> Vec<(ObjectId, u64)> {
+        res.results
+            .iter()
+            .map(|h| (h.object, h.distance.to_bits()))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The walk's candidates hold every object whose exact distance
-        /// (refinement's arithmetic on the full graph) is within
-        /// `kbound`, and pass `RangeSearch`'s object test at `kbound`, so
-        /// all are in what `RangeSearch` returns at `kbound` /
-        /// `kbound + slack`. The answers are that exact
-        /// ranking's first `k`, bit for bit — also when a split adds
-        /// partition slots the index was not built with, where every
-        /// object in either half with a finite distance has a finite TLU.
+        /// The answers are the first `k` of the exact ranking (refinement's
+        /// arithmetic on the full graph), bit for bit, with and without
+        /// the skeleton — also after a deletion, and after a split adds
+        /// partition slots the index was not built with.
         #[test]
-        fn walk_candidates_lie_between_the_answers_and_range_search(
+        fn answers_are_the_exact_ranking_on_changed_malls(
             seed in any::<u64>(),
             (change, room) in (0u8..3, any::<usize>()),
             k in 1usize..40,
@@ -531,73 +544,26 @@ mod tests {
                 _ => Some((RoomChange::Split, room)),
             };
             let (space, store, index, points, halves) = changed_mall(seed, change);
-            let layer = index.object_layer();
-            // Each object with a subregion in a split half, with its summary.
-            let mut in_halves = Vec::new();
-            for o in store.ids_sorted() {
-                let object = store.get(o).unwrap();
-                let summary =
-                    summary_of(&space, &index, object, &mut QueryStats::default()).unwrap();
-                if summary.iter().any(|s| halves.contains(&s.partition)) {
-                    in_halves.push((o, summary));
-                }
-            }
             for (i, &half) in halves.iter().enumerate() {
                 let explicit = ObjectId(2000 + i as u64);
+                let object = store.get(explicit).unwrap();
+                let summary =
+                    summary_of(&space, &index, object, &mut QueryStats::default()).unwrap();
                 prop_assert!(
-                    in_halves.iter().any(|(o, summary)| {
-                        *o == explicit && summary.iter().any(|s| s.partition == half)
-                    }),
+                    summary.iter().any(|s| s.partition == half),
                     "{} lies in {}", explicit, half
                 );
             }
             let base = QueryOptions::for_max_radius(10.0);
             for q in points {
-                let mut ctx =
-                    EvalContext::new(&space, &store, &index, q, f64::INFINITY, &base).unwrap();
-                let mut exact: Vec<(OrdF64, ObjectId)> = Vec::new();
-                for o in store.ids_sorted() {
-                    let d = ctx.refine_full(o).unwrap();
-                    if d.is_finite() {
-                        exact.push((OrdF64(d), o));
-                    }
-                }
-                exact.sort();
-                let mut tlu = SharedPathUpper::new(&space, index.doors_graph(), q);
-                for (o, summary) in &in_halves {
-                    if exact.iter().any(|&(_, e)| e == *o) {
-                        prop_assert!(tlu.upper(summary.iter()).is_finite(), "{} has no TLU", o);
-                    }
-                }
-                let want: Vec<(ObjectId, u64)> =
-                    exact.iter().take(k).map(|&(d, o)| (o, d.0.to_bits())).collect();
+                let mut want = exact_ranking(&space, &store, &index, q);
+                want.truncate(k);
                 for opts in [base, base.without_skeleton()] {
-                    let prep = knn_prep(&space, &index, &store, q, k, &opts).unwrap();
-                    let (kbound, candidates) = (prep.kbound, &prep.objects);
-                    prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "sorted");
-                    let range = index.range_search_dual(
-                        &space, q, kbound, kbound + opts.subgraph_slack, opts.use_skeleton,
-                    );
-                    let q3 = q.at_elevation(space.floor_height());
-                    for &o in candidates {
-                        let mbr = layer.object_mbr(o).unwrap();
-                        let lb = if opts.use_skeleton {
-                            index.min_skeleton_distance(&space, q, &mbr)
-                        } else {
-                            mbr.min_dist(q3)
-                        };
-                        prop_assert!(lb <= kbound, "{}: bound {} > {}", o, lb, kbound);
-                        prop_assert!(range.objects.contains(&o), "{} beyond RangeSearch", o);
-                    }
-                    for &(d, o) in &exact {
-                        if d.0 <= kbound {
-                            prop_assert!(candidates.contains(&o), "{} at {} ≤ {}", o, d.0, kbound);
-                        }
-                    }
                     let out = knn_query(&space, &index, &store, q, k, &opts).unwrap();
-                    let got: Vec<(ObjectId, u64)> =
-                        out.results.iter().map(|h| (h.object, h.distance.to_bits())).collect();
-                    prop_assert_eq!(got, want.clone());
+                    prop_assert_eq!(bits(&out), want.clone());
+                    let s = out.stats;
+                    prop_assert!(s.refined <= s.candidates_after_filter, "{}", s);
+                    prop_assert!(s.candidates_after_filter <= s.entries_checked, "{}", s);
                 }
             }
         }
@@ -752,23 +718,83 @@ mod tests {
     }
 
     #[test]
-    fn kbound_is_a_valid_upper_bound() {
+    fn answers_are_the_exact_ranking_bit_for_bit() {
         let (space, store, index) = setup();
-        let q = IndoorPoint::new(Point2::new(5.0, 5.0), 0);
-        let res = knn_query(&space, &index, &store, q, 2, &QueryOptions::default()).unwrap();
-        assert!(res.kbound.is_finite());
-        // Every returned distance is within kbound.
-        for h in &res.results {
-            assert!(h.distance <= res.kbound + 1e-9);
+        for (qx, qf) in [(5.0, 0u16), (30.0, 0), (55.0, 1)] {
+            let q = IndoorPoint::new(Point2::new(qx, 5.0), qf);
+            let ranking = exact_ranking(&space, &store, &index, q);
+            for k in 1..=6 {
+                let res =
+                    knn_query(&space, &index, &store, q, k, &QueryOptions::default()).unwrap();
+                assert_eq!(
+                    bits(&res),
+                    ranking[..k.min(ranking.len())],
+                    "q=({qx},{qf}) k={k}"
+                );
+                let s = res.stats;
+                assert!(s.partitions_retrieved >= 1 && s.dijkstras_run >= 1, "{s}");
+                assert_eq!(s.pruned_by_bounds, s.candidates_after_filter - s.refined);
+            }
         }
-        // The k TLUs behind kbound were priced among the seen objects; iRQ
-        // prices none.
-        let s = res.stats;
-        assert!(
-            s.seeds_priced >= 2 && s.seeds_priced <= s.entries_checked,
-            "{s}"
-        );
-        let range = crate::range_query(&space, &index, &store, q, 30.0, &QueryOptions::default());
-        assert_eq!(range.unwrap().stats.seeds_priced, 0);
+    }
+
+    #[test]
+    fn a_one_way_room_terminates_the_growth() {
+        // A corridor of twelve 50 m rooms; q sits in the first. Above it,
+        // room U's only door is one-way out into the first room. Object 9
+        // has one instance in U and one in the first room: U's subregion
+        // bound is clamped at every finite band, and only a complete
+        // context shows it unreachable.
+        let mut b = FloorPlanBuilder::new(4.0);
+        let rooms: Vec<PartitionId> = (0..12)
+            .map(|i| {
+                let x = 50.0 * i as f64;
+                b.add_room(0, Rect2::from_bounds(x, 0.0, x + 50.0, 10.0))
+                    .unwrap()
+            })
+            .collect();
+        for (i, pair) in rooms.windows(2).enumerate() {
+            let x = 50.0 * (i + 1) as f64;
+            b.add_door_between(pair[0], pair[1], Point2::new(x, 5.0))
+                .unwrap();
+        }
+        let u = b
+            .add_room(0, Rect2::from_bounds(0.0, 10.0, 10.0, 20.0))
+            .unwrap();
+        b.add_one_way_door(u, rooms[0], Point2::new(5.0, 10.0))
+            .unwrap();
+        let space = b.finish().unwrap();
+        let mut store = ObjectStore::new();
+        for (id, x) in [(1, 75.0), (2, 225.0), (3, 475.0), (4, 575.0)] {
+            let p = IndoorPoint::new(Point2::new(x, 5.0), 0);
+            store
+                .insert(UncertainObject::point_object(ObjectId(id), p))
+                .unwrap();
+        }
+        let split = vec![Point2::new(5.0, 9.0), Point2::new(5.0, 11.0)];
+        let region = Circle::new(Point2::new(5.0, 10.0), 2.0);
+        store
+            .insert(UncertainObject::with_uniform_weights(ObjectId(9), region, 0, split).unwrap())
+            .unwrap();
+        let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let q = IndoorPoint::new(Point2::new(25.0, 5.0), 0);
+        let ranking = exact_ranking(&space, &store, &index, q);
+        assert_eq!(ranking.len(), 4, "object 9 is unreachable");
+        let opts = QueryOptions::default();
+        // Bands from the start band up to the first complete one: the
+        // farthest door is 550 m from q's only seed door.
+        let mut bands = vec![start_horizon(&opts)];
+        while *bands.last().unwrap() < 550.0 {
+            bands.push(2.0 * bands.last().unwrap());
+        }
+        for k in [1, 4, 5] {
+            let res = knn_query(&space, &index, &store, q, k, &opts).unwrap();
+            assert_eq!(bits(&res), ranking[..k.min(4)], "k={k}");
+            assert!(
+                res.stats.dijkstras_run <= bands.len(),
+                "k={k}: {}",
+                res.stats
+            );
+        }
     }
 }

@@ -127,7 +127,7 @@ pub(crate) fn range_finish(
     let t = Instant::now();
     for o in undecided {
         stats.refined += 1;
-        let v = ctx.refine_with_threshold(o, r, options)?;
+        let v = ctx.refine(o, options)?;
         if v <= r {
             results.push(RangeHit {
                 object: o,

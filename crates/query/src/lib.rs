@@ -6,16 +6,16 @@
 //! * [`range_query`] — `iRQ(q, r)`: objects with `|q,O|_I ≤ r`
 //!   (Algorithm 1);
 //! * [`knn_query`] — `ikNNQ(q, k)`: the `k` objects with the smallest
-//!   `|q,O|_I` (Algorithm 2, seeded by `kSeedsSelection`, Algorithm 5).
-//!   Its filtering phase is one walk over partitions that derives the
-//!   `kbound` radius and yields the candidates together; its refinement
-//!   runs best-first and stops once no lower bound can beat the k-th
-//!   exact distance.
+//!   `|q,O|_I` (Algorithm 2), as one optimal multi-step search: a single
+//!   min-heap of partitions and objects keyed by lower bounds, exact
+//!   refinement when an object's best bound pops, and a stop at the first
+//!   key above the k-th exact distance. Its door-distance context grows
+//!   one band at a time as the keys rise.
 //!
 //! Both run the paper's four-phase pipeline — **filtering** (geometric
 //! lower bounds through the composite index), **subgraph** (door
 //! distances banded at the search radius plus slack, composed from
-//! per-door expansion rows), **pruning** (topological /
+//! per-door expansion rows; for kNN, grown as the search needs), **pruning** (topological /
 //! probabilistic bounds) and **refinement** (exact expected distances) —
 //! and record per-phase timings plus pruning counters in [`QueryStats`]
 //! (the raw material of the paper's Figures 12–14).
@@ -34,7 +34,7 @@
 //! door-distance context and its refinement decompositions (§VII's reuse
 //! proposal). Every [`Outcome`] carries [`QueryStats`].
 //!
-//! Seeding and pruning never read instances: they price each object from
+//! Pruning never reads instances: it prices each object from
 //! its subregion summary, memoised in the object per partition layout
 //! ([`idq_objects::UncertainObject::subregion_summary`]). Only refinement
 //! needs instance indices, and it rebuilds them from the same memo's

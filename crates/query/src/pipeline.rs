@@ -2,8 +2,8 @@
 //! evaluation context, horizon-banded door distances composed from the
 //! shared distance cache, and the lazy full-graph fallback.
 //!
-//! The phases before refinement — the ikNN seeds and both queries'
-//! pruning — read each object's memoised subregion summary
+//! Pruning — both queries' bounds, and the ikNN search's summary keys —
+//! reads each object's memoised subregion summary
 //! ([`idq_objects::UncertainObject::subregion_summary`]) and never its
 //! instances. Only refinement needs an object's instance indices: it
 //! takes the decomposition once per context, into the context's private
@@ -12,9 +12,10 @@
 //! location kernel runs only at memo fill or off the memo's layout.
 //! The standing monitors price objects through the same context, over
 //! complete door distances they keep between evaluations
-//! (`EvalContext::over`).
+//! (`EvalContext::over`). The ikNN search grows its context in place
+//! (`EvalContext::grow`) as its keys rise.
 //!
-//! Since the shared-cache PR, **every** door-distance context here is
+//! **Every** door-distance context here is
 //! assembled by [`DoorDistances::compute_banded`] — a composition of
 //! per-seed-door expansion rows — whether the rows come from the
 //! service-lifetime [`idq_distance::DistanceCache`] (the default) or are
@@ -47,6 +48,8 @@ pub(crate) struct EvalContext<'a> {
     pub index: &'a CompositeIndex,
     pub q: IndoorPoint,
     pub dd: DoorDistances,
+    /// The horizon `dd` was assembled at.
+    horizon: f64,
     full_dd: Option<DoorDistances>,
     /// Decompositions with instance indices, built for refinement only.
     refined: IdMap<ObjectId, Subregions>,
@@ -116,12 +119,43 @@ impl<'a> EvalContext<'a> {
         let dd = assemble_dd(space, index, q, horizon, use_shared, budget, &mut delta)?;
         Ok(EvalContext {
             delta,
+            horizon,
             ..Self::over(space, store, index, q, dd, options)
         })
     }
 
-    /// A context over door distances from `q` that an earlier context
-    /// assembled on this space version and gave back through
+    /// The horizon the door distances were assembled at: `∞` for an
+    /// unrestricted context.
+    pub fn horizon(&self) -> f64 {
+        if self.dd.is_restricted() {
+            self.horizon
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Re-assembles the door distances at `horizon` when it is wider
+    /// than the current one, keeping the refinement decompositions and
+    /// any full-graph distances.
+    pub fn grow(&mut self, horizon: f64) -> Result<(), QueryError> {
+        if horizon <= self.horizon() {
+            return Ok(());
+        }
+        self.dd = assemble_dd(
+            self.space,
+            self.index,
+            self.q,
+            horizon,
+            self.use_shared_cache,
+            self.cache_budget,
+            &mut self.delta,
+        )?;
+        self.horizon = horizon;
+        Ok(())
+    }
+
+    /// A context over complete door distances from `q` that an earlier
+    /// context assembled on this space version and gave back through
     /// [`EvalContext::into_distances`] — how a standing query keeps its
     /// complete context between evaluations.
     pub fn over(
@@ -138,6 +172,7 @@ impl<'a> EvalContext<'a> {
             index,
             q,
             dd,
+            horizon: f64::INFINITY,
             full_dd: None,
             refined: IdMap::default(),
             use_shared_cache: options.distance_cache,
@@ -215,31 +250,27 @@ impl<'a> EvalContext<'a> {
         Ok(expected_indoor_distance(self.space, dd, obj, &self.refined[&id]).value)
     }
 
-    /// Refinement with a decision threshold: computes the expected
-    /// distance against the restricted subgraph and returns it only when
-    /// it is *provably exact* — within the accept threshold **and** below
-    /// the subgraph's [`exit horizon`](idq_distance::DoorDistances::exit_horizon)
-    /// (no path escaping the candidate set can undercut any instance
-    /// cost). Otherwise the value is recomputed against the full graph.
-    /// Every returned refinement value therefore equals the full-graph
-    /// expected distance bit for bit, independent of how the horizon was
-    /// chosen — which is what makes batched execution (whose shared
-    /// context is truncated at the *maximum* of a group's reaches)
-    /// return the same answers as single-issue execution.
-    pub fn refine_with_threshold(
-        &mut self,
-        id: ObjectId,
-        threshold: f64,
-        options: &QueryOptions,
-    ) -> Result<f64, QueryError> {
+    /// Refinement: computes the expected distance against the banded
+    /// context and returns it when it is *provably exact* — every
+    /// instance cost at or below the context's
+    /// [`exit horizon`](idq_distance::DoorDistances::exit_horizon), so no
+    /// path leaving the band can undercut one. Otherwise the value is
+    /// recomputed against the full graph. Every returned value therefore
+    /// equals the full-graph expected distance bit for bit, independent
+    /// of how the horizon was chosen — which is what makes batched
+    /// execution (whose shared context is truncated at the *maximum* of a
+    /// group's reaches) return the same answers as single-issue
+    /// execution. Callers compare it with their own radius or k-th
+    /// distance.
+    pub fn refine(&mut self, id: ObjectId, options: &QueryOptions) -> Result<f64, QueryError> {
         if options.exact_refinement || !self.dd.is_restricted() {
             return self.refine_full_or_direct(id);
         }
         self.subregions_of(id)?;
         let obj = self.store.get(id)?;
         let e = expected_indoor_distance(self.space, &self.dd, obj, &self.refined[&id]);
-        if e.value <= threshold && e.max_instance_cost <= self.dd.exit_horizon() {
-            return Ok(e.value); // provably exact, and acceptance is safe
+        if e.max_instance_cost <= self.dd.exit_horizon() {
+            return Ok(e.value);
         }
         self.delta.full_graph_fallbacks += 1;
         self.refine_full(id)
@@ -345,16 +376,51 @@ mod tests {
         let mut ctx = EvalContext::new(&space, &store, &index, q, 5.0, &opts).unwrap();
         let b = ctx.bounds(ObjectId(1)).unwrap();
         assert!(b.upper.is_infinite(), "banded bounds see no path");
-        // Threshold refinement falls back to the full graph.
-        let v = ctx.refine_with_threshold(ObjectId(1), 30.0, &opts).unwrap();
+        // Refinement falls back to the full graph.
+        let v = ctx.refine(ObjectId(1), &opts).unwrap();
         assert!(v.is_finite());
         assert_eq!(ctx.delta.full_graph_fallbacks, 1);
         // The full value matches a complete context, bit for bit.
         let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
-        let fv = full
-            .refine_with_threshold(ObjectId(1), 30.0, &opts)
-            .unwrap();
+        let fv = full.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(v.to_bits(), fv.to_bits());
+    }
+
+    #[test]
+    fn an_exact_value_above_a_radius_needs_no_fallback() {
+        // Rooms [0,10] [10,20] [20,30] [30,100] [100,110] in a row. From
+        // q in the first room, a 30 m horizon cuts the only seed row
+        // before the door at x = 100, so the context stays banded with
+        // exit horizon 8 + 30 = 38. The object's instances cost 22 and
+        // 24: its value is exact, and above a 10 m radius.
+        let mut b = FloorPlanBuilder::new(4.0);
+        let rooms: Vec<PartitionId> = [0.0, 10.0, 20.0, 30.0, 100.0, 110.0]
+            .windows(2)
+            .map(|x| {
+                b.add_room(0, Rect2::from_bounds(x[0], 0.0, x[1], 10.0))
+                    .unwrap()
+            })
+            .collect();
+        for (pair, x) in rooms.windows(2).zip([10.0, 20.0, 30.0, 100.0]) {
+            b.add_door_between(pair[0], pair[1], Point2::new(x, 5.0))
+                .unwrap();
+        }
+        let space = b.finish().unwrap();
+        let (_, store, _) = setup();
+        let index = CompositeIndex::build(&space, &store, IndexConfig::default()).unwrap();
+        let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
+        let opts = QueryOptions::default();
+        let mut ctx = EvalContext::new(&space, &store, &index, q, 30.0, &opts).unwrap();
+        assert!(ctx.dd.is_restricted());
+        assert_eq!(ctx.dd.exit_horizon(), 38.0);
+        let v = ctx.refine(ObjectId(1), &opts).unwrap();
+        assert!(v > 10.0, "{v}");
+        assert_eq!(ctx.delta.full_graph_fallbacks, 0);
+        let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
+        assert_eq!(
+            v.to_bits(),
+            full.refine(ObjectId(1), &opts).unwrap().to_bits()
+        );
     }
 
     #[test]
@@ -363,7 +429,7 @@ mod tests {
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let opts = QueryOptions::default().with_exact_refinement();
         let mut ctx = EvalContext::new(&space, &store, &index, q, 5.0, &opts).unwrap();
-        let v = ctx.refine_with_threshold(ObjectId(1), 0.0, &opts).unwrap();
+        let v = ctx.refine(ObjectId(1), &opts).unwrap();
         assert!(v.is_finite());
     }
 
@@ -375,10 +441,10 @@ mod tests {
         // but far door dAC at (90,10) also enters C. A 30 m horizon
         // truncates every row before dBC (≈40 m from both seeds), so the
         // banded context reaches C only through dAC and *inflates* the
-        // object's value (≈120 m vs ≈49 m truth) — finitely, and below a
-        // generous threshold. The exit-horizon check (min seed weight 5 +
-        // horizon 30 = 35) rejects the inflated acceptance and forces the
-        // full-graph fallback, keeping refinement horizon-independent.
+        // object's value (≈120 m vs ≈49 m truth), finitely. The
+        // exit-horizon check (min seed weight 5 + horizon 30 = 35) rejects
+        // the inflated value and forces the full-graph fallback, keeping
+        // refinement horizon-independent.
         let mut b = FloorPlanBuilder::new(4.0);
         let a = b
             .add_room(0, Rect2::from_bounds(0.0, 0.0, 100.0, 10.0))
@@ -409,18 +475,14 @@ mod tests {
             (ctx.dd.exit_horizon() - 35.0).abs() < 1e-9,
             "trust bound = min seed weight (5) + horizon (30)"
         );
-        let v = ctx
-            .refine_with_threshold(ObjectId(1), 200.0, &opts)
-            .unwrap();
+        let v = ctx.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(
             ctx.delta.full_graph_fallbacks, 1,
-            "inexact-but-under-threshold falls back"
+            "an inexact value falls back"
         );
         let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         assert!(full.dd.exit_horizon().is_infinite());
-        let fv = full
-            .refine_with_threshold(ObjectId(1), 200.0, &opts)
-            .unwrap();
+        let fv = full.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(v.to_bits(), fv.to_bits(), "refined value is exact");
         // Truth: q → dAB (5) → dBC (√(40²+5²)) → object (√17).
         let truth = 5.0 + 1625f64.sqrt() + 17f64.sqrt();

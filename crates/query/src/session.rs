@@ -9,22 +9,24 @@
 //! decompositions. (Bounds need no sharing: they read each object's
 //! memoised subregion summary, which outlives any one batch.) The group's
 //! context is truncated at the *maximum* of the members' reaches, so each
-//! member sees at least the horizon its own filtering phase retrieved
-//! partitions for. Batched and single-issue execution return bit-identical
-//! results because every refinement value is horizon-independent: the
-//! pipeline returns a banded value only when it is provably exact (at or
-//! below the context's
+//! range member sees at least the horizon its own filtering phase
+//! retrieved partitions for; kNN members start their search there and
+//! grow the shared context in place. Batched and single-issue execution
+//! return bit-identical results because every refinement value is
+//! horizon-independent: the pipeline returns a banded value only when it
+//! is provably exact (at or below the context's
 //! [`exit horizon`](idq_distance::DoorDistances::exit_horizon)) and falls
 //! back to the full graph otherwise, and bound certifications below the
 //! query radius cannot differ between any two sound horizons that cover
 //! the filtering retrieval ball.
 //!
 //! Reuse is observable through [`QueryStats`]: within a batch only the
-//! query that builds a group's context has `dijkstras_run == 1`; every
-//! other member reports `context_reuses == 1` and `dijkstras_run == 0`.
+//! query that builds a group's context has `dijkstras_run ≥ 1` (1, plus
+//! its growths when it is a kNN query); every other member reports
+//! `context_reuses == 1` and `dijkstras_run == 0`.
 
 use crate::error::QueryError;
-use crate::iknn::{knn_finish, knn_prep, KnnPrep, KnnResult};
+use crate::iknn::{knn_search, knn_validate, start_horizon, KnnResult};
 use crate::irq::{range_finish, range_prep, RangePrep, RangeResult};
 use crate::options::QueryOptions;
 use crate::pipeline::EvalContext;
@@ -279,33 +281,38 @@ pub fn execute(
     }
 }
 
-/// One prepared context query (range or kNN) awaiting phases 3–4.
+/// One validated context query (range or kNN) awaiting its context.
 enum Prepped {
     Range(RangePrep),
-    Knn(KnnPrep),
+    Knn {
+        q: IndoorPoint,
+        k: usize,
+        stats: QueryStats,
+    },
 }
 
 impl Prepped {
     fn query_point(&self) -> IndoorPoint {
         match self {
             Prepped::Range(p) => p.q,
-            Prepped::Knn(p) => p.q,
+            Prepped::Knn { q, .. } => *q,
         }
     }
 
-    /// How far this member's evaluation needs exact distances: the reach
-    /// the filtering phase retrieved candidates for.
+    /// The horizon this member's context must start at: the reach the
+    /// range filter retrieved candidates for, or the kNN search's start
+    /// band (the search grows the context from there).
     fn reach(&self, options: &QueryOptions) -> f64 {
         match self {
             Prepped::Range(p) => p.r + options.subgraph_slack,
-            Prepped::Knn(p) => p.kbound + options.subgraph_slack,
+            Prepped::Knn { .. } => start_horizon(options),
         }
     }
 
     fn stats_mut(&mut self) -> &mut QueryStats {
         match self {
             Prepped::Range(p) => &mut p.stats,
-            Prepped::Knn(p) => &mut p.stats,
+            Prepped::Knn { stats, .. } => stats,
         }
     }
 }
@@ -316,16 +323,16 @@ impl Prepped {
 /// Results are returned in input order and are identical to evaluating
 /// each query individually with [`execute`]; only the [`QueryStats`]
 /// reuse counters (`dijkstras_run`, `context_reuses`,
-/// `subregion_cache_hits`) differ. The filtering phase — kNN seeding
-/// included — still runs per query: it determines each query's
-/// candidates. The group shares the banded door-distance context
-/// (truncated at the maximum of the members' reaches) and its refinement
-/// decompositions; seeds and pruning read each object's memoised
-/// subregion summary, so they share nothing and hand nothing over.
+/// `subregion_cache_hits`) differ. Range filtering still runs per query:
+/// it determines each query's candidates. The group shares the banded
+/// door-distance context (truncated at the maximum of the members'
+/// reaches, grown in place by kNN searches) and its refinement
+/// decompositions; pruning reads each object's memoised subregion
+/// summary, so it shares nothing and hands nothing over.
 ///
-/// Errors abort the whole batch: queries are validated during their
-/// filtering phase, so an invalid radius or `k = 0` anywhere surfaces
-/// before any group context is built.
+/// Errors abort the whole batch: every query is validated before any
+/// group context is built, so an invalid radius or `k = 0` anywhere
+/// surfaces first.
 pub fn execute_batch(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -333,8 +340,9 @@ pub fn execute_batch(
     queries: &[Query],
     options: &QueryOptions,
 ) -> Result<Vec<Outcome>, QueryError> {
-    // Phase 1 for every query, in input order. Distance/path queries are
-    // finished immediately — they run their own point-to-point search.
+    // Range filtering and kNN validation for every query, in input
+    // order. Distance/path queries are finished immediately — they run
+    // their own point-to-point search.
     let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(queries.len());
     let mut prepped: Vec<Option<Prepped>> = Vec::with_capacity(queries.len());
     // Group key → slot in `groups`; groups keep first-seen order so the
@@ -351,9 +359,8 @@ pub fn execute_batch(
                 outcomes.push(None);
             }
             Query::Knn { q, k } => {
-                prepped.push(Some(Prepped::Knn(knn_prep(
-                    space, index, store, q, k, options,
-                )?)));
+                let stats = knn_validate(space, index, store, k)?;
+                prepped.push(Some(Prepped::Knn { q, k, stats }));
                 outcomes.push(None);
             }
             Query::Distance { q, p } => {
@@ -381,8 +388,8 @@ pub fn execute_batch(
         }
     }
 
-    // Phases 2–4 per group: one banded context truncated at the maximum
-    // of the members' reaches.
+    // The rest per group: one banded context truncated at the maximum of
+    // the members' reaches, which kNN members grow in place.
     for members in groups {
         let q = prepped[members[0]]
             .as_ref()
@@ -418,7 +425,9 @@ pub fn execute_batch(
         for &i in &members {
             let outcome = match prepped[i].take().expect("grouped queries are prepped") {
                 Prepped::Range(p) => Outcome::Range(range_finish(&mut ctx, p, options)?),
-                Prepped::Knn(p) => Outcome::Knn(knn_finish(&mut ctx, p, options)?),
+                Prepped::Knn { k, stats, .. } => {
+                    Outcome::Knn(knn_search(&mut ctx, k, options, stats)?)
+                }
             };
             outcomes[i] = Some(outcome);
         }

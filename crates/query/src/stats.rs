@@ -15,41 +15,39 @@ pub struct QueryStats {
     pub refinement_ms: f64,
     /// Objects in the store at query time (`|O|`).
     pub total_objects: usize,
-    /// Candidates surviving the filtering phase (`|Ro|`).
+    /// Candidates surviving the filtering phase (`|Ro|`). For kNN: the
+    /// objects whose MBR entry popped in the search — with pruning off,
+    /// the objects popped for refinement.
     pub candidates_after_filter: usize,
-    /// Candidate partitions (`|Rp|`). For kNN: the partitions the
-    /// filtering walk visited.
+    /// Candidate partitions (`|Rp|`). For kNN: the partitions the search
+    /// popped.
     pub partitions_retrieved: usize,
     /// Objects accepted outright by their upper bound.
     pub accepted_by_bounds: usize,
-    /// Objects discarded by their lower bound — for kNN also those the
-    /// best-first refinement never reached.
+    /// Objects discarded by their lower bound. For kNN: the candidates
+    /// that were not refined (`candidates_after_filter − refined`).
     pub pruned_by_bounds: usize,
     /// Objects whose exact expected distance was computed.
     pub refined: usize,
     /// Refinements that needed the full-graph Dijkstra fallback.
     pub full_graph_fallbacks: usize,
     /// indR-tree nodes visited during filtering. Always 0 for kNN, whose
-    /// filtering walk follows doors and descends no tree.
+    /// search follows doors and descends no tree.
     pub nodes_visited: usize,
     /// Leaf entries checked during filtering. For kNN: the distinct
-    /// objects the filtering walk saw, of which `seeds_priced` were
-    /// priced.
+    /// objects the search saw.
     pub entries_checked: usize,
-    /// Objects the kNN filtering walk priced for a Topological Looser
-    /// Upper Bound: the seen objects its screen did not skip. Always 0
-    /// for iRQ, which prices no seeds.
-    pub seeds_priced: usize,
-    /// Subgraph-phase Dijkstra runs charged to this query. A single-issue
-    /// query always runs its own (1); in a batch group only the query that
-    /// builds the shared evaluation context pays for the run, so summing
-    /// over a batch counts the Dijkstras actually executed.
+    /// Subgraph-phase context assemblies charged to this query: the build
+    /// (1 for a single-issue query; in a batch group only the query that
+    /// builds the shared context pays for it) plus, for kNN, every growth
+    /// its search made of a context it built. A batch member that reuses
+    /// its group's context is charged for neither.
     pub dijkstras_run: usize,
     /// 1 when this query reused a shared evaluation context built by an
     /// earlier query of its batch group, 0 otherwise.
     pub context_reuses: usize,
     /// Decompositions this query ran through the point-location kernel:
-    /// memo fills (by kNN seeds, pruning or refinement), reads on a layout
+    /// memo fills (by pruning or refinement), reads on a layout
     /// other than the memo's, and refinements of objects too fragmented
     /// for the memo's instance slots.
     pub subregions_computed: usize,
@@ -113,7 +111,6 @@ impl QueryStats {
         self.full_graph_fallbacks += other.full_graph_fallbacks;
         self.nodes_visited += other.nodes_visited;
         self.entries_checked += other.entries_checked;
-        self.seeds_priced += other.seeds_priced;
         self.dijkstras_run += other.dijkstras_run;
         self.context_reuses += other.context_reuses;
         self.subregions_computed += other.subregions_computed;
@@ -146,7 +143,6 @@ impl QueryStats {
             full_graph_fallbacks: self.full_graph_fallbacks / n,
             nodes_visited: self.nodes_visited / n,
             entries_checked: self.entries_checked / n,
-            seeds_priced: self.seeds_priced / n,
             dijkstras_run: self.dijkstras_run / n,
             context_reuses: self.context_reuses / n,
             subregions_computed: self.subregions_computed / n,
@@ -165,7 +161,7 @@ impl std::fmt::Display for QueryStats {
         write!(
             f,
             "phases[filter {:.3} ms, subgraph {:.3} ms, prune {:.3} ms, refine {:.3} ms] \
-             candidates[{} of {}] seeds[priced {}] \
+             candidates[{} of {}] \
              bounds[accepted {} pruned {} refined {}] \
              dijkstra[runs {} reuses {} fallbacks {}] \
              subregions[computed {} hits {}] \
@@ -176,7 +172,6 @@ impl std::fmt::Display for QueryStats {
             self.refinement_ms,
             self.candidates_after_filter,
             self.total_objects,
-            self.seeds_priced,
             self.accepted_by_bounds,
             self.pruned_by_bounds,
             self.refined,
@@ -216,24 +211,20 @@ mod tests {
         let mut a = QueryStats {
             filtering_ms: 1.0,
             refined: 4,
-            seeds_priced: 10,
             ..Default::default()
         };
         let b = QueryStats {
             filtering_ms: 3.0,
             refined: 2,
-            seeds_priced: 4,
             ..Default::default()
         };
         a.accumulate(&b);
         assert_eq!(a.filtering_ms, 4.0);
         assert_eq!(a.refined, 6);
-        assert_eq!(a.seeds_priced, 14);
-        assert!(a.to_string().contains("seeds[priced 14]"));
+        assert!(a.to_string().contains("refined 6]"));
         let avg = a.scale_down(2);
         assert_eq!(avg.filtering_ms, 2.0);
         assert_eq!(avg.refined, 3);
-        assert_eq!(avg.seeds_priced, 7);
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn world(seed: u64) -> World {
 }
 
 /// Asserts two outcomes of the same query are bit-identical in their
-/// result payloads (hit vectors, distances, kbound, path).
+/// result payloads (hit vectors, distances, path).
 fn assert_identical(batch: &Outcome, single: &Outcome, ctx: &str) {
     match (batch, single) {
         (Outcome::Range(a), Outcome::Range(b)) => {
@@ -80,7 +80,6 @@ fn assert_identical(batch: &Outcome, single: &Outcome, ctx: &str) {
         }
         (Outcome::Knn(a), Outcome::Knn(b)) => {
             assert_eq!(a.results, b.results, "{ctx}: kNN hits diverge");
-            assert_eq!(a.kbound, b.kbound, "{ctx}: kbound diverges");
         }
         (Outcome::Distance(a), Outcome::Distance(b)) => {
             assert_eq!(

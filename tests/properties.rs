@@ -3,7 +3,7 @@
 
 use indoor_dq::distance::{
     expected::expected_indoor_distance_naive, expected_indoor_distance, object_bounds,
-    DoorDistances, SharedPathUpper,
+    DoorDistances,
 };
 use indoor_dq::geom::{decompose_rect, Circle, DecomposeConfig, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
@@ -89,7 +89,7 @@ fn object_at(id: u64, center: Point2, spread: f64, points: &[(f64, f64)]) -> Unc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Euclidean LB ≤ topological LB ≤ exact ≤ topological UB ≤ TLU, on
+    /// Euclidean LB ≤ topological LB ≤ exact ≤ topological UB, on
     /// random grids, objects and query points.
     #[test]
     fn bound_hierarchy_holds(
@@ -125,10 +125,6 @@ proptest! {
         let b = object_bounds(&space, &dd, subs.summaries());
         prop_assert!(b.lower <= exact + 1e-9, "LB {} > exact {exact}", b.lower);
         prop_assert!(b.upper >= exact - 1e-9, "UB {} < exact {exact}", b.upper);
-
-        // TLU dominates the exact value.
-        let tlu = SharedPathUpper::new(&space, &graph, q).upper(subs.summaries());
-        prop_assert!(tlu >= exact - 1e-9, "TLU {tlu} < exact {exact}");
     }
 
     /// The decomposition preserves area and honours the aspect threshold.
