@@ -324,8 +324,8 @@ impl IndoorService {
         self.snapshot().execute(query)
     }
 
-    /// Evaluates a batch of typed [`Query`]s on one fresh snapshot,
-    /// reusing one evaluation context per (query point, floor) group.
+    /// Evaluates a batch of typed [`Query`]s, one after another, on one
+    /// fresh snapshot.
     pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<Outcome>, EngineError> {
         self.snapshot().execute_batch(queries)
     }

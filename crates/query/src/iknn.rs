@@ -156,43 +156,33 @@ impl Search<'_> {
     }
 }
 
-/// The context horizon a search starts at: `band_for(2 × slack)`.
-pub(crate) fn start_horizon(options: &QueryOptions) -> f64 {
-    band_for(2.0 * options.subgraph_slack)
-}
-
-/// Validates a kNN query; returns its initial statistics.
-pub(crate) fn knn_validate(
+/// Evaluates `ikNN_{q,k}(O)` (Algorithm 2) as the multi-step search of
+/// the module docs. The retrieval counters mean: `partitions_retrieved`
+/// the partitions popped, `entries_checked` the distinct objects seen,
+/// `candidates_after_filter` the objects whose MBR entry popped,
+/// `pruned_by_bounds` those of them not refined, and `nodes_visited` 0
+/// (no R-tree descent). `dijkstras_run` is 1 plus the context growths.
+pub fn knn_query(
     space: &IndoorSpace,
     index: &CompositeIndex,
     store: &ObjectStore,
+    q: IndoorPoint,
     k: usize,
-) -> Result<QueryStats, QueryError> {
+    options: &QueryOptions,
+) -> Result<KnnResult, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
     index.check_fresh(space)?;
-    Ok(QueryStats {
+    let t = Instant::now();
+    let horizon = band_for(2.0 * options.subgraph_slack);
+    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
+    let mut stats = QueryStats {
         total_objects: store.len(),
+        subgraph_ms: t.elapsed().as_secs_f64() * 1e3,
+        dijkstras_run: 1,
         ..QueryStats::default()
-    })
-}
-
-/// The multi-step search (see the module docs) on `ctx`, which it grows
-/// in place. The retrieval counters mean: `partitions_retrieved` the
-/// partitions popped, `entries_checked` the distinct objects seen,
-/// `candidates_after_filter` the objects whose MBR entry popped,
-/// `pruned_by_bounds` those of them not refined, and `nodes_visited` 0
-/// (no R-tree descent). Context growths add to `dijkstras_run` unless
-/// the query reuses a context its batch group built (`context_reuses`),
-/// which charges it for no assembly.
-pub(crate) fn knn_search(
-    ctx: &mut EvalContext<'_>,
-    k: usize,
-    options: &QueryOptions,
-    mut stats: QueryStats,
-) -> Result<KnnResult, QueryError> {
-    let (space, index, q) = (ctx.space, ctx.index, ctx.q);
+    };
     let mut search = Search {
         options,
         heap: BinaryHeap::new(),
@@ -281,7 +271,7 @@ pub(crate) fn knn_search(
             Entry::Seen(o) => {
                 stats.candidates_after_filter += 1;
                 if options.use_pruning {
-                    search.price(ctx, o, key)?;
+                    search.price(&mut ctx, o, key)?;
                     continue;
                 }
                 o
@@ -291,14 +281,15 @@ pub(crate) fn knn_search(
                 // grown since it was computed, grow one band, then
                 // re-key.
                 if tag == search.growths {
-                    search.grow(ctx, band_for(2.0 * ctx.horizon()))?;
+                    let wider = band_for(2.0 * ctx.horizon());
+                    search.grow(&mut ctx, wider)?;
                 }
-                search.price(ctx, o, key)?;
+                search.price(&mut ctx, o, key)?;
                 continue;
             }
             Entry::Bounded(o, None) => o,
         };
-        search.cover(ctx, key)?;
+        search.cover(&mut ctx, key)?;
         search.clock.enter(Phase::Refinement);
         stats.refined += 1;
         let v = ctx.refine(o, options)?;
@@ -317,9 +308,7 @@ pub(crate) fn knn_search(
     stats.refinement_ms += refinement;
     stats.entries_checked = seen.len();
     stats.pruned_by_bounds = stats.candidates_after_filter - stats.refined;
-    if stats.context_reuses == 0 {
-        stats.dijkstras_run += search.growths as usize;
-    }
+    stats.dijkstras_run += search.growths as usize;
     ctx.drain_into(&mut stats);
 
     Ok(KnnResult {
@@ -333,26 +322,6 @@ pub(crate) fn knn_search(
             .collect(),
         stats,
     })
-}
-
-/// Evaluates `ikNN_{q,k}(O)` (Algorithm 2).
-pub fn knn_query(
-    space: &IndoorSpace,
-    index: &CompositeIndex,
-    store: &ObjectStore,
-    q: IndoorPoint,
-    k: usize,
-    options: &QueryOptions,
-) -> Result<KnnResult, QueryError> {
-    let stats = knn_validate(space, index, store, k)?;
-    let t = Instant::now();
-    let mut ctx = EvalContext::new(space, store, index, q, start_horizon(options), options)?;
-    let stats = QueryStats {
-        subgraph_ms: t.elapsed().as_secs_f64() * 1e3,
-        dijkstras_run: 1,
-        ..stats
-    };
-    knn_search(&mut ctx, k, options, stats)
 }
 
 #[cfg(test)]
@@ -509,7 +478,7 @@ mod tests {
         let mut ctx = EvalContext::new(space, store, index, q, f64::INFINITY, &opts).unwrap();
         let mut exact: Vec<(OrdF64, ObjectId)> = Vec::new();
         for o in store.ids_sorted() {
-            let d = ctx.refine_full(o).unwrap();
+            let d = ctx.refine(o, &opts).unwrap();
             if d.is_finite() {
                 exact.push((OrdF64(d), o));
             }
@@ -783,7 +752,7 @@ mod tests {
         let opts = QueryOptions::default();
         // Bands from the start band up to the first complete one: the
         // farthest door is 550 m from q's only seed door.
-        let mut bands = vec![start_horizon(&opts)];
+        let mut bands = vec![band_for(2.0 * opts.subgraph_slack)];
         while *bands.last().unwrap() < 550.0 {
             bands.push(2.0 * bands.last().unwrap());
         }

@@ -16,10 +16,12 @@ pub struct RangeHit {
     /// The object.
     pub object: ObjectId,
     /// Its expected indoor distance. When `certified_by_bound` is set the
-    /// value is the certifying *upper bound* (the exact distance was never
-    /// computed — that is the point of the pruning phase); otherwise it is
-    /// the exact expected distance (refinement only accepts restricted
-    /// values it can prove equal to the full-graph value).
+    /// value is the certifying *upper bound* (Table III), computed over
+    /// door distances banded at the query's own reach `r + slack` (the
+    /// exact distance was never computed — that is the point of the
+    /// pruning phase); otherwise it is the exact expected distance
+    /// (refinement only accepts banded values it can prove equal to the
+    /// full-graph value).
     pub distance: f64,
     /// Whether membership was certified by `O.u ≤ r` without refinement.
     pub certified_by_bound: bool,
@@ -34,24 +36,15 @@ pub struct RangeResult {
     pub stats: QueryStats,
 }
 
-/// Phase-1 output of a range query: everything needed to finish the
-/// evaluation against an [`EvalContext`] — its own or a shared one.
-pub(crate) struct RangePrep {
-    pub q: IndoorPoint,
-    pub r: f64,
-    pub objects: Vec<ObjectId>,
-    pub stats: QueryStats,
-}
-
-/// Validates the query and runs the filtering phase (Algorithm 4).
-pub(crate) fn range_prep(
+/// Evaluates `iRQ_{q,r}(O) = { O : |q,O|_I ≤ r }` (Algorithm 1).
+pub fn range_query(
     space: &IndoorSpace,
     index: &CompositeIndex,
     store: &ObjectStore,
     q: IndoorPoint,
     r: f64,
     options: &QueryOptions,
-) -> Result<RangePrep, QueryError> {
+) -> Result<RangeResult, QueryError> {
     if !r.is_finite() || r < 0.0 {
         return Err(QueryError::BadRange(r));
     }
@@ -60,50 +53,31 @@ pub(crate) fn range_prep(
         total_objects: store.len(),
         ..QueryStats::default()
     };
+    let horizon = r + options.subgraph_slack;
 
     // Phase 1: filtering via the geometric layer (Algorithm 4).
     let t = Instant::now();
-    let filtered = index.range_search_dual(
-        space,
-        q,
-        r,
-        r + options.subgraph_slack,
-        options.use_skeleton,
-    );
+    let filtered = index.range_search_dual(space, q, r, horizon, options.use_skeleton);
     stats.filtering_ms = t.elapsed().as_secs_f64() * 1e3;
     stats.candidates_after_filter = filtered.objects.len();
     stats.partitions_retrieved = filtered.partitions.len();
     stats.nodes_visited = filtered.stats.nodes_visited;
     stats.entries_checked = filtered.stats.entries_checked;
 
-    Ok(RangePrep {
-        q,
-        r,
-        objects: filtered.objects,
-        stats,
-    })
-}
-
-/// Phases 3–4 against an evaluation context whose banded door distances
-/// cover (at least) the prep's reach `r + slack`.
-pub(crate) fn range_finish(
-    ctx: &mut EvalContext<'_>,
-    prep: RangePrep,
-    options: &QueryOptions,
-) -> Result<RangeResult, QueryError> {
-    let RangePrep {
-        r,
-        objects,
-        mut stats,
-        ..
-    } = prep;
+    // Phase 2: subgraph — door distances composed from shared rows,
+    // truncated at the query's reach (the same bound the dual filter
+    // retrieved partitions for).
+    let t = Instant::now();
+    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
+    stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
+    stats.dijkstras_run = 1;
 
     // Phase 3: pruning by topological / probabilistic bounds (Table III).
     let t = Instant::now();
     let mut results: Vec<RangeHit> = Vec::new();
     let mut undecided: Vec<ObjectId> = Vec::new();
     if options.use_pruning {
-        for &o in &objects {
+        for &o in &filtered.objects {
             let b = ctx.bounds(o)?;
             if b.upper <= r {
                 stats.accepted_by_bounds += 1;
@@ -119,7 +93,7 @@ pub(crate) fn range_finish(
             }
         }
     } else {
-        undecided = objects;
+        undecided = filtered.objects;
     }
     stats.pruning_ms = t.elapsed().as_secs_f64() * 1e3;
 
@@ -141,29 +115,6 @@ pub(crate) fn range_finish(
 
     results.sort_by_key(|h| h.object);
     Ok(RangeResult { results, stats })
-}
-
-/// Evaluates `iRQ_{q,r}(O) = { O : |q,O|_I ≤ r }` (Algorithm 1).
-pub fn range_query(
-    space: &IndoorSpace,
-    index: &CompositeIndex,
-    store: &ObjectStore,
-    q: IndoorPoint,
-    r: f64,
-    options: &QueryOptions,
-) -> Result<RangeResult, QueryError> {
-    let mut prep = range_prep(space, index, store, q, r, options)?;
-
-    // Phase 2: subgraph — door distances composed from shared rows,
-    // truncated at the query's reach (the same bound the dual filter
-    // retrieved partitions for).
-    let t = Instant::now();
-    let horizon = r + options.subgraph_slack;
-    let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
-    prep.stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
-    prep.stats.dijkstras_run = 1;
-
-    range_finish(&mut ctx, prep, options)
 }
 
 #[cfg(test)]

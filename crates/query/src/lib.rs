@@ -29,10 +29,10 @@
 //!
 //! The [`session`] module is the typed front door: a [`Query`] names any
 //! of the four query kinds (range, kNN, distance, path), [`execute`]
-//! evaluates one, and [`execute_batch`] evaluates many with cross-query
-//! computation reuse — queries sharing a query point share one banded
-//! door-distance context and its refinement decompositions (§VII's reuse
-//! proposal). Every [`Outcome`] carries [`QueryStats`].
+//! evaluates one, and [`execute_batch`] evaluates many, one [`execute`]
+//! each. Every [`Outcome`] carries [`QueryStats`]. Queries reuse work
+//! across calls through the index's shared door-distance cache rows and
+//! each object's memoised subregion summary (§VII's reuse proposal).
 //!
 //! Pruning never reads instances: it prices each object from
 //! its subregion summary, memoised in the object per partition layout

@@ -6,10 +6,11 @@
 //! reads each object's memoised subregion summary
 //! ([`idq_objects::UncertainObject::subregion_summary`]) and never its
 //! instances. Only refinement needs an object's instance indices: it
-//! takes the decomposition once per context, into the context's private
-//! map, from [`idq_objects::UncertainObject::subregions`] — rebuilt from
-//! the memo's per-instance slots on the memo's layout, so the point
-//! location kernel runs only at memo fill or off the memo's layout.
+//! takes the decomposition, once per refinement, from
+//! [`idq_objects::UncertainObject::subregions`] — rebuilt from the memo's
+//! per-instance slots on the memo's layout, so the point location kernel
+//! runs only at memo fill or off the memo's layout. No query refines an
+//! object twice, so the context keeps no decompositions.
 //! The standing monitors price objects through the same context, over
 //! complete door distances they keep between evaluations
 //! (`EvalContext::over`). The ikNN search grows its context in place
@@ -27,21 +28,18 @@ use crate::error::QueryError;
 use crate::options::QueryOptions;
 use crate::stats::QueryStats;
 use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, DoorRow, ObjectBounds};
-use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
-use idq_objects::{ObjectId, ObjectStore, SubregionSummary, Subregions, UncertainObject};
+use idq_objects::{ObjectId, ObjectStore, SubregionSummary, UncertainObject};
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Per-query evaluation context.
 ///
 /// Holds the restricted door distances of the subgraph phase and computes
 /// bounds (from memoised subregion summaries) and exact expected distances
-/// (from full decompositions, built once per object per context) per
-/// object, lazily falling back to full-graph distances when the
-/// restriction truncates a needed path.
+/// (from full decompositions) per object, lazily falling back to
+/// full-graph distances when the restriction truncates a needed path.
 pub(crate) struct EvalContext<'a> {
     pub space: &'a IndoorSpace,
     pub store: &'a ObjectStore,
@@ -51,14 +49,11 @@ pub(crate) struct EvalContext<'a> {
     /// The horizon `dd` was assembled at.
     horizon: f64,
     full_dd: Option<DoorDistances>,
-    /// Decompositions with instance indices, built for refinement only.
-    refined: IdMap<ObjectId, Subregions>,
     use_shared_cache: bool,
     cache_budget: usize,
-    /// Work this context did since the last [`EvalContext::drain_into`]:
-    /// full-graph fallbacks, summary and refinement decompositions
-    /// computed / reused, and shared-distance-cache traffic. Every other
-    /// field stays zero.
+    /// Work this context did, for [`EvalContext::drain_into`]: full-graph
+    /// fallbacks, summary and refinement decompositions computed / reused,
+    /// and shared-distance-cache traffic. Every other field stays zero.
     pub delta: QueryStats,
 }
 
@@ -135,8 +130,7 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Re-assembles the door distances at `horizon` when it is wider
-    /// than the current one, keeping the refinement decompositions and
-    /// any full-graph distances.
+    /// than the current one, keeping any full-graph distances.
     pub fn grow(&mut self, horizon: f64) -> Result<(), QueryError> {
         if horizon <= self.horizon() {
             return Ok(());
@@ -174,7 +168,6 @@ impl<'a> EvalContext<'a> {
             dd,
             horizon: f64::INFINITY,
             full_dd: None,
-            refined: IdMap::default(),
             use_shared_cache: options.distance_cache,
             cache_budget: options.distance_cache_bytes,
             delta: QueryStats::default(),
@@ -186,36 +179,13 @@ impl<'a> EvalContext<'a> {
         self.dd
     }
 
-    /// Moves the work counted since the last drain (or since the context
-    /// was built) into `stats`, and refreshes the cache-size gauge. A
-    /// single-issue query drains once, at the end of its finish; a batch
-    /// drains the build into its first member and each finish into the
-    /// member that ran it.
-    pub fn drain_into(&mut self, stats: &mut QueryStats) {
-        stats.accumulate(&std::mem::take(&mut self.delta));
+    /// Adds the work this context counted to `stats`, and refreshes the
+    /// cache-size gauge: a query's last step.
+    pub fn drain_into(self, stats: &mut QueryStats) {
+        stats.accumulate(&self.delta);
         if self.use_shared_cache {
             stats.shared_cache_bytes = self.index.distance_cache().bytes() as usize;
         }
-    }
-
-    /// Decomposition of one object with instance indices — for
-    /// refinement — taken on first use (from the object's memo when it is
-    /// on this layout, counted as a hit) and kept for every later
-    /// refinement of the same object in this context.
-    pub fn subregions_of(&mut self, id: ObjectId) -> Result<&Subregions, QueryError> {
-        Ok(match self.refined.entry(id) {
-            Entry::Occupied(e) => {
-                self.delta.subregion_cache_hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(e) => {
-                let obj = self.store.get(id)?;
-                let (subs, computed) =
-                    obj.subregions(self.space, || object_partition_hint(self.index, id))?;
-                tally(&mut self.delta, computed);
-                e.insert(subs)
-            }
-        })
     }
 
     /// Phase-3 bounds for one object (Table III dispatch), from its
@@ -241,15 +211,6 @@ impl<'a> EvalContext<'a> {
         Ok(self.full_dd.as_ref().expect("just set"))
     }
 
-    /// Exact expected indoor distance against the full graph.
-    pub fn refine_full(&mut self, id: ObjectId) -> Result<f64, QueryError> {
-        self.subregions_of(id)?;
-        self.full_dd()?;
-        let obj = self.store.get(id)?;
-        let dd = self.full_dd.as_ref().expect("computed above");
-        Ok(expected_indoor_distance(self.space, dd, obj, &self.refined[&id]).value)
-    }
-
     /// Refinement: computes the expected distance against the banded
     /// context and returns it when it is *provably exact* — every
     /// instance cost at or below the context's
@@ -257,33 +218,24 @@ impl<'a> EvalContext<'a> {
     /// path leaving the band can undercut one. Otherwise the value is
     /// recomputed against the full graph. Every returned value therefore
     /// equals the full-graph expected distance bit for bit, independent
-    /// of how the horizon was chosen — which is what makes batched
-    /// execution (whose shared context is truncated at the *maximum* of a
-    /// group's reaches) return the same answers as single-issue
-    /// execution. Callers compare it with their own radius or k-th
+    /// of the horizon. Callers compare it with their own radius or k-th
     /// distance.
     pub fn refine(&mut self, id: ObjectId, options: &QueryOptions) -> Result<f64, QueryError> {
-        if options.exact_refinement || !self.dd.is_restricted() {
-            return self.refine_full_or_direct(id);
-        }
-        self.subregions_of(id)?;
+        let (space, index) = (self.space, self.index);
         let obj = self.store.get(id)?;
-        let e = expected_indoor_distance(self.space, &self.dd, obj, &self.refined[&id]);
-        if e.max_instance_cost <= self.dd.exit_horizon() {
-            return Ok(e.value);
+        let (subs, computed) = obj.subregions(space, || object_partition_hint(index, id))?;
+        tally(&mut self.delta, computed);
+        if !self.dd.is_restricted() {
+            return Ok(expected_indoor_distance(space, &self.dd, obj, &subs).value);
         }
-        self.delta.full_graph_fallbacks += 1;
-        self.refine_full(id)
-    }
-
-    fn refine_full_or_direct(&mut self, id: ObjectId) -> Result<f64, QueryError> {
-        if self.dd.is_restricted() {
-            self.refine_full(id)
-        } else {
-            self.subregions_of(id)?;
-            let obj = self.store.get(id)?;
-            Ok(expected_indoor_distance(self.space, &self.dd, obj, &self.refined[&id]).value)
+        if !options.exact_refinement {
+            let e = expected_indoor_distance(space, &self.dd, obj, &subs);
+            if e.max_instance_cost <= self.dd.exit_horizon() {
+                return Ok(e.value);
+            }
+            self.delta.full_graph_fallbacks += 1;
         }
+        Ok(expected_indoor_distance(space, self.full_dd()?, obj, &subs).value)
     }
 }
 
@@ -331,7 +283,7 @@ mod tests {
         Direction, DoorId, DoorSpec, FloorPlanBuilder, PartitionKind, PartitionSpec, SplitLine,
         TopologyEvent,
     };
-    use idq_objects::GaussianSampler;
+    use idq_objects::{GaussianSampler, Subregions};
     use proptest::prelude::*;
     use proptest::rand::{rngs::StdRng, SeedableRng};
 
@@ -507,24 +459,24 @@ mod tests {
         assert_eq!(counts(&ctx), (1, 0));
         ctx.bounds(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 1));
-        // Refinement rebuilds the decomposition from the filled memo (a
-        // hit), once per context, then reuses it from the context's map.
-        ctx.subregions_of(ObjectId(1)).unwrap();
+        // Each refinement rebuilds the decomposition from the filled memo
+        // (a hit); the context keeps none.
+        ctx.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(counts(&ctx), (1, 2));
-        ctx.subregions_of(ObjectId(1)).unwrap();
+        ctx.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(counts(&ctx), (1, 3));
 
-        // The memo outlives the context; the refinement map does not.
+        // The memo outlives the context.
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         ctx.bounds(ObjectId(1)).unwrap();
-        ctx.subregions_of(ObjectId(1)).unwrap();
+        ctx.refine(ObjectId(1), &opts).unwrap();
         assert_eq!(counts(&ctx), (0, 2));
 
         // A refinement that finds the memo empty runs the kernel and
         // fills it for the bounds.
         let (space, store, index) = setup();
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
-        ctx.subregions_of(ObjectId(1)).unwrap();
+        ctx.refine(ObjectId(1), &opts).unwrap();
         ctx.bounds(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 1));
     }
@@ -556,11 +508,20 @@ mod tests {
             let mut ctx =
                 EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
             ctx.bounds(ObjectId(1)).unwrap();
-            assert_eq!(*ctx.subregions_of(ObjectId(1)).unwrap(), kernel);
+            let v = ctx.refine(ObjectId(1), &opts).unwrap();
             let counts = (
                 ctx.delta.subregions_computed,
                 ctx.delta.subregion_cache_hits,
             );
+            let obj = store.get(ObjectId(1)).unwrap();
+            let want = expected_indoor_distance(&space, &ctx.dd, obj, &kernel).value;
+            assert_eq!(
+                v.to_bits(),
+                want.to_bits(),
+                "refined on the kernel's decomposition"
+            );
+            let (subs, _) = obj.subregions(&space, || hint.clone()).unwrap();
+            assert_eq!(subs, kernel);
             // The summary is memoised on the first pass and read from
             // the memo on the second; the decomposition has no slots and
             // runs the kernel both times.

@@ -1,38 +1,17 @@
-//! Snapshot-based query sessions: a typed [`Query`] / [`Outcome`] surface
-//! with cross-query computation reuse (the paper's §VII future-work item).
+//! Snapshot-based query sessions: a typed [`Query`] / [`Outcome`] surface.
 //!
 //! [`execute`] evaluates one query; [`execute_batch`] evaluates a slice of
-//! queries and **groups them by query point and floor**: every group
-//! shares one evaluation context, i.e. one banded door-distance assembly
-//! (the subgraph phase, composed from the shared
-//! [`idq_distance::DistanceCache`] rows) and one map of refinement
-//! decompositions. (Bounds need no sharing: they read each object's
-//! memoised subregion summary, which outlives any one batch.) The group's
-//! context is truncated at the *maximum* of the members' reaches, so each
-//! range member sees at least the horizon its own filtering phase
-//! retrieved partitions for; kNN members start their search there and
-//! grow the shared context in place. Batched and single-issue execution
-//! return bit-identical results because every refinement value is
-//! horizon-independent: the pipeline returns a banded value only when it
-//! is provably exact (at or below the context's
-//! [`exit horizon`](idq_distance::DoorDistances::exit_horizon)) and falls
-//! back to the full graph otherwise, and bound certifications below the
-//! query radius cannot differ between any two sound horizons that cover
-//! the filtering retrieval ball.
-//!
-//! Reuse is observable through [`QueryStats`]: within a batch only the
-//! query that builds a group's context has `dijkstras_run ≥ 1` (1, plus
-//! its growths when it is a kNN query); every other member reports
-//! `context_reuses == 1` and `dijkstras_run == 0`.
+//! queries, one [`execute`] each, in input order. Reuse across queries is
+//! what every query already gets: the shared
+//! [`idq_distance::DistanceCache`] rows its door-distance context is
+//! composed from, and each object's memoised subregion summary.
 
 use crate::error::QueryError;
-use crate::iknn::{knn_search, knn_validate, start_horizon, KnnResult};
-use crate::irq::{range_finish, range_prep, RangePrep, RangeResult};
+use crate::iknn::KnnResult;
+use crate::irq::RangeResult;
 use crate::options::QueryOptions;
-use crate::pipeline::EvalContext;
 use crate::stats::QueryStats;
-use idq_distance::{indoor_distance, shortest_path};
-use idq_geom::IdMap;
+use idq_distance::{indoor_distance, shortest_path, DistanceError};
 use idq_index::CompositeIndex;
 use idq_model::{DoorId, IndoorPoint, IndoorSpace};
 use idq_objects::ObjectStore;
@@ -83,19 +62,6 @@ impl Query {
             | Query::Path { q, .. } => q,
         }
     }
-
-    /// Batch-grouping key: queries whose evaluation context (door-distance
-    /// tree + refinement decompositions) is shareable map to the same key.
-    /// Distance and path queries run their own point-to-point search and
-    /// are not grouped.
-    fn group_key(&self) -> Option<(u64, u64, u16)> {
-        match self {
-            Query::Range { q, .. } | Query::Knn { q, .. } => {
-                Some((q.point.x.to_bits(), q.point.y.to_bits(), q.floor))
-            }
-            Query::Distance { .. } | Query::Path { .. } => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Query {
@@ -112,7 +78,8 @@ impl std::fmt::Display for Query {
 /// Result of a [`Query::Distance`] evaluation.
 #[derive(Clone, Debug)]
 pub struct DistanceResult {
-    /// `|q,p|_I`; `∞` when `p` is unreachable from `q`.
+    /// `|q,p|_I`; `∞` when `p` is unreachable from `q`. A target in no
+    /// partition is an error, not `∞`.
     pub distance: f64,
     /// Evaluation statistics.
     pub stats: QueryStats,
@@ -121,7 +88,8 @@ pub struct DistanceResult {
 /// Result of a [`Query::Path`] evaluation.
 #[derive(Clone, Debug)]
 pub struct PathResult {
-    /// Path length and door sequence, or `None` when unreachable.
+    /// Path length and door sequence, or `None` when unreachable. A
+    /// target in no partition is an error, not `None`.
     pub path: Option<(f64, Vec<DoorId>)>,
     /// Evaluation statistics.
     pub stats: QueryStats,
@@ -218,6 +186,16 @@ impl Outcome {
     }
 }
 
+/// Refuses a distance or path target that lies in no partition, as the
+/// search refuses such a source: a NaN or infinite coordinate, a point
+/// outside the building, or a floor it does not have.
+fn check_target(space: &IndoorSpace, p: IndoorPoint) -> Result<(), QueryError> {
+    match space.partition_at(p) {
+        Some(_) => Ok(()),
+        None => Err(DistanceError::QueryOutsideSpace(p).into()),
+    }
+}
+
 fn execute_distance(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -225,6 +203,7 @@ fn execute_distance(
     q: IndoorPoint,
     p: IndoorPoint,
 ) -> Result<DistanceResult, QueryError> {
+    check_target(space, p)?;
     let t = Instant::now();
     let distance = indoor_distance(space, index.doors_graph(), q, p)?;
     Ok(DistanceResult {
@@ -245,6 +224,7 @@ fn execute_path(
     q: IndoorPoint,
     p: IndoorPoint,
 ) -> Result<PathResult, QueryError> {
+    check_target(space, p)?;
     let t = Instant::now();
     let path = shortest_path(space, index.doors_graph(), q, p)?;
     Ok(PathResult {
@@ -258,8 +238,7 @@ fn execute_path(
     })
 }
 
-/// Evaluates one query. Equivalent to [`execute_batch`] over a singleton
-/// slice, without the batching bookkeeping.
+/// Evaluates one query.
 pub fn execute(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -281,58 +260,8 @@ pub fn execute(
     }
 }
 
-/// One validated context query (range or kNN) awaiting its context.
-enum Prepped {
-    Range(RangePrep),
-    Knn {
-        q: IndoorPoint,
-        k: usize,
-        stats: QueryStats,
-    },
-}
-
-impl Prepped {
-    fn query_point(&self) -> IndoorPoint {
-        match self {
-            Prepped::Range(p) => p.q,
-            Prepped::Knn { q, .. } => *q,
-        }
-    }
-
-    /// The horizon this member's context must start at: the reach the
-    /// range filter retrieved candidates for, or the kNN search's start
-    /// band (the search grows the context from there).
-    fn reach(&self, options: &QueryOptions) -> f64 {
-        match self {
-            Prepped::Range(p) => p.r + options.subgraph_slack,
-            Prepped::Knn { .. } => start_horizon(options),
-        }
-    }
-
-    fn stats_mut(&mut self) -> &mut QueryStats {
-        match self {
-            Prepped::Range(p) => &mut p.stats,
-            Prepped::Knn { stats, .. } => stats,
-        }
-    }
-}
-
-/// Evaluates a batch of queries, reusing one evaluation context per
-/// `(query point, floor)` group.
-///
-/// Results are returned in input order and are identical to evaluating
-/// each query individually with [`execute`]; only the [`QueryStats`]
-/// reuse counters (`dijkstras_run`, `context_reuses`,
-/// `subregion_cache_hits`) differ. Range filtering still runs per query:
-/// it determines each query's candidates. The group shares the banded
-/// door-distance context (truncated at the maximum of the members'
-/// reaches, grown in place by kNN searches) and its refinement
-/// decompositions; pruning reads each object's memoised subregion
-/// summary, so it shares nothing and hands nothing over.
-///
-/// Errors abort the whole batch: every query is validated before any
-/// group context is built, so an invalid radius or `k = 0` anywhere
-/// surfaces first.
+/// Evaluates a batch of queries: [`execute`] on each, in input order.
+/// The first error, in input order, aborts the batch.
 pub fn execute_batch(
     space: &IndoorSpace,
     index: &CompositeIndex,
@@ -340,103 +269,10 @@ pub fn execute_batch(
     queries: &[Query],
     options: &QueryOptions,
 ) -> Result<Vec<Outcome>, QueryError> {
-    // Range filtering and kNN validation for every query, in input
-    // order. Distance/path queries are finished immediately — they run
-    // their own point-to-point search.
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(queries.len());
-    let mut prepped: Vec<Option<Prepped>> = Vec::with_capacity(queries.len());
-    // Group key → slot in `groups`; groups keep first-seen order so the
-    // evaluation order is deterministic. The map keeps bucketing O(n) for
-    // large batches of mostly-distinct query points.
-    let mut group_slots: IdMap<(u64, u64, u16), usize> = IdMap::default();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, query) in queries.iter().enumerate() {
-        match *query {
-            Query::Range { q, r } => {
-                prepped.push(Some(Prepped::Range(range_prep(
-                    space, index, store, q, r, options,
-                )?)));
-                outcomes.push(None);
-            }
-            Query::Knn { q, k } => {
-                let stats = knn_validate(space, index, store, k)?;
-                prepped.push(Some(Prepped::Knn { q, k, stats }));
-                outcomes.push(None);
-            }
-            Query::Distance { q, p } => {
-                outcomes.push(Some(Outcome::Distance(execute_distance(
-                    space, index, store, q, p,
-                )?)));
-                prepped.push(None);
-                continue;
-            }
-            Query::Path { q, p } => {
-                outcomes.push(Some(Outcome::Path(execute_path(
-                    space, index, store, q, p,
-                )?)));
-                prepped.push(None);
-                continue;
-            }
-        }
-        let key = query.group_key().expect("context queries have a key");
-        match group_slots.get(&key) {
-            Some(&slot) => groups[slot].push(i),
-            None => {
-                group_slots.insert(key, groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-
-    // The rest per group: one banded context truncated at the maximum of
-    // the members' reaches, which kNN members grow in place.
-    for members in groups {
-        let q = prepped[members[0]]
-            .as_ref()
-            .expect("grouped queries are prepped")
-            .query_point();
-
-        // Maximum reach across the group.
-        let mut horizon = 0.0f64;
-        for &i in &members {
-            let p = prepped[i].as_ref().expect("grouped queries are prepped");
-            horizon = horizon.max(p.reach(options));
-        }
-
-        // The context build (the banded row composition) is charged to
-        // the group's first member; the rest record a reuse.
-        let t = Instant::now();
-        let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
-        let build_ms = t.elapsed().as_secs_f64() * 1e3;
-        for (j, &i) in members.iter().enumerate() {
-            let p = prepped[i].as_mut().expect("grouped queries are prepped");
-            let stats = p.stats_mut();
-            if j == 0 {
-                stats.subgraph_ms = build_ms;
-                stats.dijkstras_run = 1;
-                // Build-time shared-cache traffic is charged here too;
-                // finish-phase traffic is drained per member.
-                ctx.drain_into(stats);
-            } else {
-                stats.context_reuses = 1;
-            }
-        }
-
-        for &i in &members {
-            let outcome = match prepped[i].take().expect("grouped queries are prepped") {
-                Prepped::Range(p) => Outcome::Range(range_finish(&mut ctx, p, options)?),
-                Prepped::Knn { k, stats, .. } => {
-                    Outcome::Knn(knn_search(&mut ctx, k, options, stats)?)
-                }
-            };
-            outcomes[i] = Some(outcome);
-        }
-    }
-
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every query was finished"))
-        .collect())
+    queries
+        .iter()
+        .map(|query| execute(space, index, store, query, options))
+        .collect()
 }
 
 #[cfg(test)]
@@ -530,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_shares_one_dijkstra_per_query_point() {
+    fn batch_at_one_query_point_matches_single_issue() {
         let (space, store, index) = setup();
         let opts = QueryOptions::default();
         let q = IndoorPoint::new(Point2::new(5.0, 5.0), 0);
@@ -541,10 +377,6 @@ mod tests {
 
         let outcomes = execute_batch(&space, &index, &store, &queries, &opts).unwrap();
         assert_eq!(outcomes.len(), queries.len());
-        let dijkstras: usize = outcomes.iter().map(|o| o.stats().dijkstras_run).sum();
-        let reuses: usize = outcomes.iter().map(|o| o.stats().context_reuses).sum();
-        assert_eq!(dijkstras, 1, "one restricted Dijkstra for the group");
-        assert_eq!(reuses, queries.len() - 1);
 
         // Results identical to single-issue execution.
         for (query, out) in queries.iter().zip(&outcomes) {
@@ -557,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_groups_by_floor_and_point() {
+    fn batch_mixing_floors_and_kinds_matches_single_issue() {
         let (space, store, index) = setup();
         let opts = QueryOptions::default();
         let q0 = IndoorPoint::new(Point2::new(5.0, 5.0), 0);
@@ -571,15 +403,6 @@ mod tests {
             Query::Knn { q: q0, k: 1 },
         ];
         let outcomes = execute_batch(&space, &index, &store, &queries, &opts).unwrap();
-        // Two groups (q0, q1) → two context Dijkstras; the distance query
-        // runs its own search.
-        let dijkstras: usize = outcomes
-            .iter()
-            .zip(&queries)
-            .filter(|(_, q)| !matches!(q, Query::Distance { .. } | Query::Path { .. }))
-            .map(|(o, _)| o.stats().dijkstras_run)
-            .sum();
-        assert_eq!(dijkstras, 2);
         for (query, out) in queries.iter().zip(&outcomes) {
             let single = execute(&space, &index, &store, query, &opts).unwrap();
             match (out, single) {
@@ -608,9 +431,37 @@ mod tests {
             execute_batch(&space, &index, &store, &bad, &opts),
             Err(QueryError::ZeroK)
         ));
+        // The first error in input order wins.
+        let bad = vec![Query::Knn { q, k: 0 }, Query::Range { q, r: -1.0 }];
+        assert!(matches!(
+            execute_batch(&space, &index, &store, &bad, &opts),
+            Err(QueryError::ZeroK)
+        ));
         assert!(execute_batch(&space, &index, &store, &[], &opts)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn targets_outside_every_partition_are_errors() {
+        let (space, store, index) = setup();
+        let opts = QueryOptions::default();
+        let q = IndoorPoint::new(Point2::new(5.0, 5.0), 0);
+        let targets = [
+            IndoorPoint::new(Point2::new(f64::NAN, 5.0), 0),
+            IndoorPoint::new(Point2::new(5.0, f64::INFINITY), 1),
+            IndoorPoint::new(Point2::new(5.0, 5.0), 7),
+        ];
+        for p in targets {
+            for query in [Query::Distance { q, p }, Query::Path { q, p }] {
+                match execute(&space, &index, &store, &query, &opts) {
+                    Err(QueryError::Distance(DistanceError::QueryOutsideSpace(at))) => {
+                        assert_eq!(at.floor, p.floor, "{query}");
+                    }
+                    other => panic!("{query}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,24 +37,16 @@ pub struct QueryStats {
     /// Leaf entries checked during filtering. For kNN: the distinct
     /// objects the search saw.
     pub entries_checked: usize,
-    /// Subgraph-phase context assemblies charged to this query: the build
-    /// (1 for a single-issue query; in a batch group only the query that
-    /// builds the shared context pays for it) plus, for kNN, every growth
-    /// its search made of a context it built. A batch member that reuses
-    /// its group's context is charged for neither.
+    /// Subgraph-phase context assemblies this query ran: the build (1)
+    /// plus, for kNN, every growth its search made.
     pub dijkstras_run: usize,
-    /// 1 when this query reused a shared evaluation context built by an
-    /// earlier query of its batch group, 0 otherwise.
-    pub context_reuses: usize,
     /// Decompositions this query ran through the point-location kernel:
     /// memo fills (by pruning or refinement), reads on a layout
     /// other than the memo's, and refinements of objects too fragmented
     /// for the memo's instance slots.
     pub subregions_computed: usize,
-    /// Decompositions this query reused: summary memo hits, refinement
-    /// decompositions rebuilt from the memo's instance slots, and
-    /// refinement-map hits (an object refined twice, or already refined by
-    /// an earlier query of the batch group).
+    /// Decompositions this query reused: summary memo hits and
+    /// refinement decompositions rebuilt from the memo's instance slots.
     pub subregion_cache_hits: usize,
     /// Shared-distance-cache row lookups this query issued (context
     /// build + lazy full-graph fallbacks). Always
@@ -112,7 +104,6 @@ impl QueryStats {
         self.nodes_visited += other.nodes_visited;
         self.entries_checked += other.entries_checked;
         self.dijkstras_run += other.dijkstras_run;
-        self.context_reuses += other.context_reuses;
         self.subregions_computed += other.subregions_computed;
         self.subregion_cache_hits += other.subregion_cache_hits;
         self.shared_cache_lookups += other.shared_cache_lookups;
@@ -144,7 +135,6 @@ impl QueryStats {
             nodes_visited: self.nodes_visited / n,
             entries_checked: self.entries_checked / n,
             dijkstras_run: self.dijkstras_run / n,
-            context_reuses: self.context_reuses / n,
             subregions_computed: self.subregions_computed / n,
             subregion_cache_hits: self.subregion_cache_hits / n,
             shared_cache_lookups: self.shared_cache_lookups / n,
@@ -163,7 +153,7 @@ impl std::fmt::Display for QueryStats {
             "phases[filter {:.3} ms, subgraph {:.3} ms, prune {:.3} ms, refine {:.3} ms] \
              candidates[{} of {}] \
              bounds[accepted {} pruned {} refined {}] \
-             dijkstra[runs {} reuses {} fallbacks {}] \
+             dijkstra[runs {} fallbacks {}] \
              subregions[computed {} hits {}] \
              shared-cache[lookups {} hits {} misses {} evictions {} ~{} B]",
             self.filtering_ms,
@@ -176,7 +166,6 @@ impl std::fmt::Display for QueryStats {
             self.pruned_by_bounds,
             self.refined,
             self.dijkstras_run,
-            self.context_reuses,
             self.full_graph_fallbacks,
             self.subregions_computed,
             self.subregion_cache_hits,

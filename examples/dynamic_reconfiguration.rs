@@ -107,8 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(coffee_call.contains(west_attendee));
 
-    // The usher's kNN and a distance check share the usher's position, so
-    // batching them shares one evaluation context.
+    // The usher's kNN and a distance check, on one snapshot.
     let outcomes = engine.snapshot().execute_batch(&[
         Query::Knn { q: usher, k: 2 },
         Query::Range { q: usher, r: 40.0 },

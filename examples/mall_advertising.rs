@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Send two coupon tiers per round: a premium offer to shoppers
         // within 25 m walking distance and a standard one within 60 m.
-        // Both queries anchor at the café, so the batch shares one
-        // door-distance Dijkstra and one subregion cache between them.
+        // Both queries anchor at the café: the second composes its door
+        // distances from cache rows the first one expanded.
         let t = std::time::Instant::now();
         let outcomes = engine.snapshot().execute_batch(&[
             Query::Range { q: cafe, r: 25.0 },

@@ -58,9 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("inserted objects: alice={alice}, bob={bob}, carol={carol}");
 
     // 3. Queries are typed values executed through a snapshot — a cheap,
-    // consistent read view. Batching them lets queries that share a query
-    // point share one door-distance Dijkstra and one subregion cache.
-    // All of them evaluate *indoor* distances: through doors, not walls.
+    // consistent read view. A batch runs them one after another on that
+    // one view. All of them evaluate *indoor* distances: through doors,
+    // not walls.
     let q = IndoorPoint::new(Point2::new(2.0, 2.0), 0); // corridor, west end
     let p = IndoorPoint::new(Point2::new(25.0, 12.0), 0); // inside the lab
     let snapshot = engine.snapshot();
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. Every outcome reports the pipeline's four phases (the paper's
-    // Fig. 12(b) breakdown) plus the batch-reuse counters.
+    // Fig. 12(b) breakdown) plus its door-distance work.
     let s = &in_range.stats;
     println!(
         "\npipeline: filtering {:.3} ms, subgraph {:.3} ms, pruning {:.3} ms, refinement {:.3} ms",
@@ -113,12 +113,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s.candidates_after_filter, s.pruned_by_bounds, s.refined
     );
     let dijkstras: usize = outcomes.iter().map(|o| o.stats().dijkstras_run).sum();
-    let reuses: usize = outcomes.iter().map(|o| o.stats().context_reuses).sum();
+    let rows: usize = outcomes.iter().map(|o| o.stats().shared_cache_hits).sum();
     println!(
-        "batching:  {} Dijkstra(s) for {} queries ({} context reuse(s))",
+        "batch:     {} Dijkstra(s) for {} queries ({} door-distance row(s) reused from the cache)",
         dijkstras,
         outcomes.len(),
-        reuses
+        rows
     );
     Ok(())
 }

@@ -33,9 +33,8 @@
 //! [`core::Snapshot`] — an owned, consistent read view pinned to one
 //! committed version of the engine (`Clone + Send + Sync`, so sessions
 //! run from any thread in parallel with the writer; see
-//! [`core::IndoorService`] and `examples/live_service.rs`). Batched
-//! execution reuses one door-distance Dijkstra and one subregion cache
-//! across queries that share a query point. See
+//! [`core::IndoorService`] and `examples/live_service.rs`). A batch runs
+//! its queries one after another on one snapshot. See
 //! `examples/quickstart.rs`; in short:
 //!
 //! ```
@@ -57,7 +56,7 @@
 //!     .inserted_object()
 //!     .unwrap();
 //!
-//! // One snapshot, three queries, one shared evaluation context.
+//! // One snapshot, three queries.
 //! let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
 //! let snapshot = engine.snapshot();
 //! let outcomes = snapshot
@@ -70,8 +69,9 @@
 //! assert_eq!(outcomes[0].as_range().unwrap().results[0].object, o1);
 //! assert!(outcomes[1].as_range().unwrap().results.is_empty());
 //! assert_eq!(outcomes[2].as_knn().unwrap().results[0].object, o1);
-//! let dijkstras: usize = outcomes.iter().map(|o| o.stats().dijkstras_run).sum();
-//! assert_eq!(dijkstras, 1);
+//! // The two range queries share a query point: the second composes its
+//! // door distances from cache rows the first one expanded.
+//! assert!(outcomes[1].stats().shared_cache_hits > 0);
 //! ```
 
 pub use idq_core as core;
