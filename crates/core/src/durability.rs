@@ -3,7 +3,7 @@
 //!
 //! A durable engine threads every commit group through the crate-private
 //! `Durability` handle **before** the sequencer publishes the epoch swap: the group's batches
-//! are serialized ([`crate::wire::put_batch_parts`]) and appended to the
+//! are serialized ([`crate::wire::encode_batch`]) and appended to the
 //! write-ahead log as one record per batch, all stamped with the group's
 //! epoch, and the configured [`SyncPolicy`] decides when the bytes are
 //! forced to stable storage. Only after the append succeeds does the

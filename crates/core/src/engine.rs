@@ -33,7 +33,6 @@ use idq_index::{CompositeIndex, IndexConfig};
 use idq_model::IndoorSpace;
 use idq_objects::{ObjectId, ObjectStore};
 use idq_query::QueryOptions;
-use idq_storage::codec::Cursor;
 use idq_storage::{FileBackend, StorageBackend, StorageError, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
@@ -207,11 +206,7 @@ impl IndoorEngine {
     ) -> Result<Self, EngineError> {
         let label = backend.label();
         let ckpt = load_checkpoint(&backend)?;
-        let mut c = Cursor::new(&ckpt.payload);
-        let decoded = wire::take_engine_checkpoint(&mut c).and_then(|parts| {
-            c.finish("checkpoint payload")?;
-            Ok(parts)
-        });
+        let decoded = wire::decode_checkpoint(&ckpt.payload);
         let (space, store, max_radius) = decoded.map_err(|cause| EngineError::Recovery {
             path: label.clone(),
             epoch: ckpt.epoch,
@@ -283,13 +278,8 @@ impl IndoorEngine {
             let mut updates = Vec::new();
             let mut logged_inserted = Vec::new();
             for record in group {
-                let mut c = Cursor::new(&record.payload);
-                let batch = wire::take_batch(&mut c)
-                    .and_then(|b| {
-                        c.finish("wal batch")?;
-                        Ok(b)
-                    })
-                    .map_err(|cause| EngineError::Recovery {
+                let batch =
+                    wire::decode_batch(&record.payload).map_err(|cause| EngineError::Recovery {
                         path: label.to_string(),
                         epoch,
                         cause,
@@ -1128,9 +1118,8 @@ mod tests {
             use idq_storage::{SyncPolicy, Wal};
             let (mut wal, _) =
                 Wal::open(Arc::clone(&backend), SyncPolicy::Always, 1 << 20).unwrap();
-            let mut payload = Vec::new();
-            wire::put_batch_parts(&mut payload, &[], &[]);
-            wal.append_commit(9, &[payload]).unwrap();
+            wal.append_commit(9, &[wire::encode_batch(&[], &[])])
+                .unwrap();
         }
         let err = IndoorEngine::recover_with(backend, EngineConfig::default(), opts).unwrap_err();
         match err {
@@ -1143,13 +1132,55 @@ mod tests {
     }
 
     #[test]
+    fn recovery_rejects_a_record_of_another_format_version() {
+        use idq_storage::{MemBackend, SyncPolicy, Wal};
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let opts = DurabilityOptions {
+            checkpoint_every: 0,
+            ..DurabilityOptions::default()
+        };
+        let next = {
+            let mut e = IndoorEngine::open_with(
+                Arc::clone(&backend),
+                three_rooms(),
+                EngineConfig::default(),
+                opts,
+            )
+            .unwrap();
+            insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
+            e.epoch() + 1
+        };
+        // Forge the next epoch's record with a wrong version byte.
+        {
+            let (mut wal, _) =
+                Wal::open(Arc::clone(&backend), SyncPolicy::Always, 1 << 20).unwrap();
+            let mut payload = wire::encode_batch(&[], &[]);
+            payload[0] = wire::FORMAT - 1;
+            wal.append_commit(next, &[payload]).unwrap();
+        }
+        let err = IndoorEngine::recover_with(backend, EngineConfig::default(), opts).unwrap_err();
+        match err {
+            EngineError::Recovery { epoch, cause, .. } => {
+                assert_eq!(epoch, next);
+                assert_eq!(
+                    cause,
+                    StorageError::Decode {
+                        what: "wal format version",
+                        offset: 0
+                    }
+                );
+            }
+            other => panic!("expected a recovery error, got {other}"),
+        }
+    }
+
+    #[test]
     fn recovery_rejects_a_log_or_checkpoint_that_strands_an_object() {
         use idq_storage::{write_checkpoint, MemBackend, SyncPolicy, Wal};
         let space = three_rooms();
         let durable = |store: &ObjectStore, epoch: u64| {
             let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-            let mut payload = Vec::new();
-            wire::put_engine_checkpoint(&mut payload, &space, store, 0.0);
+            let payload = wire::encode_checkpoint(&space, store, 0.0);
             write_checkpoint(&backend, epoch, &payload).unwrap();
             backend
         };
@@ -1170,8 +1201,7 @@ mod tests {
             },
             Update::DeletePartition(room.unwrap()),
         ];
-        let mut payload = Vec::new();
-        wire::put_batch_parts(&mut payload, &batch, &[ObjectId(0)]);
+        let payload = wire::encode_batch(&batch, &[ObjectId(0)]);
         let (mut wal, _) = Wal::open(Arc::clone(&backend), SyncPolicy::Always, 1 << 20).unwrap();
         wal.append_commit(1, &[payload]).unwrap();
         drop(wal);

@@ -176,8 +176,6 @@ impl EngineState {
     /// version — versions are immutable, so checkpointing runs
     /// concurrently with committing writers.
     pub(crate) fn encode_checkpoint(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        crate::wire::put_engine_checkpoint(&mut buf, &self.space, &self.store, self.max_radius);
-        buf
+        crate::wire::encode_checkpoint(&self.space, &self.store, self.max_radius)
     }
 }

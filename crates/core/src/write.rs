@@ -1093,9 +1093,7 @@ impl WriteHandle {
                         .iter()
                         .filter_map(UpdateOutcome::inserted_object)
                         .collect();
-                    let mut buf = Vec::new();
-                    crate::wire::put_batch_parts(&mut buf, updates, &inserted);
-                    buf
+                    crate::wire::encode_batch(updates, &inserted)
                 })
                 .collect();
             if let Err(e) = durability.log_group(epoch, &payloads) {

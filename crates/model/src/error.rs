@@ -42,6 +42,10 @@ pub enum ModelError {
     BadMerge(PartitionId, PartitionId),
     /// Operation valid only on the given partition kind.
     WrongKind(PartitionId),
+    /// Raw arenas no sequence of operations could have built
+    /// ([`crate::IndoorSpace::from_wire_parts`]); names the violated
+    /// invariant.
+    InconsistentParts(&'static str),
 }
 
 impl std::fmt::Display for ModelError {
@@ -76,6 +80,7 @@ impl std::fmt::Display for ModelError {
             ModelError::BadSplit(p) => write!(f, "split line misses interior of {p}"),
             ModelError::BadMerge(a, b) => write!(f, "cannot merge {a} and {b}"),
             ModelError::WrongKind(p) => write!(f, "operation not valid for kind of {p}"),
+            ModelError::InconsistentParts(what) => write!(f, "inconsistent space parts: {what}"),
         }
     }
 }

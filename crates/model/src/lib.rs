@@ -29,7 +29,6 @@ pub mod partition;
 pub mod point;
 pub mod space;
 pub mod topology;
-pub mod wire;
 
 pub use builder::FloorPlanBuilder;
 pub use door::{Direction, Door, DoorKind};

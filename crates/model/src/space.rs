@@ -494,24 +494,18 @@ impl IndoorSpace {
         Ok(())
     }
 
-    // ---- wire access (crate-private) ----------------------------------------
-    //
-    // The durability codec (`crate::wire`) serializes the raw arenas —
-    // tombstones included, ids are arena indices — and reconstructs the
-    // space without replaying its construction. These accessors exist so
-    // the arena fields can stay module-private.
-
     /// The raw partition arena, tombstones included, in id order.
-    pub(crate) fn raw_partitions(&self) -> &[Partition] {
+    pub fn raw_partitions(&self) -> &[Partition] {
         &self.partitions
     }
 
     /// The raw door arena, tombstones included, in id order.
-    pub(crate) fn raw_doors(&self) -> &[Door] {
+    pub fn raw_doors(&self) -> &[Door] {
         &self.doors
     }
 
-    /// Rebuilds a space from serialized arenas.
+    /// Rebuilds a space from its raw arenas, as the durable checkpoint
+    /// stores them, without replaying its construction.
     ///
     /// `per_floor` is derived, not stored: walking the arena in id order
     /// and filing each active partition under its floors reproduces the
@@ -520,24 +514,48 @@ impl IndoorSpace {
     /// order). `num_floors` *is* stored — the per-floor table never
     /// shrinks when a top floor's partitions retire, and
     /// `FloorOutOfSpace` validation depends on its length.
-    pub(crate) fn from_wire_parts(
+    ///
+    /// Fails with [`ModelError::InconsistentParts`] naming the first
+    /// violated invariant: `"space floor count"` (more floors than a
+    /// [`Floor`] numbers), `"partition arena order"` / `"door arena
+    /// order"` (an entity outside its id's slot), `"partition floors"`
+    /// (reversed, or at or above `num_floors`), `"partition door id"` /
+    /// `"door partition id"` (a reference past the other arena's end).
+    pub fn from_wire_parts(
         partitions: Vec<Partition>,
         doors: Vec<Door>,
         floor_height: f64,
         stair_walk_factor: f64,
         num_floors: usize,
         version: u64,
-    ) -> Self {
+    ) -> Result<Self, ModelError> {
+        let check = |violated: bool, what| match violated {
+            true => Err(ModelError::InconsistentParts(what)),
+            false => Ok(()),
+        };
+        let (np, nd) = (partitions.len(), doors.len());
+        check(num_floors > Floor::MAX as usize + 1, "space floor count")?;
+        let misplaced = partitions
+            .iter()
+            .enumerate()
+            .any(|(i, p)| p.id.index() != i);
+        check(misplaced, "partition arena order")?;
+        let misplaced = doors.iter().enumerate().any(|(i, d)| d.id.index() != i);
+        check(misplaced, "door arena order")?;
+        let bad_floors =
+            |p: &Partition| p.floor_lo > p.floor_hi || p.floor_hi as usize >= num_floors;
+        check(partitions.iter().any(bad_floors), "partition floors")?;
+        let dangling = |p: &Partition| p.doors.iter().any(|d| d.index() >= nd);
+        check(partitions.iter().any(dangling), "partition door id")?;
+        let dangling = |d: &Door| d.partitions.iter().any(|p| p.index() >= np);
+        check(doors.iter().any(dangling), "door partition id")?;
         let mut per_floor: Vec<Vec<PartitionId>> = vec![Vec::new(); num_floors];
         for p in partitions.iter().filter(|p| p.active) {
             for f in p.floor_lo..=p.floor_hi {
-                if per_floor.len() <= f as usize {
-                    per_floor.resize(f as usize + 1, Vec::new());
-                }
                 per_floor[f as usize].push(p.id);
             }
         }
-        IndoorSpace {
+        Ok(IndoorSpace {
             partitions,
             doors,
             floor_height,
@@ -545,7 +563,7 @@ impl IndoorSpace {
             per_floor,
             version,
             layout_id: fresh_layout_id(),
-        }
+        })
     }
 
     // ---- diagnostics --------------------------------------------------------
@@ -609,6 +627,38 @@ mod tests {
             .unwrap();
         let d = b.add_door_between(a, c, Point2::new(10.0, 5.0)).unwrap();
         (b.finish().unwrap(), a, c, d)
+    }
+
+    #[test]
+    fn from_wire_parts_refuses_inconsistent_arenas() {
+        let (s, ..) = two_rooms();
+        let n = s.num_floors();
+        let rebuild = |edit: &dyn Fn(&mut Vec<Partition>, &mut Vec<Door>), floors: usize| {
+            let (mut ps, mut ds) = (s.raw_partitions().to_vec(), s.raw_doors().to_vec());
+            edit(&mut ps, &mut ds);
+            IndoorSpace::from_wire_parts(ps, ds, 4.0, s.stair_walk_factor(), floors, s.version())
+        };
+        let refused = |edit: &dyn Fn(&mut Vec<Partition>, &mut Vec<Door>), floors| match rebuild(
+            edit, floors,
+        ) {
+            Err(ModelError::InconsistentParts(what)) => what,
+            other => panic!("expected a refusal, got {:?}", other.map(|s| s.version())),
+        };
+        let rebuilt = rebuild(&|_, _| {}, n).unwrap();
+        assert_eq!(rebuilt.partitions_on_floor(0), s.partitions_on_floor(0));
+        let too_many = Floor::MAX as usize + 2;
+        assert_eq!(refused(&|_, _| {}, too_many), "space floor count");
+        assert_eq!(refused(&|p, _| p.swap(0, 1), n), "partition arena order");
+        assert_eq!(refused(&|_, d| d[0].id = DoorId(9), n), "door arena order");
+        assert_eq!(refused(&|p, _| p[1].floor_hi = 1, n), "partition floors");
+        assert_eq!(
+            refused(&|p, _| p[0].doors.push(DoorId(9)), n),
+            "partition door id"
+        );
+        assert_eq!(
+            refused(&|_, d| d[0].partitions[1] = PartitionId(9), n),
+            "door partition id"
+        );
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod sampler;
 pub mod shards;
 pub mod store;
 pub mod subregion;
-pub mod wire;
 
 pub use error::ObjectError;
 pub use object::{Instance, ObjectId, UncertainObject};

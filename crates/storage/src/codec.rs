@@ -4,7 +4,11 @@
 //! byte in this workspace goes through these helpers: little-endian
 //! integers, `f64` via its IEEE-754 bit pattern (bit-exact round-trip, the
 //! property the digest oracles depend on), length-prefixed UTF-8 strings,
-//! and CRC32 (IEEE polynomial) for frame validation.
+//! and CRC32 (IEEE polynomial) for frame validation. Three combinators
+//! build every composite: [`put_seq`] (a `u64` count, then the items),
+//! [`put_opt`] (a `bool` flag, then the value if present) and [`put_tag`]
+//! (a fieldless enum as its `u8` index in a table of its variants), each
+//! with its `Cursor::take_*` twin.
 
 use crate::error::StorageError;
 
@@ -39,6 +43,34 @@ pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
 pub fn put_str(buf: &mut Vec<u8>, v: &str) {
     put_usize(buf, v.len());
     buf.extend_from_slice(v.as_bytes());
+}
+
+/// A length-prefixed list: the item count, then each item via `put`.
+pub fn put_seq<I>(buf: &mut Vec<u8>, items: I, mut put: impl FnMut(&mut Vec<u8>, I::Item))
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
+    put_usize(buf, items.len());
+    for item in items {
+        put(buf, item);
+    }
+}
+
+/// An optional value: a presence flag, then the value via `put`.
+pub fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(buf, v.is_some());
+    if let Some(v) = v {
+        put(buf, v);
+    }
+}
+
+/// A fieldless enum value as its `u8` index in `table`, which lists every
+/// variant once.
+pub fn put_tag<T: PartialEq>(buf: &mut Vec<u8>, table: &[T], v: T) {
+    let tag = table.iter().position(|t| *t == v);
+    put_u8(buf, tag.expect("the tag table lists every variant") as u8);
 }
 
 // --- decoding -------------------------------------------------------------
@@ -117,7 +149,7 @@ impl<'a> Cursor<'a> {
     /// A `usize` that will be used as a collection length: additionally
     /// bounded by the bytes remaining so a corrupt length cannot trigger
     /// an OOM-sized allocation before the decode fails.
-    pub fn take_len(&mut self, what: &'static str) -> Result<usize, StorageError> {
+    fn take_len(&mut self, what: &'static str) -> Result<usize, StorageError> {
         let v = self.take_usize(what)?;
         if v > self.remaining() {
             return Err(StorageError::Decode {
@@ -153,9 +185,49 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    pub fn take_bytes(&mut self, what: &'static str) -> Result<&'a [u8], StorageError> {
-        let len = self.take_len(what)?;
-        self.take(len, what)
+    /// A list written by [`put_seq`]; `what` names its count. The first
+    /// reservation is capped by the bytes left, so a forged count costs
+    /// memory in proportion to the payload, not to the count times the
+    /// item size.
+    pub fn take_seq<T>(
+        &mut self,
+        what: &'static str,
+        mut take: impl FnMut(&mut Self) -> Result<T, StorageError>,
+    ) -> Result<Vec<T>, StorageError> {
+        let n = self.take_len(what)?;
+        let cap = n.min(self.remaining() / std::mem::size_of::<T>().max(1));
+        let mut items = Vec::with_capacity(cap);
+        for _ in 0..n {
+            items.push(take(self)?);
+        }
+        Ok(items)
+    }
+
+    /// An optional value written by [`put_opt`]; `what` names its flag.
+    pub fn take_opt<T>(
+        &mut self,
+        what: &'static str,
+        take: impl FnOnce(&mut Self) -> Result<T, StorageError>,
+    ) -> Result<Option<T>, StorageError> {
+        if self.take_bool(what)? {
+            take(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A fieldless enum written by [`put_tag`] with the same `table`.
+    pub fn take_tag<T: Copy>(
+        &mut self,
+        what: &'static str,
+        table: &[T],
+    ) -> Result<T, StorageError> {
+        let at = self.pos;
+        let tag = self.take_u8(what)?;
+        table
+            .get(tag as usize)
+            .copied()
+            .ok_or(StorageError::Decode { what, offset: at })
     }
 }
 
@@ -256,6 +328,33 @@ mod tests {
         assert!(c.take_f64("t").unwrap().is_nan());
         assert!(c.take_bool("t").unwrap());
         assert_eq!(c.take_str("t").unwrap(), "hällo");
+        c.finish("t").unwrap();
+    }
+
+    #[test]
+    fn combinators_round_trip_and_name_their_field() {
+        const TAGS: [char; 3] = ['a', 'b', 'c'];
+        let mut buf = Vec::new();
+        put_seq(&mut buf, [3u32, 4], put_u32);
+        put_opt(&mut buf, Some("x"), put_str);
+        put_opt(&mut buf, None::<&str>, put_str);
+        put_tag(&mut buf, &TAGS, 'c');
+        put_u8(&mut buf, 3);
+        let mut c = Cursor::new(&buf);
+        assert_eq!(c.take_seq("n", |c| c.take_u32("v")).unwrap(), [3, 4]);
+        let s = c.take_opt("o", |c| c.take_str("s")).unwrap();
+        assert_eq!(s.as_deref(), Some("x"));
+        assert_eq!(c.take_opt("o", |c| c.take_str("s")).unwrap(), None);
+        assert_eq!(c.take_tag("t", &TAGS).unwrap(), 'c');
+        let at = c.pos();
+        let err = c.take_tag("t", &TAGS).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::Decode {
+                what: "t",
+                offset: at
+            }
+        );
         c.finish("t").unwrap();
     }
 

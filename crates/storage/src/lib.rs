@@ -7,8 +7,9 @@
 //! - [`StorageBackend`] — a pluggable, thread-safe blob-file namespace
 //!   ([`FileBackend`] on a real filesystem, [`MemBackend`] for tests with
 //!   byte-accurate crash simulation via [`MemBackend::crashed`]).
-//! - [`codec`] — hand-rolled little-endian primitives plus CRC32, shared
-//!   by the domain codecs in `idq-model` / `idq-objects` / `idq-core`.
+//! - [`codec`] — hand-rolled little-endian primitives, the sequence /
+//!   option / enum-tag combinators, and CRC32. The payload format built
+//!   on them is specified in one place, `idq_core::wire`.
 //! - [`Wal`] — a segmented append-only log of commit groups with a
 //!   configurable [`SyncPolicy`], torn-tail tolerant scanning, and prefix
 //!   truncation once a checkpoint covers the segments.

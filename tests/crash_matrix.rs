@@ -284,8 +284,7 @@ fn logged_but_unpublished_group_replays_on_recovery() {
         floor: 0,
         seed: 42,
     };
-    let mut payload = Vec::new();
-    wire::put_batch_parts(&mut payload, std::slice::from_ref(&update), &[]);
+    let payload = wire::encode_batch(std::slice::from_ref(&update), &[]);
     {
         let (mut wal, _) = Wal::open(
             Arc::new(backend.clone()),
