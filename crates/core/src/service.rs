@@ -354,7 +354,7 @@ impl IndoorService {
     }
 
     /// Registers a standing query with explicit, **frozen** query options
-    /// (ablations, exact refinement…): evaluates it once on the latest
+    /// (ablations, a tighter slack…): evaluates it once on the latest
     /// committed version (the [`Subscription::initial`] result) and has
     /// every subsequent commit that can affect it routed to it, so the
     /// subscription stays current without re-running the query. See
@@ -724,7 +724,10 @@ mod tests {
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         // Frozen zero-slack options keep the candidate footprint to the
         // query's own room inside this small floorplan.
-        let tight = QueryOptions::builder().subgraph_slack(0.0).build();
+        let tight = QueryOptions {
+            subgraph_slack: 0.0,
+            ..QueryOptions::default()
+        };
         let mut sub = service
             .subscribe_with(Query::Range { q, r: 5.0 }, tight)
             .unwrap();

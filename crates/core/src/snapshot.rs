@@ -202,7 +202,7 @@ mod tests {
         assert!(base.options().use_pruning);
         let ablated = base
             .clone()
-            .with_options(QueryOptions::builder().pruning(false).build());
+            .with_options(QueryOptions::default().without_pruning());
         let out = ablated.execute(&Query::Range { q, r: 20.0 }).unwrap();
         assert_eq!(out.as_range().unwrap().stats.accepted_by_bounds, 0);
         // The engine's snapshot carries the effective options: slack

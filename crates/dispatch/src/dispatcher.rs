@@ -660,7 +660,10 @@ mod tests {
     /// Tight options so footprints stay local inside the small test
     /// floorplan (the default 60 m slack would cover every room).
     fn tight() -> QueryOptions {
-        QueryOptions::builder().subgraph_slack(0.0).build()
+        QueryOptions {
+            subgraph_slack: 0.0,
+            ..QueryOptions::default()
+        }
     }
 
     fn place(

@@ -183,23 +183,6 @@ pub struct RowFetch {
     pub evicted: usize,
 }
 
-/// A point-in-time copy of the cache counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheCounters {
-    /// Row requests served (hits + misses).
-    pub lookups: u64,
-    /// Requests covered by a resident row.
-    pub hits: u64,
-    /// Requests that had to expand a row.
-    pub misses: u64,
-    /// Rows evicted by the byte budget.
-    pub evictions: u64,
-    /// Approximate resident bytes across all shards.
-    pub bytes: u64,
-    /// Resident rows across all shards.
-    pub rows: usize,
-}
-
 struct CacheEntry {
     row: Arc<DoorRow>,
     last_used: u64,
@@ -220,10 +203,6 @@ struct Shard {
 pub struct DistanceCache {
     shards: Vec<Mutex<Shard>>,
     tick: AtomicU64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
     bytes: AtomicU64,
 }
 
@@ -235,10 +214,6 @@ impl DistanceCache {
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             tick: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         }
     }
@@ -250,7 +225,8 @@ impl DistanceCache {
     ///
     /// The returned row may be wider than requested — callers must read
     /// it through [`DoorRow::entries_within`] at their *requested*
-    /// horizon so results stay independent of cache state.
+    /// horizon so results stay independent of cache state. The
+    /// [`RowFetch`] receipt is the only count of the call's traffic.
     pub fn row(
         &self,
         graph: &DoorsGraph,
@@ -258,7 +234,6 @@ impl DistanceCache {
         horizon: f64,
         max_bytes: usize,
     ) -> (Arc<DoorRow>, RowFetch) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[src.index() % SHARD_COUNT];
 
@@ -270,7 +245,6 @@ impl DistanceCache {
         {
             if e.row.horizon() >= horizon {
                 e.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return (
                     Arc::clone(&e.row),
                     RowFetch {
@@ -283,7 +257,6 @@ impl DistanceCache {
 
         // Miss: expand outside the lock at the quantized band, so other
         // doors in the shard stay available while we run Dijkstra.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let band = band_for(horizon);
         let fresh = Arc::new(DoorRow::expand(graph, src, band));
         let fresh_bytes = fresh.approx_bytes();
@@ -339,9 +312,6 @@ impl DistanceCache {
                 evicted += 1;
             }
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
         (
             fresh,
             RowFetch {
@@ -356,24 +326,6 @@ impl DistanceCache {
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
-
-    /// Snapshot of the counters (takes each shard lock once for the row
-    /// count).
-    pub fn counters(&self) -> CacheCounters {
-        let rows = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").rows.len())
-            .sum();
-        CacheCounters {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            rows,
-        }
-    }
 }
 
 impl Default for DistanceCache {
@@ -384,15 +336,9 @@ impl Default for DistanceCache {
 
 impl std::fmt::Debug for DistanceCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let c = self.counters();
         f.debug_struct("DistanceCache")
-            .field("rows", &c.rows)
-            .field("bytes", &c.bytes)
-            .field("lookups", &c.lookups)
-            .field("hits", &c.hits)
-            .field("misses", &c.misses)
-            .field("evictions", &c.evictions)
-            .finish()
+            .field("bytes", &self.bytes())
+            .finish_non_exhaustive()
     }
 }
 
@@ -402,10 +348,10 @@ mod tests {
     use idq_geom::{Point2, Rect2};
     use idq_model::{FloorPlanBuilder, IndoorSpace, PartitionId};
 
-    /// A 1×6 corridor of 10 m rooms with doors at shared-wall midpoints.
-    fn corridor() -> (IndoorSpace, DoorsGraph, Vec<DoorId>) {
+    /// A 1×`n` corridor of 10 m rooms with doors at shared-wall midpoints.
+    fn corridor(n: usize) -> (IndoorSpace, DoorsGraph, Vec<DoorId>) {
         let mut b = FloorPlanBuilder::new(4.0);
-        let rooms: Vec<PartitionId> = (0..6)
+        let rooms: Vec<PartitionId> = (0..n)
             .map(|i| {
                 b.add_room(
                     0,
@@ -414,7 +360,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let doors: Vec<DoorId> = (0..5)
+        let doors: Vec<DoorId> = (0..n - 1)
             .map(|i| {
                 b.add_door_between(
                     rooms[i],
@@ -429,6 +375,30 @@ mod tests {
         (s, g, doors)
     }
 
+    /// Resident rows and the sum of their `approx_bytes` across shards.
+    fn resident(cache: &DistanceCache) -> (usize, u64) {
+        cache.shards.iter().fold((0, 0), |(rows, bytes), s| {
+            let s = s.lock().unwrap();
+            let sum: usize = s.rows.values().map(|e| e.row.approx_bytes()).sum();
+            assert_eq!(s.bytes, sum, "shard byte count");
+            (rows + s.rows.len(), bytes + sum as u64)
+        })
+    }
+
+    /// Asserts `row` read at `h` is a fresh expansion at `h`, bit for bit.
+    fn reads_as_fresh(g: &DoorsGraph, d: DoorId, row: &DoorRow, h: f64) {
+        let fresh = DoorRow::expand(g, d, h);
+        let got: Vec<_> = row
+            .entries_within(h)
+            .map(|(v, x)| (v, x.to_bits()))
+            .collect();
+        let want: Vec<_> = fresh
+            .entries_within(h)
+            .map(|(v, x)| (v, x.to_bits()))
+            .collect();
+        assert_eq!(got, want, "row of {d:?} read at {h}");
+    }
+
     #[test]
     fn band_grid_quantizes_up() {
         assert_eq!(band_for(0.0), 32.0);
@@ -441,7 +411,7 @@ mod tests {
 
     #[test]
     fn truncated_expansion_is_a_prefix_of_the_complete_row() {
-        let (_, g, doors) = corridor();
+        let (_, g, doors) = corridor(6);
         let full = DoorRow::expand(&g, doors[0], f64::INFINITY);
         let short = DoorRow::expand(&g, doors[0], 25.0);
         // Doors along the corridor from doors[0]: itself at 0, then 10, 20, ...
@@ -458,7 +428,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let (_, g, doors) = corridor();
+        let (_, g, doors) = corridor(6);
         let cache = DistanceCache::new();
         let budget = usize::MAX;
         let (_, f) = cache.row(&g, doors[0], 20.0, budget);
@@ -468,18 +438,17 @@ mod tests {
         // A request under the resident band is still a hit.
         let (_, f) = cache.row(&g, doors[0], 5.0, budget);
         assert!(f.hit);
-        let c = cache.counters();
-        assert_eq!(c.lookups, 3);
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.misses, 1);
-        assert_eq!(c.rows, 1);
-        assert!(c.bytes > 0);
-        assert_eq!(c.bytes, cache.bytes());
+        assert_eq!(f.evicted, 0);
+        // The one miss left one resident row, and the byte gauge counts it.
+        let (rows, bytes) = resident(&cache);
+        assert_eq!(rows, 1);
+        assert!(bytes > 0);
+        assert_eq!(bytes, cache.bytes());
     }
 
     #[test]
     fn wider_request_promotes_the_row() {
-        let (_, g, doors) = corridor();
+        let (_, g, doors) = corridor(6);
         let cache = DistanceCache::new();
         let budget = usize::MAX;
         let (row, _) = cache.row(&g, doors[0], 20.0, budget);
@@ -491,21 +460,24 @@ mod tests {
         let (row, f) = cache.row(&g, doors[0], 20.0, budget);
         assert!(f.hit);
         assert_eq!(row.horizon(), 64.0);
-        assert_eq!(cache.counters().rows, 1);
+        assert_eq!(resident(&cache), (1, row.approx_bytes() as u64));
+        assert_eq!(cache.bytes(), row.approx_bytes() as u64);
     }
 
     #[test]
     fn tiny_budget_evicts_lru_rows() {
-        let (_, g, doors) = corridor();
+        let (_, g, doors) = corridor(6);
         let cache = DistanceCache::new();
         // Budget so small every shard holds at most ~one row.
-        for &d in &doors {
-            cache.row(&g, d, f64::INFINITY, 1);
-        }
-        let c = cache.counters();
-        // Doors sharing a shard evicted each other; nothing exceeds one
-        // row per touched shard.
-        assert!(c.evictions > 0 || c.rows == doors.len());
+        let evicted: usize = doors
+            .iter()
+            .map(|&d| cache.row(&g, d, f64::INFINITY, 1).1.evicted)
+            .sum();
+        let (rows, bytes) = resident(&cache);
+        assert_eq!(bytes, cache.bytes());
+        // Doors sharing a shard evicted each other: every expanded row is
+        // resident or was evicted, and no shard holds more than one.
+        assert_eq!(rows + evicted, doors.len());
         for s in &cache.shards {
             assert!(s.lock().unwrap().rows.len() <= 1);
         }
@@ -516,7 +488,7 @@ mod tests {
 
     #[test]
     fn rows_match_a_full_dijkstra_bitwise() {
-        let (_, g, doors) = corridor();
+        let (_, g, doors) = corridor(6);
         let cache = DistanceCache::new();
         let (row, _) = cache.row(&g, doors[2], f64::INFINITY, usize::MAX);
         // Reference: an independent complete expansion.
@@ -534,5 +506,45 @@ mod tests {
         assert_eq!(by_door[&doors[2].0], 0.0);
         assert!((by_door[&doors[1].0] - 10.0).abs() < 1e-9);
         assert!((by_door[&doors[4].0] - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_door_read_as_fresh_expansions() {
+        // A long corridor and wide horizons make every expansion slow
+        // enough that threads released together miss together and race
+        // to install their rows, in either order.
+        let (_, g, doors) = corridor(1000);
+        let d = doors[0];
+        let horizons = [1000.0, 2500.0, 5000.0, f64::INFINITY, 3000.0, 7000.0];
+        for round in 0..64 {
+            let cache = DistanceCache::new();
+            let start = std::sync::Barrier::new(4);
+            let widest = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..4)
+                    .map(|t| {
+                        let h = horizons[(round + t) % horizons.len()];
+                        let (cache, g, start) = (&cache, &g, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            let (row, _) = cache.row(g, d, h, usize::MAX);
+                            reads_as_fresh(g, d, &row, h);
+                            row.horizon()
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|t| t.join().unwrap())
+                    .fold(0.0, f64::max)
+            });
+            // Whatever order the rows were installed in, the widest stayed.
+            let (row, f) = cache.row(&g, d, widest, usize::MAX);
+            assert!(f.hit, "round {round}");
+            assert_eq!(row.horizon(), widest, "round {round}");
+            reads_as_fresh(&g, d, &row, widest);
+            let (rows, bytes) = resident(&cache);
+            assert_eq!(rows, 1);
+            assert_eq!(bytes, cache.bytes());
+        }
     }
 }

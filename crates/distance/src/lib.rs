@@ -31,7 +31,7 @@ pub use bounds::{
     lemma5_bounds, markov_lower, object_bounds, subregion_bounds, BoundKind, ObjectBounds,
     SubregionBounds,
 };
-pub use cache::{band_for, CacheCounters, DistanceCache, DoorRow, RowFetch};
+pub use cache::{band_for, DistanceCache, DoorRow, RowFetch};
 pub use dijkstra::DoorDistances;
 pub use error::DistanceError;
 pub use expected::{expected_indoor_distance, DistanceCase, ExpectedDistance};

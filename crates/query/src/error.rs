@@ -13,6 +13,8 @@ pub enum QueryError {
     ZeroK,
     /// The range must be non-negative and finite.
     BadRange(f64),
+    /// `QueryOptions::subgraph_slack` must be non-negative and finite.
+    BadSlack(f64),
 }
 
 impl std::fmt::Display for QueryError {
@@ -23,6 +25,7 @@ impl std::fmt::Display for QueryError {
             QueryError::Object(e) => write!(f, "object error: {e}"),
             QueryError::ZeroK => write!(f, "k must be at least 1"),
             QueryError::BadRange(r) => write!(f, "invalid query range {r}"),
+            QueryError::BadSlack(s) => write!(f, "invalid subgraph slack {s}"),
         }
     }
 }
@@ -55,5 +58,6 @@ mod tests {
     fn errors_render() {
         assert!(QueryError::ZeroK.to_string().contains('1'));
         assert!(QueryError::BadRange(-3.0).to_string().contains("-3"));
+        assert!(QueryError::BadSlack(f64::NAN).to_string().contains("NaN"));
     }
 }

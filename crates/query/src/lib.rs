@@ -21,11 +21,13 @@
 //! (the raw material of the paper's Figures 12–14).
 //!
 //! [`QueryOptions`] exposes the evaluation's ablation switches
-//! (`use_skeleton`, `use_pruning`) and the exactness controls discussed in
-//! `bounds`' soundness note; [`QueryOptions::builder`] constructs them
-//! fluently. The [`naive`] module provides the brute-force oracle, and
-//! [`precomputed`] the door-to-door pre-computation baseline the paper
-//! compares maintenance costs against (Fig. 15(d)).
+//! (`use_skeleton`, `use_pruning`), the subgraph slack discussed in
+//! `bounds`' soundness note and the shared cache's byte budget; change
+//! one with struct-update syntax or a helper such as
+//! [`QueryOptions::without_pruning`]. The [`naive`] module provides the
+//! brute-force oracle, and [`precomputed`] the door-to-door
+//! pre-computation baseline the paper compares maintenance costs against
+//! (Fig. 15(d)).
 //!
 //! The [`session`] module is the typed front door: a [`Query`] names any
 //! of the four query kinds (range, kNN, distance, path), [`execute`]
@@ -56,7 +58,7 @@ pub use iknn::{knn_query, KnnHit, KnnResult};
 pub use irq::{range_query, RangeHit, RangeResult};
 pub use monitor::{KnnMonitor, MonitorChange, RangeMonitor};
 pub use naive::{naive_knn, naive_range};
-pub use options::{QueryOptions, QueryOptionsBuilder};
+pub use options::QueryOptions;
 pub use precomputed::PrecomputedD2D;
 pub use session::{execute, execute_batch, DistanceResult, Outcome, PathResult, Query};
 pub use stats::QueryStats;

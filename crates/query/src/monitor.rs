@@ -187,7 +187,7 @@ impl RangeMonitor {
                     return Ok(b.upper <= r);
                 }
             }
-            Ok(ctx.refine(id, options)? <= r)
+            Ok(ctx.refine(id)? <= r)
         })?;
         let was_inside = self.inside.contains(&id);
         Ok(match (was_inside, inside_now) {
@@ -424,7 +424,7 @@ fn fold_update(
 ) -> Result<bool, QueryError> {
     if let Some(pos) = topk.iter().position(|&(_, m)| m == id) {
         let old = topk[pos].0;
-        let d = ctx.refine(id, options)?;
+        let d = ctx.refine(id)?;
         if !d.is_finite() || d > old {
             // A member worsened: objects the monitor never evaluated may
             // now beat the (grown) threshold. Re-verify.
@@ -433,7 +433,7 @@ fn fold_update(
         topk[pos].0 = d;
     } else if topk.len() < k {
         // Fewer than k reachable: every reachable object qualifies.
-        let d = ctx.refine(id, options)?;
+        let d = ctx.refine(id)?;
         if !d.is_finite() {
             return Ok(false);
         }
@@ -444,7 +444,7 @@ fn fold_update(
             // Cannot beat the kth even on a tie: d ≥ lower > dk.
             return Ok(false);
         }
-        let d = ctx.refine(id, options)?;
+        let d = ctx.refine(id)?;
         if !(d.is_finite() && (d < dk || (d == dk && id < idk))) {
             return Ok(false);
         }

@@ -1,5 +1,7 @@
 //! Query evaluation options and ablation switches.
 
+use crate::error::QueryError;
+
 /// Tuning knobs of the four-phase pipeline. The defaults reproduce the
 /// paper's full method; the switches implement its ablations:
 ///
@@ -7,6 +9,10 @@
 ///   lower bound ("withoutSkeleton", Fig. 15(a));
 /// * `use_pruning = false` → Phase 3 is skipped and every filtered
 ///   candidate is refined ("withoutPruning", Fig. 14(b)/(d)).
+///
+/// Change a knob with struct-update syntax
+/// (`QueryOptions { subgraph_slack: 0.0, ..QueryOptions::default() }`) or
+/// one of the helpers below.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryOptions {
     /// Use the skeleton tier's geometric lower bound in filtering.
@@ -18,25 +24,13 @@ pub struct QueryOptions {
     /// relevant shortest path can traverse. Covers the spread of an
     /// uncertainty region (instances reach up to a region diameter beyond
     /// the closest instance, plus indoor detours); see the soundness note
-    /// in `idq_distance::bounds`.
+    /// in `idq_distance::bounds`. Must be finite and non-negative.
     pub subgraph_slack: f64,
-    /// Refine with full-graph door distances instead of the restricted
-    /// subgraph (slower per query, immune to subgraph truncation; the
-    /// restricted mode already falls back per-object when truncation is
-    /// detectable).
-    pub exact_refinement: bool,
-    /// Serve door-distance rows from the shared, service-lifetime
-    /// [`idq_distance::DistanceCache`] that travels with the index's
-    /// geometry (on by default). Turning this off expands rows locally
-    /// per query — **bit-identical results** (both paths compose the
-    /// same truncated rows), just without cross-query reuse. The off
-    /// switch exists for memory-constrained deployments where even the
-    /// bounded cache footprint is unwelcome.
-    pub distance_cache: bool,
-    /// Approximate byte budget of the shared distance cache (default
-    /// 256 MiB). Past the budget, least-recently-used rows are evicted
-    /// at source-door granularity; eviction costs recompute on the next
-    /// touch, never correctness.
+    /// Approximate byte budget of the shared, service-lifetime
+    /// [`idq_distance::DistanceCache`] that serves every door-distance
+    /// row (default 256 MiB). Past the budget, least-recently-used rows
+    /// are evicted at source-door granularity; eviction costs recompute
+    /// on the next touch, never correctness.
     pub distance_cache_bytes: usize,
 }
 
@@ -46,18 +40,22 @@ impl Default for QueryOptions {
             use_skeleton: true,
             use_pruning: true,
             subgraph_slack: 60.0,
-            exact_refinement: false,
-            distance_cache: true,
             distance_cache_bytes: 256 << 20,
         }
     }
 }
 
 impl QueryOptions {
-    /// A builder starting from the defaults:
-    /// `QueryOptions::builder().skeleton(false).exact_refinement().build()`.
-    pub fn builder() -> QueryOptionsBuilder {
-        QueryOptionsBuilder::default()
+    /// Rejects a slack that is negative, infinite or NaN: a NaN horizon
+    /// would build an unrestricted but empty context and silently drop
+    /// answers.
+    pub(crate) fn check_slack(&self) -> Result<(), QueryError> {
+        let s = self.subgraph_slack;
+        if s.is_finite() && s >= 0.0 {
+            Ok(())
+        } else {
+            Err(QueryError::BadSlack(s))
+        }
     }
 
     /// Options with a slack adequate for a maximum uncertainty-region
@@ -84,86 +82,6 @@ impl QueryOptions {
             ..self
         }
     }
-
-    /// Forces full-graph refinement.
-    pub fn with_exact_refinement(self) -> Self {
-        QueryOptions {
-            exact_refinement: true,
-            ..self
-        }
-    }
-
-    /// Disables the shared distance cache (bit-identical results, no
-    /// cross-query reuse) — for memory-constrained deployments.
-    pub fn without_distance_cache(self) -> Self {
-        QueryOptions {
-            distance_cache: false,
-            ..self
-        }
-    }
-}
-
-/// Fluent construction of [`QueryOptions`], starting from the defaults.
-///
-/// The terminal [`QueryOptionsBuilder::build`] is infallible — every
-/// combination of switches is a valid configuration; the builder exists so
-/// call sites name exactly the knobs they change.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryOptionsBuilder {
-    options: QueryOptions,
-}
-
-impl QueryOptionsBuilder {
-    /// Enables/disables the skeleton tier's lower bound in filtering.
-    pub fn skeleton(mut self, on: bool) -> Self {
-        self.options.use_skeleton = on;
-        self
-    }
-
-    /// Enables/disables the Phase-3 bound pruning.
-    pub fn pruning(mut self, on: bool) -> Self {
-        self.options.use_pruning = on;
-        self
-    }
-
-    /// Sets the partition-retrieval slack (metres); see
-    /// [`QueryOptions::subgraph_slack`].
-    pub fn subgraph_slack(mut self, metres: f64) -> Self {
-        self.options.subgraph_slack = metres;
-        self
-    }
-
-    /// Widens the slack for a maximum uncertainty-region radius, like
-    /// [`QueryOptions::for_max_radius`].
-    pub fn max_radius(mut self, max_radius: f64) -> Self {
-        self.options.subgraph_slack = QueryOptions::for_max_radius(max_radius).subgraph_slack;
-        self
-    }
-
-    /// Forces full-graph refinement.
-    pub fn exact_refinement(mut self) -> Self {
-        self.options.exact_refinement = true;
-        self
-    }
-
-    /// Enables/disables the shared distance cache; see
-    /// [`QueryOptions::distance_cache`].
-    pub fn distance_cache(mut self, on: bool) -> Self {
-        self.options.distance_cache = on;
-        self
-    }
-
-    /// Sets the shared distance cache's byte budget; see
-    /// [`QueryOptions::distance_cache_bytes`].
-    pub fn distance_cache_bytes(mut self, bytes: usize) -> Self {
-        self.options.distance_cache_bytes = bytes;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> QueryOptions {
-        self.options
-    }
 }
 
 #[cfg(test)]
@@ -177,38 +95,5 @@ mod tests {
         assert!(!o.use_pruning);
         let o = QueryOptions::for_max_radius(15.0);
         assert!(o.subgraph_slack >= 80.0);
-        assert!(
-            QueryOptions::default()
-                .with_exact_refinement()
-                .exact_refinement
-        );
-        let o = QueryOptions::default().without_distance_cache();
-        assert!(!o.distance_cache);
-        assert!(QueryOptions::default().distance_cache, "on by default");
-    }
-
-    #[test]
-    fn builder_names_every_knob() {
-        let o = QueryOptions::builder()
-            .skeleton(false)
-            .pruning(false)
-            .subgraph_slack(75.0)
-            .exact_refinement()
-            .distance_cache(false)
-            .distance_cache_bytes(1 << 20)
-            .build();
-        assert!(!o.use_skeleton);
-        assert!(!o.use_pruning);
-        assert_eq!(o.subgraph_slack, 75.0);
-        assert!(o.exact_refinement);
-        assert!(!o.distance_cache);
-        assert_eq!(o.distance_cache_bytes, 1 << 20);
-        // Untouched knobs keep their defaults; max_radius mirrors
-        // for_max_radius.
-        assert_eq!(QueryOptions::builder().build(), QueryOptions::default());
-        assert_eq!(
-            QueryOptions::builder().max_radius(15.0).build(),
-            QueryOptions::for_max_radius(15.0)
-        );
     }
 }

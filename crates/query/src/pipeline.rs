@@ -18,21 +18,19 @@
 //!
 //! **Every** door-distance context here is
 //! assembled by [`DoorDistances::compute_banded`] — a composition of
-//! per-seed-door expansion rows — whether the rows come from the
-//! service-lifetime [`idq_distance::DistanceCache`] (the default) or are
-//! expanded locally (`distance_cache: false`). The two paths run the
-//! same arithmetic on the same row prefixes, which is what makes the
-//! off-switch bit-identical.
+//! per-seed-door expansion rows from the service-lifetime
+//! [`idq_distance::DistanceCache`]. Rows are read truncated at the
+//! requested horizon, so a context is the same bits whether its rows
+//! were resident or freshly expanded.
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
 use crate::stats::QueryStats;
-use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, DoorRow, ObjectBounds};
+use idq_distance::{expected_indoor_distance, object_bounds, DoorDistances, ObjectBounds};
 use idq_index::CompositeIndex;
 use idq_model::{IndoorPoint, IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore, SubregionSummary, UncertainObject};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Per-query evaluation context.
 ///
@@ -49,7 +47,6 @@ pub(crate) struct EvalContext<'a> {
     /// The horizon `dd` was assembled at.
     horizon: f64,
     full_dd: Option<DoorDistances>,
-    use_shared_cache: bool,
     cache_budget: usize,
     /// Work this context did, for [`EvalContext::drain_into`]: full-graph
     /// fallbacks, summary and refinement decompositions computed / reused,
@@ -58,48 +55,37 @@ pub(crate) struct EvalContext<'a> {
 }
 
 /// Assembles a door-distance context at `horizon` by composing per-door
-/// rows — from the shared cache when `use_shared` is set, freshly
-/// expanded otherwise. Both paths read rows truncated at the requested
-/// horizon, so the result is a pure function of `(q, horizon, geometry)`
-/// and the on/off switch is bit-neutral. `counters` accumulates the
-/// `shared_cache_*` traffic.
+/// rows of the index's shared cache. Rows are read truncated at the
+/// requested horizon, so the result is a pure function of
+/// `(q, horizon, geometry)` whatever the cache holds. `counters`
+/// accumulates the `shared_cache_*` traffic.
 fn assemble_dd(
     space: &IndoorSpace,
     index: &CompositeIndex,
     q: IndoorPoint,
     horizon: f64,
-    use_shared: bool,
     budget: usize,
     counters: &mut QueryStats,
 ) -> Result<DoorDistances, QueryError> {
-    let graph = index.doors_graph();
-    Ok(if use_shared {
-        let cache = index.distance_cache();
-        DoorDistances::compute_banded(space, graph, q, horizon, |g, d, h| {
-            let (row, fetch) = cache.row(g, d, h, budget);
-            counters.shared_cache_lookups += 1;
-            if fetch.hit {
-                counters.shared_cache_hits += 1;
-            } else {
-                counters.shared_cache_misses += 1;
-            }
-            counters.shared_cache_evictions += fetch.evicted;
-            row
-        })?
-    } else {
-        // Cache off: expand rows locally at exactly the requested
-        // horizon. Same composition, same truncated reads — bitwise the
-        // same context, minus the memoization.
-        DoorDistances::compute_banded(space, graph, q, horizon, |g, d, h| {
-            Arc::new(DoorRow::expand(g, d, h))
-        })?
-    })
+    let (graph, cache) = (index.doors_graph(), index.distance_cache());
+    let dd = DoorDistances::compute_banded(space, graph, q, horizon, |g, d, h| {
+        let (row, fetch) = cache.row(g, d, h, budget);
+        counters.shared_cache_lookups += 1;
+        if fetch.hit {
+            counters.shared_cache_hits += 1;
+        } else {
+            counters.shared_cache_misses += 1;
+        }
+        counters.shared_cache_evictions += fetch.evicted;
+        row
+    })?;
+    Ok(dd)
 }
 
 impl<'a> EvalContext<'a> {
     /// Builds the context, assembling door distances truncated at
     /// `horizon` (pass `f64::INFINITY` for a complete context) from the
-    /// shared distance cache per `options`.
+    /// shared distance cache, within `options`' byte budget.
     pub fn new(
         space: &'a IndoorSpace,
         store: &'a ObjectStore,
@@ -108,10 +94,9 @@ impl<'a> EvalContext<'a> {
         horizon: f64,
         options: &QueryOptions,
     ) -> Result<Self, QueryError> {
-        let use_shared = options.distance_cache;
         let budget = options.distance_cache_bytes;
         let mut delta = QueryStats::default();
-        let dd = assemble_dd(space, index, q, horizon, use_shared, budget, &mut delta)?;
+        let dd = assemble_dd(space, index, q, horizon, budget, &mut delta)?;
         Ok(EvalContext {
             delta,
             horizon,
@@ -140,7 +125,6 @@ impl<'a> EvalContext<'a> {
             self.index,
             self.q,
             horizon,
-            self.use_shared_cache,
             self.cache_budget,
             &mut self.delta,
         )?;
@@ -168,7 +152,6 @@ impl<'a> EvalContext<'a> {
             dd,
             horizon: f64::INFINITY,
             full_dd: None,
-            use_shared_cache: options.distance_cache,
             cache_budget: options.distance_cache_bytes,
             delta: QueryStats::default(),
         }
@@ -179,13 +162,11 @@ impl<'a> EvalContext<'a> {
         self.dd
     }
 
-    /// Adds the work this context counted to `stats`, and refreshes the
-    /// cache-size gauge: a query's last step.
+    /// Adds the work this context counted to `stats`: a query's last
+    /// step. It consumes the context, so the door distances are freed
+    /// before the caller builds its answer.
     pub fn drain_into(self, stats: &mut QueryStats) {
         stats.accumulate(&self.delta);
-        if self.use_shared_cache {
-            stats.shared_cache_bytes = self.index.distance_cache().bytes() as usize;
-        }
     }
 
     /// Phase-3 bounds for one object (Table III dispatch), from its
@@ -203,7 +184,6 @@ impl<'a> EvalContext<'a> {
                 self.index,
                 self.q,
                 f64::INFINITY,
-                self.use_shared_cache,
                 self.cache_budget,
                 &mut self.delta,
             )?);
@@ -220,21 +200,16 @@ impl<'a> EvalContext<'a> {
     /// equals the full-graph expected distance bit for bit, independent
     /// of the horizon. Callers compare it with their own radius or k-th
     /// distance.
-    pub fn refine(&mut self, id: ObjectId, options: &QueryOptions) -> Result<f64, QueryError> {
+    pub fn refine(&mut self, id: ObjectId) -> Result<f64, QueryError> {
         let (space, index) = (self.space, self.index);
         let obj = self.store.get(id)?;
         let (subs, computed) = obj.subregions(space, || object_partition_hint(index, id))?;
         tally(&mut self.delta, computed);
-        if !self.dd.is_restricted() {
-            return Ok(expected_indoor_distance(space, &self.dd, obj, &subs).value);
+        let e = expected_indoor_distance(space, &self.dd, obj, &subs);
+        if !self.dd.is_restricted() || e.max_instance_cost <= self.dd.exit_horizon() {
+            return Ok(e.value);
         }
-        if !options.exact_refinement {
-            let e = expected_indoor_distance(space, &self.dd, obj, &subs);
-            if e.max_instance_cost <= self.dd.exit_horizon() {
-                return Ok(e.value);
-            }
-            self.delta.full_graph_fallbacks += 1;
-        }
+        self.delta.full_graph_fallbacks += 1;
         Ok(expected_indoor_distance(space, self.full_dd()?, obj, &subs).value)
     }
 }
@@ -329,12 +304,12 @@ mod tests {
         let b = ctx.bounds(ObjectId(1)).unwrap();
         assert!(b.upper.is_infinite(), "banded bounds see no path");
         // Refinement falls back to the full graph.
-        let v = ctx.refine(ObjectId(1), &opts).unwrap();
+        let v = ctx.refine(ObjectId(1)).unwrap();
         assert!(v.is_finite());
         assert_eq!(ctx.delta.full_graph_fallbacks, 1);
         // The full value matches a complete context, bit for bit.
         let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
-        let fv = full.refine(ObjectId(1), &opts).unwrap();
+        let fv = full.refine(ObjectId(1)).unwrap();
         assert_eq!(v.to_bits(), fv.to_bits());
     }
 
@@ -365,24 +340,43 @@ mod tests {
         let mut ctx = EvalContext::new(&space, &store, &index, q, 30.0, &opts).unwrap();
         assert!(ctx.dd.is_restricted());
         assert_eq!(ctx.dd.exit_horizon(), 38.0);
-        let v = ctx.refine(ObjectId(1), &opts).unwrap();
+        let v = ctx.refine(ObjectId(1)).unwrap();
         assert!(v > 10.0, "{v}");
         assert_eq!(ctx.delta.full_graph_fallbacks, 0);
         let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
-        assert_eq!(
-            v.to_bits(),
-            full.refine(ObjectId(1), &opts).unwrap().to_bits()
-        );
+        assert_eq!(v.to_bits(), full.refine(ObjectId(1)).unwrap().to_bits());
     }
 
     #[test]
-    fn exact_refinement_option_uses_full_graph() {
+    fn a_bad_slack_is_an_error_not_an_empty_answer() {
+        // Object 1 lies about 24 m from q. A NaN slack used to build an
+        // unrestricted but empty context whose ∞ lower bounds pruned it:
+        // `Ok([])` instead of the answer.
         let (space, store, index) = setup();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        let opts = QueryOptions::default().with_exact_refinement();
-        let mut ctx = EvalContext::new(&space, &store, &index, q, 5.0, &opts).unwrap();
-        let v = ctx.refine(ObjectId(1), &opts).unwrap();
-        assert!(v.is_finite());
+        for slack in [60.0, 0.0] {
+            let opts = QueryOptions {
+                subgraph_slack: slack,
+                ..QueryOptions::default()
+            };
+            let range = crate::range_query(&space, &index, &store, q, 100.0, &opts).unwrap();
+            let ids: Vec<_> = range.results.iter().map(|h| h.object).collect();
+            assert_eq!(ids, [ObjectId(1)], "slack {slack}");
+            let knn = crate::knn_query(&space, &index, &store, q, 1, &opts).unwrap();
+            assert_eq!(knn.results[0].object, ObjectId(1), "slack {slack}");
+        }
+        for slack in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -50.0] {
+            let opts = QueryOptions {
+                subgraph_slack: slack,
+                ..QueryOptions::default()
+            };
+            let bits = slack.to_bits();
+            let bad = |e: QueryError| matches!(e, QueryError::BadSlack(s) if s.to_bits() == bits);
+            let range = crate::range_query(&space, &index, &store, q, 100.0, &opts);
+            assert!(bad(range.unwrap_err()), "range, slack {slack}");
+            let knn = crate::knn_query(&space, &index, &store, q, 1, &opts);
+            assert!(bad(knn.unwrap_err()), "kNN, slack {slack}");
+        }
     }
 
     #[test]
@@ -427,14 +421,14 @@ mod tests {
             (ctx.dd.exit_horizon() - 35.0).abs() < 1e-9,
             "trust bound = min seed weight (5) + horizon (30)"
         );
-        let v = ctx.refine(ObjectId(1), &opts).unwrap();
+        let v = ctx.refine(ObjectId(1)).unwrap();
         assert_eq!(
             ctx.delta.full_graph_fallbacks, 1,
             "an inexact value falls back"
         );
         let mut full = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         assert!(full.dd.exit_horizon().is_infinite());
-        let fv = full.refine(ObjectId(1), &opts).unwrap();
+        let fv = full.refine(ObjectId(1)).unwrap();
         assert_eq!(v.to_bits(), fv.to_bits(), "refined value is exact");
         // Truth: q → dAB (5) → dBC (√(40²+5²)) → object (√17).
         let truth = 5.0 + 1625f64.sqrt() + 17f64.sqrt();
@@ -461,22 +455,22 @@ mod tests {
         assert_eq!(counts(&ctx), (1, 1));
         // Each refinement rebuilds the decomposition from the filled memo
         // (a hit); the context keeps none.
-        ctx.refine(ObjectId(1), &opts).unwrap();
+        ctx.refine(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 2));
-        ctx.refine(ObjectId(1), &opts).unwrap();
+        ctx.refine(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 3));
 
         // The memo outlives the context.
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         ctx.bounds(ObjectId(1)).unwrap();
-        ctx.refine(ObjectId(1), &opts).unwrap();
+        ctx.refine(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (0, 2));
 
         // A refinement that finds the memo empty runs the kernel and
         // fills it for the bounds.
         let (space, store, index) = setup();
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
-        ctx.refine(ObjectId(1), &opts).unwrap();
+        ctx.refine(ObjectId(1)).unwrap();
         ctx.bounds(ObjectId(1)).unwrap();
         assert_eq!(counts(&ctx), (1, 1));
     }
@@ -508,7 +502,7 @@ mod tests {
             let mut ctx =
                 EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
             ctx.bounds(ObjectId(1)).unwrap();
-            let v = ctx.refine(ObjectId(1), &opts).unwrap();
+            let v = ctx.refine(ObjectId(1)).unwrap();
             let counts = (
                 ctx.delta.subregions_computed,
                 ctx.delta.subregion_cache_hits,
@@ -531,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_counters_and_off_switch() {
+    fn shared_cache_counters_and_fresh_index_agree() {
         let (space, store, index) = setup();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let opts = QueryOptions::default();
@@ -550,16 +544,11 @@ mod tests {
             ctx2.delta.shared_cache_lookups
         );
         assert_eq!(ctx2.delta.shared_cache_misses, 0);
-        // Off switch: no lookups at all, identical distances.
-        let off = QueryOptions::default().without_distance_cache();
-        let ctx3 = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &off).unwrap();
-        assert_eq!(ctx3.delta.shared_cache_lookups, 0);
-        assert_eq!(
-            ctx3.delta.shared_cache_hits
-                + ctx3.delta.shared_cache_misses
-                + ctx3.delta.shared_cache_evictions,
-            0
-        );
+        // A context on a fresh index expands every row anew and holds
+        // the same distances, bit for bit.
+        let (_, _, fresh) = setup();
+        let ctx3 = EvalContext::new(&space, &store, &fresh, q, f64::INFINITY, &opts).unwrap();
+        assert_eq!(ctx3.delta.shared_cache_hits, 0);
         for d in space.doors() {
             assert_eq!(
                 ctx3.dd.door_distance(d.id).to_bits(),

@@ -58,9 +58,6 @@ pub struct QueryStats {
     pub shared_cache_misses: usize,
     /// Rows the shared cache's byte budget evicted during this query.
     pub shared_cache_evictions: usize,
-    /// Approximate resident bytes of the shared distance cache after the
-    /// query — a gauge, not a per-query delta (0 when the cache is off).
-    pub shared_cache_bytes: usize,
 }
 
 impl QueryStats {
@@ -110,8 +107,6 @@ impl QueryStats {
         self.shared_cache_hits += other.shared_cache_hits;
         self.shared_cache_misses += other.shared_cache_misses;
         self.shared_cache_evictions += other.shared_cache_evictions;
-        // A gauge: keep the latest observation rather than summing.
-        self.shared_cache_bytes = other.shared_cache_bytes;
     }
 
     /// Divides all counters/timings by `n` (averaging helper).
@@ -141,7 +136,6 @@ impl QueryStats {
             shared_cache_hits: self.shared_cache_hits / n,
             shared_cache_misses: self.shared_cache_misses / n,
             shared_cache_evictions: self.shared_cache_evictions / n,
-            shared_cache_bytes: self.shared_cache_bytes,
         }
     }
 }
@@ -155,7 +149,7 @@ impl std::fmt::Display for QueryStats {
              bounds[accepted {} pruned {} refined {}] \
              dijkstra[runs {} fallbacks {}] \
              subregions[computed {} hits {}] \
-             shared-cache[lookups {} hits {} misses {} evictions {} ~{} B]",
+             shared-cache[lookups {} hits {} misses {} evictions {}]",
             self.filtering_ms,
             self.subgraph_ms,
             self.pruning_ms,
@@ -173,7 +167,6 @@ impl std::fmt::Display for QueryStats {
             self.shared_cache_hits,
             self.shared_cache_misses,
             self.shared_cache_evictions,
-            self.shared_cache_bytes,
         )
     }
 }
@@ -262,7 +255,7 @@ mod tests {
         );
         assert!(cold.shared_cache_lookups >= 1);
         assert!(cold.shared_cache_misses >= 1, "fresh cache must miss");
-        assert!(cold.shared_cache_bytes > 0);
+        assert!(index.distance_cache().bytes() > 0);
 
         let warm = crate::range_query(&space, &index, &store, q, 30.0, &opts)
             .unwrap()

@@ -74,6 +74,11 @@
 //! assert!(outcomes[1].stats().shared_cache_hits > 0);
 //! ```
 
+/// Compiles and runs the README's Rust code blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use idq_core as core;
 pub use idq_distance as distance;
 pub use idq_geom as geom;

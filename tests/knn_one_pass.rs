@@ -131,12 +131,11 @@ fn bits(hits: &[(ObjectId, f64)]) -> Vec<(ObjectId, u64)> {
     hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
 }
 
-fn variants(base: QueryOptions) -> [(&'static str, QueryOptions); 4] {
+fn variants(base: QueryOptions) -> [(&'static str, QueryOptions); 3] {
     [
         ("default", base),
         ("without_skeleton", base.without_skeleton()),
         ("without_pruning", base.without_pruning()),
-        ("with_exact_refinement", base.with_exact_refinement()),
     ]
 }
 

@@ -111,7 +111,6 @@ fn ablations_preserve_answers() {
         base,
         base.without_pruning(),
         base.without_skeleton(),
-        base.with_exact_refinement(),
         base.without_pruning().without_skeleton(),
     ];
     for &q in w.queries.iter().take(3) {
