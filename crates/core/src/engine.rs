@@ -514,7 +514,7 @@ mod tests {
     use super::*;
     use crate::testkit::{insert_at, knn, range, three_rooms};
     use idq_geom::{Circle, Point2, Polygon, Rect2};
-    use idq_model::{DoorId, IndoorPoint, PartitionKind, PartitionSpec, SplitLine};
+    use idq_model::{DoorId, IndoorPoint, ModelError, PartitionKind, PartitionSpec, SplitLine};
     use idq_objects::{ObjectError, UncertainObject};
     use idq_query::Query;
 
@@ -718,6 +718,49 @@ mod tests {
             e.snapshot().options().subgraph_slack.to_bits(),
             slack.to_bits()
         );
+        e.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_topology_input_is_rejected_before_anything_changes() {
+        let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
+        insert_at(&mut e, Point2::new(5.0, 5.0), 1.0, 4, 1);
+        let (epoch, watermark) = (e.epoch(), e.store().id_watermark());
+        let slots = e.space().partition_slots();
+        let room = e.space().partitions().next().unwrap().id;
+        let footprint = Polygon::new(vec![
+            Point2::new(31.0, 0.0),
+            Point2::new(41.0, 0.0),
+            Point2::new(41.0, f64::NAN),
+            Point2::new(31.0, 10.0),
+        ])
+        .unwrap();
+        for update in [
+            Update::SplitPartition {
+                partition: room,
+                line: SplitLine::AtX(f64::NAN),
+                connecting_door: None,
+            },
+            Update::InsertPartition(PartitionSpec {
+                kind: PartitionKind::Room,
+                name: None,
+                floor: 0,
+                footprint,
+                doors: vec![],
+            }),
+        ] {
+            let err = e.apply(update).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::Model(ModelError::BadSplit(_) | ModelError::BadFootprint(_))
+                ),
+                "{err}"
+            );
+        }
+        assert_eq!(e.epoch(), epoch);
+        assert_eq!(e.store().id_watermark(), watermark);
+        assert_eq!(e.space().partition_slots(), slots);
         e.validate().unwrap();
     }
 

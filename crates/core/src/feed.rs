@@ -8,15 +8,17 @@
 //! [`crate::IndoorEngine::attach_retention`]). Each consumer owns one
 //! [`CommitFeed`]: an unbounded FIFO of [`CommitRecord`]s — the group's
 //! merged [`UpdateReport`], a [`Snapshot`] pinned to the freshly
-//! published version, and a wall-clock stamp — plus an epoch watermark
-//! of what the consumer has finished with.
+//! published version, the index the group was applied to, and a
+//! wall-clock stamp — plus an epoch watermark of what the consumer has
+//! finished with.
 //!
 //! Only the sequencer leader can enqueue (the push/close side is
 //! crate-private), and enqueueing is a mutex push and a condvar notify,
 //! so the commit path never waits on consumer work by construction.
 //! Records arrive in strictly increasing epoch order, exactly one per
 //! committed epoch from the attach point on. Each queued record pins its
-//! commit's version until the consumer is done with it.
+//! commit's version, and the index before it, until the consumer is done
+//! with it.
 //!
 //! The consumer side is a loop over [`CommitFeed::next`], acknowledging
 //! each record with [`CommitFeed::done`] once it is fully absorbed, and
@@ -26,12 +28,14 @@
 
 use crate::snapshot::Snapshot;
 use crate::update::UpdateReport;
+use idq_index::CompositeIndex;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One committed epoch as a post-publish consumer observes it: the merged
 /// commit-group report (net delta over the whole group), a snapshot pinned
-/// to the published version, and the stamps that order it in time.
+/// to the published version, the index the group was applied to, and the
+/// stamps that order it in time.
 #[derive(Clone, Debug)]
 pub struct CommitRecord {
     /// The epoch this commit published (strictly increasing, one record
@@ -51,6 +55,11 @@ pub struct CommitRecord {
     /// keeps the version alive; consumers that retain only deltas should
     /// drop it once the record is absorbed.
     pub snapshot: Snapshot,
+    /// The index the commit group was applied to, at epoch `epoch - 1`.
+    /// The delta's ids say *what* changed; this index and `snapshot` say
+    /// where each changed object was before and after, which is all the
+    /// standing-query dispatcher routes on.
+    pub before: Arc<CompositeIndex>,
 }
 
 /// Where a feed's one consumer is in its life. Pushes are queued only
@@ -205,6 +214,7 @@ mod tests {
             .unwrap();
         let engine = IndoorEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
         let snapshot = engine.snapshot();
+        let before = Arc::clone(&snapshot.state().index);
         (1..=n)
             .map(|epoch| CommitRecord {
                 epoch,
@@ -217,6 +227,7 @@ mod tests {
                     stats: UpdateStats::default(),
                 }),
                 snapshot: snapshot.clone(),
+                before: Arc::clone(&before),
             })
             .collect()
     }

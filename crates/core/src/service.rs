@@ -11,11 +11,12 @@
 //! Standing queries scale through *routing*, not broadcast. A committing
 //! write publishes its new [`EngineState`] with one brief write-lock on
 //! the current-version cell, then hands the commit's merged
-//! [`UpdateReport`] (plus a snapshot pinned to the committed version) to
-//! a single **dispatch thread** via its [`crate::feed::CommitFeed`] — the
-//! sequencer never waits on subscription work. The dispatch thread intersects the
-//! commit's routing footprint (the partitions its object updates touched,
-//! carried by [`crate::update::UpdateDelta`]) against an
+//! [`UpdateReport`] (plus the index before the commit and a snapshot
+//! after it) to a single **dispatch thread** via its
+//! [`crate::feed::CommitFeed`] — the sequencer never waits on subscription
+//! work. The dispatch thread looks up where each object the
+//! [`crate::update::UpdateDelta`] names was before the commit and is
+//! after it, intersects those partitions against an
 //! [`idq_dispatch::Dispatcher`] query index over every subscription's
 //! candidate partitions, absorbs the delta into exactly the affected
 //! monitors, and pushes precomputed per-subscription [`Notification`]s
@@ -217,6 +218,7 @@ fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
         epoch,
         report,
         snapshot,
+        before,
         ..
     }) = feed.next()
     {
@@ -228,7 +230,7 @@ fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
                 updated: &updated,
                 removed: &report.delta.removed,
                 topology_changed: report.delta.topology_changed,
-                partitions: &report.delta.partitions,
+                before: &before,
             };
             dispatcher.dispatch(
                 &delta,
@@ -751,6 +753,51 @@ mod tests {
         let n = sub.wait().unwrap().expect("near commit routed");
         assert_eq!(n.changes.len(), 1);
         assert_eq!(sub.epoch(), e.epoch());
+    }
+
+    #[test]
+    fn a_position_held_only_inside_a_batch_routes_nothing() {
+        let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
+        let service = e.service();
+        // Zero slack keeps the footprint to the middle room B.
+        let tight = QueryOptions {
+            subgraph_slack: 0.0,
+            ..QueryOptions::default()
+        };
+        let q = IndoorPoint::new(Point2::new(15.0, 5.0), 0);
+        let mut sub = service
+            .subscribe_with(Query::Range { q, r: 3.0 }, tight)
+            .unwrap();
+        assert_eq!(service.dispatch_index_load(), (1, 1, 0));
+        let id = insert_at(&mut e, Point2::new(3.0, 5.0), 1.0, 4, 1);
+        service.quiesce();
+        let skipped = service.dispatch_stats().skipped;
+
+        // One batch moves the object A → B → C: it passes through the
+        // footprint, but neither starts nor ends there.
+        let to = |x: f64, seed| Update::MoveObject {
+            id,
+            center: Point2::new(x, 5.0),
+            floor: 0,
+            seed,
+        };
+        e.apply_batch(&[to(15.0, 2), to(25.0, 3)]).unwrap();
+        service.quiesce();
+        assert_eq!(service.dispatch_stats().skipped, skipped + 1);
+        assert!(sub.poll().unwrap().is_empty());
+        let fresh = service
+            .snapshot()
+            .with_options(tight)
+            .execute(&Query::Range { q, r: 3.0 })
+            .unwrap();
+        let fresh: Vec<ObjectId> = fresh
+            .as_range()
+            .unwrap()
+            .results
+            .iter()
+            .map(|h| h.object)
+            .collect();
+        assert_eq!(sub.current(), fresh);
     }
 
     #[test]

@@ -210,16 +210,6 @@ pub struct UpdateDelta {
     pub removed: Vec<ObjectId>,
     /// Whether any topology update committed.
     pub topology_changed: bool,
-    /// Floors the batch's object updates touched (ascending, deduped) —
-    /// the commit's routing footprint at shard granularity. Empty for a
-    /// pure-topology batch (`topology_changed` covers routing then).
-    pub floors: Vec<Floor>,
-    /// Partitions whose object population changed (ascending, deduped):
-    /// every partition an inserted/moved/removed object's instances
-    /// occupied before *or* after the batch. A standing query whose
-    /// candidate-partition set is disjoint from this list provably cannot
-    /// change membership on this commit (unless `topology_changed`).
-    pub partitions: Vec<PartitionId>,
 }
 
 impl UpdateDelta {
@@ -281,17 +271,15 @@ impl DeltaBuilder {
         }
     }
 
-    /// Yields the sorted delta. The routing footprint (`floors`,
-    /// `partitions`) is not tracked here — the write path fills it in from
-    /// the batch's staged footprint after `finish`.
+    /// Yields the sorted delta: ids only. Which partitions those ids
+    /// left and entered is the dispatcher's to derive, from the index
+    /// before and after the commit.
     pub(crate) fn finish(self) -> UpdateDelta {
         UpdateDelta {
             inserted: self.inserted.into_iter().collect(),
             moved: self.moved.into_iter().collect(),
             removed: self.removed.into_iter().collect(),
             topology_changed: self.topology_changed,
-            floors: Vec::new(),
-            partitions: Vec::new(),
         }
     }
 }
@@ -335,7 +323,7 @@ impl UpdateStats {
     /// and `group_batches` counts the members. `shards_touched` is
     /// deliberately **not** summed — members may share floors, so the
     /// caller sets it from the union of touched floors.
-    pub fn absorb_group_member(&mut self, member: &UpdateStats) {
+    pub(crate) fn absorb_group_member(&mut self, member: &UpdateStats) {
         self.updates += member.updates;
         self.position_updates += member.position_updates;
         self.footprint_searches += member.footprint_searches;

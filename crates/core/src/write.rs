@@ -41,7 +41,7 @@ use crate::state::EngineState;
 use crate::update::{DeltaBuilder, Update, UpdateOutcome, UpdateReport, UpdateStats};
 use idq_geom::{Circle, IdMap, Mbr3, Point2};
 use idq_index::{CompositeIndex, IndexError, UnitId};
-use idq_model::{Floor, IndoorSpace, PartitionId, TopologyEvent};
+use idq_model::{Floor, IndoorSpace, TopologyEvent};
 use idq_objects::{GaussianSampler, ObjectError, ObjectId, ObjectStore, UncertainObject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,11 +167,6 @@ struct BatchState {
     /// Floors whose shards the batch's object ops landed in — reported as
     /// `UpdateStats::shards_touched`.
     floors: BTreeSet<Floor>,
-    /// Partitions whose object population the batch changed — every
-    /// partition an object op's instances occupied before or after the op
-    /// — reported as the commit's routing footprint
-    /// (`UpdateDelta::partitions`).
-    partitions: BTreeSet<PartitionId>,
 }
 
 /// The copy-on-write working state of one write transaction.
@@ -239,8 +234,7 @@ impl Txn {
                 }
                 let ops = self.stage_position_run(&updates[start..i], &mut state.stats)?;
                 for op in ops {
-                    let outcome =
-                        self.apply_object_op(op, &mut state.floors, &mut state.partitions)?;
+                    let outcome = self.apply_object_op(op, &mut state.floors)?;
                     state.delta.record(&outcome);
                     state.outcomes.push(outcome);
                 }
@@ -505,9 +499,11 @@ impl Txn {
     /// Applies one staged op to the transaction's store + index copies,
     /// recording the floor shard(s) it lands in (the floors carried on
     /// the staged op feed `UpdateStats::shards_touched`; the layers route
-    /// by their O(1) directories). The `Arc::make_mut`s on the layer
-    /// handles cost a few pointer bumps — the deep copies happen *inside*
-    /// the layers, per touched floor shard and changed bucket. By
+    /// by their O(1) directories). Which partitions the op leaves and
+    /// enters is not recorded: the dispatcher derives that from the
+    /// index before and after the commit. The `Arc::make_mut`s on the
+    /// layer handles cost a few pointer bumps — the deep copies happen
+    /// *inside* the layers, per touched floor shard and changed bucket. By
     /// construction (validation + staging) these layer operations cannot
     /// fail on user input; an error simply aborts the transaction with the
     /// committed version untouched.
@@ -515,14 +511,12 @@ impl Txn {
         &mut self,
         op: PreparedOp,
         floors: &mut BTreeSet<Floor>,
-        partitions: &mut BTreeSet<PartitionId>,
     ) -> Result<UpdateOutcome, EngineError> {
         match op {
             PreparedOp::Insert(object, units, mbr) => {
                 let id = object.id;
                 let radius = object.region.radius;
                 floors.insert(object.floor);
-                partitions.extend(self.index.units().owning_partitions(&units));
                 Arc::make_mut(&mut self.index).insert_object_prepared(id, units, mbr)?;
                 Arc::make_mut(&mut self.store).insert(*object)?;
                 self.max_radius = self.max_radius.max(radius);
@@ -533,29 +527,16 @@ impl Txn {
                 // A cross-floor move touches the old floor's shard too.
                 floors.insert(old_floor);
                 floors.insert(object.floor);
-                self.note_leaving(id, partitions);
-                partitions.extend(self.index.units().owning_partitions(&units));
                 Arc::make_mut(&mut self.store).replace_discarding(*object)?;
                 Arc::make_mut(&mut self.index).update_object_prepared(id, units, mbr)?;
                 Ok(UpdateOutcome::ObjectMoved(id))
             }
             PreparedOp::Remove(id, floor) => {
                 floors.insert(floor);
-                self.note_leaving(id, partitions);
                 Arc::make_mut(&mut self.index).remove_object(id)?;
                 Arc::make_mut(&mut self.store).discard(id)?;
                 Ok(UpdateOutcome::ObjectRemoved(id))
             }
-        }
-    }
-
-    /// Folds the partitions owning the object's current units into the
-    /// batch's routing footprint, before the op replaces or removes it:
-    /// the partitions an object is *leaving* route too. Every instance
-    /// lies in one of them (the index's coverage invariant).
-    fn note_leaving(&self, id: ObjectId, partitions: &mut BTreeSet<PartitionId>) {
-        if let Ok(units) = self.index.object_layer().units_of(id) {
-            partitions.extend(self.index.units().owning_partitions(units));
         }
     }
 
@@ -1119,12 +1100,10 @@ impl WriteHandle {
         let mut merged_delta = DeltaBuilder::default();
         let mut merged_stats = UpdateStats::default();
         let mut merged_floors: BTreeSet<Floor> = BTreeSet::new();
-        let mut merged_partitions: BTreeSet<PartitionId> = BTreeSet::new();
         let mut reports: Vec<(Arc<Slot>, UpdateReport)> = Vec::with_capacity(group_batches);
         for (offset, (slot, batch, _)) in committed.into_iter().enumerate() {
             merged_stats.absorb_group_member(&batch.stats);
             merged_floors.extend(batch.floors.iter().copied());
-            merged_partitions.extend(batch.partitions.iter().copied());
             for outcome in &batch.outcomes {
                 merged_delta.record(outcome);
                 merged_outcomes.push(outcome.clone());
@@ -1132,14 +1111,11 @@ impl WriteHandle {
             let mut stats = batch.stats;
             stats.group_batches = group_batches;
             stats.shards_touched = batch.floors.len();
-            let mut delta = batch.delta.finish();
-            delta.floors = batch.floors.into_iter().collect();
-            delta.partitions = batch.partitions.into_iter().collect();
             reports.push((
                 slot,
                 UpdateReport {
                     outcomes: batch.outcomes,
-                    delta,
+                    delta: batch.delta.finish(),
                     epoch,
                     stats,
                     offset_in_epoch: offset,
@@ -1147,12 +1123,9 @@ impl WriteHandle {
             ));
         }
         merged_stats.shards_touched = merged_floors.len();
-        let mut delta = merged_delta.finish();
-        delta.floors = merged_floors.into_iter().collect();
-        delta.partitions = merged_partitions.into_iter().collect();
         let merged = UpdateReport {
             outcomes: merged_outcomes,
-            delta,
+            delta: merged_delta.finish(),
             epoch,
             stats: merged_stats,
             offset_in_epoch: 0,
@@ -1160,7 +1133,8 @@ impl WriteHandle {
 
         self.shared.publish(Arc::clone(&next));
         // Post-publish fan-out: one record — the merged group report, a
-        // pinned snapshot and the stamps — offered to every commit feed.
+        // pinned snapshot, the index the group was applied to and the
+        // stamps — offered to every commit feed.
         // Enqueue-only; routing, absorption, compression and eviction
         // run on the consumers' own threads.
         self.shared.fan_out(&CommitRecord {
@@ -1171,6 +1145,7 @@ impl WriteHandle {
                 .unwrap_or(0),
             report: Arc::new(merged),
             snapshot: Snapshot::from_state(Arc::clone(&next), next.effective_options()),
+            before: Arc::clone(&base.index),
         });
         for (slot, report) in reports {
             slot.fill(Ok(report));
@@ -1272,7 +1247,7 @@ fn settle(
     };
     for op in ops {
         let outcome = txn
-            .apply_object_op(op, &mut batch.floors, &mut batch.partitions)
+            .apply_object_op(op, &mut batch.floors)
             .expect("staged ops apply cleanly to the state they were validated against");
         batch.delta.record(&outcome);
         batch.outcomes.push(outcome);

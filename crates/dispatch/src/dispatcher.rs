@@ -22,8 +22,9 @@ pub type SubId = u64;
 /// bounds — to be at or below the threshold. Every partition whose
 /// geometric bound is within the threshold is retrieved by
 /// [`CompositeIndex::range_search`] (no false negatives, with or
-/// without the skeleton), so a commit whose routing footprint is
-/// disjoint from this set provably cannot change the result.
+/// without the skeleton), so a commit none of whose changed objects was
+/// in this set before the commit or is in it after provably cannot change
+/// the result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryFootprint {
     /// Candidate partitions, ascending and deduplicated.
@@ -203,8 +204,10 @@ impl StandingMonitor {
     }
 }
 
-/// The routing footprint of one committed group: what changed, and
-/// which partitions the object changes touched (before and after).
+/// One committed group as the dispatcher routes it: which objects
+/// changed, and the index the group was applied to. Where each changed
+/// object was comes from `before`; where it is now, from the index
+/// [`Dispatcher::dispatch`] is given.
 #[derive(Clone, Copy, Debug)]
 pub struct CommitDelta<'a> {
     /// Epoch the commit published.
@@ -216,9 +219,9 @@ pub struct CommitDelta<'a> {
     /// The commit changed the space topology: cached distances and all
     /// footprints are invalid, so it routes to **every** subscription.
     pub topology_changed: bool,
-    /// Partitions the object changes touched before or after the batch,
-    /// ascending and deduplicated.
-    pub partitions: &'a [PartitionId],
+    /// The index as it was before the commit: it holds every moved and
+    /// removed object, and no inserted one.
+    pub before: &'a CompositeIndex,
 }
 
 /// Counters describing the dispatcher's routing behaviour.
@@ -297,6 +300,13 @@ fn link(
             by_partition.entry(p).or_default().insert(id);
         }
     }
+}
+
+/// The partitions `oid`'s instances lie in, as `index` stores it; none
+/// when `index` does not hold `oid`.
+fn partitions_of(index: &CompositeIndex, oid: ObjectId) -> Vec<PartitionId> {
+    let units = index.object_layer().units_of(oid).unwrap_or(&[]);
+    index.units().owning_partitions(units)
 }
 
 fn unlink(
@@ -443,6 +453,12 @@ impl<R> Dispatcher<R> {
     /// monitors and pushes the resulting changes into their mailboxes.
     /// Everything else is skipped with zero per-subscription work.
     ///
+    /// The commit's footprint is every partition a changed object
+    /// occupied in `delta.before` or occupies in `index`. Monitors absorb
+    /// the net delta, and every member lies in its footprint at the
+    /// previous version, so where an object was only inside a group
+    /// cannot change any result.
+    ///
     /// `options` are the commit's effective query options; subscriptions
     /// registered with `track_options` adopt them before absorbing.
     pub fn dispatch(
@@ -456,23 +472,39 @@ impl<R> Dispatcher<R> {
     ) where
         R: Clone,
     {
-        debug_assert!(delta.partitions.windows(2).all(|w| w[0] < w[1]));
         self.stats.commits += 1;
-        let has_object_changes = !delta.updated.is_empty() || !delta.removed.is_empty();
-        // Conservative guard: object changes that report no footprint
-        // (nothing resolvable to a partition) route everywhere rather
-        // than risk an unsound skip.
-        let route_all =
-            delta.topology_changed || (has_object_changes && delta.partitions.is_empty());
-        let targets: Vec<SubId> = if route_all {
+        // Where each updated object is now, resolved once per commit for
+        // the per-object filter below. The commit's footprint adds where
+        // every moved or removed object was in `before`; inserted ids are
+        // absent there. The index's coverage invariant places every
+        // changed object on its side of the commit.
+        let mut arriving: Vec<(ObjectId, Vec<PartitionId>)> = Vec::new();
+        let mut touched: Vec<PartitionId> = Vec::new();
+        if !self.subs.is_empty() && !delta.topology_changed {
+            for &oid in delta.updated {
+                let parts = partitions_of(index, oid);
+                debug_assert!(!parts.is_empty(), "{oid:?} not placed after the commit");
+                touched.extend(&parts);
+                touched.extend(partitions_of(delta.before, oid));
+                arriving.push((oid, parts));
+            }
+            for &oid in delta.removed {
+                let parts = partitions_of(delta.before, oid);
+                debug_assert!(!parts.is_empty(), "{oid:?} not placed before the commit");
+                touched.extend(parts);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+        }
+        let targets: Vec<SubId> = if delta.topology_changed {
             let mut ids: Vec<SubId> = self.subs.keys().copied().collect();
             ids.sort_unstable();
             ids
-        } else if !has_object_changes {
+        } else if touched.is_empty() {
             Vec::new()
         } else {
             let mut ids: BTreeSet<SubId> = self.everything.iter().copied().collect();
-            for p in delta.partitions {
+            for p in &touched {
                 if let Some(set) = self.by_partition.get(p) {
                     ids.extend(set.iter().copied());
                 }
@@ -480,33 +512,6 @@ impl<R> Dispatcher<R> {
             ids.into_iter().collect()
         };
         self.stats.skipped += (self.subs.len() - targets.len()) as u64;
-
-        // Per-object after-partitions, resolved once per commit. The
-        // commit-level intersection routes on the *union* of the delta's
-        // partitions, so a routed subscription still sees many updates
-        // that cannot concern it; re-deriving each updated object's
-        // current partitions lets every target absorb only its relevant
-        // subset. `None` marks an object the index cannot place (not
-        // indexed, or spanning no partition) — conservatively relevant
-        // to everyone, mirroring the commit-level empty-footprint guard.
-        let layer = index.object_layer();
-        let object_partitions: Vec<(ObjectId, Option<Vec<PartitionId>>)> =
-            if route_all || targets.is_empty() {
-                Vec::new()
-            } else {
-                delta
-                    .updated
-                    .iter()
-                    .map(|&oid| {
-                        let parts = layer
-                            .units_of(oid)
-                            .ok()
-                            .map(|units| index.units().owning_partitions(units))
-                            .filter(|ps| !ps.is_empty());
-                        (oid, parts)
-                    })
-                    .collect()
-            };
         let mut relevant: Vec<ObjectId> = Vec::with_capacity(delta.updated.len());
 
         let mut dead: Vec<SubId> = Vec::new();
@@ -528,18 +533,13 @@ impl<R> Dispatcher<R> {
             // leave, or (kNN) grow the threshold, which the monitor
             // answers with a full re-query against the index, so the
             // trimmed update list never hides an admissible object.
-            let updated: &[ObjectId] = if route_all || entry.footprint.covers_everything() {
+            let updated = if delta.topology_changed || entry.footprint.covers_everything() {
                 delta.updated
             } else {
                 relevant.clear();
-                for (oid, parts) in &object_partitions {
-                    match parts {
-                        Some(ps)
-                            if !entry.footprint.intersects(ps) && !entry.monitor.contains(*oid) => {
-                        }
-                        _ => relevant.push(*oid),
-                    }
-                }
+                relevant.extend(arriving.iter().filter_map(|(oid, ps)| {
+                    (entry.footprint.intersects(ps) || entry.monitor.contains(*oid)).then_some(*oid)
+                }));
                 if relevant.is_empty()
                     && !delta.removed.iter().any(|&oid| entry.monitor.contains(oid))
                 {
@@ -666,20 +666,19 @@ mod tests {
         }
     }
 
+    /// Inserts object `id` at `(x, 5)`, or moves it there, and returns
+    /// the index as it was before: the commit's `before`.
     fn place(
         store: &mut ObjectStore,
         index: &mut CompositeIndex,
         space: &IndoorSpace,
         id: u64,
         x: f64,
-    ) -> Vec<PartitionId> {
+    ) -> CompositeIndex {
+        let before = index.clone();
         let obj =
             UncertainObject::point_object(ObjectId(id), IndoorPoint::new(Point2::new(x, 5.0), 0));
-        let mut touched = BTreeSet::new();
         if store.contains(ObjectId(id)) {
-            for &u in index.object_layer().units_of(ObjectId(id)).unwrap() {
-                touched.extend(index.units().partition_of(u));
-            }
             store.remove(ObjectId(id)).unwrap();
             store.insert(obj).unwrap();
             index
@@ -689,10 +688,7 @@ mod tests {
             index.insert_object(space, &obj).unwrap();
             store.insert(obj).unwrap();
         }
-        for &u in index.object_layer().units_of(ObjectId(id)).unwrap() {
-            touched.extend(index.units().partition_of(u));
-        }
-        touched.into_iter().collect()
+        before
     }
 
     fn range_monitor(
@@ -728,7 +724,7 @@ mod tests {
                 updated: &[ObjectId(1)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &far,
+                before: &far,
             },
             &space,
             &index,
@@ -749,7 +745,7 @@ mod tests {
                 updated: &[ObjectId(2)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &near,
+                before: &near,
             },
             &space,
             &index,
@@ -762,6 +758,41 @@ mod tests {
         assert_eq!(msg.payload, 2);
         assert_eq!(msg.changes, vec![(ObjectId(2), MonitorChange::Entered)]);
         assert_eq!(d.stats().deliveries, 1);
+    }
+
+    #[test]
+    fn a_member_leaving_for_a_far_room_is_routed_by_where_it_was() {
+        let (space, mut store, mut index) = setup();
+        place(&mut store, &mut index, &space, 1, 4.0);
+        let mut d: Dispatcher<u64> = Dispatcher::new();
+        let (_, rx) = d.register(
+            range_monitor(&space, &index, &store, 5.0),
+            0,
+            false,
+            16,
+            &space,
+            &index,
+        );
+        // The member moves to the far room, outside the footprint: only
+        // the room it left routes the commit.
+        let before = place(&mut store, &mut index, &space, 1, 25.0);
+        d.dispatch(
+            &CommitDelta {
+                epoch: 1,
+                updated: &[ObjectId(1)],
+                removed: &[],
+                topology_changed: false,
+                before: &before,
+            },
+            &space,
+            &index,
+            &store,
+            &tight(),
+            &1,
+        );
+        assert_eq!(d.stats().skipped, 0);
+        let msg = rx.try_recv().expect("the room it left routes the commit");
+        assert_eq!(msg.changes, vec![(ObjectId(1), MonitorChange::Left)]);
     }
 
     #[test]
@@ -781,6 +812,7 @@ mod tests {
         // Close the door between r0 and r1: object 1 becomes
         // unreachable. Topology commits carry no partition footprint
         // yet must reach everyone.
+        let before = index.clone();
         let door = space.doors().next().unwrap().id;
         let ev = space.close_door(door).unwrap();
         index.apply_topology(&space, &store, &ev).unwrap();
@@ -790,7 +822,7 @@ mod tests {
                 updated: &[],
                 removed: &[],
                 topology_changed: true,
-                partitions: &[],
+                before: &before,
             },
             &space,
             &index,
@@ -821,7 +853,7 @@ mod tests {
             updated: &[ObjectId(1)],
             removed: &[],
             topology_changed: false,
-            partitions: &near,
+            before: &near,
         };
         d.dispatch(&stale, &space, &index, &store, &tight(), &5);
         assert!(rx.try_recv().is_none(), "epoch 5 predates the baseline");
@@ -859,7 +891,7 @@ mod tests {
                 updated: &[ObjectId(1)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &far,
+                before: &far,
             },
             &space,
             &index,
@@ -884,7 +916,7 @@ mod tests {
                 updated: &[ObjectId(2)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &same_far,
+                before: &same_far,
             },
             &space,
             &index,
@@ -905,7 +937,7 @@ mod tests {
                 updated: &[ObjectId(1)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &moved,
+                before: &moved,
             },
             &space,
             &index,
@@ -922,7 +954,7 @@ mod tests {
                 updated: &[ObjectId(3)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &far2,
+                before: &far2,
             },
             &space,
             &index,
@@ -962,7 +994,7 @@ mod tests {
                 updated: &[ObjectId(1)],
                 removed: &[],
                 topology_changed: false,
-                partitions: &near,
+                before: &near,
             },
             &space,
             &index,

@@ -10,10 +10,13 @@
 //! the same restriction the range pipeline computes during filtering —
 //! and a [`Dispatcher`] keeps an inverted partition → subscriptions index
 //! over those footprints. A committed batch arrives as one
-//! [`CommitDelta`] whose routing footprint (the partitions its object
-//! updates touched, before and after) is intersected against the index;
-//! only the overlapping subscriptions absorb the delta, everyone else is
-//! skipped with **zero** per-subscription work.
+//! [`CommitDelta`]: the ids that changed and the index as it was before
+//! the commit. The dispatcher derives the commit's routing footprint
+//! itself — the partitions each moved or removed object occupied in that
+//! earlier index, and those each inserted or moved object occupies in the
+//! current one — and intersects it against the query index; only the
+//! overlapping subscriptions absorb the delta, everyone else is skipped
+//! with **zero** per-subscription work.
 //!
 //! Soundness of the skip: a commit can change a standing query's result
 //! only by moving some object's expected distance across the query's
@@ -24,9 +27,11 @@
 //! candidate set. The commit's routing footprint contains every partition
 //! a changed object's instances occupied before *or* after the batch, so
 //! a commit whose footprint is disjoint from the query's provably leaves
-//! the result untouched. Topology commits route to every subscription
-//! (cached distances and footprints are both invalid), and footprints are
-//! repaired afterwards.
+//! the result untouched. Positions an object held only in the middle of a
+//! batch need not count: monitors absorb the net delta, and every member
+//! lies in its query's footprint at the previous version. Topology
+//! commits route to every subscription (cached distances and footprints
+//! are both invalid), and footprints are repaired afterwards.
 //!
 //! Delivery is decoupled from absorption: each subscription owns a
 //! **bounded [`Mailbox`]** of precomputed [`DeltaMsg`]s. The dispatcher —

@@ -210,6 +210,7 @@ impl Ring {
             wall_ms,
             report,
             snapshot,
+            ..
         } = record;
         let Some(newest) = self.newest() else {
             // No baseline (engine dropped before attach finished) —

@@ -120,6 +120,11 @@ impl IndoorSpace {
         &mut self,
         spec: PartitionSpec,
     ) -> Result<(PartitionId, Vec<DoorId>, Vec<TopologyEvent>), ModelError> {
+        if !spec.footprint.vertices().iter().all(|v| v.is_finite()) {
+            return Err(ModelError::BadFootprint(
+                "non-finite footprint vertex".to_string(),
+            ));
+        }
         // Validate doors up-front against the other partitions so a failure
         // does not leave a half-inserted partition behind.
         for ds in &spec.doors {
@@ -194,6 +199,8 @@ impl IndoorSpace {
         let name = p.name.clone();
         let rect = p.footprint.as_rect().ok_or(ModelError::WrongKind(pid))?;
         let halves = match line {
+            // NaN compares false both ways and would slip past the bounds.
+            SplitLine::AtX(c) | SplitLine::AtY(c) if !c.is_finite() => None,
             SplitLine::AtX(c) => rect.split_at_x(c),
             SplitLine::AtY(c) => rect.split_at_y(c),
         }
@@ -446,6 +453,48 @@ mod tests {
             s.split_partition(hall, SplitLine::AtX(30.0), None),
             Err(ModelError::BadSplit(_) | ModelError::WrongKind(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_split_lines_are_rejected() {
+        let (mut s, hall, _) = banquet_hall();
+        let slots = s.partition_slots();
+        for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for line in [SplitLine::AtX(c), SplitLine::AtY(c)] {
+                assert!(matches!(
+                    s.split_partition(hall, line, None),
+                    Err(ModelError::BadSplit(p)) if p == hall
+                ));
+            }
+        }
+        assert_eq!(s.partition_slots(), slots, "nothing was pushed");
+        assert!(s.partition(hall).is_ok(), "the hall is still active");
+    }
+
+    #[test]
+    fn non_finite_footprints_are_rejected() {
+        let (mut s, _, _) = banquet_hall();
+        let slots = s.partition_slots();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let spec = PartitionSpec {
+                kind: PartitionKind::Room,
+                name: None,
+                floor: 0,
+                footprint: Polygon::new(vec![
+                    Point2::new(0.0, 20.0),
+                    Point2::new(10.0, 20.0),
+                    Point2::new(10.0, 30.0),
+                    Point2::new(bad, 30.0),
+                ])
+                .unwrap(),
+                doors: vec![],
+            };
+            assert!(matches!(
+                s.insert_partition(spec),
+                Err(ModelError::BadFootprint(_))
+            ));
+        }
+        assert_eq!(s.partition_slots(), slots, "nothing was pushed");
     }
 
     #[test]
