@@ -311,9 +311,11 @@ pub struct UpdateStats {
     /// see [`crate::WriteHandle`]). An uncontended batch reports 1; a
     /// committed no-op (empty batch, no epoch bump) reports 0.
     pub group_batches: usize,
-    /// Whether the batch lost its optimistic staging race (a conflicting
-    /// batch committed between stage and sequence) and was transparently
-    /// re-validated against the state it actually landed on.
+    /// Whether the batch lost its optimistic staging race and was
+    /// transparently re-validated against the state it actually landed
+    /// on: between stage and sequence, a commit wrote an object the batch
+    /// names, moved the id watermark under a batch that allocates ids, or
+    /// changed the topology.
     pub restaged: bool,
 }
 

@@ -11,10 +11,10 @@
 //!    shard-local, `Send` `PreparedOp`s.
 //! 2. **Serial epoch sequencer** — staged batches enqueue, and the first
 //!    submitter to take the sequencer lock becomes the *leader*: it drains
-//!    the queue, orders the batches, detects conflicts via floor/id
-//!    `Footprint`s (a conflicting batch re-stages against the working
-//!    state, preserving serial semantics), applies the prepared ops, and
-//!    publishes **one atomic epoch swap for the whole group**. Batches
+//!    the queue, orders the batches, validates each one's read set against
+//!    the working state (a batch whose reads changed re-stages against
+//!    that state, preserving serial semantics), applies the prepared ops,
+//!    and publishes **one atomic epoch swap for the whole group**. Batches
 //!    that coalesced into the group return without ever leading — their
 //!    result slot is already filled when they acquire the lock.
 //!
@@ -45,7 +45,7 @@ use idq_model::{Floor, IndoorSpace, TopologyEvent};
 use idq_objects::{GaussianSampler, ObjectError, ObjectId, ObjectStore, UncertainObject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -56,11 +56,6 @@ use std::time::Duration;
 /// the same partition share one footprint traversal without paying a
 /// point-location query per update.
 const GROUP_CELL_M: f64 = 60.0;
-
-/// Commit groups whose merged footprints the sequencer remembers for
-/// conflict detection; batches staged against an epoch older than the
-/// remembered window re-stage conservatively.
-const RECENT_GROUPS: usize = 64;
 
 /// Sampling parameters of a deferred Gaussian draw (resolved during
 /// validation, executed during staging with an index-derived partition
@@ -631,109 +626,6 @@ impl Txn {
     }
 }
 
-// ---- footprints and conflict detection ------------------------------------
-
-/// What a batch touches, for the sequencer's conflict check. Two batches
-/// staged against the same base may commit in one group without
-/// re-validation only when their footprints are disjoint; otherwise the
-/// later one re-stages against the working state, which restores exact
-/// serial semantics.
-#[derive(Clone, Debug, Default)]
-struct Footprint {
-    /// Floors whose shards the batch reads or writes.
-    floors: BTreeSet<Floor>,
-    /// Object ids the batch names, allocates, or reserves.
-    ids: BTreeSet<ObjectId>,
-    /// The batch allocated fresh ids (`InsertObjectAt`): which ids it got
-    /// depends on the id watermark of the state it staged against.
-    allocates: bool,
-    /// The batch advances the id watermark when it commits — fresh
-    /// allocations, or external-id inserts (the store reserves their id).
-    mints: bool,
-    /// The batch rewires topology: conflicts with everything.
-    topology: bool,
-}
-
-impl Footprint {
-    fn topology() -> Self {
-        Footprint {
-            topology: true,
-            ..Footprint::default()
-        }
-    }
-
-    /// The footprint of a staged position run: floors and ids from the
-    /// prepared ops (which carry the actual allocated ids and routed
-    /// floors), watermark behaviour from the update kinds.
-    fn of_run(ops: &[PreparedOp], updates: &[Update]) -> Self {
-        let mut fp = Footprint::default();
-        for op in ops {
-            match op {
-                PreparedOp::Insert(o, ..) => {
-                    fp.floors.insert(o.floor);
-                    fp.ids.insert(o.id);
-                }
-                PreparedOp::Move(o, _, _, old_floor) => {
-                    fp.floors.insert(o.floor);
-                    fp.floors.insert(*old_floor);
-                    fp.ids.insert(o.id);
-                }
-                PreparedOp::Remove(id, floor) => {
-                    fp.floors.insert(*floor);
-                    fp.ids.insert(*id);
-                }
-            }
-        }
-        for update in updates {
-            match update {
-                Update::InsertObjectAt { .. } => {
-                    fp.allocates = true;
-                    fp.mints = true;
-                }
-                Update::InsertObject(_) => fp.mints = true,
-                _ => {}
-            }
-        }
-        fp
-    }
-
-    /// Whether this (staged) footprint conflicts with a footprint that
-    /// committed after it staged — i.e. whether its optimistic validation
-    /// and preparation may be stale. Conservative in exactly three ways:
-    /// topology conflicts with everything; overlapping floors conflict
-    /// (shard-local reasoning: validation read the whole floor shard);
-    /// and a batch that *allocated* ids conflicts with any batch that
-    /// *moved the watermark*, because its allocated ids would differ
-    /// under serial execution.
-    fn conflicts_with(&self, committed: &Footprint) -> bool {
-        if self.topology || committed.topology {
-            return true;
-        }
-        if self.allocates && committed.mints {
-            return true;
-        }
-        if self.floors.iter().any(|f| committed.floors.contains(f)) {
-            return true;
-        }
-        // Id overlap catches cross-floor races on the same object (e.g.
-        // two external inserts of one id landing on different floors).
-        let (small, large) = if self.ids.len() <= committed.ids.len() {
-            (&self.ids, &committed.ids)
-        } else {
-            (&committed.ids, &self.ids)
-        };
-        small.iter().any(|id| large.contains(id))
-    }
-
-    fn absorb(&mut self, other: &Footprint) {
-        self.floors.extend(other.floors.iter().copied());
-        self.ids.extend(other.ids.iter().copied());
-        self.allocates |= other.allocates;
-        self.mints |= other.mints;
-        self.topology |= other.topology;
-    }
-}
-
 // ---- staged batches and the sequencer -------------------------------------
 
 /// One batch after its parallel stage phase, queued for the sequencer.
@@ -742,14 +634,14 @@ struct StagedBatch {
     /// The original updates — kept so the sequencer can re-stage the
     /// batch if it lost its optimistic race.
     updates: Vec<Update>,
-    /// Epoch of the version the batch staged against.
-    base_epoch: u64,
+    /// The version the batch staged against. Pinning it keeps every store
+    /// entry staging read alive, so an entry found at the same address
+    /// in the working state is the very entry staging read.
+    base: Arc<EngineState>,
     /// The prepared ops (`None` for batches containing topology updates,
     /// which must run serially in the sequencer: topology both observes
     /// and mutates the working geometry, and may legitimately fail).
     ops: Option<Vec<PreparedOp>>,
-    /// What the staged ops touch.
-    footprint: Footprint,
     /// Counters accumulated by staging (carried into the batch's report
     /// when the fast path applies the staged ops unchanged).
     stats: UpdateStats,
@@ -778,47 +670,6 @@ struct PendingEntry {
     slot: Arc<Slot>,
 }
 
-/// The sequencer's conflict-detection memory: merged footprints of recent
-/// commit groups, epoch-ascending. Covers epochs in
-/// `(coverage_floor, current]`; a batch staged at or below the floor
-/// re-stages conservatively (its history was evicted).
-#[derive(Debug)]
-struct SequencerState {
-    recent: VecDeque<(u64, Footprint)>,
-    coverage_floor: u64,
-}
-
-impl SequencerState {
-    fn new(epoch: u64) -> Self {
-        SequencerState {
-            recent: VecDeque::new(),
-            coverage_floor: epoch,
-        }
-    }
-
-    /// Whether anything that committed after `base_epoch` conflicts with
-    /// `footprint` (conservatively `true` when the window no longer
-    /// reaches back to `base_epoch`).
-    fn conflicts_since(&self, base_epoch: u64, footprint: &Footprint) -> bool {
-        if base_epoch < self.coverage_floor {
-            return true;
-        }
-        self.recent
-            .iter()
-            .rev()
-            .take_while(|(epoch, _)| *epoch > base_epoch)
-            .any(|(_, committed)| footprint.conflicts_with(committed))
-    }
-
-    fn note_commit(&mut self, epoch: u64, footprint: Footprint) {
-        self.recent.push_back((epoch, footprint));
-        while self.recent.len() > RECENT_GROUPS {
-            let (evicted, _) = self.recent.pop_front().expect("len > cap > 0");
-            self.coverage_floor = evicted;
-        }
-    }
-}
-
 /// State shared by every [`WriteHandle`] clone of one engine: the staged
 /// queue and the sequencer.
 #[derive(Debug)]
@@ -826,9 +677,9 @@ struct WriterCore {
     /// Batches staged and awaiting sequencing. Submitters push without
     /// the sequencer lock; the leader drains.
     queue: Mutex<Vec<PendingEntry>>,
-    /// The serial section: whoever holds it orders, conflict-checks,
-    /// applies and publishes a group.
-    sequencer: Mutex<SequencerState>,
+    /// The serial section: whoever holds it orders, validates, applies
+    /// and publishes a group.
+    sequencer: Mutex<()>,
 }
 
 // ---- the write handle -----------------------------------------------------
@@ -900,12 +751,11 @@ impl WriteHandle {
     /// The engine's own handle (the writer count starts at 1 in the
     /// shared registry, accounting for exactly this handle).
     pub(crate) fn bootstrap(shared: Arc<Shared>) -> Self {
-        let epoch = shared.current().epoch;
         WriteHandle {
             shared,
             core: Arc::new(WriterCore {
                 queue: Mutex::new(Vec::new()),
-                sequencer: Mutex::new(SequencerState::new(epoch)),
+                sequencer: Mutex::new(()),
             }),
             window: Duration::ZERO,
         }
@@ -914,11 +764,6 @@ impl WriteHandle {
     /// The epoch of the latest committed version.
     pub fn epoch(&self) -> u64 {
         self.shared.current().epoch
-    }
-
-    /// The commit window this handle leads groups with.
-    pub fn commit_window(&self) -> Duration {
-        self.window
     }
 
     /// Returns this handle with a **commit window**: when it leads a
@@ -953,12 +798,12 @@ impl WriteHandle {
     ///
     /// The batch is validated and prepared on the calling thread against
     /// the latest published version (the parallel stage phase), then
-    /// ordered by the epoch sequencer. If a conflicting batch committed
-    /// in between — overlapping floors, overlapping ids, id allocation
-    /// races, or any topology change — the batch is transparently
-    /// **re-staged** against the state it actually lands on
-    /// ([`UpdateStats::restaged`]), so results are exactly those of a
-    /// serial execution in sequencer order. On error nothing committed
+    /// ordered by the epoch sequencer. If what staging read changed in
+    /// between — an object the batch names was written, the id watermark
+    /// moved under a batch that allocates ids, or the topology changed —
+    /// the batch is transparently **re-staged** against the state it
+    /// actually lands on ([`UpdateStats::restaged`]), so results are
+    /// exactly those of a serial execution in sequencer order. On error nothing committed
     /// (staging failures never enter the sequencer; serial failures drop
     /// the batch from its group).
     ///
@@ -993,7 +838,7 @@ impl WriteHandle {
                 offset_in_epoch: 0,
             });
         }
-        let staged = stage_batch(&self.shared.current(), updates)?;
+        let staged = stage_batch(self.shared.current(), updates)?;
         after_stage();
         let slot = Arc::new(Slot::default());
         self.core
@@ -1004,22 +849,22 @@ impl WriteHandle {
                 staged,
                 slot: Arc::clone(&slot),
             });
-        let mut seq = self.core.sequencer.lock().expect("sequencer lock");
+        let serial = self.core.sequencer.lock().expect("sequencer lock");
         if let Some(result) = slot.take() {
             // A leader drained and committed this batch as part of its
             // group while we waited for the lock.
             return result;
         }
-        self.lead(&mut seq);
-        drop(seq);
+        self.lead();
+        drop(serial);
         slot.take()
             .expect("the leader settles every batch it drains, including its own")
     }
 
-    /// The serial section: drain the queue, settle every batch in order
-    /// (conflict-check, optionally re-stage, apply), publish one epoch
-    /// for the group, fill every slot.
-    fn lead(&self, seq: &mut SequencerState) {
+    /// The serial section (the caller holds the sequencer lock): drain
+    /// the queue, settle every batch in order (validate, optionally
+    /// re-stage, apply), publish one epoch for the group, fill every slot.
+    fn lead(&self) {
         if !self.window.is_zero() {
             // Hold the group open: submitters enqueue without the
             // sequencer lock, so everything arriving within the window
@@ -1032,13 +877,9 @@ impl WriteHandle {
         let base = self.shared.current();
         let mut txn = Txn::begin(&base);
         let mut committed: Vec<(Arc<Slot>, BatchState, Vec<Update>)> = Vec::new();
-        let mut applied: Vec<Footprint> = Vec::new();
         for PendingEntry { staged, slot } in entries {
-            match settle(&mut txn, seq, &applied, staged) {
-                Ok((batch, footprint, updates)) => {
-                    applied.push(footprint);
-                    committed.push((slot, batch, updates));
-                }
+            match settle(&mut txn, staged) {
+                Ok((batch, updates)) => committed.push((slot, batch, updates)),
                 Err(e) => slot.fill(Err(e)),
             }
         }
@@ -1060,11 +901,9 @@ impl WriteHandle {
 
         // The durability hook: the whole group's batches land in the WAL
         // — one record per batch, in offset order, under the group's
-        // epoch — *before* anything publishes or the sequencer's conflict
-        // ring learns of the commit. A failed append fails every batch in
-        // the group and the epoch never moves: in-memory state stays
-        // exactly as durable state, and nothing conflicting was recorded
-        // against an epoch that does not exist.
+        // epoch — *before* anything publishes. A failed append fails
+        // every batch in the group and the epoch never moves: in-memory
+        // state stays exactly as durable state.
         if let Some(durability) = self.shared.durability() {
             let payloads: Vec<Vec<u8>> = committed
                 .iter()
@@ -1084,12 +923,6 @@ impl WriteHandle {
                 return;
             }
         }
-
-        let mut group_footprint = Footprint::default();
-        for footprint in &applied {
-            group_footprint.absorb(footprint);
-        }
-        seq.note_commit(epoch, group_footprint);
 
         // Per-batch reports carry each batch's own outcomes, delta and
         // stats (its own floors and checkpoint flag — not the group's);
@@ -1163,50 +996,66 @@ impl WriteHandle {
 /// Batches containing topology updates are marked serial instead (the
 /// sequencer runs them with classic all-or-nothing transaction
 /// semantics).
-fn stage_batch(base: &Arc<EngineState>, updates: &[Update]) -> Result<StagedBatch, EngineError> {
+fn stage_batch(base: Arc<EngineState>, updates: &[Update]) -> Result<StagedBatch, EngineError> {
     let mut stats = UpdateStats {
         updates: updates.len(),
         ..UpdateStats::default()
     };
-    if updates.iter().any(Update::is_topology) {
-        return Ok(StagedBatch {
-            updates: updates.to_vec(),
-            base_epoch: base.epoch,
-            ops: None,
-            footprint: Footprint::topology(),
-            stats,
-        });
-    }
-    let mut stager = Txn::begin(base);
-    let ops = stager.stage_position_run(updates, &mut stats)?;
-    let footprint = Footprint::of_run(&ops, updates);
+    let ops = if updates.iter().any(Update::is_topology) {
+        None
+    } else {
+        Some(Txn::begin(&base).stage_position_run(updates, &mut stats)?)
+    };
     Ok(StagedBatch {
         updates: updates.to_vec(),
-        base_epoch: base.epoch,
-        ops: Some(ops),
-        footprint,
+        base,
+        ops,
         stats,
     })
 }
 
+/// Whether staging `updates` against `base` read exactly what it would
+/// read against the working transaction `txn` — optimistic read-set
+/// validation. Staging reads three things: the store entries of the ids
+/// the batch names, the id watermark (only when it allocates), and
+/// geometry (the index's unit tier and the space), which only topology
+/// changes — and every topology commit replaces the space `Arc`. Every
+/// store write installs a fresh entry `Arc`, and `base` pins the entries
+/// staging read, so comparing entry addresses is exact: a move away and
+/// back to identical content is still a new entry.
+fn reads_unchanged(txn: &Txn, base: &EngineState, updates: &[Update]) -> bool {
+    if !Arc::ptr_eq(&txn.space, &base.space) {
+        return false;
+    }
+    if Arc::ptr_eq(&txn.store, &base.store) {
+        // Nothing committed since the batch staged.
+        return true;
+    }
+    let allocates = updates
+        .iter()
+        .any(|u| matches!(u, Update::InsertObjectAt { .. }));
+    if allocates && txn.store.id_watermark() != base.store.id_watermark() {
+        return false;
+    }
+    let entry = |store: &ObjectStore, id| store.get(id).ok().map(std::ptr::from_ref);
+    updates
+        .iter()
+        .filter_map(Update::object_id)
+        .all(|id| entry(&txn.store, id) == entry(&base.store, id))
+}
+
 /// Settles one batch inside the serial section: serial (topology) batches
 /// run as a classic transaction on a clone of the working state; staged
-/// position batches apply their prepared ops directly — after a conflict
-/// check against everything that committed since they staged (and against
-/// earlier members of this group), re-staging when they lost the race.
-/// Returns the batch's original updates alongside its results: the
-/// leader's durability hook logs exactly what settled, in settle order.
-fn settle(
-    txn: &mut Txn,
-    seq: &SequencerState,
-    applied: &[Footprint],
-    staged: StagedBatch,
-) -> Result<(BatchState, Footprint, Vec<Update>), EngineError> {
+/// position batches apply their prepared ops directly when what they read
+/// is unchanged in the working state (which includes earlier members of
+/// this group), and re-stage against it otherwise. Returns the batch's
+/// original updates alongside its results: the leader's durability hook
+/// logs exactly what settled, in settle order.
+fn settle(txn: &mut Txn, staged: StagedBatch) -> Result<(BatchState, Vec<Update>), EngineError> {
     let StagedBatch {
         updates,
-        base_epoch,
+        base,
         ops,
-        footprint,
         stats,
     } = staged;
     let Some(ops) = ops else {
@@ -1219,27 +1068,23 @@ fn settle(
         batch.stats.checkpointed = true;
         batch.stats.shards_touched = batch.floors.len();
         *txn = attempt;
-        return Ok((batch, Footprint::topology(), updates));
+        return Ok((batch, updates));
     };
-    let lost_race = seq.conflicts_since(base_epoch, &footprint)
-        || applied.iter().any(|fp| footprint.conflicts_with(fp));
-    let (ops, stats, footprint) = if lost_race {
+    let (ops, stats) = if reads_unchanged(txn, &base, &updates) {
+        (ops, stats)
+    } else {
         // Re-stage against the state the batch actually lands on: full
         // re-validation and re-preparation, exactly as if it had been
         // submitted serially at this point in the order. The staging
         // clone is discarded; only the re-staged ops touch the working
         // transaction.
-        let mut stager = txn.clone();
         let mut stats = UpdateStats {
             updates: updates.len(),
             restaged: true,
             ..UpdateStats::default()
         };
-        let ops = stager.stage_position_run(&updates, &mut stats)?;
-        let footprint = Footprint::of_run(&ops, &updates);
-        (ops, stats, footprint)
-    } else {
-        (ops, stats, footprint)
+        let ops = txn.clone().stage_position_run(&updates, &mut stats)?;
+        (ops, stats)
     };
     let mut batch = BatchState {
         stats,
@@ -1252,7 +1097,7 @@ fn settle(
         batch.delta.record(&outcome);
         batch.outcomes.push(outcome);
     }
-    Ok((batch, footprint, updates))
+    Ok((batch, updates))
 }
 
 /// Rejects a non-finite or negative uncertainty radius before it can
@@ -1285,66 +1130,6 @@ fn check_instances(instances: usize) -> Result<(), EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fp(floors: &[Floor], ids: &[u64]) -> Footprint {
-        Footprint {
-            floors: floors.iter().copied().collect(),
-            ids: ids.iter().map(|&i| ObjectId(i)).collect(),
-            ..Footprint::default()
-        }
-    }
-
-    #[test]
-    fn footprint_conflict_rules() {
-        // Disjoint floors and ids: no conflict.
-        assert!(!fp(&[0], &[1]).conflicts_with(&fp(&[1], &[2])));
-        // Shared floor conflicts even with disjoint ids.
-        assert!(fp(&[0], &[1]).conflicts_with(&fp(&[0], &[2])));
-        // Shared id conflicts even across disjoint floors (the same
-        // external id raced onto two floors).
-        assert!(fp(&[0], &[7]).conflicts_with(&fp(&[1], &[7])));
-        // Topology conflicts with everything, both ways.
-        assert!(Footprint::topology().conflicts_with(&fp(&[3], &[9])));
-        assert!(fp(&[3], &[9]).conflicts_with(&Footprint::topology()));
-        // An allocating batch conflicts with any watermark move…
-        let alloc = Footprint {
-            allocates: true,
-            mints: true,
-            ..fp(&[0], &[5])
-        };
-        let mint = Footprint {
-            mints: true,
-            ..fp(&[1], &[6])
-        };
-        assert!(alloc.conflicts_with(&mint));
-        // …but a non-allocating batch does not care about the watermark.
-        assert!(!mint.conflicts_with(&fp(&[2], &[8])));
-        assert!(!fp(&[2], &[8]).conflicts_with(&mint));
-    }
-
-    #[test]
-    fn sequencer_window_is_conservative_beyond_coverage() {
-        let mut seq = SequencerState::new(0);
-        // Nothing committed yet: nothing conflicts.
-        assert!(!seq.conflicts_since(0, &fp(&[0], &[1])));
-        seq.note_commit(1, fp(&[0], &[1]));
-        seq.note_commit(2, fp(&[1], &[2]));
-        // Staged at epoch 1: only the epoch-2 commit is "since".
-        assert!(!seq.conflicts_since(1, &fp(&[0], &[1])));
-        assert!(seq.conflicts_since(1, &fp(&[1], &[9])));
-        // Staged at the current epoch: nothing is "since".
-        assert!(!seq.conflicts_since(2, &fp(&[1], &[2])));
-        // Evict past the window: old bases become conservative conflicts.
-        for e in 3..(RECENT_GROUPS as u64 + 10) {
-            seq.note_commit(e, fp(&[2], &[3]));
-        }
-        assert!(seq.coverage_floor > 0);
-        assert!(
-            seq.conflicts_since(0, &fp(&[9], &[99])),
-            "evicted history must force a re-stage"
-        );
-        assert!(!seq.conflicts_since(seq.coverage_floor, &fp(&[9], &[99])));
-    }
 
     #[test]
     fn staged_batches_cross_threads() {

@@ -12,6 +12,8 @@ use indoor_dq::model::Floor;
 use indoor_dq::objects::ObjectError;
 use indoor_dq::prelude::*;
 use indoor_dq::workloads::{generate_building, generate_objects, GeneratedBuilding};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::mpsc;
 
 fn building() -> GeneratedBuilding {
@@ -122,11 +124,12 @@ fn race_all(
     threads.into_iter().map(|t| t.join().unwrap()).collect()
 }
 
-/// A commit on the same floor lands inside the window: the parked batch
-/// must detect the floor-footprint conflict, re-stage against the new
-/// state, and still end bit-equal to the serial schedule B-then-A.
+/// A commit on the same floor lands inside the window, but it writes a
+/// different object: everything the parked batch read is unchanged, so
+/// its staged ops apply as they are, and the result still equals the
+/// serial schedule B-then-A.
 #[test]
-fn same_floor_commit_in_window_forces_restage() {
+fn same_floor_disjoint_ids_keep_the_fast_path() {
     let b = building();
     let mut e = engine(&b, 31);
     let ids = floor_ids(&e, 0);
@@ -150,8 +153,8 @@ fn same_floor_commit_in_window_forces_restage() {
     })
     .unwrap();
     assert!(
-        report.stats.restaged,
-        "a same-floor commit inside the window must force a re-stage"
+        !report.stats.restaged,
+        "a same-floor commit of another object leaves the read set intact"
     );
     e.refresh();
     assert_eq!(e.epoch(), 2);
@@ -160,6 +163,149 @@ fn same_floor_commit_in_window_forces_restage() {
     serial.apply_batch(&batch_b).unwrap();
     serial.apply_batch(&batch_a).unwrap();
     assert_same_objects(&e, &serial);
+    e.validate().unwrap();
+}
+
+/// The parked batch moves an object that a commit inside the window
+/// moves to another floor: the entry staging read is gone, so the batch
+/// re-stages (now leaving the new floor) and ends as the serial schedule
+/// B-then-A.
+#[test]
+fn cross_floor_move_of_the_same_object_in_window_forces_restage() {
+    let b = building();
+    let mut e = engine(&b, 36);
+    let x = floor_ids(&e, 0)[0];
+    let batch_a = vec![Update::MoveObject {
+        id: x,
+        center: room_center(&b, 0, 2),
+        floor: 0,
+        seed: 73,
+    }];
+    let batch_b = vec![Update::MoveObject {
+        id: x,
+        center: room_center(&b, 1, 1),
+        floor: 1,
+        seed: 74,
+    }];
+
+    let writer_b = e.writer();
+    let report = stage_then(e.writer(), batch_a.clone(), || {
+        writer_b.apply_batch(&batch_b).unwrap();
+    })
+    .unwrap();
+    assert!(
+        report.stats.restaged,
+        "a commit that moved the same object must force a re-stage"
+    );
+    e.refresh();
+    assert_eq!(e.store().get(x).unwrap().floor, 0);
+
+    let mut serial = engine(&b, 36);
+    serial.apply_batch(&batch_b).unwrap();
+    serial.apply_batch(&batch_a).unwrap();
+    assert_same_objects(&e, &serial);
+    e.validate().unwrap();
+}
+
+/// Inside the window the object moves away and back to a state identical
+/// to the one staging read. Validity is entry identity, not equal
+/// content: the entry is new, so the parked batch re-stages.
+#[test]
+fn move_away_and_back_in_window_forces_restage() {
+    let b = building();
+    let mut e = engine(&b, 37);
+    let x = floor_ids(&e, 0)[0];
+    let home = Update::MoveObject {
+        id: x,
+        center: room_center(&b, 0, 1),
+        floor: 0,
+        seed: 80,
+    };
+    let away = Update::MoveObject {
+        id: x,
+        center: room_center(&b, 1, 2),
+        floor: 1,
+        seed: 81,
+    };
+    let batch_a = vec![Update::MoveObject {
+        id: x,
+        center: room_center(&b, 0, 2),
+        floor: 0,
+        seed: 82,
+    }];
+    e.apply(home.clone()).unwrap();
+    let staged_state = e.store().get(x).unwrap().clone();
+
+    let writer_b = e.writer();
+    let service = e.service();
+    let report = stage_then(e.writer(), batch_a.clone(), || {
+        writer_b.apply(away.clone()).unwrap();
+        writer_b.apply(home.clone()).unwrap();
+        let back = service.snapshot().store().get(x).unwrap().clone();
+        assert_eq!(back.floor, staged_state.floor);
+        assert_eq!(back.region.center, staged_state.region.center);
+        assert_eq!(
+            back.instances(),
+            staged_state.instances(),
+            "the object is back in the exact state the parked batch read"
+        );
+    })
+    .unwrap();
+    assert!(
+        report.stats.restaged,
+        "equal content under a new entry must still force a re-stage"
+    );
+    e.refresh();
+
+    let mut serial = engine(&b, 37);
+    for update in [home.clone(), away, home] {
+        serial.apply(update).unwrap();
+    }
+    serial.apply_batch(&batch_a).unwrap();
+    assert_same_objects(&e, &serial);
+    e.validate().unwrap();
+}
+
+/// An allocating insert is parked while an external insert with a high
+/// id commits: the watermark moved, so the parked batch re-stages and
+/// mints past the external id, exactly as the serial schedule B-then-A.
+#[test]
+fn allocating_insert_mints_past_an_external_id_committed_in_window() {
+    let b = building();
+    let mut e = engine(&b, 38);
+    let external = ObjectId(e.store().id_watermark() + 1_000);
+    let batch_a = vec![Update::InsertObjectAt {
+        center: room_center(&b, 0, 1),
+        floor: 0,
+        radius: 2.0,
+        instances: 4,
+        seed: 91,
+    }];
+    let batch_b = vec![Update::InsertObject(Box::new(
+        UncertainObject::point_object(external, IndoorPoint::new(room_center(&b, 2, 0), 2)),
+    ))];
+
+    let writer_b = e.writer();
+    let report = stage_then(e.writer(), batch_a.clone(), || {
+        writer_b.apply_batch(&batch_b).unwrap();
+    })
+    .unwrap();
+    assert!(
+        report.stats.restaged,
+        "a watermark move under an allocating batch must force a re-stage"
+    );
+    assert_eq!(
+        report.outcomes,
+        vec![UpdateOutcome::ObjectInserted(ObjectId(external.0 + 1))],
+        "the parked insert mints past the external id"
+    );
+    e.refresh();
+
+    let mut serial = engine(&b, 38);
+    serial.apply_batch(&batch_b).unwrap();
+    serial.apply_batch(&batch_a).unwrap();
+    assert_same_objects(&e, &serial);
+    assert_eq!(e.store().id_watermark(), serial.store().id_watermark());
     e.validate().unwrap();
 }
 
@@ -316,4 +462,62 @@ fn topology_commit_in_window_forces_restage() {
         serial.space().door(door).unwrap().open
     );
     e.validate().unwrap();
+}
+
+/// Exactness of the read-set rule: 2–5 move-only batches over a small id
+/// pool on one floor all stage against one version, then race. A batch
+/// re-stages exactly when it names an id that a batch ordered before it
+/// by `(epoch, offset_in_epoch)` also names — a shared floor alone never
+/// forces one — and the end state is the serial replay in that order.
+#[test]
+fn racing_batches_restage_exactly_when_their_ids_meet() {
+    let b = building();
+    let (mut fast, mut restaged) = (0, 0);
+    for case in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let mut e = engine(&b, 40 + case);
+        let pool: Vec<ObjectId> = floor_ids(&e, 0).into_iter().take(5).collect();
+        let batches: Vec<Vec<Update>> = (0..rng.random_range(2..6usize))
+            .map(|_| {
+                (0..rng.random_range(1..3usize))
+                    .map(|_| Update::MoveObject {
+                        id: pool[rng.random_range(0..pool.len())],
+                        center: room_center(&b, 0, rng.random_range(0..6usize)),
+                        floor: 0,
+                        seed: rng.random(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let writers = batches.iter().map(|_| e.writer()).collect();
+        let reports: Vec<UpdateReport> = race_all(writers, batches.clone())
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&k| (reports[k].epoch, reports[k].offset_in_epoch));
+        let mut serial = engine(&b, 40 + case);
+        for (pos, &k) in order.iter().enumerate() {
+            let meets = order[..pos].iter().any(|&j| {
+                batches[k]
+                    .iter()
+                    .any(|u| batches[j].iter().any(|v| u.object_id() == v.object_id()))
+            });
+            assert_eq!(
+                reports[k].stats.restaged, meets,
+                "case {case}: batch {k} at position {pos} of {order:?}"
+            );
+            if meets {
+                restaged += 1;
+            } else {
+                fast += 1;
+            }
+            serial.apply_batch(&batches[k]).unwrap();
+        }
+        e.refresh();
+        assert_same_objects(&e, &serial);
+        e.validate().unwrap();
+    }
+    assert!(fast > 0 && restaged > 0, "both paths exercised");
 }
