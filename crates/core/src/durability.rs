@@ -17,7 +17,7 @@
 //! hands it a pinned [`EngineState`] `Arc` (MVCC's immutable versions
 //! make "snapshot while writers proceed" free — the worker encodes from
 //! a version nothing will ever mutate), and the worker streams the
-//! encoded space + store + high-water marks to the backend, publishes
+//! encoded space + store (with its id watermark) to the backend, publishes
 //! the checkpoint atomically, then truncates every log segment the
 //! checkpoint made redundant. Writers never wait: the only shared state
 //! the worker touches is the WAL mutex, briefly, for the truncation.

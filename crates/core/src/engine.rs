@@ -86,32 +86,26 @@ impl IndoorEngine {
         store: ObjectStore,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        Self::with_objects_at(space, store, config, 0, 0.0)
+        Self::with_objects_at(space, store, config, 0)
     }
 
-    /// [`IndoorEngine::with_objects`] resuming at a given epoch and
-    /// radius high-water mark — recovery builds the post-checkpoint
-    /// engine through this (the index is derived state, rebuilt here).
+    /// [`IndoorEngine::with_objects`] resuming at a given epoch — recovery
+    /// builds the post-checkpoint engine through this (the index is
+    /// derived state, rebuilt here).
     fn with_objects_at(
         space: IndoorSpace,
         store: ObjectStore,
         config: EngineConfig,
         epoch: u64,
-        radius_floor: f64,
     ) -> Result<Self, EngineError> {
         let index = CompositeIndex::build(&space, &store, config.index)?;
-        let max_radius = store
-            .iter()
-            .map(|o| o.region.radius)
-            .fold(radius_floor, f64::max);
-        let state = Arc::new(EngineState {
-            space: Arc::new(space),
-            store: Arc::new(store),
-            index: Arc::new(index),
-            options: config.query,
-            max_radius,
+        let state = Arc::new(EngineState::from_parts_at(
+            Arc::new(space),
+            Arc::new(store),
+            Arc::new(index),
+            config.query,
             epoch,
-        });
+        ));
         let shared = Arc::new(Shared::new(Arc::clone(&state)));
         let writer = WriteHandle::bootstrap(Arc::clone(&shared));
         Ok(IndoorEngine {
@@ -207,14 +201,14 @@ impl IndoorEngine {
         let label = backend.label();
         let ckpt = load_checkpoint(&backend)?;
         let decoded = wire::decode_checkpoint(&ckpt.payload);
-        let (space, store, max_radius) = decoded.map_err(|cause| EngineError::Recovery {
+        let (space, store) = decoded.map_err(|cause| EngineError::Recovery {
             path: label.clone(),
             epoch: ckpt.epoch,
             cause,
         })?;
         let (durability, records) = Durability::open(backend, options, ckpt.epoch)?;
-        let mut engine = Self::with_objects_at(space, store, config, ckpt.epoch, max_radius)
-            .map_err(|e| EngineError::Recovery {
+        let mut engine = Self::with_objects_at(space, store, config, ckpt.epoch).map_err(|e| {
+            EngineError::Recovery {
                 path: label.clone(),
                 epoch: ckpt.epoch,
                 cause: StorageError::Corrupt {
@@ -222,7 +216,8 @@ impl IndoorEngine {
                     offset: 0,
                     reason: format!("checkpoint does not index: {e}"),
                 },
-            })?;
+            }
+        })?;
         engine.replay(&records, ckpt.epoch, &label)?;
         engine.shared.attach_durability(durability);
         engine.refresh();
@@ -420,13 +415,11 @@ impl IndoorEngine {
     // ---- snapshots (sessions over a consistent read view) ----------------
 
     /// An owned snapshot pinned to the latest committed version, using the
-    /// engine's effective default options. The snapshot is `Clone + Send +
+    /// engine's configured query options. The snapshot is `Clone + Send +
     /// Sync`: hand it to any thread, it keeps reading this version no
     /// matter what commits afterwards.
     pub fn snapshot(&self) -> Snapshot {
-        let current = self.shared.current();
-        let options = current.effective_options();
-        Snapshot::from_state(current, options)
+        Snapshot::from_state(self.shared.current())
     }
 
     // ---- typed updates (§III-C) ------------------------------------------
@@ -1223,7 +1216,7 @@ mod tests {
         let space = three_rooms();
         let durable = |store: &ObjectStore, epoch: u64| {
             let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-            let payload = wire::encode_checkpoint(&space, store, 0.0);
+            let payload = wire::encode_checkpoint(&space, store);
             write_checkpoint(&backend, epoch, &payload).unwrap();
             backend
         };

@@ -237,7 +237,6 @@ fn dispatch_loop(shared: Arc<Shared>, feed: CommitFeed) {
                 snapshot.space(),
                 snapshot.index(),
                 snapshot.store(),
-                snapshot.options(),
                 &report,
             );
         }
@@ -312,12 +311,10 @@ impl IndoorService {
         self.shared.current().epoch
     }
 
-    /// A snapshot pinned to the latest committed version, with that
-    /// version's effective default options.
+    /// A snapshot pinned to the latest committed version, with the
+    /// engine's configured query options.
     pub fn snapshot(&self) -> Snapshot {
-        let state = self.shared.current();
-        let options = state.effective_options();
-        Snapshot::from_state(state, options)
+        Snapshot::from_state(self.shared.current())
     }
 
     /// Evaluates one typed [`Query`] on a fresh snapshot of the latest
@@ -332,12 +329,9 @@ impl IndoorService {
         self.snapshot().execute_batch(queries)
     }
 
-    /// Registers a standing query with the serving engine's effective
-    /// default options, which the subscription keeps *tracking*: when a
-    /// later commit widens the effective options (a larger uncertainty
-    /// region arrived), the dispatcher has the monitor adopt them before
-    /// absorbing that commit, so its results always match what a fresh
-    /// default query would return.
+    /// Registers a standing query with the serving engine's configured
+    /// query options: its results always match what a fresh query on a
+    /// [`IndoorService::snapshot`] of the same epoch would return.
     ///
     /// Supported query kinds:
     ///
@@ -355,10 +349,10 @@ impl IndoorService {
         self.subscribe_inner(query, None, DEFAULT_MAILBOX_CAPACITY)
     }
 
-    /// Registers a standing query with explicit, **frozen** query options
-    /// (ablations, a tighter slack…): evaluates it once on the latest
-    /// committed version (the [`Subscription::initial`] result) and has
-    /// every subsequent commit that can affect it routed to it, so the
+    /// Registers a standing query with explicit query options (ablations,
+    /// a tighter slack…): evaluates it once on the latest committed
+    /// version (the [`Subscription::initial`] result) and has every
+    /// subsequent commit that can affect it routed to it, so the
     /// subscription stays current without re-running the query. See
     /// [`IndoorService::subscribe`] for the supported query kinds.
     pub fn subscribe_with(
@@ -411,11 +405,7 @@ impl IndoorService {
         self.shared.quiesce()
     }
 
-    /// `explicit_options: None` means "track the effective defaults". The
-    /// options used for the initial refresh are derived from the **same**
-    /// state read as the baseline snapshot — deriving them from an earlier
-    /// read would let a commit slip in between, refreshing a newer-epoch
-    /// baseline with a staler (narrower) slack.
+    /// `explicit_options: None` means the engine's configured options.
     fn subscribe_inner(
         &self,
         query: Query,
@@ -434,8 +424,8 @@ impl IndoorService {
         // dispatch thread waits on this; the committing writer does not.
         let mut dispatcher = self.shared.dispatcher.lock().expect("dispatcher lock");
         let state = self.shared.current();
-        let options = explicit_options.unwrap_or_else(|| state.effective_options());
-        let baseline = Snapshot::from_state(state, options);
+        let options = explicit_options.unwrap_or(state.options);
+        let baseline = Snapshot::from_state(state);
         let mut monitor = match query {
             Query::Range { q, r } => StandingMonitor::Range(RangeMonitor::new(q, r, options)?),
             Query::Knn { q, k } => StandingMonitor::Knn(KnnMonitor::new(q, k, options)?),
@@ -447,7 +437,6 @@ impl IndoorService {
         let (id, rx) = dispatcher.register(
             monitor,
             baseline.version(),
-            explicit_options.is_none(),
             capacity,
             baseline.space(),
             baseline.index(),
@@ -724,8 +713,8 @@ mod tests {
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         let service = e.service();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        // Frozen zero-slack options keep the candidate footprint to the
-        // query's own room inside this small floorplan.
+        // Explicit zero-slack options; the candidate footprint, which
+        // no slack widens, is the query's own room in this floorplan.
         let tight = QueryOptions {
             subgraph_slack: 0.0,
             ..QueryOptions::default()
@@ -899,19 +888,19 @@ mod tests {
     }
 
     #[test]
-    fn default_subscriptions_track_widening_options() {
-        // Subscribe while only small objects exist, then insert a
-        // larger-radius object and reconfigure topology: the default
-        // subscription must adopt the widened effective options, so its
-        // internal refresh matches a fresh default query at that epoch.
+    fn default_subscriptions_match_fresh_queries_after_a_wide_insert() {
+        // Subscribe while only small objects exist, then insert an object
+        // wider than the default slack was sized for and reconfigure
+        // topology: the subscription keeps its options and still matches
+        // a fresh default query at that epoch.
         let mut e = IndoorEngine::new(three_rooms(), EngineConfig::default()).unwrap();
         insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 4, 1);
         let service = e.service();
         let q = IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut sub = service.subscribe(Query::Range { q, r: 30.0 }).unwrap();
 
-        // Radius 15 pushes the effective slack past the 60 m floor
-        // (`QueryOptions::for_max_radius`: max(4r + 20, 60)).
+        // Radius 15 needs more than the default 60 m slack by
+        // `QueryOptions::for_max_radius` (max(4r + 20, 60)).
         insert_at(&mut e, Point2::new(25.0, 5.0), 15.0, 8, 2);
         let door = e.space().doors().next().unwrap().id;
         e.apply_batch(&[Update::CloseDoor(door), Update::OpenDoor(door)])
@@ -927,7 +916,7 @@ mod tests {
         assert_eq!(
             sub.current(),
             fresh,
-            "the tracked options match a fresh default query"
+            "the subscription matches a fresh default query"
         );
     }
 

@@ -43,10 +43,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Pins a state with explicit query options (the engine's
+    /// Pins a state with its configured query options (the engine's
     /// [`crate::IndoorEngine::snapshot`] and the service's
     /// [`crate::IndoorService::snapshot`] are the usual entry points).
-    pub fn from_state(state: Arc<EngineState>, options: QueryOptions) -> Self {
+    pub fn from_state(state: Arc<EngineState>) -> Self {
+        let options = state.options;
         Snapshot { state, options }
     }
 
@@ -59,10 +60,9 @@ impl Snapshot {
         index: Arc<CompositeIndex>,
         options: QueryOptions,
     ) -> Self {
-        Snapshot {
-            state: Arc::new(EngineState::from_parts(space, store, index, options)),
-            options,
-        }
+        Self::from_state(Arc::new(EngineState::from_parts_at(
+            space, store, index, options, 0,
+        )))
     }
 
     /// The engine epoch this snapshot is pinned to: two snapshots with the
@@ -78,11 +78,11 @@ impl Snapshot {
         &self.state
     }
 
-    /// Encodes the pinned version as a checkpoint payload (space, store,
-    /// and the engine's radius high-water mark — the exact bytes
-    /// background checkpoints write). Because the snapshot pins an
-    /// immutable version, this runs concurrently with committing writers
-    /// and always encodes a transactionally consistent world.
+    /// Encodes the pinned version as a checkpoint payload (space and
+    /// store — the exact bytes background checkpoints write). Because the
+    /// snapshot pins an immutable version, this runs concurrently with
+    /// committing writers and always encodes a transactionally consistent
+    /// world.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
         self.state.encode_checkpoint()
     }
@@ -205,12 +205,8 @@ mod tests {
             .with_options(QueryOptions::default().without_pruning());
         let out = ablated.execute(&Query::Range { q, r: 20.0 }).unwrap();
         assert_eq!(out.as_range().unwrap().stats.accepted_by_bounds, 0);
-        // The engine's snapshot carries the effective options: slack
-        // widened to the largest inserted radius.
-        assert_eq!(
-            base.options().subgraph_slack,
-            base.state().effective_options().subgraph_slack
-        );
+        // The engine's snapshot carries the configured options.
+        assert_eq!(*base.options(), base.state().options());
     }
 
     #[test]

@@ -48,53 +48,25 @@ pub struct EngineState {
     pub(crate) space: Arc<IndoorSpace>,
     pub(crate) store: Arc<ObjectStore>,
     pub(crate) index: Arc<CompositeIndex>,
-    /// Base query options configured at engine construction.
+    /// The query options configured at engine construction.
     pub(crate) options: QueryOptions,
-    /// Largest uncertainty radius ever inserted, used to widen the
-    /// subgraph slack of the effective options.
-    pub(crate) max_radius: f64,
     /// The write epoch this state is the result of (0 for the initial
     /// population).
     pub(crate) epoch: u64,
 }
 
 impl EngineState {
-    /// Assembles a state from bare layers at epoch 0 (benchmark harnesses;
-    /// engine-produced states carry their commit epoch). Costs three
-    /// pointer moves: the store is *not* scanned, so
-    /// [`EngineState::effective_options`] of a bare-parts state is just
-    /// `options` — harnesses size their options explicitly (e.g. with
-    /// [`QueryOptions::for_max_radius`]).
-    pub fn from_parts(
-        space: Arc<IndoorSpace>,
-        store: Arc<ObjectStore>,
-        index: Arc<CompositeIndex>,
-        options: QueryOptions,
-    ) -> Self {
-        EngineState {
-            space,
-            store,
-            index,
-            options,
-            max_radius: 0.0,
-            epoch: 0,
-        }
-    }
-
-    /// Assembles a state from bare layers **at a given epoch** with an
-    /// explicit `max_radius` high-water mark — the reconstruction
-    /// constructor: `idq-history` rebuilds retained epochs through this so
-    /// a reconstructed version carries the same epoch stamp, checkpoint
-    /// bytes ([`crate::Snapshot::encode_checkpoint`]) and effective query
-    /// options as the live version the engine once published. Like
-    /// [`EngineState::from_parts`], the store is not scanned: the caller
-    /// supplies the high-water mark it recorded.
+    /// Assembles a state from bare layers at a given epoch. Costs three
+    /// pointer moves: the store is not scanned. Harnesses pass epoch 0;
+    /// `idq-history` rebuilds retained epochs through this, so a
+    /// reconstructed version carries the same epoch stamp, checkpoint
+    /// bytes ([`crate::Snapshot::encode_checkpoint`]) and query options
+    /// as the live version the engine once published.
     pub fn from_parts_at(
         space: Arc<IndoorSpace>,
         store: Arc<ObjectStore>,
         index: Arc<CompositeIndex>,
         options: QueryOptions,
-        max_radius: f64,
         epoch: u64,
     ) -> Self {
         EngineState {
@@ -102,7 +74,6 @@ impl EngineState {
             store,
             index,
             options,
-            max_radius,
             epoch,
         }
     }
@@ -134,48 +105,19 @@ impl EngineState {
         self.epoch
     }
 
-    /// The base query options configured at engine construction — the
-    /// input [`EngineState::effective_options`] widens. Reconstruction
-    /// ([`EngineState::from_parts_at`]) takes the base, not the effective
-    /// form, so the widening replays from the recorded `max_radius`.
-    pub fn base_options(&self) -> QueryOptions {
+    /// The query options configured at engine construction: every
+    /// snapshot of this version uses them unless
+    /// [`crate::Snapshot::with_options`] replaces them.
+    pub fn options(&self) -> QueryOptions {
         self.options
     }
 
-    /// The largest uncertainty-region radius ever inserted up to this
-    /// version (a high-water mark: monotone across epochs, not derivable
-    /// from the live population).
-    pub fn max_radius(&self) -> f64 {
-        self.max_radius
-    }
-
-    /// The effective default query options of this version: the base
-    /// options with the subgraph slack widened to the largest uncertainty
-    /// region ever inserted.
-    pub fn effective_options(&self) -> QueryOptions {
-        Self::effective_options_for(self.options, self.max_radius)
-    }
-
-    /// The widening rule behind [`EngineState::effective_options`], usable
-    /// without a state: base options with the subgraph slack widened to a
-    /// given radius high-water mark. History replay re-derives per-epoch
-    /// effective options through this so reconstructed answers use exactly
-    /// the options the live engine used at that epoch.
-    pub fn effective_options_for(options: QueryOptions, max_radius: f64) -> QueryOptions {
-        let by_radius = QueryOptions::for_max_radius(max_radius);
-        QueryOptions {
-            subgraph_slack: options.subgraph_slack.max(by_radius.subgraph_slack),
-            ..options
-        }
-    }
-
     /// Encodes this version's durable content as a checkpoint payload:
-    /// space, store, and the `max_radius` high-water mark. The index is
-    /// derived state (rebuilt on recovery); the epoch travels in the
-    /// checkpoint header. Safe to call from any thread on any pinned
-    /// version — versions are immutable, so checkpointing runs
-    /// concurrently with committing writers.
+    /// space and store. The index is derived state (rebuilt on recovery);
+    /// the epoch travels in the checkpoint header. Safe to call from any
+    /// thread on any pinned version — versions are immutable, so
+    /// checkpointing runs concurrently with committing writers.
     pub(crate) fn encode_checkpoint(&self) -> Vec<u8> {
-        crate::wire::encode_checkpoint(&self.space, &self.store, self.max_radius)
+        crate::wire::encode_checkpoint(&self.space, &self.store)
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! batch      = FORMAT:u8 updates:seq<update> inserted:seq<u64>
-//! checkpoint = FORMAT:u8 space store max_radius:f64
+//! checkpoint = FORMAT:u8 space store
 //!
 //! update     = tag:u8, then by tag:
 //!               0 InsertObject     object
@@ -58,17 +58,18 @@
 //!   needs to behave as the original did. A polygon's vertices are the
 //!   counter-clockwise sequence `Polygon::vertices` exposes. Objects are in
 //!   ascending id order, and the id-allocation watermark travels with them,
-//!   since deterministic id allocation depends on it. `max_radius` is the
-//!   largest region radius ever inserted, which the live population does
-//!   not determine. The index is derived state and is rebuilt on recovery.
+//!   since deterministic id allocation depends on it. The index is
+//!   derived state and is rebuilt on recovery.
 //!
 //! Identical state encodes to identical bytes. A decoder consumes every
 //! byte of its payload or fails with a typed [`StorageError::Decode`]
 //! naming the field it stopped at; it never panics, and it reserves
 //! memory in proportion to the payload, never to a count it read.
-//! [`FORMAT`] 2 versions both payloads; it marks the replay rule that
-//! refuses a batch which strands an instance outside every active
-//! partition. Any other version fails to decode.
+//! [`FORMAT`] 3 versions both payloads. Version 2 marked the replay rule
+//! that refuses a batch which strands an instance outside every active
+//! partition; version 3 drops the radius high-water mark that ended a
+//! version-2 checkpoint. Any other version fails to decode, so a
+//! directory written at version 2 refuses to recover.
 
 use crate::update::Update;
 use idq_geom::{Circle, Point2, Polygon};
@@ -85,7 +86,7 @@ use idq_storage::StorageError;
 
 /// The payload format version: the first byte of every WAL record payload
 /// and every checkpoint payload.
-pub const FORMAT: u8 = 2;
+pub const FORMAT: u8 = 3;
 
 const DIRECTIONS: [Direction; 2] = [Direction::Bidirectional, Direction::OneWay];
 const PARTITION_KINDS: [PartitionKind; 3] = [
@@ -125,25 +126,22 @@ pub fn decode_batch(payload: &[u8]) -> Result<WalBatch, StorageError> {
     Ok(WalBatch { updates, inserted })
 }
 
-/// Encodes a checkpoint payload: the space and store layers plus the
-/// `max_radius` high-water mark.
-pub fn encode_checkpoint(space: &IndoorSpace, store: &ObjectStore, max_radius: f64) -> Vec<u8> {
+/// Encodes a checkpoint payload: the space and store layers.
+pub fn encode_checkpoint(space: &IndoorSpace, store: &ObjectStore) -> Vec<u8> {
     let mut buf = vec![FORMAT];
     put_space(&mut buf, space);
     put_store(&mut buf, store);
-    put_f64(&mut buf, max_radius);
     buf
 }
 
 /// Decodes a checkpoint payload written by [`encode_checkpoint`].
-pub fn decode_checkpoint(payload: &[u8]) -> Result<(IndoorSpace, ObjectStore, f64), StorageError> {
+pub fn decode_checkpoint(payload: &[u8]) -> Result<(IndoorSpace, ObjectStore), StorageError> {
     let mut c = Cursor::new(payload);
     take_format(&mut c, "checkpoint format version")?;
     let space = take_space(&mut c)?;
     let store = take_store(&mut c)?;
-    let max_radius = c.take_f64("checkpoint max radius")?;
     c.finish("checkpoint payload")?;
-    Ok((space, store, max_radius))
+    Ok((space, store))
 }
 
 fn take_format(c: &mut Cursor<'_>, what: &'static str) -> Result<(), StorageError> {
@@ -918,15 +916,25 @@ mod tests {
     #[test]
     fn engine_checkpoint_round_trips() {
         let (space, store) = test_world();
-        let mut buf = encode_checkpoint(&space, &store, 7.5);
-        let (rspace, rstore, radius) = decode_checkpoint(&buf).unwrap();
+        let mut buf = encode_checkpoint(&space, &store);
+        let (rspace, rstore) = decode_checkpoint(&buf).unwrap();
         assert_eq!(rspace.num_floors(), space.num_floors());
         assert_eq!(rstore.len(), 1);
-        assert_eq!(radius.to_bits(), 7.5f64.to_bits());
 
         // A format-version mismatch fails loudly.
+        let version = |what| StorageError::Decode { what, offset: 0 };
+        let mut v2 = buf.clone();
         buf[0] = 0xFF;
         assert!(decode_checkpoint(&buf).is_err());
+        // Version 2: the same layers followed by a radius high-water mark.
+        v2[0] = 2;
+        put_f64(&mut v2, 7.5);
+        let err = decode_checkpoint(&v2).unwrap_err();
+        assert_eq!(err, version("checkpoint format version"));
+        let mut batch = encode_batch(&all_variants(), &[ObjectId(5), ObjectId(60)]);
+        batch[0] = 2;
+        let err = decode_batch(&batch).unwrap_err();
+        assert_eq!(err, version("wal format version"));
     }
 
     /// Pins the payload format: the CRC32 of every byte after the leading
@@ -936,10 +944,10 @@ mod tests {
     #[test]
     fn payload_format_fingerprint() {
         let (space, store) = test_world();
-        let checkpoint = encode_checkpoint(&space, &store, 7.5);
+        let checkpoint = encode_checkpoint(&space, &store);
         let batch = encode_batch(&all_variants(), &[ObjectId(5), ObjectId(60)]);
         assert_eq!((checkpoint[0], batch[0]), (FORMAT, FORMAT));
-        assert_eq!(crc32(&checkpoint[1..]), 0xfe6e_15f1);
+        assert_eq!(crc32(&checkpoint[1..]), 0x57bb_c6a6);
         assert_eq!(crc32(&batch[1..]), 0xba75_3200);
     }
 
@@ -950,7 +958,7 @@ mod tests {
     fn mutated_payloads_decode_or_fail_without_panicking() {
         let batch = encode_batch(&all_variants(), &[ObjectId(5), ObjectId(60)]);
         let (space, store) = test_world();
-        let checkpoint = encode_checkpoint(&space, &store, 7.5);
+        let checkpoint = encode_checkpoint(&space, &store);
 
         fn sweep(name: &str, payload: &[u8], decode: fn(&[u8])) {
             let survives = |bytes: &[u8]| std::panic::catch_unwind(|| decode(bytes)).is_ok();

@@ -186,7 +186,6 @@ struct Txn {
     space: Arc<IndoorSpace>,
     store: Arc<ObjectStore>,
     index: Arc<CompositeIndex>,
-    max_radius: f64,
     /// Whether the space layer was copy-on-written (i.e. the batch
     /// contained topology updates) — reported as `UpdateStats::checkpointed`.
     space_cloned: bool,
@@ -198,7 +197,6 @@ impl Txn {
             space: Arc::clone(&state.space),
             store: Arc::clone(&state.store),
             index: Arc::clone(&state.index),
-            max_radius: state.max_radius,
             space_cloned: false,
         }
     }
@@ -510,11 +508,9 @@ impl Txn {
         match op {
             PreparedOp::Insert(object, units, mbr) => {
                 let id = object.id;
-                let radius = object.region.radius;
                 floors.insert(object.floor);
                 Arc::make_mut(&mut self.index).insert_object_prepared(id, units, mbr)?;
                 Arc::make_mut(&mut self.store).insert(*object)?;
-                self.max_radius = self.max_radius.max(radius);
                 Ok(UpdateOutcome::ObjectInserted(id))
             }
             PreparedOp::Move(object, units, mbr, old_floor) => {
@@ -890,14 +886,13 @@ impl WriteHandle {
         }
 
         let epoch = base.epoch + 1;
-        let next = Arc::new(EngineState {
-            space: txn.space,
-            store: txn.store,
-            index: txn.index,
-            options: base.options,
-            max_radius: txn.max_radius,
+        let next = Arc::new(EngineState::from_parts_at(
+            txn.space,
+            txn.store,
+            txn.index,
+            base.options,
             epoch,
-        });
+        ));
 
         // The durability hook: the whole group's batches land in the WAL
         // — one record per batch, in offset order, under the group's
@@ -977,7 +972,7 @@ impl WriteHandle {
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
             report: Arc::new(merged),
-            snapshot: Snapshot::from_state(Arc::clone(&next), next.effective_options()),
+            snapshot: Snapshot::from_state(Arc::clone(&next)),
             before: Arc::clone(&base.index),
         });
         for (slot, report) in reports {
@@ -1101,7 +1096,7 @@ fn settle(txn: &mut Txn, staged: StagedBatch) -> Result<(BatchState, Vec<Update>
 }
 
 /// Rejects a non-finite or negative uncertainty radius before it can
-/// reach the store or the engine's radius high-water mark.
+/// reach the store.
 fn check_radius(radius: f64) -> Result<(), EngineError> {
     if radius.is_finite() && radius >= 0.0 {
         Ok(())

@@ -6,7 +6,7 @@ use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
-use idq_query::{KnnMonitor, MonitorChange, QueryError, QueryOptions, RangeMonitor};
+use idq_query::{KnnMonitor, MonitorChange, QueryError, RangeMonitor};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -156,22 +156,6 @@ impl StandingMonitor {
         }
     }
 
-    /// The query options evaluations use.
-    pub fn options(&self) -> &QueryOptions {
-        match self {
-            StandingMonitor::Range(m) => m.options(),
-            StandingMonitor::Knn(m) => m.options(),
-        }
-    }
-
-    /// Replaces the query options.
-    pub fn set_options(&mut self, options: QueryOptions) {
-        match self {
-            StandingMonitor::Range(m) => m.set_options(options),
-            StandingMonitor::Knn(m) => m.set_options(options),
-        }
-    }
-
     /// The threshold the footprint was derived from: `Some(kth
     /// distance)` for kNN (whose footprint must be recomputed when it
     /// changes), `None` for range (fixed radius, fixed footprint).
@@ -184,9 +168,9 @@ impl StandingMonitor {
 
     /// Computes the current candidate-partition footprint through the
     /// same retrieval the query pipeline's filtering phase uses, at the
-    /// query threshold itself — **without** the subgraph slack. The
-    /// slack widens Phase 2's restricted distance computation, but
-    /// distances depend on the topology alone (and topology commits
+    /// query threshold itself — **without** the subgraph slack, which
+    /// only sizes the first door-distance band and decides no answer.
+    /// Distances depend on the topology alone (and topology commits
     /// route to every subscription regardless of footprints), while an
     /// object in a slack-only partition has a geometric lower bound
     /// above the threshold and can never be a member — so object churn
@@ -263,7 +247,6 @@ struct SubEntry<R> {
     /// reflected in the monitor's initial state and must not be
     /// re-absorbed.
     epoch: u64,
-    track_options: bool,
 }
 
 /// The query-indexed routing core. Single-threaded by design — the
@@ -392,7 +375,6 @@ impl<R> Dispatcher<R> {
         &mut self,
         monitor: StandingMonitor,
         baseline_epoch: u64,
-        track_options: bool,
         capacity: usize,
         space: &IndoorSpace,
         index: &CompositeIndex,
@@ -414,7 +396,6 @@ impl<R> Dispatcher<R> {
                 footprint_threshold,
                 mailbox,
                 epoch: baseline_epoch,
-                track_options,
             },
         );
         self.stats.registered += 1;
@@ -458,16 +439,12 @@ impl<R> Dispatcher<R> {
     /// the net delta, and every member lies in its footprint at the
     /// previous version, so where an object was only inside a group
     /// cannot change any result.
-    ///
-    /// `options` are the commit's effective query options; subscriptions
-    /// registered with `track_options` adopt them before absorbing.
     pub fn dispatch(
         &mut self,
         delta: &CommitDelta<'_>,
         space: &IndoorSpace,
         index: &CompositeIndex,
         store: &ObjectStore,
-        options: &QueryOptions,
         payload: &R,
     ) where
         R: Clone,
@@ -551,10 +528,6 @@ impl<R> Dispatcher<R> {
                 }
                 &relevant
             };
-            let opts_changed = entry.track_options && entry.monitor.options() != options;
-            if opts_changed {
-                entry.monitor.set_options(*options);
-            }
             let changes = match entry.monitor.absorb_delta(
                 updated,
                 delta.removed,
@@ -589,7 +562,7 @@ impl<R> Dispatcher<R> {
                 (Some(built), Some(now)) => now > built || now < built * 0.5,
                 _ => false,
             };
-            if delta.topology_changed || opts_changed || drifted {
+            if delta.topology_changed || drifted {
                 let fresh = entry.monitor.footprint(space, index);
                 if fresh != entry.footprint {
                     unlink(
@@ -633,6 +606,7 @@ mod tests {
     use idq_index::IndexConfig;
     use idq_model::{FloorPlanBuilder, IndoorPoint};
     use idq_objects::UncertainObject;
+    use idq_query::QueryOptions;
 
     fn setup() -> (IndoorSpace, ObjectStore, CompositeIndex) {
         let mut b = FloorPlanBuilder::new(4.0);
@@ -709,7 +683,6 @@ mod tests {
         let (_, rx) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             0,
-            false,
             16,
             &space,
             &index,
@@ -729,7 +702,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &1,
         );
         assert_eq!(d.stats().skipped, 1);
@@ -750,7 +722,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &2,
         );
         let msg = rx.try_recv().expect("routed commit delivers");
@@ -768,7 +739,6 @@ mod tests {
         let (_, rx) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             0,
-            false,
             16,
             &space,
             &index,
@@ -787,7 +757,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &1,
         );
         assert_eq!(d.stats().skipped, 0);
@@ -803,7 +772,6 @@ mod tests {
         let (_, rx) = d.register(
             range_monitor(&space, &index, &store, 15.0),
             0,
-            false,
             16,
             &space,
             &index,
@@ -827,7 +795,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &1,
         );
         let msg = rx.try_recv().expect("topology commit always routes");
@@ -843,7 +810,6 @@ mod tests {
         let (_, rx) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             5,
-            false,
             16,
             &space,
             &index,
@@ -855,11 +821,11 @@ mod tests {
             topology_changed: false,
             before: &near,
         };
-        d.dispatch(&stale, &space, &index, &store, &tight(), &5);
+        d.dispatch(&stale, &space, &index, &store, &5);
         assert!(rx.try_recv().is_none(), "epoch 5 predates the baseline");
 
         let fresh = CommitDelta { epoch: 6, ..stale };
-        d.dispatch(&fresh, &space, &index, &store, &tight(), &6);
+        d.dispatch(&fresh, &space, &index, &store, &6);
         let msg = rx.try_recv().expect("epoch 6 is news");
         assert_eq!(msg.epoch, 6);
         assert_eq!(
@@ -880,7 +846,7 @@ mod tests {
             mon.footprint(&space, &index).covers_everything(),
             "empty top-k: infinite threshold routes everything"
         );
-        let (_, rx) = d.register(mon, 0, false, 16, &space, &index);
+        let (_, rx) = d.register(mon, 0, 16, &space, &index);
 
         // While the top-k is underfull, even a far-away appearance must
         // route (it enters the result).
@@ -896,7 +862,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &1,
         );
         let msg = rx.try_recv().expect("underfull kNN routes everywhere");
@@ -921,7 +886,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &2,
         );
         let msg = rx.try_recv().expect("member partition still routed");
@@ -942,7 +906,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &3,
         );
         assert_eq!(rx.try_recv().expect("member move routes").changes, vec![]);
@@ -959,7 +922,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &4,
         );
         assert_eq!(d.stats().skipped, skipped_before + 1);
@@ -976,7 +938,6 @@ mod tests {
         let (id, rx) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             0,
-            false,
             16,
             &space,
             &index,
@@ -999,7 +960,6 @@ mod tests {
             &space,
             &index,
             &store,
-            &tight(),
             &1,
         );
         assert_eq!(d.stats().deliveries, 0);
@@ -1012,7 +972,6 @@ mod tests {
         let (_, rx_live) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             0,
-            false,
             16,
             &space,
             &index,
@@ -1022,7 +981,6 @@ mod tests {
         let (_, rx_late) = d.register(
             range_monitor(&space, &index, &store, 5.0),
             0,
-            false,
             16,
             &space,
             &index,

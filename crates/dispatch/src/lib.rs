@@ -22,10 +22,11 @@
 //! only by moving some object's expected distance across the query's
 //! threshold, which requires an instance within that threshold; the
 //! instance's partition then has a geometric lower bound below the
-//! threshold and is — by the same retrieval the pipeline's filtering
-//! phase uses (`range_search_dual`, no false negatives) — in the query's
-//! candidate set. The commit's routing footprint contains every partition
-//! a changed object's instances occupied before *or* after the batch, so
+//! threshold and is — by the geometric lower bound the pipeline's
+//! filtering phase uses (`CompositeIndex::range_search` at the threshold
+//! itself, no slack; no false negatives) — in the query's candidate
+//! set. The commit's routing footprint contains every partition a
+//! changed object's instances occupied before *or* after the batch, so
 //! a commit whose footprint is disjoint from the query's provably leaves
 //! the result untouched. Positions an object held only in the middle of a
 //! batch need not count: monitors absorb the net delta, and every member

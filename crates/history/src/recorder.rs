@@ -55,7 +55,7 @@ impl HistoryRecorder {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let mut ring = Ring::new(options, baseline.state().base_options());
+        let mut ring = Ring::new(options);
         ring.init_baseline(baseline, wall_ms);
         let ring = Arc::new(Mutex::new(ring));
 

@@ -4,7 +4,7 @@
 //! epoch order. Most records are [`Payload::Delta`]s — the commit's
 //! upserted objects (shared by `Arc` with the store shard that already
 //! holds them, so a delta costs pointers, not copies) plus removed ids
-//! and the two non-derivable scalars (`id_watermark`, `max_radius`).
+//! and the non-derivable `id_watermark`.
 //! Every `keyframe_every` epochs, and on every topology commit, the ring
 //! pins the published [`Snapshot`] itself as a [`Payload::Keyframe`]:
 //! replay starts at the nearest keyframe at or before the target epoch
@@ -22,12 +22,11 @@ use idq_core::{CommitRecord, Snapshot};
 use idq_geom::{IdMap, Point2, Rect2};
 use idq_model::{Floor, IndoorPoint, PartitionId};
 use idq_objects::{ObjectId, UncertainObject};
-use idq_query::QueryOptions;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The compressed payload of one non-keyframe epoch: what the commit
-/// group changed, plus the scalars a replay cannot derive from the
+/// group changed, plus the id watermark a replay cannot derive from the
 /// surviving objects.
 #[derive(Clone, Debug)]
 pub struct DeltaRecord {
@@ -39,8 +38,6 @@ pub struct DeltaRecord {
     /// The store's id watermark after this epoch (removals can lower the
     /// live ceiling without lowering the watermark).
     pub watermark: u64,
-    /// The engine's uncertainty-radius high-water mark after this epoch.
-    pub max_radius: f64,
 }
 
 /// What an epoch record holds: a pinned full snapshot or a delta.
@@ -115,7 +112,6 @@ pub(crate) struct Ring {
     pub(crate) segments: SegmentStore,
     open: IdMap<ObjectId, OpenTrack>,
     options: HistoryOptions,
-    pub(crate) base_options: QueryOptions,
     /// Sum of `records[i].bytes` plus the segment store estimate.
     rec_bytes: usize,
     /// Epoch of the newest keyframe record.
@@ -125,7 +121,7 @@ pub(crate) struct Ring {
 }
 
 impl Ring {
-    pub(crate) fn new(options: HistoryOptions, base_options: QueryOptions) -> Self {
+    pub(crate) fn new(options: HistoryOptions) -> Self {
         Ring {
             records: VecDeque::new(),
             segments: SegmentStore::default(),
@@ -135,7 +131,6 @@ impl Ring {
                 max_bytes: options.max_bytes,
                 keyframe_every: options.keyframe_every.max(1),
             },
-            base_options,
             rec_bytes: 0,
             last_keyframe: 0,
             evicted_epochs: 0,
@@ -296,7 +291,6 @@ impl Ring {
                 upserts,
                 removed: delta.removed.clone(),
                 watermark: snapshot.store().id_watermark(),
-                max_radius: snapshot.state().max_radius(),
             };
             let bytes = 64
                 + rec.upserts.iter().map(|o| object_bytes(o)).sum::<usize>()

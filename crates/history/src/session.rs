@@ -118,7 +118,6 @@ pub struct HistorySession {
     records: Vec<EpochRecord>,
     oldest: u64,
     newest: u64,
-    base_options: QueryOptions,
     segments: SegmentStore,
 }
 
@@ -129,7 +128,9 @@ struct ReplayState {
     space: Arc<IndoorSpace>,
     store: ObjectStore,
     index: CompositeIndex,
-    max_radius: f64,
+    /// The keyframe's query options: the engine's configured ones, which
+    /// every reconstructed version and replayed monitor uses.
+    options: QueryOptions,
     epoch: u64,
 }
 
@@ -145,7 +146,7 @@ impl ReplayState {
             // the live engine against the same geometry) stay valid and
             // serve every historical query over this keyframe's span.
             index: state.index().clone(),
-            max_radius: state.max_radius(),
+            options: state.options(),
             epoch: state.epoch(),
         }
     }
@@ -167,30 +168,20 @@ impl ReplayState {
             self.store.discard(id)?;
         }
         self.store.restore_id_watermark(delta.watermark);
-        self.max_radius = delta.max_radius;
         self.epoch = epoch;
         Ok(())
     }
 
-    /// Per-epoch effective query options (the live engine's widening
-    /// rule, replayed from the recorded high-water mark).
-    fn effective_options(&self, base: QueryOptions) -> QueryOptions {
-        EngineState::effective_options_for(base, self.max_radius)
-    }
-
     /// Freezes into a pinned snapshot, checkpoint-byte identical to the
     /// version the engine published at this epoch.
-    fn into_snapshot(self, base: QueryOptions) -> Snapshot {
-        let state = EngineState::from_parts_at(
+    fn into_snapshot(self) -> Snapshot {
+        Snapshot::from_state(Arc::new(EngineState::from_parts_at(
             self.space,
             Arc::new(self.store),
             Arc::new(self.index),
-            base,
-            self.max_radius,
+            self.options,
             self.epoch,
-        );
-        let effective = state.effective_options();
-        Snapshot::from_state(Arc::new(state), effective)
+        )))
     }
 }
 
@@ -207,7 +198,6 @@ impl HistorySession {
             records,
             oldest,
             newest,
-            base_options: ring.base_options,
             segments,
         }
     }
@@ -279,7 +269,7 @@ impl HistorySession {
         if let Payload::Keyframe { snapshot } = &self.record_at(epoch).payload {
             return Ok(snapshot.clone());
         }
-        Ok(self.replay_to(epoch)?.into_snapshot(self.base_options))
+        Ok(self.replay_to(epoch)?.into_snapshot())
     }
 
     /// Per-epoch `iRQ(q, r)` membership over `[from, to]`: one
@@ -305,7 +295,7 @@ impl HistorySession {
         }
 
         let mut state = self.replay_to(from)?;
-        let mut monitor = RangeMonitor::new(q, r, state.effective_options(self.base_options))?;
+        let mut monitor = RangeMonitor::new(q, r, state.options)?;
         let mut members = monitor.refresh(&state.space, &state.index, &state.store)?;
         members.sort_unstable();
         let mut out = Vec::with_capacity((to - from + 1) as usize);
@@ -318,30 +308,21 @@ impl HistorySession {
                     // distance tree may reference the old topology, so
                     // rebuild it against the keyframe's.
                     state = ReplayState::from_keyframe(snapshot);
-                    monitor = RangeMonitor::new(q, r, state.effective_options(self.base_options))?;
+                    monitor = RangeMonitor::new(q, r, state.options)?;
                     monitor.refresh(&state.space, &state.index, &state.store)?
                 }
                 Payload::Delta(delta) => {
                     let updated: Vec<ObjectId> = delta.upserts.iter().map(|o| o.id).collect();
-                    let widened = delta.max_radius > state.max_radius;
                     state.apply(delta, rec.epoch)?;
-                    if widened {
-                        // The effective options just widened: the
-                        // monitor's subgraph slack is stale, re-arm.
-                        monitor =
-                            RangeMonitor::new(q, r, state.effective_options(self.base_options))?;
-                        monitor.refresh(&state.space, &state.index, &state.store)?
-                    } else {
-                        monitor.absorb_delta(
-                            &updated,
-                            &delta.removed,
-                            false,
-                            &state.space,
-                            &state.index,
-                            &state.store,
-                        )?;
-                        monitor.current()
-                    }
+                    monitor.absorb_delta(
+                        &updated,
+                        &delta.removed,
+                        false,
+                        &state.space,
+                        &state.index,
+                        &state.store,
+                    )?;
+                    monitor.current()
                 }
             };
             members.sort_unstable();

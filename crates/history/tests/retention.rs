@@ -5,8 +5,9 @@
 use idq_core::{EngineConfig, IndoorEngine, Update};
 use idq_geom::Point2;
 use idq_history::{HistoryError, HistoryOptions, HistoryQuery, HistoryRecorder, TrajectorySpan};
-use idq_model::Floor;
+use idq_model::{Floor, IndoorPoint};
 use idq_objects::ObjectId;
+use idq_query::Query;
 use idq_workloads::{
     generate_building, generate_objects, BuildingConfig, GeneratedBuilding, ObjectConfig,
 };
@@ -314,4 +315,61 @@ fn spans_survive_topology_keyframes() {
     for w in spans.windows(2) {
         assert_eq!(w[0].to_epoch + 1, w[1].from_epoch, "gap in {spans:?}");
     }
+}
+
+#[test]
+fn range_membership_spans_a_wide_insert() {
+    // Radius-5 objects under the default options, then a radius-15
+    // object wider than the default slack was sized for arrives inside
+    // the window: the standing monitor walked across the deltas must
+    // agree with a fresh query on every reconstructed epoch.
+    let b = building();
+    let mut engine = engine(&b, 30, 11);
+    let recorder = HistoryRecorder::attach(
+        &engine,
+        HistoryOptions {
+            keyframe_every: 64,
+            ..HistoryOptions::default()
+        },
+    )
+    .unwrap();
+    let mut wide = None;
+    for step in 0..8u64 {
+        let mut batch = vec![move_to_room(&b, step % 30, 0, step as usize, step)];
+        if step == 3 {
+            batch.push(Update::InsertObjectAt {
+                center: room_center(&b, 0, 0),
+                floor: 0,
+                radius: 15.0,
+                instances: 6,
+                seed: 99,
+            });
+        }
+        let report = engine.apply_batch(&batch).unwrap();
+        wide = wide.or(report.outcomes.iter().find_map(|o| o.inserted_object()));
+    }
+    recorder.sync();
+    let wide = wide.expect("the wide insert allocated an id");
+
+    let session = recorder.session();
+    let q = IndoorPoint::new(room_center(&b, 0, 0), 0);
+    let r = 40.0;
+    let membership = session.range_membership(q, r, 1, session.newest()).unwrap();
+    assert_eq!(membership.len(), 8);
+    for (epoch, members) in &membership {
+        let fresh = session
+            .reconstruct(*epoch)
+            .unwrap()
+            .execute(&Query::Range { q, r })
+            .unwrap()
+            .into_range()
+            .unwrap();
+        let mut fresh: Vec<ObjectId> = fresh.results.iter().map(|h| h.object).collect();
+        fresh.sort_unstable();
+        assert_eq!(members, &fresh, "epoch {epoch}");
+    }
+    assert!(
+        membership.iter().any(|(_, m)| m.contains(&wide)),
+        "the wide object enters the window's answers"
+    );
 }

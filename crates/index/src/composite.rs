@@ -261,10 +261,10 @@ impl CompositeIndex {
 
     /// `RangeSearch` with separate radii: objects are collected within
     /// `r_objects` while partitions are collected within `r_partitions ≥
-    /// r_objects`. The wider partition radius is the *subgraph slack*: it
-    /// guarantees the restricted Dijkstra of Phase 2 sees every partition a
-    /// relevant shortest path can traverse (see the soundness note in
-    /// `idq_distance::bounds`).
+    /// r_objects`. The range pipeline passes its door-distance reach
+    /// `r + subgraph_slack` as the partition radius and reports the
+    /// partitions as a statistic; no answer depends on them (see the
+    /// soundness note in `idq_distance::bounds`).
     pub fn range_search_dual(
         &self,
         space: &IndoorSpace,

@@ -130,11 +130,9 @@ impl RangeMonitor {
         &self.eval.options
     }
 
-    /// Replaces the query options (e.g. a serving engine's effective
-    /// options widened because a larger uncertainty region arrived).
-    /// Takes effect from the next evaluation; the kept distances stay
-    /// valid — they are a full-graph artefact, independent of the
-    /// options.
+    /// Replaces the query options. Takes effect from the next
+    /// evaluation; the kept distances stay valid — they are a full-graph
+    /// artefact, independent of the options.
     pub fn set_options(&mut self, options: QueryOptions) {
         self.eval.options = options;
     }
@@ -309,11 +307,6 @@ impl KnnMonitor {
     /// The query options evaluations use.
     pub fn options(&self) -> &QueryOptions {
         &self.eval.options
-    }
-
-    /// Replaces the query options (see [`RangeMonitor::set_options`]).
-    pub fn set_options(&mut self, options: QueryOptions) {
-        self.eval.options = options;
     }
 
     /// The current top-k as `(object, distance)`, ascending by

@@ -19,12 +19,16 @@ pub struct QueryOptions {
     pub use_skeleton: bool,
     /// Apply the topological/probabilistic bounds in Phase 3.
     pub use_pruning: bool,
-    /// Extra metres added to the *partition* retrieval radius of the
-    /// filtering phase so the subgraph Dijkstra sees every partition a
-    /// relevant shortest path can traverse. Covers the spread of an
-    /// uncertainty region (instances reach up to a region diameter beyond
-    /// the closest instance, plus indoor detours); see the soundness note
-    /// in `idq_distance::bounds`. Must be finite and non-negative.
+    /// Width in metres of the first door-distance band: a range query's
+    /// context reaches `r + subgraph_slack`, a kNN search starts at
+    /// `2 × subgraph_slack` and grows from there. A cost parameter only —
+    /// answers do not depend on it: bounds clamp at the band's exit
+    /// horizon and refinement falls back to the full graph (see the
+    /// soundness note in `idq_distance::bounds`). A band narrower than
+    /// the population's uncertainty regions costs clamped bounds and
+    /// full-graph fallbacks, and changes only the certifying upper bound
+    /// a bound-certified range hit reports. Must be finite and
+    /// non-negative.
     pub subgraph_slack: f64,
     /// Approximate byte budget of the shared, service-lifetime
     /// [`idq_distance::DistanceCache`] that serves every door-distance
@@ -58,8 +62,10 @@ impl QueryOptions {
         }
     }
 
-    /// Options with a slack adequate for a maximum uncertainty-region
-    /// radius (2× diameter + detour headroom).
+    /// Options with a slack sized for a maximum uncertainty-region radius
+    /// (2× diameter + detour headroom), so bounds rarely clamp and
+    /// refinement rarely falls back. Nothing widens the slack for you:
+    /// size it here for the largest region you will load.
     pub fn for_max_radius(max_radius: f64) -> Self {
         QueryOptions {
             subgraph_slack: (4.0 * max_radius + 20.0).max(60.0),

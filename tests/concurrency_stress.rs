@@ -318,8 +318,9 @@ const WRITER_ROUNDS: usize = 5;
 
 /// 4 writers × 4 readers × a subscription, all concurrent. Writers commit
 /// through cloned `WriteHandle`s with a small commit window, so batches
-/// race, conflict (shared floors force re-stages) and group-commit into
-/// merged epochs. The oracle then replays every epoch's commit group —
+/// race, conflict (every batch allocates an id, so a commit landing
+/// between a batch's staging and its sequencing moves the id watermark
+/// and forces a re-stage) and group-commit into merged epochs. The oracle then replays every epoch's commit group —
 /// ordered by `(epoch, offset_in_epoch)` — as one serial batch on a fresh
 /// engine and asserts:
 ///
@@ -343,8 +344,9 @@ fn four_writers_group_commits_stay_epoch_reproducible() {
     let done = AtomicBool::new(false);
 
     // Writer w owns every WRITERS-th object and moves it between rooms
-    // and floors each round — disjoint id sets (all batches succeed),
-    // overlapping floor footprints (conflicts and re-stages are routine).
+    // and floors each round — disjoint id sets (all batches succeed) —
+    // and inserts one object per round through the shared id allocator
+    // (watermark conflicts make re-stages routine).
     let all_ids = writer_engine.store().ids_sorted();
     let owned: Vec<Vec<ObjectId>> = (0..WRITERS)
         .map(|w| {
@@ -448,7 +450,7 @@ fn four_writers_group_commits_stay_epoch_reproducible() {
                 scope.spawn(move || {
                     let mut mine = Vec::new();
                     for round in 0..WRITER_ROUNDS {
-                        let updates: Vec<Update> = owned[w]
+                        let mut updates: Vec<Update> = owned[w]
                             .iter()
                             .enumerate()
                             .map(|(i, &id)| {
@@ -461,6 +463,14 @@ fn four_writers_group_commits_stay_epoch_reproducible() {
                                 }
                             })
                             .collect();
+                        let floor = ((w + round) % 2) as Floor;
+                        updates.push(Update::InsertObjectAt {
+                            center: room(floor, round + 2 * w),
+                            floor,
+                            radius: 2.0,
+                            instances: 4,
+                            seed: 0xA110C ^ (w as u64) << 8 ^ round as u64,
+                        });
                         let report = writer.apply_batch(&updates).unwrap();
                         mine.push((updates, report));
                     }

@@ -259,11 +259,11 @@ fn disjoint_floor_writers_commit_without_restaging() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The full adversarial mix: writers share floors (floor-footprint
-    /// conflicts force re-stages), race the id allocator
-    /// (`InsertObjectAt` on every writer), and move objects across
-    /// floors — and the commit history must still replay serially,
-    /// bit-exactly, outcomes included (which pins the allocator order).
+    /// The full adversarial mix: writers share floors, race the id
+    /// allocator (`InsertObjectAt` on every writer, so id/watermark
+    /// conflicts force re-stages), and move objects across floors — and
+    /// the commit history must still replay serially, bit-exactly,
+    /// outcomes included (which pins the allocator order).
     #[test]
     fn conflicting_writers_stay_serially_replayable(seed in 1u64..1000) {
         let b = building();

@@ -52,9 +52,8 @@ fn engine(b: &GeneratedBuilding, seed: u64) -> IndoorEngine {
     IndoorEngine::with_objects(b.space.clone(), store, EngineConfig::default()).unwrap()
 }
 
-/// Fixed options for every comparison: the engines under test differ in
-/// *history* (a rebuilt engine never saw removed objects), so the
-/// history-dependent effective defaults are pinned to an explicit value.
+/// Fixed options for every comparison, sized for the population's
+/// radius-10 regions.
 fn options() -> QueryOptions {
     QueryOptions::for_max_radius(10.0)
 }
