@@ -1,89 +1,29 @@
-//! The 3D `(x, y, time)` trajectory index.
+//! Presence segments: the `(x, y, time)` trajectory store.
 //!
 //! Object movement between epochs is stored as **presence segments**: one
-//! segment per (object, resting position) pair, spanning the inclusive
-//! epoch interval the object spent at that position. An object that moves
-//! at epoch `e` closes its open segment at `e - 1` and opens a new one at
-//! `e`; a stationary object contributes one long segment, so historical
-//! range queries see resting objects too — a pure per-move index would
-//! miss them.
+//! segment per (object, resting position) pair, spanning the half-open
+//! epoch interval `[from_epoch, to_epoch)` the object spent at that
+//! position. An object that moves at epoch `e` closes its open segment
+//! with `to_epoch = e` and opens a new one from `e`; a stationary object
+//! contributes one long segment, so historical range queries see resting
+//! objects too — a pure per-move index would miss them.
 //!
-//! Closed segments are indexed per floor in an insert-only 3D R-tree over
-//! boxes `(footprint rect, epoch interval)`, the classic 3D R-tree layout
-//! for historical trajectories with time as the third axis. The tree is
-//! [`idq_index::RTree`] at the [`Box3`] bounds type; this module only
-//! says what a box is and which segments are alive. Because the
-//! planar indoor distance is lower-bounded by Euclidean xy distance, a
-//! box probe with the query circle's bounding rect is a sound prefilter
-//! for distance-aware historical queries: it can over-approximate but
-//! never miss.
+//! The store is an arena in append (time) order with two exact side
+//! tables: `by_object` for trajectories and `by_partition` for
+//! co-movement. The one spatial question, whether anything rested near a
+//! query during a window ([`SegmentStore::any_has`]), is a scan of the
+//! arena: it gates a replay of the whole window, which costs far more
+//! than the scan. All three lookups share one interval rule: a live
+//! segment meets the inclusive window `[from, to]` when
+//! `from_epoch <= to && to_epoch > from`.
 //!
 //! Segments are never deleted individually; eviction retires whole time
-//! prefixes by flipping `alive` flags and rebuilding a floor's tree once
-//! the dead fraction passes one half.
+//! prefixes by flipping `alive` flags and compacts the arena once the
+//! dead fraction passes one half.
 
 use idq_geom::{IdMap, Point2, Rect2};
-use idq_index::rtree::{Bounds, LeafEntry, RTree};
 use idq_model::{Floor, PartitionId};
 use idq_objects::ObjectId;
-use std::ops::ControlFlow;
-
-/// A 3D axis-aligned box: a planar rect extruded over an inclusive epoch
-/// interval `[t_lo, t_hi]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Box3 {
-    /// Planar extent.
-    pub rect: Rect2,
-    /// First epoch covered (inclusive).
-    pub t_lo: u64,
-    /// Last epoch covered (inclusive).
-    pub t_hi: u64,
-}
-
-/// Axis 0 is time: segments arrive roughly sorted by it, so on ties the
-/// tree splits along time and stays narrow.
-impl Bounds for Box3 {
-    const AXES: usize = 3;
-
-    fn empty() -> Self {
-        Box3 {
-            rect: Rect2::empty_sentinel(),
-            t_lo: u64::MAX,
-            t_hi: 0,
-        }
-    }
-
-    fn union(&self, other: &Box3) -> Box3 {
-        Box3 {
-            rect: self.rect.union(&other.rect),
-            t_lo: self.t_lo.min(other.t_lo),
-            t_hi: self.t_hi.max(other.t_hi),
-        }
-    }
-
-    /// Closed-interval overlap on all three axes.
-    fn intersects(&self, other: &Box3) -> bool {
-        self.t_lo <= other.t_hi && other.t_lo <= self.t_hi && self.rect.intersects(&other.rect)
-    }
-
-    /// Planar area times the epoch-count extent. Degenerate (point) rects
-    /// still get a positive time extent, so pure-time enlargement is
-    /// visible to the descent heuristic.
-    fn measure(&self) -> f64 {
-        if self.rect.is_empty_sentinel() || self.t_lo > self.t_hi {
-            return 0.0;
-        }
-        self.rect.area().max(1e-9) * (self.t_hi - self.t_lo + 1) as f64
-    }
-
-    fn center(&self, axis: usize) -> f64 {
-        match axis {
-            0 => (self.t_lo + self.t_hi) as f64 * 0.5,
-            1 => self.rect.center().x,
-            _ => self.rect.center().y,
-        }
-    }
-}
 
 /// One presence segment: an object resting at `position` from `from_epoch`
 /// until (exclusively) `to_epoch`.
@@ -113,50 +53,28 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// The 3D box this segment occupies (inclusive epoch interval).
-    pub fn box3(&self) -> Box3 {
-        Box3 {
-            rect: self.rect,
-            t_lo: self.from_epoch,
-            t_hi: self.to_epoch.saturating_sub(1).max(self.from_epoch),
-        }
+    /// Whether the segment is retained and its interval
+    /// `[from_epoch, to_epoch)` meets the inclusive window `[from, to]`.
+    fn live_during(&self, from: u64, to: u64) -> bool {
+        self.alive && self.from_epoch <= to && self.to_epoch > from
     }
 }
 
-/// Fanout of the per-floor segment trees.
-const SEGMENT_FANOUT: usize = 16;
-
-/// One floor's tree: segment boxes (held inline in the leaves) carrying
-/// arena ids. Insert-only between rebuilds.
-type SegmentTree = RTree<Box3, u32>;
-
-/// The segment arena plus its per-floor 3D R-trees and the exact lookup
-/// side tables (`by_object` for trajectories, `by_partition` for
-/// co-movement).
+/// The segment arena plus the exact lookup side tables (`by_object` for
+/// trajectories, `by_partition` for co-movement).
 #[derive(Clone, Debug, Default)]
 pub struct SegmentStore {
     arena: Vec<Segment>,
-    /// One tree per floor, indexed by floor number; grown on demand.
-    trees: Vec<SegmentTree>,
     by_object: IdMap<ObjectId, Vec<u32>>,
     by_partition: IdMap<PartitionId, Vec<u32>>,
     dead: usize,
 }
 
 impl SegmentStore {
-    /// Appends a closed segment to the arena and every lookup structure.
+    /// Appends a closed segment to the arena and both side tables.
     pub fn push(&mut self, seg: Segment) {
         debug_assert!(seg.to_epoch > seg.from_epoch);
         let id = self.arena.len() as u32;
-        let floor = seg.floor as usize;
-        if self.trees.len() <= floor {
-            self.trees
-                .resize_with(floor + 1, || RTree::new(SEGMENT_FANOUT));
-        }
-        self.trees[floor].insert(LeafEntry {
-            bounds: seg.box3(),
-            item: id,
-        });
         self.by_object.entry(seg.object).or_default().push(id);
         if let Some(p) = seg.partition {
             self.by_partition.entry(p).or_default().push(id);
@@ -164,88 +82,35 @@ impl SegmentStore {
         self.arena.push(seg);
     }
 
-    /// The segment with arena id `id`.
-    pub fn get(&self, id: u32) -> &Segment {
-        &self.arena[id as usize]
-    }
-
     /// Live segments of `object` whose interval intersects `[from, to]`
     /// (inclusive), in arena (time) order.
     pub fn of_object(&self, object: ObjectId, from: u64, to: u64) -> Vec<&Segment> {
-        let Some(ids) = self.by_object.get(&object) else {
-            return Vec::new();
-        };
-        ids.iter()
-            .map(|&id| &self.arena[id as usize])
-            .filter(|s| s.alive && s.from_epoch <= to && s.to_epoch > from)
-            .collect()
+        self.lookup(self.by_object.get(&object), from, to)
     }
 
     /// Live segments resting in `partition` whose interval intersects
     /// `[from, to]` (inclusive).
     pub fn in_partition(&self, partition: PartitionId, from: u64, to: u64) -> Vec<&Segment> {
-        let Some(ids) = self.by_partition.get(&partition) else {
-            return Vec::new();
-        };
-        ids.iter()
+        self.lookup(self.by_partition.get(&partition), from, to)
+    }
+
+    fn lookup(&self, ids: Option<&Vec<u32>>, from: u64, to: u64) -> Vec<&Segment> {
+        ids.into_iter()
+            .flatten()
             .map(|&id| &self.arena[id as usize])
-            .filter(|s| s.alive && s.from_epoch <= to && s.to_epoch > from)
+            .filter(|s| s.live_during(from, to))
             .collect()
     }
 
-    /// Visits the arena id of every live segment on `floor` intersecting
-    /// `probe`, via the floor's 3D tree, until `visit` breaks.
-    fn search_floor(
-        &self,
-        floor: Floor,
-        probe: &Box3,
-        mut visit: impl FnMut(u32) -> ControlFlow<()>,
-    ) {
-        let Some(tree) = self.trees.get(floor as usize) else {
-            return;
-        };
-        tree.search(
-            |b| b.intersects(probe),
-            |e| {
-                if self.arena[e.item as usize].alive {
-                    visit(e.item)
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
-    }
-
-    /// Live segments on `floor` intersecting `probe` via the floor's 3D
-    /// tree (arena ids, unordered).
-    pub fn probe_floor(&self, floor: Floor, probe: &Box3) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.search_floor(floor, probe, |id| {
-            out.push(id);
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// Whether any live segment on `floor` intersects `probe` — the
-    /// cheap existence prefilter historical range walks use to skip
-    /// epochs whose window provably holds nothing near the query.
-    pub fn floor_has_any(&self, floor: Floor, probe: &Box3) -> bool {
-        let mut found = false;
-        self.search_floor(floor, probe, |_| {
-            found = true;
-            ControlFlow::Break(())
-        });
-        found
-    }
-
-    /// Whether any live segment on **any** floor intersects `probe`.
-    /// Sound as a historical range prefilter across floors too: indoor
-    /// distance is lower-bounded by planar Euclidean distance regardless
-    /// of the floors involved, so an object in range of `q` always has a
-    /// footprint intersecting the `q ± r` rect.
-    pub fn any_has(&self, probe: &Box3) -> bool {
-        (0..self.trees.len()).any(|f| self.floor_has_any(f as Floor, probe))
+    /// Whether any live segment, on any floor, has a footprint meeting
+    /// `rect` during `[from, to]` (inclusive). Sound as a historical range
+    /// prefilter with the `q ± r` rect: indoor distance is lower-bounded
+    /// by planar Euclidean distance regardless of the floors involved, so
+    /// an object in range of `q` always has a footprint meeting it.
+    pub fn any_has(&self, rect: &Rect2, from: u64, to: u64) -> bool {
+        self.arena
+            .iter()
+            .any(|s| s.live_during(from, to) && s.rect.intersects(rect))
     }
 
     /// Retires every segment whose whole interval precedes `oldest`
@@ -263,11 +128,10 @@ impl SegmentStore {
         }
     }
 
-    /// Drops dead segments and rebuilds the arena, trees and side tables
-    /// from the survivors.
+    /// Drops dead segments and rebuilds the arena and side tables from
+    /// the survivors.
     fn rebuild(&mut self) {
         let survivors: Vec<Segment> = self.arena.drain(..).filter(|s| s.alive).collect();
-        self.trees.clear();
         self.by_object.clear();
         self.by_partition.clear();
         self.dead = 0;
@@ -286,17 +150,16 @@ impl SegmentStore {
         self.len() == 0
     }
 
-    /// Approximate retained bytes of the arena and trees.
+    /// Approximate retained bytes, up to `Vec` growth slack and the side
+    /// tables' per-key overhead.
     ///
-    /// Arena: a [`Segment`] is 96 B. Trees, counted by
-    /// [`RTree::approx_bytes`] from the layout itself: 56 B per leaf entry
-    /// (the 48 B [`Box3`] inline + the `u32` id, padded) and 88 B per node
-    /// (48 B bounds + 32 B tagged `Vec` + 8 B for its slot in the parent's
-    /// child list). Time-ordered appends leave leaves half full, so a
-    /// segment costs ≈ 96 + 56 + 88/8 ≈ 163 B in all.
+    /// A segment holds its 96 B arena slot ([`Segment`] inline) and one
+    /// 4 B `u32` id in `by_object`, plus one in `by_partition` unless it
+    /// rested in a door or dead zone. Counting that second id for every
+    /// segment bounds the rare partitionless ones from above: a segment
+    /// costs 96 + 4 + 4 = 104 B.
     pub fn approx_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<Segment>()
-            + self.trees.iter().map(RTree::approx_bytes).sum::<usize>()
+        self.arena.len() * (std::mem::size_of::<Segment>() + 2 * std::mem::size_of::<u32>())
     }
 }
 
@@ -318,48 +181,89 @@ mod tests {
         }
     }
 
-    fn probe(x0: f64, y0: f64, x1: f64, y1: f64, t0: u64, t1: u64) -> Box3 {
-        Box3 {
-            rect: Rect2::from_bounds(x0, y0, x1, y1),
-            t_lo: t0,
-            t_hi: t1,
-        }
+    /// A probe: a planar rect and an inclusive epoch window.
+    type Probe = (Rect2, u64, u64);
+
+    fn probe(x0: f64, y0: f64, x1: f64, y1: f64, t0: u64, t1: u64) -> Probe {
+        (Rect2::from_bounds(x0, y0, x1, y1), t0, t1)
     }
 
-    /// Brute-force reference for the tree probe.
-    fn brute(store: &SegmentStore, p: &Box3) -> Vec<u32> {
-        (0..store.arena.len() as u32)
-            .filter(|&id| {
-                let s = &store.arena[id as usize];
-                s.alive && s.floor == 0 && s.box3().intersects(p)
-            })
-            .collect()
+    /// Brute-force reference for the scan: enumerates the epochs each
+    /// live segment covers instead of comparing interval ends.
+    fn brute(store: &SegmentStore, (rect, from, to): &Probe) -> bool {
+        store.arena.iter().any(|s| {
+            s.alive
+                && s.rect.intersects(rect)
+                && (s.from_epoch..s.to_epoch).any(|e| (*from..=*to).contains(&e))
+        })
+    }
+
+    fn any_has(store: &SegmentStore, (rect, from, to): &Probe) -> bool {
+        store.any_has(rect, *from, *to)
     }
 
     #[test]
-    fn probe_matches_brute_force() {
+    fn any_has_matches_brute_force() {
         let mut store = SegmentStore::default();
-        // A grid of objects stepping right every 7 epochs.
+        // A grid of objects stepping right every 7 epochs, on two floors.
         for o in 0..40u64 {
             for step in 0..12u64 {
                 let x = (o % 8) as f64 * 9.0 + step as f64;
                 let y = (o / 8) as f64 * 11.0;
-                store.push(seg(o, x, y, step * 7, (step + 1) * 7));
+                store.push(Segment {
+                    floor: (o % 2) as Floor,
+                    ..seg(o, x, y, step * 7, (step + 1) * 7)
+                });
             }
         }
-        for (p, label) in [
-            (probe(0.0, 0.0, 20.0, 20.0, 0, 10), "corner"),
-            (probe(30.0, 30.0, 60.0, 60.0, 40, 80), "middle"),
-            (probe(-5.0, -5.0, 200.0, 200.0, 0, 200), "everything"),
-            (probe(500.0, 500.0, 510.0, 510.0, 0, 200), "nothing"),
-            (probe(0.0, 0.0, 200.0, 200.0, 83, 83), "last instant"),
-        ] {
-            let mut got = store.probe_floor(0, &p);
-            let mut want = brute(&store, &p);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "probe {label}");
-            assert_eq!(store.floor_has_any(0, &p), !want.is_empty(), "any {label}");
+        // One lone segment on floor 1, far from the grid: [100, 110).
+        store.push(Segment {
+            floor: 1,
+            ..seg(99, 300.0, 300.0, 100, 110)
+        });
+        let lone = (300.0, 300.0, 301.0, 301.0);
+        let cases = [
+            (probe(0.0, 0.0, 20.0, 20.0, 0, 10), "corner", true),
+            (probe(30.0, 30.0, 60.0, 60.0, 40, 80), "middle", true),
+            (probe(-5.0, -5.0, 200.0, 200.0, 0, 200), "everything", true),
+            (probe(500.0, 500.0, 510.0, 510.0, 0, 200), "nothing", false),
+            (probe(0.0, 0.0, 200.0, 200.0, 83, 83), "last instant", true),
+            // The grid's last segments are [77, 84): epoch 84 is past them.
+            (
+                probe(0.0, 0.0, 200.0, 200.0, 84, 90),
+                "one past the end",
+                false,
+            ),
+            (
+                probe(lone.0, lone.1, lone.2, lone.3, 109, 109),
+                "lone last epoch",
+                true,
+            ),
+            (
+                probe(lone.0, lone.1, lone.2, lone.3, 110, 120),
+                "lone end",
+                false,
+            ),
+            (
+                probe(lone.0, lone.1, lone.2, lone.3, 90, 99),
+                "lone before",
+                false,
+            ),
+        ];
+        for (p, label, want) in &cases {
+            assert_eq!(brute(&store, p), *want, "oracle {label}");
+            assert_eq!(any_has(&store, p), *want, "any {label}");
+        }
+
+        // Retire the first 42 epochs: the grid's first six steps go dead
+        // (but stay in the arena, half or fewer being dead).
+        store.retire_before(42);
+        assert!(store.dead > 0 && store.dead * 2 <= store.arena.len());
+        let early = probe(-5.0, -5.0, 200.0, 200.0, 0, 41);
+        assert!(!brute(&store, &early));
+        assert!(!any_has(&store, &early), "retired segments never match");
+        for (p, label, _) in &cases {
+            assert_eq!(any_has(&store, p), brute(&store, p), "retired {label}");
         }
     }
 
@@ -389,8 +293,7 @@ mod tests {
         // either way no retired segment is visible.
         assert_eq!(store.len(), 30);
         let p = probe(-10.0, -10.0, 100.0, 100.0, 0, 9);
-        assert!(store.probe_floor(0, &p).is_empty());
-        assert!(!store.floor_has_any(0, &p));
+        assert!(!any_has(&store, &p));
         store.retire_before(20);
         assert_eq!(store.len(), 0);
         assert_eq!(store.dead, 0, "full retire compacts the arena");

@@ -1,6 +1,6 @@
 //! # idq-history
 //!
-//! Bounded epoch retention, a 3D `(x, y, time)` trajectory index, and a
+//! Bounded epoch retention, an `(x, y, time)` trajectory store, and a
 //! historical query family for the indoor MVCC engine.
 //!
 //! The live engine answers "where is everything **now**"; this crate
@@ -26,10 +26,11 @@
 //!   ([`HistoryOptions`]); eviction drops whole keyframe groups and is
 //!   surfaced as typed [`HistoryError::Evicted`] — never a silently
 //!   partial answer.
-//! * **3D trajectory index.** Object movement is decomposed into resting
-//!   segments indexed per floor by a 3D R-tree over `(x, y, epoch)`
-//!   boxes — [`idq_index::RTree`] instantiated at [`Box3`] — with exact
-//!   per-object and per-partition side tables.
+//! * **Trajectory store.** Object movement is decomposed into resting
+//!   [`Segment`]s (footprint rect × epoch interval) kept in one
+//!   time-ordered arena with exact per-object and per-partition side
+//!   tables; [`HistoryQuery::RangeDuring`]'s "anything nearby at all?"
+//!   prefilter is a scan of it.
 //! * **Query family** ([`HistoryQuery`], evaluated on a
 //!   [`HistorySession`] — a frozen view of the retained window):
 //!   [`HistoryQuery::RangeDuring`] (who crossed a region during a
@@ -58,7 +59,7 @@ mod ring;
 mod session;
 
 pub use error::HistoryError;
-pub use index3d::{Box3, Segment, SegmentStore};
+pub use index3d::{Segment, SegmentStore};
 pub use options::{HistoryOptions, HistoryStats};
 pub use recorder::HistoryRecorder;
 pub use ring::{DeltaRecord, EpochRecord, Payload};

@@ -50,7 +50,7 @@ pub struct HistoryStats {
     pub approx_bytes: usize,
     /// Epochs evicted so far.
     pub evicted_epochs: u64,
-    /// Closed movement segments in the 3D (x, y, time) index.
+    /// Closed presence segments in the `(x, y, time)` trajectory store.
     pub segments: usize,
     /// Open segments (objects resting at their current position).
     pub open_tracks: usize,

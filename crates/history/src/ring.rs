@@ -20,7 +20,7 @@ use crate::index3d::{Segment, SegmentStore};
 use crate::options::{HistoryOptions, HistoryStats};
 use idq_core::{CommitRecord, Snapshot};
 use idq_geom::{IdMap, Point2, Rect2};
-use idq_model::{Floor, IndoorPoint, PartitionId};
+use idq_model::{Floor, IndoorPoint, IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, UncertainObject};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -79,6 +79,23 @@ struct OpenTrack {
 }
 
 impl OpenTrack {
+    /// The track `obj` opens at `epoch`: resting at its region centre, in
+    /// the partition that centre locates to.
+    fn open(space: &IndoorSpace, obj: &UncertainObject, epoch: u64, wall_ms: u64) -> Self {
+        let position = obj.region.center;
+        OpenTrack {
+            floor: obj.floor,
+            partition: space.partition_at(IndoorPoint {
+                point: position,
+                floor: obj.floor,
+            }),
+            position,
+            rect: obj.footprint_rect(),
+            from_epoch: epoch,
+            from_wall_ms: wall_ms,
+        }
+    }
+
     fn close(&self, object: ObjectId, to_epoch: u64) -> Segment {
         Segment {
             object,
@@ -154,22 +171,8 @@ impl Ring {
     fn open_tracks_for_population(&mut self, snapshot: &Snapshot, epoch: u64, wall_ms: u64) {
         let space = snapshot.state().space();
         for obj in snapshot.store().iter() {
-            let position = obj.region.center;
-            let partition = space.partition_at(IndoorPoint {
-                point: position,
-                floor: obj.floor,
-            });
-            self.open.insert(
-                obj.id,
-                OpenTrack {
-                    floor: obj.floor,
-                    partition,
-                    position,
-                    rect: obj.footprint_rect(),
-                    from_epoch: epoch,
-                    from_wall_ms: wall_ms,
-                },
-            );
+            self.open
+                .insert(obj.id, OpenTrack::open(space, obj, epoch, wall_ms));
         }
     }
 
@@ -258,22 +261,8 @@ impl Ring {
                         self.segments.push(track.close(id, epoch));
                     }
                 }
-                let position = obj.region.center;
-                let partition = space.partition_at(IndoorPoint {
-                    point: position,
-                    floor: obj.floor,
-                });
-                self.open.insert(
-                    id,
-                    OpenTrack {
-                        floor: obj.floor,
-                        partition,
-                        position,
-                        rect: obj.footprint_rect(),
-                        from_epoch: epoch,
-                        from_wall_ms: wall_ms,
-                    },
-                );
+                self.open
+                    .insert(id, OpenTrack::open(space, &obj, epoch, wall_ms));
             }
         }
 

@@ -10,7 +10,7 @@
 //! (checkpoint-byte equal) to the versions the engine once published.
 
 use crate::error::HistoryError;
-use crate::index3d::{Box3, SegmentStore};
+use crate::index3d::SegmentStore;
 use crate::ring::{DeltaRecord, EpochRecord, Payload, Ring};
 use idq_core::{EngineState, Snapshot};
 use idq_geom::{IdMap, Point2, Rect2};
@@ -111,8 +111,9 @@ pub enum HistoryOutcome {
     Companions(Vec<Companion>),
 }
 
-/// A consistent historical read view: the retained records and the 3D
-/// trajectory index, frozen at session-open time.
+/// A consistent historical read view: the retained records and the
+/// presence segments (open tracks closed at `newest + 1`), frozen at
+/// session-open time.
 #[derive(Debug)]
 pub struct HistorySession {
     records: Vec<EpochRecord>,
@@ -275,8 +276,9 @@ impl HistorySession {
     /// Per-epoch `iRQ(q, r)` membership over `[from, to]`: one
     /// `(epoch, members)` pair per epoch, members ascending. Evaluated
     /// with one standing monitor walked across the delta stream — not
-    /// `to - from` full reconstructions — after a 3D-tree prefilter that
-    /// answers provably-empty windows without replaying at all.
+    /// `to - from` full reconstructions — after a segment-scan prefilter
+    /// that answers windows where nothing rested within the `q ± r` rect
+    /// without replaying at all.
     pub fn range_membership(
         &self,
         q: IndoorPoint,
@@ -285,12 +287,8 @@ impl HistorySession {
         to: u64,
     ) -> Result<Vec<(u64, Vec<ObjectId>)>, HistoryError> {
         self.check_window(from, to)?;
-        let probe = Box3 {
-            rect: Rect2::from_bounds(q.point.x - r, q.point.y - r, q.point.x + r, q.point.y + r),
-            t_lo: from,
-            t_hi: to,
-        };
-        if !self.segments.any_has(&probe) {
+        let rect = Rect2::from_bounds(q.point.x - r, q.point.y - r, q.point.x + r, q.point.y + r);
+        if !self.segments.any_has(&rect, from, to) {
             return Ok((from..=to).map(|e| (e, Vec::new())).collect());
         }
 

@@ -3,7 +3,7 @@
 //! and the attach contract.
 
 use idq_core::{EngineConfig, IndoorEngine, Update};
-use idq_geom::Point2;
+use idq_geom::{OrdF64, Point2};
 use idq_history::{HistoryError, HistoryOptions, HistoryQuery, HistoryRecorder, TrajectorySpan};
 use idq_model::{Floor, IndoorPoint};
 use idq_objects::ObjectId;
@@ -372,4 +372,91 @@ fn range_membership_spans_a_wide_insert() {
         membership.iter().any(|(_, m)| m.contains(&wide)),
         "the wide object enters the window's answers"
     );
+}
+
+#[test]
+fn range_membership_prefilter_decides_window_edges() {
+    // Three objects live in room 0 of floor 0; the query rect sits on the
+    // floor-0 room farthest from it. Only object `walker` ever reaches
+    // that rect, and only at the newest epoch, so its one segment there
+    // is the open track the session closes at `newest + 1`.
+    let b = building();
+    let mut engine = IndoorEngine::new(b.space.clone(), EngineConfig::default()).unwrap();
+    let recorder = HistoryRecorder::attach(&engine, HistoryOptions::default()).unwrap();
+    let home = room_center(&b, 0, 0);
+    let far = (0..b.rooms_by_floor[0].len())
+        .max_by_key(|&i| OrdF64(room_center(&b, 0, i).dist(home)))
+        .unwrap();
+    let q = IndoorPoint::new(room_center(&b, 0, far), 0);
+    let r = 3.0;
+    assert!(q.point.dist(home) > 4.0 * r, "the rooms are far apart");
+
+    let report = engine
+        .apply_batch(
+            &(0..3u64)
+                .map(|seed| Update::InsertObjectAt {
+                    center: home,
+                    floor: 0,
+                    radius: 2.0,
+                    instances: 3,
+                    seed,
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+    let ids: Vec<ObjectId> = report
+        .outcomes
+        .iter()
+        .filter_map(|o| o.inserted_object())
+        .collect();
+    for step in 0..4u64 {
+        let id = ids[step as usize % ids.len()];
+        engine
+            .apply_batch(&[move_to_room(&b, id.0, 0, 0, 10 + step)])
+            .unwrap();
+    }
+    let walker = ids[0];
+    engine
+        .apply_batch(&[move_to_room(&b, walker.0, 0, far, 20)])
+        .unwrap();
+    recorder.sync();
+    let session = recorder.session();
+    let newest = session.newest();
+
+    let fresh = |epoch: u64| -> Vec<ObjectId> {
+        let out = session
+            .reconstruct(epoch)
+            .unwrap()
+            .execute(&Query::Range { q, r })
+            .unwrap()
+            .into_range()
+            .unwrap();
+        let mut ids: Vec<ObjectId> = out.results.iter().map(|h| h.object).collect();
+        ids.sort_unstable();
+        ids
+    };
+
+    // Before the last epoch no segment meets the rect: every epoch's
+    // membership is empty, as a fresh query on the reconstruction says.
+    let before = session.range_membership(q, r, 0, newest - 1).unwrap();
+    assert_eq!(before.len() as u64, newest);
+    for (epoch, members) in &before {
+        assert!(members.is_empty(), "epoch {epoch}: {members:?}");
+        assert_eq!(members, &fresh(*epoch), "epoch {epoch}");
+    }
+
+    // Windows ending at the newest epoch see the walker arrive there and
+    // only there, including the one-epoch window.
+    for from in [0, newest] {
+        let membership = session.range_membership(q, r, from, newest).unwrap();
+        assert_eq!(membership.len() as u64, newest - from + 1);
+        for (epoch, members) in &membership {
+            assert_eq!(members, &fresh(*epoch), "window from {from}, epoch {epoch}");
+        }
+        assert_eq!(
+            membership.last().unwrap(),
+            &(newest, vec![walker]),
+            "window from {from}"
+        );
+    }
 }

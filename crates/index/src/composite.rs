@@ -22,7 +22,6 @@ use idq_model::{
     DoorKind, DoorsGraph, IndoorPoint, IndoorSpace, Partition, PartitionId, TopologyEvent,
 };
 use idq_objects::{ObjectId, ObjectStore, UncertainObject};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,7 +86,7 @@ pub struct RangeSearchOutcome {
 pub struct CompositeIndex {
     config: IndexConfig,
     units: Arc<UnitStore>,
-    rtree: Arc<RTree<Mbr3, UnitId>>,
+    rtree: Arc<RTree>,
     skeleton: Arc<SkeletonTier>,
     graph: Arc<DoorsGraph>,
     /// Shared memo of per-door Dijkstra rows, valid exactly as long as the
@@ -122,7 +121,7 @@ impl CompositeIndex {
         for p in &partitions {
             units.add_partition(space, p, &decomp);
         }
-        let entries: Vec<LeafEntry<Mbr3, UnitId>> = units
+        let entries: Vec<LeafEntry> = units
             .iter()
             .map(|u| LeafEntry {
                 bounds: u.mbr,
@@ -194,7 +193,7 @@ impl CompositeIndex {
     }
 
     /// The tree tier.
-    pub fn rtree(&self) -> &RTree<Mbr3, UnitId> {
+    pub fn rtree(&self) -> &RTree {
         &self.rtree
     }
 
@@ -318,7 +317,6 @@ impl CompositeIndex {
                         objects.push(o);
                     }
                 }
-                ControlFlow::Continue(())
             },
         );
         let mut partitions: Vec<PartitionId> = partitions.into_iter().collect();
@@ -361,7 +359,8 @@ impl CompositeIndex {
             .iter()
             .fold(Mbr3::empty_sentinel(), |acc, m| acc.union(m));
         let mut candidates = Vec::new();
-        self.for_each_unit_intersecting(&union, |entry| candidates.push(*entry));
+        self.rtree
+            .search(|m| m.intersects(&union), |entry| candidates.push(*entry));
         mbrs.iter()
             .map(|mbr| {
                 let mut units: Vec<UnitId> = candidates
@@ -375,25 +374,11 @@ impl CompositeIndex {
             .collect()
     }
 
-    /// Visits every tree-tier entry whose MBR intersects `mbr`.
-    fn for_each_unit_intersecting(
-        &self,
-        mbr: &Mbr3,
-        mut visit: impl FnMut(&LeafEntry<Mbr3, UnitId>),
-    ) {
-        self.rtree.search(
-            |m| m.intersects(mbr),
-            |entry| {
-                visit(entry);
-                ControlFlow::Continue(())
-            },
-        );
-    }
-
     /// The units whose MBR intersects `mbr`, ascending.
     fn units_intersecting(&self, mbr: &Mbr3) -> Vec<UnitId> {
         let mut units = Vec::new();
-        self.for_each_unit_intersecting(mbr, |entry| units.push(entry.item));
+        self.rtree
+            .search(|m| m.intersects(mbr), |entry| units.push(entry.item));
         units.sort_unstable();
         units
     }

@@ -3,9 +3,7 @@
 //! Three layers, as in the paper's Figure 2:
 //!
 //! * **Geometric layer** — the [`rtree`] *tree tier* (an R\*-style tree over
-//!   decomposed index units with the 1 cm vertical trick; [`RTree`] is
-//!   generic over its [`rtree::Bounds`] and payload, and `idq-history`
-//!   reuses it for `(x, y, time)` segments) and the
+//!   decomposed index units with the 1 cm vertical trick) and the
 //!   [`skeleton`] *skeleton tier* (staircase-entrance graph + `M_s2s`
 //!   matrix providing the geometric lower bound of Lemma 6 / Eq. 10);
 //! * **Topological layer** — the doors graph integrated at the leaf level

@@ -1,11 +1,5 @@
-//! The workspace's one R-tree: the indR-tree tier (§III-A.2) and, at
-//! another bounds type, `idq-history`'s per-floor `(x, y, time)` trees.
-//!
-//! [`RTree`] is generic over a [`Bounds`] type (how boxes grow, overlap,
-//! are measured and are ordered along an axis) and a leaf payload, so one
-//! node arena, one least-enlargement descent, one split and one traversal
-//! serve both `RTree<Mbr3, UnitId>` (the composite index) and the
-//! history crate's `RTree<Box3, u32>` (presence segments).
+//! The indR-tree tier (§III-A.2): an R-tree over the [`Mbr3`] boxes of
+//! index units, carrying [`UnitId`] payloads.
 //!
 //! Adaptation points from the paper:
 //!
@@ -15,96 +9,40 @@
 //!   splits meaningful without distorting distances;
 //! * construction uses Sort-Tile-Recursive packing (the paper uses a
 //!   *packed* R\*-tree, §V-A) grouped floor-first, so same-floor units
-//!   share subtrees ([`RTree::bulk_load`], `Mbr3` only);
-//! * dynamic inserts descend by least measure enlargement and split
-//!   overflowing nodes on the axis of largest centre spread at the median
-//!   (an STR-consistent split; R\*'s forced reinsertion is intentionally
-//!   omitted — documented deviation, irrelevant to the measured update
-//!   costs which are dominated by bucket moves);
+//!   share subtrees ([`RTree::bulk_load`]);
+//! * dynamic inserts descend by least build-volume enlargement and split
+//!   overflowing nodes at the median of the axis of largest centre spread,
+//!   ties going to elevation (so floors separate first), then x, then y.
+//!   This is an STR-consistent split; R\*'s forced reinsertion is
+//!   intentionally omitted — documented deviation, irrelevant to the
+//!   measured update costs which are dominated by bucket moves;
 //! * deletions tolerate underfull nodes (bounds are recomputed, empty
 //!   nodes pruned and their arena slots reused), which keeps
 //!   `deletePartition` O(height) as the paper's Fig. 15(c) expects.
 
 use crate::units::UnitId;
 use idq_geom::{Mbr3, OrdF64};
-use std::ops::ControlFlow;
 
-/// What the tree needs to know about a bounding-box type.
-pub trait Bounds: Copy + PartialEq {
-    /// Number of axes [`Bounds::center`] answers for. Axes are numbered in
-    /// split tie-break priority: when several axes share the widest centre
-    /// spread, the lowest-numbered one is split.
-    const AXES: usize;
-
-    /// The identity of [`Bounds::union`].
-    fn empty() -> Self;
-
-    /// Smallest box covering both operands. Must be exact (min/max only):
-    /// insertion grows a node by the new key instead of recomputing it
-    /// from its children, and the two must agree bit for bit.
-    fn union(&self, other: &Self) -> Self;
-
-    /// Whether the boxes share a point.
-    fn intersects(&self, other: &Self) -> bool;
-
-    /// Construction-time size: descent picks the child whose measure
-    /// grows least.
-    fn measure(&self) -> f64;
-
-    /// Centre coordinate along `axis < AXES`.
-    fn center(&self, axis: usize) -> f64;
-}
-
-/// Axis 0 is elevation, so floors separate first (what the paper's
-/// floor-aware layout wants), then x, then y.
-impl Bounds for Mbr3 {
-    const AXES: usize = 3;
-
-    fn empty() -> Self {
-        Mbr3::empty_sentinel()
-    }
-
-    fn union(&self, other: &Self) -> Self {
-        Mbr3::union(self, other)
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        Mbr3::intersects(self, other)
-    }
-
-    fn measure(&self) -> f64 {
-        self.build_volume()
-    }
-
-    fn center(&self, axis: usize) -> f64 {
-        match axis {
-            0 => (self.z_lo + self.z_hi) / 2.0,
-            1 => self.rect.center().x,
-            _ => self.rect.center().y,
-        }
-    }
-}
-
-/// A leaf entry: one payload item and its box.
+/// A leaf entry: one index unit and its box.
 #[derive(Clone, Copy, Debug)]
-pub struct LeafEntry<B, T> {
-    /// The item's bounding box.
-    pub bounds: B,
-    /// The payload (an index unit, a segment id, …).
-    pub item: T,
+pub struct LeafEntry {
+    /// The unit's bounding box.
+    pub bounds: Mbr3,
+    /// The unit.
+    pub item: UnitId,
 }
 
 #[derive(Clone, Debug)]
-enum NodeKind<B, T> {
-    Leaf(Vec<LeafEntry<B, T>>),
+enum NodeKind {
+    Leaf(Vec<LeafEntry>),
     Inner(Vec<usize>),
 }
 
 #[derive(Clone, Debug)]
-struct Node<B, T> {
+struct Node {
     /// Exactly the union of the node's entries / children.
-    bounds: B,
-    kind: NodeKind<B, T>,
+    bounds: Mbr3,
+    kind: NodeKind,
 }
 
 /// Statistics of one tree search (feeds the Fig. 15(a) experiment).
@@ -116,10 +54,10 @@ pub struct SearchStats {
     pub entries_checked: usize,
 }
 
-/// An R-tree over `B` boxes carrying `T` payloads.
+/// An R-tree over index-unit boxes.
 #[derive(Clone, Debug)]
-pub struct RTree<B, T> {
-    nodes: Vec<Node<B, T>>,
+pub struct RTree {
+    nodes: Vec<Node>,
     /// Arena slots released by [`RTree::remove`], reused before growing.
     free: Vec<usize>,
     root: usize,
@@ -127,9 +65,9 @@ pub struct RTree<B, T> {
     len: usize,
 }
 
-impl RTree<Mbr3, UnitId> {
+impl RTree {
     /// Sort-Tile-Recursive bulk load ("packed" construction, §V-A).
-    pub fn bulk_load(mut entries: Vec<LeafEntry<Mbr3, UnitId>>, fanout: usize) -> Self {
+    pub fn bulk_load(mut entries: Vec<LeafEntry>, fanout: usize) -> Self {
         let fanout = fanout.max(2);
         if entries.is_empty() {
             return Self::new(fanout);
@@ -162,14 +100,12 @@ impl RTree<Mbr3, UnitId> {
         tree.root = level[0];
         tree
     }
-}
 
-impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
     /// An empty tree with the given fanout (paper default: 20).
     pub fn new(fanout: usize) -> Self {
         RTree {
             nodes: vec![Node {
-                bounds: B::empty(),
+                bounds: Mbr3::empty_sentinel(),
                 kind: NodeKind::Leaf(Vec::new()),
             }],
             free: Vec::new(),
@@ -181,7 +117,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
 
     /// Stores a node holding `kind` (bounds computed from its contents)
     /// in a free arena slot, growing the arena only when none is free.
-    fn alloc(&mut self, kind: NodeKind<B, T>) -> usize {
+    fn alloc(&mut self, kind: NodeKind) -> usize {
         let node = Node {
             bounds: self.bounds_of(&kind),
             kind,
@@ -204,7 +140,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
         self.free.push(idx);
     }
 
-    fn bounds_of(&self, kind: &NodeKind<B, T>) -> B {
+    fn bounds_of(&self, kind: &NodeKind) -> Mbr3 {
         match kind {
             NodeKind::Leaf(entries) => union_of(entries.iter().map(|e| e.bounds)),
             NodeKind::Inner(children) => union_of(children.iter().map(|&c| self.nodes[c].bounds)),
@@ -239,29 +175,19 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
         self.nodes.len() - self.free.len()
     }
 
-    /// Heap bytes the tree retains, up to `Vec` growth slack: every arena
-    /// slot with the child index that points at it, and every leaf entry
-    /// (box inline).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.nodes.len() * (size_of::<Node<B, T>>() + size_of::<usize>())
-            + self.len * size_of::<LeafEntry<B, T>>()
-    }
-
     // ---- search -----------------------------------------------------------
 
     /// The one tree walk (Algorithm 4's `RangeSearch` included): visits
     /// every leaf entry whose bounds `admit`, descending only into nodes
-    /// whose bounds `admit`, until `visit` breaks. The predicate is
-    /// injected so callers can search by the skeleton distance (Eq. 10),
-    /// plain Euclidean distance (the paper's "withoutSkeleton" ablation)
-    /// or box intersection; it must be monotone (a box it rejects contains
-    /// no box it admits).
-    pub fn search<A, V>(&self, admit: A, mut visit: V) -> SearchStats
-    where
-        A: Fn(&B) -> bool,
-        V: FnMut(&LeafEntry<B, T>) -> ControlFlow<()>,
-    {
+    /// whose bounds `admit`. The predicate is injected so callers can
+    /// search by the skeleton distance (Eq. 10), plain Euclidean distance
+    /// (the paper's "withoutSkeleton" ablation) or box intersection; it
+    /// must be monotone (a box it rejects contains no box it admits).
+    pub fn search(
+        &self,
+        admit: impl Fn(&Mbr3) -> bool,
+        mut visit: impl FnMut(&LeafEntry),
+    ) -> SearchStats {
         let mut stats = SearchStats::default();
         if self.len == 0 {
             return stats;
@@ -273,8 +199,8 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
                 NodeKind::Leaf(entries) => {
                     for e in entries {
                         stats.entries_checked += 1;
-                        if admit(&e.bounds) && visit(e).is_break() {
-                            return stats;
+                        if admit(&e.bounds) {
+                            visit(e);
                         }
                     }
                 }
@@ -289,7 +215,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
     // ---- insertion ----------------------------------------------------------
 
     /// Inserts one entry (dynamic maintenance, §III-C.1 *Insertion*).
-    pub fn insert(&mut self, entry: LeafEntry<B, T>) {
+    pub fn insert(&mut self, entry: LeafEntry) {
         if let Some(sibling) = self.insert_at(self.root, entry) {
             self.root = self.alloc(NodeKind::Inner(vec![self.root, sibling]));
         }
@@ -298,7 +224,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
 
     /// Inserts below `idx`, growing bounds by the key on the way down;
     /// returns the new sibling when `idx` overflowed and split.
-    fn insert_at(&mut self, idx: usize, entry: LeafEntry<B, T>) -> Option<usize> {
+    fn insert_at(&mut self, idx: usize, entry: LeafEntry) -> Option<usize> {
         self.nodes[idx].bounds = self.nodes[idx].bounds.union(&entry.bounds);
         let sibling = match &self.nodes[idx].kind {
             NodeKind::Leaf(_) => None,
@@ -320,14 +246,14 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
         (count > self.fanout).then(|| self.split(idx))
     }
 
-    /// Least-measure-enlargement child choice (ties: smaller measure).
-    fn choose_child(&self, children: &[usize], key: &B) -> usize {
+    /// Least-build-volume-enlargement child choice (ties: smaller volume).
+    fn choose_child(&self, children: &[usize], key: &Mbr3) -> usize {
         let mut best = children[0];
         let mut best_cost = (f64::INFINITY, f64::INFINITY);
         for &c in children {
             let cur = self.nodes[c].bounds;
-            let size = cur.measure();
-            let cost = (cur.union(key).measure() - size, size);
+            let size = cur.build_volume();
+            let cost = (cur.union(key).build_volume() - size, size);
             if cost < best_cost {
                 best_cost = cost;
                 best = c;
@@ -360,7 +286,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
 
     /// Removes one entry by payload, guided by its bounds. Returns whether
     /// it was found.
-    pub fn remove(&mut self, item: T, bounds: &B) -> bool {
+    pub fn remove(&mut self, item: UnitId, bounds: &Mbr3) -> bool {
         if !self.remove_at(self.root, item, bounds) {
             return false;
         }
@@ -378,7 +304,7 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
         true
     }
 
-    fn remove_at(&mut self, idx: usize, item: T, hint: &B) -> bool {
+    fn remove_at(&mut self, idx: usize, item: UnitId, hint: &Mbr3) -> bool {
         match &mut self.nodes[idx].kind {
             NodeKind::Leaf(entries) => {
                 let Some(pos) = entries.iter().position(|e| e.item == item) else {
@@ -447,19 +373,30 @@ impl<B: Bounds, T: Copy + PartialEq> RTree<B, T> {
     }
 }
 
-fn union_of<B: Bounds>(boxes: impl Iterator<Item = B>) -> B {
-    boxes.fold(B::empty(), |acc, b| acc.union(&b))
+fn union_of(boxes: impl Iterator<Item = Mbr3>) -> Mbr3 {
+    boxes.fold(Mbr3::empty_sentinel(), |acc, b| acc.union(&b))
+}
+
+/// Centre coordinate of `m` along split axis 0 (elevation, so floors
+/// separate first, as the paper's floor-aware layout wants), 1 (x) or
+/// 2 (y).
+fn center(m: &Mbr3, axis: usize) -> f64 {
+    match axis {
+        0 => (m.z_lo + m.z_hi) / 2.0,
+        1 => m.rect.center().x,
+        _ => m.rect.center().y,
+    }
 }
 
 /// Sorts items by centre along the axis with the widest centre spread and
-/// cuts them at the median.
-fn halve<B: Bounds, X>(mut items: Vec<X>, bounds_of: impl Fn(&X) -> B) -> (Vec<X>, Vec<X>) {
+/// cuts them at the median; on ties the lowest-numbered axis wins.
+fn halve<X>(mut items: Vec<X>, bounds_of: impl Fn(&X) -> Mbr3) -> (Vec<X>, Vec<X>) {
     let mut axis = 0;
     let mut widest = f64::NEG_INFINITY;
-    for a in 0..B::AXES {
+    for a in 0..3 {
         let (lo, hi) = items
             .iter()
-            .map(|it| bounds_of(it).center(a))
+            .map(|it| center(&bounds_of(it), a))
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
                 (lo.min(c), hi.max(c))
             });
@@ -468,11 +405,8 @@ fn halve<B: Bounds, X>(mut items: Vec<X>, bounds_of: impl Fn(&X) -> B) -> (Vec<X
             axis = a;
         }
     }
-    items.sort_by_key(|it| OrdF64(bounds_of(it).center(axis)));
+    items.sort_by_key(|it| OrdF64(center(&bounds_of(it), axis)));
     let upper = items.split_off(items.len() / 2);
-    // Append-ordered input (history's time axis) never revisits the lower
-    // half: don't let it keep an overflowed node's capacity.
-    items.shrink_to_fit();
     (items, upper)
 }
 
@@ -517,9 +451,7 @@ mod tests {
     use super::*;
     use idq_geom::{Point3, Rect2};
 
-    type UnitTree = RTree<Mbr3, UnitId>;
-
-    fn entry(i: u32, x: f64, y: f64, floor: u16) -> LeafEntry<Mbr3, UnitId> {
+    fn entry(i: u32, x: f64, y: f64, floor: u16) -> LeafEntry {
         LeafEntry {
             item: UnitId(i),
             bounds: Mbr3::planar(
@@ -530,7 +462,7 @@ mod tests {
         }
     }
 
-    fn grid_entries(nx: u32, ny: u32, floors: u16) -> Vec<LeafEntry<Mbr3, UnitId>> {
+    fn grid_entries(nx: u32, ny: u32, floors: u16) -> Vec<LeafEntry> {
         let mut v = Vec::new();
         let mut id = 0;
         for f in 0..floors {
@@ -545,15 +477,9 @@ mod tests {
     }
 
     /// Units whose MBR lies within `r` of `q`, plus the walk's counters.
-    fn within(t: &UnitTree, q: Point3, r: f64) -> (Vec<UnitId>, SearchStats) {
+    fn within(t: &RTree, q: Point3, r: f64) -> (Vec<UnitId>, SearchStats) {
         let mut seen = Vec::new();
-        let stats = t.search(
-            |m| m.min_dist(q) <= r,
-            |e| {
-                seen.push(e.item);
-                ControlFlow::Continue(())
-            },
-        );
+        let stats = t.search(|m| m.min_dist(q) <= r, |e| seen.push(e.item));
         (seen, stats)
     }
 
@@ -626,7 +552,7 @@ mod tests {
 
     #[test]
     fn empty_tree_behaviour() {
-        let mut t = UnitTree::new(20);
+        let mut t = RTree::new(20);
         assert!(t.is_empty());
         let stats = t.search(
             |m| m.min_dist(Point3::new(0.0, 0.0, 0.0)) <= 10.0,
@@ -708,59 +634,6 @@ mod tests {
         }
     }
 
-    /// A second bounds type, as `idq-history` instantiates the tree:
-    /// integer time on axis 0, then x, then y.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    struct TimeBox {
-        t: (u64, u64),
-        x: (f64, f64),
-        y: (f64, f64),
-    }
-
-    impl Bounds for TimeBox {
-        const AXES: usize = 3;
-
-        fn empty() -> Self {
-            TimeBox {
-                t: (u64::MAX, 0),
-                x: (f64::INFINITY, f64::NEG_INFINITY),
-                y: (f64::INFINITY, f64::NEG_INFINITY),
-            }
-        }
-
-        fn union(&self, o: &Self) -> Self {
-            TimeBox {
-                t: (self.t.0.min(o.t.0), self.t.1.max(o.t.1)),
-                x: (self.x.0.min(o.x.0), self.x.1.max(o.x.1)),
-                y: (self.y.0.min(o.y.0), self.y.1.max(o.y.1)),
-            }
-        }
-
-        fn intersects(&self, o: &Self) -> bool {
-            self.t.0 <= o.t.1
-                && o.t.0 <= self.t.1
-                && self.x.0 <= o.x.1
-                && o.x.0 <= self.x.1
-                && self.y.0 <= o.y.1
-                && o.y.0 <= self.y.1
-        }
-
-        fn measure(&self) -> f64 {
-            if self.t.0 > self.t.1 {
-                return 0.0;
-            }
-            (self.t.1 - self.t.0 + 1) as f64 * (self.x.1 - self.x.0) * (self.y.1 - self.y.0)
-        }
-
-        fn center(&self, axis: usize) -> f64 {
-            match axis {
-                0 => (self.t.0 + self.t.1) as f64 / 2.0,
-                1 => (self.x.0 + self.x.1) / 2.0,
-                _ => (self.y.0 + self.y.1) / 2.0,
-            }
-        }
-    }
-
     /// SplitMix64 — the crate has no `rand` dependency.
     struct Rng(u64);
 
@@ -784,21 +657,45 @@ mod tests {
         }
     }
 
-    /// Random insert / remove / search / exists steps against a linear
-    /// scan, validating the tree after every step.
-    fn matches_linear_scan<B: Bounds + std::fmt::Debug>(
-        seed: u64,
-        random_box: impl Fn(&mut Rng) -> B,
-    ) {
+    /// A random unit box: planar on one of floors 0–2, or (one in four)
+    /// a staircase-like box spanning up to floor 3 or 4.
+    fn random_box(rng: &mut Rng) -> Mbr3 {
+        let ((x0, x1), (y0, y1)) = (rng.span(), rng.span());
+        let floors = (rng.below(3) as u16, 3 + rng.below(2) as u16);
+        if rng.below(4) == 0 {
+            Mbr3::spanning(
+                Rect2::from_bounds(x0, y0, x1, y1),
+                floors,
+                (floors.0 as f64 * 4.0, floors.1 as f64 * 4.0),
+            )
+        } else {
+            Mbr3::planar(
+                Rect2::from_bounds(x0, y0, x1, y1),
+                floors.0,
+                floors.0 as f64 * 4.0,
+            )
+        }
+    }
+
+    /// Random insert / remove / search steps against a linear scan,
+    /// validating the tree after every step.
+    #[test]
+    fn random_steps_match_linear_scan() {
+        for seed in 1..=4 {
+            matches_linear_scan(seed);
+        }
+    }
+
+    fn matches_linear_scan(seed: u64) {
         let mut rng = Rng(seed);
-        let mut tree: RTree<B, u32> = RTree::new(4);
-        let mut live: Vec<LeafEntry<B, u32>> = Vec::new();
+        let mut tree = RTree::new(4);
+        let mut live: Vec<LeafEntry> = Vec::new();
         for step in 0..600u32 {
             match rng.below(4) {
                 0 | 1 => {
                     let e = LeafEntry {
                         bounds: random_box(&mut rng),
-                        item: step,
+                        item: UnitId(step),
                     };
                     tree.insert(e);
                     live.push(e);
@@ -813,68 +710,20 @@ mod tests {
                 }
                 _ => {
                     let probe = random_box(&mut rng);
-                    let mut want: Vec<u32> = live
+                    let mut want: Vec<UnitId> = live
                         .iter()
                         .filter(|e| e.bounds.intersects(&probe))
                         .map(|e| e.item)
                         .collect();
                     let mut got = Vec::new();
-                    tree.search(
-                        |b| b.intersects(&probe),
-                        |e| {
-                            got.push(e.item);
-                            ControlFlow::Continue(())
-                        },
-                    );
+                    tree.search(|b| b.intersects(&probe), |e| got.push(e.item));
                     got.sort_unstable();
                     want.sort_unstable();
                     assert_eq!(got, want, "step {step}: probe {probe:?}");
-                    // Early exit: "exists" stops at the first match.
-                    let mut visits = 0;
-                    tree.search(
-                        |b| b.intersects(&probe),
-                        |_| {
-                            visits += 1;
-                            ControlFlow::Break(())
-                        },
-                    );
-                    assert_eq!(visits, usize::from(!want.is_empty()), "step {step}");
                 }
             }
             tree.validate();
             assert_eq!(tree.len(), live.len());
-        }
-    }
-
-    #[test]
-    fn random_steps_match_linear_scan_for_both_bounds_types() {
-        for seed in 1..=4 {
-            matches_linear_scan(seed, |rng| {
-                let ((x0, x1), (y0, y1)) = (rng.span(), rng.span());
-                let floors = (rng.below(3) as u16, 3 + rng.below(2) as u16);
-                if rng.below(4) == 0 {
-                    // A staircase-like box spanning floors.
-                    Mbr3::spanning(
-                        Rect2::from_bounds(x0, y0, x1, y1),
-                        floors,
-                        (floors.0 as f64 * 4.0, floors.1 as f64 * 4.0),
-                    )
-                } else {
-                    Mbr3::planar(
-                        Rect2::from_bounds(x0, y0, x1, y1),
-                        floors.0,
-                        floors.0 as f64 * 4.0,
-                    )
-                }
-            });
-            matches_linear_scan(seed, |rng| {
-                let t = rng.below(200);
-                TimeBox {
-                    t: (t, t + rng.below(30)),
-                    x: rng.span(),
-                    y: rng.span(),
-                }
-            });
         }
     }
 }

@@ -130,13 +130,6 @@ impl RangeMonitor {
         &self.eval.options
     }
 
-    /// Replaces the query options. Takes effect from the next
-    /// evaluation; the kept distances stay valid — they are a full-graph
-    /// artefact, independent of the options.
-    pub fn set_options(&mut self, options: QueryOptions) {
-        self.eval.options = options;
-    }
-
     /// Objects currently inside the range, ascending by id.
     pub fn current(&self) -> Vec<ObjectId> {
         self.inside.iter().copied().collect()

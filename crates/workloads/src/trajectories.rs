@@ -1,5 +1,5 @@
 //! Trajectory-stream workloads: wave-major random-walk movement for the
-//! history ring and its 3D trajectory index.
+//! history ring and its `(x, y, time)` trajectory store.
 //!
 //! Unlike the mixed feed of [`crate::updates`], this stream models
 //! **coherent motion**: one batch ("wave") per epoch, each moving a

@@ -241,8 +241,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ground_truth.len()
     );
 
-    // Where did the suspect walk? The 3D (x, y, time) index returns the
-    // room-by-room trajectory without replaying anything.
+    // Where did the suspect walk? The (x, y, time) trajectory store
+    // returns the room-by-room trajectory without replaying anything.
     println!("\npassenger {suspect}'s trajectory:");
     match session.execute(&HistoryQuery::Trajectory {
         object: suspect,

@@ -21,8 +21,8 @@
 //! * [`storage`] — the durability substrate (write-ahead log, epoch
 //!   checkpoints, pluggable [`storage::StorageBackend`]s);
 //! * [`core`] — [`core::IndoorEngine`], the integrated public API;
-//! * [`history`] — bounded epoch retention, the 3D `(x, y, time)`
-//!   trajectory index and the historical query family
+//! * [`history`] — bounded epoch retention, the `(x, y, time)`
+//!   trajectory store and the historical query family
 //!   ([`history::HistoryRecorder`], [`history::HistorySession`]);
 //! * [`workloads`] — synthetic buildings, objects and query workloads
 //!   reproducing the paper's evaluation setup.

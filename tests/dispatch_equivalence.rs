@@ -197,15 +197,9 @@ proptest! {
             prop_assert_eq!(replay.epoch(), epoch);
             let snap = replay.snapshot();
             for (i, query) in queries.iter().enumerate() {
-                // The broadcast oracle tracks the engine's effective
-                // options the same way the dispatcher does for
-                // default-options subscriptions, then absorbs the epoch's
-                // full report.
+                // The broadcast oracle absorbs the epoch's full report.
                 if let Some(mon) = oracles[i].as_mut() {
                     if epoch > 0 {
-                        if mon.options() != snap.options() {
-                            mon.set_options(*snap.options());
-                        }
                         mon.absorb(&reports[epoch as usize - 1], &snap).unwrap();
                     }
                 }

@@ -54,9 +54,8 @@ fn engine(b: &GeneratedBuilding, seed: u64) -> IndoorEngine {
     IndoorEngine::with_objects(b.space.clone(), store, EngineConfig::default()).unwrap()
 }
 
-/// Fixed options for every digest comparison (effective defaults are
-/// history-dependent; the engines under comparison share history, but
-/// pinning removes the question entirely).
+/// Fixed options for every digest comparison, set on each snapshot so a
+/// digest never depends on how its engine was configured.
 fn options() -> QueryOptions {
     QueryOptions::for_max_radius(10.0)
 }
