@@ -338,7 +338,7 @@ impl IndoorService {
     /// | Kind | Standing form | Maintenance |
     /// |---|---|---|
     /// | [`Query::Range`] | continuous `iRQ(q, r)` | incremental per updated object ([`RangeMonitor`]) |
-    /// | [`Query::Knn`] | continuous `ikNNQ(q, k)` | incremental top-k, re-verified on shrink ([`KnnMonitor`]) |
+    /// | [`Query::Knn`] | continuous `ikNNQ(q, k)` | a range monitor at a kept radius, re-queried when fewer than `k` remain within it ([`KnnMonitor`]) |
     /// | [`Query::Distance`] | — | [`EngineError::UnsupportedSubscription`] |
     /// | [`Query::Path`] | — | [`EngineError::UnsupportedSubscription`] |
     ///

@@ -6,7 +6,7 @@ use idq_geom::IdMap;
 use idq_index::CompositeIndex;
 use idq_model::{IndoorSpace, PartitionId};
 use idq_objects::{ObjectId, ObjectStore};
-use idq_query::{KnnMonitor, MonitorChange, QueryError, RangeMonitor};
+use idq_query::{KnnMonitor, MonitorChange, MonitorWork, QueryError, RangeMonitor};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -30,8 +30,8 @@ pub struct QueryFootprint {
     /// Candidate partitions, ascending and deduplicated.
     partitions: Vec<PartitionId>,
     /// The query can currently be affected by a change anywhere — a kNN
-    /// subscription holding fewer than `k` reachable objects (threshold
-    /// `+∞`: any object becoming reachable enters the result).
+    /// subscription whose kept boundary is `+∞` (fewer objects than it
+    /// ranked were reachable: any object becoming reachable enters W).
     everything: bool,
 }
 
@@ -148,27 +148,38 @@ impl StandingMonitor {
         }
     }
 
-    /// Whether an object is currently in the result.
-    pub fn contains(&self, id: ObjectId) -> bool {
+    /// Whether a change to an object must reach the monitor even when
+    /// the object lies outside the footprint: a range member, or a kNN
+    /// object within the kept boundary (W), in the answer or not.
+    pub fn watches(&self, id: ObjectId) -> bool {
         match self {
             StandingMonitor::Range(m) => m.contains(id),
-            StandingMonitor::Knn(m) => m.contains(id),
+            StandingMonitor::Knn(m) => m.watches(id),
         }
     }
 
-    /// The threshold the footprint was derived from: `Some(kth
-    /// distance)` for kNN (whose footprint must be recomputed when it
-    /// changes), `None` for range (fixed radius, fixed footprint).
-    fn footprint_threshold(&self) -> Option<f64> {
+    /// The radius the footprint is taken at: `r` for range, the kept
+    /// boundary's distance `R` for kNN (`+∞` while W holds every
+    /// reachable object). It changes only on a re-query, on the kNN
+    /// boundary's first tightening, or on a topology refresh.
+    pub fn radius(&self) -> f64 {
         match self {
-            StandingMonitor::Range(_) => None,
-            StandingMonitor::Knn(m) => Some(m.threshold()),
+            StandingMonitor::Range(m) => m.radius(),
+            StandingMonitor::Knn(m) => m.radius(),
+        }
+    }
+
+    /// The work the monitor has done so far.
+    pub fn work(&self) -> MonitorWork {
+        match self {
+            StandingMonitor::Range(m) => m.work(),
+            StandingMonitor::Knn(m) => m.work(),
         }
     }
 
     /// Computes the current candidate-partition footprint through the
-    /// same retrieval the query pipeline's filtering phase uses, at the
-    /// query threshold itself — **without** the subgraph slack, which
+    /// same retrieval the query pipeline's filtering phase uses, at
+    /// [`StandingMonitor::radius`] — **without** the subgraph slack, which
     /// only sizes the first door-distance band and decides no answer.
     /// Distances depend on the topology alone (and topology commits
     /// route to every subscription regardless of footprints), while an
@@ -176,14 +187,15 @@ impl StandingMonitor {
     /// above the threshold and can never be a member — so object churn
     /// there is provably irrelevant and the tighter set routes exactly.
     pub fn footprint(&self, space: &IndoorSpace, index: &CompositeIndex) -> QueryFootprint {
-        let (q, threshold, options) = match self {
-            StandingMonitor::Range(m) => (m.query_point(), m.radius(), m.options()),
-            StandingMonitor::Knn(m) => (m.query_point(), m.threshold(), m.options()),
+        let (q, options) = match self {
+            StandingMonitor::Range(m) => (m.query_point(), m.options()),
+            StandingMonitor::Knn(m) => (m.query_point(), m.options()),
         };
-        if !threshold.is_finite() {
+        let radius = self.radius();
+        if !radius.is_finite() {
             return QueryFootprint::everything();
         }
-        let out = index.range_search(space, q, threshold, options.use_skeleton);
+        let out = index.range_search(space, q, radius, options.use_skeleton);
         QueryFootprint::over(out.partitions)
     }
 }
@@ -231,17 +243,21 @@ pub struct DispatchStats {
     /// Absorptions that failed; the subscription's stream is closed and
     /// the entry removed.
     pub absorb_errors: u64,
+    /// Fresh queries monitors ran while absorbing: topology refreshes,
+    /// and kNN re-queries after fewer than `k` objects were left within
+    /// the kept boundary.
+    pub requeries: u64,
+    /// Complete door-distance contexts monitors assembled from scratch
+    /// while absorbing (no distances kept, or kept on an older space
+    /// version).
+    pub context_rebuilds: u64,
 }
 
 #[derive(Debug)]
 struct SubEntry<R> {
     monitor: StandingMonitor,
+    /// Taken at the monitor's radius, under the current topology.
     footprint: QueryFootprint,
-    /// kNN threshold the footprint was computed at (`None` for range).
-    /// Growth past it forces a repair (the footprint could miss
-    /// partitions); shrinks keep a sound superset and only rebuild for
-    /// precision once the threshold has halved.
-    footprint_threshold: Option<f64>,
     mailbox: Arc<Mailbox<R>>,
     /// Baseline guard: commits at or below this epoch are already
     /// reflected in the monitor's initial state and must not be
@@ -387,13 +403,11 @@ impl<R> Dispatcher<R> {
         }
         let footprint = monitor.footprint(space, index);
         link(&mut self.by_partition, &mut self.everything, id, &footprint);
-        let footprint_threshold = monitor.footprint_threshold();
         self.subs.insert(
             id,
             SubEntry {
                 monitor,
                 footprint,
-                footprint_threshold,
                 mailbox,
                 epoch: baseline_epoch,
             },
@@ -503,22 +517,21 @@ impl<R> Dispatcher<R> {
             }
             // Per-object filter. An updated object outside the footprint
             // after the commit has a distance lower bound above the
-            // query threshold (the footprint soundness argument, per
-            // object), so it cannot *enter* the result; if it is not a
-            // current member it cannot *leave* either, and absorbing it
-            // would be a no-op. A member is always evaluated — it may
-            // leave, or (kNN) grow the threshold, which the monitor
-            // answers with a full re-query against the index, so the
-            // trimmed update list never hides an admissible object.
+            // monitor's radius (the footprint soundness argument, per
+            // object), so it cannot *enter* the watched set; if it is not
+            // watched now it cannot *leave* either, and absorbing it
+            // would be a no-op. A watched object is always evaluated: a
+            // kNN object within the kept boundary may leave W and so
+            // bring on a re-query, even when it is not in the answer.
             let updated = if delta.topology_changed || entry.footprint.covers_everything() {
                 delta.updated
             } else {
                 relevant.clear();
                 relevant.extend(arriving.iter().filter_map(|(oid, ps)| {
-                    (entry.footprint.intersects(ps) || entry.monitor.contains(*oid)).then_some(*oid)
+                    (entry.footprint.intersects(ps) || entry.monitor.watches(*oid)).then_some(*oid)
                 }));
                 if relevant.is_empty()
-                    && !delta.removed.iter().any(|&oid| entry.monitor.contains(oid))
+                    && !delta.removed.iter().any(|&oid| entry.monitor.watches(oid))
                 {
                     // Nothing this subscription could observe: the
                     // commit-level route was a false positive of the
@@ -528,6 +541,7 @@ impl<R> Dispatcher<R> {
                 }
                 &relevant
             };
+            let (radius, work) = (entry.monitor.radius(), entry.monitor.work());
             let changes = match entry.monitor.absorb_delta(
                 updated,
                 delta.removed,
@@ -547,22 +561,14 @@ impl<R> Dispatcher<R> {
                 }
             };
             entry.epoch = delta.epoch;
+            let done = entry.monitor.work();
+            self.stats.requeries += done.requeries - work.requeries;
+            self.stats.context_rebuilds += done.context_rebuilds - work.context_rebuilds;
 
-            // Footprint repair: topology invalidates every footprint; a
-            // kNN threshold that *grew* past the one the footprint was
-            // built at can reach partitions the footprint misses. A
-            // shrunken threshold keeps the footprint a sound superset
-            // (candidate retrieval is monotone in the threshold), so
-            // shrinks only trigger a precision rebuild once the
-            // threshold has halved — the hysteresis keeps ordinary
-            // top-k jitter from re-running candidate retrieval on every
-            // routed commit.
-            let threshold_now = entry.monitor.footprint_threshold();
-            let drifted = match (entry.footprint_threshold, threshold_now) {
-                (Some(built), Some(now)) => now > built || now < built * 0.5,
-                _ => false,
-            };
-            if delta.topology_changed || drifted {
+            // Footprint repair: topology invalidates every footprint, and
+            // a kNN footprint follows its kept boundary, which moves only
+            // on a re-query or its first tightening.
+            if delta.topology_changed || entry.monitor.radius() != radius {
                 let fresh = entry.monitor.footprint(space, index);
                 if fresh != entry.footprint {
                     unlink(
@@ -574,7 +580,6 @@ impl<R> Dispatcher<R> {
                     link(&mut self.by_partition, &mut self.everything, id, &fresh);
                     entry.footprint = fresh;
                 }
-                entry.footprint_threshold = threshold_now;
             }
 
             let msg = DeltaMsg {
@@ -836,99 +841,82 @@ mod tests {
     }
 
     #[test]
-    fn knn_threshold_growth_moves_the_footprint() {
+    fn knn_footprint_moves_only_with_the_boundary() {
         let (space, mut store, mut index) = setup();
         let mut d: Dispatcher<u64> = Dispatcher::new();
         let mut m = KnnMonitor::new(q(), 1, tight()).unwrap();
         m.refresh(&space, &index, &store).unwrap();
-        let mon = StandingMonitor::Knn(m);
+        let (id, rx) = d.register(StandingMonitor::Knn(m), 0, 16, &space, &index);
+        let footprint = |d: &Dispatcher<u64>| d.subs[&id].footprint.clone();
         assert!(
-            mon.footprint(&space, &index).covers_everything(),
-            "empty top-k: infinite threshold routes everything"
+            footprint(&d).covers_everything(),
+            "nothing reachable: the boundary is ∞ and routes everything"
         );
-        let (_, rx) = d.register(mon, 0, 16, &space, &index);
+        // Moves object `oid` to `(x, 5)` as commit `epoch`.
+        let mut epoch = 0;
+        let mut commit = |d: &mut Dispatcher<u64>, oid: u64, x: f64| {
+            epoch += 1;
+            let before = place(&mut store, &mut index, &space, oid, x);
+            let delta = CommitDelta {
+                epoch,
+                updated: &[ObjectId(oid)],
+                removed: &[],
+                topology_changed: false,
+                before: &before,
+            };
+            d.dispatch(&delta, &space, &index, &store, &epoch);
+        };
 
-        // While the top-k is underfull, even a far-away appearance must
-        // route (it enters the result).
-        let far = place(&mut store, &mut index, &space, 1, 25.0);
-        d.dispatch(
-            &CommitDelta {
-                epoch: 1,
-                updated: &[ObjectId(1)],
-                removed: &[],
-                topology_changed: false,
-                before: &far,
-            },
-            &space,
-            &index,
-            &store,
-            &1,
+        // k = 1 keeps W up to 2 objects. One object: B stays ∞.
+        commit(&mut d, 1, 4.0);
+        assert_eq!(
+            rx.try_recv().unwrap().changes,
+            [(ObjectId(1), MonitorChange::Entered)]
         );
-        let msg = rx.try_recv().expect("underfull kNN routes everywhere");
-        assert_eq!(msg.changes, vec![(ObjectId(1), MonitorChange::Entered)]);
-        let ranked = msg.ranked.expect("kNN deliveries carry the ranking");
-        assert_eq!(ranked.len(), 1);
+        assert!(footprint(&d).covers_everything());
+        // The second tightens B to (4, object 2): the footprint moves to
+        // the query's own room.
+        commit(&mut d, 2, 6.0);
+        assert_eq!(rx.try_recv().unwrap().changes, []);
+        let tight_fp = footprint(&d);
+        assert_eq!(tight_fp.partitions().len(), 1, "{tight_fp:?}");
 
-        // The top-k is now full: the footprint shrank to the partitions
-        // within the kth distance, so the same far partitions still
-        // route (the sole member lives there) but a second, even
-        // farther object cannot evict it... and updates in the member's
-        // own partitions keep routing.
-        let same_far = place(&mut store, &mut index, &space, 2, 28.0);
-        d.dispatch(
-            &CommitDelta {
-                epoch: 2,
-                updated: &[ObjectId(2)],
-                removed: &[],
-                topology_changed: false,
-                before: &same_far,
-            },
-            &space,
-            &index,
-            &store,
-            &2,
+        // A far arrival is skipped; object 2 overtaking object 1 changes
+        // the answer, and object 2 leaving W shrinks it to k: neither
+        // moves B, so neither moves the footprint.
+        let skipped = d.stats().skipped;
+        commit(&mut d, 3, 25.0);
+        assert_eq!(d.stats().skipped, skipped + 1);
+        assert!(rx.try_recv().is_none());
+        commit(&mut d, 2, 3.0);
+        assert_eq!(
+            rx.try_recv().unwrap().changes,
+            [
+                (ObjectId(1), MonitorChange::Left),
+                (ObjectId(2), MonitorChange::Entered)
+            ]
         );
-        let msg = rx.try_recv().expect("member partition still routed");
-        assert_eq!(msg.changes, vec![], "object 2 is farther, no change");
+        commit(&mut d, 2, 25.0);
+        assert_eq!(
+            rx.try_recv().unwrap().changes,
+            [
+                (ObjectId(1), MonitorChange::Entered),
+                (ObjectId(2), MonitorChange::Left)
+            ]
+        );
+        assert_eq!(footprint(&d), tight_fp);
+        assert_eq!(d.stats().requeries, 0);
 
-        // The member moves next to the query point: threshold shrinks
-        // again, and the footprint follows — a commit back in the far
-        // room is now provably irrelevant and gets skipped.
-        let moved = place(&mut store, &mut index, &space, 1, 4.0);
-        d.dispatch(
-            &CommitDelta {
-                epoch: 3,
-                updated: &[ObjectId(1)],
-                removed: &[],
-                topology_changed: false,
-                before: &moved,
-            },
-            &space,
-            &index,
-            &store,
-            &3,
-        );
-        assert_eq!(rx.try_recv().expect("member move routes").changes, vec![]);
-        let skipped_before = d.stats().skipped;
-        let far2 = place(&mut store, &mut index, &space, 3, 25.0);
-        d.dispatch(
-            &CommitDelta {
-                epoch: 4,
-                updated: &[ObjectId(3)],
-                removed: &[],
-                topology_changed: false,
-                before: &far2,
-            },
-            &space,
-            &index,
-            &store,
-            &4,
-        );
-        assert_eq!(d.stats().skipped, skipped_before + 1);
-        assert!(
-            rx.try_recv().is_none(),
-            "shrunk footprint skips the far room"
-        );
+        // Object 1, the last in W, leaves for the middle room: routed by
+        // the room it left, W drops below k, and the re-query ranks two
+        // objects — B becomes (23, object 2) and the footprint widens to
+        // every room.
+        commit(&mut d, 1, 15.0);
+        let msg = rx.try_recv().expect("a watched object's move routes");
+        assert_eq!(msg.changes, []);
+        assert_eq!(msg.ranked.unwrap(), [(ObjectId(1), 13.0)]);
+        assert_eq!(d.stats().requeries, 1);
+        assert_eq!(footprint(&d).partitions().len(), 3);
     }
 
     #[test]

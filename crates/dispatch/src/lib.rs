@@ -20,7 +20,9 @@
 //!
 //! Soundness of the skip: a commit can change a standing query's result
 //! only by moving some object's expected distance across the query's
-//! threshold, which requires an instance within that threshold; the
+//! threshold (`r`, or the radius of a kNN monitor's kept boundary, which
+//! moves only when the monitor re-queries), which requires an instance
+//! within that threshold; the
 //! instance's partition then has a geometric lower bound below the
 //! threshold and is — by the geometric lower bound the pipeline's
 //! filtering phase uses (`CompositeIndex::range_search` at the threshold

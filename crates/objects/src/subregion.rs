@@ -136,6 +136,11 @@ impl UncertainObject {
     /// memo without touching the instances or calling `hint`. A reader on
     /// another layout gets a freshly computed summary and leaves the memo
     /// as it is. The flag is `true` when this call ran the kernel.
+    // Inlined, as is `subregions`: every object a query prices or
+    // refines takes the memo hit path, and without the hint whether that
+    // path inlines into its caller depends on how unrelated code in the
+    // calling crate falls into codegen units.
+    #[inline]
     pub fn subregion_summary(
         &self,
         space: &IndoorSpace,
@@ -161,6 +166,7 @@ impl UncertainObject {
     /// the memo is empty, fills it as [`Self::subregion_summary`] would.
     /// An object with more than 256 subregions has no slots and always
     /// runs the kernel.
+    #[inline]
     pub fn subregions(
         &self,
         space: &IndoorSpace,

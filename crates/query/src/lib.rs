@@ -56,7 +56,7 @@ pub mod stats;
 pub use error::QueryError;
 pub use iknn::{knn_query, KnnHit, KnnResult};
 pub use irq::{range_query, RangeHit, RangeResult};
-pub use monitor::{KnnMonitor, MonitorChange, RangeMonitor};
+pub use monitor::{KnnMonitor, MonitorChange, MonitorWork, RangeMonitor};
 pub use naive::{naive_knn, naive_range};
 pub use options::QueryOptions;
 pub use precomputed::PrecomputedD2D;

@@ -1,4 +1,4 @@
-//! Continuous range monitoring with computation reuse.
+//! Continuous range and kNN monitoring with computation reuse.
 //!
 //! The paper's future-work list (§VII) proposes reusing computational
 //! effort when related queries arrive in a short period. The dominant
@@ -8,10 +8,11 @@
 //! [`RangeMonitor`] therefore keeps full-graph [`DoorDistances`] for its
 //! query point and re-evaluates **only the updated object** on each object
 //! update, falling back to a full refresh when the topology changes
-//! (which invalidates the kept distances). [`KnnMonitor`] applies the same
-//! idea to a standing `ikNNQ(q, k)`: incremental top-k maintenance where
-//! it is provably exact, and threshold re-verification (one fresh query)
-//! whenever the result set may shrink.
+//! (which invalidates the kept distances). [`KnnMonitor`] turns a standing
+//! `ikNNQ(q, k)` into the same book-keeping: it keeps every object up to a
+//! boundary fixed at its last re-query, a range monitor at a kept radius,
+//! answers with the first `k` of them, and re-queries only when fewer than
+//! `k` remain (the buffer of continuous kNN monitoring, CPM, SIGMOD 2005).
 //!
 //! Both monitors price an object the way the one-shot queries do, through
 //! the pipeline's `EvalContext`: bounds from the object's memoised
@@ -28,7 +29,21 @@ use idq_index::CompositeIndex;
 use idq_model::IndoorPoint;
 use idq_model::IndoorSpace;
 use idq_objects::{ObjectId, ObjectStore};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+
+/// Work a monitor did beyond pricing the objects its deltas named, summed
+/// over its lifetime.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MonitorWork {
+    /// Fresh queries run while absorbing deltas: every topology refresh,
+    /// and every kNN re-query after fewer than `k` objects were left
+    /// within the kept boundary.
+    pub requeries: u64,
+    /// Complete door-distance contexts assembled from scratch, because no
+    /// distances were kept or they belonged to an older space version.
+    pub context_rebuilds: u64,
+}
 
 /// What both monitor kinds evaluate objects with: the standing query
 /// point and options, and the full-graph door distances from the point,
@@ -39,6 +54,7 @@ struct Evaluator {
     options: QueryOptions,
     /// `None` until the first evaluation after a refresh.
     kept: Option<(u64, DoorDistances)>,
+    work: MonitorWork,
 }
 
 impl Evaluator {
@@ -47,6 +63,7 @@ impl Evaluator {
             q,
             options,
             kept: None,
+            work: MonitorWork::default(),
         }
     }
 
@@ -63,7 +80,10 @@ impl Evaluator {
         let (q, options, version) = (self.q, &self.options, space.version());
         let mut ctx = match self.kept.take() {
             Some((v, dd)) if v == version => EvalContext::over(space, store, index, q, dd, options),
-            _ => EvalContext::new(space, store, index, q, f64::INFINITY, options)?,
+            _ => {
+                self.work.context_rebuilds += 1;
+                EvalContext::new(space, store, index, q, f64::INFINITY, options)?
+            }
         };
         let out = eval(&mut ctx, options);
         self.kept = Some((version, ctx.into_distances()));
@@ -128,6 +148,11 @@ impl RangeMonitor {
     /// The query options evaluations use.
     pub fn options(&self) -> &QueryOptions {
         &self.eval.options
+    }
+
+    /// The work this monitor has done so far.
+    pub fn work(&self) -> MonitorWork {
+        self.eval.work
     }
 
     /// Objects currently inside the range, ascending by id.
@@ -212,6 +237,7 @@ impl RangeMonitor {
     ) -> Result<Vec<(ObjectId, MonitorChange)>, QueryError> {
         if topology_changed {
             let before = self.inside.clone();
+            self.eval.work.requeries += 1;
             self.refresh(space, index, store)?;
             let mut changes = Vec::new();
             for &id in before.difference(&self.inside) {
@@ -250,27 +276,45 @@ impl RangeMonitor {
     }
 }
 
+/// How many objects a [`KnnMonitor`] re-query ranks for a standing `k`:
+/// `k + Δ`, with the buffer `Δ = k`. Registration ranks `k` alone.
+fn requery_depth(k: usize) -> usize {
+    k + k
+}
+
+/// The `(distance, id)` order [`crate::iknn::knn_query`] ranks in.
+/// `total_cmp` orders the finite distances a monitor keeps exactly as
+/// `<` does, without a panic site.
+fn by_key(a: &(f64, ObjectId), b: &(f64, ObjectId)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// A standing `ikNNQ(q, k)` kept current under object updates — the kNN
-/// twin of [`RangeMonitor`].
+/// twin of [`RangeMonitor`], and a range monitor at a kept boundary.
 ///
-/// Keeps the full-graph door distances from `q` and maintains the
-/// ranked top-k in exactly [`crate::iknn::knn_query`]'s order (ascending
-/// `(distance, id)`). Object updates fold in incrementally where that is
-/// provably equivalent to a fresh query: a non-member beating the current
-/// kth (bounds first, exact expected distance only when they straddle the
-/// threshold), a member improving, or any change while fewer than `k`
-/// objects are reachable. When the result set may *shrink* — a member
-/// worsened, became unreachable, or was removed — the kth threshold can
-/// grow, which can admit objects the monitor never evaluated; the monitor
-/// then **re-verifies** with one fresh query per absorbed batch rather
-/// than guess. Either path leaves the ranking bit-identical to evaluating
-/// `ikNNQ(q, k)` from scratch on the current state.
+/// The monitor keeps a set W and a boundary key `B = (R, id)`. W holds
+/// every reachable object whose `(distance, id)` key is at or below `B`,
+/// ascending by that key, and `B` stays fixed from one re-query to the
+/// next. A removed object leaves W; an updated object is re-priced
+/// (skipped when its distance lower bound exceeds `R`, refined otherwise)
+/// and kept if its key is at or below `B`. The answer is the first `k` of
+/// W, in exactly [`crate::iknn::knn_query`]'s order: every object outside
+/// W is keyed above `B`. Only when fewer than `k` remain does the monitor
+/// re-query, ranking `k + Δ` objects (`Δ = k`; registration ranks `k`)
+/// and setting `B` at the last of them.
+/// While fewer objects than a query asked for were reachable, `B` is `∞`
+/// and W holds every reachable object; once W reaches `k + Δ` it is
+/// truncated there and `B` set at its last key. Either path leaves the
+/// ranking bit-identical to evaluating `ikNNQ(q, k)` from scratch on the
+/// current state.
 #[derive(Debug)]
 pub struct KnnMonitor {
     eval: Evaluator,
     k: usize,
-    /// Current top-k, ascending by `(distance, id)` — fresh-query order.
-    topk: Vec<(f64, ObjectId)>,
+    /// W, ascending by `(distance, id)` — fresh-query order.
+    watched: Vec<(f64, ObjectId)>,
+    /// B; `None` (`∞`) while W holds every reachable object.
+    boundary: Option<(f64, ObjectId)>,
 }
 
 impl KnnMonitor {
@@ -283,7 +327,8 @@ impl KnnMonitor {
         Ok(KnnMonitor {
             eval: Evaluator::new(q, options),
             k,
-            topk: Vec::new(),
+            watched: Vec::new(),
+            boundary: None,
         })
     }
 
@@ -302,49 +347,66 @@ impl KnnMonitor {
         &self.eval.options
     }
 
+    /// The work this monitor has done so far.
+    pub fn work(&self) -> MonitorWork {
+        self.eval.work
+    }
+
+    /// The answer: the first `k` of W.
+    fn answer(&self) -> &[(f64, ObjectId)] {
+        &self.watched[..self.k.min(self.watched.len())]
+    }
+
     /// The current top-k as `(object, distance)`, ascending by
     /// `(distance, id)` — the exact order a fresh
     /// [`crate::iknn::knn_query`] returns. May hold fewer than `k` entries
     /// when fewer objects are reachable.
     pub fn ranked(&self) -> Vec<(ObjectId, f64)> {
-        self.topk.iter().map(|&(d, id)| (id, d)).collect()
+        self.answer().iter().map(|&(d, id)| (id, d)).collect()
     }
 
     /// Objects currently in the top-k, ascending by id.
     pub fn current(&self) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.topk.iter().map(|&(_, id)| id).collect();
+        let mut ids: Vec<ObjectId> = self.answer().iter().map(|&(_, id)| id).collect();
         ids.sort_unstable();
         ids
     }
 
     /// Whether an object is currently in the top-k.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.topk.iter().any(|&(_, m)| m == id)
+        self.answer().iter().any(|&(_, m)| m == id)
     }
 
-    /// The distance a candidate must beat to enter the result — the kth
-    /// distance, or `+∞` while fewer than `k` objects are reachable (then
-    /// *every* reachable object qualifies).
+    /// Whether an object is in W, within the kept boundary: a change to
+    /// it can change the answer even when it is not in the top-k.
+    pub fn watches(&self, id: ObjectId) -> bool {
+        self.watched.iter().any(|&(_, m)| m == id)
+    }
+
+    /// The kth distance, or `+∞` while fewer than `k` objects are
+    /// reachable (then *every* reachable object is in the result).
     pub fn threshold(&self) -> f64 {
-        if self.topk.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.topk.last().map_or(f64::INFINITY, |&(d, _)| d)
-        }
+        self.answer()
+            .get(self.k - 1)
+            .map_or(f64::INFINITY, |&(d, _)| d)
     }
 
-    /// Full re-evaluation through the indexed pipeline (used at start-up
-    /// and after topology changes or shrink re-verification). Returns the
-    /// ranked result.
+    /// `R`, the distance of the kept boundary: no object farther than it
+    /// can enter the answer before the next re-query. `+∞` while W holds
+    /// every reachable object.
+    pub fn radius(&self) -> f64 {
+        self.boundary.map_or(f64::INFINITY, |(r, _)| r)
+    }
+
+    /// Full re-evaluation through the indexed pipeline, ranking `k`
+    /// (used at start-up). Returns the ranked result.
     pub fn refresh(
         &mut self,
         space: &IndoorSpace,
         index: &CompositeIndex,
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, f64)>, QueryError> {
-        let Evaluator { q, options, .. } = &self.eval;
-        let out = crate::iknn::knn_query(space, index, store, *q, self.k, options)?;
-        self.topk = out.results.iter().map(|h| (h.distance, h.object)).collect();
+        self.rank(self.k, space, index, store)?;
         // Drop the kept distances; the next incremental update rebuilds
         // them (see the range monitor's refresh for the registration-cost
         // rationale).
@@ -352,12 +414,32 @@ impl KnnMonitor {
         Ok(self.ranked())
     }
 
+    /// Sets W to a fresh query's first `depth` objects, and B at the last
+    /// of them (`∞` when fewer were reachable).
+    fn rank(
+        &mut self,
+        depth: usize,
+        space: &IndoorSpace,
+        index: &CompositeIndex,
+        store: &ObjectStore,
+    ) -> Result<(), QueryError> {
+        let Evaluator { q, options, .. } = &self.eval;
+        let out = crate::iknn::knn_query(space, index, store, *q, depth, options)?;
+        self.watched = out.results.iter().map(|h| (h.distance, h.object)).collect();
+        self.boundary = self
+            .watched
+            .last()
+            .copied()
+            .filter(|_| self.watched.len() == depth);
+        Ok(())
+    }
+
     /// Absorbs a whole update delta in one call — the kNN counterpart of
-    /// [`RangeMonitor::absorb_delta`]. Incremental per-object maintenance
-    /// where exact, one fresh re-query for the whole batch when the
-    /// threshold may have grown. Returns every **membership** change,
-    /// ascending by object id (rank-only changes are visible through
-    /// [`KnnMonitor::ranked`]).
+    /// [`RangeMonitor::absorb_delta`]: removed and updated objects leave
+    /// W, updated ones are re-priced against the boundary, and one fresh
+    /// re-query runs when fewer than `k` are left (or the topology
+    /// changed). Returns every **membership** change, ascending by object
+    /// id (rank-only changes are visible through [`KnnMonitor::ranked`]).
     pub fn absorb_delta(
         &mut self,
         updated: &[ObjectId],
@@ -367,80 +449,73 @@ impl KnnMonitor {
         index: &CompositeIndex,
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, MonitorChange)>, QueryError> {
-        let before: BTreeSet<ObjectId> = self.topk.iter().map(|&(_, id)| id).collect();
-        // A removed member shrinks the set: the threshold grows.
-        let mut need_refresh = topology_changed || removed.iter().any(|id| before.contains(id));
-        if !need_refresh && !updated.is_empty() {
-            let (k, topk) = (self.k, &mut self.topk);
-            need_refresh = self.eval.with(space, index, store, |ctx, options| {
-                for &id in updated {
-                    if fold_update(topk, k, ctx, options, id)? {
-                        return Ok(true);
+        let before = self.current();
+        let depth = requery_depth(self.k);
+        if topology_changed {
+            self.eval.kept = None;
+            self.eval.work.requeries += 1;
+            self.rank(depth, space, index, store)?;
+        } else {
+            self.watched
+                .retain(|(_, id)| !removed.contains(id) && !updated.contains(id));
+            if !updated.is_empty() {
+                let (r, boundary) = (self.radius(), self.boundary);
+                let watched = &mut self.watched;
+                self.eval.with(space, index, store, |ctx, options| {
+                    for &id in updated {
+                        // d ≥ lower > R: keyed above B even on a tie.
+                        if options.use_pruning && ctx.bounds(id)?.lower > r {
+                            continue;
+                        }
+                        let key = (ctx.refine(id)?, id);
+                        let within = boundary.is_none_or(|b| by_key(&key, &b).is_le());
+                        if key.0.is_finite() && within {
+                            let at = watched.partition_point(|e| by_key(e, &key).is_lt());
+                            watched.insert(at, key);
+                        }
                     }
+                    Ok(())
+                })?;
+            }
+            match self.boundary {
+                None if self.watched.len() >= depth => {
+                    // W holds every reachable object: its first `depth`
+                    // are a fresh query's.
+                    self.watched.truncate(depth);
+                    self.boundary = self.watched.last().copied();
                 }
-                Ok(false)
-            })?;
+                Some(_) if self.watched.len() < self.k => {
+                    self.eval.work.requeries += 1;
+                    self.rank(depth, space, index, store)?;
+                }
+                _ => {}
+            }
         }
-        if need_refresh {
-            self.refresh(space, index, store)?;
-        }
-        let after: BTreeSet<ObjectId> = self.topk.iter().map(|&(_, id)| id).collect();
+        debug_assert!(
+            self.watched
+                .windows(2)
+                .all(|w| by_key(&w[0], &w[1]).is_lt())
+                && self.boundary.is_none_or(|b| {
+                    self.watched.len() >= self.k
+                        && self.watched.iter().all(|e| by_key(e, &b).is_le())
+                }),
+            "W is sorted, within B, and holds k objects unless B = ∞"
+        );
+        let after = self.current();
         let mut changes: Vec<(ObjectId, MonitorChange)> = Vec::new();
-        for &id in before.difference(&after) {
-            changes.push((id, MonitorChange::Left));
+        for &id in &before {
+            if after.binary_search(&id).is_err() {
+                changes.push((id, MonitorChange::Left));
+            }
         }
-        for &id in after.difference(&before) {
-            changes.push((id, MonitorChange::Entered));
+        for &id in &after {
+            if before.binary_search(&id).is_err() {
+                changes.push((id, MonitorChange::Entered));
+            }
         }
         changes.sort_unstable_by_key(|(id, _)| *id);
         Ok(changes)
     }
-}
-
-/// Folds one object update into a top-k of `k`. Returns `true` when the
-/// incremental step is not provably exact — the result set may shrink,
-/// raising the threshold — and the caller must fall back to a fresh
-/// re-query.
-fn fold_update(
-    topk: &mut Vec<(f64, ObjectId)>,
-    k: usize,
-    ctx: &mut EvalContext<'_>,
-    options: &QueryOptions,
-    id: ObjectId,
-) -> Result<bool, QueryError> {
-    if let Some(pos) = topk.iter().position(|&(_, m)| m == id) {
-        let old = topk[pos].0;
-        let d = ctx.refine(id)?;
-        if !d.is_finite() || d > old {
-            // A member worsened: objects the monitor never evaluated may
-            // now beat the (grown) threshold. Re-verify.
-            return Ok(true);
-        }
-        topk[pos].0 = d;
-    } else if topk.len() < k {
-        // Fewer than k reachable: every reachable object qualifies.
-        let d = ctx.refine(id)?;
-        if !d.is_finite() {
-            return Ok(false);
-        }
-        topk.push((d, id));
-    } else {
-        let &(dk, idk) = topk.last().expect("len == k >= 1");
-        if options.use_pruning && ctx.bounds(id)?.lower > dk {
-            // Cannot beat the kth even on a tie: d ≥ lower > dk.
-            return Ok(false);
-        }
-        let d = ctx.refine(id)?;
-        if !(d.is_finite() && (d < dk || (d == dk && id < idk))) {
-            return Ok(false);
-        }
-        topk.pop();
-        topk.push((d, id));
-    }
-    // `total_cmp` orders the finite distances admitted above exactly as
-    // `<` does, without a panic site.
-    topk.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    Ok(false)
 }
 
 #[cfg(test)]
@@ -789,5 +864,50 @@ mod tests {
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         let b = ctx.bounds(ObjectId(2)).unwrap();
         assert!(b.lower <= r && r < b.upper, "{b:?}");
+    }
+
+    #[test]
+    fn knn_monitor_requeries_only_below_k() {
+        let (space, mut store, mut index) = setup();
+        let q = idq_model::IndoorPoint::new(Point2::new(2.0, 5.0), 0);
+        let k = 2;
+        let buffer = requery_depth(k) - k;
+        let mut mon = KnnMonitor::new(q, k, QueryOptions::default()).unwrap();
+        mon.refresh(&space, &index, &store).unwrap();
+        // Absorbs one delta and checks the answer against a fresh query.
+        let absorb = |mon: &mut KnnMonitor,
+                      store: &ObjectStore,
+                      index: &CompositeIndex,
+                      up: &[u64],
+                      rm: &[ObjectId]| {
+            let up: Vec<ObjectId> = up.iter().map(|&id| ObjectId(id)).collect();
+            mon.absorb_delta(&up, rm, false, &space, index, store)
+                .unwrap();
+            assert_eq!(mon.ranked(), fresh_knn(&space, index, store, q, k));
+        };
+        // Nothing was reachable at refresh, so B is ∞ and W takes every
+        // arrival until it holds k + Δ; then B tightens without a query.
+        let ids: Vec<u64> = (1..=(k + buffer + 2) as u64).collect();
+        for &id in &ids {
+            move_to(&mut store, &mut index, &space, id, 2.0 + id as f64);
+            absorb(&mut mon, &store, &index, &[id], &[]);
+        }
+        assert_eq!(mon.watched.len(), k + buffer);
+        assert!(mon.radius().is_finite());
+        // Removing Δ members of W leaves k: no re-query.
+        for &id in &ids[..buffer] {
+            index.remove_object(ObjectId(id)).unwrap();
+            store.remove(ObjectId(id)).unwrap();
+            absorb(&mut mon, &store, &index, &[], &[ObjectId(id)]);
+        }
+        assert_eq!(mon.work().requeries, 0);
+        // One more drops W below k: exactly one re-query, which refills
+        // W to k + Δ where enough objects are reachable.
+        let next = ObjectId(ids[buffer]);
+        index.remove_object(next).unwrap();
+        store.remove(next).unwrap();
+        absorb(&mut mon, &store, &index, &[], &[next]);
+        assert_eq!(mon.work().requeries, 1);
+        assert_eq!(mon.watched.len(), ids.len() - buffer - 1);
     }
 }
