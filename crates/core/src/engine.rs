@@ -436,9 +436,9 @@ impl IndoorEngine {
     /// o-table slice of the touched floor(s) plus the buckets whose
     /// membership changes, never the whole object population. A
     /// single-update commit therefore costs O(objects on its floor)
-    /// rather than O(all objects). Batching still wins (shared footprint
-    /// traversals, one shard copy amortized over the whole batch instead
-    /// of one per update; see [`IndoorEngine::apply_batch`]). Concurrent
+    /// rather than O(all objects). Batching still wins (one shard copy
+    /// amortized over the whole batch instead of one per update; see
+    /// [`IndoorEngine::apply_batch`]). Concurrent
     /// single-`apply` callers get the same amortization automatically
     /// through **group commit**: clone [`IndoorEngine::writer`] into the
     /// submitting threads and their commits coalesce into shared epochs
@@ -457,15 +457,17 @@ impl IndoorEngine {
     /// or, on the first failure, nothing does — the batch runs on a
     /// copy-on-write transaction over the committed version's layers, so a
     /// failure drops the copy and the committed version was never touched
-    /// (no undo log, no compensation).
+    /// (no undo log, no compensation). Updates are validated and staged in
+    /// input order, so the error returned is that of the first failing
+    /// update.
     ///
-    /// The batch is also **amortized**: position updates are grouped by
-    /// touched partition so the composite index runs one footprint
-    /// traversal per group instead of one per update, and a run of
-    /// topology updates coalesces its skeleton repairs into a single
-    /// rebuild at the end of the run. Results are equivalent to applying
-    /// the updates one at a time in order (same objects, same ids, same
-    /// query answers) — only the maintenance cost differs.
+    /// The batch is also **amortized**: each touched floor shard is copied
+    /// once for the whole batch, and a run of topology updates coalesces
+    /// its skeleton repairs into a single rebuild at the end of the run
+    /// (each position update still costs its own footprint traversal, as
+    /// in §III-C.2). Results are equivalent to applying the updates one at
+    /// a time in order (same objects, same ids, same query answers) — only
+    /// the maintenance cost differs.
     ///
     /// A successful non-empty batch commits via the epoch-stamped atomic
     /// swap: snapshots pinned to older versions are unaffected, new

@@ -8,8 +8,8 @@
 //! [`crate::IndoorEngine::apply`]; a stream goes through
 //! [`crate::IndoorEngine::apply_batch`], which applies the whole slice as
 //! one **atomic transaction** (all-or-nothing) and **amortizes** index
-//! maintenance across it (position updates grouped by touched partition,
-//! topology events coalesced into a single skeleton repair).
+//! maintenance across it (one copy of each touched floor shard, topology
+//! events coalesced into a single skeleton repair).
 //!
 //! Every successful apply bumps the engine's monotone *epoch*, which
 //! snapshots expose as [`crate::Snapshot::version`]; a committed
@@ -292,9 +292,6 @@ pub struct UpdateStats {
     pub updates: usize,
     /// Position updates (inserts, moves, removes).
     pub position_updates: usize,
-    /// Tree traversals spent computing object footprints — the grouped
-    /// path's saving shows as `footprint_searches <` inserts + moves.
-    pub footprint_searches: usize,
     /// Skeleton-tier rebuilds (coalesced: at most one per topology run).
     pub skeleton_rebuilds: usize,
     /// Distinct floor shards the batch's object updates landed in — the
@@ -328,7 +325,6 @@ impl UpdateStats {
     pub(crate) fn absorb_group_member(&mut self, member: &UpdateStats) {
         self.updates += member.updates;
         self.position_updates += member.position_updates;
-        self.footprint_searches += member.footprint_searches;
         self.skeleton_rebuilds += member.skeleton_rebuilds;
         self.checkpointed |= member.checkpointed;
         self.restaged |= member.restaged;
@@ -394,7 +390,6 @@ mod tests {
         let a = UpdateStats {
             updates: 3,
             position_updates: 3,
-            footprint_searches: 2,
             shards_touched: 1,
             group_batches: 1,
             ..UpdateStats::default()
@@ -402,7 +397,6 @@ mod tests {
         let b = UpdateStats {
             updates: 2,
             position_updates: 1,
-            footprint_searches: 1,
             skeleton_rebuilds: 1,
             shards_touched: 2,
             checkpointed: true,
@@ -414,7 +408,6 @@ mod tests {
         merged.absorb_group_member(&b);
         assert_eq!(merged.updates, 5);
         assert_eq!(merged.position_updates, 4);
-        assert_eq!(merged.footprint_searches, 3);
         assert_eq!(merged.skeleton_rebuilds, 1);
         assert!(
             merged.checkpointed,
@@ -437,7 +430,6 @@ mod tests {
         let member = UpdateStats {
             updates: 1,
             position_updates: 1,
-            footprint_searches: 1,
             shards_touched: 1,
             group_batches: 4,
             ..UpdateStats::default()

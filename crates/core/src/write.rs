@@ -6,9 +6,10 @@
 //!
 //! 1. **Parallel stage phase** — each submitting thread validates and
 //!    prepares its batch against the latest published version, with no
-//!    locks held: duplicate/existence checks, id allocation, footprint
-//!    traversals and Gaussian sampling all happen here, producing
-//!    shard-local, `Send` `PreparedOp`s.
+//!    locks held. Each position update is staged in one pass, in input
+//!    order: duplicate/existence checks, id allocation, its own footprint
+//!    traversal and its Gaussian draw, producing a shard-local, `Send`
+//!    `PreparedOp`. The first failing update names the batch's error.
 //! 2. **Serial epoch sequencer** — staged batches enqueue, and the first
 //!    submitter to take the sequencer lock becomes the *leader*: it drains
 //!    the queue, orders the batches, validates each one's read set against
@@ -48,78 +49,6 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Planar side length (metres) of the spatial cells staging groups
-/// position updates by: `(floor, ⌊x/cell⌋, ⌊y/cell⌋)` of the new region
-/// centre is a constant-time proxy for the touched partition (cells are
-/// sized to the §V-A mall generator's room scale), so updates landing in
-/// the same partition share one footprint traversal without paying a
-/// point-location query per update.
-const GROUP_CELL_M: f64 = 60.0;
-
-/// Sampling parameters of a deferred Gaussian draw (resolved during
-/// validation, executed during staging with an index-derived partition
-/// hint).
-#[derive(Debug)]
-struct SampleSpec {
-    id: ObjectId,
-    center: Point2,
-    floor: Floor,
-    radius: f64,
-    instances: usize,
-    seed: u64,
-}
-
-/// A validated position update: existence and duplicate checks done, ids
-/// allocated, sampling parameters resolved — nothing mutated, nothing
-/// sampled yet. Crucially the write MBR is already known (a sampled
-/// object's instances are truncated to its region, so its footprint is the
-/// region's bounding box), which is what lets a run compute all footprints
-/// first — shared traversals, grouped by touched partition — and then feed
-/// each footprint's partitions back to the sampler as a point-location
-/// hint.
-#[derive(Debug)]
-enum Intent {
-    /// Insert this fully-formed object.
-    InsertReady(Box<UncertainObject>),
-    /// Sample a fresh object, then insert it.
-    SampleInsert(SampleSpec),
-    /// Sample the moved object's new state, then replace the old one
-    /// (currently filed under the carried floor).
-    SampleMove(SampleSpec, Floor),
-    /// Remove this object (filed under the carried floor).
-    Remove(ObjectId, Floor),
-}
-
-impl Intent {
-    /// The MBR this intent writes into the index, if it writes one.
-    fn write_mbr(&self, space: &IndoorSpace) -> Option<Mbr3> {
-        match self {
-            Intent::InsertReady(o) => Some(Mbr3::planar(
-                o.footprint_rect(),
-                o.floor,
-                space.elevation(o.floor),
-            )),
-            Intent::SampleInsert(s) | Intent::SampleMove(s, _) => {
-                let rect = Circle::new(s.center, s.radius).bbox();
-                Some(Mbr3::planar(rect, s.floor, space.elevation(s.floor)))
-            }
-            Intent::Remove(..) => None,
-        }
-    }
-
-    /// Grouping key: (floor, partition-scale cell) of the write centre.
-    fn group_key(&self) -> Option<(Floor, i64, i64)> {
-        let (center, floor) = match self {
-            Intent::InsertReady(o) => (o.region.center, o.floor),
-            Intent::SampleInsert(s) | Intent::SampleMove(s, _) => (s.center, s.floor),
-            Intent::Remove(..) => return None,
-        };
-        let cx = (center.x / GROUP_CELL_M).floor() as i64;
-        let cy = (center.y / GROUP_CELL_M).floor() as i64;
-        Some((floor, cx, cy))
-    }
-}
 
 /// What an object carried over from earlier updates of the same run —
 /// sequential semantics without splitting the run on repeated ids.
@@ -186,9 +115,6 @@ struct Txn {
     space: Arc<IndoorSpace>,
     store: Arc<ObjectStore>,
     index: Arc<CompositeIndex>,
-    /// Whether the space layer was copy-on-written (i.e. the batch
-    /// contained topology updates) — reported as `UpdateStats::checkpointed`.
-    space_cloned: bool,
 }
 
 impl Txn {
@@ -197,13 +123,12 @@ impl Txn {
             space: Arc::clone(&state.space),
             store: Arc::clone(&state.store),
             index: Arc::clone(&state.index),
-            space_cloned: false,
         }
     }
 
     /// The forward pass of one batch: alternating runs of position updates
-    /// (prepared, then committed with grouped footprints) and topology
-    /// updates (applied with one deferred skeleton repair per run).
+    /// (staged one update at a time, then applied) and topology updates
+    /// (applied with one deferred skeleton repair per run).
     fn run_batch(&mut self, updates: &[Update], state: &mut BatchState) -> Result<(), EngineError> {
         state.stats.updates = updates.len();
         let mut i = 0;
@@ -238,7 +163,9 @@ impl Txn {
 
     /// Stages one run of position updates without applying anything — the
     /// validate + prepare half of [`Txn::run_batch`], and the whole of the
-    /// parallel stage phase. Id allocations and reservations land on this
+    /// parallel stage phase. Each update is validated, footprinted and
+    /// sampled in one pass, in input order, so the first failing update
+    /// names the error. Id allocations and reservations land on this
     /// transaction's store copy; when the parallel path discards the
     /// staging transaction, nothing is lost — applying the staged inserts
     /// re-reserves every id, so the watermark ends identical to a serial
@@ -248,29 +175,24 @@ impl Txn {
         updates: &[Update],
         stats: &mut UpdateStats,
     ) -> Result<Vec<PreparedOp>, EngineError> {
-        // Validate every update first (duplicate/existence checks against
-        // the store plus the run's own pending effects), then stage the
-        // run (shared footprint traversals, hint-assisted sampling — all
-        // remaining fallible work, still nothing committed).
-        let mut intents: Vec<Intent> = Vec::with_capacity(updates.len());
+        let mut ops = Vec::with_capacity(updates.len());
         let mut pending: IdMap<ObjectId, PendingState> = IdMap::default();
         for update in updates {
-            intents.push(self.prepare_intent(update, &mut pending)?);
+            ops.push(self.stage_position_update(update, &mut pending)?);
             stats.position_updates += 1;
         }
-        self.stage_run(intents, stats)
+        Ok(ops)
     }
 
-    /// Validates one position [`Update`] against the store *and* the run's
-    /// pending effects (so a run may touch the same object repeatedly with
-    /// sequential semantics), allocating ids and resolving sampling
-    /// parameters. Id allocation lands on the transaction's store copy, so
-    /// a failed batch leaks nothing.
-    fn prepare_intent(
+    /// Stages one position [`Update`]: validates it against the store
+    /// *and* the run's pending effects (so a run may touch the same object
+    /// repeatedly with sequential semantics), allocates ids, computes the
+    /// write's footprint and draws its instances. Nothing is applied.
+    fn stage_position_update(
         &mut self,
         update: &Update,
         pending: &mut IdMap<ObjectId, PendingState>,
-    ) -> Result<Intent, EngineError> {
+    ) -> Result<PreparedOp, EngineError> {
         match update {
             Update::InsertObject(object) => {
                 let id = object.id;
@@ -293,6 +215,12 @@ impl Txn {
                         num_floors: self.space.num_floors(),
                     });
                 }
+                // Sampled objects are covered by construction; a
+                // fully-formed one may have an instance in no partition.
+                let (units, mbr) = self.index.object_footprint(&self.space, object);
+                self.index
+                    .check_covered(&self.space, object, &units)
+                    .map_err(|_| ObjectError::NoHostPartition)?;
                 // The insert itself is deferred, so reserve the external id
                 // now: a later `InsertObjectAt` in this run must allocate
                 // past it, exactly as sequential application would after
@@ -306,7 +234,7 @@ impl Txn {
                         floor: object.floor,
                     },
                 );
-                Ok(Intent::InsertReady(object.clone()))
+                Ok(PreparedOp::Insert(object.clone(), units, mbr))
             }
             Update::InsertObjectAt {
                 center,
@@ -319,6 +247,8 @@ impl Txn {
                 check_instances(*instances)?;
                 let id = Arc::make_mut(&mut self.store).allocate_id();
                 let instances = (*instances).max(1);
+                let (object, units, mbr) =
+                    self.sample(id, *center, *floor, *radius, instances, *seed)?;
                 pending.insert(
                     id,
                     PendingState::Live {
@@ -327,14 +257,7 @@ impl Txn {
                         floor: *floor,
                     },
                 );
-                Ok(Intent::SampleInsert(SampleSpec {
-                    id,
-                    center: *center,
-                    floor: *floor,
-                    radius: *radius,
-                    instances,
-                    seed: *seed,
-                }))
+                Ok(PreparedOp::Insert(Box::new(object), units, mbr))
             }
             Update::MoveObject {
                 id,
@@ -356,6 +279,8 @@ impl Txn {
                         (old.region.radius, old.len(), old.floor)
                     }
                 };
+                let (object, units, mbr) =
+                    self.sample(*id, *center, *floor, radius, instances, *seed)?;
                 pending.insert(
                     *id,
                     PendingState::Live {
@@ -364,17 +289,7 @@ impl Txn {
                         floor: *floor,
                     },
                 );
-                Ok(Intent::SampleMove(
-                    SampleSpec {
-                        id: *id,
-                        center: *center,
-                        floor: *floor,
-                        radius,
-                        instances,
-                        seed: *seed,
-                    },
-                    old_floor,
-                ))
+                Ok(PreparedOp::Move(Box::new(object), units, mbr, old_floor))
             }
             Update::RemoveObject(id) => {
                 let old_floor = match pending.get(id) {
@@ -385,108 +300,39 @@ impl Txn {
                     None => self.store.get(*id)?.floor,
                 };
                 pending.insert(*id, PendingState::Removed);
-                Ok(Intent::Remove(*id, old_floor))
+                Ok(PreparedOp::Remove(*id, old_floor))
             }
-            _ => unreachable!("prepare_intent only sees position updates"),
+            _ => unreachable!("stage_position_update only sees position updates"),
         }
     }
 
-    /// Stages a validated run: groups writes by touched partition, runs
-    /// one footprint traversal per group, then executes the deferred
-    /// Gaussian draws with each footprint's partitions as the
-    /// point-location hint (identical results to full point location, a
-    /// fraction of the cost). Staging can fail — a sampled centre or a
-    /// fully-formed instance outside every partition — but nothing is
-    /// applied until every op is staged.
-    fn stage_run(
+    /// Footprints and samples one object. A sampled object's instances
+    /// are truncated to its region, so its footprint is the region's
+    /// bounding box; the partitions owning the units that box meets (a
+    /// superset of every partition overlapping the region) are the
+    /// sampler's point-location hint, which keeps the draw exact. Each
+    /// draw is seeded by `seed ^ id` alone.
+    fn sample(
         &self,
-        intents: Vec<Intent>,
-        stats: &mut UpdateStats,
-    ) -> Result<Vec<PreparedOp>, EngineError> {
-        // Sort write indices by (floor, cell): each contiguous key run is
-        // one group sharing a traversal.
-        let mut keyed: Vec<((Floor, i64, i64), usize)> = intents
-            .iter()
-            .enumerate()
-            .filter_map(|(k, intent)| intent.group_key().map(|key| (key, k)))
-            .collect();
-        keyed.sort_unstable();
-        let mut footprints: Vec<Option<(Vec<UnitId>, Mbr3)>> = Vec::new();
-        footprints.resize_with(intents.len(), || None);
-        let mut start = 0;
-        while start < keyed.len() {
-            let key = keyed[start].0;
-            let mut end = start + 1;
-            while end < keyed.len() && keyed[end].0 == key {
-                end += 1;
-            }
-            let members = &keyed[start..end];
-            let mbrs: Vec<Mbr3> = members
-                .iter()
-                .map(|&(_, k)| {
-                    intents[k]
-                        .write_mbr(&self.space)
-                        .expect("grouped intents write an MBR")
-                })
-                .collect();
-            let grouped = self.index.unit_footprints_grouped(&mbrs);
-            stats.footprint_searches += 1;
-            for ((&(_, k), units), mbr) in members.iter().zip(grouped).zip(mbrs) {
-                footprints[k] = Some((units, mbr));
-            }
-            start = end;
-        }
-        intents
-            .into_iter()
-            .zip(footprints)
-            .map(|(intent, footprint)| match intent {
-                Intent::InsertReady(object) => {
-                    let (units, mbr) = footprint.expect("writes carry a footprint");
-                    // Sampled objects are covered by construction; a
-                    // fully-formed one may have an instance in no partition.
-                    self.index
-                        .check_covered(&self.space, &object, &units)
-                        .map_err(|_| ObjectError::NoHostPartition)?;
-                    Ok(PreparedOp::Insert(object, units, mbr))
-                }
-                Intent::SampleInsert(spec) => {
-                    let (units, mbr) = footprint.expect("writes carry a footprint");
-                    let object = self.sample_spec(&spec, &units)?;
-                    Ok(PreparedOp::Insert(Box::new(object), units, mbr))
-                }
-                Intent::SampleMove(spec, old_floor) => {
-                    let (units, mbr) = footprint.expect("writes carry a footprint");
-                    let object = self.sample_spec(&spec, &units)?;
-                    Ok(PreparedOp::Move(Box::new(object), units, mbr, old_floor))
-                }
-                Intent::Remove(id, floor) => Ok(PreparedOp::Remove(id, floor)),
-            })
-            .collect()
-    }
-
-    /// Executes one deferred Gaussian draw, point-locating against the
-    /// partitions owning the footprint's units (a superset of every
-    /// partition overlapping the region, so the draw is exact).
-    fn sample_spec(
-        &self,
-        spec: &SampleSpec,
-        units: &[UnitId],
-    ) -> Result<UncertainObject, EngineError> {
-        let hint = self.index.units().owning_partitions(units);
+        id: ObjectId,
+        center: Point2,
+        floor: Floor,
+        radius: f64,
+        instances: usize,
+        seed: u64,
+    ) -> Result<(UncertainObject, Vec<UnitId>, Mbr3), EngineError> {
+        let rect = Circle::new(center, radius).bbox();
+        let mbr = Mbr3::planar(rect, floor, self.space.elevation(floor));
+        let units = self.index.units_intersecting(&mbr);
+        let hint = self.index.units().owning_partitions(&units);
         let sampler = GaussianSampler {
-            instances: spec.instances,
+            instances,
             ..GaussianSampler::default()
         };
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ spec.id.0);
-        Ok(sampler.sample_with_hint(
-            spec.id,
-            spec.center,
-            spec.floor,
-            spec.radius,
-            &self.space,
-            &hint,
-            &mut rng,
-        )?)
+        let mut rng = StdRng::seed_from_u64(seed ^ id.0);
+        let object =
+            sampler.sample_with_hint(id, center, floor, radius, &self.space, &hint, &mut rng)?;
+        Ok((object, units, mbr))
     }
 
     /// Applies one staged op to the transaction's store + index copies,
@@ -540,7 +386,6 @@ impl Txn {
         update: &Update,
         skeleton_dirty: &mut bool,
     ) -> Result<UpdateOutcome, EngineError> {
-        self.space_cloned = true;
         match update {
             Update::OpenDoor(d) => {
                 let ev = Arc::make_mut(&mut self.space).open_door(*d)?;
@@ -799,9 +644,10 @@ impl WriteHandle {
     /// moved under a batch that allocates ids, or the topology changed —
     /// the batch is transparently **re-staged** against the state it
     /// actually lands on ([`UpdateStats::restaged`]), so results are
-    /// exactly those of a serial execution in sequencer order. On error nothing committed
-    /// (staging failures never enter the sequencer; serial failures drop
-    /// the batch from its group).
+    /// exactly those of a serial execution in sequencer order. On the
+    /// first failure nothing commits, and the error is that of the first
+    /// failing update in input order (staging failures never enter the
+    /// sequencer; serial failures drop the batch from its group).
     ///
     /// Batches submitted while another writer leads coalesce into that
     /// leader's **commit group**: one epoch bump and one subscription

@@ -347,10 +347,12 @@ impl CompositeIndex {
     /// Unit footprints for a *group* of write MBRs computed with **one**
     /// tree traversal: the traversal collects every unit intersecting the
     /// union of the MBRs, then slot `i` keeps the candidates `mbrs[i]`
-    /// intersects. Each slot is exactly what a per-MBR traversal would
-    /// return — the grouping only amortizes the tree descent, which is why
-    /// batch appliers group position updates by touched partition before
-    /// calling this (a scattered group degrades to one wide traversal).
+    /// intersects. Each slot is exactly what
+    /// [`CompositeIndex::units_intersecting`] returns for `mbrs[i]` — the
+    /// grouping only amortizes the tree descent, and a scattered group
+    /// degrades to one wide traversal. The engine's write path no longer
+    /// uses it (it stages each update with its own traversal); the
+    /// benchmark's footprint probe still times it.
     pub fn unit_footprints_grouped(&self, mbrs: &[Mbr3]) -> Vec<Vec<UnitId>> {
         if let [mbr] = mbrs {
             return vec![self.units_intersecting(mbr)];
@@ -374,8 +376,9 @@ impl CompositeIndex {
             .collect()
     }
 
-    /// The units whose MBR intersects `mbr`, ascending.
-    fn units_intersecting(&self, mbr: &Mbr3) -> Vec<UnitId> {
+    /// The units whose MBR intersects `mbr`, ascending: the footprint of
+    /// a write whose search MBR is `mbr`.
+    pub fn units_intersecting(&self, mbr: &Mbr3) -> Vec<UnitId> {
         let mut units = Vec::new();
         self.rtree
             .search(|m| m.intersects(mbr), |entry| units.push(entry.item));
@@ -397,7 +400,7 @@ impl CompositeIndex {
 
     /// Indexes a new object from a footprint prepared by
     /// [`CompositeIndex::object_footprint`] /
-    /// [`CompositeIndex::unit_footprints_grouped`]. The footprint must
+    /// [`CompositeIndex::units_intersecting`]. The footprint must
     /// have been computed against the current unit population (no topology
     /// change in between).
     ///

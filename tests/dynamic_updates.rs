@@ -8,8 +8,8 @@ use indoor_dq::objects::ObjectId;
 use indoor_dq::prelude::*;
 use indoor_dq::query::{naive_knn, naive_range, QueryOptions};
 use indoor_dq::workloads::{
-    generate_building, generate_objects, generate_query_points, sample_one, BuildingConfig,
-    ObjectConfig, QueryPointConfig,
+    generate_building, generate_objects, generate_query_points, generate_update_stream, sample_one,
+    BuildingConfig, ObjectConfig, QueryPointConfig, UpdateStreamConfig,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -219,4 +219,103 @@ fn engine_keeps_knn_consistent_after_everything() {
     for (a, (_, d)) in fast.results.iter().zip(&slow) {
         assert!((a.distance - d).abs() < 1e-9);
     }
+}
+
+/// Every live object's footprint (its units and search MBR) in the
+/// engine's incrementally maintained index equals that of a fresh build
+/// over the committed store.
+fn assert_footprints_match_rebuild(engine: &IndoorEngine, context: &str) -> usize {
+    let incr = engine.index().object_layer();
+    let fresh = CompositeIndex::build(
+        engine.space(),
+        engine.store(),
+        EngineConfig::default().index,
+    )
+    .unwrap();
+    let fresh = fresh.object_layer();
+    let ids = engine.store().ids_sorted();
+    for &id in &ids {
+        assert_eq!(
+            incr.units_of(id).unwrap(),
+            fresh.units_of(id).unwrap(),
+            "units of {id} {context}"
+        );
+        assert_eq!(
+            incr.object_mbr(id).unwrap(),
+            fresh.object_mbr(id).unwrap(),
+            "search MBR of {id} {context}"
+        );
+    }
+    ids.len()
+}
+
+#[test]
+fn staged_footprints_match_a_fresh_build() {
+    // Engine-driven: `apply_batch` stages every footprint, so this checks
+    // the write path's footprints against the index build's, not against
+    // another engine sharing the same staging code.
+    let building = generate_building(&BuildingConfig {
+        bands: 2,
+        rooms_per_side: 3,
+        ..BuildingConfig::with_floors(2)
+    })
+    .unwrap();
+    let store = generate_objects(
+        &building,
+        &ObjectConfig {
+            count: 120,
+            radius: 6.0,
+            instances: 6,
+            seed: 17,
+        },
+    )
+    .unwrap();
+    let mut engine =
+        IndoorEngine::with_objects(building.space.clone(), store, EngineConfig::default()).unwrap();
+    // Pre-sampled inserts, sampled moves, removals and door toggles.
+    let stream = generate_update_stream(
+        &building,
+        engine.store(),
+        &UpdateStreamConfig {
+            count: 17 * 37,
+            seed: 0xF007,
+            ..Default::default()
+        },
+    );
+    let mut checked = 0;
+    for (round, batch) in stream.chunks(37).enumerate() {
+        engine.apply_batch(batch).unwrap();
+        checked += assert_footprints_match_rebuild(&engine, &format!("after batch {round}"));
+    }
+    // Sampled inserts, then moves of the objects they created.
+    let points = generate_query_points(&building, &QueryPointConfig { count: 8, seed: 3 });
+    let inserts: Vec<Update> = points
+        .iter()
+        .zip(0u64..)
+        .map(|(p, seed)| Update::InsertObjectAt {
+            center: p.point,
+            floor: p.floor,
+            radius: 6.0,
+            instances: 6,
+            seed,
+        })
+        .collect();
+    let report = engine.apply_batch(&inserts).unwrap();
+    checked += assert_footprints_match_rebuild(&engine, "after sampled inserts");
+    let moves: Vec<Update> = report
+        .delta
+        .inserted
+        .iter()
+        .zip(points.iter().rev())
+        .map(|(&id, p)| Update::MoveObject {
+            id,
+            center: p.point,
+            floor: p.floor,
+            seed: id.0,
+        })
+        .collect();
+    engine.apply_batch(&moves).unwrap();
+    checked += assert_footprints_match_rebuild(&engine, "after moving them");
+    engine.validate().unwrap();
+    assert!(checked > 2_000, "{checked} object checks");
 }

