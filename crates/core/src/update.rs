@@ -168,14 +168,6 @@ impl UpdateOutcome {
         }
     }
 
-    /// The id of the door this outcome inserted, if any.
-    pub fn inserted_door(&self) -> Option<DoorId> {
-        match self {
-            UpdateOutcome::DoorInserted(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// The two halves of a split, if this outcome is one.
     pub fn split_halves(&self) -> Option<[PartitionId; 2]> {
         match self {

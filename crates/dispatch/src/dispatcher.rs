@@ -177,10 +177,10 @@ impl StandingMonitor {
         }
     }
 
-    /// Computes the current candidate-partition footprint through the
-    /// same retrieval the query pipeline's filtering phase uses, at
-    /// [`StandingMonitor::radius`] — **without** the subgraph slack, which
-    /// only sizes the first door-distance band and decides no answer.
+    /// Computes the current candidate-partition footprint: iRQ's
+    /// filtering call (`CompositeIndex::range_search`, Algorithm 4's
+    /// `R_p`) at [`StandingMonitor::radius`]. The subgraph slack only
+    /// sizes the first door-distance band and plays no part in it.
     /// Distances depend on the topology alone (and topology commits
     /// route to every subscription regardless of footprints), while an
     /// object in a slack-only partition has a geometric lower bound

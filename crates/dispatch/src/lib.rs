@@ -22,19 +22,19 @@
 //! only by moving some object's expected distance across the query's
 //! threshold (`r`, or the radius of a kNN monitor's kept boundary, which
 //! moves only when the monitor re-queries), which requires an instance
-//! within that threshold; the
-//! instance's partition then has a geometric lower bound below the
-//! threshold and is — by the geometric lower bound the pipeline's
-//! filtering phase uses (`CompositeIndex::range_search` at the threshold
-//! itself, no slack; no false negatives) — in the query's candidate
-//! set. The commit's routing footprint contains every partition a
-//! changed object's instances occupied before *or* after the batch, so
-//! a commit whose footprint is disjoint from the query's provably leaves
-//! the result untouched. Positions an object held only in the middle of a
-//! batch need not count: monitors absorb the net delta, and every member
-//! lies in its query's footprint at the previous version. Topology
-//! commits route to every subscription (cached distances and footprints
-//! are both invalid), and footprints are repaired afterwards.
+//! within that threshold; the instance's partition then has a geometric
+//! lower bound below the threshold and is — by the geometric lower bound
+//! of the pipeline's filtering phase (the footprint *is* iRQ's filtering
+//! call, `CompositeIndex::range_search` at the threshold; no false
+//! negatives) — in the query's candidate set. The commit's routing
+//! footprint contains every partition a changed object's instances
+//! occupied before *or* after the batch, so a commit whose footprint is
+//! disjoint from the query's provably leaves the result untouched.
+//! Positions an object held only in the middle of a batch need not count:
+//! monitors absorb the net delta, and every member lies in its query's
+//! footprint at the previous version. Topology commits route to every
+//! subscription (cached distances and footprints are both invalid), and
+//! footprints are repaired afterwards.
 //!
 //! Delivery is decoupled from absorption: each subscription owns a
 //! **bounded [`Mailbox`]** of precomputed [`DeltaMsg`]s. The dispatcher —

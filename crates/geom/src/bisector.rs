@@ -133,14 +133,6 @@ impl WeightedBisector {
         let half_diag = r.lo.dist(r.hi) / 2.0;
         self.circle_side(&Circle::new(r.center(), half_diag))
     }
-
-    /// Whether the bisector is null *within* the rectangle `p_rect`
-    /// (Table II's partition-relative null condition): even a hyperbola can
-    /// miss the partition entirely, in which case one door dominates inside
-    /// it.
-    pub fn null_within(&self, p_rect: &Rect2) -> Option<Side> {
-        self.rect_side(p_rect)
-    }
 }
 
 #[cfg(test)]

@@ -51,12 +51,6 @@ impl Circle {
         )
     }
 
-    /// Returns `true` if the disk and the rectangle share a point.
-    #[inline]
-    pub fn intersects_rect(&self, r: &Rect2) -> bool {
-        r.min_dist(self.center) <= self.radius + crate::fp::EPSILON
-    }
-
     /// Diameter.
     #[inline]
     pub fn diameter(&self) -> f64 {
@@ -89,16 +83,6 @@ mod tests {
     fn bbox_is_tight() {
         let c = Circle::new(Point2::new(2.0, 3.0), 1.5);
         assert_eq!(c.bbox(), Rect2::from_bounds(0.5, 1.5, 3.5, 4.5));
-    }
-
-    #[test]
-    fn rect_intersection() {
-        let c = Circle::new(Point2::new(0.0, 0.0), 2.0);
-        assert!(c.intersects_rect(&Rect2::from_bounds(1.0, 1.0, 5.0, 5.0)));
-        assert!(!c.intersects_rect(&Rect2::from_bounds(3.0, 3.0, 5.0, 5.0)));
-        // Corner case: corner exactly at distance r.
-        let corner = Rect2::from_bounds(2.0, 0.0, 4.0, 1.0);
-        assert!(c.intersects_rect(&corner));
     }
 
     #[test]

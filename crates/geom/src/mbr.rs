@@ -100,18 +100,6 @@ impl Mbr3 {
         self.rect.width() + self.rect.height() + dz
     }
 
-    /// Overlap volume with `other` under build-time padding.
-    pub fn build_overlap(&self, other: &Mbr3) -> f64 {
-        let planar = self.rect.overlap_area(&other.rect);
-        if planar <= 0.0 {
-            return 0.0;
-        }
-        let zlo = self.z_lo.max(other.z_lo);
-        let zhi = (self.z_hi + VERTICAL_PAD).min(other.z_hi + VERTICAL_PAD);
-        let dz = (zhi - zlo).max(0.0);
-        planar * dz
-    }
-
     /// Minimum Euclidean distance from the 3D query point to the box, with
     /// the query-phase rule that the vertical extent contributes only the
     /// true elevation interval (no pad): the partition is a 2D rectangle
@@ -212,16 +200,6 @@ mod tests {
         ] {
             assert!(m.min_dist(q) <= m.max_dist(q) + 1e-12);
         }
-    }
-
-    #[test]
-    fn build_overlap_planar_same_floor() {
-        let a = unit_at(0, 0.0);
-        let b = Mbr3::planar(Rect2::from_bounds(5.0, 5.0, 15.0, 15.0), 0, 0.0);
-        // Same elevation: padded intervals fully overlap (dz = pad).
-        assert!(approx_eq(a.build_overlap(&b), 25.0 * VERTICAL_PAD));
-        let c = unit_at(1, 4.0);
-        assert!(approx_eq(a.build_overlap(&c), 0.0));
     }
 
     #[test]

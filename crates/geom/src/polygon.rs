@@ -100,22 +100,6 @@ impl Polygon {
         signed_area(&self.vertices)
     }
 
-    /// Centroid of the polygon.
-    pub fn centroid(&self) -> Point2 {
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        let a = signed_area(&self.vertices);
-        let n = self.vertices.len();
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let cross = p.x * q.y - q.x * p.y;
-            cx += (p.x + q.x) * cross;
-            cy += (p.y + q.y) * cross;
-        }
-        Point2::new(cx / (6.0 * a), cy / (6.0 * a))
-    }
-
     /// Tight axis-aligned bounding box.
     pub fn bbox(&self) -> Rect2 {
         let mut r = Rect2::empty_sentinel();
@@ -162,11 +146,6 @@ impl Polygon {
             let b = self.vertices[(i + 1) % n];
             (a.x - b.x).abs() <= EPSILON || (a.y - b.y).abs() <= EPSILON
         })
-    }
-
-    /// Returns `true` if the polygon is convex.
-    pub fn is_convex(&self) -> bool {
-        self.reflex_vertices().is_empty()
     }
 
     /// Indices of the *turning points*: vertices whose internal angle
@@ -334,7 +313,6 @@ mod tests {
         let p = l_shape();
         assert!((p.area() - (10.0 * 4.0 + 4.0 * 6.0)).abs() < 1e-9);
         assert!(p.is_rectilinear());
-        assert!(!p.is_convex());
         // Exactly one reflex vertex, the inner corner (4,4).
         let reflex = p.reflex_vertices();
         assert_eq!(reflex.len(), 1);
@@ -395,12 +373,5 @@ mod tests {
         assert!((p.area() - std::f64::consts::PI * 100.0).abs() < 2.0);
         assert!(p.contains(Point2::new(0.0, 0.0)));
         assert!(p.rectangles().is_none());
-    }
-
-    #[test]
-    fn centroid_of_rect_is_center() {
-        let p = Polygon::from_rect(Rect2::from_bounds(0.0, 0.0, 4.0, 2.0));
-        let c = p.centroid();
-        assert!((c.x - 2.0).abs() < 1e-9 && (c.y - 1.0).abs() < 1e-9);
     }
 }

@@ -44,12 +44,6 @@ impl Rect2 {
         }
     }
 
-    /// Returns `true` for the sentinel produced by [`Rect2::empty_sentinel`].
-    #[inline]
-    pub fn is_empty_sentinel(&self) -> bool {
-        self.lo.x > self.hi.x
-    }
-
     /// Width along x.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -166,15 +160,6 @@ impl Rect2 {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// The point of the rectangle closest to `p` (`p` itself if inside).
-    #[inline]
-    pub fn clamp_point(&self, p: Point2) -> Point2 {
-        Point2::new(
-            p.x.clamp(self.lo.x, self.hi.x),
-            p.y.clamp(self.lo.y, self.hi.y),
-        )
-    }
-
     /// The four corners, counter-clockwise from `lo`.
     #[inline]
     pub fn corners(&self) -> [Point2; 4] {
@@ -280,7 +265,6 @@ mod tests {
     #[test]
     fn empty_sentinel_is_union_identity() {
         let e = Rect2::empty_sentinel();
-        assert!(e.is_empty_sentinel());
         let a = r(1.0, 2.0, 3.0, 4.0);
         assert_eq!(e.union(&a), a);
     }
@@ -301,14 +285,5 @@ mod tests {
         assert!(b.split_at_x(10.0).is_none());
         let (lo, hi) = b.split_at_y(1.0).unwrap();
         assert!(approx_eq(lo.area() + hi.area(), b.area()));
-    }
-
-    #[test]
-    fn clamp_point_is_nearest() {
-        let b = r(0.0, 0.0, 10.0, 10.0);
-        let p = Point2::new(15.0, -3.0);
-        let c = b.clamp_point(p);
-        assert_eq!(c, Point2::new(10.0, 0.0));
-        assert!(approx_eq(p.dist(c), b.min_dist(p)));
     }
 }

@@ -54,13 +54,6 @@ impl Segment {
     pub fn contains(&self, p: Point2) -> bool {
         self.dist(p) <= 1e-6
     }
-
-    /// Returns `true` if the segment is axis-aligned (horizontal or
-    /// vertical) — the case for walls of rectilinear partitions.
-    #[inline]
-    pub fn is_axis_aligned(&self) -> bool {
-        (self.a.x - self.b.x).abs() <= EPSILON || (self.a.y - self.b.y).abs() <= EPSILON
-    }
 }
 
 impl std::fmt::Display for Segment {
@@ -110,7 +103,5 @@ mod tests {
         let s = Segment::new(Point2::new(0.0, 0.0), Point2::new(10.0, 0.0));
         assert!(s.contains(Point2::new(3.0, 0.0)));
         assert!(!s.contains(Point2::new(3.0, 0.5)));
-        assert!(s.is_axis_aligned());
-        assert!(!Segment::new(Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)).is_axis_aligned());
     }
 }

@@ -244,10 +244,12 @@ impl CompositeIndex {
 
     // ---- RangeSearch (Algorithm 4) --------------------------------------------
 
-    /// Retrieves all objects and partitions whose geometric lower-bound
-    /// distance from `q` is at most `r`. With `use_skeleton = false` the
-    /// plain 3D Euclidean lower bound is used instead (the paper's
-    /// "withoutSkeleton" ablation, Fig. 15(a)).
+    /// Algorithm 4: retrieves the objects `R_o` and the partitions `R_p`
+    /// whose geometric lower-bound distance from `q` is at most `r`. With
+    /// `use_skeleton = false` the plain 3D Euclidean lower bound is used
+    /// instead (the paper's "withoutSkeleton" ablation, Fig. 15(a)).
+    /// iRQ's filtering phase and a standing query's footprint are this one
+    /// call.
     pub fn range_search(
         &self,
         space: &IndoorSpace,
@@ -255,41 +257,19 @@ impl CompositeIndex {
         r: f64,
         use_skeleton: bool,
     ) -> RangeSearchOutcome {
-        self.range_search_dual(space, q, r, r, use_skeleton)
-    }
-
-    /// `RangeSearch` with separate radii: objects are collected within
-    /// `r_objects` while partitions are collected within `r_partitions ≥
-    /// r_objects`. The range pipeline passes its door-distance reach
-    /// `r + subgraph_slack` as the partition radius and reports the
-    /// partitions as a statistic; no answer depends on them (see the
-    /// soundness note in `idq_distance::bounds`).
-    pub fn range_search_dual(
-        &self,
-        space: &IndoorSpace,
-        q: IndoorPoint,
-        r_objects: f64,
-        r_partitions: f64,
-        use_skeleton: bool,
-    ) -> RangeSearchOutcome {
-        let r_partitions = r_partitions.max(r_objects);
         let fh = space.floor_height();
         let q3 = q.at_elevation(fh);
         // One scratch for the whole retrieval: the skeleton metric's
         // entrance double loop factors per target floor, and floors
-        // whose best skeleton route already exceeds `r_partitions` are
-        // rejected in O(1) (`min_skeleton_distance_pruned` guarantees
-        // every comparison against thresholds ≤ the screen — here both
-        // `r_partitions` and `r_objects` — decides exactly as the exact
-        // Eq. 10 metric would).
+        // whose best skeleton route already exceeds `r` are rejected in
+        // O(1) (`min_skeleton_distance_pruned` guarantees every
+        // comparison against a threshold ≤ the screen — here `r` itself —
+        // decides exactly as the exact Eq. 10 metric would).
         let scratch = std::cell::RefCell::new(self.skeleton.scratch(q));
         let metric = |m: &Mbr3| -> f64 {
             if use_skeleton {
-                self.skeleton.min_skeleton_distance_pruned(
-                    &mut scratch.borrow_mut(),
-                    m,
-                    r_partitions,
-                )
+                self.skeleton
+                    .min_skeleton_distance_pruned(&mut scratch.borrow_mut(), m, r)
             } else {
                 m.min_dist(q3)
             }
@@ -299,7 +279,7 @@ impl CompositeIndex {
         let mut objects = Vec::new();
         let mut objects_checked = 0usize;
         let stats = self.rtree.search(
-            |m| metric(m) <= r_partitions,
+            |m| metric(m) <= r,
             |entry| {
                 if let Some(p) = self.units.partition_of(entry.item) {
                     partitions.insert(p);
@@ -312,7 +292,7 @@ impl CompositeIndex {
                     let Ok(mbr) = self.objects.object_mbr(o) else {
                         continue;
                     };
-                    if metric(&mbr) <= r_objects {
+                    if metric(&mbr) <= r {
                         object_set.insert(o);
                         objects.push(o);
                     }

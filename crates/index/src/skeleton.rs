@@ -138,15 +138,6 @@ impl SkeletonTier {
         self.entrances.len()
     }
 
-    /// Entrances on a floor — the paper's `S(q.f)`.
-    pub fn entrances_on(&self, floor: Floor) -> impl Iterator<Item = &Entrance> {
-        self.per_floor
-            .get(floor as usize)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.entrances[i])
-    }
-
     /// The matrix entry `M_s2s[i, j]` by entrance indices.
     pub fn matrix_entry(&self, i: usize, j: usize) -> f64 {
         let m = self.entrances.len();

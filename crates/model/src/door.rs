@@ -86,26 +86,6 @@ impl Door {
             Direction::OneWay => self.partitions[0] == from && self.partitions[1] == to,
         }
     }
-
-    /// Whether one may pass through this door *into* `into` (from its other
-    /// side).
-    #[inline]
-    pub fn allows_into(&self, into: PartitionId) -> bool {
-        match self.other_side(into) {
-            Some(from) => self.allows(from, into),
-            None => false,
-        }
-    }
-
-    /// Whether one may pass through this door *out of* `from` (to its other
-    /// side).
-    #[inline]
-    pub fn allows_out_of(&self, from: PartitionId) -> bool {
-        match self.other_side(from) {
-            Some(to) => self.allows(from, to),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -131,9 +111,6 @@ mod tests {
         assert!(d.allows(PartitionId(1), PartitionId(2)));
         assert!(d.allows(PartitionId(2), PartitionId(1)));
         assert!(!d.allows(PartitionId(1), PartitionId(3)));
-        assert!(d.allows_into(PartitionId(1)));
-        assert!(d.allows_into(PartitionId(2)));
-        assert!(d.allows_out_of(PartitionId(1)));
     }
 
     #[test]
@@ -141,10 +118,6 @@ mod tests {
         let d = door(Direction::OneWay);
         assert!(d.allows(PartitionId(1), PartitionId(2)));
         assert!(!d.allows(PartitionId(2), PartitionId(1)));
-        assert!(d.allows_into(PartitionId(2)));
-        assert!(!d.allows_into(PartitionId(1)));
-        assert!(d.allows_out_of(PartitionId(1)));
-        assert!(!d.allows_out_of(PartitionId(2)));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl Partition {
             && (self.is_rect || self.footprint.contains(p))
     }
 
-    /// Number of floors covered.
-    #[inline]
-    pub fn floor_span(&self) -> usize {
-        (self.floor_hi - self.floor_lo) as usize + 1
-    }
-
     /// Footprint area (one floor).
     #[inline]
     pub fn area(&self) -> f64 {
@@ -113,7 +107,6 @@ mod tests {
         let r = room();
         assert!(r.covers_floor(2));
         assert!(!r.covers_floor(1));
-        assert_eq!(r.floor_span(), 1);
     }
 
     #[test]
@@ -130,7 +123,6 @@ mod tests {
         s.kind = PartitionKind::Staircase;
         s.floor_lo = 0;
         s.floor_hi = 3;
-        assert_eq!(s.floor_span(), 4);
         assert!(s.contains(Point2::new(1.0, 1.0), 0));
         assert!(s.contains(Point2::new(1.0, 1.0), 3));
     }

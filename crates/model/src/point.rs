@@ -28,14 +28,6 @@ impl IndoorPoint {
     pub fn at_elevation(self, floor_height: f64) -> Point3 {
         self.point.at_z(self.floor as f64 * floor_height)
     }
-
-    /// Planar Euclidean distance, *only meaningful on the same floor*.
-    /// Debug-asserts the floors match.
-    #[inline]
-    pub fn planar_dist(self, other: IndoorPoint) -> f64 {
-        debug_assert_eq!(self.floor, other.floor, "planar distance across floors");
-        self.point.dist(other.point)
-    }
 }
 
 impl std::fmt::Display for IndoorPoint {
@@ -53,12 +45,5 @@ mod tests {
         let p = IndoorPoint::new(Point2::new(1.0, 2.0), 3);
         let q = p.at_elevation(4.0);
         assert_eq!(q, Point3::new(1.0, 2.0, 12.0));
-    }
-
-    #[test]
-    fn planar_distance_same_floor() {
-        let a = IndoorPoint::new(Point2::new(0.0, 0.0), 1);
-        let b = IndoorPoint::new(Point2::new(3.0, 4.0), 1);
-        assert!((a.planar_dist(b) - 5.0).abs() < 1e-12);
     }
 }

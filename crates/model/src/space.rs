@@ -197,11 +197,6 @@ impl IndoorSpace {
         Ok(&self.partition(p)?.doors)
     }
 
-    /// The partitions connected by door `d` — the paper's `P(d)`.
-    pub fn partitions_of_door(&self, d: DoorId) -> Result<[PartitionId; 2], ModelError> {
-        Ok(self.door(d)?.partitions)
-    }
-
     // ---- point location ---------------------------------------------------
 
     /// The partition containing the indoor point — the paper's `P(q)`.
@@ -258,32 +253,6 @@ impl IndoorSpace {
             Some(to) => self.can_pass(door, from, to),
             None => false,
         }
-    }
-
-    /// Doors through which partition `p` can be entered.
-    pub fn entry_doors(&self, p: PartitionId) -> Vec<DoorId> {
-        self.partition(p)
-            .map(|part| {
-                part.doors
-                    .iter()
-                    .copied()
-                    .filter(|&d| self.can_enter(d, p))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Doors through which partition `p` can be left.
-    pub fn exit_doors(&self, p: PartitionId) -> Vec<DoorId> {
-        self.partition(p)
-            .map(|part| {
-                part.doors
-                    .iter()
-                    .copied()
-                    .filter(|&d| self.can_leave(d, p))
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     // ---- intra-partition distances -----------------------------------------
@@ -681,7 +650,7 @@ mod tests {
             None
         );
         assert_eq!(s.doors_of(a).unwrap(), &[d]);
-        assert_eq!(s.partitions_of_door(d).unwrap(), [a, c]);
+        assert_eq!(s.door(d).unwrap().partitions, [a, c]);
         // The door point is in both rooms (shared wall).
         let on_wall = IndoorPoint::new(Point2::new(10.0, 5.0), 0);
         assert_eq!(s.partitions_at(on_wall).len(), 2);
@@ -697,9 +666,23 @@ mod tests {
         assert!(s.can_leave(d, a));
         s.set_door_open(d, false).unwrap();
         assert!(!s.can_pass(d, a, c));
-        assert_eq!(s.entry_doors(a), Vec::<DoorId>::new());
+        let entries: Vec<DoorId> = s
+            .doors_of(a)
+            .unwrap()
+            .iter()
+            .copied()
+            .filter(|&x| s.can_enter(x, a))
+            .collect();
+        assert_eq!(entries, Vec::<DoorId>::new());
         s.set_door_open(d, true).unwrap();
-        assert_eq!(s.exit_doors(c), vec![d]);
+        let exits: Vec<DoorId> = s
+            .doors_of(c)
+            .unwrap()
+            .iter()
+            .copied()
+            .filter(|&x| s.can_leave(x, c))
+            .collect();
+        assert_eq!(exits, vec![d]);
     }
 
     #[test]

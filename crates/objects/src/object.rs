@@ -175,23 +175,6 @@ impl UncertainObject {
             .map(|i| i.position.dist(q))
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Maximum planar Euclidean distance from `q` to any instance.
-    pub fn max_euclidean(&self, q: Point2) -> f64 {
-        self.instances
-            .iter()
-            .map(|i| i.position.dist(q))
-            .fold(0.0, f64::max)
-    }
-
-    /// Expected planar Euclidean distance from `q` (used by tests as a
-    /// sanity baseline — indoor distance never undercuts it on one floor).
-    pub fn expected_euclidean(&self, q: Point2) -> f64 {
-        self.instances
-            .iter()
-            .map(|i| i.position.dist(q) * i.weight)
-            .sum()
-    }
 }
 
 impl std::fmt::Display for UncertainObject {
@@ -272,9 +255,6 @@ mod tests {
         ]);
         let q = Point2::new(8.0, 0.0);
         assert!((o.min_euclidean(q) - 4.0).abs() < 1e-9);
-        assert!((o.max_euclidean(q) - (64.0f64 + 9.0).sqrt()).abs() < 1e-9);
-        let e = o.expected_euclidean(q);
-        assert!(o.min_euclidean(q) <= e && e <= o.max_euclidean(q));
     }
 
     #[test]

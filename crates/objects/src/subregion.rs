@@ -30,7 +30,7 @@
 
 use crate::error::ObjectError;
 use crate::object::UncertainObject;
-use idq_geom::{IdMap, Point2, Rect2};
+use idq_geom::{IdMap, Rect2};
 use idq_model::{IndoorSpace, PartitionId};
 use std::borrow::Cow;
 
@@ -44,22 +44,6 @@ pub struct SubregionSummary {
     pub prob: f64,
     /// Tight bounding box of the member instance positions.
     pub bbox: Rect2,
-}
-
-impl SubregionSummary {
-    /// Minimum planar distance from `q` to the subregion's bounding box —
-    /// a valid lower bound on `|d, S[j]|_minE`.
-    #[inline]
-    pub fn min_dist_bbox(&self, q: Point2) -> f64 {
-        self.bbox.min_dist(q)
-    }
-
-    /// Maximum planar distance from `q` to the subregion's bounding box —
-    /// a valid upper bound on `|d, S[j]|_maxE`.
-    #[inline]
-    pub fn max_dist_bbox(&self, q: Point2) -> f64 {
-        self.bbox.max_dist(q)
-    }
 }
 
 /// One uncertainty subregion `S[j]`: the instances of an object falling
@@ -322,7 +306,7 @@ impl Subregions {
 mod tests {
     use super::*;
     use crate::object::{ObjectId, UncertainObject};
-    use idq_geom::{Circle, Rect2 as R};
+    use idq_geom::{Circle, Point2, Rect2 as R};
     use idq_model::{FloorPlanBuilder, IndoorPoint, SplitLine};
 
     /// Two rooms with a door; object instances straddle the wall.
@@ -448,8 +432,8 @@ mod tests {
                 .iter()
                 .map(|&i| o.instances()[i as usize].position.dist(q))
                 .fold(0.0, f64::max);
-            assert!(sub.summary.min_dist_bbox(q) <= exact_min + 1e-9);
-            assert!(sub.summary.max_dist_bbox(q) >= exact_max - 1e-9);
+            assert!(sub.summary.bbox.min_dist(q) <= exact_min + 1e-9);
+            assert!(sub.summary.bbox.max_dist(q) >= exact_max - 1e-9);
         }
     }
 

@@ -58,7 +58,7 @@ pub fn range_query(
 
     // Phase 1: filtering via the geometric layer (Algorithm 4).
     let t = Instant::now();
-    let filtered = index.range_search_dual(space, q, r, horizon, options.use_skeleton);
+    let filtered = index.range_search(space, q, r, options.use_skeleton);
     stats.filtering_ms = t.elapsed().as_secs_f64() * 1e3;
     stats.candidates_after_filter = filtered.objects.len();
     stats.partitions_retrieved = filtered.partitions.len();
@@ -66,8 +66,8 @@ pub fn range_query(
     stats.entries_checked = filtered.stats.entries_checked;
 
     // Phase 2: subgraph — door distances composed from shared rows,
-    // truncated at the query's reach (the same bound the dual filter
-    // retrieved partitions for).
+    // truncated at the query's reach `r + slack` (a band wider than the
+    // filter's `r`; no answer depends on its width).
     let t = Instant::now();
     let mut ctx = EvalContext::new(space, store, index, q, horizon, options)?;
     stats.subgraph_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -254,6 +254,48 @@ mod tests {
         // …but the Euclidean filter admits the upstairs object (4 m away
         // vertically) as a candidate while the skeleton rejects it.
         assert!(without.stats.candidates_after_filter > with.stats.candidates_after_filter);
+    }
+
+    #[test]
+    fn filtering_retrieves_at_the_query_radius() {
+        let (space, store, index) = setup();
+        let mut walks_differ = false;
+        for opts in [
+            QueryOptions::default(),
+            QueryOptions::default().without_skeleton(),
+        ] {
+            for (qx, qf) in [(5.0, 0u16), (30.0, 0), (55.0, 1)] {
+                let q = IndoorPoint::new(Point2::new(qx, 5.0), qf);
+                for r in [5.0, 15.0, 40.0] {
+                    let s = range_query(&space, &index, &store, q, r, &opts)
+                        .unwrap()
+                        .stats;
+                    let at_r = index.range_search(&space, q, r, opts.use_skeleton);
+                    assert_eq!(
+                        (
+                            s.partitions_retrieved,
+                            s.candidates_after_filter,
+                            s.nodes_visited,
+                            s.entries_checked
+                        ),
+                        (
+                            at_r.partitions.len(),
+                            at_r.objects.len(),
+                            at_r.stats.nodes_visited,
+                            at_r.stats.entries_checked
+                        ),
+                        "q=({qx},{qf}) r={r}"
+                    );
+                    let at_reach =
+                        index.range_search(&space, q, r + opts.subgraph_slack, opts.use_skeleton);
+                    walks_differ |= at_reach.partitions.len() != at_r.partitions.len();
+                }
+            }
+        }
+        assert!(
+            walks_differ,
+            "no case separates the walk at r from r + slack"
+        );
     }
 
     #[test]

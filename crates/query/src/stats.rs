@@ -19,8 +19,9 @@ pub struct QueryStats {
     /// objects whose MBR entry popped in the search — with pruning off,
     /// the objects popped for refinement.
     pub candidates_after_filter: usize,
-    /// Candidate partitions (`|Rp|`). For kNN: the partitions the search
-    /// popped.
+    /// Candidate partitions (`|Rp|`): for iRQ, the partitions Algorithm
+    /// 4 retrieves within the query radius `r`, from the same retrieval
+    /// that yields `|Ro|`. For kNN: the partitions the search popped.
     pub partitions_retrieved: usize,
     /// Objects accepted outright by their upper bound.
     pub accepted_by_bounds: usize,

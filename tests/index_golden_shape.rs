@@ -1,9 +1,10 @@
 //! The packed indR-tree is part of the measured contract: `index.*`
 //! counters and the paper workloads' candidate streams depend on its
-//! exact shape and on the order the filtering walk tests nodes in. These
-//! values were recorded at commit 4080359 (the last one with a
-//! hand-written, `Mbr3`-only tree); a refactor of the tree must not move
-//! them.
+//! exact shape and on the order the filtering walk tests nodes in. The
+//! tree shape and the `r = 150` walk were recorded at commit 4080359 (the
+//! last one with a hand-written, `Mbr3`-only tree), the `r = 50` and
+//! `r = 100` walks at 04de673 with the same `range_search` call; a
+//! refactor of the tree must not move them.
 
 use indoor_dq::index::rtree::SearchStats;
 use indoor_dq::index::{CompositeIndex, IndexConfig};
@@ -34,16 +35,15 @@ fn bulk_loaded_tree_and_filter_walks_match_recorded_shape() {
     );
 
     let queries = generate_query_points(&building, &QueryPointConfig { count: 3, seed: 11 });
-    // (r_objects, r_partitions, use_skeleton) → (nodes visited, entries
-    // checked, |Ro|, |Rp|, bucket entries scanned).
+    // (r, use_skeleton) → (nodes visited, entries checked, |Ro|, |Rp|,
+    // bucket entries scanned).
     let cases = [
-        ((50.0, 75.0, true), (7, 75, 2, 8, 6)),
-        ((100.0, 125.0, true), (12, 140, 12, 26, 41)),
-        ((150.0, 150.0, false), (34, 515, 71, 91, 187)),
+        ((50.0, true), (7, 75, 2, 5, 3)),
+        ((100.0, true), (11, 120, 12, 20, 32)),
+        ((150.0, false), (34, 515, 71, 91, 187)),
     ];
-    for (&q, ((r_objects, r_partitions, use_skeleton), want)) in queries.iter().zip(cases) {
-        let out =
-            index.range_search_dual(&building.space, q, r_objects, r_partitions, use_skeleton);
+    for (&q, ((r, use_skeleton), want)) in queries.iter().zip(cases) {
+        let out = index.range_search(&building.space, q, r, use_skeleton);
         let (nodes_visited, entries_checked, objects, partitions, objects_checked) = want;
         assert_eq!(
             out.stats,
