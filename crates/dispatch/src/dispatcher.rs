@@ -247,10 +247,11 @@ pub struct DispatchStats {
     /// and kNN re-queries after fewer than `k` objects were left within
     /// the kept boundary.
     pub requeries: u64,
-    /// Complete door-distance contexts monitors assembled from scratch
-    /// while absorbing (no distances kept, or kept on an older space
-    /// version).
-    pub context_rebuilds: u64,
+    /// Refinements monitors recomputed on the full graph while
+    /// absorbing, because their banded door distances could not certify
+    /// the value. A share of deliveries above about 1 % means the
+    /// subgraph slack is narrower than the regions.
+    pub fallbacks: u64,
 }
 
 #[derive(Debug)]
@@ -351,11 +352,6 @@ impl<R> Dispatcher<R> {
         self.subs.is_empty()
     }
 
-    /// Whether [`Dispatcher::close_all`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Routing counters so far.
     pub fn stats(&self) -> DispatchStats {
         self.stats
@@ -384,9 +380,8 @@ impl<R> Dispatcher<R> {
     /// which since the shared distance cache composes per-door rows
     /// memoized in the index: bulk registration over a warm cache pays
     /// each door's expansion once, not once per subscription. The
-    /// monitor's complete evaluation context — the query pipeline's,
-    /// over full-graph door distances it then keeps — is built lazily at
-    /// the first incremental update instead of here.
+    /// monitor keeps no distances: every absorb composes its evaluation
+    /// context from the same cache.
     pub fn register(
         &mut self,
         monitor: StandingMonitor,
@@ -563,7 +558,7 @@ impl<R> Dispatcher<R> {
             entry.epoch = delta.epoch;
             let done = entry.monitor.work();
             self.stats.requeries += done.requeries - work.requeries;
-            self.stats.context_rebuilds += done.context_rebuilds - work.context_rebuilds;
+            self.stats.fallbacks += done.fallbacks - work.fallbacks;
 
             // Footprint repair: topology invalidates every footprint, and
             // a kNN footprint follows its kept boundary, which moves only

@@ -33,7 +33,7 @@
 //! Positions an object held only in the middle of a batch need not count:
 //! monitors absorb the net delta, and every member lies in its query's
 //! footprint at the previous version. Topology commits route to every
-//! subscription (cached distances and footprints are both invalid), and
+//! subscription (each re-queries, and every footprint is invalid), and
 //! footprints are repaired afterwards.
 //!
 //! Delivery is decoupled from absorption: each subscription owns a

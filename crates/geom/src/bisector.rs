@@ -17,7 +17,6 @@
 use crate::circle::Circle;
 use crate::fp::EPSILON;
 use crate::point::Point2;
-use crate::rect::Rect2;
 
 /// Which door wins a comparison through the weighted bisector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,15 +123,6 @@ impl WeightedBisector {
             None
         }
     }
-
-    /// If the whole rectangle provably lies on one side, returns that side.
-    ///
-    /// Uses the Lipschitz bound from the rectangle centre with the
-    /// half-diagonal as radius.
-    pub fn rect_side(&self, r: &Rect2) -> Option<Side> {
-        let half_diag = r.lo.dist(r.hi) / 2.0;
-        self.circle_side(&Circle::new(r.center(), half_diag))
-    }
 }
 
 #[cfg(test)]
@@ -226,24 +216,6 @@ mod tests {
         let bi = b(0.0, 25.0);
         let c = Circle::new(Point2::new(4.9, 0.0), 100.0);
         assert_eq!(bi.circle_side(&c), Some(Side::I));
-    }
-
-    #[test]
-    fn rect_side_matches_corner_evaluation() {
-        // f is bounded by the focal distance (10 here), so the rectangle
-        // must be small enough for the 2-Lipschitz bound to decide:
-        // half-diagonal < |f(center)|/2 = 5.
-        let bi = b(0.0, 0.0);
-        let r = Rect2::from_bounds(-30.0, -1.0, -26.0, 1.0);
-        assert_eq!(bi.rect_side(&r), Some(Side::I));
-        for corner in r.corners() {
-            assert_eq!(bi.side(corner), Side::I);
-        }
-        // A large faraway rectangle is undecided by the conservative test
-        // even though all of it is on side I — that is the documented
-        // fallback behaviour, not an error.
-        let big = Rect2::from_bounds(-30.0, -2.0, -10.0, 2.0);
-        assert_eq!(bi.rect_side(&big), None);
     }
 
     #[test]

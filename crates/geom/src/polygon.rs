@@ -148,25 +148,6 @@ impl Polygon {
         })
     }
 
-    /// Indices of the *turning points*: vertices whose internal angle
-    /// exceeds 180° (the reflex vertices the decomposition cuts at,
-    /// Algorithm 3 / §III-A.2).
-    pub fn reflex_vertices(&self) -> Vec<usize> {
-        let n = self.vertices.len();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let prev = self.vertices[(i + n - 1) % n];
-            let cur = self.vertices[i];
-            let next = self.vertices[(i + 1) % n];
-            let cross = (cur.x - prev.x) * (next.y - cur.y) - (cur.y - prev.y) * (next.x - cur.x);
-            // CCW orientation: negative cross product = right turn = reflex.
-            if cross < -EPSILON {
-                out.push(i);
-            }
-        }
-        out
-    }
-
     /// Returns `true` if the polygon is exactly an axis-aligned rectangle.
     pub fn as_rect(&self) -> Option<Rect2> {
         if self.vertices.len() != 4 || !self.is_rectilinear() {
@@ -313,10 +294,6 @@ mod tests {
         let p = l_shape();
         assert!((p.area() - (10.0 * 4.0 + 4.0 * 6.0)).abs() < 1e-9);
         assert!(p.is_rectilinear());
-        // Exactly one reflex vertex, the inner corner (4,4).
-        let reflex = p.reflex_vertices();
-        assert_eq!(reflex.len(), 1);
-        assert_eq!(p.vertices()[reflex[0]], Point2::new(4.0, 4.0));
     }
 
     #[test]

@@ -302,11 +302,8 @@ impl HistorySession {
             let rec = self.record_at(epoch);
             let mut members = match &rec.payload {
                 Payload::Keyframe { snapshot } => {
-                    // Swap the layers wholesale; the monitor's cached
-                    // distance tree may reference the old topology, so
-                    // rebuild it against the keyframe's.
+                    // Swap the layers wholesale and re-query on them.
                     state = ReplayState::from_keyframe(snapshot);
-                    monitor = RangeMonitor::new(q, r, state.options)?;
                     monitor.refresh(&state.space, &state.index, &state.store)?
                 }
                 Payload::Delta(delta) => {

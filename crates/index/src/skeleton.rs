@@ -138,12 +138,6 @@ impl SkeletonTier {
         self.entrances.len()
     }
 
-    /// The matrix entry `M_s2s[i, j]` by entrance indices.
-    pub fn matrix_entry(&self, i: usize, j: usize) -> f64 {
-        let m = self.entrances.len();
-        self.matrix[i * m + j]
-    }
-
     /// Skeleton distance between two indoor points (Def. 2): same floor →
     /// planar Euclidean; different floors → best entrance-to-entrance
     /// route. `∞` when one of the floors has no entrance (truly
@@ -317,11 +311,13 @@ mod tests {
     fn matrix_properties_hold() {
         let (s, st) = two_floor_space();
         let t = SkeletonTier::build(&s);
-        assert_eq!(t.entrance_count(), 2);
+        let m = t.entrance_count();
+        assert_eq!(m, 2);
+        let entry = |i: usize, j: usize| t.matrix[i * m + j];
         // Property 1: zero diagonal.
-        assert_eq!(t.matrix_entry(0, 0), 0.0);
+        assert_eq!(entry(0, 0), 0.0);
         // Property 3: same staircase, vertical walk 4 m × factor 2 = 8 m.
-        assert!((t.matrix_entry(0, 1) - 8.0).abs() < 1e-9);
+        assert!((entry(0, 1) - 8.0).abs() < 1e-9);
         let _ = st;
     }
 

@@ -1,30 +1,29 @@
 //! Continuous range and kNN monitoring with computation reuse.
 //!
 //! The paper's future-work list (§VII) proposes reusing computational
-//! effort when related queries arrive in a short period. The dominant
-//! reusable artefact of the pipeline is the single-source door-distance
-//! tree from the query point: for a *standing* range query (the airport
-//! perimeter of §I), the query point never moves — only objects do. A
-//! [`RangeMonitor`] therefore keeps full-graph [`DoorDistances`] for its
-//! query point and re-evaluates **only the updated object** on each object
-//! update, falling back to a full refresh when the topology changes
-//! (which invalidates the kept distances). [`KnnMonitor`] turns a standing
-//! `ikNNQ(q, k)` into the same book-keeping: it keeps every object up to a
-//! boundary fixed at its last re-query, a range monitor at a kept radius,
-//! answers with the first `k` of them, and re-queries only when fewer than
-//! `k` remain (the buffer of continuous kNN monitoring, CPM, SIGMOD 2005).
+//! effort when related queries arrive in a short period. For a *standing*
+//! range query (the airport perimeter of §I) the query point never moves —
+//! only objects do. A [`RangeMonitor`] therefore re-evaluates **only the
+//! updated objects** of each delta, falling back to a full refresh when
+//! the topology changes. [`KnnMonitor`] turns a standing `ikNNQ(q, k)`
+//! into the same book-keeping: it keeps every object up to a boundary
+//! fixed at its last re-query, a range monitor at a kept radius, answers
+//! with the first `k` of them, and re-queries only when fewer than `k`
+//! remain (the buffer of continuous kNN monitoring, CPM, SIGMOD 2005).
 //!
-//! Both monitors price an object the way the one-shot queries do, through
-//! the pipeline's `EvalContext`: bounds from the object's memoised
-//! subregion summary, the exact expected distance from the decomposition
-//! the memo's instance slots rebuild. The context is built lazily, at the
-//! first evaluation after a refresh, over distances kept between
-//! evaluations and stamped with the space version they were assembled on.
+//! Both monitors price an object exactly as the one-shot queries do,
+//! through the pipeline's `EvalContext`: one context per absorbed delta,
+//! banded at the monitor's radius plus the subgraph slack and composed
+//! from the index's shared distance cache, which owns every door-distance
+//! row. Bounds come from the object's memoised subregion summary, the
+//! exact expected distance from the decomposition the memo's instance
+//! slots rebuild, on the full graph wherever the band cannot certify it.
+//! A monitor keeps its query point, its options and its membership state,
+//! and no distances.
 
 use crate::error::QueryError;
 use crate::options::QueryOptions;
 use crate::pipeline::EvalContext;
-use idq_distance::DoorDistances;
 use idq_index::CompositeIndex;
 use idq_model::IndoorPoint;
 use idq_model::IndoorSpace;
@@ -40,20 +39,18 @@ pub struct MonitorWork {
     /// and every kNN re-query after fewer than `k` objects were left
     /// within the kept boundary.
     pub requeries: u64,
-    /// Complete door-distance contexts assembled from scratch, because no
-    /// distances were kept or they belonged to an older space version.
-    pub context_rebuilds: u64,
+    /// Refinements while absorbing deltas that the banded door distances
+    /// could not certify, so they were recomputed on the full graph. Many
+    /// of them mean the subgraph slack is narrower than the regions.
+    pub fallbacks: u64,
 }
 
 /// What both monitor kinds evaluate objects with: the standing query
-/// point and options, and the full-graph door distances from the point,
-/// kept with the space version they were assembled on.
+/// point and options.
 #[derive(Debug)]
 struct Evaluator {
     q: IndoorPoint,
     options: QueryOptions,
-    /// `None` until the first evaluation after a refresh.
-    kept: Option<(u64, DoorDistances)>,
     work: MonitorWork,
 }
 
@@ -62,33 +59,46 @@ impl Evaluator {
         Evaluator {
             q,
             options,
-            kept: None,
             work: MonitorWork::default(),
         }
     }
 
-    /// Runs `eval` on a complete [`EvalContext`] from `q`: over the kept
-    /// distances while the space version matches, over freshly assembled
-    /// ones otherwise. The context's distances are kept afterwards.
+    /// Runs `eval` on one [`EvalContext`] from `q`, banded at
+    /// `radius + subgraph_slack` as a one-shot query's is, and counts its
+    /// full-graph fallbacks.
     fn with<T>(
         &mut self,
         space: &IndoorSpace,
         index: &CompositeIndex,
         store: &ObjectStore,
+        radius: f64,
         eval: impl FnOnce(&mut EvalContext<'_>, &QueryOptions) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
-        let (q, options, version) = (self.q, &self.options, space.version());
-        let mut ctx = match self.kept.take() {
-            Some((v, dd)) if v == version => EvalContext::over(space, store, index, q, dd, options),
-            _ => {
-                self.work.context_rebuilds += 1;
-                EvalContext::new(space, store, index, q, f64::INFINITY, options)?
-            }
-        };
+        let options = &self.options;
+        let horizon = radius + options.subgraph_slack;
+        let mut ctx = EvalContext::new(space, store, index, self.q, horizon, options)?;
         let out = eval(&mut ctx, options);
-        self.kept = Some((version, ctx.into_distances()));
+        self.work.fallbacks += ctx.delta.full_graph_fallbacks as u64;
         out
     }
+}
+
+/// Whether object `id` lies within `r` of the context's point: bounds
+/// first, the exact expected distance only when they straddle `r` —
+/// `range_query`'s pruning and refinement for one object.
+fn within(
+    ctx: &mut EvalContext<'_>,
+    options: &QueryOptions,
+    id: ObjectId,
+    r: f64,
+) -> Result<bool, QueryError> {
+    if options.use_pruning {
+        let b = ctx.bounds(id)?;
+        if b.upper <= r || b.lower > r {
+            return Ok(b.upper <= r);
+        }
+    }
+    Ok(ctx.refine(id)? <= r)
 }
 
 /// A standing `iRQ(q, r)` kept current under object updates.
@@ -176,56 +186,16 @@ impl RangeMonitor {
         let Evaluator { q, options, .. } = &self.eval;
         let out = crate::irq::range_query(space, index, store, *q, self.r, options)?;
         self.inside = out.results.iter().map(|h| h.object).collect();
-        // Drop the kept distances; the next incremental update rebuilds
-        // them. Keeping the rebuild out of refresh makes registration
-        // (and topology fallback) pay only for the query — a fleet of
-        // mostly-idle monitors never materializes per-monitor distance
-        // vectors.
-        self.eval.kept = None;
         Ok(self.current())
-    }
-
-    /// Processes one object update (insert, move or re-sample): evaluates
-    /// **only** that object against the kept distances — bounds first,
-    /// exact expected distance only when they straddle `r`.
-    pub fn on_object_update(
-        &mut self,
-        space: &IndoorSpace,
-        index: &CompositeIndex,
-        store: &ObjectStore,
-        id: ObjectId,
-    ) -> Result<MonitorChange, QueryError> {
-        let r = self.r;
-        let inside_now = self.eval.with(space, index, store, |ctx, options| {
-            if options.use_pruning {
-                let b = ctx.bounds(id)?;
-                if b.upper <= r || b.lower > r {
-                    return Ok(b.upper <= r);
-                }
-            }
-            Ok(ctx.refine(id)? <= r)
-        })?;
-        let was_inside = self.inside.contains(&id);
-        Ok(match (was_inside, inside_now) {
-            (false, true) => {
-                self.inside.insert(id);
-                MonitorChange::Entered
-            }
-            (true, false) => {
-                self.inside.remove(&id);
-                MonitorChange::Left
-            }
-            _ => MonitorChange::Unchanged,
-        })
     }
 
     /// Absorbs a whole update delta — the net effect of a committed update
     /// batch — in one call: removals drop out of the result set, updated
-    /// objects (inserts and moves) are re-evaluated against the kept
-    /// distances, and a topology change falls back to one full
-    /// [`RangeMonitor::refresh`]. Returns every membership change, ascending
-    /// by object id. This is the raw form behind the engine-level
-    /// `RangeMonitor::absorb(&report, &snapshot)` entry point.
+    /// objects (inserts and moves) are re-evaluated through one context
+    /// banded at `r + subgraph_slack`, and a topology change falls back to
+    /// one full [`RangeMonitor::refresh`]. Returns every membership change,
+    /// ascending by object id. This is the raw form behind the
+    /// engine-level `RangeMonitor::absorb(&report, &snapshot)` entry point.
     pub fn absorb_delta(
         &mut self,
         updated: &[ObjectId],
@@ -235,44 +205,40 @@ impl RangeMonitor {
         index: &CompositeIndex,
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, MonitorChange)>, QueryError> {
+        let mut changes = Vec::new();
         if topology_changed {
             let before = self.inside.clone();
             self.eval.work.requeries += 1;
             self.refresh(space, index, store)?;
-            let mut changes = Vec::new();
             for &id in before.difference(&self.inside) {
                 changes.push((id, MonitorChange::Left));
             }
             for &id in self.inside.difference(&before) {
                 changes.push((id, MonitorChange::Entered));
             }
-            changes.sort_unstable_by_key(|(id, _)| *id);
-            return Ok(changes);
-        }
-        let mut changes = Vec::new();
-        for &id in removed {
-            let change = self.on_object_removed(id);
-            if change != MonitorChange::Unchanged {
-                changes.push((id, change));
+        } else {
+            for &id in removed {
+                if self.inside.remove(&id) {
+                    changes.push((id, MonitorChange::Left));
+                }
             }
-        }
-        for &id in updated {
-            let change = self.on_object_update(space, index, store, id)?;
-            if change != MonitorChange::Unchanged {
-                changes.push((id, change));
+            if !updated.is_empty() {
+                let (r, inside) = (self.r, &mut self.inside);
+                self.eval.with(space, index, store, r, |ctx, options| {
+                    for &id in updated {
+                        let change = if within(ctx, options, id, r)? {
+                            inside.insert(id).then_some(MonitorChange::Entered)
+                        } else {
+                            inside.remove(&id).then_some(MonitorChange::Left)
+                        };
+                        changes.extend(change.map(|c| (id, c)));
+                    }
+                    Ok(())
+                })?;
             }
         }
         changes.sort_unstable_by_key(|(id, _)| *id);
         Ok(changes)
-    }
-
-    /// Processes an object removal.
-    pub fn on_object_removed(&mut self, id: ObjectId) -> MonitorChange {
-        if self.inside.remove(&id) {
-            MonitorChange::Left
-        } else {
-            MonitorChange::Unchanged
-        }
     }
 }
 
@@ -407,10 +373,6 @@ impl KnnMonitor {
         store: &ObjectStore,
     ) -> Result<Vec<(ObjectId, f64)>, QueryError> {
         self.rank(self.k, space, index, store)?;
-        // Drop the kept distances; the next incremental update rebuilds
-        // them (see the range monitor's refresh for the registration-cost
-        // rationale).
-        self.eval.kept = None;
         Ok(self.ranked())
     }
 
@@ -452,7 +414,6 @@ impl KnnMonitor {
         let before = self.current();
         let depth = requery_depth(self.k);
         if topology_changed {
-            self.eval.kept = None;
             self.eval.work.requeries += 1;
             self.rank(depth, space, index, store)?;
         } else {
@@ -461,15 +422,17 @@ impl KnnMonitor {
             if !updated.is_empty() {
                 let (r, boundary) = (self.radius(), self.boundary);
                 let watched = &mut self.watched;
-                self.eval.with(space, index, store, |ctx, options| {
+                self.eval.with(space, index, store, r, |ctx, options| {
                     for &id in updated {
-                        // d ≥ lower > R: keyed above B even on a tie.
+                        // d ≥ lower > R: keyed above B even on a tie. A
+                        // banded lower bound is clamped at the exit
+                        // horizon, so it is still a lower bound.
                         if options.use_pruning && ctx.bounds(id)?.lower > r {
                             continue;
                         }
                         let key = (ctx.refine(id)?, id);
-                        let within = boundary.is_none_or(|b| by_key(&key, &b).is_le());
-                        if key.0.is_finite() && within {
+                        let kept = boundary.is_none_or(|b| by_key(&key, &b).is_le());
+                        if key.0.is_finite() && kept {
                             let at = watched.partition_point(|e| by_key(e, &key).is_lt());
                             watched.insert(at, key);
                         }
@@ -562,6 +525,18 @@ mod tests {
         put(store, index, space, point_obj(id, x));
     }
 
+    /// Three instances around `x`; one centred on the r0/r1 door splits
+    /// into two subregions.
+    fn spread(id: u64, x: f64) -> UncertainObject {
+        let positions = vec![
+            Point2::new(x - 1.5, 4.0),
+            Point2::new(x, 5.0),
+            Point2::new(x + 1.5, 6.0),
+        ];
+        let region = Circle::new(Point2::new(x, 5.0), 2.0);
+        UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions).unwrap()
+    }
+
     /// Inserts `obj`, or replaces the object with its id.
     fn put(
         store: &mut ObjectStore,
@@ -580,6 +555,20 @@ mod tests {
         }
     }
 
+    /// Absorbs one delta without a topology change into a range monitor.
+    fn absorb_range(
+        mon: &mut RangeMonitor,
+        updated: &[u64],
+        removed: &[u64],
+        space: &IndoorSpace,
+        index: &CompositeIndex,
+        store: &ObjectStore,
+    ) -> Vec<(ObjectId, MonitorChange)> {
+        let ids = |xs: &[u64]| -> Vec<ObjectId> { xs.iter().map(|&id| ObjectId(id)).collect() };
+        mon.absorb_delta(&ids(updated), &ids(removed), false, space, index, store)
+            .unwrap()
+    }
+
     #[test]
     fn incremental_tracking_matches_fresh_queries() {
         let (space, mut store, mut index) = setup();
@@ -590,24 +579,19 @@ mod tests {
 
         // Object appears inside the range.
         move_to(&mut store, &mut index, &space, 1, 12.0);
-        let c = mon
-            .on_object_update(&space, &index, &store, ObjectId(1))
-            .unwrap();
-        assert_eq!(c, MonitorChange::Entered);
+        let c = absorb_range(&mut mon, &[1], &[], &space, &index, &store);
+        assert_eq!(c, [(ObjectId(1), MonitorChange::Entered)]);
         assert!(mon.contains(ObjectId(1)));
 
         // It wanders out.
         move_to(&mut store, &mut index, &space, 1, 28.0);
-        let c = mon
-            .on_object_update(&space, &index, &store, ObjectId(1))
-            .unwrap();
-        assert_eq!(c, MonitorChange::Left);
+        let c = absorb_range(&mut mon, &[1], &[], &space, &index, &store);
+        assert_eq!(c, [(ObjectId(1), MonitorChange::Left)]);
 
         // Cross-check against a fresh range query after a series of moves.
         for (id, x) in [(2u64, 5.0), (3, 16.0), (4, 25.0)] {
             move_to(&mut store, &mut index, &space, id, x);
-            mon.on_object_update(&space, &index, &store, ObjectId(id))
-                .unwrap();
+            absorb_range(&mut mon, &[id], &[], &space, &index, &store);
         }
         let fresh =
             crate::irq::range_query(&space, &index, &store, q, 15.0, &QueryOptions::default())
@@ -628,14 +612,15 @@ mod tests {
         // Removal.
         index.remove_object(ObjectId(1)).unwrap();
         store.remove(ObjectId(1)).unwrap();
-        assert_eq!(mon.on_object_removed(ObjectId(1)), MonitorChange::Left);
-        assert_eq!(mon.on_object_removed(ObjectId(1)), MonitorChange::Unchanged);
+        let c = absorb_range(&mut mon, &[], &[1], &space, &index, &store);
+        assert_eq!(c, [(ObjectId(1), MonitorChange::Left)]);
+        let c = absorb_range(&mut mon, &[], &[1], &space, &index, &store);
+        assert!(c.is_empty(), "a second removal changes nothing");
 
         // Topology change: close the first door, refresh, and verify the
         // monitor agrees with a fresh query (nothing reachable anymore).
         move_to(&mut store, &mut index, &space, 2, 15.0);
-        mon.on_object_update(&space, &index, &store, ObjectId(2))
-            .unwrap();
+        absorb_range(&mut mon, &[2], &[], &space, &index, &store);
         assert!(mon.contains(ObjectId(2)));
         let d = space.doors().next().unwrap().id;
         let ev = space.close_door(d).unwrap();
@@ -645,27 +630,26 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_is_detected_via_version() {
+    fn an_update_after_a_topology_change_sees_the_new_topology() {
         let (mut space, mut store, mut index) = setup();
         let q = idq_model::IndoorPoint::new(Point2::new(2.0, 5.0), 0);
         let mut mon = RangeMonitor::new(q, 25.0, QueryOptions::default()).unwrap();
         mon.refresh(&space, &index, &store).unwrap();
-        // The first update builds and keeps the distances.
         move_to(&mut store, &mut index, &space, 9, 15.0);
-        let c = mon
-            .on_object_update(&space, &index, &store, ObjectId(9))
-            .unwrap();
-        assert_eq!(c, MonitorChange::Entered);
-        // A topology change bumps the version; the next update rebuilds
-        // the kept distances without being told.
+        let c = absorb_range(&mut mon, &[9], &[], &space, &index, &store);
+        assert_eq!(c, [(ObjectId(9), MonitorChange::Entered)]);
+        // A door closes and the monitor is not told; the next update is
+        // priced on the new topology.
         let d = space.doors().next().unwrap().id;
         let ev = space.close_door(d).unwrap();
         index.apply_topology(&space, &store, &ev).unwrap();
         move_to(&mut store, &mut index, &space, 9, 16.0);
-        let c = mon
-            .on_object_update(&space, &index, &store, ObjectId(9))
-            .unwrap();
-        assert_eq!(c, MonitorChange::Left, "unreachable after door close");
+        let c = absorb_range(&mut mon, &[9], &[], &space, &index, &store);
+        assert_eq!(
+            c,
+            [(ObjectId(9), MonitorChange::Left)],
+            "unreachable after door close"
+        );
     }
 
     #[test]
@@ -813,17 +797,6 @@ mod tests {
     fn monitors_price_moved_objects_through_the_summary_memo() {
         let (space, mut store, mut index) = setup();
         let q = idq_model::IndoorPoint::new(Point2::new(2.0, 5.0), 0);
-        // Three instances around `x`; one centred on the r0/r1 door
-        // splits into two subregions.
-        let spread = |id: u64, x: f64| {
-            let positions = vec![
-                Point2::new(x - 1.5, 4.0),
-                Point2::new(x, 5.0),
-                Point2::new(x + 1.5, 6.0),
-            ];
-            let region = Circle::new(Point2::new(x, 5.0), 2.0);
-            UncertainObject::with_uniform_weights(ObjectId(id), region, 0, positions).unwrap()
-        };
         for (id, x) in [(1, 25.0), (2, 28.0), (3, 15.0)] {
             put(&mut store, &mut index, &space, spread(id, x));
         }
@@ -864,6 +837,87 @@ mod tests {
         let mut ctx = EvalContext::new(&space, &store, &index, q, f64::INFINITY, &opts).unwrap();
         let b = ctx.bounds(ObjectId(2)).unwrap();
         assert!(b.lower <= r && r < b.upper, "{b:?}");
+    }
+
+    #[test]
+    fn monitors_do_not_depend_on_the_slack() {
+        // 1 m from the r0/r1 door, so a band at `r + slack` certifies
+        // costs up to only `1 + r + slack`.
+        let q = idq_model::IndoorPoint::new(Point2::new(9.0, 5.0), 0);
+        let opts = QueryOptions::default();
+        let bits = |ranked: &[(ObjectId, f64)]| -> Vec<(ObjectId, u64)> {
+            ranked.iter().map(|&(o, d)| (o, d.to_bits())).collect()
+        };
+        // (moves, removals): arrivals on and across the doors, members
+        // leaving the band, removals of members and of W.
+        type Step<'a> = (&'a [(u64, f64)], &'a [u64]);
+        let steps: &[Step] = &[
+            (&[(2, 10.0)], &[]),
+            (&[(3, 14.0), (4, 8.0)], &[]),
+            (&[(1, 20.5)], &[4]),
+            (&[(4, 15.0), (2, 27.0)], &[]),
+            (&[(1, 13.5)], &[3]),
+            (&[(5, 19.0), (2, 6.0)], &[1]),
+            (&[(4, 21.0)], &[2]),
+        ];
+        for slack in [0.0, 5.0, 60.0] {
+            let (space, mut store, mut index) = setup();
+            for (id, x) in [(1, 25.0), (2, 28.0), (3, 15.0), (4, 5.0)] {
+                put(&mut store, &mut index, &space, spread(id, x));
+            }
+            let banded = QueryOptions {
+                subgraph_slack: slack,
+                ..opts
+            };
+            let mut ranges: Vec<RangeMonitor> = [5.0, 12.0]
+                .iter()
+                .map(|&r| RangeMonitor::new(q, r, banded).unwrap())
+                .collect();
+            let mut knns: Vec<KnnMonitor> = [1, 2]
+                .iter()
+                .map(|&k| KnnMonitor::new(q, k, banded).unwrap())
+                .collect();
+            for m in &mut ranges {
+                m.refresh(&space, &index, &store).unwrap();
+            }
+            for m in &mut knns {
+                m.refresh(&space, &index, &store).unwrap();
+            }
+            for (moves, removals) in steps {
+                for &(id, x) in *moves {
+                    put(&mut store, &mut index, &space, spread(id, x));
+                }
+                for &id in *removals {
+                    index.remove_object(ObjectId(id)).unwrap();
+                    store.remove(ObjectId(id)).unwrap();
+                }
+                let up: Vec<ObjectId> = moves.iter().map(|&(id, _)| ObjectId(id)).collect();
+                let rm: Vec<ObjectId> = removals.iter().map(|&id| ObjectId(id)).collect();
+                let at = format!("slack {slack}, moves {moves:?}, removals {removals:?}");
+                for m in &mut ranges {
+                    m.absorb_delta(&up, &rm, false, &space, &index, &store)
+                        .unwrap();
+                    let fresh =
+                        crate::irq::range_query(&space, &index, &store, q, m.radius(), &opts)
+                            .unwrap();
+                    let fresh: Vec<ObjectId> = fresh.results.iter().map(|h| h.object).collect();
+                    assert_eq!(m.current(), fresh, "r = {}, {at}", m.radius());
+                }
+                for m in &mut knns {
+                    m.absorb_delta(&up, &rm, false, &space, &index, &store)
+                        .unwrap();
+                    let fresh = fresh_knn(&space, &index, &store, q, m.k());
+                    assert_eq!(bits(&m.ranked()), bits(&fresh), "k = {}, {at}", m.k());
+                }
+            }
+            let fallbacks: u64 = ranges.iter().map(|m| m.work().fallbacks).sum::<u64>()
+                + knns.iter().map(|m| m.work().fallbacks).sum::<u64>();
+            if slack == 0.0 {
+                // Objects at x = 14 and 15 straddle r = 5, and their
+                // farthest instances cost more than 1 + 5 m.
+                assert!(fallbacks > 0, "a zero slack reaches the fallback");
+            }
+        }
     }
 
     #[test]

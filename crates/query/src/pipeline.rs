@@ -11,9 +11,9 @@
 //! per-instance slots on the memo's layout, so the point location kernel
 //! runs only at memo fill or off the memo's layout. No query refines an
 //! object twice, so the context keeps no decompositions.
-//! The standing monitors price objects through the same context, over
-//! complete door distances they keep between evaluations
-//! (`EvalContext::over`). The ikNN search grows its context in place
+//! The standing monitors price objects through the same context, one per
+//! absorbed delta, banded at their radius plus the slack; they keep no
+//! distances between deltas. The ikNN search grows its context in place
 //! (`EvalContext::grow`) as its keys rise.
 //!
 //! **Every** door-distance context here is
@@ -98,9 +98,15 @@ impl<'a> EvalContext<'a> {
         let mut delta = QueryStats::default();
         let dd = assemble_dd(space, index, q, horizon, budget, &mut delta)?;
         Ok(EvalContext {
-            delta,
+            space,
+            store,
+            index,
+            q,
+            dd,
             horizon,
-            ..Self::over(space, store, index, q, dd, options)
+            full_dd: None,
+            cache_budget: budget,
+            delta,
         })
     }
 
@@ -130,36 +136,6 @@ impl<'a> EvalContext<'a> {
         )?;
         self.horizon = horizon;
         Ok(())
-    }
-
-    /// A context over complete door distances from `q` that an earlier
-    /// context assembled on this space version and gave back through
-    /// [`EvalContext::into_distances`] — how a standing query keeps its
-    /// complete context between evaluations.
-    pub fn over(
-        space: &'a IndoorSpace,
-        store: &'a ObjectStore,
-        index: &'a CompositeIndex,
-        q: IndoorPoint,
-        dd: DoorDistances,
-        options: &QueryOptions,
-    ) -> Self {
-        EvalContext {
-            space,
-            store,
-            index,
-            q,
-            dd,
-            horizon: f64::INFINITY,
-            full_dd: None,
-            cache_budget: options.distance_cache_bytes,
-            delta: QueryStats::default(),
-        }
-    }
-
-    /// The context's door distances, for a later [`EvalContext::over`].
-    pub fn into_distances(self) -> DoorDistances {
-        self.dd
     }
 
     /// Adds the work this context counted to `stats`: a query's last

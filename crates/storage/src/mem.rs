@@ -39,13 +39,6 @@ impl MemBackend {
         }
     }
 
-    pub fn with_label(label: &str) -> Self {
-        MemBackend {
-            files: Arc::new(Mutex::new(BTreeMap::new())),
-            label: label.to_string(),
-        }
-    }
-
     /// Simulate a crash: an independent backend whose files contain only
     /// their durable (synced) prefixes.
     pub fn crashed(&self) -> MemBackend {

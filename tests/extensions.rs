@@ -59,7 +59,7 @@ fn monitor_tracks_random_churn_exactly() {
             index.insert_object(&building.space, &obj).unwrap();
             let id = obj.id;
             store.insert(obj).unwrap();
-            mon.on_object_update(&building.space, &index, &store, id)
+            mon.absorb_delta(&[id], &[], false, &building.space, &index, &store)
                 .unwrap();
         }
         // Move a few existing ones.
@@ -71,7 +71,7 @@ fn monitor_tracks_random_churn_exactly() {
             index
                 .update_object(&building.space, store.get(id).unwrap())
                 .unwrap();
-            mon.on_object_update(&building.space, &index, &store, id)
+            mon.absorb_delta(&[id], &[], false, &building.space, &index, &store)
                 .unwrap();
         }
         // Remove a few.
@@ -79,7 +79,8 @@ fn monitor_tracks_random_churn_exactly() {
             if store.contains(id) {
                 index.remove_object(id).unwrap();
                 store.remove(id).unwrap();
-                mon.on_object_removed(id);
+                mon.absorb_delta(&[], &[id], false, &building.space, &index, &store)
+                    .unwrap();
             }
         }
         // The monitor must equal the oracle at every round.
@@ -135,12 +136,12 @@ fn monitor_change_values_are_reported() {
         index.insert_object(&building.space, &obj).unwrap();
         store.insert(obj).unwrap();
         let c = mon
-            .on_object_update(&building.space, &index, &store, id)
+            .absorb_delta(&[id], &[], false, &building.space, &index, &store)
             .unwrap();
-        assert_eq!(c, MonitorChange::Entered);
+        assert_eq!(c, [(id, MonitorChange::Entered)]);
         let c = mon
-            .on_object_update(&building.space, &index, &store, id)
+            .absorb_delta(&[id], &[], false, &building.space, &index, &store)
             .unwrap();
-        assert_eq!(c, MonitorChange::Unchanged);
+        assert!(c.is_empty(), "an unchanged member reports no change");
     }
 }
