@@ -7,7 +7,9 @@
 //!
 //! `IDQ_SCALE=0.1` for a smoke run; default is paper scale.
 
-use idq_bench::{build_world, klabel, mean_irq, scale_from_env, scaled_floors, scaled_objects};
+use idq_bench::{
+    build_world, klabel, mean_irq, scale_from_env, scaled_floors, scaled_objects, scaled_sweep,
+};
 use idq_workloads::{PaperDefaults, SeriesTable};
 
 fn main() {
@@ -18,17 +20,16 @@ fn main() {
 
     // ---- (a) Tq vs |O| for r ∈ {50,100,150}; (b) breakdown -----------------
     let mut a = SeriesTable::new(
-        "Fig 12(a) iRQ Tq (ms) vs |O|",
+        "Fig 12(a) iRQ Tq (ms) vs |O|, warm caches",
         "|O|",
         &["r=50", "r=100", "r=150"],
     );
     let mut b = SeriesTable::new(
-        "Fig 12(b) iRQ phase breakdown (ms) at r=100",
+        "Fig 12(b) iRQ phase breakdown (ms) at r=100, warm caches",
         "|O|",
         &["Filtering", "Subgraph", "Pruning", "Refinement"],
     );
-    for &objs in &PaperDefaults::OBJECT_SWEEP {
-        let objs = scaled_objects(objs, scale);
+    for objs in scaled_sweep(&PaperDefaults::OBJECT_SWEEP, |n| scaled_objects(n, scale)) {
         let world = build_world(scaled_floors(d.floors, scale), objs, d.radius, queries, 42);
         let mut row = Vec::new();
         for &r in &PaperDefaults::RANGE_SWEEP {
@@ -53,7 +54,7 @@ fn main() {
 
     // ---- (c) Tq vs uncertainty diameter ------------------------------------
     let mut c = SeriesTable::new(
-        "Fig 12(c) iRQ Tq (ms) vs uncertainty region (diameter, m)",
+        "Fig 12(c) iRQ Tq (ms) vs uncertainty region (diameter, m), warm caches",
         "diam",
         &["r=50", "r=100", "r=150"],
     );
@@ -76,13 +77,13 @@ fn main() {
 
     // ---- (d) Tq vs number of partitions -------------------------------------
     let mut dtab = SeriesTable::new(
-        "Fig 12(d) iRQ Tq (ms) vs partitions (floors 10/20/30)",
+        "Fig 12(d) iRQ Tq (ms) vs partitions (floors 10/20/30), warm caches",
         "parts",
         &["r=50", "r=100", "r=150"],
     );
-    for &floors in &PaperDefaults::FLOOR_SWEEP {
+    for floors in scaled_sweep(&PaperDefaults::FLOOR_SWEEP, |f| scaled_floors(f, scale)) {
         let world = build_world(
-            scaled_floors(floors, scale),
+            floors,
             scaled_objects(d.objects, scale),
             d.radius,
             queries,

@@ -5,7 +5,9 @@
 //! * (c) `T_q` vs uncertainty-region diameter ∈ {10, 20, 30};
 //! * (d) `T_q` vs partitions ∈ {1K, 2K, 3K}.
 
-use idq_bench::{build_world, klabel, mean_knn, scale_from_env, scaled_floors, scaled_objects};
+use idq_bench::{
+    build_world, klabel, mean_knn, scale_from_env, scaled_floors, scaled_objects, scaled_sweep,
+};
 use idq_workloads::{PaperDefaults, SeriesTable};
 
 fn main() {
@@ -14,23 +16,24 @@ fn main() {
     let queries = d.queries;
     eprintln!("fig13: IDQ_SCALE={scale}");
 
-    let k_sweep: Vec<usize> = PaperDefaults::K_SWEEP
-        .iter()
-        .map(|&k| ((k as f64 * scale) as usize).max(5))
-        .collect();
-    let k_default = k_sweep[1];
+    let scaled_k = |k: usize| ((k as f64 * scale) as usize).max(5);
+    let k_sweep = scaled_sweep(&PaperDefaults::K_SWEEP, scaled_k);
+    let k_default = scaled_k(d.k);
 
     // ---- (a) Tq vs |O|; (b) breakdown ---------------------------------------
     let series: Vec<String> = k_sweep.iter().map(|k| format!("k={k}")).collect();
     let series_ref: Vec<&str> = series.iter().map(String::as_str).collect();
-    let mut a = SeriesTable::new("Fig 13(a) ikNNQ Tq (ms) vs |O|", "|O|", &series_ref);
+    let mut a = SeriesTable::new(
+        "Fig 13(a) ikNNQ Tq (ms) vs |O|, warm caches",
+        "|O|",
+        &series_ref,
+    );
     let mut b = SeriesTable::new(
-        "Fig 13(b) ikNNQ phase breakdown (ms) at default k",
+        "Fig 13(b) ikNNQ phase breakdown (ms) at default k, warm caches",
         "|O|",
         &["Filtering", "Subgraph", "Pruning", "Refinement"],
     );
-    for &objs in &PaperDefaults::OBJECT_SWEEP {
-        let objs = scaled_objects(objs, scale);
+    for objs in scaled_sweep(&PaperDefaults::OBJECT_SWEEP, |n| scaled_objects(n, scale)) {
         let world = build_world(scaled_floors(d.floors, scale), objs, d.radius, queries, 42);
         let mut row = Vec::new();
         for &k in &k_sweep {
@@ -55,7 +58,7 @@ fn main() {
 
     // ---- (c) Tq vs uncertainty diameter --------------------------------------
     let mut c = SeriesTable::new(
-        "Fig 13(c) ikNNQ Tq (ms) vs uncertainty region (diameter, m)",
+        "Fig 13(c) ikNNQ Tq (ms) vs uncertainty region (diameter, m), warm caches",
         "diam",
         &series_ref,
     );
@@ -78,13 +81,13 @@ fn main() {
 
     // ---- (d) Tq vs number of partitions ---------------------------------------
     let mut dtab = SeriesTable::new(
-        "Fig 13(d) ikNNQ Tq (ms) vs partitions (floors 10/20/30)",
+        "Fig 13(d) ikNNQ Tq (ms) vs partitions (floors 10/20/30), warm caches",
         "parts",
         &series_ref,
     );
-    for &floors in &PaperDefaults::FLOOR_SWEEP {
+    for floors in scaled_sweep(&PaperDefaults::FLOOR_SWEEP, |f| scaled_floors(f, scale)) {
         let world = build_world(
-            scaled_floors(floors, scale),
+            floors,
             scaled_objects(d.objects, scale),
             d.radius,
             queries,

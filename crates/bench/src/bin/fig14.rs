@@ -7,6 +7,7 @@
 
 use idq_bench::{
     build_world, klabel, mean_irq, mean_knn, scale_from_env, scaled_floors, scaled_objects,
+    scaled_sweep,
 };
 use idq_workloads::{PaperDefaults, SeriesTable};
 
@@ -17,28 +18,27 @@ fn main() {
     let k_default = ((d.k as f64 * scale) as usize).max(5);
 
     let mut a = SeriesTable::new(
-        "Fig 14(a) iRQ pruning ratio (%) vs |O| (r=100)",
+        "Fig 14(a) iRQ pruning ratio (%) vs |O| (r=100), warm caches",
         "|O|",
         &["Filtering", "Pruning"],
     );
     let mut b = SeriesTable::new(
-        "Fig 14(b) iRQ Tq (ms): pruning phase on/off (r=100)",
+        "Fig 14(b) iRQ Tq (ms): pruning phase on/off (r=100), warm caches",
         "|O|",
         &["withPruning", "withoutPruning"],
     );
     let mut c = SeriesTable::new(
-        "Fig 14(c) ikNNQ pruning ratio (%) vs |O|",
+        "Fig 14(c) ikNNQ pruning ratio (%) vs |O|, warm caches",
         "|O|",
         &["Filtering", "Pruning"],
     );
     let mut dt = SeriesTable::new(
-        "Fig 14(d) ikNNQ Tq (ms): pruning phase on/off",
+        "Fig 14(d) ikNNQ Tq (ms): pruning phase on/off, warm caches",
         "|O|",
         &["withPruning", "withoutPruning"],
     );
 
-    for &objs in &PaperDefaults::OBJECT_SWEEP {
-        let objs = scaled_objects(objs, scale);
+    for objs in scaled_sweep(&PaperDefaults::OBJECT_SWEEP, |n| scaled_objects(n, scale)) {
         let world = build_world(
             scaled_floors(d.floors, scale),
             objs,

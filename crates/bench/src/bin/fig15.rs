@@ -8,7 +8,7 @@
 //! * (d) door-to-door distance pre-computation time vs partitions (the
 //!   maintenance-cost baseline the paper argues against).
 
-use idq_bench::{build_world, scale_from_env, scaled_floors, scaled_objects};
+use idq_bench::{build_world, scale_from_env, scaled_floors, scaled_objects, scaled_sweep};
 use idq_model::{Direction, PartitionKind, PartitionSpec};
 use idq_objects::ObjectId;
 use idq_query::PrecomputedD2D;
@@ -69,9 +69,9 @@ fn main() {
         ],
     );
     let mut worlds_by_floors = Vec::new();
-    for &floors in &PaperDefaults::FLOOR_SWEEP {
+    for floors in scaled_sweep(&PaperDefaults::FLOOR_SWEEP, |f| scaled_floors(f, scale)) {
         let w = build_world(
-            scaled_floors(floors, scale),
+            floors,
             scaled_objects(d.objects, scale),
             d.radius,
             d.queries,

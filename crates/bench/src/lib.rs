@@ -7,6 +7,8 @@
 //! fig12` gives a fast smoke run while the default regenerates the paper's
 //! exact parameter grid.
 
+#![warn(unreachable_pub)]
+
 use idq_core::Snapshot;
 use idq_index::{CompositeIndex, IndexConfig};
 use idq_model::{IndoorPoint, IndoorSpace};
@@ -20,7 +22,7 @@ use std::sync::Arc;
 
 /// A fully built experimental world.
 ///
-/// The three layers are `Arc`-shared so [`World::snapshot`] assembles an
+/// The three layers are `Arc`-shared so `World::snapshot` assembles an
 /// owned [`Snapshot`] for free (`fig15`, which mutates layers in place, goes
 /// through `Arc::make_mut`). `space` is the snapshot-facing copy of
 /// `building.space`, taken at construction: harnesses that mutate the
@@ -29,7 +31,7 @@ pub struct World {
     /// The generated building.
     pub building: GeneratedBuilding,
     /// The building's space, `Arc`-shared for snapshots.
-    pub space: Arc<IndoorSpace>,
+    pub(crate) space: Arc<IndoorSpace>,
     /// The object population.
     pub store: Arc<ObjectStore>,
     /// The composite index over both.
@@ -58,6 +60,22 @@ pub fn scaled_objects(n: usize, scale: f64) -> usize {
 /// Applies the scale to a floor count (at least 2).
 pub fn scaled_floors(f: u16, scale: f64) -> u16 {
     ((f as f64 * scale).round() as u16).max(2)
+}
+
+/// Scales each value of a parameter sweep with `f`, dropping repeats
+/// (first occurrence wins). At a small `IDQ_SCALE` the clamps in
+/// [`scaled_floors`] and the figures' `k` floor collapse a sweep such as
+/// 10/20/30 floors to 2/2/2; deduplicating keeps each table to one row or
+/// series per distinct setting.
+pub fn scaled_sweep<T: Copy, U: PartialEq>(sweep: &[T], f: impl Fn(T) -> U) -> Vec<U> {
+    let mut out: Vec<U> = Vec::with_capacity(sweep.len());
+    for &v in sweep {
+        let u = f(v);
+        if !out.contains(&u) {
+            out.push(u);
+        }
+    }
+    out
 }
 
 /// Builds a world with the paper's defaults except where overridden.
@@ -114,7 +132,7 @@ impl World {
     /// An owned, consistent read view over the world with the given
     /// options (the snapshot API benchmark harnesses execute queries
     /// through) — three `Arc` clones, shareable across reader threads.
-    pub fn snapshot(&self, options: &QueryOptions) -> Snapshot {
+    pub(crate) fn snapshot(&self, options: &QueryOptions) -> Snapshot {
         Snapshot::from_parts(
             Arc::clone(&self.space),
             Arc::clone(&self.store),
@@ -125,13 +143,18 @@ impl World {
 }
 
 /// Average wall time (ms) and averaged stats of single-issue execution
-/// over one query per workload point.
+/// over one query per workload point, with warm caches: one untimed pass
+/// over the workload fills the shared distance cache and the summary memos
+/// first, so the timed pass measures steady-state queries.
 fn mean_single(
     world: &World,
     make: impl Fn(IndoorPoint) -> Query,
     options: &QueryOptions,
 ) -> (f64, QueryStats) {
     let snapshot = world.snapshot(options);
+    for &q in &world.queries {
+        snapshot.execute(&make(q)).expect("query succeeds");
+    }
     let mut acc = QueryStats::default();
     let t = std::time::Instant::now();
     for &q in &world.queries {
@@ -172,6 +195,18 @@ mod tests {
         assert_eq!(scaled_floors(20, 0.1), 2);
         assert_eq!(klabel(20_000), "20K");
         assert_eq!(klabel(123), "123");
+    }
+
+    #[test]
+    fn scaled_sweep_drops_repeats_in_order() {
+        let floors = scaled_sweep(&[10u16, 20, 30], |f| scaled_floors(f, 0.02));
+        assert_eq!(floors, vec![2]);
+        let floors = scaled_sweep(&[10u16, 20, 30], |f| scaled_floors(f, 0.1));
+        assert_eq!(floors, vec![2, 3]);
+        assert_eq!(
+            scaled_sweep(&[50usize, 100, 150], |k| k),
+            vec![50, 100, 150]
+        );
     }
 
     #[test]

@@ -310,12 +310,6 @@ impl IndoorEngine {
         Ok(())
     }
 
-    /// Whether this engine persists its commits (built by one of the
-    /// durable constructors).
-    pub fn is_durable(&self) -> bool {
-        self.shared.durability().is_some()
-    }
-
     /// Writes a checkpoint of the current version synchronously and
     /// truncates the log prefix it covers, returning the checkpointed
     /// epoch — `Ok(None)` on a non-durable engine. Blocks only the
@@ -393,7 +387,7 @@ impl IndoorEngine {
     /// A cloneable, `Send + Sync` **writer** handle feeding the engine's
     /// epoch sequencer: clone it into any number of threads and apply
     /// batches concurrently — batches are staged in parallel, ordered,
-    /// conflict-checked, and group-committed (see [`crate::write`]).
+    /// conflict-checked, and group-committed (see `crate::write`).
     pub fn writer(&self) -> WriteHandle {
         self.writer.clone()
     }
@@ -442,7 +436,7 @@ impl IndoorEngine {
     /// single-`apply` callers get the same amortization automatically
     /// through **group commit**: clone [`IndoorEngine::writer`] into the
     /// submitting threads and their commits coalesce into shared epochs
-    /// (see [`crate::write`]).
+    /// (see `crate::write`).
     pub fn apply(&mut self, update: Update) -> Result<UpdateOutcome, EngineError> {
         let report = self.apply_batch(std::slice::from_ref(&update))?;
         Ok(report
@@ -815,7 +809,7 @@ mod tests {
         // An empty batch is a committed no-op.
         let report = e.apply_batch(&[]).unwrap();
         assert_eq!(report.epoch, 2);
-        assert!(report.delta.is_empty());
+        assert_eq!(report.delta, crate::UpdateDelta::default());
     }
 
     #[test]
@@ -1058,7 +1052,6 @@ mod tests {
                 opts,
             )
             .unwrap();
-            assert!(e.is_durable());
             assert_eq!(e.last_checkpoint_epoch(), Some(0));
             let o1 = insert_at(&mut e, Point2::new(15.0, 5.0), 1.0, 8, 1);
             insert_at(&mut e, Point2::new(25.0, 5.0), 2.0, 8, 2);

@@ -94,7 +94,7 @@ struct FeedInner {
     moved: Condvar,
 }
 
-/// One consumer's queue of committed epochs; see the [module docs](self).
+/// One consumer's queue of committed epochs; see the `feed` module docs.
 ///
 /// Clones share the queue: the engine keeps one to push into, the
 /// consumer's worker thread drains another, and barrier callers wait on

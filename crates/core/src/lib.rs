@@ -10,7 +10,7 @@
 //! ([`IndoorEngine::writer`]): batches stage in parallel on their
 //! submitting threads, an epoch sequencer orders and conflict-checks
 //! them, and concurrent submissions **group-commit** into shared epochs
-//! (see [`mod@write`]). Reads go through owned [`Snapshot`]s pinned to a version:
+//! (see `write`). Reads go through owned [`Snapshot`]s pinned to a version:
 //! `Clone + Send + Sync`, so any number of threads execute typed
 //! [`idq_query::Query`] sessions in parallel with an active writer, with
 //! no locks held during evaluation:
@@ -93,19 +93,21 @@
 //! assert_eq!(sub.epoch(), engine.epoch());
 //! ```
 
-pub mod durability;
-pub mod engine;
-pub mod error;
-pub mod feed;
-pub mod monitor;
-pub mod service;
-pub mod snapshot;
-pub mod state;
+#![warn(unreachable_pub)]
+
+mod durability;
+mod engine;
+mod error;
+mod feed;
+mod monitor;
+mod service;
+mod snapshot;
+mod state;
 #[cfg(test)]
 mod testkit;
-pub mod update;
-pub mod wire;
-pub mod write;
+mod update;
+mod wire;
+mod write;
 
 pub use durability::DurabilityOptions;
 pub use engine::{EngineConfig, IndoorEngine};
@@ -116,4 +118,5 @@ pub use service::{IndoorService, Notification, Subscription};
 pub use snapshot::Snapshot;
 pub use state::EngineState;
 pub use update::{Update, UpdateDelta, UpdateOutcome, UpdateReport, UpdateStats};
+pub use wire::{decode_checkpoint, encode_batch, FORMAT};
 pub use write::WriteHandle;

@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// notification holds ~0.25 KiB, so 10 000 subscriptions that are never
 /// polled retain at most 10k × 32 × ~0.25 KiB ≈ 80 MiB, and 100 000 about
 /// 0.8 GiB. Callers who want a deeper backlog pass their own bound.
-pub const DEFAULT_MAILBOX_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_MAILBOX_CAPACITY: usize = 32;
 
 // ---- shared service state -------------------------------------------------
 
@@ -321,12 +321,6 @@ impl IndoorService {
     /// version.
     pub fn execute(&self, query: &Query) -> Result<Outcome, EngineError> {
         self.snapshot().execute(query)
-    }
-
-    /// Evaluates a batch of typed [`Query`]s, one after another, on one
-    /// fresh snapshot.
-    pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<Outcome>, EngineError> {
-        self.snapshot().execute_batch(queries)
     }
 
     /// Registers a standing query with the serving engine's configured

@@ -217,14 +217,6 @@ impl UpdateDelta {
         out.sort_unstable();
         out
     }
-
-    /// `true` when the batch changed nothing downstream consumers can see.
-    pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty()
-            && self.moved.is_empty()
-            && self.removed.is_empty()
-            && !self.topology_changed
-    }
 }
 
 /// Set-backed accumulator the engine folds outcomes into while a batch is
@@ -281,11 +273,11 @@ impl DeltaBuilder {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Updates in the batch.
-    pub updates: usize,
+    pub(crate) updates: usize,
     /// Position updates (inserts, moves, removes).
     pub position_updates: usize,
     /// Skeleton-tier rebuilds (coalesced: at most one per topology run).
-    pub skeleton_rebuilds: usize,
+    pub(crate) skeleton_rebuilds: usize,
     /// Distinct floor shards the batch's object updates landed in — the
     /// number of per-floor store/o-table slices the commit deep-copied
     /// (everything else was shared structurally with the previous
@@ -373,8 +365,7 @@ mod tests {
         assert_eq!(d.removed, vec![ObjectId(4)]);
         assert!(!d.topology_changed);
         assert_eq!(d.updated(), vec![ObjectId(2), ObjectId(3)]);
-        assert!(!d.is_empty());
-        assert!(UpdateDelta::default().is_empty());
+        assert_ne!(d, UpdateDelta::default());
     }
 
     #[test]

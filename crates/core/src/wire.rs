@@ -78,11 +78,11 @@ use idq_model::{
     PartitionId, PartitionKind, PartitionSpec, SplitLine,
 };
 use idq_objects::{Instance, ObjectId, ObjectStore, UncertainObject};
-use idq_storage::codec::{
+use idq_storage::StorageError;
+use idq_storage::{
     put_bool, put_f64, put_opt, put_seq, put_str, put_tag, put_u32, put_u64, put_u8, put_usize,
     Cursor,
 };
-use idq_storage::StorageError;
 
 /// The payload format version: the first byte of every WAL record payload
 /// and every checkpoint payload.
@@ -98,11 +98,11 @@ const DOOR_KINDS: [DoorKind; 2] = [DoorKind::Interior, DoorKind::StaircaseEntran
 
 /// One decoded WAL record payload.
 #[derive(Clone, Debug)]
-pub struct WalBatch {
-    pub updates: Vec<Update>,
+pub(crate) struct WalBatch {
+    pub(crate) updates: Vec<Update>,
     /// Ids of the objects this batch inserted, in outcome order — both
     /// `InsertObject` (externally named) and `InsertObjectAt` (allocated).
-    pub inserted: Vec<ObjectId>,
+    pub(crate) inserted: Vec<ObjectId>,
 }
 
 /// Encodes a WAL record payload straight from the batch the sequencer is
@@ -115,7 +115,7 @@ pub fn encode_batch(updates: &[Update], inserted: &[ObjectId]) -> Vec<u8> {
 }
 
 /// Decodes a WAL record payload written by [`encode_batch`].
-pub fn decode_batch(payload: &[u8]) -> Result<WalBatch, StorageError> {
+pub(crate) fn decode_batch(payload: &[u8]) -> Result<WalBatch, StorageError> {
     let mut c = Cursor::new(payload);
     take_format(&mut c, "wal format version")?;
     let updates = c.take_seq("batch update count", take_update)?;
@@ -127,14 +127,14 @@ pub fn decode_batch(payload: &[u8]) -> Result<WalBatch, StorageError> {
 }
 
 /// Encodes a checkpoint payload: the space and store layers.
-pub fn encode_checkpoint(space: &IndoorSpace, store: &ObjectStore) -> Vec<u8> {
+pub(crate) fn encode_checkpoint(space: &IndoorSpace, store: &ObjectStore) -> Vec<u8> {
     let mut buf = vec![FORMAT];
     put_space(&mut buf, space);
     put_store(&mut buf, store);
     buf
 }
 
-/// Decodes a checkpoint payload written by [`encode_checkpoint`].
+/// Decodes a checkpoint payload written by `encode_checkpoint`.
 pub fn decode_checkpoint(payload: &[u8]) -> Result<(IndoorSpace, ObjectStore), StorageError> {
     let mut c = Cursor::new(payload);
     take_format(&mut c, "checkpoint format version")?;
@@ -536,7 +536,7 @@ mod tests {
     use super::*;
     use idq_geom::Rect2;
     use idq_model::{FloorPlanBuilder, IndoorPoint};
-    use idq_storage::codec::crc32;
+    use idq_storage::crc32;
 
     // ---- the space ----------------------------------------------------------
 

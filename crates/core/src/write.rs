@@ -602,11 +602,6 @@ impl WriteHandle {
         }
     }
 
-    /// The epoch of the latest committed version.
-    pub fn epoch(&self) -> u64 {
-        self.shared.current().epoch
-    }
-
     /// Returns this handle with a **commit window**: when it leads a
     /// commit group it holds the group open for `window` before draining
     /// the queue, so more concurrent submitters coalesce into one epoch

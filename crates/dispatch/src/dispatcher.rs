@@ -26,7 +26,7 @@ pub type SubId = u64;
 /// in this set before the commit or is in it after provably cannot change
 /// the result.
 #[derive(Clone, Debug, PartialEq)]
-pub struct QueryFootprint {
+pub(crate) struct QueryFootprint {
     /// Candidate partitions, ascending and deduplicated.
     partitions: Vec<PartitionId>,
     /// The query can currently be affected by a change anywhere — a kNN
@@ -37,7 +37,7 @@ pub struct QueryFootprint {
 
 impl QueryFootprint {
     /// A footprint over an explicit candidate-partition set.
-    pub fn over(mut partitions: Vec<PartitionId>) -> Self {
+    pub(crate) fn over(mut partitions: Vec<PartitionId>) -> Self {
         partitions.sort_unstable();
         partitions.dedup();
         QueryFootprint {
@@ -47,7 +47,7 @@ impl QueryFootprint {
     }
 
     /// The footprint that intersects every commit.
-    pub fn everything() -> Self {
+    pub(crate) fn everything() -> Self {
         QueryFootprint {
             partitions: Vec::new(),
             everything: true,
@@ -55,19 +55,19 @@ impl QueryFootprint {
     }
 
     /// Whether this footprint matches every commit.
-    pub fn covers_everything(&self) -> bool {
+    pub(crate) fn covers_everything(&self) -> bool {
         self.everything
     }
 
     /// The candidate partitions (ascending; empty when
     /// [`QueryFootprint::covers_everything`]).
-    pub fn partitions(&self) -> &[PartitionId] {
+    pub(crate) fn partitions(&self) -> &[PartitionId] {
         &self.partitions
     }
 
     /// Whether a commit with the given routing footprint (ascending)
     /// can affect this query. A merge walk over two sorted lists.
-    pub fn intersects(&self, commit_partitions: &[PartitionId]) -> bool {
+    pub(crate) fn intersects(&self, commit_partitions: &[PartitionId]) -> bool {
         if self.everything {
             return true;
         }
@@ -113,7 +113,7 @@ impl StandingMonitor {
 
     /// Absorbs one committed delta; returns the membership changes,
     /// ascending by object id.
-    pub fn absorb_delta(
+    pub(crate) fn absorb_delta(
         &mut self,
         updated: &[ObjectId],
         removed: &[ObjectId],
@@ -132,14 +132,6 @@ impl StandingMonitor {
         }
     }
 
-    /// Objects currently in the result, ascending by id.
-    pub fn current(&self) -> Vec<ObjectId> {
-        match self {
-            StandingMonitor::Range(m) => m.current(),
-            StandingMonitor::Knn(m) => m.current(),
-        }
-    }
-
     /// The ranked top-k for a kNN monitor, `None` for range.
     pub fn ranked(&self) -> Option<Vec<(ObjectId, f64)>> {
         match self {
@@ -151,7 +143,7 @@ impl StandingMonitor {
     /// Whether a change to an object must reach the monitor even when
     /// the object lies outside the footprint: a range member, or a kNN
     /// object within the kept boundary (W), in the answer or not.
-    pub fn watches(&self, id: ObjectId) -> bool {
+    pub(crate) fn watches(&self, id: ObjectId) -> bool {
         match self {
             StandingMonitor::Range(m) => m.contains(id),
             StandingMonitor::Knn(m) => m.watches(id),
@@ -162,7 +154,7 @@ impl StandingMonitor {
     /// boundary's distance `R` for kNN (`+∞` while W holds every
     /// reachable object). It changes only on a re-query, on the kNN
     /// boundary's first tightening, or on a topology refresh.
-    pub fn radius(&self) -> f64 {
+    pub(crate) fn radius(&self) -> f64 {
         match self {
             StandingMonitor::Range(m) => m.radius(),
             StandingMonitor::Knn(m) => m.radius(),
@@ -170,7 +162,7 @@ impl StandingMonitor {
     }
 
     /// The work the monitor has done so far.
-    pub fn work(&self) -> MonitorWork {
+    pub(crate) fn work(&self) -> MonitorWork {
         match self {
             StandingMonitor::Range(m) => m.work(),
             StandingMonitor::Knn(m) => m.work(),
@@ -186,7 +178,7 @@ impl StandingMonitor {
     /// object in a slack-only partition has a geometric lower bound
     /// above the threshold and can never be a member — so object churn
     /// there is provably irrelevant and the tighter set routes exactly.
-    pub fn footprint(&self, space: &IndoorSpace, index: &CompositeIndex) -> QueryFootprint {
+    pub(crate) fn footprint(&self, space: &IndoorSpace, index: &CompositeIndex) -> QueryFootprint {
         let (q, options) = match self {
             StandingMonitor::Range(m) => (m.query_point(), m.options()),
             StandingMonitor::Knn(m) => (m.query_point(), m.options()),
@@ -242,16 +234,16 @@ pub struct DispatchStats {
     pub dropped: u64,
     /// Absorptions that failed; the subscription's stream is closed and
     /// the entry removed.
-    pub absorb_errors: u64,
+    pub(crate) absorb_errors: u64,
     /// Fresh queries monitors ran while absorbing: topology refreshes,
     /// and kNN re-queries after fewer than `k` objects were left within
     /// the kept boundary.
-    pub requeries: u64,
+    pub(crate) requeries: u64,
     /// Refinements monitors recomputed on the full graph while
     /// absorbing, because their banded door distances could not certify
     /// the value. A share of deliveries above about 1 % means the
     /// subgraph slack is narrower than the regions.
-    pub fallbacks: u64,
+    pub(crate) fallbacks: u64,
 }
 
 #[derive(Debug)]
@@ -340,16 +332,6 @@ impl<R> Dispatcher<R> {
             closed: false,
             stats: DispatchStats::default(),
         }
-    }
-
-    /// Registered subscriptions.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// Whether no subscriptions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
     }
 
     /// Routing counters so far.
@@ -925,10 +907,10 @@ mod tests {
             &space,
             &index,
         );
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.subs.len(), 1);
         assert!(d.deregister(id));
         assert!(!d.deregister(id), "second deregister is a no-op");
-        assert_eq!(d.len(), 0);
+        assert_eq!(d.subs.len(), 0);
         assert!(rx.recv().is_none(), "stream ended");
 
         let near = place(&mut store, &mut index, &space, 1, 4.0);
@@ -969,6 +951,6 @@ mod tests {
             &index,
         );
         assert!(rx_late.recv().is_none(), "late registration is pre-closed");
-        assert_eq!(d.len(), 1, "closed registrations are not indexed");
+        assert_eq!(d.subs.len(), 1, "closed registrations are not indexed");
     }
 }

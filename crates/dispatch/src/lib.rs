@@ -37,7 +37,7 @@
 //! footprints are repaired afterwards.
 //!
 //! Delivery is decoupled from absorption: each subscription owns a
-//! **bounded [`Mailbox`]** of precomputed [`DeltaMsg`]s. The dispatcher —
+//! **bounded `Mailbox`** of precomputed [`DeltaMsg`]s. The dispatcher —
 //! a single thread in the serving engine — absorbs deltas into the
 //! monitors and pushes the resulting membership changes; a full mailbox
 //! **coalesces** the new message into the newest queued one (membership
@@ -50,10 +50,10 @@
 //! `Arc<UpdateReport>`), and depending only on the model/index/query
 //! layers beneath it.
 
-pub mod dispatcher;
-pub mod mailbox;
+#![warn(unreachable_pub)]
 
-pub use dispatcher::{
-    CommitDelta, DispatchStats, Dispatcher, QueryFootprint, StandingMonitor, SubId,
-};
-pub use mailbox::{DeltaMsg, Mailbox, MailboxReceiver, PushOutcome};
+mod dispatcher;
+mod mailbox;
+
+pub use dispatcher::{CommitDelta, DispatchStats, Dispatcher, StandingMonitor, SubId};
+pub use mailbox::{DeltaMsg, MailboxReceiver};

@@ -72,7 +72,7 @@ impl<R> DeltaMsg<R> {
 
 /// What happened to a pushed message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushOutcome {
+pub(crate) enum PushOutcome {
     /// Queued as its own message.
     Delivered,
     /// The mailbox was full: folded into the newest queued message,
@@ -92,7 +92,7 @@ struct MailboxState<R> {
 /// deliveries into. Create with [`Mailbox::channel`]; the paired
 /// [`MailboxReceiver`] drains it.
 #[derive(Debug)]
-pub struct Mailbox<R> {
+pub(crate) struct Mailbox<R> {
     state: Mutex<MailboxState<R>>,
     ready: Condvar,
     capacity: usize,
@@ -102,7 +102,7 @@ impl<R> Mailbox<R> {
     /// Creates a mailbox bounded to `capacity` queued messages (min 1)
     /// and its receiver. `closed` starts the stream already ended (a
     /// subscription registered after writer retirement).
-    pub fn channel(capacity: usize, closed: bool) -> (Arc<Mailbox<R>>, MailboxReceiver<R>) {
+    pub(crate) fn channel(capacity: usize, closed: bool) -> (Arc<Mailbox<R>>, MailboxReceiver<R>) {
         let mailbox = Arc::new(Mailbox {
             state: Mutex::new(MailboxState {
                 queue: VecDeque::new(),
@@ -117,14 +117,9 @@ impl<R> Mailbox<R> {
         (mailbox, receiver)
     }
 
-    /// The bound this mailbox coalesces past.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Pushes one delivery, coalescing into the newest queued message
     /// when full. Never blocks.
-    pub fn push(&self, msg: DeltaMsg<R>) -> PushOutcome {
+    pub(crate) fn push(&self, msg: DeltaMsg<R>) -> PushOutcome {
         let mut state = self.state.lock().expect("mailbox lock");
         if state.closed {
             return PushOutcome::Closed;
@@ -145,14 +140,14 @@ impl<R> Mailbox<R> {
 
     /// Ends the stream: queued messages stay drainable, blocked `recv`s
     /// wake, further pushes drop.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("mailbox lock");
         state.closed = true;
         self.ready.notify_all();
     }
 }
 
-/// The consumer side of a [`Mailbox`].
+/// The consumer side of a `Mailbox`.
 #[derive(Debug)]
 pub struct MailboxReceiver<R> {
     mailbox: Arc<Mailbox<R>>,
@@ -182,12 +177,6 @@ impl<R> MailboxReceiver<R> {
             }
             state = self.mailbox.ready.wait(state).expect("mailbox lock");
         }
-    }
-
-    /// Whether the stream has ended (closed and drained).
-    pub fn is_finished(&self) -> bool {
-        let state = self.mailbox.state.lock().expect("mailbox lock");
-        state.closed && state.queue.is_empty()
     }
 }
 
@@ -247,10 +236,8 @@ mod tests {
         let (tx, rx) = Mailbox::channel(4, false);
         tx.push(msg(1, &[]));
         tx.close();
-        assert!(!rx.is_finished(), "still one queued message");
         assert_eq!(rx.recv().expect("drains the backlog").epoch, 1);
         assert!(rx.recv().is_none(), "closed and drained");
-        assert!(rx.is_finished());
         assert_eq!(tx.push(msg(2, &[])), PushOutcome::Closed);
     }
 

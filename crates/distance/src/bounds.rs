@@ -12,11 +12,10 @@
 //!   subregion's bounding box;
 //! * [`object_bounds`] — the Table III dispatch: topological bounds for
 //!   single-partition objects, probabilistic (mass-weighted) bounds for
-//!   multi-partition objects;
-//! * [`lemma5_bounds`] — the two-group probabilistic bounds exactly in the
-//!   shape of Lemma 5 / Eq. 8 (with the paper's heuristic split choice and
-//!   its applicability condition);
-//! * [`markov_lower`] — the Markov lower bound of Lemma 4.
+//!   multi-partition objects.
+//!
+//! The unit tests check the mass-weighted bounds against Lemma 5's printed
+//! two-group form.
 //!
 //! ### Soundness note (restricted door distances)
 //!
@@ -40,7 +39,7 @@ use idq_objects::SubregionSummary;
 
 /// Which bound family produced an [`ObjectBounds`] (Table III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundKind {
+pub(crate) enum BoundKind {
     /// Single-partition object: topological bounds (Eq. 7).
     Topological,
     /// Multi-partition object: probabilistic bounds (Eq. 8).
@@ -55,7 +54,7 @@ pub struct ObjectBounds {
     /// Upper bound (`O.u`).
     pub upper: f64,
     /// Which family applied.
-    pub kind: BoundKind,
+    pub(crate) kind: BoundKind,
     /// Some subregion's lower bound was clamped at the context's exit
     /// horizon, so a wider context may raise `lower`.
     pub clamped: bool,
@@ -64,16 +63,16 @@ pub struct ObjectBounds {
 /// Topological bounds for one subregion: `t_min(S[i])` and `t_max(S[i])`
 /// of Lemmas 1–2, carrying the subregion's probability mass.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SubregionBounds {
+pub(crate) struct SubregionBounds {
     /// Lower bound on the indoor distance of *every* instance in the
     /// subregion.
-    pub lower: f64,
+    pub(crate) lower: f64,
     /// Upper bound on the indoor distance of every instance.
-    pub upper: f64,
+    pub(crate) upper: f64,
     /// Probability mass of the subregion.
-    pub prob: f64,
+    pub(crate) prob: f64,
     /// `lower` was clamped at the context's exit horizon.
-    pub clamped: bool,
+    pub(crate) clamped: bool,
 }
 
 /// Computes `t_min` / `t_max` for one subregion from door distances:
@@ -84,7 +83,7 @@ pub struct SubregionBounds {
 /// For multi-floor partitions (staircases) a vertical walking slack is
 /// added to the upper side, since planar bounding-box distances
 /// under-estimate the cross-floor intra-partition metric.
-pub fn subregion_bounds(
+pub(crate) fn subregion_bounds(
     space: &IndoorSpace,
     dd: &DoorDistances,
     sub: &SubregionSummary,
@@ -143,7 +142,7 @@ pub fn subregion_bounds(
 ///   combination `[Σ p_j·t_min(S_j), Σ p_j·t_max(S_j)]`, the sound
 ///   realisation of Lemma 5 (it uses exactly the per-subregion probability
 ///   information §II-D.3 calls for, and is never looser than the printed
-///   two-group form — see `lemma5_bounds`).
+///   two-group form, which the unit tests check).
 ///
 /// `summary` is the object's subregion summary, in
 /// [`Subregions`](idq_objects::Subregions) order; nothing is allocated.
@@ -181,72 +180,6 @@ pub fn object_bounds<'s>(
     }
 }
 
-/// Lemma 4 (Markov lower bound), in its sound interval form: with
-/// subregions sorted by ascending lower bound and `p̂_i` the prefix mass,
-/// `E ≥ (1 − p̂_i) · min_{k>i} t_min(S_k)`; the best split is returned.
-pub fn markov_lower(bounds: &[SubregionBounds]) -> f64 {
-    let mut sorted: Vec<&SubregionBounds> = bounds.iter().collect();
-    sorted.sort_by(|a, b| a.lower.total_cmp(&b.lower));
-    let mut best: f64 = 0.0;
-    let mut prefix = 0.0;
-    for i in 0..sorted.len().saturating_sub(1) {
-        prefix += sorted[i].prob;
-        let far_min = sorted[i + 1..]
-            .iter()
-            .map(|b| b.lower)
-            .fold(f64::INFINITY, f64::min);
-        if far_min.is_finite() {
-            best = best.max((1.0 - prefix) * far_min);
-        }
-    }
-    best
-}
-
-/// Lemma 5 / Eq. 8 in its printed two-group shape, with the paper's
-/// applicability condition (a split index where the near group's upper
-/// bounds separate from the far group's lower bounds) and split heuristic
-/// (prefer large `i` for the lower bound, small `i` for the upper bound).
-///
-/// Returns `None` when no separating split exists (all subregion ranges
-/// overlap) — callers fall back to the topological bounds, exactly as
-/// §II-D.3 prescribes.
-pub fn lemma5_bounds(bounds: &[SubregionBounds]) -> Option<(f64, f64)> {
-    if bounds.len() < 2 {
-        return None;
-    }
-    let mut sorted: Vec<&SubregionBounds> = bounds.iter().collect();
-    sorted.sort_by(|a, b| a.lower.total_cmp(&b.lower));
-    let n = sorted.len();
-    let mut lower_best: Option<f64> = None;
-    let mut upper_best: Option<f64> = None;
-    let mut prefix_mass = 0.0;
-    let mut prefix_hi_max: f64 = 0.0;
-    let mut prefix_lo_min = f64::INFINITY;
-    for i in 0..n - 1 {
-        prefix_mass += sorted[i].prob;
-        prefix_hi_max = prefix_hi_max.max(sorted[i].upper);
-        prefix_lo_min = prefix_lo_min.min(sorted[i].lower);
-        let far = &sorted[i + 1..];
-        let far_lo_min = far.iter().map(|b| b.lower).fold(f64::INFINITY, f64::min);
-        let far_hi_max = far.iter().map(|b| b.upper).fold(0.0, f64::max);
-        if prefix_hi_max <= far_lo_min {
-            let p_hat = prefix_mass;
-            let lb = p_hat * prefix_lo_min + (1.0 - p_hat) * far_lo_min;
-            let ub = p_hat * prefix_hi_max + (1.0 - p_hat) * far_hi_max;
-            // Heuristic: the last feasible split wins for the lower bound,
-            // the first feasible split for the upper bound.
-            lower_best = Some(lb);
-            if upper_best.is_none() {
-                upper_best = Some(ub);
-            }
-        }
-    }
-    match (lower_best, upper_best) {
-        (Some(l), Some(u)) => Some((l, u)),
-        _ => None,
-    }
-}
-
 /// Vertical walking slack for a multi-floor partition: the worst-case cost
 /// of floor changes that planar bounding-box distances miss.
 fn vertical_slack(space: &IndoorSpace, floor_lo: u16, floor_hi: u16) -> f64 {
@@ -265,6 +198,51 @@ mod tests {
     use idq_geom::{Circle, Point2, Rect2};
     use idq_model::{DoorsGraph, FloorPlanBuilder, IndoorPoint};
     use idq_objects::{ObjectId, Subregions, UncertainObject};
+
+    /// Lemma 5 / Eq. 8 in its printed two-group shape, with the paper's
+    /// applicability condition (a split index where the near group's upper
+    /// bounds separate from the far group's lower bounds) and split heuristic
+    /// (prefer large `i` for the lower bound, small `i` for the upper bound).
+    ///
+    /// Returns `None` when no separating split exists (all subregion ranges
+    /// overlap) — callers fall back to the topological bounds, exactly as
+    /// §II-D.3 prescribes.
+    fn lemma5_bounds(bounds: &[SubregionBounds]) -> Option<(f64, f64)> {
+        if bounds.len() < 2 {
+            return None;
+        }
+        let mut sorted: Vec<&SubregionBounds> = bounds.iter().collect();
+        sorted.sort_by(|a, b| a.lower.total_cmp(&b.lower));
+        let n = sorted.len();
+        let mut lower_best: Option<f64> = None;
+        let mut upper_best: Option<f64> = None;
+        let mut prefix_mass = 0.0;
+        let mut prefix_hi_max: f64 = 0.0;
+        let mut prefix_lo_min = f64::INFINITY;
+        for i in 0..n - 1 {
+            prefix_mass += sorted[i].prob;
+            prefix_hi_max = prefix_hi_max.max(sorted[i].upper);
+            prefix_lo_min = prefix_lo_min.min(sorted[i].lower);
+            let far = &sorted[i + 1..];
+            let far_lo_min = far.iter().map(|b| b.lower).fold(f64::INFINITY, f64::min);
+            let far_hi_max = far.iter().map(|b| b.upper).fold(0.0, f64::max);
+            if prefix_hi_max <= far_lo_min {
+                let p_hat = prefix_mass;
+                let lb = p_hat * prefix_lo_min + (1.0 - p_hat) * far_lo_min;
+                let ub = p_hat * prefix_hi_max + (1.0 - p_hat) * far_hi_max;
+                // Heuristic: the last feasible split wins for the lower bound,
+                // the first feasible split for the upper bound.
+                lower_best = Some(lb);
+                if upper_best.is_none() {
+                    upper_best = Some(ub);
+                }
+            }
+        }
+        match (lower_best, upper_best) {
+            (Some(l), Some(u)) => Some((l, u)),
+            _ => None,
+        }
+    }
 
     /// Three rooms in a row plus a far room, giving multi-partition
     /// objects and non-trivial masses.
@@ -358,21 +336,6 @@ mod tests {
             assert!(weighted.lower >= l5 - 1e-9, "weighted LB at least as tight");
             assert!(weighted.upper <= u5 + 1e-9, "weighted UB at least as tight");
         }
-    }
-
-    #[test]
-    fn markov_lower_is_sound() {
-        let (s, g) = space();
-        let o = multi_part_object();
-        let dd = DoorDistances::compute(&s, &g, q()).unwrap();
-        let subs = Subregions::compute(&o, &s).unwrap();
-        let per: Vec<SubregionBounds> = subs
-            .summaries()
-            .map(|x| subregion_bounds(&s, &dd, x))
-            .collect();
-        let exact = expected_indoor_distance_naive(&s, &dd, &o);
-        let m = markov_lower(&per);
-        assert!(m <= exact + 1e-9, "markov {m} exact {exact}");
     }
 
     #[test]

@@ -118,13 +118,13 @@ impl DoorRow {
     /// is then the complete row. A pure function of the geometry and `h`,
     /// whatever horizon the row was expanded to.
     #[inline]
-    pub fn complete_within(&self, h: f64) -> bool {
+    pub(crate) fn complete_within(&self, h: f64) -> bool {
         self.exhausted && self.entries.last().is_none_or(|&(_, d)| d <= h)
     }
 
     /// The horizon this row was expanded to.
     #[inline]
-    pub fn horizon(&self) -> f64 {
+    pub(crate) fn horizon(&self) -> f64 {
         self.horizon
     }
 
@@ -139,21 +139,9 @@ impl DoorRow {
             .take_while(move |&(_, d)| d <= h)
     }
 
-    /// Number of settled doors in the row.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the row settled no doors at all.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Approximate heap footprint, for the eviction budget.
     #[inline]
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.entries.len() * std::mem::size_of::<(u32, f64)>()
     }
 }
@@ -415,8 +403,8 @@ mod tests {
         let full = DoorRow::expand(&g, doors[0], f64::INFINITY);
         let short = DoorRow::expand(&g, doors[0], 25.0);
         // Doors along the corridor from doors[0]: itself at 0, then 10, 20, ...
-        assert_eq!(full.len(), 5);
-        assert_eq!(short.len(), 3);
+        assert_eq!(full.entries_within(f64::INFINITY).count(), 5);
+        assert_eq!(short.entries_within(f64::INFINITY).count(), 3);
         let full_prefix: Vec<_> = full.entries_within(25.0).collect();
         let short_all: Vec<_> = short.entries_within(f64::INFINITY).collect();
         assert_eq!(full_prefix.len(), short_all.len());
@@ -483,7 +471,7 @@ mod tests {
         }
         // Eviction never breaks correctness: re-request recomputes.
         let (row, _) = cache.row(&g, doors[0], f64::INFINITY, 1);
-        assert_eq!(row.len(), 5);
+        assert_eq!(row.entries_within(f64::INFINITY).count(), 5);
     }
 
     #[test]
@@ -493,7 +481,10 @@ mod tests {
         let (row, _) = cache.row(&g, doors[2], f64::INFINITY, usize::MAX);
         // Reference: an independent complete expansion.
         let reference = DoorRow::expand(&g, doors[2], f64::INFINITY);
-        assert_eq!(row.len(), reference.len());
+        assert_eq!(
+            row.entries_within(f64::INFINITY).count(),
+            reference.entries_within(f64::INFINITY).count()
+        );
         for ((rd, rv), (fd, fv)) in row
             .entries_within(f64::INFINITY)
             .zip(reference.entries_within(f64::INFINITY))

@@ -20,7 +20,7 @@ use idq_objects::{Subregion, Subregions, UncertainObject};
 
 /// Which of the paper's §II-C cases applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DistanceCase {
+pub(crate) enum DistanceCase {
     /// §II-C.1 — one partition, one shared last door (Eq. 3).
     SinglePartitionSinglePath,
     /// §II-C.2 — one partition, instance-specific doors (Eq. 4).
@@ -35,10 +35,10 @@ pub struct ExpectedDistance {
     /// `E(|q, O|_I)`; `∞` when some probability mass is unreachable.
     pub value: f64,
     /// Case per Table III.
-    pub case: DistanceCase,
+    pub(crate) case: DistanceCase,
     /// Whether the bisector fast path (Eq. 3) decided at least one
     /// subregion without per-instance minimisation.
-    pub used_bisector_fast_path: bool,
+    pub(crate) used_bisector_fast_path: bool,
     /// The largest per-instance walking cost entering the expectation.
     /// Against a *restricted* [`DoorDistances`], comparing this to
     /// [`DoorDistances::exit_horizon`] certifies exactness: when no

@@ -10,7 +10,7 @@ use idq_model::{DoorId, DoorsGraph, IndoorPoint, IndoorSpace};
 ///
 /// Returns `f64::INFINITY` distance when `p` is unreachable (or lies in no
 /// partition).
-pub fn point_distance_via(
+pub(crate) fn point_distance_via(
     space: &IndoorSpace,
     dd: &DoorDistances,
     p: IndoorPoint,
@@ -43,13 +43,12 @@ pub fn point_distance_via(
 
 /// The indoor distance from the origin of `dd` to `p` (Eq. 1).
 #[inline]
-pub fn point_distance(space: &IndoorSpace, dd: &DoorDistances, p: IndoorPoint) -> f64 {
+pub(crate) fn point_distance(space: &IndoorSpace, dd: &DoorDistances, p: IndoorPoint) -> f64 {
     point_distance_via(space, dd, p).0
 }
 
 /// One-shot indoor distance `|q,p|_I`: runs Dijkstra from `q` and evaluates
-/// `p`. Prefer [`DoorDistances`] + [`point_distance`] when evaluating many
-/// targets from the same `q`.
+/// `p`.
 pub fn indoor_distance(
     space: &IndoorSpace,
     graph: &DoorsGraph,

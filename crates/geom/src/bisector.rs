@@ -25,13 +25,11 @@ pub enum Side {
     I,
     /// Door *j* gives the shorter route.
     J,
-    /// The point is on the bisector itself (either door works).
-    On,
 }
 
 /// The geometric shape of the bisector (Table II).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BisectorShape {
+pub(crate) enum BisectorShape {
     /// Equal weights: the perpendicular bisector of the two foci.
     Line,
     /// Distinct weights with `|w_i − w_j| < |d_i, d_j|_E`: one hyperbola
@@ -48,13 +46,13 @@ pub enum BisectorShape {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WeightedBisector {
     /// First door position.
-    pub di: Point2,
+    pub(crate) di: Point2,
     /// Accumulated weight of the first door (`|q, d_i|_I`).
-    pub wi: f64,
+    pub(crate) wi: f64,
     /// Second door position.
-    pub dj: Point2,
+    pub(crate) dj: Point2,
     /// Accumulated weight of the second door.
-    pub wj: f64,
+    pub(crate) wj: f64,
 }
 
 impl WeightedBisector {
@@ -69,24 +67,12 @@ impl WeightedBisector {
     /// Negative means door *i* wins. `f` is 2-Lipschitz in `p`, which powers
     /// the conservative region tests below.
     #[inline]
-    pub fn clearance(&self, p: Point2) -> f64 {
+    pub(crate) fn clearance(&self, p: Point2) -> f64 {
         (p.dist(self.di) + self.wi) - (p.dist(self.dj) + self.wj)
     }
 
-    /// Which side of the bisector `p` falls on.
-    pub fn side(&self, p: Point2) -> Side {
-        let f = self.clearance(p);
-        if f < -EPSILON {
-            Side::I
-        } else if f > EPSILON {
-            Side::J
-        } else {
-            Side::On
-        }
-    }
-
     /// Classifies the bisector shape per Table II.
-    pub fn shape(&self) -> BisectorShape {
+    pub(crate) fn shape(&self) -> BisectorShape {
         let d = self.di.dist(self.dj);
         let diff = self.wj - self.wi; // > 0 favours door i
         if diff.abs() <= EPSILON {
@@ -139,9 +125,9 @@ mod tests {
     fn table2_equal_weights_is_line() {
         assert_eq!(b(7.0, 7.0).shape(), BisectorShape::Line);
         // The perpendicular bisector of the foci: x = 0.
-        assert_eq!(b(7.0, 7.0).side(Point2::new(0.0, 3.0)), Side::On);
-        assert_eq!(b(7.0, 7.0).side(Point2::new(-1.0, 3.0)), Side::I);
-        assert_eq!(b(7.0, 7.0).side(Point2::new(1.0, 3.0)), Side::J);
+        assert!(b(7.0, 7.0).clearance(Point2::new(0.0, 3.0)).abs() <= EPSILON);
+        assert!(b(7.0, 7.0).clearance(Point2::new(-1.0, 3.0)) < -EPSILON);
+        assert!(b(7.0, 7.0).clearance(Point2::new(1.0, 3.0)) > EPSILON);
     }
 
     #[test]
@@ -151,9 +137,9 @@ mod tests {
         assert_eq!(bi.shape(), BisectorShape::Hyperbola);
         // The bisector crosses the focal axis where |p,di| − |p,dj| = 4:
         // at x = 2 on the segment (|p,di| = 7, |p,dj| = 3).
-        assert_eq!(bi.side(Point2::new(2.0, 0.0)), Side::On);
-        assert_eq!(bi.side(Point2::new(0.0, 0.0)), Side::I);
-        assert_eq!(bi.side(Point2::new(4.0, 0.0)), Side::J);
+        assert!(bi.clearance(Point2::new(2.0, 0.0)).abs() <= EPSILON);
+        assert!(bi.clearance(Point2::new(0.0, 0.0)) < -EPSILON);
+        assert!(bi.clearance(Point2::new(4.0, 0.0)) > EPSILON);
     }
 
     #[test]
@@ -164,7 +150,7 @@ mod tests {
         assert_eq!(b(25.0, 0.0).shape(), BisectorShape::NullJDominates);
         // Everywhere: even right next to the expensive door.
         let bi = b(0.0, 25.0);
-        assert_eq!(bi.side(Point2::new(5.0, 0.0)), Side::I);
+        assert!(bi.clearance(Point2::new(5.0, 0.0)) < -EPSILON);
     }
 
     // ---- Hyperbola geometry ---------------------------------------------
@@ -233,10 +219,14 @@ mod tests {
                             c.center.x + rho * theta.cos(),
                             c.center.y + rho * theta.sin(),
                         );
-                        let s = bi.side(p);
+                        let f = bi.clearance(p);
+                        let agrees = match side {
+                            Side::I => f <= EPSILON,
+                            Side::J => f >= -EPSILON,
+                        };
                         assert!(
-                            s == side || s == Side::On,
-                            "disk at {cx} claimed {side:?} but {p} is {s:?}"
+                            agrees,
+                            "disk at {cx} claimed {side:?} but {p} has clearance {f}"
                         );
                     }
                 }

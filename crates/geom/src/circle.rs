@@ -28,18 +28,6 @@ impl Circle {
         self.center.dist_sq(p) <= self.radius * self.radius + crate::fp::EPSILON
     }
 
-    /// Minimum distance from `p` to the disk (0 if inside).
-    #[inline]
-    pub fn min_dist(&self, p: Point2) -> f64 {
-        (self.center.dist(p) - self.radius).max(0.0)
-    }
-
-    /// Maximum distance from `p` to any point of the disk.
-    #[inline]
-    pub fn max_dist(&self, p: Point2) -> f64 {
-        self.center.dist(p) + self.radius
-    }
-
     /// Tight axis-aligned bounding box.
     #[inline]
     pub fn bbox(&self) -> Rect2 {
@@ -49,12 +37,6 @@ impl Circle {
             self.center.x + self.radius,
             self.center.y + self.radius,
         )
-    }
-
-    /// Diameter.
-    #[inline]
-    pub fn diameter(&self) -> f64 {
-        2.0 * self.radius
     }
 }
 
@@ -67,16 +49,12 @@ impl std::fmt::Display for Circle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::approx_eq;
 
     #[test]
     fn containment_and_distances() {
         let c = Circle::new(Point2::new(0.0, 0.0), 5.0);
         assert!(c.contains(Point2::new(3.0, 4.0)));
         assert!(!c.contains(Point2::new(4.0, 4.0)));
-        assert!(approx_eq(c.min_dist(Point2::new(8.0, 0.0)), 3.0));
-        assert!(approx_eq(c.min_dist(Point2::new(1.0, 1.0)), 0.0));
-        assert!(approx_eq(c.max_dist(Point2::new(8.0, 0.0)), 13.0));
     }
 
     #[test]

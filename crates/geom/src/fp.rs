@@ -1,4 +1,4 @@
-//! Floating-point helpers: approximate comparison and a totally ordered
+//! Floating-point helpers: the geometric tolerance and a totally ordered
 //! `f64` wrapper for use in heaps and sort keys.
 
 /// Absolute tolerance used for geometric predicates throughout the library.
@@ -6,13 +6,7 @@
 /// Indoor coordinates are metres; 1e-9 m is far below any physically
 /// meaningful resolution while staying well above `f64` rounding noise for
 /// building-scale magnitudes (≤ 10^4 m).
-pub const EPSILON: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` differ by at most [`EPSILON`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPSILON
-}
+pub(crate) const EPSILON: f64 = 1e-9;
 
 /// A totally ordered `f64` for binary heaps and deterministic sorting.
 ///
@@ -21,14 +15,6 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
 /// distances are sums of square roots of non-negative numbers).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OrdF64(pub f64);
-
-impl OrdF64 {
-    /// The wrapped value.
-    #[inline]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-}
 
 impl Eq for OrdF64 {}
 
@@ -60,13 +46,20 @@ impl std::fmt::Display for OrdF64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::rect::Rect2;
 
-    #[test]
-    fn approx_eq_tolerates_epsilon() {
-        assert!(approx_eq(1.0, 1.0 + EPSILON / 2.0));
-        assert!(!approx_eq(1.0, 1.0 + 1e-6));
+    /// Returns `true` when `a` and `b` differ by at most [`EPSILON`].
+    pub(crate) fn approx_eq(a: f64, b: f64) -> bool {
+        (a - b).abs() <= EPSILON
+    }
+
+    /// Overlap area of two rectangles (0 when disjoint).
+    pub(crate) fn overlap_area(a: &Rect2, b: &Rect2) -> f64 {
+        let w = a.hi.x.min(b.hi.x) - a.lo.x.max(b.lo.x);
+        let h = a.hi.y.min(b.hi.y) - a.lo.y.max(b.lo.y);
+        w.max(0.0) * h.max(0.0)
     }
 
     #[test]

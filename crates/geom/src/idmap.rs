@@ -18,11 +18,11 @@ use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
-/// A `HashMap` keyed by an id, hashed by [`IdHasher`].
+/// A `HashMap` keyed by an id, hashed by `IdHasher`.
 #[allow(clippy::disallowed_types)]
 pub type IdMap<K, V> = std::collections::HashMap<K, V, IdBuildHasher>;
 
-/// A `HashSet` of ids, hashed by [`IdHasher`].
+/// A `HashSet` of ids, hashed by `IdHasher`.
 #[allow(clippy::disallowed_types)]
 pub type IdSet<K> = std::collections::HashSet<K, IdBuildHasher>;
 

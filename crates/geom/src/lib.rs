@@ -13,7 +13,7 @@
 //! * [`Polygon`] — simple rectilinear polygons for irregular partitions;
 //! * [`decompose()`](decompose::decompose) — the irregular-partition decomposition of Algorithm 3,
 //!   producing quadratic index units bounded by the `T_shape` threshold;
-//! * [`bisector`] — additive-weighted bisectors (Table II) used by the
+//! * `bisector` — additive-weighted bisectors (Table II) used by the
 //!   single-partition multi-path distance case (§II-C.2);
 //! * [`IdMap`] / [`IdSet`] — the hash containers for every id-keyed map
 //!   in the workspace (a folded-multiply hasher, seeded per process).
@@ -22,24 +22,25 @@
 //! coordinates are metres and all distances the paper manipulates are
 //! non-negative reals.
 
-pub mod bisector;
-pub mod circle;
-pub mod decompose;
-pub mod fp;
-pub mod idmap;
-pub mod mbr;
-pub mod point;
-pub mod polygon;
-pub mod rect;
-pub mod segment;
+#![warn(unreachable_pub)]
 
-pub use bisector::{BisectorShape, Side, WeightedBisector};
+mod bisector;
+mod circle;
+mod decompose;
+mod fp;
+mod idmap;
+mod mbr;
+mod point;
+mod polygon;
+mod rect;
+mod segment;
+
+pub use bisector::{Side, WeightedBisector};
 pub use circle::Circle;
 pub use decompose::{decompose, decompose_rect, DecomposeConfig};
-pub use fp::{approx_eq, OrdF64, EPSILON};
+pub use fp::OrdF64;
 pub use idmap::{IdMap, IdSet};
 pub use mbr::Mbr3;
 pub use point::{Point2, Point3};
 pub use polygon::Polygon;
 pub use rect::Rect2;
-pub use segment::Segment;

@@ -5,15 +5,14 @@
 //! 1 cm so that R*-style volume-based heuristics do not degenerate, while at
 //! query time the vertical extent is ignored (the partition is treated as a
 //! 2D rectangle floating at its floor elevation). [`Mbr3`] encodes exactly
-//! that behaviour: construction heuristics use [`Mbr3::build_volume`] /
-//! [`Mbr3::build_margin`] (with the 1 cm pad), and distance computations use
-//! the flattened z-interval.
+//! that behaviour: construction heuristics use [`Mbr3::build_volume`] (with
+//! the 1 cm pad), and distance computations use the flattened z-interval.
 
-use crate::point::{Point2, Point3};
+use crate::point::Point3;
 use crate::rect::Rect2;
 
 /// The token vertical extent (metres) given to planar MBRs at build time.
-pub const VERTICAL_PAD: f64 = 0.01;
+pub(crate) const VERTICAL_PAD: f64 = 0.01;
 
 /// An axis-aligned box: a planar rectangle spanning an elevation interval.
 ///
@@ -86,18 +85,10 @@ impl Mbr3 {
     }
 
     /// Volume used by construction heuristics: the vertical side is padded
-    /// by [`VERTICAL_PAD`] so planar boxes never have zero volume (§III-A.2).
+    /// by `VERTICAL_PAD` so planar boxes never have zero volume (§III-A.2).
     #[inline]
     pub fn build_volume(&self) -> f64 {
         self.rect.area() * (self.z_hi - self.z_lo + VERTICAL_PAD)
-    }
-
-    /// Surface-margin analogue used by R*-style split heuristics, with the
-    /// same vertical pad.
-    #[inline]
-    pub fn build_margin(&self) -> f64 {
-        let dz = self.z_hi - self.z_lo + VERTICAL_PAD;
-        self.rect.width() + self.rect.height() + dz
     }
 
     /// Minimum Euclidean distance from the 3D query point to the box, with
@@ -108,14 +99,6 @@ impl Mbr3 {
     pub fn min_dist(&self, q: Point3) -> f64 {
         let planar = self.rect.min_dist(q.xy());
         let dz = (self.z_lo - q.z).max(0.0).max(q.z - self.z_hi);
-        (planar * planar + dz * dz).sqrt()
-    }
-
-    /// Maximum Euclidean distance from the query point to the box.
-    #[inline]
-    pub fn max_dist(&self, q: Point3) -> f64 {
-        let planar = self.rect.max_dist(q.xy());
-        let dz = (q.z - self.z_lo).abs().max((q.z - self.z_hi).abs());
         (planar * planar + dz * dz).sqrt()
     }
 
@@ -134,13 +117,6 @@ impl Mbr3 {
             && self.floor_lo <= other.floor_hi
             && other.floor_lo <= self.floor_hi
     }
-
-    /// Returns `true` if the planar footprint contains `p` and floor `f` is
-    /// covered.
-    #[inline]
-    pub fn contains(&self, p: Point2, f: u16) -> bool {
-        self.covers_floor(f) && self.rect.contains(p)
-    }
 }
 
 impl std::fmt::Display for Mbr3 {
@@ -156,7 +132,7 @@ impl std::fmt::Display for Mbr3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::approx_eq;
+    use crate::fp::tests::approx_eq;
 
     fn unit_at(floor: u16, z: f64) -> Mbr3 {
         Mbr3::planar(Rect2::from_bounds(0.0, 0.0, 10.0, 10.0), floor, z)
@@ -188,18 +164,6 @@ mod tests {
     fn min_dist_inside_is_zero() {
         let m = Mbr3::spanning(Rect2::from_bounds(0.0, 0.0, 10.0, 10.0), (0, 1), (0.0, 4.0));
         assert!(approx_eq(m.min_dist(Point3::new(5.0, 5.0, 2.0)), 0.0));
-    }
-
-    #[test]
-    fn max_dist_dominates_min_dist() {
-        let m = unit_at(1, 4.0);
-        for q in [
-            Point3::new(-5.0, 3.0, 0.0),
-            Point3::new(5.0, 5.0, 4.0),
-            Point3::new(20.0, 20.0, 30.0),
-        ] {
-            assert!(m.min_dist(q) <= m.max_dist(q) + 1e-12);
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Point2 {
     /// Squared Euclidean distance to `other` (avoids the square root when
     /// only comparisons are needed).
     #[inline]
-    pub fn dist_sq(self, other: Point2) -> f64 {
+    pub(crate) fn dist_sq(self, other: Point2) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy
@@ -35,13 +35,13 @@ impl Point2 {
 
     /// The midpoint of the segment from `self` to `other`.
     #[inline]
-    pub fn midpoint(self, other: Point2) -> Point2 {
+    pub(crate) fn midpoint(self, other: Point2) -> Point2 {
         Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
     }
 
     /// Linear interpolation: `self + t * (other - self)`.
     #[inline]
-    pub fn lerp(self, other: Point2, t: f64) -> Point2 {
+    pub(crate) fn lerp(self, other: Point2, t: f64) -> Point2 {
         Point2::new(
             self.x + t * (other.x - self.x),
             self.y + t * (other.y - self.y),
@@ -99,11 +99,11 @@ impl std::fmt::Display for Point2 {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point3 {
     /// East-west coordinate, metres.
-    pub x: f64,
+    pub(crate) x: f64,
     /// North-south coordinate, metres.
-    pub y: f64,
+    pub(crate) y: f64,
     /// Elevation, metres.
-    pub z: f64,
+    pub(crate) z: f64,
 }
 
 impl Point3 {
@@ -115,17 +115,8 @@ impl Point3 {
 
     /// The planar projection of the point.
     #[inline]
-    pub fn xy(self) -> Point2 {
+    pub(crate) fn xy(self) -> Point2 {
         Point2::new(self.x, self.y)
-    }
-
-    /// Euclidean distance in 3D.
-    #[inline]
-    pub fn dist(self, other: Point3) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
     }
 }
 
@@ -138,7 +129,7 @@ impl std::fmt::Display for Point3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::approx_eq;
+    use crate::fp::tests::approx_eq;
 
     #[test]
     fn planar_distance_is_pythagorean() {
@@ -167,9 +158,10 @@ mod tests {
 
     #[test]
     fn spatial_distance_includes_elevation() {
-        let a = Point3::new(0.0, 0.0, 0.0);
-        let b = Point3::new(0.0, 3.0, 4.0);
-        assert!(approx_eq(a.dist(b), 5.0));
+        // A flat box at elevation 0 seen from 3 m across and 4 m up.
+        let m =
+            crate::mbr::Mbr3::planar(crate::rect::Rect2::from_bounds(0.0, 0.0, 0.0, 0.0), 0, 0.0);
+        assert!(approx_eq(m.min_dist(Point3::new(0.0, 3.0, 4.0)), 5.0));
     }
 
     #[test]

@@ -72,22 +72,6 @@ impl Polygon {
         }
     }
 
-    /// Approximates a circle by a regular `n`-gon (used to polygonize round
-    /// partitions before decomposition, per §III-A.2).
-    pub fn from_circle(center: Point2, radius: f64, n: usize) -> Result<Self, PolygonError> {
-        let n = n.max(3);
-        let verts = (0..n)
-            .map(|i| {
-                let theta = 2.0 * std::f64::consts::PI * (i as f64) / (n as f64);
-                Point2::new(
-                    center.x + radius * theta.cos(),
-                    center.y + radius * theta.sin(),
-                )
-            })
-            .collect();
-        Polygon::new(verts)
-    }
-
     /// Boundary vertices in counter-clockwise order.
     #[inline]
     pub fn vertices(&self) -> &[Point2] {
@@ -139,7 +123,7 @@ impl Polygon {
     }
 
     /// Returns `true` if every edge is horizontal or vertical.
-    pub fn is_rectilinear(&self) -> bool {
+    pub(crate) fn is_rectilinear(&self) -> bool {
         let n = self.vertices.len();
         (0..n).all(|i| {
             let a = self.vertices[i];
@@ -168,7 +152,7 @@ impl Polygon {
     ///
     /// Returns `None` for non-rectilinear polygons (callers fall back to
     /// the bounding box, documented in `decompose`).
-    pub fn rectangles(&self) -> Option<Vec<Rect2>> {
+    pub(crate) fn rectangles(&self) -> Option<Vec<Rect2>> {
         if !self.is_rectilinear() {
             return None;
         }
@@ -324,7 +308,7 @@ mod tests {
         // Pieces are pairwise disjoint.
         for i in 0..rects.len() {
             for j in (i + 1)..rects.len() {
-                assert!(rects[i].overlap_area(&rects[j]) < 1e-9);
+                assert!(crate::fp::tests::overlap_area(&rects[i], &rects[j]) < 1e-9);
             }
         }
         // Each piece lies inside the polygon.
@@ -344,7 +328,14 @@ mod tests {
 
     #[test]
     fn circle_polygonization() {
-        let p = Polygon::from_circle(Point2::new(0.0, 0.0), 10.0, 64).unwrap();
+        // A regular 64-gon of radius 10 around the origin.
+        let verts = (0..64)
+            .map(|i| {
+                let theta = 2.0 * std::f64::consts::PI * (i as f64) / 64.0;
+                Point2::new(10.0 * theta.cos(), 10.0 * theta.sin())
+            })
+            .collect();
+        let p = Polygon::new(verts).unwrap();
         assert!(!p.is_rectilinear());
         // Area of a regular 64-gon is close to the disk area.
         assert!((p.area() - std::f64::consts::PI * 100.0).abs() < 2.0);

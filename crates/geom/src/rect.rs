@@ -52,7 +52,7 @@ impl Rect2 {
 
     /// Height along y.
     #[inline]
-    pub fn height(&self) -> f64 {
+    pub(crate) fn height(&self) -> f64 {
         self.hi.y - self.lo.y
     }
 
@@ -60,12 +60,6 @@ impl Rect2 {
     #[inline]
     pub fn area(&self) -> f64 {
         self.width() * self.height()
-    }
-
-    /// Perimeter (the R*-tree "margin").
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        2.0 * (self.width() + self.height())
     }
 
     /// Center point.
@@ -107,23 +101,6 @@ impl Rect2 {
             && other.lo.y <= self.hi.y + EPSILON
     }
 
-    /// The intersection rectangle, if non-empty.
-    pub fn intersection(&self, other: &Rect2) -> Option<Rect2> {
-        let lo = Point2::new(self.lo.x.max(other.lo.x), self.lo.y.max(other.lo.y));
-        let hi = Point2::new(self.hi.x.min(other.hi.x), self.hi.y.min(other.hi.y));
-        if lo.x <= hi.x + EPSILON && lo.y <= hi.y + EPSILON {
-            Some(Rect2 { lo, hi })
-        } else {
-            None
-        }
-    }
-
-    /// Overlap area with `other` (0 when disjoint).
-    #[inline]
-    pub fn overlap_area(&self, other: &Rect2) -> f64 {
-        self.intersection(other).map_or(0.0, |r| r.area())
-    }
-
     /// Smallest rectangle covering both operands.
     #[inline]
     pub fn union(&self, other: &Rect2) -> Rect2 {
@@ -162,7 +139,7 @@ impl Rect2 {
 
     /// The four corners, counter-clockwise from `lo`.
     #[inline]
-    pub fn corners(&self) -> [Point2; 4] {
+    pub(crate) fn corners(&self) -> [Point2; 4] {
         [
             self.lo,
             Point2::new(self.hi.x, self.lo.y),
@@ -205,7 +182,7 @@ impl std::fmt::Display for Rect2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::approx_eq;
+    use crate::fp::tests::{approx_eq, overlap_area};
 
     fn r(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect2 {
         Rect2::from_bounds(x0, y0, x1, y1)
@@ -255,11 +232,9 @@ mod tests {
         let a = r(0.0, 0.0, 4.0, 4.0);
         let b = r(2.0, 2.0, 6.0, 6.0);
         assert_eq!(a.union(&b), r(0.0, 0.0, 6.0, 6.0));
-        assert_eq!(a.intersection(&b).unwrap(), r(2.0, 2.0, 4.0, 4.0));
-        assert!(approx_eq(a.overlap_area(&b), 4.0));
+        assert!(approx_eq(overlap_area(&a, &b), 4.0));
         let c = r(10.0, 10.0, 11.0, 11.0);
-        assert!(a.intersection(&c).is_none());
-        assert!(approx_eq(a.overlap_area(&c), 0.0));
+        assert!(approx_eq(overlap_area(&a, &c), 0.0));
     }
 
     #[test]

@@ -6,34 +6,22 @@ use crate::point::Point2;
 
 /// A closed line segment between two endpoints.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// First endpoint.
-    pub a: Point2,
+    pub(crate) a: Point2,
     /// Second endpoint.
-    pub b: Point2,
+    pub(crate) b: Point2,
 }
 
 impl Segment {
     /// Creates a segment.
     #[inline]
-    pub const fn new(a: Point2, b: Point2) -> Self {
+    pub(crate) const fn new(a: Point2, b: Point2) -> Self {
         Segment { a, b }
     }
 
-    /// Segment length.
-    #[inline]
-    pub fn length(&self) -> f64 {
-        self.a.dist(self.b)
-    }
-
-    /// Midpoint.
-    #[inline]
-    pub fn midpoint(&self) -> Point2 {
-        self.a.midpoint(self.b)
-    }
-
     /// The point of the segment closest to `p`.
-    pub fn closest_point(&self, p: Point2) -> Point2 {
+    pub(crate) fn closest_point(&self, p: Point2) -> Point2 {
         let d = self.b - self.a;
         let len_sq = d.x * d.x + d.y * d.y;
         if len_sq <= EPSILON * EPSILON {
@@ -45,14 +33,8 @@ impl Segment {
 
     /// Minimum distance from `p` to the segment.
     #[inline]
-    pub fn dist(&self, p: Point2) -> f64 {
+    pub(crate) fn dist(&self, p: Point2) -> f64 {
         p.dist(self.closest_point(p))
-    }
-
-    /// Returns `true` if `p` lies on the segment (within [`EPSILON`]).
-    #[inline]
-    pub fn contains(&self, p: Point2) -> bool {
-        self.dist(p) <= 1e-6
     }
 }
 
@@ -65,7 +47,7 @@ impl std::fmt::Display for Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::approx_eq;
+    use crate::fp::tests::approx_eq;
 
     #[test]
     fn closest_point_projects_and_clamps() {
@@ -92,16 +74,15 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_segment() {
-        let s = Segment::new(Point2::new(1.0, 1.0), Point2::new(1.0, 1.0));
-        assert!(approx_eq(s.length(), 0.0));
-        assert!(approx_eq(s.dist(Point2::new(4.0, 5.0)), 5.0));
+    fn containment_and_alignment() {
+        let s = Segment::new(Point2::new(0.0, 0.0), Point2::new(10.0, 0.0));
+        assert!(s.dist(Point2::new(3.0, 0.0)) <= EPSILON);
+        assert!(s.dist(Point2::new(3.0, 0.5)) > EPSILON);
     }
 
     #[test]
-    fn containment_and_alignment() {
-        let s = Segment::new(Point2::new(0.0, 0.0), Point2::new(10.0, 0.0));
-        assert!(s.contains(Point2::new(3.0, 0.0)));
-        assert!(!s.contains(Point2::new(3.0, 0.5)));
+    fn degenerate_segment() {
+        let s = Segment::new(Point2::new(1.0, 1.0), Point2::new(1.0, 1.0));
+        assert!(approx_eq(s.dist(Point2::new(4.0, 5.0)), 5.0));
     }
 }

@@ -28,28 +28,28 @@ use idq_objects::ObjectId;
 /// One presence segment: an object resting at `position` from `from_epoch`
 /// until (exclusively) `to_epoch`.
 #[derive(Clone, Debug)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// The object this segment belongs to.
-    pub object: ObjectId,
+    pub(crate) object: ObjectId,
     /// Floor the object rested on.
-    pub floor: Floor,
+    pub(crate) floor: Floor,
     /// Partition of the resting position, when it resolves to one
     /// (objects in doors or dead zones carry `None`).
-    pub partition: Option<PartitionId>,
+    pub(crate) partition: Option<PartitionId>,
     /// Center of the uncertainty region while resting.
-    pub position: Point2,
+    pub(crate) position: Point2,
     /// Planar footprint (region bbox ∪ instance bbox) while resting.
-    pub rect: Rect2,
+    pub(crate) rect: Rect2,
     /// First epoch at this position (inclusive).
-    pub from_epoch: u64,
+    pub(crate) from_epoch: u64,
     /// Wall-clock stamp of the commit that opened the segment
     /// (milliseconds since the Unix epoch; 0 when the clock was
     /// unreadable). Metadata only — queries are epoch-addressed.
-    pub from_wall_ms: u64,
+    pub(crate) from_wall_ms: u64,
     /// First epoch *not* at this position (exclusive bound).
-    pub to_epoch: u64,
+    pub(crate) to_epoch: u64,
     /// Cleared when the segment's whole interval falls out of retention.
-    pub alive: bool,
+    pub(crate) alive: bool,
 }
 
 impl Segment {
@@ -63,7 +63,7 @@ impl Segment {
 /// The segment arena plus the exact lookup side tables (`by_object` for
 /// trajectories, `by_partition` for co-movement).
 #[derive(Clone, Debug, Default)]
-pub struct SegmentStore {
+pub(crate) struct SegmentStore {
     arena: Vec<Segment>,
     by_object: IdMap<ObjectId, Vec<u32>>,
     by_partition: IdMap<PartitionId, Vec<u32>>,
@@ -72,7 +72,7 @@ pub struct SegmentStore {
 
 impl SegmentStore {
     /// Appends a closed segment to the arena and both side tables.
-    pub fn push(&mut self, seg: Segment) {
+    pub(crate) fn push(&mut self, seg: Segment) {
         debug_assert!(seg.to_epoch > seg.from_epoch);
         let id = self.arena.len() as u32;
         self.by_object.entry(seg.object).or_default().push(id);
@@ -84,13 +84,13 @@ impl SegmentStore {
 
     /// Live segments of `object` whose interval intersects `[from, to]`
     /// (inclusive), in arena (time) order.
-    pub fn of_object(&self, object: ObjectId, from: u64, to: u64) -> Vec<&Segment> {
+    pub(crate) fn of_object(&self, object: ObjectId, from: u64, to: u64) -> Vec<&Segment> {
         self.lookup(self.by_object.get(&object), from, to)
     }
 
     /// Live segments resting in `partition` whose interval intersects
     /// `[from, to]` (inclusive).
-    pub fn in_partition(&self, partition: PartitionId, from: u64, to: u64) -> Vec<&Segment> {
+    pub(crate) fn in_partition(&self, partition: PartitionId, from: u64, to: u64) -> Vec<&Segment> {
         self.lookup(self.by_partition.get(&partition), from, to)
     }
 
@@ -107,7 +107,7 @@ impl SegmentStore {
     /// prefilter with the `q ± r` rect: indoor distance is lower-bounded
     /// by planar Euclidean distance regardless of the floors involved, so
     /// an object in range of `q` always has a footprint meeting it.
-    pub fn any_has(&self, rect: &Rect2, from: u64, to: u64) -> bool {
+    pub(crate) fn any_has(&self, rect: &Rect2, from: u64, to: u64) -> bool {
         self.arena
             .iter()
             .any(|s| s.live_during(from, to) && s.rect.intersects(rect))
@@ -116,7 +116,7 @@ impl SegmentStore {
     /// Retires every segment whose whole interval precedes `oldest`
     /// (i.e. `to_epoch <= oldest`), then compacts once dead segments
     /// outnumber live ones.
-    pub fn retire_before(&mut self, oldest: u64) {
+    pub(crate) fn retire_before(&mut self, oldest: u64) {
         for seg in &mut self.arena {
             if seg.alive && seg.to_epoch <= oldest {
                 seg.alive = false;
@@ -141,13 +141,8 @@ impl SegmentStore {
     }
 
     /// Live (closed) segments.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arena.len() - self.dead
-    }
-
-    /// Whether no live segment remains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Approximate retained bytes, up to `Vec` growth slack and the side
@@ -158,7 +153,7 @@ impl SegmentStore {
     /// rested in a door or dead zone. Counting that second id for every
     /// segment bounds the rare partitionless ones from above: a segment
     /// costs 96 + 4 + 4 = 104 B.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.arena.len() * (std::mem::size_of::<Segment>() + 2 * std::mem::size_of::<u32>())
     }
 }

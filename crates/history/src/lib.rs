@@ -27,7 +27,7 @@
 //!   surfaced as typed [`HistoryError::Evicted`] — never a silently
 //!   partial answer.
 //! * **Trajectory store.** Object movement is decomposed into resting
-//!   [`Segment`]s (footprint rect × epoch interval) kept in one
+//!   `Segment`s (footprint rect × epoch interval) kept in one
 //!   time-ordered arena with exact per-object and per-partition side
 //!   tables; [`HistoryQuery::RangeDuring`]'s "anything nearby at all?"
 //!   prefilter is a scan of it.
@@ -51,6 +51,8 @@
 //! # let _ = at; Ok(()) }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod error;
 mod index3d;
 mod options;
@@ -59,8 +61,7 @@ mod ring;
 mod session;
 
 pub use error::HistoryError;
-pub use index3d::{Segment, SegmentStore};
 pub use options::{HistoryOptions, HistoryStats};
 pub use recorder::HistoryRecorder;
-pub use ring::{DeltaRecord, EpochRecord, Payload};
+pub use ring::DeltaRecord;
 pub use session::{Companion, HistoryOutcome, HistoryQuery, HistorySession, TrajectorySpan};

@@ -41,7 +41,7 @@ pub struct HistoryStats {
     /// Oldest retained (reconstructable) epoch.
     pub oldest: u64,
     /// Newest absorbed epoch.
-    pub newest: u64,
+    pub(crate) newest: u64,
     /// Retained epoch count (`newest - oldest + 1`).
     pub retained_epochs: usize,
     /// Keyframes among the retained records.
@@ -51,7 +51,7 @@ pub struct HistoryStats {
     /// Epochs evicted so far.
     pub evicted_epochs: u64,
     /// Closed presence segments in the `(x, y, time)` trajectory store.
-    pub segments: usize,
+    pub(crate) segments: usize,
     /// Open segments (objects resting at their current position).
-    pub open_tracks: usize,
+    pub(crate) open_tracks: usize,
 }

@@ -32,17 +32,17 @@ use std::sync::Arc;
 pub struct DeltaRecord {
     /// Inserted-or-moved objects, ascending by id, shared with the
     /// version's store shards.
-    pub upserts: Vec<Arc<UncertainObject>>,
+    pub(crate) upserts: Vec<Arc<UncertainObject>>,
     /// Removed object ids, ascending.
-    pub removed: Vec<ObjectId>,
+    pub(crate) removed: Vec<ObjectId>,
     /// The store's id watermark after this epoch (removals can lower the
     /// live ceiling without lowering the watermark).
-    pub watermark: u64,
+    pub(crate) watermark: u64,
 }
 
 /// What an epoch record holds: a pinned full snapshot or a delta.
 #[derive(Clone, Debug)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// A pinned version — replay base and bit-identity anchor.
     Keyframe {
         /// The snapshot the engine published for this epoch.
@@ -54,16 +54,13 @@ pub enum Payload {
 
 /// One retained epoch.
 #[derive(Clone, Debug)]
-pub struct EpochRecord {
+pub(crate) struct EpochRecord {
     /// The commit epoch this record reproduces.
-    pub epoch: u64,
-    /// Wall-clock stamp of the commit (ms since Unix epoch, 0 if the
-    /// clock was unreadable). Metadata only.
-    pub wall_ms: u64,
+    pub(crate) epoch: u64,
     /// Approximate bytes this record retains (the eviction currency).
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Keyframe or delta.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
 }
 
 /// An object currently resting: the segment-in-progress that closes when
@@ -165,7 +162,7 @@ impl Ring {
         self.rec_bytes = 0;
         self.keyframes = 0;
         self.open_tracks_for_population(&snapshot, epoch, wall_ms);
-        self.push_keyframe(snapshot, epoch, wall_ms);
+        self.push_keyframe(snapshot, epoch);
     }
 
     fn open_tracks_for_population(&mut self, snapshot: &Snapshot, epoch: u64, wall_ms: u64) {
@@ -176,11 +173,10 @@ impl Ring {
         }
     }
 
-    fn push_keyframe(&mut self, snapshot: Snapshot, epoch: u64, wall_ms: u64) {
+    fn push_keyframe(&mut self, snapshot: Snapshot, epoch: u64) {
         let bytes = snapshot_bytes(&snapshot);
         self.records.push_back(EpochRecord {
             epoch,
-            wall_ms,
             bytes,
             payload: Payload::Keyframe { snapshot },
         });
@@ -268,7 +264,7 @@ impl Ring {
 
         let force_keyframe = delta.topology_changed;
         if force_keyframe || epoch - self.last_keyframe >= self.options.keyframe_every {
-            self.push_keyframe(snapshot, epoch, wall_ms);
+            self.push_keyframe(snapshot, epoch);
         } else {
             let mut upserts = Vec::new();
             for id in delta.updated() {
@@ -286,7 +282,6 @@ impl Ring {
                 + rec.removed.len() * 8;
             self.records.push_back(EpochRecord {
                 epoch,
-                wall_ms,
                 bytes,
                 payload: Payload::Delta(rec),
             });

@@ -38,7 +38,7 @@ pub struct TrajectorySpan {
     pub to_epoch: u64,
     /// Wall-clock stamp of the commit that started the leg (ms since the
     /// Unix epoch; 0 if the clock was unreadable at commit time).
-    pub entered_wall_ms: u64,
+    pub(crate) entered_wall_ms: u64,
 }
 
 /// One co-mover found by [`HistoryQuery::Together`].

@@ -2,9 +2,9 @@
 //!
 //! Three layers, as in the paper's Figure 2:
 //!
-//! * **Geometric layer** — the [`rtree`] *tree tier* (an R\*-style tree over
+//! * **Geometric layer** — the `rtree` *tree tier* (an R\*-style tree over
 //!   decomposed index units with the 1 cm vertical trick) and the
-//!   [`skeleton`] *skeleton tier* (staircase-entrance graph + `M_s2s`
+//!   `skeleton` *skeleton tier* (staircase-entrance graph + `M_s2s`
 //!   matrix providing the geometric lower bound of Lemma 6 / Eq. 10);
 //! * **Topological layer** — the doors graph integrated at the leaf level
 //!   (inter-partition links) plus the `h-table` mapping index units to
@@ -19,16 +19,18 @@
 //! object updates and topology updates (§III-C) — the design the paper
 //! contrasts with expensive door-to-door distance pre-computation.
 
-pub mod composite;
-pub mod error;
-pub mod object_layer;
-pub mod rtree;
-pub mod skeleton;
-pub mod units;
+#![warn(unreachable_pub)]
+
+mod composite;
+mod error;
+mod object_layer;
+mod rtree;
+mod skeleton;
+mod units;
 
 pub use composite::{BuildStats, CompositeIndex, IndexConfig, RangeSearchOutcome};
 pub use error::IndexError;
 pub use object_layer::{FloorShard, ObjectLayer};
-pub use rtree::RTree;
+pub use rtree::{RTree, SearchStats};
 pub use skeleton::SkeletonTier;
-pub use units::{IndexUnit, UnitId, UnitStore};
+pub use units::{UnitId, UnitStore};

@@ -43,18 +43,13 @@ pub struct FloorShard {
 }
 
 impl FloorShard {
-    /// Number of objects filed on this floor.
-    pub fn len(&self) -> usize {
-        self.o_table.len()
-    }
-
     /// `true` iff no objects are filed on this floor.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.o_table.is_empty()
     }
 
     /// Whether this shard holds `id`.
-    pub fn contains(&self, id: ObjectId) -> bool {
+    pub(crate) fn contains(&self, id: ObjectId) -> bool {
         self.o_table.contains_key(&id)
     }
 }
@@ -83,12 +78,12 @@ pub struct ObjectLayer {
 
 impl ObjectLayer {
     /// Empty layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Ensures bucket slots exist for `slots` units.
-    pub fn grow(&mut self, slots: usize) {
+    pub(crate) fn grow(&mut self, slots: usize) {
         if self.buckets.len() < slots {
             self.buckets.resize_with(slots, Arc::default);
         }
@@ -107,7 +102,7 @@ impl ObjectLayer {
 
     /// Registers an object in the given units with its search MBR. The
     /// object is filed under the MBR's floor (object MBRs are planar).
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         id: ObjectId,
         units: Vec<UnitId>,
@@ -136,7 +131,7 @@ impl ObjectLayer {
     /// one partition typically keeps an identical unit list, reducing the
     /// bucket maintenance to an MBR overwrite; a move across floors
     /// re-homes the o-table entry, touching both floors' shards.
-    pub fn update(
+    pub(crate) fn update(
         &mut self,
         id: ObjectId,
         units: Vec<UnitId>,
@@ -183,7 +178,7 @@ impl ObjectLayer {
 
     /// Unregisters an object, returning the (shared) unit list it
     /// occupied — an `Arc`, not a copy, since most callers discard it.
-    pub fn remove(&mut self, id: ObjectId) -> Result<Arc<[UnitId]>, IndexError> {
+    pub(crate) fn remove(&mut self, id: ObjectId) -> Result<Arc<[UnitId]>, IndexError> {
         let f = self
             .shards
             .find(id)
@@ -234,23 +229,11 @@ impl ObjectLayer {
             .ok_or(IndexError::ObjectNotIndexed(id))
     }
 
-    /// Whether the object is indexed.
-    pub fn contains(&self, id: ObjectId) -> bool {
-        self.shards.find(id).is_some()
-    }
-
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// `true` iff no objects are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// All object ids registered in any of the given units (deduplicated).
-    pub fn objects_in_units<'a>(&self, units: impl Iterator<Item = &'a UnitId>) -> Vec<ObjectId> {
+    pub(crate) fn objects_in_units<'a>(
+        &self,
+        units: impl Iterator<Item = &'a UnitId>,
+    ) -> Vec<ObjectId> {
         let mut seen = IdSet::default();
         let mut out = Vec::new();
         for &u in units {
@@ -271,33 +254,17 @@ impl ObjectLayer {
         self.shards.slot_count()
     }
 
-    /// Read access to one floor's shard, if that floor has a slot.
-    pub fn shard(&self, floor: Floor) -> Option<&FloorShard> {
-        self.shards.get(floor)
-    }
-
     /// Whether `self` and `other` share floor `floor`'s o-table shard
     /// **structurally** (see [`FloorShards::same_shard`]).
     pub fn same_shard(&self, other: &Self, floor: Floor) -> bool {
         self.shards.same_shard(&other.shards, floor)
     }
 
-    /// Fraction-free count of buckets `self` shares structurally with
-    /// `other` (same heap allocation), over the slots both have. The
-    /// complement is exactly the buckets a commit deep-copied.
-    pub fn shared_buckets_with(&self, other: &Self) -> usize {
-        self.buckets
-            .iter()
-            .zip(&other.buckets)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-
     /// Test/maintenance helper: verifies bucket ↔ o-table consistency
     /// (including that every entry is filed under its MBR's floor and the
     /// object count matches).
     /// Panics on violation.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         let mut entries = 0;
         for (f, shard) in self.shards.iter().enumerate() {
             for (id, entry) in &shard.o_table {
@@ -365,7 +332,7 @@ mod tests {
         l.validate();
         let units = l.remove(ObjectId(1)).unwrap();
         assert_eq!(units.as_ref(), &[UnitId(0), UnitId(2)]);
-        assert!(l.is_empty());
+        assert_eq!(l.count, 0);
         assert!(l.objects_in(UnitId(0)).is_empty());
         l.validate();
     }
@@ -406,9 +373,12 @@ mod tests {
             .unwrap();
         assert_eq!(l.objects_in(UnitId(1)), &[ObjectId(1), ObjectId(2)]);
         assert_eq!(l.object_mbr(ObjectId(1)).unwrap(), m2);
-        assert_eq!(
-            before.shared_buckets_with(&l),
-            l.buckets.len(),
+        assert!(
+            before
+                .buckets
+                .iter()
+                .zip(&l.buckets)
+                .all(|(a, b)| Arc::ptr_eq(a, b)),
             "same-units update touches no bucket"
         );
         // Shifted units: leaves unit 0, enters unit 2, stays in unit 1.
@@ -430,9 +400,9 @@ mod tests {
         l.insert(ObjectId(1), vec![UnitId(0)], mbr_on(0)).unwrap();
         l.insert(ObjectId(2), vec![UnitId(5)], mbr_on(2)).unwrap();
         l.update(ObjectId(1), vec![UnitId(5)], mbr_on(2)).unwrap();
-        assert!(l.shard(0).unwrap().is_empty());
-        assert_eq!(l.shard(2).unwrap().len(), 2);
-        assert_eq!(l.len(), 2);
+        assert!(l.shards.get(0).unwrap().is_empty());
+        assert_eq!(l.shards.get(2).unwrap().o_table.len(), 2);
+        assert_eq!(l.count, 2);
         assert_eq!(l.objects_in(UnitId(5)), &[ObjectId(2), ObjectId(1)]);
         l.validate();
     }
@@ -444,7 +414,11 @@ mod tests {
         a.insert(ObjectId(2), vec![UnitId(7)], mbr_on(1)).unwrap();
         let mut b = a.clone();
         assert!(a.same_shard(&b, 0) && a.same_shard(&b, 1));
-        assert_eq!(a.shared_buckets_with(&b), a.buckets.len());
+        assert!(a
+            .buckets
+            .iter()
+            .zip(&b.buckets)
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
         // Mutate floor 1 only: floor 0's shard and unit 0's bucket stay
         // structurally shared.
         b.update(ObjectId(2), vec![UnitId(6)], mbr_on(1)).unwrap();

@@ -25,11 +25,11 @@ use idq_geom::{Mbr3, OrdF64};
 
 /// A leaf entry: one index unit and its box.
 #[derive(Clone, Copy, Debug)]
-pub struct LeafEntry {
+pub(crate) struct LeafEntry {
     /// The unit's bounding box.
-    pub bounds: Mbr3,
+    pub(crate) bounds: Mbr3,
     /// The unit.
-    pub item: UnitId,
+    pub(crate) item: UnitId,
 }
 
 #[derive(Clone, Debug)]
@@ -67,7 +67,7 @@ pub struct RTree {
 
 impl RTree {
     /// Sort-Tile-Recursive bulk load ("packed" construction, §V-A).
-    pub fn bulk_load(mut entries: Vec<LeafEntry>, fanout: usize) -> Self {
+    pub(crate) fn bulk_load(mut entries: Vec<LeafEntry>, fanout: usize) -> Self {
         let fanout = fanout.max(2);
         if entries.is_empty() {
             return Self::new(fanout);
@@ -102,7 +102,7 @@ impl RTree {
     }
 
     /// An empty tree with the given fanout (paper default: 20).
-    pub fn new(fanout: usize) -> Self {
+    pub(crate) fn new(fanout: usize) -> Self {
         RTree {
             nodes: vec![Node {
                 bounds: Mbr3::empty_sentinel(),
@@ -183,7 +183,7 @@ impl RTree {
     /// search by the skeleton distance (Eq. 10), plain Euclidean distance
     /// (the paper's "withoutSkeleton" ablation) or box intersection; it
     /// must be monotone (a box it rejects contains no box it admits).
-    pub fn search(
+    pub(crate) fn search(
         &self,
         admit: impl Fn(&Mbr3) -> bool,
         mut visit: impl FnMut(&LeafEntry),
@@ -215,7 +215,7 @@ impl RTree {
     // ---- insertion ----------------------------------------------------------
 
     /// Inserts one entry (dynamic maintenance, §III-C.1 *Insertion*).
-    pub fn insert(&mut self, entry: LeafEntry) {
+    pub(crate) fn insert(&mut self, entry: LeafEntry) {
         if let Some(sibling) = self.insert_at(self.root, entry) {
             self.root = self.alloc(NodeKind::Inner(vec![self.root, sibling]));
         }
@@ -286,7 +286,7 @@ impl RTree {
 
     /// Removes one entry by payload, guided by its bounds. Returns whether
     /// it was found.
-    pub fn remove(&mut self, item: UnitId, bounds: &Mbr3) -> bool {
+    pub(crate) fn remove(&mut self, item: UnitId, bounds: &Mbr3) -> bool {
         if !self.remove_at(self.root, item, bounds) {
             return false;
         }

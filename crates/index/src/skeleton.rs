@@ -20,19 +20,17 @@
 //! `RangeSearch` prune whole floors.
 
 use idq_geom::{Mbr3, Point2, Rect2};
-use idq_model::{DoorId, DoorKind, Floor, IndoorPoint, IndoorSpace, PartitionId};
+use idq_model::{DoorKind, Floor, IndoorPoint, IndoorSpace, PartitionId};
 
 /// One staircase entrance (a door with `DoorKind::StaircaseEntrance`).
 #[derive(Clone, Copy, Debug)]
-pub struct Entrance {
-    /// The entrance door.
-    pub door: DoorId,
+pub(crate) struct Entrance {
     /// The staircase partition it belongs to.
-    pub staircase: PartitionId,
+    pub(crate) staircase: PartitionId,
     /// Floor of the entrance.
-    pub floor: Floor,
+    pub(crate) floor: Floor,
     /// Planar position.
-    pub position: Point2,
+    pub(crate) position: Point2,
 }
 
 /// Per-query scratch for [`SkeletonTier::min_skeleton_distance_pruned`]:
@@ -60,7 +58,7 @@ pub struct SkeletonTier {
 
 impl SkeletonTier {
     /// Builds the tier from the current space.
-    pub fn build(space: &IndoorSpace) -> Self {
+    pub(crate) fn build(space: &IndoorSpace) -> Self {
         let mut entrances = Vec::new();
         for door in space.doors() {
             if door.kind != DoorKind::StaircaseEntrance || !door.open {
@@ -75,7 +73,6 @@ impl SkeletonTier {
             });
             if let Some(staircase) = staircase {
                 entrances.push(Entrance {
-                    door: door.id,
                     staircase,
                     floor: door.floor,
                     position: door.position,
@@ -133,11 +130,6 @@ impl SkeletonTier {
         }
     }
 
-    /// Number of entrances (`M`).
-    pub fn entrance_count(&self) -> usize {
-        self.entrances.len()
-    }
-
     /// Skeleton distance between two indoor points (Def. 2): same floor →
     /// planar Euclidean; different floors → best entrance-to-entrance
     /// route. `∞` when one of the floors has no entrance (truly
@@ -174,7 +166,7 @@ impl SkeletonTier {
         }
     }
 
-    /// [`Self::min_skeleton_distance`] restructured for a whole
+    /// `Self::min_skeleton_distance` restructured for a whole
     /// retrieval: Eq. 10's double loop factors as
     /// `min_j ((min_i (head_i + M[i,j])) + rectdist_j)` because addition
     /// is monotone, and the inner minimum `g[j]` depends only on
@@ -242,7 +234,7 @@ impl SkeletonTier {
     /// otherwise the best route through entrances on `q`'s floor and on the
     /// entity's nearest covered boundary floors (`e.lf` / `e.uf`); the
     /// vertical drop is accounted for inside `M_s2s`.
-    pub fn min_skeleton_distance(&self, q: IndoorPoint, e: &Mbr3) -> f64 {
+    pub(crate) fn min_skeleton_distance(&self, q: IndoorPoint, e: &Mbr3) -> f64 {
         if e.covers_floor(q.floor) {
             return e.rect.min_dist(q.point);
         }
@@ -311,7 +303,7 @@ mod tests {
     fn matrix_properties_hold() {
         let (s, st) = two_floor_space();
         let t = SkeletonTier::build(&s);
-        let m = t.entrance_count();
+        let m = t.entrances.len();
         assert_eq!(m, 2);
         let entry = |i: usize, j: usize| t.matrix[i * m + j];
         // Property 1: zero diagonal.
@@ -394,7 +386,7 @@ mod tests {
             .unwrap();
         let s = b.finish().unwrap();
         let t = SkeletonTier::build(&s);
-        assert_eq!(t.entrance_count(), 0);
+        assert_eq!(t.entrances.len(), 0);
         let q = IndoorPoint::new(Point2::new(5.0, 5.0), 0);
         let p = IndoorPoint::new(Point2::new(5.0, 5.0), 1);
         assert!(t.skeleton_distance(q, p).is_infinite());
@@ -427,7 +419,7 @@ mod tests {
             .unwrap();
         let s = b.finish().unwrap();
         let t = SkeletonTier::build(&s);
-        assert_eq!(t.entrance_count(), 4);
+        assert_eq!(t.entrances.len(), 4);
         // q near x=10 on floor 0, target near x=5 on floor 1: the left
         // staircase wins.
         let q = IndoorPoint::new(Point2::new(10.0, 5.0), 0);

@@ -6,17 +6,17 @@
 //! the unit → partition mapping; its reverse (partition → units) drives
 //! incremental maintenance.
 
-use idq_geom::{decompose, DecomposeConfig, IdMap, Mbr3, Rect2};
+use idq_geom::{decompose, DecomposeConfig, IdMap, Mbr3};
 use idq_model::{IndoorSpace, Partition, PartitionId};
 
 /// Identifier of an index unit (dense arena index; tombstoned on removal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UnitId(pub u32);
+pub struct UnitId(pub(crate) u32);
 
 impl UnitId {
     /// Arena index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -29,17 +29,15 @@ impl std::fmt::Display for UnitId {
 
 /// One index unit: a rectangle of one partition, positioned in 3D.
 #[derive(Clone, Debug)]
-pub struct IndexUnit {
+pub(crate) struct IndexUnit {
     /// Identifier.
-    pub id: UnitId,
+    pub(crate) id: UnitId,
     /// The partition this unit came from (the `h-table` entry).
-    pub partition: PartitionId,
-    /// Planar rectangle.
-    pub rect: Rect2,
+    pub(crate) partition: PartitionId,
     /// 3D MBR (spans all floors of the partition — staircases).
-    pub mbr: Mbr3,
+    pub(crate) mbr: Mbr3,
     /// Tombstone flag.
-    pub active: bool,
+    pub(crate) active: bool,
 }
 
 /// Arena of index units plus the h-table in both directions.
@@ -51,13 +49,13 @@ pub struct UnitStore {
 
 impl UnitStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Decomposes `partition` into index units and registers them.
     /// Returns the new unit ids.
-    pub fn add_partition(
+    pub(crate) fn add_partition(
         &mut self,
         space: &IndoorSpace,
         partition: &Partition,
@@ -73,7 +71,6 @@ impl UnitStore {
             self.units.push(IndexUnit {
                 id,
                 partition: partition.id,
-                rect,
                 mbr,
                 active: true,
             });
@@ -84,7 +81,7 @@ impl UnitStore {
     }
 
     /// Tombstones all units of `partition`, returning them.
-    pub fn remove_partition(&mut self, partition: PartitionId) -> Vec<UnitId> {
+    pub(crate) fn remove_partition(&mut self, partition: PartitionId) -> Vec<UnitId> {
         let ids = self.by_partition.remove(&partition).unwrap_or_default();
         for &u in &ids {
             self.units[u.index()].active = false;
@@ -94,7 +91,7 @@ impl UnitStore {
 
     /// The unit, if it exists (tombstones included).
     #[inline]
-    pub fn get(&self, u: UnitId) -> Option<&IndexUnit> {
+    pub(crate) fn get(&self, u: UnitId) -> Option<&IndexUnit> {
         self.units.get(u.index())
     }
 
@@ -120,22 +117,17 @@ impl UnitStore {
     }
 
     /// Iterates over active units.
-    pub fn iter(&self) -> impl Iterator<Item = &IndexUnit> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &IndexUnit> {
         self.units.iter().filter(|u| u.active)
     }
 
     /// Number of active units.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.iter().count()
     }
 
-    /// `true` iff no active units.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of unit slots (dense domain for direct-indexed side tables).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.units.len()
     }
 }
@@ -143,7 +135,7 @@ impl UnitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idq_geom::Point2;
+    use idq_geom::{Point2, Rect2};
     use idq_model::FloorPlanBuilder;
 
     fn space_with_hallway() -> IndoorSpace {
@@ -182,7 +174,7 @@ mod tests {
         // Units tile the hallway footprint.
         let total: f64 = hall_units
             .iter()
-            .map(|&u| store.get(u).unwrap().rect.area())
+            .map(|&u| store.get(u).unwrap().mbr.rect.area())
             .sum();
         assert!((total - 500.0).abs() < 1e-6);
     }

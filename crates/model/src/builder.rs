@@ -36,12 +36,6 @@ impl FloorPlanBuilder {
         }
     }
 
-    /// Access to the space under construction (for point queries while
-    /// building).
-    pub fn space(&self) -> &IndoorSpace {
-        &self.space
-    }
-
     /// Adds a rectangular room on one floor.
     pub fn add_room(&mut self, floor: Floor, rect: Rect2) -> Result<PartitionId, ModelError> {
         self.add_partition(PartitionKind::Room, None, floor, Polygon::from_rect(rect))
@@ -73,7 +67,7 @@ impl FloorPlanBuilder {
     }
 
     /// Adds a single-floor partition of any kind.
-    pub fn add_partition(
+    pub(crate) fn add_partition(
         &mut self,
         kind: PartitionKind,
         name: Option<String>,
@@ -160,21 +154,6 @@ impl FloorPlanBuilder {
             Direction::Bidirectional,
             DoorKind::StaircaseEntrance,
         )
-    }
-
-    /// Adds a door with full control over floor, direction and kind.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_door(
-        &mut self,
-        a: PartitionId,
-        b: PartitionId,
-        position: Point2,
-        floor: Floor,
-        direction: Direction,
-        kind: DoorKind,
-    ) -> Result<DoorId, ModelError> {
-        self.space
-            .push_door(position, floor, [a, b], direction, kind)
     }
 
     /// Finishes construction. Currently infallible beyond the per-step

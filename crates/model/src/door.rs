@@ -54,7 +54,7 @@ pub struct Door {
 impl Door {
     /// Returns `true` if this door connects partition `p` (to anything).
     #[inline]
-    pub fn touches(&self, p: PartitionId) -> bool {
+    pub(crate) fn touches(&self, p: PartitionId) -> bool {
         self.partitions[0] == p || self.partitions[1] == p
     }
 
@@ -74,7 +74,7 @@ impl Door {
     /// Whether movement from `from` to `to` through this door is allowed by
     /// the door itself (openness, liveness and directionality — the caller
     /// checks partition liveness separately).
-    pub fn allows(&self, from: PartitionId, to: PartitionId) -> bool {
+    pub(crate) fn allows(&self, from: PartitionId, to: PartitionId) -> bool {
         if !self.open || !self.active {
             return false;
         }

@@ -28,7 +28,7 @@ pub struct DoorEdge {
     /// Walking distance between the door midpoints through `via`.
     pub weight: f64,
     /// The partition traversed by this edge.
-    pub via: PartitionId,
+    pub(crate) via: PartitionId,
 }
 
 /// Adjacency-list doors graph, indexed densely by [`DoorId`].
@@ -67,12 +67,6 @@ impl DoorsGraph {
     #[inline]
     pub fn edges_from(&self, d: DoorId) -> &[DoorEdge] {
         self.adj.get(d.index()).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The space version this graph reflects.
-    #[inline]
-    pub fn space_version(&self) -> u64 {
-        self.space_version
     }
 
     /// Incrementally updates the graph after a topology event.
@@ -121,7 +115,7 @@ impl DoorsGraph {
     }
 
     /// Recomputes every edge routed through `pid`.
-    pub fn rebuild_partition(&mut self, space: &IndoorSpace, pid: PartitionId) {
+    pub(crate) fn rebuild_partition(&mut self, space: &IndoorSpace, pid: PartitionId) {
         self.remove_partition_edges(pid);
         if space.partition(pid).is_ok() {
             self.add_partition_edges(space, pid);

@@ -14,21 +14,23 @@
 //!   traversal predicates and intra-partition distances;
 //! * [`DoorsGraph`] — the weighted graph over doors (§II-A), derived from
 //!   the space rather than stored separately, with incremental maintenance;
-//! * [`topology`] — temporal variation (§I, §III-C.1): opening/closing
+//! * `topology` — temporal variation (§I, §III-C.1): opening/closing
 //!   doors, inserting/deleting partitions, and splitting/merging rooms with
 //!   sliding walls;
 //! * [`FloorPlanBuilder`] — a validated fluent constructor used by tests,
 //!   examples and the synthetic building generator.
 
-pub mod builder;
-pub mod door;
-pub mod doors_graph;
-pub mod error;
-pub mod ids;
-pub mod partition;
-pub mod point;
-pub mod space;
-pub mod topology;
+#![warn(unreachable_pub)]
+
+mod builder;
+mod door;
+mod doors_graph;
+mod error;
+mod ids;
+mod partition;
+mod point;
+mod space;
+mod topology;
 
 pub use builder::FloorPlanBuilder;
 pub use door::{Direction, Door, DoorKind};

@@ -54,7 +54,7 @@ pub struct Partition {
 impl Partition {
     /// Returns `true` if this partition exists on floor `f`.
     #[inline]
-    pub fn covers_floor(&self, f: Floor) -> bool {
+    pub(crate) fn covers_floor(&self, f: Floor) -> bool {
         self.floor_lo <= f && f <= self.floor_hi
     }
 

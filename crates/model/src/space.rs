@@ -23,7 +23,7 @@ fn fresh_layout_id() -> u64 {
 /// A typical stair slope of ~30° gives a walked path of about twice the
 /// height difference; the paper does not specify a value, so this is a
 /// documented model constant (configurable per space).
-pub const DEFAULT_STAIR_WALK_FACTOR: f64 = 2.0;
+pub(crate) const DEFAULT_STAIR_WALK_FACTOR: f64 = 2.0;
 
 /// A complete indoor space: the building every other crate operates on.
 ///
@@ -48,7 +48,7 @@ pub struct IndoorSpace {
 
 impl IndoorSpace {
     /// Creates an empty space with the given floor height in metres.
-    pub fn new(floor_height: f64) -> Self {
+    pub(crate) fn new(floor_height: f64) -> Self {
         IndoorSpace {
             partitions: Vec::new(),
             doors: Vec::new(),
@@ -72,12 +72,6 @@ impl IndoorSpace {
     #[inline]
     pub fn stair_walk_factor(&self) -> f64 {
         self.stair_walk_factor
-    }
-
-    /// Sets the staircase walking-length factor (≥ 1).
-    pub fn set_stair_walk_factor(&mut self, f: f64) {
-        self.stair_walk_factor = f.max(1.0);
-        self.version += 1;
     }
 
     /// Elevation (metres) of a floor index.
@@ -184,12 +178,6 @@ impl IndoorSpace {
             .unwrap_or(&[])
     }
 
-    /// All active staircase partitions.
-    pub fn staircases(&self) -> impl Iterator<Item = &Partition> {
-        self.partitions()
-            .filter(|p| p.kind == PartitionKind::Staircase)
-    }
-
     /// The doors of partition `p` — the paper's `D(p)`. Includes closed
     /// doors (they are still part of the structure); traversal predicates
     /// filter them.
@@ -232,7 +220,7 @@ impl IndoorSpace {
     /// Whether one may pass through `door` from partition `from` to
     /// partition `to` (door open, active, direction allows, partitions
     /// active).
-    pub fn can_pass(&self, door: DoorId, from: PartitionId, to: PartitionId) -> bool {
+    pub(crate) fn can_pass(&self, door: DoorId, from: PartitionId, to: PartitionId) -> bool {
         let Ok(d) = self.door(door) else { return false };
         d.allows(from, to) && self.partition(from).is_ok() && self.partition(to).is_ok()
     }
@@ -282,7 +270,7 @@ impl IndoorSpace {
 
     /// Door-to-door distance through a shared partition (the doors-graph
     /// edge weight, footnote 1).
-    pub fn door_to_door(&self, a: DoorId, b: DoorId) -> Result<f64, ModelError> {
+    pub(crate) fn door_to_door(&self, a: DoorId, b: DoorId) -> Result<f64, ModelError> {
         let da = self.door(a)?;
         let db = self.door(b)?;
         Ok(self.intra_distance(

@@ -108,12 +108,6 @@ impl IndoorSpace {
         Ok((id, TopologyEvent::DoorInserted(id)))
     }
 
-    /// Permanently removes a door.
-    pub fn remove_door(&mut self, d: DoorId) -> Result<TopologyEvent, ModelError> {
-        self.retire_door(d)?;
-        Ok(TopologyEvent::DoorRemoved(d))
-    }
-
     /// Inserts a new partition with its connecting doors (§III-C.1,
     /// *Insertion*).
     pub fn insert_partition(

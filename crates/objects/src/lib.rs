@@ -21,12 +21,14 @@
 //!   beneath the index's object layer, sharded by floor ([`StoreShard`])
 //!   so copy-on-write store versions share every untouched floor.
 
-pub mod error;
-pub mod object;
-pub mod sampler;
-pub mod shards;
-pub mod store;
-pub mod subregion;
+#![warn(unreachable_pub)]
+
+mod error;
+mod object;
+mod sampler;
+mod shards;
+mod store;
+mod subregion;
 
 pub use error::ObjectError;
 pub use object::{Instance, ObjectId, UncertainObject};

@@ -129,7 +129,7 @@ impl GaussianSampler {
 
 /// One standard-normal draw via Box–Muller (we deliberately avoid an extra
 /// `rand_distr` dependency; see DESIGN.md §5).
-pub fn standard_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1] so ln(u1) is finite.
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();

@@ -30,18 +30,13 @@ pub struct StoreShard {
 }
 
 impl StoreShard {
-    /// Number of objects on this floor.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
     /// `true` iff the floor is unpopulated.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.objects.is_empty()
     }
 
     /// Whether this shard holds `id`.
-    pub fn contains(&self, id: ObjectId) -> bool {
+    pub(crate) fn contains(&self, id: ObjectId) -> bool {
         self.objects.contains_key(&id)
     }
 
@@ -148,46 +143,11 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Replaces an existing object in place, returning the previous value —
-    /// the atomic move primitive (a move never leaves the store without the
-    /// object, unlike a remove-then-insert pair). The id must be present.
-    /// As with [`ObjectStore::remove`], a previous value still shared with
-    /// another store version is returned as a copy. A move across floors
+    /// Replaces an existing object in place — the atomic move primitive (a
+    /// move never leaves the store without the object, unlike a
+    /// remove-then-insert pair). The id must be present. A shared previous
+    /// entry is just un-referenced, never copied. A move across floors
     /// re-homes the entry, touching both floors' shards.
-    pub fn replace(&mut self, object: UncertainObject) -> Result<UncertainObject, ObjectError> {
-        let id = object.id;
-        let old_f = self.shards.find(id).ok_or(ObjectError::UnknownObject(id))?;
-        let new_f = self.shards.slot(object.floor);
-        let old = if old_f == new_f {
-            let slot = self
-                .shards
-                .make_mut(new_f)
-                .objects
-                .get_mut(&id)
-                .expect("caller located the id");
-            std::mem::replace(slot, Arc::new(object))
-        } else {
-            let floor = object.floor;
-            let old = self
-                .shards
-                .make_mut(old_f)
-                .objects
-                .remove(&id)
-                .expect("caller located the id");
-            self.shards
-                .make_mut(new_f)
-                .objects
-                .insert(id, Arc::new(object));
-            self.shards.file(id, floor);
-            old
-        };
-        Ok(Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
-    /// Replaces an existing object without materialising the previous
-    /// value — the cheap form of [`ObjectStore::replace`] for callers that
-    /// do not need the old state back (a shared previous entry is just
-    /// un-referenced, never copied).
     pub fn replace_discarding(&mut self, object: UncertainObject) -> Result<(), ObjectError> {
         let id = object.id;
         let old_f = self.shards.find(id).ok_or(ObjectError::UnknownObject(id))?;
@@ -256,13 +216,6 @@ impl ObjectStore {
     /// Returns `true` if `id` is present.
     pub fn contains(&self, id: ObjectId) -> bool {
         self.shards.find(id).is_some()
-    }
-
-    /// The floor whose shard holds `id`, if present. Note this is the
-    /// *shard* floor (where the object was filed), always equal to the
-    /// object's own `floor` field.
-    pub fn floor_of(&self, id: ObjectId) -> Option<Floor> {
-        self.shards.find(id).map(|f| f as Floor)
     }
 
     /// Iterates over all objects (unordered).
@@ -371,15 +324,14 @@ mod tests {
         s.insert(point_obj(1)).unwrap();
         let replacement =
             UncertainObject::point_object(ObjectId(1), IndoorPoint::new(Point2::new(9.0, 9.0), 0));
-        let old = s.replace(replacement).unwrap();
-        assert_eq!(old.region.center, Point2::new(0.0, 0.0));
+        s.replace_discarding(replacement).unwrap();
         assert_eq!(
             s.get(ObjectId(1)).unwrap().region.center,
             Point2::new(9.0, 9.0)
         );
         assert_eq!(s.len(), 1);
         assert!(matches!(
-            s.replace(point_obj(7)),
+            s.replace_discarding(point_obj(7)),
             Err(ObjectError::UnknownObject(_))
         ));
     }
@@ -388,16 +340,13 @@ mod tests {
     fn replace_across_floors_rehomes_the_entry() {
         let mut s = ObjectStore::new();
         s.insert(point_obj_on(1, 0)).unwrap();
-        let moved = point_obj_on(1, 2);
-        let old = s.replace(moved).unwrap();
-        assert_eq!(old.floor, 0);
+        s.replace_discarding(point_obj_on(1, 2)).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.floor_of(ObjectId(1)), Some(2));
         assert!(s.shard(0).unwrap().is_empty());
-        assert_eq!(s.shard(2).unwrap().len(), 1);
-        // And the discarding form.
+        assert_eq!(s.shard(2).unwrap().iter().count(), 1);
         s.replace_discarding(point_obj_on(1, 1)).unwrap();
-        assert_eq!(s.floor_of(ObjectId(1)), Some(1));
+        assert!(s.shard(1).unwrap().contains(ObjectId(1)));
+        assert!(s.shard(2).unwrap().is_empty());
         assert_eq!(s.len(), 1);
     }
 
@@ -442,8 +391,7 @@ mod tests {
         // Replacing in the clone does not disturb the original either.
         let replacement =
             UncertainObject::point_object(ObjectId(2), IndoorPoint::new(Point2::new(7.0, 7.0), 0));
-        let old = b.replace(replacement).unwrap();
-        assert_eq!(old.region.center, Point2::new(0.0, 0.0));
+        b.replace_discarding(replacement).unwrap();
         assert_eq!(
             a.get(ObjectId(2)).unwrap().region.center,
             Point2::new(0.0, 0.0)
@@ -500,7 +448,7 @@ mod tests {
         assert_eq!(s.len(), ids.len());
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.get(id).unwrap().id, id);
-            assert_eq!(s.floor_of(id), Some((i % 3) as Floor));
+            assert!(s.shard((i % 3) as Floor).unwrap().contains(id));
         }
         assert!(!s.contains(ObjectId(3 << 39)));
     }

@@ -270,12 +270,6 @@ impl Subregions {
         self.subs.iter().map(|s| &s.summary)
     }
 
-    /// As a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Subregion] {
-        &self.subs
-    }
-
     /// Number of subregions — the paper's `m`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -294,11 +288,6 @@ impl Subregions {
     #[inline]
     pub fn single_partition(&self) -> bool {
         self.subs.len() == 1
-    }
-
-    /// The partitions overlapped by the object — the paper's `P(O)`.
-    pub fn partitions(&self) -> Vec<PartitionId> {
-        self.summaries().map(|s| s.partition).collect()
     }
 }
 
@@ -349,7 +338,8 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
         // Sorted by descending mass (tie → partition id asc), both 0.5 here.
-        assert!(subs.as_slice()[0].summary.prob >= subs.as_slice()[1].summary.prob);
+        let probs: Vec<f64> = subs.summaries().map(|x| x.prob).collect();
+        assert!(probs[0] >= probs[1]);
     }
 
     /// Splits room c at x = 15, a new layout; returns the halves.
@@ -449,7 +439,7 @@ mod tests {
         .unwrap();
         let subs = Subregions::compute(&o, &s).unwrap();
         assert!(subs.single_partition());
-        assert_eq!(subs.partitions().len(), 1);
+        assert_eq!(subs.summaries().count(), 1);
     }
 
     #[test]

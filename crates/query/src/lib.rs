@@ -24,12 +24,12 @@
 //! (`use_skeleton`, `use_pruning`), the subgraph slack discussed in
 //! `bounds`' soundness note and the shared cache's byte budget; change
 //! one with struct-update syntax or a helper such as
-//! [`QueryOptions::without_pruning`]. The [`naive`] module provides the
-//! brute-force oracle, and [`precomputed`] the door-to-door
+//! [`QueryOptions::without_pruning`]. The `naive` module provides the
+//! brute-force oracle, and `precomputed` the door-to-door
 //! pre-computation baseline the paper compares maintenance costs against
 //! (Fig. 15(d)).
 //!
-//! The [`session`] module is the typed front door: a [`Query`] names any
+//! The `session` module is the typed front door: a [`Query`] names any
 //! of the four query kinds (range, kNN, distance, path), [`execute`]
 //! evaluates one, and [`execute_batch`] evaluates many, one [`execute`]
 //! each. Every [`Outcome`] carries [`QueryStats`]. Queries reuse work
@@ -42,16 +42,18 @@
 //! needs instance indices, and it rebuilds them from the same memo's
 //! per-instance slots ([`idq_objects::UncertainObject::subregions`]).
 
-pub mod error;
-pub mod iknn;
-pub mod irq;
-pub mod monitor;
-pub mod naive;
-pub mod options;
-pub mod pipeline;
-pub mod precomputed;
-pub mod session;
-pub mod stats;
+#![warn(unreachable_pub)]
+
+mod error;
+mod iknn;
+mod irq;
+mod monitor;
+mod naive;
+mod options;
+mod pipeline;
+mod precomputed;
+mod session;
+mod stats;
 
 pub use error::QueryError;
 pub use iknn::{knn_query, KnnHit, KnnResult};

@@ -303,11 +303,6 @@ impl KnnMonitor {
         self.eval.q
     }
 
-    /// The standing `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// The query options evaluations use.
     pub fn options(&self) -> &QueryOptions {
         &self.eval.options
@@ -338,23 +333,10 @@ impl KnnMonitor {
         ids
     }
 
-    /// Whether an object is currently in the top-k.
-    pub fn contains(&self, id: ObjectId) -> bool {
-        self.answer().iter().any(|&(_, m)| m == id)
-    }
-
     /// Whether an object is in W, within the kept boundary: a change to
     /// it can change the answer even when it is not in the top-k.
     pub fn watches(&self, id: ObjectId) -> bool {
         self.watched.iter().any(|&(_, m)| m == id)
-    }
-
-    /// The kth distance, or `+∞` while fewer than `k` objects are
-    /// reachable (then *every* reachable object is in the result).
-    pub fn threshold(&self) -> f64 {
-        self.answer()
-            .get(self.k - 1)
-            .map_or(f64::INFINITY, |&(d, _)| d)
     }
 
     /// `R`, the distance of the kept boundary: no object farther than it
@@ -721,7 +703,6 @@ mod tests {
         let mut mon = KnnMonitor::new(q, 2, QueryOptions::default()).unwrap();
         mon.refresh(&space, &index, &store).unwrap();
         assert!(mon.ranked().is_empty());
-        assert_eq!(mon.threshold(), f64::INFINITY, "fewer than k reachable");
 
         // Fill up below k, then admit a closer non-member, then worsen a
         // member (the shrink path), checking the ranking against a fresh
@@ -763,7 +744,6 @@ mod tests {
         move_to(&mut store, &mut index, &space, 1, 15.0);
         move_to(&mut store, &mut index, &space, 2, 25.0);
         mon.refresh(&space, &index, &store).unwrap();
-        assert!(mon.contains(ObjectId(1)));
         assert_eq!(mon.current(), vec![ObjectId(1)]);
 
         // The far object moves closer than the current 1-NN (staying
@@ -906,8 +886,8 @@ mod tests {
                 for m in &mut knns {
                     m.absorb_delta(&up, &rm, false, &space, &index, &store)
                         .unwrap();
-                    let fresh = fresh_knn(&space, &index, &store, q, m.k());
-                    assert_eq!(bits(&m.ranked()), bits(&fresh), "k = {}, {at}", m.k());
+                    let fresh = fresh_knn(&space, &index, &store, q, m.k);
+                    assert_eq!(bits(&m.ranked()), bits(&fresh), "k = {}, {at}", m.k);
                 }
             }
             let fallbacks: u64 = ranges.iter().map(|m| m.work().fallbacks).sum::<u64>()

@@ -7,7 +7,7 @@
 //! as the unindexed baseline in benchmarks.
 
 use crate::error::QueryError;
-use idq_distance::{expected::expected_indoor_distance_naive, DoorDistances};
+use idq_distance::{expected_indoor_distance_naive, DoorDistances};
 use idq_geom::OrdF64;
 use idq_model::IndoorPoint;
 use idq_model::{DoorsGraph, IndoorSpace};

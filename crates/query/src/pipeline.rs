@@ -39,11 +39,11 @@ use std::borrow::Cow;
 /// (from full decompositions) per object, lazily falling back to
 /// full-graph distances when the restriction truncates a needed path.
 pub(crate) struct EvalContext<'a> {
-    pub space: &'a IndoorSpace,
-    pub store: &'a ObjectStore,
-    pub index: &'a CompositeIndex,
-    pub q: IndoorPoint,
-    pub dd: DoorDistances,
+    pub(crate) space: &'a IndoorSpace,
+    pub(crate) store: &'a ObjectStore,
+    pub(crate) index: &'a CompositeIndex,
+    pub(crate) q: IndoorPoint,
+    pub(crate) dd: DoorDistances,
     /// The horizon `dd` was assembled at.
     horizon: f64,
     full_dd: Option<DoorDistances>,
@@ -51,7 +51,7 @@ pub(crate) struct EvalContext<'a> {
     /// Work this context did, for [`EvalContext::drain_into`]: full-graph
     /// fallbacks, summary and refinement decompositions computed / reused,
     /// and shared-distance-cache traffic. Every other field stays zero.
-    pub delta: QueryStats,
+    pub(crate) delta: QueryStats,
 }
 
 /// Assembles a door-distance context at `horizon` by composing per-door
@@ -86,7 +86,7 @@ impl<'a> EvalContext<'a> {
     /// Builds the context, assembling door distances truncated at
     /// `horizon` (pass `f64::INFINITY` for a complete context) from the
     /// shared distance cache, within `options`' byte budget.
-    pub fn new(
+    pub(crate) fn new(
         space: &'a IndoorSpace,
         store: &'a ObjectStore,
         index: &'a CompositeIndex,
@@ -112,7 +112,7 @@ impl<'a> EvalContext<'a> {
 
     /// The horizon the door distances were assembled at: `∞` for an
     /// unrestricted context.
-    pub fn horizon(&self) -> f64 {
+    pub(crate) fn horizon(&self) -> f64 {
         if self.dd.is_restricted() {
             self.horizon
         } else {
@@ -122,7 +122,7 @@ impl<'a> EvalContext<'a> {
 
     /// Re-assembles the door distances at `horizon` when it is wider
     /// than the current one, keeping any full-graph distances.
-    pub fn grow(&mut self, horizon: f64) -> Result<(), QueryError> {
+    pub(crate) fn grow(&mut self, horizon: f64) -> Result<(), QueryError> {
         if horizon <= self.horizon() {
             return Ok(());
         }
@@ -141,13 +141,13 @@ impl<'a> EvalContext<'a> {
     /// Adds the work this context counted to `stats`: a query's last
     /// step. It consumes the context, so the door distances are freed
     /// before the caller builds its answer.
-    pub fn drain_into(self, stats: &mut QueryStats) {
+    pub(crate) fn drain_into(self, stats: &mut QueryStats) {
         stats.accumulate(&self.delta);
     }
 
     /// Phase-3 bounds for one object (Table III dispatch), from its
     /// memoised subregion summary.
-    pub fn bounds(&mut self, id: ObjectId) -> Result<ObjectBounds, QueryError> {
+    pub(crate) fn bounds(&mut self, id: ObjectId) -> Result<ObjectBounds, QueryError> {
         let obj = self.store.get(id)?;
         let summary = summary_of(self.space, self.index, obj, &mut self.delta)?;
         Ok(object_bounds(self.space, &self.dd, summary.iter()))
@@ -176,7 +176,7 @@ impl<'a> EvalContext<'a> {
     /// equals the full-graph expected distance bit for bit, independent
     /// of the horizon. Callers compare it with their own radius or k-th
     /// distance.
-    pub fn refine(&mut self, id: ObjectId) -> Result<f64, QueryError> {
+    pub(crate) fn refine(&mut self, id: ObjectId) -> Result<f64, QueryError> {
         let (space, index) = (self.space, self.index);
         let obj = self.store.get(id)?;
         let (subs, computed) = obj.subregions(space, || object_partition_hint(index, id))?;

@@ -82,7 +82,7 @@ pub struct DistanceResult {
     /// partition is an error, not `∞`.
     pub distance: f64,
     /// Evaluation statistics.
-    pub stats: QueryStats,
+    pub(crate) stats: QueryStats,
 }
 
 /// Result of a [`Query::Path`] evaluation.
@@ -92,7 +92,7 @@ pub struct PathResult {
     /// target in no partition is an error, not `None`.
     pub path: Option<(f64, Vec<DoorId>)>,
     /// Evaluation statistics.
-    pub stats: QueryStats,
+    pub(crate) stats: QueryStats,
 }
 
 /// The outcome of one [`Query`], matching its variant. Every outcome

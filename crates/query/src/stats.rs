@@ -56,7 +56,7 @@ pub struct QueryStats {
     /// Lookups served by a resident row of the shared distance cache.
     pub shared_cache_hits: usize,
     /// Lookups that expanded (and cached) a fresh row.
-    pub shared_cache_misses: usize,
+    pub(crate) shared_cache_misses: usize,
     /// Rows the shared cache's byte budget evicted during this query.
     pub shared_cache_evictions: usize,
 }

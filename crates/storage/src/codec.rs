@@ -95,7 +95,7 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -257,14 +257,14 @@ static CRC_TABLE: [u32; 256] = crc_table();
 
 /// Incremental CRC32 (IEEE 802.3 polynomial).
 #[derive(Debug, Clone)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Crc32 {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32(0xFFFF_FFFF)
     }
 
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         let mut c = self.0;
         for &b in data {
             c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -272,7 +272,7 @@ impl Crc32 {
         self.0 = c;
     }
 
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }

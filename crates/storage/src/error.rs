@@ -64,7 +64,7 @@ impl std::error::Error for StorageError {}
 
 impl StorageError {
     /// Wrap an `std::io::Error` from operation `op` on `path`.
-    pub fn io(op: &'static str, path: &str, err: &std::io::Error) -> Self {
+    pub(crate) fn io(op: &'static str, path: &str, err: &std::io::Error) -> Self {
         StorageError::Io {
             op,
             path: path.to_string(),

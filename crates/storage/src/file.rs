@@ -2,7 +2,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::backend::{LogFile, StorageBackend};
 use crate::error::StorageError;
@@ -25,10 +25,6 @@ impl FileBackend {
         fs::create_dir_all(&root)
             .map_err(|e| StorageError::io("create_dir_all", &root.display().to_string(), &e))?;
         Ok(FileBackend { root })
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn path_of(&self, name: &str) -> PathBuf {

@@ -67,20 +67,6 @@ impl MemBackend {
         let files = self.files.lock().expect("mem backend poisoned");
         files.values().map(|f| f.data.len()).sum()
     }
-
-    /// Durable length of `name`, if it exists.
-    pub fn synced_len(&self, name: &str) -> Option<usize> {
-        let files = self.files.lock().expect("mem backend poisoned");
-        files.get(name).map(|f| f.synced)
-    }
-
-    /// Corrupt one durable byte in `name` at `offset` (test helper for
-    /// damaged-file scenarios).
-    pub fn flip_byte(&self, name: &str, offset: usize) {
-        let mut files = self.files.lock().expect("mem backend poisoned");
-        let f = files.get_mut(name).expect("flip_byte: no such file");
-        f.data[offset] ^= 0xFF;
-    }
 }
 
 #[derive(Debug)]
@@ -250,7 +236,7 @@ mod tests {
         f.append(b"AB").unwrap();
         assert_eq!(b.read("a.log").unwrap(), b"0123AB");
         // Only the surviving prefix counts as synced until the next sync.
-        assert_eq!(b.synced_len("a.log"), Some(4));
+        assert_eq!(b.crashed().read("a.log").unwrap(), b"0123");
     }
 
     #[test]

@@ -68,16 +68,6 @@ pub enum SyncPolicy {
     Os,
 }
 
-impl SyncPolicy {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SyncPolicy::Always => "always",
-            SyncPolicy::Group => "group",
-            SyncPolicy::Os => "os",
-        }
-    }
-}
-
 /// One recovered WAL record: a single staged batch within epoch `epoch`.
 /// Records are returned in append order, so `offset_in_epoch` is implicit
 /// in a record's position among those sharing its epoch.
@@ -277,10 +267,6 @@ impl Wal {
         ))
     }
 
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Append one commit group: every batch payload of `epoch`, in
     /// `offset_in_epoch` order. Applies the sync policy, then rotates the
     /// segment if it outgrew `segment_bytes` (rotation happens only at
@@ -347,11 +333,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Number of sealed segments still on disk (test/introspection).
-    pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
-    }
-
     /// Epoch of the newest record this WAL holds (0 when empty) — error
     /// context for flush failures.
     pub fn last_epoch(&self) -> u64 {
@@ -376,6 +357,16 @@ mod tests {
         segment_bytes: u64,
     ) -> (Wal, Vec<WalRecord>) {
         Wal::open(Arc::new(backend.clone()), policy, segment_bytes).unwrap()
+    }
+
+    /// Corrupts one durable byte of `name`, rewriting the file through the
+    /// backend.
+    fn flip_byte(backend: &MemBackend, name: &str, offset: usize) {
+        let mut data = backend.read(name).unwrap();
+        data[offset] ^= 0xFF;
+        let mut f = backend.create(name).unwrap();
+        f.append(&data).unwrap();
+        f.sync().unwrap();
     }
 
     #[test]
@@ -446,7 +437,7 @@ mod tests {
         // Flip a bit in the *len* field of the first frame. The intact
         // second frame proves this is corruption of acknowledged data,
         // not a torn tail — truncating would silently drop epoch 2.
-        b.flip_byte(&segment_name(0), 0);
+        flip_byte(&b, &segment_name(0), 0);
         let err = Wal::open(Arc::new(b), SyncPolicy::Group, 1 << 20).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
     }
@@ -458,7 +449,7 @@ mod tests {
         wal.append_commit(1, &payloads(&[b"first"])).unwrap();
         wal.append_commit(2, &payloads(&[b"second"])).unwrap();
         drop(wal);
-        b.flip_byte(&segment_name(0), FRAME_HEADER); // first frame's payload
+        flip_byte(&b, &segment_name(0), FRAME_HEADER); // first frame's payload
         let err = Wal::open(Arc::new(b), SyncPolicy::Group, 1 << 20).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
     }
@@ -474,7 +465,7 @@ mod tests {
         // this parses as an interrupted append and truncates to epoch 1.
         let name = segment_name(0);
         let len = b.read(&name).unwrap().len();
-        b.flip_byte(&name, len - 1);
+        flip_byte(&b, &name, len - 1);
         let (_, recs) = open_mem(&b, SyncPolicy::Group, 1 << 20);
         let epochs: Vec<u64> = recs.iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![1]);
@@ -488,7 +479,7 @@ mod tests {
         wal.append_commit(1, &payloads(&[b"one"])).unwrap();
         wal.append_commit(2, &payloads(&[b"two"])).unwrap();
         drop(wal);
-        b.flip_byte(&segment_name(0), FRAME_HEADER); // damage payload of sealed segment
+        flip_byte(&b, &segment_name(0), FRAME_HEADER); // damage payload of sealed segment
         let err = Wal::open(Arc::new(b), SyncPolicy::Group, 1).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
     }
@@ -500,9 +491,10 @@ mod tests {
         for epoch in 1..=4u64 {
             wal.append_commit(epoch, &payloads(&[b"x"])).unwrap();
         }
-        assert_eq!(wal.sealed_segments(), 4);
+        let files = |b: &MemBackend| b.list().unwrap().len();
+        let before = files(&b);
         wal.truncate_below(2).unwrap();
-        assert_eq!(wal.sealed_segments(), 2);
+        assert_eq!(files(&b), before - 2);
         drop(wal);
         let (_, recs) = open_mem(&b, SyncPolicy::Group, 1 << 20);
         let epochs: Vec<u64> = recs.iter().map(|r| r.epoch).collect();

@@ -21,7 +21,7 @@
 //! x-axis.
 
 use idq_geom::{Point2, Rect2};
-use idq_model::{DoorId, Floor, FloorPlanBuilder, IndoorSpace, ModelError, PartitionId};
+use idq_model::{Floor, FloorPlanBuilder, IndoorSpace, ModelError, PartitionId};
 
 /// Parameters of the synthetic building.
 #[derive(Clone, Debug)]
@@ -70,7 +70,7 @@ impl BuildingConfig {
     }
 
     /// Rooms per floor implied by the configuration.
-    pub fn rooms_per_floor(&self) -> usize {
+    pub(crate) fn rooms_per_floor(&self) -> usize {
         2 * self.bands * self.rooms_per_side
     }
 }
@@ -80,14 +80,10 @@ impl BuildingConfig {
 pub struct GeneratedBuilding {
     /// The indoor space.
     pub space: IndoorSpace,
-    /// The four staircase partitions (span all floors).
-    pub staircases: Vec<PartitionId>,
     /// Room partitions, grouped by floor.
     pub rooms_by_floor: Vec<Vec<PartitionId>>,
     /// All corridor partitions (ring strips + band corridors), by floor.
     pub corridors_by_floor: Vec<Vec<PartitionId>>,
-    /// Staircase entrance doors, by floor (4 per floor).
-    pub stair_entrances_by_floor: Vec<Vec<DoorId>>,
     /// The configuration that produced the building.
     pub config: BuildingConfig,
 }
@@ -126,7 +122,6 @@ pub fn generate_building(config: &BuildingConfig) -> Result<GeneratedBuilding, M
 
     let mut rooms_by_floor = Vec::with_capacity(floors as usize);
     let mut corridors_by_floor = Vec::with_capacity(floors as usize);
-    let mut stair_entrances_by_floor = Vec::with_capacity(floors as usize);
 
     for f in 0..floors {
         let mut rooms = Vec::with_capacity(config.rooms_per_floor());
@@ -145,7 +140,6 @@ pub fn generate_building(config: &BuildingConfig) -> Result<GeneratedBuilding, M
         b.add_door_between(north, east, Point2::new(w - cw / 2.0, d - cw))?;
 
         // Staircase entrances onto the west/east strips.
-        let mut entrances = Vec::with_capacity(4);
         for (i, &st) in staircases.iter().enumerate() {
             let r = stair_rects[i];
             let (strip, x) = if r.lo.x < w / 2.0 {
@@ -154,7 +148,7 @@ pub fn generate_building(config: &BuildingConfig) -> Result<GeneratedBuilding, M
                 (east, w - cw)
             };
             let pos = Point2::new(x, (r.lo.y + r.hi.y) / 2.0);
-            entrances.push(b.add_staircase_entrance(st, strip, f, pos)?);
+            b.add_staircase_entrance(st, strip, f, pos)?;
         }
 
         // Interior bands of rooms around their own corridor.
@@ -203,17 +197,14 @@ pub fn generate_building(config: &BuildingConfig) -> Result<GeneratedBuilding, M
         }
         rooms_by_floor.push(rooms);
         corridors_by_floor.push(corridors);
-        stair_entrances_by_floor.push(entrances);
     }
 
     let space = b.finish()?;
     debug_assert_eq!(space.connected_components(), 1);
     Ok(GeneratedBuilding {
         space,
-        staircases,
         rooms_by_floor,
         corridors_by_floor,
-        stair_entrances_by_floor,
         config: config.clone(),
     })
 }
@@ -235,18 +226,20 @@ impl BuilderExt for FloorPlanBuilder {
     }
 }
 
-/// One-way doors come from `add_one_way_door`; re-exported here so the
-/// generator's callers can reason about direction without importing the
-/// model crate.
-pub use idq_model::Direction as DoorDirection;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idq_model::{IndoorPoint, PartitionKind};
+    use idq_model::{DoorKind, IndoorPoint, PartitionKind};
 
     fn small() -> GeneratedBuilding {
         generate_building(&BuildingConfig::with_floors(3)).unwrap()
+    }
+
+    fn staircases(g: &GeneratedBuilding) -> Vec<&idq_model::Partition> {
+        g.space
+            .partitions()
+            .filter(|p| p.kind == PartitionKind::Staircase)
+            .collect()
     }
 
     #[test]
@@ -259,9 +252,14 @@ mod tests {
         for f in 0..3 {
             assert_eq!(g.rooms_by_floor[f].len(), 100);
             assert_eq!(g.corridors_by_floor[f].len(), 9);
-            assert_eq!(g.stair_entrances_by_floor[f].len(), 4);
+            let entrances = g
+                .space
+                .doors()
+                .filter(|d| d.kind == DoorKind::StaircaseEntrance && d.floor == f as Floor)
+                .count();
+            assert_eq!(entrances, 4);
         }
-        assert_eq!(g.staircases.len(), 4);
+        assert_eq!(staircases(&g).len(), 4);
         // Doors per floor: 100 room doors + 2 extra one-way (2 rooms get
         // pairs) + 10 corridor-ring + 4 corners + 4 stair entrances = 120.
         assert_eq!(g.door_count(), 3 * 120);
@@ -277,9 +275,7 @@ mod tests {
     #[test]
     fn staircases_span_all_floors() {
         let g = small();
-        for &st in &g.staircases {
-            let p = g.space.partition(st).unwrap();
-            assert_eq!(p.kind, PartitionKind::Staircase);
+        for p in staircases(&g) {
             assert_eq!(p.floor_lo, 0);
             assert_eq!(p.floor_hi, 2);
         }

@@ -5,13 +5,13 @@
 #[derive(Debug, Clone)]
 pub struct SeriesTable {
     /// Panel title, e.g. `"Fig 12(a) iRQ Tq (ms) vs |O|"`.
-    pub title: String,
+    pub(crate) title: String,
     /// Label of the x column.
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// Series names.
-    pub series: Vec<String>,
+    pub(crate) series: Vec<String>,
     /// Rows: x label → one value per series.
-    pub rows: Vec<(String, Vec<f64>)>,
+    pub(crate) rows: Vec<(String, Vec<f64>)>,
 }
 
 impl SeriesTable {

@@ -13,22 +13,20 @@
 //! * [`QueryPointConfig`] / [`generate_query_points`] — query workloads;
 //! * [`UpdateStreamConfig`] / [`generate_update_stream`] — mixed typed
 //!   update streams (position reports + door churn) for ingest benchmarks;
-//! * [`TrajectoryStreamConfig`] / [`generate_trajectory_stream`] —
-//!   wave-major bounded random walks for the history ring's trajectory
-//!   and co-movement queries;
 //! * [`SubscriptionSetConfig`] / [`generate_subscription_set`] — standing
 //!   continuous-query fleets for the dispatch engine's routing benchmarks;
-//! * [`experiment`] — paper-style table printing for the figure
+//! * `experiment` — paper-style table printing for the figure
 //!   binaries.
 
-pub mod building;
-pub mod defaults;
-pub mod experiment;
-pub mod objects;
-pub mod queries;
-pub mod subscriptions;
-pub mod trajectories;
-pub mod updates;
+#![warn(unreachable_pub)]
+
+mod building;
+mod defaults;
+mod experiment;
+mod objects;
+mod queries;
+mod subscriptions;
+mod updates;
 
 pub use building::{generate_building, BuildingConfig, GeneratedBuilding};
 pub use defaults::PaperDefaults;
@@ -36,5 +34,4 @@ pub use experiment::SeriesTable;
 pub use objects::{generate_objects, sample_one, ObjectConfig};
 pub use queries::{generate_query_points, QueryPointConfig};
 pub use subscriptions::{generate_subscription_set, SubscriptionSetConfig};
-pub use trajectories::{generate_trajectory_stream, TrajectoryStreamConfig};
 pub use updates::{generate_update_stream, UpdateStreamConfig};

@@ -27,6 +27,10 @@
 //! * [`workloads`] — synthetic buildings, objects and query workloads
 //!   reproducing the paper's evaluation setup.
 //!
+//! Each component crate exposes its API at its root
+//! (`indoor_dq::index::SearchStats`, never a module path such as
+//! `indoor_dq::index::rtree::SearchStats`); its modules are private.
+//!
 //! ## Quickstart
 //!
 //! Queries are typed [`query::Query`] values executed through a
@@ -74,6 +78,8 @@
 //! assert!(outcomes[1].stats().shared_cache_hits > 0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 /// Compiles and runs the README's Rust code blocks as doctests.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
@@ -112,7 +118,5 @@ pub mod prelude {
         RangeResult,
     };
     pub use idq_storage::{FileBackend, MemBackend, StorageBackend, SyncPolicy};
-    pub use idq_workloads::{
-        BuildingConfig, ObjectConfig, QueryPointConfig, TrajectoryStreamConfig, UpdateStreamConfig,
-    };
+    pub use idq_workloads::{BuildingConfig, ObjectConfig, QueryPointConfig, UpdateStreamConfig};
 }

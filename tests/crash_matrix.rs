@@ -25,7 +25,6 @@
 //!   inside the storage backend;
 //! * proptest-randomized streams over policies and checkpoint points.
 
-use indoor_dq::core::wire;
 use indoor_dq::prelude::*;
 use indoor_dq::storage::{LogFile, StorageError, Wal};
 use indoor_dq::workloads::{
@@ -284,7 +283,7 @@ fn logged_but_unpublished_group_replays_on_recovery() {
         floor: 0,
         seed: 42,
     };
-    let payload = wire::encode_batch(std::slice::from_ref(&update), &[]);
+    let payload = indoor_dq::core::encode_batch(std::slice::from_ref(&update), &[]);
     {
         let (mut wal, _) = Wal::open(
             Arc::new(backend.clone()),

@@ -6,7 +6,7 @@
 //! The counting allocator is global to this test binary, so the file
 //! holds this one test only.
 
-use indoor_dq::core::wire::{decode_checkpoint, FORMAT};
+use indoor_dq::core::{decode_checkpoint, FORMAT};
 use indoor_dq::storage::StorageError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};

@@ -6,7 +6,7 @@
 //! `r = 100` walks at 04de673 with the same `range_search` call; a
 //! refactor of the tree must not move them.
 
-use indoor_dq::index::rtree::SearchStats;
+use indoor_dq::index::SearchStats;
 use indoor_dq::index::{CompositeIndex, IndexConfig};
 use indoor_dq::workloads::{
     generate_building, generate_objects, generate_query_points, BuildingConfig, ObjectConfig,

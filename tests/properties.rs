@@ -2,8 +2,7 @@
 //! skeleton lower bound, decomposition invariants and oracle agreement.
 
 use indoor_dq::distance::{
-    expected::expected_indoor_distance_naive, expected_indoor_distance, object_bounds,
-    DoorDistances,
+    expected_indoor_distance, expected_indoor_distance_naive, object_bounds, DoorDistances,
 };
 use indoor_dq::geom::{decompose_rect, Circle, DecomposeConfig, Point2, Rect2};
 use indoor_dq::index::{CompositeIndex, IndexConfig};
